@@ -13,6 +13,7 @@
 //! `perfbench/README.md` defines every workload and metric.
 
 mod check;
+mod pair;
 mod report;
 mod serve_1m;
 mod serve_reload;

@@ -1,11 +1,11 @@
 //! `serve_reload`: writes beside reads on the serving layer. Two seeded
 //! model generations at 2·10^4 items (3.8 MB of item rows, cache
-//! resident) and 4,096 users. A client thread serves 16-user requests
-//! from `ServeHandle::index()` in a closed loop on a 1-thread pool while
-//! the deployer (this thread) cycles the generations:
-//! `ModelSnapshot::save`, `ServeHandle::reload_from_path`, then the first
-//! batch on the new generation. Every batch must equal exactly one
-//! generation's reference.
+//! resident) and 4,096 users. A client thread serves a fixed number of
+//! 16-user requests from `ServeHandle::index()` in a closed loop on a
+//! 1-thread pool while the deployer (this thread) cycles the generations
+//! until the client is done: `ModelSnapshot::save`,
+//! `ServeHandle::reload_from_path`, then the first batch on the new
+//! generation. Every batch must equal exactly one generation's reference.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -19,9 +19,12 @@ use gnmr_tensor::fio::{self, FaultPlan};
 use gnmr_tensor::{init, kernels, par, rng};
 
 use crate::check::{reference_row, row_equals};
+use crate::pair;
 use crate::report::{median, metric, out_dir, peak_rss_mb, percentile, Layers, Outcome};
-use crate::serving::{self, all_users, request_stream, seeded_exclude_rows, LoopStats, Parts, ServeBreakdown, K};
-use crate::trace::{self, median_ms, Span, Tracer};
+use crate::serving::{
+    self, all_users, request_stream, seeded_exclude_rows, LoopStats, Parts, RoundClock, ServeBreakdown, K,
+};
+use crate::trace::{self, median_ms, record, Span, Tracer};
 use crate::Args;
 
 const USERS: usize = 4096;
@@ -34,11 +37,21 @@ const REQUEST_USERS: usize = 16;
 const HOT_USERS: usize = 256;
 /// Requests in the client's stream; it wraps around.
 const STREAM_REQUESTS: usize = 4096;
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 15;
-/// Deploy cycles per `--seconds` (one takes ~30–40 ms), with a floor.
-const CYCLES_PER_SECOND: usize = 25;
-const MIN_CYCLES: usize = 50;
+/// Pairs of set-ups per run, each pair side by side; `setup_s` is the
+/// median over pairs of the faster set-up.
+const SETUP_PAIRS: usize = 8;
+/// Client requests per `--seconds` (one takes ~5 ms beside the deployer).
+const REQUESTS_PER_SECOND: usize = 150;
+/// Requests per client round (~1.2 s), the fewest that put at least 10
+/// beyond the round's p95. The fastest round gives `users_per_s` and
+/// `latency_p95_ms`; short rounds catch the quiet spells between the
+/// host's slow ones, which come and go over a few seconds.
+const ROUND_REQUESTS: usize = 220;
+/// Deploy cycles (~35 ms each) per timed round; `phase_s` is the fastest
+/// complete round.
+const CYCLES_PER_ROUND: usize = 20;
+/// The deployer runs at least this many cycles, however fast the client.
+const MIN_CYCLES: usize = 2 * CYCLES_PER_ROUND;
 /// Client request ids start here, above every deploy cycle id.
 const CLIENT_IDS: u64 = 1 << 32;
 
@@ -109,22 +122,19 @@ struct ClientLog {
     replica_mismatches: Vec<usize>,
 }
 
-/// One client in a closed loop on `ServeHandle::index()` until `done`.
-fn run_client(w: &World, done: &AtomicBool, tracer: Option<&Tracer>) -> ClientLog {
-    let mut latencies_ms = Vec::new();
-    let mut served = Vec::new();
+/// One client in a closed loop of `requests` requests on
+/// `ServeHandle::index()`. With a tracer, every odd request is traced.
+fn run_client(w: &World, requests: usize, tracer: Option<&Tracer>) -> ClientLog {
+    let mut served = Vec::with_capacity(requests * REQUEST_USERS * K);
     let mut replica_mismatches = Vec::new();
     let mut out = vec![(0u32, 0.0f32); REQUEST_USERS * K];
     let mut twin = out.clone();
-    let start = Instant::now();
-    let mut i = 0;
-    // ORDERING: Acquire pairs with the deployer's Release store, so the
-    // client stops after the last cycle.
-    while !done.load(Ordering::Acquire) {
+    let mut clock = RoundClock::new(requests, (requests / ROUND_REQUESTS).max(1));
+    for i in 0..requests {
         let users = w.request(i);
         let t = Instant::now();
         let index = w.handle.index();
-        match tracer {
+        match tracer.filter(|_| i % 2 == 1) {
             None => index.recommend_batch_into(users, K, &w.excludes, &mut out),
             Some(tracer) => {
                 let parts = w.parts(w.generation_of(&index));
@@ -134,12 +144,10 @@ fn run_client(w: &World, done: &AtomicBool, tracer: Option<&Tracer>) -> ClientLo
                 }
             }
         }
-        latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        clock.served(users.len(), t.elapsed().as_secs_f64() * 1e3);
         served.extend_from_slice(&out);
-        i += 1;
     }
-    let stats = LoopStats { latencies_ms, wall_s: start.elapsed().as_secs_f64(), users: i * REQUEST_USERS };
-    ClientLog { stats, served, replica_mismatches }
+    ClientLog { stats: clock.finish(), served, replica_mismatches }
 }
 
 /// What the deployer did.
@@ -148,34 +156,53 @@ struct Deploys {
     /// Save start to first batch answered by the new generation, per
     /// successful cycle.
     cycle_ms: Vec<f64>,
+    /// Whether each successful cycle was traced.
+    traced: Vec<bool>,
     /// The generation each successful cycle deployed, and its first batch.
     first: Vec<(usize, Vec<(u32, f32)>)>,
     failures: Vec<String>,
     bytes_written: u64,
-    wall_s: f64,
+    /// Wall-clock of each complete round of `CYCLES_PER_ROUND` cycles.
+    rounds_s: Vec<f64>,
 }
 
-fn run_deployer(w: &World, path: &Path, cycles: std::ops::Range<usize>, tracer: Option<&Tracer>) -> Deploys {
+impl Deploys {
+    fn cycles(&self) -> usize {
+        self.cycle_ms.len() + self.failures.len()
+    }
+}
+
+/// Deploy cycles until the client is `done`, and at least `MIN_CYCLES`.
+/// With a tracer, every odd cycle is traced.
+fn run_deployer(w: &World, path: &Path, done: &AtomicBool, tracer: Option<&Tracer>) -> Deploys {
     let mut d = Deploys::default();
     let mut out = vec![(0u32, 0.0f32); REQUEST_USERS * K];
-    let start = Instant::now();
-    for c in cycles {
+    let mut round = Instant::now();
+    // ORDERING: Acquire pairs with the client's Release store, so the
+    // deployer stops after the client's last request.
+    while d.cycles() < MIN_CYCLES || !done.load(Ordering::Acquire) {
+        let c = d.cycles();
         let next = (c + 1) % 2;
         let t = Instant::now();
-        let result = match tracer {
+        let traced = tracer.filter(|_| c % 2 == 1);
+        let result = match traced {
             None => deploy(w, next, path, &mut out).map(|()| 0),
             Some(tracer) => deploy_traced(tracer, c as u64, w, next, path, &mut out),
         };
         match result {
             Ok(bytes) => {
                 d.cycle_ms.push(t.elapsed().as_secs_f64() * 1e3);
+                d.traced.push(traced.is_some());
                 d.first.push((next, out.clone()));
-                d.bytes_written = bytes as u64;
+                d.bytes_written = d.bytes_written.max(bytes as u64);
             }
             Err(e) => d.failures.push(format!("cycle {c}: {e}")),
         }
+        if d.cycles() % CYCLES_PER_ROUND == 0 {
+            d.rounds_s.push(round.elapsed().as_secs_f64());
+            round = Instant::now();
+        }
     }
-    d.wall_s = start.elapsed().as_secs_f64();
     d
 }
 
@@ -202,19 +229,18 @@ fn deploy_traced(
     out: &mut [(u32, f32)],
 ) -> Result<usize, String> {
     let cycle = tracer.begin("serve.cycle", None, c);
-    let p = Some(cycle);
+    let (t, p) = (Some(tracer), Some(cycle));
     let result = (|| -> Result<usize, String> {
-        let bytes = tracer.record("serve.encode", p, c, || w.gens[next].to_bytes());
-        tracer
-            .record("fio.write", p, c, || fio::atomic_write(path, &bytes, &mut FaultPlan::none()))
+        let bytes = record(t, "serve.encode", p, c, true, || w.gens[next].to_bytes());
+        record(t, "fio.write", p, c, true, || fio::atomic_write(path, &bytes, &mut FaultPlan::none()))
             .map_err(|e| format!("write: {e}"))?;
-        let read =
-            tracer.record("fio.read", p, c, || fio::read_bytes(path, &mut FaultPlan::none())).map_err(|e| format!("read: {e}"))?;
-        let snapshot =
-            tracer.record("serve.decode", p, c, || ModelSnapshot::from_bytes(&read)).map_err(|e| format!("decode: {e}"))?;
-        let index = tracer.record("serve.index_build", p, c, || ServeIndex::from_snapshot(&snapshot));
-        tracer.record("serve.swap", p, c, || w.handle.reload(index)).map_err(|e| e.to_string())?;
-        tracer.record("serve.first_batch", p, c, || {
+        let read = record(t, "fio.read", p, c, true, || fio::read_bytes(path, &mut FaultPlan::none()))
+            .map_err(|e| format!("read: {e}"))?;
+        let snapshot = record(t, "serve.decode", p, c, true, || ModelSnapshot::from_bytes(&read))
+            .map_err(|e| format!("decode: {e}"))?;
+        let index = record(t, "serve.index_build", p, c, true, || ServeIndex::from_snapshot(&snapshot));
+        record(t, "serve.swap", p, c, true, || w.handle.reload(index)).map_err(|e| e.to_string())?;
+        record(t, "serve.first_batch", p, c, true, || {
             w.handle.index().recommend_batch_into(w.request(0), K, &w.excludes, out)
         });
         Ok(bytes.len())
@@ -223,26 +249,26 @@ fn deploy_traced(
     result
 }
 
-/// Tells the client to stop when the deployer finishes, even by panicking.
+/// Tells the deployer to stop when the client finishes, even by panicking.
 struct StopOnDrop<'a>(&'a AtomicBool);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
-        // ORDERING: Release pairs with the client's Acquire load.
+        // ORDERING: Release pairs with the deployer's Acquire load.
         self.0.store(true, Ordering::Release);
     }
 }
 
-/// The client on a thread of its own beside the deploy `cycles` on this
-/// one; both threads end before this returns.
-fn phase(w: &World, path: &Path, cycles: std::ops::Range<usize>, tracer: Option<&Tracer>) -> (ClientLog, Deploys) {
+/// The client's `requests` on a thread of their own beside deploy cycles
+/// on this one; both threads end before this returns.
+fn phase(w: &World, path: &Path, requests: usize, tracer: Option<&Tracer>) -> (ClientLog, Deploys) {
     let done = AtomicBool::new(false);
     thread::scope(|scope| {
-        let client = scope.spawn(|| run_client(w, &done, tracer));
-        let deploys = {
+        let client = scope.spawn(|| {
             let _stop = StopOnDrop(&done);
-            run_deployer(w, path, cycles, tracer)
-        };
+            run_client(w, requests, tracer)
+        });
+        let deploys = run_deployer(w, path, &done, tracer);
         (client.join().expect("client thread panicked"), deploys)
     })
 }
@@ -299,29 +325,22 @@ pub fn run(args: &Args) -> Outcome {
     out
 }
 
-fn cycles(args: &Args) -> usize {
-    (CYCLES_PER_SECOND * args.seconds as usize).max(MIN_CYCLES)
+fn requests(args: &Args) -> usize {
+    (REQUESTS_PER_SECOND * args.seconds as usize).max(ROUND_REQUESTS)
 }
 
 fn untraced(args: &Args, path: &Path) -> Outcome {
     let mut out = Outcome::default();
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut world = None;
-    for _ in 0..SETUPS {
-        drop(world.take());
-        let t = Instant::now();
-        world = Some(build(args.seed));
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let w = world.expect("at least one set-up");
-    let cycles = cycles(args);
-    let (client, deploys) = phase(&w, path, 0..cycles, None);
+    let (setups, mut worlds) = pair::setups(SETUP_PAIRS, 1, || build(args.seed));
+    let w = worlds.pop().expect("at least one set-up");
+    let requests = requests(args);
+    let (client, deploys) = phase(&w, path, requests, None);
     let peak = peak_rss_mb();
     let snapshot_bytes = std::fs::metadata(path).map_or(0, |m| m.len());
     verify(&mut out, &w, &client, &deploys);
 
     out.metrics.push(metric("setup_s", "s", median(&setups)));
-    out.metrics.push(metric("phase_s", "s", deploys.wall_s));
+    out.metrics.push(metric("phase_s", "s", deploys.rounds_s.iter().copied().fold(f64::INFINITY, f64::min)));
     client.stats.report(&mut out);
     out.metrics.push(metric("peak_rss_mb", "MiB", peak));
     let (reload_p95, beyond) = percentile(&deploys.cycle_ms, 0.95);
@@ -330,13 +349,15 @@ fn untraced(args: &Args, path: &Path) -> Outcome {
         metric("reload_p95_ms", "ms", reload_p95),
         metric("reloads", "count", deploys.cycle_ms.len() as f64),
         metric("reload_failures", "count", deploys.failures.len() as f64),
-        metric("client_requests", "count", client.stats.latencies_ms.len() as f64),
+        metric("client_requests", "count", (client.served.len() / (REQUEST_USERS * K)) as f64),
         metric("error_rate", "fraction", out.checks.error_rate()),
     ]);
-    out.provenance.extend(shapes(cycles));
+    out.provenance.extend(shapes(requests, deploys.cycles()));
+    let rounds: Vec<String> = deploys.rounds_s.iter().map(|s| format!("{s:.3}")).collect();
+    out.provenance.push(("deploy_round_s", format!("[{}]", rounds.join(", "))));
     out.provenance.push(("reload_beyond_p95", beyond.to_string()));
     out.provenance.push(("snapshot_bytes", snapshot_bytes.to_string()));
-    out.provenance.push(("setup_repeats", SETUPS.to_string()));
+    out.provenance.push(("setup_pairs", SETUP_PAIRS.to_string()));
     out
 }
 
@@ -351,19 +372,21 @@ fn traced(args: &Args, path: &Path) -> Outcome {
     let batch_allocs = allocations() - before;
     drop(index);
 
-    // Half the cycles untraced (the baseline for overhead and
-    // reconciliation), then half traced, continuing the alternation.
-    let half = cycles(args) / 2;
-    let (client_u, deploys_u) = phase(&w, path, 0..half, None);
+    // Requests and cycles alternate between untraced (the baseline for
+    // overhead and reconciliation) and traced, so both kinds see the same
+    // machine.
+    let requests = requests(args);
     let tracer = Tracer::new();
-    let (client_t, deploys_t) = phase(&w, path, half..2 * half, Some(&tracer));
-    verify(&mut out, &w, &client_u, &deploys_u);
-    verify(&mut out, &w, &client_t, &deploys_t);
+    let (client, deploys) = phase(&w, path, requests, Some(&tracer));
+    verify(&mut out, &w, &client, &deploys);
 
     let spans = tracer.into_spans();
     trace::save(&mut out, args, &spans);
-    let untraced_cycle = median(&deploys_u.cycle_ms);
-    let traced_cycle = median(&deploys_t.cycle_ms);
+    let cycles = |traced: bool| -> Vec<f64> {
+        deploys.cycle_ms.iter().zip(&deploys.traced).filter(|(_, &t)| t == traced).map(|(&ms, _)| ms).collect()
+    };
+    let untraced_cycle = median(&cycles(false));
+    let traced_cycle = median(&cycles(true));
     let stage_ms: Vec<f64> = STAGES.iter().map(|(span, _)| median_ms(&spans, span)).collect();
     let stage_sum: f64 = stage_ms.iter().sum();
     let serve = ServeBreakdown::from_spans(&spans, (CATALOG * DIM * 4) as f64, REQUEST_USERS);
@@ -383,8 +406,8 @@ fn traced(args: &Args, path: &Path) -> Outcome {
         metric("reload_traced_ms", "ms", traced_cycle),
         metric("trace.reconcile_pct", "%", 100.0 * stage_sum / untraced_cycle),
     ]);
-    serve.detail(median(&client_u.stats.latencies_ms), &mut out);
-    let failures = deploys_u.failures.len() + deploys_t.failures.len();
+    let untraced_requests: Vec<f64> = client.stats.latencies_ms().into_iter().step_by(2).collect();
+    serve.detail(median(&untraced_requests), &mut out);
     out.metrics = Layers {
         shares: trace::layer_shares(&spans),
         serve,
@@ -392,14 +415,14 @@ fn traced(args: &Args, path: &Path) -> Outcome {
         forward_allocs: 0,
         backward_allocs: 0,
         batch_allocs,
-        bytes_written: deploys_t.bytes_written,
-        reloads: (deploys_u.cycle_ms.len() + deploys_t.cycle_ms.len()) as u64,
-        reload_failures: failures as u64,
+        bytes_written: deploys.bytes_written,
+        reloads: deploys.cycle_ms.len() as u64,
+        reload_failures: deploys.failures.len() as u64,
         overhead_pct: (traced_cycle / untraced_cycle - 1.0) * 100.0,
         reconcile_pct: 100.0 * stage_sum / untraced_cycle,
     }
     .into_metrics();
-    out.provenance.extend(shapes(2 * half));
+    out.provenance.extend(shapes(requests, deploys.cycles()));
     out
 }
 
@@ -422,7 +445,7 @@ fn split_batches(spans: &[Span]) -> (Vec<f64>, Vec<f64>) {
     (overlap.iter().map(|s| s.ms()).collect(), quiet.iter().map(|s| s.ms()).collect())
 }
 
-fn shapes(cycles: usize) -> Vec<(&'static str, String)> {
+fn shapes(requests: usize, cycles: usize) -> Vec<(&'static str, String)> {
     vec![
         ("users", USERS.to_string()),
         ("items", CATALOG.to_string()),
@@ -430,6 +453,7 @@ fn shapes(cycles: usize) -> Vec<(&'static str, String)> {
         ("excludes_per_user", EXCLUDES.to_string()),
         ("request_users", REQUEST_USERS.to_string()),
         ("hot_users", HOT_USERS.to_string()),
+        ("requests", requests.to_string()),
         ("cycles", cycles.to_string()),
         ("k", K.to_string()),
     ]

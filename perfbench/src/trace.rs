@@ -100,14 +100,9 @@ impl Tracer {
         spans.len() - 1
     }
 
-    /// Opens a span; close it with [`Tracer::end`].
+    /// Opens a counted span; close it with [`Tracer::end`].
     pub fn begin(&self, name: &'static str, parent: Option<SpanId>, request: u64) -> SpanId {
         self.open(name, parent, request, true)
-    }
-
-    /// Opens a span left out of layer self times (see [`Span::counted`]).
-    pub fn begin_uncounted(&self, name: &'static str, parent: Option<SpanId>, request: u64) -> SpanId {
-        self.open(name, parent, request, false)
     }
 
     pub fn end(&self, id: SpanId) {
@@ -115,25 +110,28 @@ impl Tracer {
         self.lock()[id].end_ns = end_ns;
     }
 
-    /// Runs `f` inside a span.
-    pub fn record<R>(&self, name: &'static str, parent: Option<SpanId>, request: u64, f: impl FnOnce() -> R) -> R {
-        let id = self.begin(name, parent, request);
-        let r = f();
-        self.end(id);
-        r
-    }
-
-    /// Runs `f` inside a top-level span left out of layer self times.
-    pub fn record_uncounted<R>(&self, name: &'static str, request: u64, f: impl FnOnce() -> R) -> R {
-        let id = self.begin_uncounted(name, None, request);
-        let r = f();
-        self.end(id);
-        r
-    }
-
     pub fn into_spans(self) -> Vec<Span> {
         self.spans.into_inner().expect("span recorder poisoned: a benchmark thread panicked while recording")
     }
+}
+
+/// Runs `f`, inside a span when there is a `tracer`. An uncounted span
+/// (`counted` false) is left out of layer self times; see
+/// [`Span::counted`].
+pub fn record<R>(
+    tracer: Option<&Tracer>,
+    name: &'static str,
+    parent: Option<SpanId>,
+    request: u64,
+    counted: bool,
+    f: impl FnOnce() -> R,
+) -> R {
+    let id = tracer.map(|t| t.open(name, parent, request, counted));
+    let r = f();
+    if let (Some(t), Some(id)) = (tracer, id) {
+        t.end(id);
+    }
+    r
 }
 
 /// Durations in milliseconds of the spans called `name`.
