@@ -353,102 +353,3 @@ mod tests {
         assert_eq!(grads.clip_global_norm(100.0), 1.0);
     }
 }
-
-// ---------------------------------------------------------------------
-// Persistence
-// ---------------------------------------------------------------------
-
-impl ParamStore {
-    /// Serializes the store to a simple line-oriented text format:
-    /// one `name<TAB>rows<TAB>cols<TAB>v0 v1 ...` record per parameter.
-    /// Values round-trip exactly (hex float encoding).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(out, "gnmr-params v1 {}", self.entries.len())?;
-        for (name, m) in &self.entries {
-            write!(out, "{name}\t{}\t{}\t", m.rows(), m.cols())?;
-            for (i, v) in m.data().iter().enumerate() {
-                if i > 0 {
-                    write!(out, " ")?;
-                }
-                write!(out, "{:08x}", v.to_bits())?;
-            }
-            writeln!(out)?;
-        }
-        out.flush()
-    }
-
-    /// Loads a store written by [`ParamStore::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        use std::io::BufRead;
-        let reader = std::io::BufReader::new(std::fs::File::open(path)?);
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "empty file"))??;
-        if !header.starts_with("gnmr-params v1") {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad header"));
-        }
-        let mut store = ParamStore::new();
-        for line in lines {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(4, '\t');
-            let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad record");
-            let name = parts.next().ok_or_else(bad)?;
-            let rows: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let cols: usize = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-            let values = parts.next().ok_or_else(bad)?;
-            let data: Vec<f32> = values
-                .split(' ')
-                .filter(|s| !s.is_empty())
-                .map(|s| u32::from_str_radix(s, 16).map(f32::from_bits).map_err(|_| bad()))
-                .collect::<Result<_, _>>()?;
-            if data.len() != rows * cols {
-                return Err(bad());
-            }
-            store.insert(name, Matrix::from_vec(rows, cols, data));
-        }
-        Ok(store)
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use gnmr_tensor::init;
-    use gnmr_tensor::rng::seeded;
-
-    #[test]
-    fn save_load_roundtrip_is_exact() {
-        let mut store = ParamStore::new();
-        let mut rng = seeded(1);
-        store.insert("layer.w", init::normal(7, 5, 0.0, 2.0, &mut rng));
-        store.insert("layer.b", Matrix::zeros(1, 5));
-        store.insert("odd/name with spaces", init::uniform(2, 3, -1e-30, 1e30, &mut rng));
-
-        let path = std::env::temp_dir().join(format!("gnmr_params_{}.txt", std::process::id()));
-        store.save(&path).unwrap();
-        let loaded = ParamStore::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(loaded.len(), store.len());
-        for (name, m) in store.iter() {
-            let l = loaded.get(name);
-            assert_eq!(l.shape(), m.shape());
-            // Bit-exact round-trip.
-            assert_eq!(l.data(), m.data(), "param {name} not bit-exact");
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join(format!("gnmr_garbage_{}.txt", std::process::id()));
-        std::fs::write(&path, "not a param file\n").unwrap();
-        assert!(ParamStore::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-}

@@ -2,8 +2,8 @@
 //! `TrainCheckpoint` codec and the end-to-end atomic save/load round
 //! trip (temp file + fsync + rename), at growing parameter counts.
 //!
-//! Like the other families this is a custom harness. Checkpoints are
-//! built synthetically — codec cost depends only on shapes, so seeded
+//! Like the other families it runs on `gnmr_bench::harness`.
+//! Checkpoints are built synthetically — codec cost depends only on shapes, so seeded
 //! uniform parameters and Adam moments stand in for trained state.
 //! `from_bytes` includes the full validation walk (checksum, header
 //! bounds, shape tables), which is the cost a resume actually pays.
@@ -13,23 +13,20 @@
 //! archive untouched.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use gnmr::autograd::AdamState;
 use gnmr::core::TrainCheckpoint;
 use gnmr::tensor::{init, rng};
+use gnmr_bench::harness::{self, Mode};
 
 /// Embedding width for the synthetic parameter set.
 const DIM: usize = 16;
 
-/// Target wall-clock per measurement cell, split across rounds.
+/// Target wall-clock per measurement cell.
 const TARGET_MS: u128 = 200;
 
-/// Target wall-clock per cell under `--quick-smoke`.
-const SMOKE_MS: u128 = 5;
-
-/// Interleaved rounds; minimum taken (additive noise, as elsewhere).
-const ROUNDS: u128 = 3;
+/// Minimum calls per timed block.
+const MIN_ITERS: u128 = 2;
 
 /// Entity counts: each cell carries two `n x DIM` parameter matrices
 /// plus first and second Adam moments for each (6x the payload).
@@ -71,33 +68,10 @@ fn synthetic(entities: usize) -> TrainCheckpoint {
     }
 }
 
-fn measure(block_ms: u128, mut op: impl FnMut()) -> u128 {
-    let start = Instant::now();
-    let mut iters = 0u128;
-    while start.elapsed().as_millis() < block_ms || iters < 2 {
-        op();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() / iters
-}
-
-fn to_json(records: &[Record]) -> String {
-    let lines: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"op\": \"checkpoint_{}\", \"entities\": {}, \"dim\": {DIM}, \
-                 \"bytes\": {}, \"ns_per_op\": {}, \"mb_per_sec\": {}}}",
-                r.op, r.entities, r.bytes, r.ns_per_op, r.mb_per_sec
-            )
-        })
-        .collect();
-    format!("[\n{}\n]", lines.join(",\n"))
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--quick-smoke");
-    let block_ms = if smoke { SMOKE_MS } else { TARGET_MS };
+    let mode = Mode::from_args();
+    let smoke = mode == Mode::QuickSmoke;
+    let timer = mode.timer(TARGET_MS, MIN_ITERS);
     let cells: &[usize] = if smoke { &CELLS[..1] } else { &CELLS };
     println!(
         "checkpoint benches{}",
@@ -109,28 +83,26 @@ fn main() {
     let path = dir.join("bench.ckpt");
 
     let mut records = Vec::new();
-    let round_ms = (block_ms / ROUNDS).max(1);
     for &entities in cells {
         let ckpt = synthetic(entities);
         let bytes = ckpt.to_bytes();
         let size = bytes.len();
         let mb_per_sec = |ns: u128| (size as u128 * 1_000_000_000) / (ns.max(1) * 1_048_576);
 
-        let mut best = [u128::MAX; 3];
-        for _ in 0..ROUNDS {
-            best[0] = best[0].min(measure(round_ms, || {
+        let best: [u128; 3] = timer.min_of_rounds(|cell| match cell {
+            0 => timer.block(&mut || {
                 black_box(ckpt.to_bytes());
-            }));
-            best[1] = best[1].min(measure(round_ms, || {
+            }),
+            1 => timer.block(&mut || {
                 black_box(TrainCheckpoint::from_bytes(&bytes).expect("parse"));
-            }));
+            }),
             // The end-to-end durable round trip: atomic save (write temp,
             // fsync, rename, fsync dir) then validated load.
-            best[2] = best[2].min(measure(round_ms, || {
+            _ => timer.block(&mut || {
                 ckpt.save(&path).expect("save");
                 black_box(TrainCheckpoint::load(&path).expect("load"));
-            }));
-        }
+            }),
+        });
         for (op, ns) in [("serialize", best[0]), ("parse", best[1]), ("file_roundtrip", best[2])] {
             records.push(Record { entities, bytes: size, op, ns_per_op: ns, mb_per_sec: mb_per_sec(ns) });
         }
@@ -145,13 +117,15 @@ fn main() {
         );
     }
 
-    if smoke {
-        println!("[quick smoke — results/bench_checkpoint.json left untouched]");
-        return;
-    }
-    let out = gnmr_bench::output::results_dir().join("bench_checkpoint.json");
-    match std::fs::write(&out, to_json(&records)) {
-        Ok(()) => println!("[saved {}]", out.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
-    }
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"op\": \"checkpoint_{}\", \"entities\": {}, \"dim\": {DIM}, \
+                 \"bytes\": {}, \"ns_per_op\": {}, \"mb_per_sec\": {}}}",
+                r.op, r.entities, r.bytes, r.ns_per_op, r.mb_per_sec
+            )
+        })
+        .collect();
+    harness::archive(mode, "bench_checkpoint.json", &rows);
 }

@@ -2,8 +2,8 @@
 //! catalog sizes 10^5–10^7, plus the **exact allocation count** of a
 //! steady-state batch request.
 //!
-//! Like the kernels and train_step families this is a custom harness.
-//! It builds a synthetic frozen [`ServeIndex`] (seeded uniform
+//! Like the other families it runs on `gnmr_bench::harness`. It builds
+//! a synthetic frozen [`ServeIndex`] (seeded uniform
 //! representations — serving cost depends only on shapes, not on how
 //! the embeddings were trained) and drives the batched scoring path
 //! `recommend_batch_into_with`: each worker sweeps whole catalogs into
@@ -24,11 +24,10 @@
 //! against the committed `serve_alloc` row in `results/bench_serve.json`.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use gnmr::prelude::*;
 use gnmr::tensor::{init, par, rng};
-use gnmr_bench::{alloc, output::results_dir};
+use gnmr_bench::harness::{self, Budget, Mode, Reading};
 
 /// Representation width (sum over propagation orders; 16 matches the
 /// default config's `dim` at one order and keeps the 10^7 catalog at
@@ -50,16 +49,11 @@ const EXCLUDES_PER_USER: usize = 32;
 /// kernels family).
 const THREAD_COUNTS: [usize; 2] = [1, 2];
 
-/// Target wall-clock per measurement cell, split across rounds.
+/// Target wall-clock per measurement cell.
 const TARGET_MS: u128 = 300;
 
-/// Target wall-clock per cell under `--quick-smoke`.
-const SMOKE_MS: u128 = 5;
-
-/// Interleaved measurement rounds; minimum block taken, same estimator
-/// as the other bench families (noise on a shared container is
-/// additive, so the minimum is the closest estimate of true cost).
-const ROUNDS: u128 = 3;
+/// Minimum batches per timed block.
+const MIN_ITERS: u128 = 2;
 
 /// `(catalog, batch)` cells: batch sizes shrink with catalog so one
 /// iteration stays near-constant work (~2.5e7 user·item pairs).
@@ -100,17 +94,10 @@ fn workload(catalog: usize, batch: usize) -> Workload {
     Workload { index, excludes, users, out }
 }
 
-/// Measures one `(catalog, threads)` cell: at least `block_ms`
-/// wall-clock and 2 iterations, returning ns per batch iteration.
-fn measure(w: &mut Workload, threads: usize, block_ms: u128) -> u128 {
-    let start = Instant::now();
-    let mut iters = 0u128;
-    while start.elapsed().as_millis() < block_ms || iters < 2 {
-        w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, threads);
-        black_box(&w.out);
-        iters += 1;
-    }
-    start.elapsed().as_nanos() / iters
+/// One batch request at `threads`.
+fn serve_batch(w: &mut Workload, threads: usize) {
+    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, threads);
+    black_box(&w.out);
 }
 
 /// Allocation count of one batch request after per-thread scratch
@@ -118,38 +105,7 @@ fn measure(w: &mut Workload, threads: usize, block_ms: u128) -> u128 {
 /// Must be 0: the catalog score buffer and the selection heap are both
 /// minted by the warmup call and reused forever after.
 fn steady_batch_allocs(w: &mut Workload) -> u64 {
-    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, 1);
-    let before = alloc::allocations();
-    w.index.recommend_batch_into_with(&w.users, K, &w.excludes, &mut w.out, 1);
-    alloc::allocations() - before
-}
-
-fn to_json(records: &[Record], alloc_cell: (usize, usize, u64)) -> String {
-    let mut lines: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"op\": \"serve_batch\", \"catalog\": {}, \"dim\": {DIM}, \"batch\": {}, \
-                 \"k\": {K}, \"threads\": {}, \"ns_per_user\": {}, \"users_per_sec\": {}}}",
-                r.catalog, r.batch, r.threads, r.ns_per_user, r.users_per_sec
-            )
-        })
-        .collect();
-    let (catalog, batch, allocs) = alloc_cell;
-    lines.push(format!(
-        "  {{\"op\": \"serve_alloc\", \"catalog\": {catalog}, \"dim\": {DIM}, \"batch\": {batch}, \
-         \"k\": {K}, \"threads\": 1, \"allocs_per_batch\": {allocs}}}"
-    ));
-    format!("[\n{}\n]", lines.join(",\n"))
-}
-
-/// Extracts the archived `allocs_per_batch` from the `serve_alloc` row.
-fn parse_allocs(content: &str) -> Option<u64> {
-    let line = content.lines().find(|l| l.contains("\"op\": \"serve_alloc\""))?;
-    let key = "\"allocs_per_batch\": ";
-    let rest = &line[line.find(key)? + key.len()..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    harness::steady_allocations(|| serve_batch(w, 1))
 }
 
 /// `--regression-gate`: re-measures the steady-state allocation count
@@ -160,45 +116,26 @@ fn parse_allocs(content: &str) -> Option<u64> {
 /// scratch reuse, an accidental per-request Vec, a selection path that
 /// forgot its buffer.
 fn regression_gate() -> ! {
-    let path = results_dir().join("bench_serve.json");
-    let content = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve allocation gate: cannot read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let Some(baseline) = parse_allocs(&content) else {
-        eprintln!("serve allocation gate: serve_alloc row missing from {}", path.display());
-        std::process::exit(1);
-    };
+    let baseline = harness::baseline("bench_serve.json", &[("op", "serve_alloc")], "allocs_per_batch");
     // Pin one thread so the measured profile is exactly the serial one
     // the baseline recorded, regardless of the runner's GNMR_THREADS.
     par::set_threads(Some(1));
     let (catalog, batch) = CELLS[0];
-    let mut w = workload(catalog, batch);
-    let fresh = steady_batch_allocs(&mut w);
-    println!(
-        "serve allocation gate: baseline {baseline} allocs/batch, fresh {fresh} allocs/batch \
-         (catalog {catalog}, batch {batch}, k {K}, 1 thread)"
-    );
-    if fresh > baseline {
-        eprintln!(
-            "serve allocation gate FAILED: a warm batch request now performs {fresh} heap \
-             allocations (baseline {baseline})"
-        );
-        std::process::exit(1);
-    }
-    println!("serve allocation gate passed");
-    std::process::exit(0);
+    let fresh = steady_batch_allocs(&mut workload(catalog, batch));
+    println!("serve allocation gate: catalog {catalog}, batch {batch}, k {K}, 1 thread");
+    harness::finish_gate(
+        "serve allocation gate",
+        &[Reading { what: "warm batch request allocs", base: baseline, fresh: fresh.into(), budget: Budget::Exact }],
+    )
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--regression-gate") {
+    let mode = Mode::from_args();
+    if mode == Mode::RegressionGate {
         regression_gate();
     }
-    let smoke = std::env::args().any(|a| a == "--quick-smoke");
-    let block_ms = if smoke { SMOKE_MS } else { TARGET_MS };
+    let smoke = mode == Mode::QuickSmoke;
+    let timer = mode.timer(TARGET_MS, MIN_ITERS);
 
     println!(
         "serve benches — machine parallelism: {}{}",
@@ -213,18 +150,13 @@ fn main() {
 
     let mut records = Vec::new();
     let mut alloc_cell = (0usize, 0usize, 0u64);
-    let round_ms = (block_ms / ROUNDS).max(1);
     for &(catalog, batch) in cells {
         let mut w = workload(catalog, batch);
         if catalog == CELLS[0].0 {
             alloc_cell = (catalog, batch, steady_batch_allocs(&mut w));
         }
-        let mut best = [u128::MAX; THREAD_COUNTS.len()];
-        for _ in 0..ROUNDS {
-            for (ti, &t) in THREAD_COUNTS.iter().enumerate() {
-                best[ti] = best[ti].min(measure(&mut w, t, round_ms));
-            }
-        }
+        let best: [u128; THREAD_COUNTS.len()] =
+            timer.min_of_rounds(|cell| timer.block(&mut || serve_batch(&mut w, THREAD_COUNTS[cell])));
         for (ti, &t) in THREAD_COUNTS.iter().enumerate() {
             let ns_per_user = best[ti] / batch as u128;
             records.push(Record {
@@ -252,13 +184,19 @@ fn main() {
         println!("WARNING: steady-state serving performs {allocs} allocations per batch");
     }
 
-    if smoke {
-        println!("[quick smoke — results/bench_serve.json left untouched]");
-        return;
-    }
-    let path = results_dir().join("bench_serve.json");
-    match std::fs::write(&path, to_json(&records, alloc_cell)) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),
-    }
+    let mut rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"op\": \"serve_batch\", \"catalog\": {}, \"dim\": {DIM}, \"batch\": {}, \
+                 \"k\": {K}, \"threads\": {}, \"ns_per_user\": {}, \"users_per_sec\": {}}}",
+                r.catalog, r.batch, r.threads, r.ns_per_user, r.users_per_sec
+            )
+        })
+        .collect();
+    rows.push(format!(
+        "{{\"op\": \"serve_alloc\", \"catalog\": {ac}, \"dim\": {DIM}, \"batch\": {ab}, \
+         \"k\": {K}, \"threads\": 1, \"allocs_per_batch\": {allocs}}}"
+    ));
+    harness::archive(mode, "bench_serve.json", &rows);
 }

@@ -8,8 +8,11 @@
 //! Scale: by default the harness runs the `*_small` dataset presets with
 //! a reduced (but converged-enough) training budget so the full suite
 //! finishes in minutes. Set `GNMR_FULL=1` for the heavier budget.
+//!
+//! The custom bench families under `benches/` share [`harness`].
 
 pub mod alloc;
 pub mod experiments;
+pub mod harness;
 pub mod output;
 pub mod registry;

@@ -256,21 +256,6 @@ fn add_lanes(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Lane-blocked Hadamard `dst *= src`.
-#[inline(always)]
-fn mul_lanes(dst: &mut [f32], src: &[f32]) {
-    let mut dc = dst.chunks_exact_mut(LANES);
-    let mut sc = src.chunks_exact(LANES);
-    for (db, sb) in (&mut dc).zip(&mut sc) {
-        for l in 0..LANES {
-            db[l] *= sb[l];
-        }
-    }
-    for (o, &x) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *o *= x;
-    }
-}
-
 /// Lane-blocked `dst *= s`.
 #[inline(always)]
 fn scale_lanes(dst: &mut [f32], s: f32) {
@@ -1390,50 +1375,6 @@ pub fn scale_assign_with(dst: &mut Matrix, s: f32, threads: usize) {
 pub fn scale_assign(dst: &mut Matrix, s: f32) {
     let work = dst.len();
     scale_assign_with(dst, s, auto_threads(work));
-}
-
-/// In-place Hadamard product `dst *= src` on an explicit number of
-/// threads.
-pub fn hadamard_assign_with(dst: &mut Matrix, src: &Matrix, threads: usize) {
-    assert_same_shape(dst, src, "hadamard_assign");
-    let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        mul_lanes(chunk, &sd[range]);
-    });
-}
-
-/// In-place Hadamard product `dst *= src` with the shared thread-count
-/// config.
-pub fn hadamard_assign(dst: &mut Matrix, src: &Matrix) {
-    let work = dst.len();
-    hadamard_assign_with(dst, src, auto_threads(work));
-}
-
-/// In-place zip `dst[i] = f(dst[i], src[i])` on an explicit number of
-/// threads. `f` must be pure — chunks may evaluate it in any order.
-pub fn zip_map_assign_with<F>(dst: &mut Matrix, src: &Matrix, f: F, threads: usize)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    assert_same_shape(dst, src, "zip_map_assign");
-    let n = dst.len();
-    let sd = src.data();
-    par::for_each_row_chunk(dst.data_mut(), n, threads, |range, chunk| {
-        for (o, &x) in chunk.iter_mut().zip(&sd[range]) {
-            *o = f(*o, x);
-        }
-    });
-}
-
-/// In-place zip `dst[i] = f(dst[i], src[i])` with the shared
-/// thread-count config.
-pub fn zip_map_assign<F>(dst: &mut Matrix, src: &Matrix, f: F)
-where
-    F: Fn(f32, f32) -> f32 + Sync,
-{
-    let work = dst.len();
-    zip_map_assign_with(dst, src, f, auto_threads(work));
 }
 
 /// `dst[i] = f(a[i], b[i])` (overwrites every element; dirty arena

@@ -311,20 +311,10 @@ proptest! {
     }
 
     #[test]
-    fn hadamard_assign_matches_reference((dst0, src) in elementwise_inputs()) {
-        let expected = dst0.hadamard(&src);
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::hadamard_assign_with(&mut dst, &src, t);
-            prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
-        }
-    }
-
-    #[test]
     fn zip_map_family_matches_reference((dst0, src) in elementwise_inputs()) {
         let f = |a: f32, b: f32| if b > 0.0 { a } else { a * 0.25 };
-        // zip_map_assign == materialized zip_map over (dst, src).
-        let expected_assign = dst0.zip_map(&src, f);
+        // zip_map_into == materialized zip_map over (dst, src).
+        let expected_into = dst0.zip_map(&src, f);
         // zip_map_acc == materialize f(dst0, src) then dst0 += it.
         let mut expected_acc = dst0.clone();
         for ((e, &a), &b) in expected_acc.data_mut().iter_mut().zip(dst0.data()).zip(src.data()) {
@@ -332,13 +322,9 @@ proptest! {
             *e += tmp;
         }
         for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::zip_map_assign_with(&mut dst, &src, f, t);
-            prop_assert_eq!(dst.data(), expected_assign.data(), "assign threads={}", t);
-
             let mut dirty = src.clone();
             kernels::zip_map_into_with(&mut dirty, &dst0, &src, f, t);
-            prop_assert_eq!(dirty.data(), expected_assign.data(), "into threads={}", t);
+            prop_assert_eq!(dirty.data(), expected_into.data(), "into threads={}", t);
 
             let mut acc = dst0.clone();
             kernels::zip_map_acc_with(&mut acc, &dst0, &src, f, t);
@@ -827,16 +813,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
         kernels::scale_assign(&mut got, 2.3);
         kernels::scale_assign_with(&mut want, 2.3, t);
         assert_eq!(got.data(), want.data(), "scale_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::hadamard_assign(&mut got, &src);
-        kernels::hadamard_assign_with(&mut want, &src, t);
-        assert_eq!(got.data(), want.data(), "hadamard_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_assign(&mut got, &src, f);
-        kernels::zip_map_assign_with(&mut want, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_assign threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::zip_map_into(&mut got, &base, &src, f);
