@@ -77,17 +77,23 @@ pub fn analyze_tree(root: &Path, cfg: &Config) -> Result<Report, String> {
         }
     }
 
-    // Manifest entries pointing at files that do not exist would make
-    // the hot-alloc rule silently vacuous — surface them.
+    // Manifest entries pointing at files that do not exist, or at fns
+    // their file no longer defines, would make the hot-alloc rule
+    // silently vacuous — surface them.
     for entry in &cfg.hot_manifest {
-        if !tokens_by_file.contains_key(&entry.file) {
-            findings.push(Finding {
-                file: Config::MANIFEST_PATH.to_string(),
-                line: 1,
-                rule: "hot-alloc",
-                message: format!("manifest entry `{entry}` names a file not in the tree"),
-            });
-        }
+        let message = match tokens_by_file.get(&entry.file) {
+            None => format!("manifest entry `{entry}` names a file not in the tree"),
+            Some(toks) if !hot_alloc::matches_any_fn(toks, entry) => {
+                format!("manifest entry `{entry}` matches no fn in its file")
+            }
+            Some(_) => continue,
+        };
+        findings.push(Finding {
+            file: Config::MANIFEST_PATH.to_string(),
+            line: 1,
+            rule: "hot-alloc",
+            message,
+        });
     }
 
     let empty = Vec::new();

@@ -52,6 +52,13 @@ pub fn check(file: &str, tokens: &[Tok], entries: &[&ManifestEntry]) -> Vec<Find
     findings
 }
 
+/// Whether the token stream defines a `fn` that `entry` names. An
+/// entry matching none is stale: it would keep nothing allocation-free.
+pub fn matches_any_fn(tokens: &[Tok], entry: &ManifestEntry) -> bool {
+    let toks: Vec<&Tok> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    toks.windows(2).any(|w| w[0].is_ident("fn") && w[1].kind == TokKind::Ident && entry.matches(&w[1].text))
+}
+
 /// Token range (exclusive of braces) of the fn body whose signature
 /// starts at `from`: the first `{` outside parentheses, brace-matched
 /// to its close.

@@ -163,6 +163,21 @@ fn manifest_entry_naming_missing_file_is_flagged() {
     assert!(report.findings[0].message.contains("names a file not in the tree"));
 }
 
+#[test]
+fn manifest_entry_matching_no_fn_is_flagged() {
+    // The file exists, but the `*_acc` fn the entry guarded was deleted
+    // (a comment mentioning one does not count): the entry is stale.
+    let fx = Fixture::new("hot-stale");
+    fx.write(
+        "numeric/src/hot.rs",
+        "// fn add_acc was here\npub fn add_with(src: &[f32]) -> Vec<f32> {\n    src.to_vec()\n}\n",
+    );
+    let report = fx.run(&hot_cfg());
+    assert_eq!(rules_of(&report), vec!["hot-alloc"]);
+    assert_eq!(report.findings[0].file, "crates/analyze/hotpath.manifest");
+    assert!(report.findings[0].message.contains("matches no fn in its file"), "{:?}", report.findings);
+}
+
 // ----- rule 4: kernel coverage ----------------------------------------
 
 fn coverage_cfg() -> Config {

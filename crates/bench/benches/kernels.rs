@@ -156,6 +156,28 @@ fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     Csr::from_triplets(rows, cols, &triplets)
 }
 
+/// `a^T * b` on `threads`: a zeroed output plus `matmul_tn_acc_with`.
+/// At one thread this is the serial row kernel over the full range.
+fn matmul_tn_at(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    kernels::matmul_tn_acc_with(&mut out, a, b, threads);
+    out
+}
+
+/// `csr * x` on `threads`: a zeroed output plus `spmm_acc_with`.
+fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.rows(), x.cols());
+    kernels::spmm_acc_with(&mut out, csr, x, threads);
+    out
+}
+
+/// `csr^T * xt` on `threads`: a zeroed output plus `spmm_t_acc_with`.
+fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.cols(), xt.cols());
+    kernels::spmm_t_acc_with(&mut out, csr, xt, threads);
+    out
+}
+
 /// `--regression-gate`: re-measures the `dispatch` cells (the
 /// sub-millisecond kernel that isolates per-call pool handoff cost)
 /// and fails with exit code 1 if dispatch overhead at 2 threads —
@@ -273,10 +295,10 @@ fn main() {
         "1024x96^T*1024x96".into(),
         "serial_1t",
         || {
-            black_box(kernels::matmul_tn_serial(&at, &bt));
+            black_box(matmul_tn_at(&at, &bt, 1));
         },
         |t| {
-            black_box(kernels::matmul_tn_with(&at, &bt, t));
+            black_box(matmul_tn_at(&at, &bt, t));
         },
     );
 
@@ -288,10 +310,10 @@ fn main() {
         format!("{}nnz*4000x64", csr.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_serial(&csr, &dense));
+            black_box(spmm_at(&csr, &dense, 1));
         },
         |t| {
-            black_box(kernels::spmm_with(&csr, &dense, t));
+            black_box(spmm_at(&csr, &dense, t));
         },
     );
 
@@ -301,10 +323,10 @@ fn main() {
         format!("{}nnz^T*4000x64", csr.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_t_serial(&csr, &dense));
+            black_box(spmm_t_at(&csr, &dense, 1));
         },
         |t| {
-            black_box(kernels::spmm_t_with(&csr, &dense, t));
+            black_box(spmm_t_at(&csr, &dense, t));
         },
     );
 
@@ -324,10 +346,10 @@ fn main() {
         format!("{}nnz(hub90)*40000x64", skew.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_serial(&skew, &skew_x));
+            black_box(spmm_at(&skew, &skew_x, 1));
         },
         |t| {
-            black_box(kernels::spmm_with(&skew, &skew_x, t));
+            black_box(spmm_at(&skew, &skew_x, t));
         },
     );
     cells.push(
@@ -335,10 +357,10 @@ fn main() {
         format!("{}nnz(hub90)^T*8000x64", skew.nnz()),
         "serial_1t",
         || {
-            black_box(kernels::spmm_t_serial(&skew, &skew_xt));
+            black_box(spmm_t_at(&skew, &skew_xt, 1));
         },
         |t| {
-            black_box(kernels::spmm_t_with(&skew, &skew_xt, t));
+            black_box(spmm_t_at(&skew, &skew_xt, t));
         },
     );
 

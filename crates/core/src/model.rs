@@ -241,19 +241,16 @@ impl Gnmr {
     /// deterministic serving order: score descending, item ascending on
     /// score ties (`total_cmp` — NaN-safe).
     ///
-    /// Scores the full catalog through the shared kernel layer (the item
-    /// sweep is partitioned across the worker pool for large catalogs),
-    /// then ranks via bounded partial selection
-    /// ([`kernels::top_k_select_excluding`]) with a sorted-exclude merge
-    /// walk — O(n + e + k log k), replacing the old O(n·e) `contains`
-    /// scan + full-catalog sort.
+    /// Ranks through [`kernels::rank_rows`], the same path `gnmr-serve`
+    /// serves with: the full-catalog sweep (partitioned across the worker
+    /// pool for large catalogs), then bounded partial selection with a
+    /// sorted-exclude merge walk — O(n + e + k log k).
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let (urepr, vrepr) = self.reprs();
-        let scores = kernels::row_dots(vrepr, urepr.row(user as usize));
         let mut excl = exclude.to_vec();
         excl.sort_unstable();
-        let mut scratch = kernels::TopKScratch::new();
-        kernels::top_k_select_excluding(&scores, k, &excl, &mut scratch).to_vec()
+        let mut scratch = kernels::RankScratch::new();
+        kernels::rank_rows(vrepr, urepr.row(user as usize), k, &excl, &mut scratch).to_vec()
     }
 }
 

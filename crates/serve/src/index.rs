@@ -3,10 +3,9 @@
 //!
 //! [`ServeIndex`] holds the fused user/item representation matrices and
 //! answers top-k queries through the same canonical kernels the trainer
-//! scores with ([`kernels::dot`], [`kernels::row_dots`],
-//! [`kernels::top_k_select_excluding`]), so a served list is
-//! byte-identical to what `Gnmr::recommend` would produce from the same
-//! snapshot. Two shapes of query:
+//! scores with ([`kernels::dot`], [`kernels::rank_rows_with`]), so a
+//! served list is byte-identical to what `Gnmr::recommend` would
+//! produce from the same snapshot. Two shapes of query:
 //!
 //! * **latency** — [`ServeIndex::recommend`] parallelizes one user's
 //!   catalog sweep across the worker pool;
@@ -67,53 +66,11 @@ impl ExcludeLists {
     }
 }
 
-/// Per-thread serving scratch: a catalog-sized score buffer plus the
-/// selection heap. Minted once per worker thread (same precedent as the
-/// kernel layer's pack buffer) and reused across every request that
-/// thread ever serves.
-struct ServeScratch {
-    scores: Vec<f32>,
-    topk: kernels::TopKScratch,
-}
-
 thread_local! {
-    static SERVE_SCRATCH: RefCell<ServeScratch> =
-        const { RefCell::new(ServeScratch { scores: Vec::new(), topk: kernels::TopKScratch::new() }) };
-}
-
-/// Runs `f` with this thread's serving scratch, growing the score
-/// buffer to `catalog` entries on first use at that size (the mint; the
-/// steady state never reallocates).
-fn with_serve_scratch<R>(catalog: usize, f: impl FnOnce(&mut ServeScratch) -> R) -> R {
-    SERVE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        if scratch.scores.len() < catalog {
-            scratch.scores.resize(catalog, 0.0);
-        }
-        f(&mut scratch)
-    })
-}
-
-/// Scores one user against the full catalog into this worker's scratch
-/// and writes its top-`k` row into `out` (`out.len() == k`). Rows
-/// shorter than `k` (small catalog, heavy exclusion) are padded with
-/// the sentinel `(u32::MAX, f32::NEG_INFINITY)` — `u32::MAX` can never
-/// be a real item index because the catalog is bounded by it.
-fn recommend_user_into(
-    item_repr: &Matrix,
-    user_row: &[f32],
-    k: usize,
-    exclude: &[u32],
-    scratch: &mut ServeScratch,
-    out: &mut [(u32, f32)],
-) {
-    let scores = &mut scratch.scores[..item_repr.rows()];
-    kernels::row_dots_into(scores, item_repr, user_row);
-    let sel = kernels::top_k_select_excluding(scores, k, exclude, &mut scratch.topk);
-    out[..sel.len()].copy_from_slice(sel);
-    for slot in out[sel.len()..].iter_mut() {
-        *slot = (u32::MAX, f32::NEG_INFINITY);
-    }
+    /// Per-thread ranking scratch (catalog score buffer plus selection
+    /// heap): minted once per worker thread and reused across every
+    /// request that thread ever serves.
+    static RANK_SCRATCH: RefCell<kernels::RankScratch> = const { RefCell::new(kernels::RankScratch::new()) };
 }
 
 /// A frozen-model serving index over fused representations.
@@ -183,9 +140,8 @@ impl ServeIndex {
     /// ascending. Returns up to `k` `(item, score)` pairs in the
     /// deterministic `(score desc, item asc)` order.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        let scores = kernels::row_dots(&self.item_repr, self.user_repr.row(user as usize));
-        let mut scratch = kernels::TopKScratch::new();
-        kernels::top_k_select_excluding(&scores, k, exclude, &mut scratch).to_vec()
+        let mut scratch = kernels::RankScratch::new();
+        kernels::rank_rows(&self.item_repr, self.user_repr.row(user as usize), k, exclude, &mut scratch).to_vec()
     }
 
     /// Throughput-shaped query on an explicit thread count: scores
@@ -221,18 +177,15 @@ impl ServeIndex {
         if users.is_empty() || k == 0 {
             return;
         }
-        let catalog = self.item_repr.rows();
         par::for_each_row_chunk(out, users.len(), threads, |range, chunk| {
-            with_serve_scratch(catalog, |scratch| {
+            RANK_SCRATCH.with(|cell| {
+                let scratch = &mut *cell.borrow_mut();
                 for (row, &user) in chunk.chunks_mut(k).zip(&users[range]) {
-                    recommend_user_into(
-                        &self.item_repr,
-                        self.user_repr.row(user as usize),
-                        k,
-                        excludes.row(user as usize),
-                        scratch,
-                        row,
-                    );
+                    let (user_row, exclude) = (self.user_repr.row(user as usize), excludes.row(user as usize));
+                    let sel = kernels::rank_rows_with(&self.item_repr, user_row, k, exclude, scratch, 1);
+                    row[..sel.len()].copy_from_slice(sel);
+                    // `u32::MAX` is never a real item: `new` bounds the catalog below it.
+                    row[sel.len()..].fill((u32::MAX, f32::NEG_INFINITY));
                 }
             });
         });

@@ -1,8 +1,8 @@
 //! Dense row-major `f32` matrices and the kernels the autodiff layer
 //! builds on.
 //!
-//! The hot products (`matmul`, `matmul_tn`, `matmul_nt`) and the
-//! gradient-accumulation primitive (`add_assign`) delegate to
+//! The hot product (`matmul`) and the gradient-accumulation primitive
+//! (`add_assign`) delegate to
 //! [`crate::kernels`], which tiles and parallelizes large shapes under
 //! the shared [`crate::par`] thread-count config.
 
@@ -283,16 +283,6 @@ impl Matrix {
         kernels::matmul(self, other)
     }
 
-    /// `self^T * other` without materializing the transpose.
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        kernels::matmul_tn(self, other)
-    }
-
-    /// `self * other^T` without materializing the transpose.
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        kernels::matmul_nt(self, other)
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -562,12 +552,14 @@ mod tests {
     fn matmul_transposed_variants_match_explicit() {
         let a = Matrix::from_fn(3, 4, |r, c| (r + 2 * c) as f32 * 0.3 - 1.0);
         let b = Matrix::from_fn(3, 5, |r, c| (2 * r + c) as f32 * 0.1);
-        let tn = a.matmul_tn(&b);
+        let mut tn = Matrix::zeros(4, 5);
+        kernels::matmul_tn_acc(&mut tn, &a, &b);
         let explicit = a.transpose().matmul(&b);
         assert!(tn.approx_eq(&explicit, 1e-4));
 
         let c = Matrix::from_fn(6, 4, |r, c| (r * c) as f32 * 0.05 - 0.2);
-        let nt = a.matmul_nt(&c);
+        let mut nt = Matrix::zeros(3, 6);
+        kernels::matmul_nt_into(&mut nt, &a, &c);
         let explicit = a.matmul(&c.transpose());
         assert!(nt.approx_eq(&explicit, 1e-4));
     }

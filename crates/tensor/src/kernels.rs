@@ -1,19 +1,29 @@
 //! The kernel layer: tiled, thread-parallel implementations of the
-//! workspace's hot linear-algebra loops, plus the serial references they
-//! are tested against. Parallel dispatch runs on the persistent worker
-//! pool in [`crate::par`], so even sub-millisecond kernels pay only a
-//! few microseconds of handoff rather than per-call thread spawns.
+//! workspace's hot linear-algebra loops, plus the serial matmul
+//! reference the tiled path is tested against. Parallel dispatch runs on
+//! the persistent worker pool in [`crate::par`], so even sub-millisecond
+//! kernels pay only a few microseconds of handoff rather than per-call
+//! thread spawns.
 //!
 //! [`Matrix`](crate::Matrix) and [`Csr`](crate::Csr) delegate their
 //! public ops here, so this module is the single landing zone for future
-//! SIMD / backend work. Each kernel has three entry points:
+//! SIMD / backend work. Entry points follow one convention:
 //!
-//! * `*_serial` — the plain reference loop (also the small-shape path);
-//! * `*_with` — explicit thread count (used by the equivalence tests
-//!   and benches);
-//! * the bare name — resolves the thread count from [`crate::par`] and
-//!   falls back to the serial path below [`min_work`] (default
+//! * `*_with` takes an explicit thread count (used by the equivalence
+//!   tests and benches); the bare name resolves the thread count from
+//!   [`crate::par`] and runs on one thread below [`min_work`] (default
 //!   [`PAR_MIN_WORK`]).
+//! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
+//!   overwrites it, `_assign` updates it in place. On a zeroed `dst`,
+//!   `*_acc_with(.., 1)` is the serial product. The row-wise backward kernels (`row_dot_*`,
+//!   `mul_col_broadcast_*`, `softmax_rows_backward_*`, `transpose_*`)
+//!   and [`row_dots_into`] are serial and have only these forms.
+//! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
+//!   the tests and benches to compare the tiled matmul against.
+//! * Allocating forms live on `Matrix` and `Csr` (`Csr::spmm`/`spmm_t`
+//!   build a zeroed output and call [`spmm_acc`]/[`spmm_t_acc`]); here
+//!   only `matmul`/[`matmul_with`] and `row_dots`/[`row_dots_with`]
+//!   return new storage.
 //!
 //! # Cost-model dispatch
 //!
@@ -31,8 +41,8 @@
 //!
 //! Every parallel kernel partitions *output rows* across workers and
 //! accumulates into each output element in exactly the order of its
-//! serial reference, so results are bitwise identical to that
-//! reference at every thread count and under either schedule.
+//! one-thread run, so results are bitwise identical to that run at
+//! every thread count and under either schedule.
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
@@ -439,11 +449,6 @@ pub fn matmul_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize
     matmul_dispatch(a.data(), k, b.data(), n, m, threads, dst.data_mut());
 }
 
-/// Writes `a * b` into `dst` with the shared thread-count config.
-pub fn matmul_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_into_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
-}
-
 /// Computes output rows `rows` of `a (m x k) * b (k x n)` into the
 /// row-aligned chunk `out` (`rows.len() x n`).
 fn matmul_rows_serial(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
@@ -640,30 +645,16 @@ fn assert_matmul_tn(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Serial reference `a^T * b` without materializing the transpose.
-pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_tn(a, b);
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_tn_rows(a.data(), a.rows(), a.cols(), b.data(), b.cols(), 0..a.cols(), out.data_mut());
-    out
-}
-
-/// `a^T * b` on an explicit number of threads (output rows — columns of
-/// `a` — are partitioned across workers).
-pub fn matmul_tn_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    matmul_tn_acc_with(&mut out, a, b, threads);
-    out
-}
-
-/// Accumulates `a^T * b` into `dst` on an explicit number of threads —
-/// the arena-checkout form of [`matmul_tn_with`], allocating nothing.
+/// Accumulates `a^T * b` into `dst` on an explicit number of threads,
+/// without materializing the transpose and allocating nothing. Output
+/// rows (columns of `a`) are partitioned across workers.
 ///
-/// The kernel streams partial sums into `dst` (one add per `i` step),
-/// so results are **bitwise identical to [`matmul_tn_serial`] when
-/// `dst` starts zeroed** — the checkout pattern the autodiff tape uses
-/// ([`crate::arena`]). A non-zero `dst` folds the partial sums into the
-/// existing values progressively; callers needing the exact
+/// The kernel streams partial sums into `dst` (one add per `i` step,
+/// ascending), so **on a zeroed `dst` the result is bitwise
+/// `matmul_serial(&a.transpose(), b)`** at every thread count — the
+/// checkout pattern the autodiff tape uses ([`crate::arena`]). A
+/// non-zero `dst` folds the partial sums into the existing values
+/// progressively; callers needing the exact
 /// materialize-then-`add_assign` float sequence on a non-zero target
 /// should accumulate into a zeroed scratch checkout and `add_assign`
 /// it, which is what the tape does.
@@ -683,15 +674,10 @@ pub fn matmul_tn_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     matmul_tn_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
 }
 
-/// `a^T * b` with the shared thread-count config.
-pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_tn(a, b);
-    matmul_tn_with(a, b, auto_threads(a.rows() * a.cols() * b.cols()))
-}
-
 /// Computes output rows `krows` (columns of `a`) of `a^T (k x m) *
 /// b (m x n)` into the chunk `out`. Per output element the accumulation
-/// runs over `i` in increasing order, matching the serial reference.
+/// runs over `i` in increasing order, matching [`matmul_serial`] on the
+/// explicit transpose.
 fn matmul_tn_rows(
     a: &[f32],
     m: usize,
@@ -807,27 +793,12 @@ fn assert_matmul_nt(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Serial reference `a * b^T` without materializing the transpose.
-pub fn matmul_nt_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_nt(a, b);
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_nt_rows(a.data(), a.cols(), b.data(), b.rows(), 0..a.rows(), out.data_mut());
-    out
-}
-
-/// `a * b^T` on an explicit number of threads.
-pub fn matmul_nt_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_nt_into_with(&mut out, a, b, threads);
-    out
-}
-
 /// Writes `a * b^T` into `dst` (overwriting every element) on an
-/// explicit number of threads — the arena-checkout form of
-/// [`matmul_nt_with`]. Every output element is an independent register
-/// dot product assigned once, so `dst`'s prior contents never matter
-/// (dirty checkouts are fine) and the bytes match [`matmul_nt_serial`]
-/// exactly.
+/// explicit number of threads, without materializing the transpose.
+/// Every output element is an independent dot product in the canonical
+/// lane order (see [`LANES`]), assigned once, so `dst`'s prior contents
+/// never matter (dirty checkouts are fine) and the bytes are the same
+/// at every thread count.
 pub fn matmul_nt_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
     assert_matmul_nt(a, b);
     let (m, k, p) = (a.rows(), a.cols(), b.rows());
@@ -845,10 +816,10 @@ pub fn matmul_nt_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
 
 /// Accumulates `a * b^T` into `dst` (`dst += a * b^T`) on an explicit
 /// number of threads. Each output element's dot product is fully
-/// accumulated in a register (ascending `k`, exactly the
-/// [`matmul_nt_serial`] order) and then folded into `dst` with a
-/// single add — bitwise identical to materializing the product and
-/// `add_assign`ing it, for **any** `dst` contents, without allocating.
+/// accumulated in registers (exactly the [`matmul_nt_into_with`] lane
+/// order) and then folded into `dst` with a single add — bitwise
+/// identical to materializing the product and `add_assign`ing it, for
+/// **any** `dst` contents, without allocating.
 pub fn matmul_nt_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
     assert_matmul_nt(a, b);
     let (m, k, p) = (a.rows(), a.cols(), b.rows());
@@ -863,12 +834,6 @@ pub fn matmul_nt_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usi
 /// config.
 pub fn matmul_nt_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     matmul_nt_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.rows()));
-}
-
-/// `a * b^T` with the shared thread-count config.
-pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul_nt(a, b);
-    matmul_nt_with(a, b, auto_threads(a.rows() * a.cols() * b.rows()))
 }
 
 /// Each output element is an independent [`dot_lanes`] dot product in
@@ -932,112 +897,6 @@ fn matmul_nt_acc_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usiz
     }
 }
 
-/// Accumulates `a * b` into `dst` (`dst += a * b`) on an explicit
-/// number of threads. Like [`matmul_nt_acc_with`], every output
-/// element's product sum is completed in a register (ascending `k`,
-/// the [`matmul_serial`] per-element order) before a single add into
-/// `dst`, so the result is bitwise identical to
-/// materialize-then-`add_assign` for any `dst` — the fused form of
-/// the tape's allocate-then-combine gradient accumulation. (The
-/// forward-product entry points keep the streaming i-k-j kernel,
-/// which has better locality when the target starts zeroed.)
-pub fn matmul_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
-    assert_matmul(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(dst.shape(), (m, n), "matmul_acc: dst is {}x{}, product is {m}x{n}", dst.rows(), dst.cols());
-    let (ad, bd) = (a.data(), b.data());
-    dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_acc_rows(ad, k, bd, n, rows, chunk);
-    });
-}
-
-/// Row kernel of [`matmul_acc_with`]: each output element's product
-/// sum is completed in its own lane-register slot (one accumulator per
-/// element, ascending `k` — the [`matmul_serial`] per-element order)
-/// before the single add into the output, processed as 4x8 register
-/// tiles so each `b` lane block is shared across four rows. Remainder
-/// rows and columns run the plain scalar dot in the same order.
-fn matmul_acc_rows(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
-    let nrows = rows.len();
-    if nrows == 0 || n == 0 {
-        return;
-    }
-    let strips = n / LANES;
-    let jt = strips * LANES;
-    let mut local = 0usize;
-    while local + MICRO_MR <= nrows {
-        let i = rows.start + local;
-        let ar0 = &a[i * k..(i + 1) * k];
-        let ar1 = &a[(i + 1) * k..(i + 2) * k];
-        let ar2 = &a[(i + 2) * k..(i + 3) * k];
-        let ar3 = &a[(i + 3) * k..(i + 4) * k];
-        let (r0, rest) = out[local * n..].split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
-        for s in 0..strips {
-            let js = s * LANES;
-            let mut c0 = [0.0f32; LANES];
-            let mut c1 = [0.0f32; LANES];
-            let mut c2 = [0.0f32; LANES];
-            let mut c3 = [0.0f32; LANES];
-            for (kk, (((&a0, &a1), &a2), &a3)) in
-                ar0.iter().zip(ar1).zip(ar2).zip(ar3).enumerate()
-            {
-                let brow = &b[kk * n + js..kk * n + js + LANES];
-                for l in 0..LANES {
-                    c0[l] += a0 * brow[l];
-                    c1[l] += a1 * brow[l];
-                    c2[l] += a2 * brow[l];
-                    c3[l] += a3 * brow[l];
-                }
-            }
-            for l in 0..LANES {
-                r0[js + l] += c0[l];
-                r1[js + l] += c1[l];
-                r2[js + l] += c2[l];
-                r3[js + l] += c3[l];
-            }
-        }
-        for j in jt..n {
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            let mut acc2 = 0.0f32;
-            let mut acc3 = 0.0f32;
-            for (kk, (((&a0, &a1), &a2), &a3)) in
-                ar0.iter().zip(ar1).zip(ar2).zip(ar3).enumerate()
-            {
-                let bv = b[kk * n + j];
-                acc0 += a0 * bv;
-                acc1 += a1 * bv;
-                acc2 += a2 * bv;
-                acc3 += a3 * bv;
-            }
-            r0[j] += acc0;
-            r1[j] += acc1;
-            r2[j] += acc2;
-            r3[j] += acc3;
-        }
-        local += MICRO_MR;
-    }
-    for local in local..nrows {
-        let i = rows.start + local;
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * n..(local + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (kk, &av) in arow.iter().enumerate() {
-                acc += av * b[kk * n + j];
-            }
-            *o += acc;
-        }
-    }
-}
-
-/// Accumulates `a * b` into `dst` with the shared thread-count config.
-pub fn matmul_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    matmul_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.cols()));
-}
-
 // ----- sparse matmul --------------------------------------------------
 
 fn assert_spmm(csr: &Csr, dense: &Matrix) {
@@ -1052,35 +911,18 @@ fn assert_spmm(csr: &Csr, dense: &Matrix) {
     );
 }
 
-/// Serial reference sparse x dense product.
-pub fn spmm_serial(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm(csr, dense);
-    let mut out = Matrix::zeros(csr.rows(), dense.cols());
-    spmm_rows(csr, dense.data(), dense.cols(), 0..csr.rows(), out.data_mut());
-    out
-}
-
-/// Sparse x dense product on an explicit number of threads (output rows
-/// are partitioned; each CSR row is consumed by exactly one worker).
+/// Accumulates the sparse x dense product into `dst` on an explicit
+/// number of threads, allocating nothing. Output rows are partitioned;
+/// each CSR row is consumed by exactly one worker.
 ///
 /// The chunk plan comes from the cost model: uniform-degree matrices
 /// get static row chunks, skewed ones get nnz-balanced chunks under
-/// the work-stealing schedule — same bytes either way, because each
-/// output row is still produced by exactly one thread in the serial
-/// accumulation order.
-pub fn spmm_with(csr: &Csr, dense: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.rows(), dense.cols());
-    spmm_acc_with(&mut out, csr, dense, threads);
-    out
-}
-
-/// Accumulates the sparse x dense product into `dst` on an explicit
-/// number of threads — the arena-checkout form of [`spmm_with`],
-/// allocating nothing. Streams per-entry partial sums into `dst`, so
-/// results are **bitwise identical to [`spmm_serial`] when `dst`
-/// starts zeroed** (the tape's checkout pattern); accumulate into a
-/// zeroed scratch and `add_assign` for the materialize-then-add float
-/// sequence on a non-zero target.
+/// the work-stealing schedule. Each output row streams one add per
+/// stored entry, in ascending entry order, so **on a zeroed `dst` the
+/// result is bitwise the plain scalar loop over the CSR entries** at
+/// every thread count and under either plan (the tape's checkout
+/// pattern); accumulate into a zeroed scratch and `add_assign` for the
+/// materialize-then-add float sequence on a non-zero target.
 pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
     assert_spmm(csr, dense);
     let d = dense.cols();
@@ -1107,12 +949,6 @@ pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize
 /// thread-count config.
 pub fn spmm_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
     spmm_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
-}
-
-/// Sparse x dense product with the shared thread-count config.
-pub fn spmm(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm(csr, dense);
-    spmm_with(csr, dense, auto_threads(csr.nnz() * dense.cols()))
 }
 
 fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, rows: Range<usize>, out: &mut [f32]) {
@@ -1143,15 +979,9 @@ fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
     );
 }
 
-/// Serial reference transposed sparse x dense product (`csr^T * dense`).
-pub fn spmm_t_serial(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm_t(csr, dense);
-    let mut out = Matrix::zeros(csr.cols(), dense.cols());
-    spmm_t_cols(csr, dense.data(), dense.cols(), 0..csr.cols(), out.data_mut());
-    out
-}
-
-/// `csr^T * dense` on an explicit number of threads.
+/// Accumulates `csr^T * dense` into `dst` on an explicit number of
+/// threads, allocating nothing beyond the lazily cached column-major
+/// index the parallel path shares.
 ///
 /// Output rows correspond to CSR *columns*. The parallel path streams
 /// the matrix's lazily built column-major companion index
@@ -1161,20 +991,10 @@ pub fn spmm_t_serial(csr: &Csr, dense: &Matrix) -> Matrix {
 /// duplicated row-scan cost that made the old kernel trail serial on
 /// scatter-heavy shapes. Chunks are column-nnz-balanced and scheduled
 /// for stealing when column degrees are skewed. Entries within a
-/// column are ordered by ascending CSR row, exactly the serial
-/// scatter's accumulation order, so results stay bitwise identical to
-/// [`spmm_t_serial`] at every thread count.
-pub fn spmm_t_with(csr: &Csr, dense: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.cols(), dense.cols());
-    spmm_t_acc_with(&mut out, csr, dense, threads);
-    out
-}
-
-/// Accumulates `csr^T * dense` into `dst` on an explicit number of
-/// threads — the arena-checkout form of [`spmm_t_with`], allocating
-/// nothing beyond the lazily cached column-major index the parallel
-/// path already shares. Same bitwise contract as [`spmm_acc_with`]:
-/// identical to [`spmm_t_serial`] when `dst` starts zeroed.
+/// column are ordered by ascending CSR row, exactly the one-thread
+/// scatter's accumulation order, so the bitwise contract is
+/// [`spmm_acc_with`]'s: on a zeroed `dst`, the plain scalar loop over
+/// the CSR entries, at every thread count.
 pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
     assert_spmm_t(csr, dense);
     let d = dense.cols();
@@ -1249,12 +1069,6 @@ pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usi
             });
         }
     }
-}
-
-/// `csr^T * dense` with the shared thread-count config.
-pub fn spmm_t(csr: &Csr, dense: &Matrix) -> Matrix {
-    assert_spmm_t(csr, dense);
-    spmm_t_with(csr, dense, auto_threads(csr.nnz() * dense.cols()))
 }
 
 /// Accumulates `csr^T * dense` into `dst` with the shared thread-count
@@ -1634,19 +1448,28 @@ pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix) {
     scatter_add_rows_with(dst, indices, src, auto_threads(work));
 }
 
-/// Dot product of every row of `mat` against `vec`, on an explicit
-/// number of threads. This is the full-catalog scoring primitive; each
-/// row is a [`dot_lanes`] dot in the canonical lane order.
-pub fn row_dots_with(mat: &Matrix, vec: &[f32], threads: usize) -> Vec<f32> {
+/// The full-catalog sweep behind [`row_dots_with`], [`row_dots_into`]
+/// and [`rank_rows_with`]: `dst[r] = <mat.row(r), vec>`, each row a
+/// [`dot_lanes`] dot in the canonical lane order, rows partitioned
+/// across `threads` (one thread runs inline).
+fn row_dots_sweep(dst: &mut [f32], mat: &Matrix, vec: &[f32], threads: usize) {
     assert_eq!(mat.cols(), vec.len(), "row_dots: vector length {} != {} cols", vec.len(), mat.cols());
+    assert_eq!(dst.len(), mat.rows(), "row_dots: dst length {} != {} rows", dst.len(), mat.rows());
     let d = mat.cols();
     let md = mat.data();
-    let mut out = vec![0.0f32; mat.rows()];
-    par::for_each_row_chunk(&mut out, mat.rows(), threads, |range, chunk| {
+    par::for_each_row_chunk(dst, mat.rows(), threads, |range, chunk| {
         for (o, r) in chunk.iter_mut().zip(range) {
             *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
         }
     });
+}
+
+/// Dot product of every row of `mat` against `vec`, on an explicit
+/// number of threads. This is the full-catalog scoring primitive; each
+/// row is a [`dot_lanes`] dot in the canonical lane order.
+pub fn row_dots_with(mat: &Matrix, vec: &[f32], threads: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; mat.rows()];
+    row_dots_sweep(&mut out, mat, vec, threads);
     out
 }
 
@@ -1666,19 +1489,11 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 }
 
 /// Serial [`row_dots`] into a caller-provided buffer:
-/// `dst[r] = <mat.row(r), vec>` in the canonical lane order. The
-/// batched serving path calls this once per user *inside* pool workers
-/// (each worker scores into its own thread-local catalog buffer), so it
-/// is deliberately serial — nested dispatch would run inline anyway —
-/// and allocation-free.
+/// `dst[r] = <mat.row(r), vec>` in the canonical lane order, allocating
+/// nothing. Meant for callers already inside a pool worker, where a
+/// nested dispatch would run inline anyway.
 pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
-    assert_eq!(mat.cols(), vec.len(), "row_dots_into: vector length {} != {} cols", vec.len(), mat.cols());
-    assert_eq!(dst.len(), mat.rows(), "row_dots_into: dst length {} != {} rows", dst.len(), mat.rows());
-    let d = mat.cols();
-    let md = mat.data();
-    for (r, o) in dst.iter_mut().enumerate() {
-        *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
-    }
+    row_dots_sweep(dst, mat, vec, 1);
 }
 
 // ----- top-k partial selection ----------------------------------------
@@ -1710,11 +1525,10 @@ pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
 /// partition passes.
 const QUICKSELECT_RATIO: usize = 8;
 
-/// Reusable scratch for the top-k selection kernels. Mint one per
-/// scoring thread (the serve crate keeps one in thread-local storage,
-/// like [`with_pack_buf`]) and steady-state selection performs zero
-/// heap allocations: the buffer grows to `max(k, candidates)` entries
-/// once and is reused thereafter.
+/// Reusable scratch for [`top_k_select_excluding`]. Mint one per
+/// scoring thread (or one [`RankScratch`], which holds one) and
+/// steady-state selection performs zero heap allocations: the buffer
+/// grows to `max(k, candidates)` entries once and is reused thereafter.
 pub struct TopKScratch {
     buf: Vec<(u32, f32)>,
 }
@@ -1900,16 +1714,12 @@ fn select_into_buf(scores: &[f32], k: usize, exclude: &[u32], buf: &mut Vec<(u32
 
 /// Top-`k` indices and scores of `scores`, in the deterministic
 /// `(score desc, index asc)` order, via bounded partial selection —
-/// O(n + k log k) instead of the full-catalog argsort. Returns fewer
-/// than `k` entries when the catalog is smaller; the result is exactly
-/// the prefix a full `(score desc, index asc)` sort would produce.
-pub fn top_k_select<'s>(scores: &[f32], k: usize, scratch: &'s mut TopKScratch) -> &'s [(u32, f32)] {
-    top_k_select_excluding(scores, k, &[], scratch)
-}
-
-/// [`top_k_select`] with an ascending exclusion list (seen items,
-/// training interactions). Excluded indices never appear in the result;
-/// ties and order are identical to filtering *before* a full sort.
+/// O(n + k log k) instead of the full-catalog argsort — skipping the
+/// ascending exclusion list `exclude` (seen items, training
+/// interactions; pass `&[]` for none). Returns fewer than `k` entries
+/// when fewer candidates remain; the result is exactly the prefix a
+/// full `(score desc, index asc)` sort of the non-excluded candidates
+/// would produce.
 pub fn top_k_select_excluding<'s>(
     scores: &[f32],
     k: usize,
@@ -1918,7 +1728,7 @@ pub fn top_k_select_excluding<'s>(
 ) -> &'s [(u32, f32)] {
     assert!(
         scores.len() <= u32::MAX as usize,
-        "top_k_select: catalog of {} rows exceeds u32 index space",
+        "top_k_select_excluding: catalog of {} rows exceeds u32 index space",
         scores.len()
     );
     assert!(
@@ -1927,6 +1737,66 @@ pub fn top_k_select_excluding<'s>(
     );
     select_into_buf(scores, k, exclude, &mut scratch.buf);
     &scratch.buf
+}
+
+// ----- ranking: representation rows to a top-k list -------------------
+
+/// Reusable scratch for [`rank_rows_with`]: a catalog-sized score
+/// buffer plus the selection heap. Mint one per scoring thread (the
+/// serve crate keeps one in thread-local storage, like
+/// [`with_pack_buf`]); the score buffer grows to the largest catalog
+/// ranked and steady-state calls allocate nothing.
+pub struct RankScratch {
+    scores: Vec<f32>,
+    topk: TopKScratch,
+}
+
+impl RankScratch {
+    /// An empty scratch; the first ranking call sizes it. `const` so
+    /// thread-local scratch slots can be statically initialized.
+    pub const fn new() -> Self {
+        RankScratch { scores: Vec::new(), topk: TopKScratch::new() }
+    }
+}
+
+impl Default for RankScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The top-`k` rows of `mat` by their canonical dot with `query`, as
+/// `(row, score)` pairs in the deterministic `(score desc, row asc)`
+/// order, skipping the ascending `exclude` list. The one path from
+/// representation rows to a top-k list: the [`row_dots_with`] sweep on
+/// `threads` into `scratch`, then [`top_k_select_excluding`].
+pub fn rank_rows_with<'s>(
+    mat: &Matrix,
+    query: &[f32],
+    k: usize,
+    exclude: &[u32],
+    scratch: &'s mut RankScratch,
+    threads: usize,
+) -> &'s [(u32, f32)] {
+    let n = mat.rows();
+    if scratch.scores.len() < n {
+        scratch.scores.resize(n, 0.0);
+    }
+    let scores = &mut scratch.scores[..n];
+    row_dots_sweep(scores, mat, query, threads);
+    top_k_select_excluding(scores, k, exclude, &mut scratch.topk)
+}
+
+/// [`rank_rows_with`] with the shared thread-count config (the
+/// [`row_dots`] rule).
+pub fn rank_rows<'s>(
+    mat: &Matrix,
+    query: &[f32],
+    k: usize,
+    exclude: &[u32],
+    scratch: &'s mut RankScratch,
+) -> &'s [(u32, f32)] {
+    rank_rows_with(mat, query, k, exclude, scratch, auto_threads(mat.len()))
 }
 
 #[cfg(test)]
@@ -1975,10 +1845,12 @@ mod tests {
     fn tn_and_nt_match_explicit_transpose() {
         let a = mat(8, 6, 0.3);
         let b = mat(8, 5, 0.9);
-        let tn = matmul_tn_with(&a, &b, 3);
+        let mut tn = Matrix::zeros(6, 5);
+        matmul_tn_acc_with(&mut tn, &a, &b, 3);
         assert!(tn.approx_eq(&a.transpose().matmul(&b), 1e-5));
         let c = mat(10, 6, 0.5);
-        let nt = matmul_nt_with(&a, &c, 3);
+        let mut nt = Matrix::ones(8, 10);
+        matmul_nt_into_with(&mut nt, &a, &c, 3);
         assert!(nt.approx_eq(&a.matmul(&c.transpose()), 1e-5));
     }
 
@@ -1990,14 +1862,18 @@ mod tests {
             &[(0, 1, 1.0), (0, 4, -2.0), (2, 0, 3.0), (2, 1, 0.5), (5, 4, 1.5), (5, 0, -1.0)],
         );
         let x = mat(5, 7, 0.6);
-        let reference = spmm_serial(&csr, &x);
+        let reference = csr.spmm(&x);
         for threads in [1, 2, 4] {
-            assert_eq!(spmm_with(&csr, &x, threads).data(), reference.data());
+            let mut got = Matrix::zeros(6, 7);
+            spmm_acc_with(&mut got, &csr, &x, threads);
+            assert_eq!(got.data(), reference.data());
         }
         let xt = mat(6, 7, 0.8);
-        let reference_t = spmm_t_serial(&csr, &xt);
+        let reference_t = csr.spmm_t(&xt);
         for threads in [1, 2, 4] {
-            assert_eq!(spmm_t_with(&csr, &xt, threads).data(), reference_t.data());
+            let mut got = Matrix::zeros(5, 7);
+            spmm_t_acc_with(&mut got, &csr, &xt, threads);
+            assert_eq!(got.data(), reference_t.data());
         }
     }
 
@@ -2042,7 +1918,9 @@ mod tests {
         let c = Matrix::zeros(3, 0);
         assert_eq!(matmul_with(&b.transpose(), &c, 4).shape(), (4, 0));
         let e = Csr::empty(0, 0);
-        assert_eq!(spmm_with(&e, &Matrix::zeros(0, 2), 4).shape(), (0, 2));
-        assert_eq!(spmm_t_with(&e, &Matrix::zeros(0, 2), 4).shape(), (0, 2));
+        let mut y = Matrix::zeros(0, 2);
+        spmm_acc_with(&mut y, &e, &Matrix::zeros(0, 2), 4);
+        spmm_t_acc_with(&mut y, &e, &Matrix::zeros(0, 2), 4);
+        assert_eq!(e.spmm(&Matrix::zeros(0, 2)).shape(), (0, 2));
     }
 }

@@ -445,19 +445,25 @@ impl Csr {
 
     /// Sparse x dense product: `self (r x c) * dense (c x d) -> r x d`.
     ///
-    /// Delegates to the kernel layer, which partitions output rows
-    /// across the shared worker pool for large products.
+    /// A zeroed output plus [`crate::kernels::spmm_acc`], which
+    /// partitions output rows across the shared worker pool for large
+    /// products.
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
-        crate::kernels::spmm(self, dense)
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        crate::kernels::spmm_acc(&mut out, self, dense);
+        out
     }
 
     /// Transposed sparse x dense product: `self^T (c x r) * dense (r x d)`.
     ///
     /// Used by SpMM backward passes; avoids materializing the transpose.
-    /// The parallel kernel partitions output rows (CSR columns) so the
-    /// scatter writes stay race-free and deterministic.
+    /// A zeroed output plus [`crate::kernels::spmm_t_acc`], whose
+    /// parallel path partitions output rows (CSR columns) so the scatter
+    /// writes stay race-free and deterministic.
     pub fn spmm_t(&self, dense: &Matrix) -> Matrix {
-        crate::kernels::spmm_t(self, dense)
+        let mut out = Matrix::zeros(self.cols, dense.cols());
+        crate::kernels::spmm_t_acc(&mut out, self, dense);
+        out
     }
 
     /// The transposed CSR (materialized).

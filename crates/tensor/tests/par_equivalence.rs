@@ -33,6 +33,82 @@ fn lane_dot_ref(x: &[f32], y: &[f32]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
+/// Plain scalar `csr * x`: one add per stored entry into a zeroed
+/// output, entries in CSR order. Shares no code with the streaming
+/// kernels; the `spmm` family is pinned bitwise against it.
+fn spmm_ref(csr: &Csr, x: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(csr.rows(), x.cols());
+    for (r, c, v) in csr.iter() {
+        for j in 0..x.cols() {
+            out[(r as usize, j)] += v * x.get(c as usize, j);
+        }
+    }
+    out
+}
+
+/// Plain scalar `csr^T * xt`, likewise: entry `(r, c, v)` adds
+/// `v * xt.row(r)` into output row `c`, entries in CSR order (so each
+/// output element sums in ascending `r`).
+fn spmm_t_ref(csr: &Csr, xt: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(csr.cols(), xt.cols());
+    for (r, c, v) in csr.iter() {
+        for j in 0..xt.cols() {
+            out[(c as usize, j)] += v * xt.get(r as usize, j);
+        }
+    }
+    out
+}
+
+/// `a^T * b` through `matmul_tn_acc_with` on a zeroed output.
+fn matmul_tn_at(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    kernels::matmul_tn_acc_with(&mut out, a, b, threads);
+    out
+}
+
+/// `csr * x` through `spmm_acc_with` on a zeroed output.
+fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.rows(), x.cols());
+    kernels::spmm_acc_with(&mut out, csr, x, threads);
+    out
+}
+
+/// `csr^T * xt` through `spmm_t_acc_with` on a zeroed output.
+fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.cols(), xt.cols());
+    kernels::spmm_t_acc_with(&mut out, csr, xt, threads);
+    out
+}
+
+/// A deterministic non-zero destination for the accumulating kernels.
+fn dirty(rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) as f32 * 0.31).sin())
+}
+
+/// A copy of `dst0` after `kernel` wrote into it.
+fn run_on(dst0: &Matrix, kernel: impl FnOnce(&mut Matrix)) -> Matrix {
+    let mut dst = dst0.clone();
+    kernel(&mut dst);
+    dst
+}
+
+/// Both streaming sparse accumulators on non-zero destinations: each
+/// output element takes one add per stored entry, in ascending entry
+/// order, whichever worker owns it, so every thread count must
+/// reproduce the one-thread (serial) bytes.
+fn spmm_pair_matches_serial(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResult {
+    let (dst0, dst0_t) = (dirty(csr.rows(), x.cols()), dirty(csr.cols(), xt.cols()));
+    let serial = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, 1));
+    let serial_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, 1));
+    for &t in &THREADS {
+        let got = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, t));
+        prop_assert_eq!(got.data(), serial.data(), "spmm_acc threads={}", t);
+        let got_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, t));
+        prop_assert_eq!(got_t.data(), serial_t.data(), "spmm_t_acc threads={}", t);
+    }
+    Ok(())
+}
+
 /// RAII guard lifting the oversubscription guard for one test body: an
 /// explicit `set_threads` override makes `*_with(t)` run the genuine
 /// parallel/stealing code paths even on a single-core machine (where
@@ -132,36 +208,50 @@ proptest! {
 
     #[test]
     fn matmul_tn_matches_serial((a, b) in tn_inputs()) {
-        let reference = kernels::matmul_tn_serial(&a, &b);
+        // On a non-zero destination the streaming accumulator folds one
+        // add per `i` step into each element, ascending, whichever
+        // worker owns its row — so every thread count reproduces the
+        // one-thread (serial) bytes. The override lets 2 and 4 threads
+        // really partition the rows on a 1-core host.
+        let _caps = ThreadOverride::lift_caps();
+        let dst0 = dirty(a.cols(), b.cols());
+        let serial = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, 1));
         for &t in &THREADS {
-            let got = kernels::matmul_tn_with(&a, &b, t);
-            prop_assert_eq!(got.shape(), reference.shape());
-            prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
+            let got = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, t));
+            prop_assert_eq!(got.data(), serial.data(), "threads={}", t);
         }
     }
 
     #[test]
     fn matmul_nt_matches_serial((a, b) in nt_inputs()) {
-        let reference = kernels::matmul_nt_serial(&a, &b);
+        // Both `matmul_nt` forms at every thread count against their
+        // one-thread bytes: the overwriting one on a NaN-filled buffer,
+        // the accumulating one on a non-zero destination.
+        let _caps = ThreadOverride::lift_caps();
+        let (nan, dst0) = (Matrix::filled(a.rows(), b.rows(), f32::NAN), dirty(a.rows(), b.rows()));
+        let serial = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, 1));
+        let serial_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, 1));
         for &t in &THREADS {
-            let got = kernels::matmul_nt_with(&a, &b, t);
-            prop_assert_eq!(got.shape(), reference.shape());
-            prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
+            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
+            prop_assert_eq!(got.data(), serial.data(), "into threads={}", t);
+            let got_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
+            prop_assert_eq!(got_acc.data(), serial_acc.data(), "acc threads={}", t);
         }
     }
 
     #[test]
     fn spmm_and_spmm_t_match_serial((csr, x, xt) in sparse_inputs()) {
-        let reference = kernels::spmm_serial(&csr, &x);
-        let reference_t = kernels::spmm_t_serial(&csr, &xt);
-        for &t in &THREADS {
-            let got = kernels::spmm_with(&csr, &x, t);
-            prop_assert_eq!(got.shape(), reference.shape());
-            prop_assert!(got.max_abs_diff(&reference) <= TOL, "spmm threads={}", t);
-            let got_t = kernels::spmm_t_with(&csr, &xt, t);
-            prop_assert_eq!(got_t.shape(), reference_t.shape());
-            prop_assert!(got_t.max_abs_diff(&reference_t) <= TOL, "spmm_t threads={}", t);
-        }
+        let _caps = ThreadOverride::lift_caps();
+        spmm_pair_matches_serial(&csr, &x, &xt)?;
+    }
+
+    #[test]
+    fn skewed_spmm_and_spmm_t_are_bitwise_serial((csr, x, xt) in skewed_sparse_inputs()) {
+        // Skewed shapes take the nnz-weighted stealing plans (the
+        // column-major streaming path for `spmm_t`) once the override
+        // lifts the guard; the contract there is exact as well.
+        let _caps = ThreadOverride::lift_caps();
+        spmm_pair_matches_serial(&csr, &x, &xt)?;
     }
 
     #[test]
@@ -169,22 +259,7 @@ proptest! {
         // Cross-check the whole sparse path against the dense one.
         let dense = csr.to_dense().matmul(&x);
         for &t in &THREADS {
-            prop_assert!(kernels::spmm_with(&csr, &x, t).max_abs_diff(&dense) <= 1e-4);
-        }
-    }
-
-    #[test]
-    fn skewed_spmm_and_spmm_t_are_bitwise_serial((csr, x, xt) in skewed_sparse_inputs()) {
-        // Skewed shapes take the nnz-weighted stealing plan; the
-        // contract there is exact, not approximate.
-        let _caps = ThreadOverride::lift_caps();
-        let reference = kernels::spmm_serial(&csr, &x);
-        let reference_t = kernels::spmm_t_serial(&csr, &xt);
-        for &t in &THREADS {
-            let got = kernels::spmm_with(&csr, &x, t);
-            prop_assert_eq!(got.data(), reference.data(), "spmm threads={}", t);
-            let got_t = kernels::spmm_t_with(&csr, &xt, t);
-            prop_assert_eq!(got_t.data(), reference_t.data(), "spmm_t threads={}", t);
+            prop_assert!(spmm_at(&csr, &x, t).max_abs_diff(&dense) <= 1e-4);
         }
     }
 
@@ -253,7 +328,8 @@ proptest! {
 // fully-fused kernels hold that contract for ANY destination contents;
 // the streaming accumulators (`matmul_tn_acc`, `spmm_acc`,
 // `spmm_t_acc`) hold it for the zeroed checkouts the tape feeds them,
-// where the reference degenerates to the allocating kernel itself.
+// where the reference is the product itself: `matmul_serial` on the
+// explicit transpose, or the plain scalar loops `spmm_ref`/`spmm_t_ref`.
 
 /// `(dst, src)` with matching shapes for the elementwise fused kernels.
 fn elementwise_inputs() -> impl Strategy<Value = (Matrix, Matrix)> {
@@ -333,22 +409,8 @@ proptest! {
     }
 
     #[test]
-    fn matmul_acc_matches_allocate_then_combine((a, b, dst0) in matmul_acc_inputs()) {
-        let product = kernels::matmul_serial(&a, &b);
-        let mut expected = dst0.clone();
-        for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
-            *e += x;
-        }
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::matmul_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
-        }
-    }
-
-    #[test]
     fn matmul_nt_fused_match_allocate_then_combine((a, b, dst0) in nt_acc_inputs()) {
-        let product = kernels::matmul_nt_serial(&a, &b);
+        let product = Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
         let mut expected = dst0.clone();
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
@@ -428,41 +490,38 @@ proptest! {
     #[test]
     fn matmul_tn_acc_zeroed_is_bitwise_product((a, b) in tn_inputs()) {
         // Streaming accumulator: on the tape's zeroed checkouts it must
-        // reproduce the allocating kernel exactly.
-        let product = kernels::matmul_tn_serial(&a, &b);
+        // reproduce the i-k-j product of the explicit transpose exactly.
+        // The override lifts the oversubscription guard, so 2 and 4
+        // threads partition across the pool even on a 1-core host.
+        let _caps = ThreadOverride::lift_caps();
+        let product = kernels::matmul_serial(&a.transpose(), &b);
         for &t in &THREADS {
-            let mut dst = Matrix::zeros(a.cols(), b.cols());
-            kernels::matmul_tn_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), product.data(), "threads={}", t);
+            let got = matmul_tn_at(&a, &b, t);
+            prop_assert_eq!(got.data(), product.data(), "threads={}", t);
         }
     }
 
     #[test]
     fn spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in sparse_inputs()) {
-        let product = kernels::spmm_serial(&csr, &x);
-        let product_t = kernels::spmm_t_serial(&csr, &xt);
+        let _caps = ThreadOverride::lift_caps();
+        let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
         for &t in &THREADS {
-            let mut dst = Matrix::zeros(csr.rows(), x.cols());
-            kernels::spmm_acc_with(&mut dst, &csr, &x, t);
-            prop_assert_eq!(dst.data(), product.data(), "spmm_acc threads={}", t);
-            let mut dst_t = Matrix::zeros(csr.cols(), xt.cols());
-            kernels::spmm_t_acc_with(&mut dst_t, &csr, &xt, t);
-            prop_assert_eq!(dst_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
+            let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
+            prop_assert_eq!(got.data(), product.data(), "spmm_acc threads={}", t);
+            prop_assert_eq!(got_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
         }
     }
 
     #[test]
     fn skewed_spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in skewed_sparse_inputs()) {
-        // Same contract through the nnz-weighted stealing plans.
-        let product = kernels::spmm_serial(&csr, &x);
-        let product_t = kernels::spmm_t_serial(&csr, &xt);
+        // Same contract through the nnz-weighted stealing plans, which
+        // skewed shapes take once the override lifts the guard.
+        let _caps = ThreadOverride::lift_caps();
+        let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
         for &t in &THREADS {
-            let mut dst = Matrix::zeros(csr.rows(), x.cols());
-            kernels::spmm_acc_with(&mut dst, &csr, &x, t);
-            prop_assert_eq!(dst.data(), product.data(), "spmm_acc threads={}", t);
-            let mut dst_t = Matrix::zeros(csr.cols(), xt.cols());
-            kernels::spmm_t_acc_with(&mut dst_t, &csr, &xt, t);
-            prop_assert_eq!(dst_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
+            let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
+            prop_assert_eq!(got.data(), product.data(), "spmm_acc threads={}", t);
+            prop_assert_eq!(got_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
         }
     }
 }
@@ -498,12 +557,11 @@ proptest! {
     fn matmul_nt_matches_lane_order_reference((a, b) in nt_lane_inputs()) {
         let expected =
             Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
-        let serial = kernels::matmul_nt_serial(&a, &b);
-        prop_assert_eq!(serial.data(), expected.data());
-        let auto = kernels::matmul_nt(&a, &b);
+        let nan = Matrix::filled(a.rows(), b.rows(), f32::NAN);
+        let auto = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
         prop_assert_eq!(auto.data(), expected.data());
         for &t in &THREADS {
-            let got = kernels::matmul_nt_with(&a, &b, t);
+            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
             prop_assert_eq!(got.data(), expected.data(), "threads={}", t);
         }
     }
@@ -520,7 +578,7 @@ proptest! {
 
     #[test]
     fn matmul_into_packed_matches_serial((a, b, dst0) in matmul_acc_inputs()) {
-        // `matmul_into` overwrites a dirty destination with the product;
+        // `matmul_into_with` overwrites a dirty destination with the product;
         // under the thread override the parallel calls run the
         // panel-packed tiled kernel, which must stay bitwise-serial
         // (packing is a layout change, never an order change) even on
@@ -533,9 +591,6 @@ proptest! {
             kernels::matmul_into_with(&mut dst, &a, &b, t);
             prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
         }
-        let mut dst = dst0;
-        kernels::matmul_into(&mut dst, &a, &b);
-        prop_assert_eq!(dst.data(), reference.data(), "auto wrapper");
     }
 }
 
@@ -569,7 +624,7 @@ fn fused_kernels_bitwise_across_pool_threads() {
     let b = Matrix::from_fn(37, 23, |r, c| ((r * 17 + c * 3) as f32 * 0.29).cos());
     let mut expected_axpy = a.clone();
     expected_axpy.add_scaled_assign(&b, 0.75);
-    let expected_tn = kernels::matmul_tn_serial(&a, &b);
+    let expected_tn = kernels::matmul_serial(&a.transpose(), &b);
     for t in [2, 3, 4] {
         let mut dst = a.clone();
         kernels::axpy_with(&mut dst, &b, 0.75, t);
@@ -589,8 +644,10 @@ fn empty_matrices_all_kernels() {
         assert_eq!(kernels::matmul_with(&a00, &a00, t).shape(), (0, 0));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
-        assert_eq!(kernels::matmul_tn_with(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).shape(), (4, 2));
-        assert_eq!(kernels::matmul_nt_with(&Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t).shape(), (2, 5));
+        assert_eq!(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).data(), &[0.0; 8]);
+        let mut nt = Matrix::ones(2, 5);
+        kernels::matmul_nt_into_with(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t);
+        assert_eq!(nt.data(), &[0.0; 10], "an empty dot overwrites with 0");
     }
 }
 
@@ -611,12 +668,8 @@ fn nnz_zero_csr() {
     let x = Matrix::ones(7, 3);
     let xt = Matrix::ones(5, 3);
     for &t in &THREADS {
-        let y = kernels::spmm_with(&e, &x, t);
-        assert_eq!(y.shape(), (5, 3));
-        assert_eq!(y.sum(), 0.0);
-        let yt = kernels::spmm_t_with(&e, &xt, t);
-        assert_eq!(yt.shape(), (7, 3));
-        assert_eq!(yt.sum(), 0.0);
+        assert_eq!(spmm_at(&e, &x, t).data(), &[0.0; 15]);
+        assert_eq!(spmm_t_at(&e, &xt, t).data(), &[0.0; 21]);
     }
 }
 
@@ -638,9 +691,9 @@ fn parallel_results_are_bitwise_identical() {
             .collect::<Vec<_>>(),
     );
     let x = Matrix::from_fn(31, 6, |r, c| (r as f32 - c as f32) * 0.3);
-    let reference = kernels::spmm_serial(&csr, &x);
+    let reference = spmm_ref(&csr, &x);
     for t in 1..=8 {
-        assert_eq!(kernels::spmm_with(&csr, &x, t).data(), reference.data(), "threads={t}");
+        assert_eq!(spmm_at(&csr, &x, t).data(), reference.data(), "threads={t}");
     }
 }
 
@@ -658,8 +711,8 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     let csr = Csr::from_triplets(400, 300, &triplets);
     let x = Matrix::from_fn(300, 16, |r, c| ((r * 3 + c) as f32 * 0.01).cos());
     let xt = Matrix::from_fn(400, 16, |r, c| ((r + 5 * c) as f32 * 0.01).sin());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = spmm_ref(&csr, &x);
+    let reference_t = spmm_t_ref(&csr, &xt);
     // An explicit set_threads override lifts the oversubscription
     // guard, so the stealing/CSC-streaming code paths run for real
     // here even on a single-core machine. (Other tests in this binary
@@ -669,8 +722,8 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     par::set_threads(Some(8));
     let result = std::panic::catch_unwind(|| {
         for t in 1..=8 {
-            assert_eq!(kernels::spmm_with(&csr, &x, t).data(), reference.data(), "spmm threads={t}");
-            assert_eq!(kernels::spmm_t_with(&csr, &xt, t).data(), reference_t.data(), "spmm_t threads={t}");
+            assert_eq!(spmm_at(&csr, &x, t).data(), reference.data(), "spmm threads={t}");
+            assert_eq!(spmm_t_at(&csr, &xt, t).data(), reference_t.data(), "spmm_t threads={t}");
         }
     });
     par::set_threads(None);
@@ -690,7 +743,7 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
 // ----- auto-dispatch wrappers -----------------------------------------
 //
 // Every `*_with(threads)` kernel has a wrapper that picks its thread
-// count from the shared config (`matmul_tn`, `spmm_acc`, `axpy`, …).
+// count from the shared config (`matmul_tn_acc`, `spmm_acc`, `axpy`, …).
 // The wrapper contract is pure delegation: identical bytes to the
 // explicit form for any config. `set_min_work(Some(1))` forces the
 // wrappers down their genuine parallel routes even on test-sized
@@ -731,21 +784,10 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let _caps = ThreadOverride::lift_caps();
     let _work = MinWorkOverride::force_parallel();
 
-    // Dense product wrappers against their serial references.
+    // Dense product wrappers against their one-thread forms.
     let a = Matrix::from_fn(13, 11, |r, c| ((r * 19 + c * 5) as f32 * 0.11).sin());
-    let b = Matrix::from_fn(11, 9, |r, c| ((r * 3 + c * 13) as f32 * 0.23).cos());
     let same_rows = Matrix::from_fn(13, 9, |r, c| ((r + 4 * c) as f32 * 0.07).sin());
     let same_cols = Matrix::from_fn(7, 11, |r, c| ((2 * r + c) as f32 * 0.19).cos());
-    assert_eq!(kernels::matmul_tn(&a, &same_rows).data(), kernels::matmul_tn_serial(&a, &same_rows).data());
-    assert_eq!(kernels::matmul_nt(&a, &same_cols).data(), kernels::matmul_nt_serial(&a, &same_cols).data());
-
-    let dirty = Matrix::from_fn(13, 9, |r, c| ((r * 7 + c) as f32 * 0.31).sin());
-    let mut got = dirty.clone();
-    let mut want = dirty.clone();
-    kernels::matmul_acc(&mut got, &a, &b);
-    kernels::matmul_acc_with(&mut want, &a, &b, 1);
-    assert_eq!(got.data(), want.data(), "matmul_acc");
-
     let tn_dirty = Matrix::from_fn(11, 9, |r, c| ((r + c * 3) as f32 * 0.17).cos());
     let mut got = tn_dirty.clone();
     let mut want = tn_dirty.clone();
@@ -775,8 +817,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
     );
     let x = Matrix::from_fn(10, 5, |r, c| ((r + 2 * c) as f32 * 0.09).cos());
     let xt = Matrix::from_fn(12, 5, |r, c| ((3 * r + c) as f32 * 0.09).sin());
-    assert_eq!(kernels::spmm(&csr, &x).data(), kernels::spmm_serial(&csr, &x).data());
-    assert_eq!(kernels::spmm_t(&csr, &xt).data(), kernels::spmm_t_serial(&csr, &xt).data());
     let mut got = Matrix::zeros(12, 5);
     let mut want = Matrix::zeros(12, 5);
     kernels::spmm_acc(&mut got, &csr, &x);
@@ -825,7 +865,7 @@ fn auto_wrappers_match_explicit_thread_counts() {
         assert_eq!(got.data(), want.data(), "zip_map_acc threads={t}");
     }
 
-    // Scatter-add and row-dot wrappers.
+    // Scatter-add, row-dot and ranking wrappers.
     let indices: Vec<u32> = (0..base.rows() as u32).map(|i| (i * 5 + 2) % 4).collect();
     let mut got = Matrix::zeros(4, base.cols());
     let mut want = Matrix::zeros(4, base.cols());
@@ -840,6 +880,9 @@ fn auto_wrappers_match_explicit_thread_counts() {
     for t in 1..=3usize {
         assert_eq!(kernels::row_dots_with(&base, &query, t), serial, "row_dots_with threads={t}");
     }
+    let mut scratch = kernels::RankScratch::new();
+    let want = kernels::rank_rows_with(&base, &query, 4, &[1, 5], &mut scratch, 1).to_vec();
+    assert_eq!(kernels::rank_rows(&base, &query, 4, &[1, 5], &mut scratch), &want[..], "rank_rows");
 }
 
 #[test]
@@ -865,11 +908,11 @@ fn transpose_kernels_match_materialized_transpose() {
 //
 // The serving-path kernels: `dot` and `row_dots_into` must replay the
 // exact lane order (spec: `lane_dot_ref`), and the bounded partial
-// selection (`top_k_select` / `top_k_select_excluding`) must be
-// exact-match — same indices, same order — against a full sort under
-// the deterministic `(score desc, index asc)` total order, on both of
-// its internal algorithms (bounded heap for small k, quickselect once
-// k is a sizable fraction of the candidates).
+// selection (`top_k_select_excluding`, and `rank_rows_with` on top of
+// it) must be exact-match — same indices, same order — against a full
+// sort under the deterministic `(score desc, index asc)` total order,
+// on both of its internal algorithms (bounded heap for small k,
+// quickselect once k is a sizable fraction of the candidates).
 
 /// Full-sort reference for the selection kernels: the historical
 /// argsort path — rank every non-excluded candidate, truncate to k.
@@ -899,6 +942,20 @@ fn selection_inputs() -> impl Strategy<Value = (Vec<f32>, Vec<u32>)> {
     })
 }
 
+/// A catalog, a query and a sorted exclusion subset for `rank_rows`:
+/// entries drawn from a few coarse levels so equal dots (the tie-break
+/// path) are common.
+fn rank_inputs() -> impl Strategy<Value = (Matrix, Vec<f32>, Vec<u32>)> {
+    (0usize..60, 0usize..6).prop_flat_map(|(n, d)| {
+        let level = || (-2i8..3).prop_map(|v| v as f32 * 0.5);
+        let catalog = proptest::collection::vec(level(), n * d).prop_map(move |v| Matrix::from_vec(n, d, v));
+        let excluded = proptest::collection::vec(0u8..3, n).prop_map(|mask| {
+            mask.iter().enumerate().filter(|(_, &x)| x == 0).map(|(i, _)| i as u32).collect::<Vec<u32>>()
+        });
+        (catalog, proptest::collection::vec(level(), d), excluded)
+    })
+}
+
 proptest! {
     #[test]
     fn top_k_selection_matches_full_sort((scores, exclude) in selection_inputs()) {
@@ -911,8 +968,28 @@ proptest! {
             let got = kernels::top_k_select_excluding(&scores, k, &exclude, &mut scratch);
             prop_assert_eq!(got, &expected[..], "excluding, k={}", k);
             let expected_all = top_k_ref(&scores, k, &[]);
-            let got_all = kernels::top_k_select(&scores, k, &mut scratch);
+            let got_all = kernels::top_k_select_excluding(&scores, k, &[], &mut scratch);
             prop_assert_eq!(got_all, &expected_all[..], "no exclusion, k={}", k);
+        }
+    }
+
+    #[test]
+    fn rank_rows_matches_full_sort_reference((catalog, query, exclude) in rank_inputs()) {
+        // The one path from representation rows to a top-k list, pinned
+        // bitwise against the full sort over lane-order scores; one
+        // scratch serves every call. The override lets 2 and 4 threads
+        // really split the sweep on a 1-core host.
+        let _caps = ThreadOverride::lift_caps();
+        let scores: Vec<f32> = (0..catalog.rows()).map(|r| lane_dot_ref(catalog.row(r), &query)).collect();
+        let bits = |v: &[(u32, f32)]| v.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
+        let n = catalog.rows();
+        let mut scratch = kernels::RankScratch::new();
+        for k in [0, 1, n, n + 3] {
+            let expected = bits(&top_k_ref(&scores, k, &exclude));
+            for &t in &THREADS {
+                let got = kernels::rank_rows_with(&catalog, &query, k, &exclude, &mut scratch, t);
+                prop_assert_eq!(bits(got), expected.clone(), "k={} threads={}", k, t);
+            }
         }
     }
 
@@ -940,9 +1017,11 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // (score desc, index asc) tie-break on every path.
     let flat = vec![1.5f32; 100];
     let mut scratch = kernels::TopKScratch::new();
-    let heap_path: Vec<u32> = kernels::top_k_select(&flat, 4, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let heap_path: Vec<u32> =
+        kernels::top_k_select_excluding(&flat, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(heap_path, vec![0, 1, 2, 3]);
-    let qsel_path: Vec<u32> = kernels::top_k_select(&flat, 60, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let qsel_path: Vec<u32> =
+        kernels::top_k_select_excluding(&flat, 60, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(qsel_path, (0..60).collect::<Vec<u32>>());
     // One scratch serves differently-sized calls back to back; the
     // exclusion merge-walk tolerates duplicate entries.
@@ -952,7 +1031,8 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // NaN scores are ordered by total_cmp (positive NaN above +inf),
     // not silently shuffled like the old partial_cmp comparator.
     let with_nan = [1.0, f32::NAN, f32::INFINITY, 2.0];
-    let order: Vec<u32> = kernels::top_k_select(&with_nan, 4, &mut scratch).iter().map(|&(i, _)| i).collect();
+    let order: Vec<u32> =
+        kernels::top_k_select_excluding(&with_nan, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(order, vec![1, 2, 3, 0]);
 }
 

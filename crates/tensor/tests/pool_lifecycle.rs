@@ -233,6 +233,20 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
 /// and the column draw is log-uniform, so both the row and the column
 /// span plans come out skewed and the kernels pick the stealing
 /// schedule.
+/// `csr * x` through `spmm_acc_with` on a zeroed output.
+fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.rows(), x.cols());
+    kernels::spmm_acc_with(&mut out, csr, x, threads);
+    out
+}
+
+/// `csr^T * xt` through `spmm_t_acc_with` on a zeroed output.
+fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
+    let mut out = Matrix::zeros(csr.cols(), xt.cols());
+    kernels::spmm_t_acc_with(&mut out, csr, xt, threads);
+    out
+}
+
 fn skewed_csr() -> Csr {
     let mut triplets = Vec::with_capacity(1200);
     for i in 0..1200u32 {
@@ -259,23 +273,23 @@ fn stealing_dispatch_self_drains_with_no_free_workers() {
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 7 + c) as f32 * 0.05).sin());
     let xt = Matrix::from_fn(80, 8, |r, c| ((r + 11 * c) as f32 * 0.04).cos());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = spmm_at(&csr, &x, 1);
+    let reference_t = spmm_t_at(&csr, &xt, 1);
 
     let _ = kernels::matmul_with(&Matrix::ones(16, 8), &Matrix::ones(8, 8), 4); // pool exists
     par::set_threads(Some(1));
     assert_eq!(par::pool_workers(), 0, "set_threads(1) must retire every worker");
 
     // threads=1: inline, no growth, no queue traffic.
-    assert_eq!(kernels::spmm_with(&csr, &x, 1).data(), reference.data());
-    assert_eq!(kernels::spmm_t_with(&csr, &xt, 1).data(), reference_t.data());
+    assert_eq!(spmm_at(&csr, &x, 1).data(), reference.data());
+    assert_eq!(spmm_t_at(&csr, &xt, 1).data(), reference_t.data());
     assert_eq!(par::pool_workers(), 0, "a width-1 call must not grow a drained pool");
 
     // A wider stealing dispatch grows the pool on demand (like the
     // static path; the set_threads override is active, so the
     // hardware cap on implicit growth does not apply) and the bytes
     // still match serial exactly.
-    assert_eq!(kernels::spmm_t_with(&csr, &xt, 3).data(), reference_t.data());
+    assert_eq!(spmm_t_at(&csr, &xt, 3).data(), reference_t.data());
     assert!(par::pool_workers() <= 2, "stealing dispatch over-grew the pool");
 
     par::set_threads(None);
@@ -293,14 +307,14 @@ fn stealing_callers_drain_foreign_slots_on_a_starved_pool() {
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 3 + c) as f32 * 0.06).sin());
     let xt = Matrix::from_fn(80, 8, |r, c| ((r + 7 * c) as f32 * 0.03).cos());
-    let reference = kernels::spmm_serial(&csr, &x);
-    let reference_t = kernels::spmm_t_serial(&csr, &xt);
+    let reference = spmm_at(&csr, &x, 1);
+    let reference_t = spmm_t_at(&csr, &xt, 1);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..20 {
-                    assert_eq!(kernels::spmm_with(&csr, &x, 3).data(), reference.data());
-                    assert_eq!(kernels::spmm_t_with(&csr, &xt, 3).data(), reference_t.data());
+                    assert_eq!(spmm_at(&csr, &x, 3).data(), reference.data());
+                    assert_eq!(spmm_t_at(&csr, &xt, 3).data(), reference_t.data());
                 }
             });
         }
@@ -316,11 +330,11 @@ fn nested_stealing_calls_run_inline() {
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 4, |r, c| ((r + c) as f32 * 0.02).sin());
-    let reference = kernels::spmm_serial(&csr, &x);
+    let reference = spmm_at(&csr, &x, 1);
     let results = std::sync::Mutex::new(Vec::new());
     let mut outer = vec![0u8; 4];
     par::for_each_row_chunk(&mut outer, 4, 4, |_range, _chunk| {
-        let inner = kernels::spmm_with(&csr, &x, 4);
+        let inner = spmm_at(&csr, &x, 4);
         results.lock().unwrap().push(inner);
     });
     for (i, got) in results.into_inner().unwrap().iter().enumerate() {

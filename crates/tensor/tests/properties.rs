@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use gnmr_tensor::{Csr, Matrix};
+use gnmr_tensor::{kernels, Csr, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with dimensions in [1, 8] and small values.
@@ -62,9 +62,12 @@ proptest! {
 
     #[test]
     fn matmul_tn_nt_consistent((a, b) in matmul_pair()) {
-        let tn = a.transpose().matmul_tn(&b); // (a^T)^T b = a b
+        let (m, n) = (a.rows(), b.cols());
+        let mut tn = Matrix::zeros(m, n);
+        kernels::matmul_tn_acc(&mut tn, &a.transpose(), &b); // (a^T)^T b = a b
         prop_assert!(tn.approx_eq(&a.matmul(&b), 1e-3));
-        let nt = a.matmul_nt(&b.transpose()); // a (b^T)^T = a b
+        let mut nt = Matrix::zeros(m, n);
+        kernels::matmul_nt_into(&mut nt, &a, &b.transpose()); // a (b^T)^T = a b
         prop_assert!(nt.approx_eq(&a.matmul(&b), 1e-3));
     }
 
