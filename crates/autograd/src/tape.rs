@@ -711,10 +711,10 @@ impl Graph {
                 Op::GatherRows(a, indices) => {
                     // Scatter-add via the kernel layer: updates are bucketed
                     // by destination row and the chunk plan is update-count
-                    // weighted (work-stealing when one hot embedding row
-                    // draws most of the gradient traffic), so large tables
-                    // accumulate in parallel with the same per-row order
-                    // (and bytes) as the serial loop.
+                    // weighted (one hot embedding row drawing most of the
+                    // gradient traffic gets a chunk of its own), so large
+                    // tables accumulate in parallel with the same per-row
+                    // order (and bytes) as the serial loop.
                     let shape = head[a.0].value.shape();
                     apply_sum(head, arena, *a, shape, |_, d| {
                         kernels::scatter_add_rows(d, indices, g)

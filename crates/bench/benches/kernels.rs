@@ -134,8 +134,9 @@ fn random_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
 /// owns ~90% of the stored entries (distinct columns via a coprime
 /// stride, so duplicate-summing cannot dilute the hub), and the light
 /// rows draw their columns log-uniformly so column degrees are
-/// Zipf-like too (hub items on a Taobao-style graph). Static row
-/// partitioning serializes on the hub; the weighted stealing plan is
+/// Zipf-like too (hub items on a Taobao-style graph). Equal-row chunks
+/// would serialize on the hub; the nnz-weighted plan, which gives the
+/// hub a chunk of its own while the other threads claim the rest, is
 /// what these bench rows measure.
 fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     let mut r = rng::seeded(seed);
@@ -331,12 +332,10 @@ fn main() {
     );
 
     // The same two ops on a power-law graph (one hub row with ~90% of
-    // the nnz, Zipf-ish columns): the shape where static row chunks
-    // serialize on the hub and the cost model switches to nnz-weighted
-    // work-stealing plans. The transposed kernel additionally streams
-    // the cached column-major index here instead of binary-searching
-    // every row per chunk, so its parallel cells should no longer
-    // trail serial even at 2 threads.
+    // the nnz, Zipf-ish columns): the shape where equal-row chunks
+    // would serialize on the hub, so the nnz-weighted plans isolate it.
+    // The transposed kernel streams the cached column-major index on
+    // more than one thread, as it does on the uniform graph above.
     let skew = skewed_csr(8000, 40_000, 40_000, 9);
     skew.prewarm_spmm_t(); // the index is per-matrix and amortized in training; keep it out of the cells
     let skew_x = init::uniform(40_000, 64, -1.0, 1.0, &mut rng::seeded(10));

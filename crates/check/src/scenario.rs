@@ -29,7 +29,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex as StdMutex;
 
-use crate::par::{self, Schedule};
+use crate::par;
 use crate::sched::{self, ExploreCfg, ExploreStats, ModelFailure, RunCfg, Token};
 use crate::sync::{Arc, Condvar, Mutex};
 
@@ -49,7 +49,7 @@ pub fn all() -> &'static [Scenario] {
         Scenario { name: "dispatch-drain", fail_spawns: false, body: dispatch_drain },
         Scenario { name: "zero-workers", fail_spawns: true, body: zero_workers },
         Scenario { name: "nested-inline", fail_spawns: false, body: nested_inline },
-        Scenario { name: "stealing-hub", fail_spawns: false, body: stealing_hub },
+        Scenario { name: "fine-chunks", fail_spawns: false, body: fine_chunks },
         Scenario { name: "panic-propagation", fail_spawns: false, body: panic_propagation },
         Scenario { name: "grow-shrink-midflight", fail_spawns: false, body: grow_shrink_midflight },
         Scenario { name: "concurrent-dispatchers", fail_spawns: false, body: concurrent_dispatchers },
@@ -186,16 +186,17 @@ fn nested_inline() {
     assert_exactly_once(&counts, "nested-inline");
 }
 
-/// Work-stealing with more chunks than participants, so completion
-/// requires thefts. The post-teardown recount catches a chunk executed
-/// twice even when the duplicate ran after the dispatch quiesced.
-fn stealing_hub() {
+/// An explicit plan with more chunks than participants, so the caller
+/// and the worker race the shared claim counter chunk after chunk. The
+/// post-teardown recount catches a chunk executed twice even when the
+/// duplicate ran after the dispatch quiesced.
+fn fine_chunks() {
     par::set_threads(Some(2));
     let rows = 4;
     let mut data = vec![0u32; rows];
     let counts = StdMutex::new(vec![0usize; rows]);
     let ranges = par::partition(rows, 4);
-    par::for_each_row_chunk_ranges(&mut data, rows, &ranges, 2, Schedule::Stealing, |range, chunk| {
+    par::for_each_row_chunk_ranges(&mut data, rows, &ranges, 2, |range, chunk| {
         for v in chunk.iter_mut() {
             *v += 1;
         }
@@ -204,9 +205,9 @@ fn stealing_hub() {
             c[r] += 1;
         }
     });
-    assert!(data.iter().all(|&v| v == 1), "stealing-hub: chunk effects not exactly once: {data:?}");
+    assert!(data.iter().all(|&v| v == 1), "fine-chunks: chunk effects not exactly once: {data:?}");
     teardown();
-    assert_exactly_once(&counts, "stealing-hub");
+    assert_exactly_once(&counts, "fine-chunks");
 }
 
 /// A chunk panic must rethrow from the dispatch on the caller, and the

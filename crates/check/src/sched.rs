@@ -329,9 +329,9 @@ pub fn next_object_id() -> usize {
 
 /// Whether the mutant corpus switched `site` on. One-shot per
 /// schedule: a seeded bug models a single protocol misstep, and
-/// re-firing would let self-feeding mutants (e.g. the steal
-/// duplication, whose re-pushed chunk gets stolen again) degenerate
-/// into infinite loops that hide the sharper invariant violation.
+/// re-firing would turn a site on a loop path (e.g. the racy claim,
+/// reached once per chunk) into a cascade of missteps whose
+/// counterexample hides which one broke the invariant.
 pub fn fault_active(site: &str) -> bool {
     let mut st = lock();
     if st.fault_fired || st.cfg.fault.as_deref() != Some(site) {
@@ -906,8 +906,8 @@ mod tests {
         assert_eq!(t.scenario, "dispatch-drain");
         assert_eq!(t.fault, None);
         assert_eq!(t.choices, vec![0, 1, 2]);
-        let t = Token::parse("v1:stealing-hub:double-pop-steal:").unwrap();
-        assert_eq!(t.fault.as_deref(), Some("double-pop-steal"));
+        let t = Token::parse("v1:fine-chunks:racy-claim:").unwrap();
+        assert_eq!(t.fault.as_deref(), Some("racy-claim"));
         assert!(t.choices.is_empty());
         assert!(Token::parse("v0:x::1").is_err());
         assert!(Token::parse("v1:x").is_err());

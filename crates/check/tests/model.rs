@@ -37,8 +37,8 @@ fn nested_inline_is_sound() {
 }
 
 #[test]
-fn stealing_hub_is_sound() {
-    explore("stealing-hub");
+fn fine_chunks_is_sound() {
+    explore("fine-chunks");
 }
 
 #[test]

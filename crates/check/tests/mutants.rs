@@ -43,11 +43,12 @@ fn skip_caller_drain_is_caught() {
     assert!(failure.reason.contains("deadlock"), "expected a deadlock, got: {}", failure.reason);
 }
 
-/// A stolen chunk is also handed back to its victim, so it executes
-/// twice — the exactly-once recount after teardown must object.
+/// The claim is split into a load and a store, so two threads can
+/// claim the same chunk and it executes twice — the exactly-once
+/// checks must object.
 #[test]
-fn double_pop_steal_is_caught() {
-    let failure = must_catch("stealing-hub", "double-pop-steal");
+fn racy_claim_is_caught() {
+    let failure = must_catch("fine-chunks", "racy-claim");
     assert!(
         failure.reason.contains("exactly once"),
         "expected an exactly-once violation, got: {}",

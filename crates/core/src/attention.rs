@@ -184,8 +184,8 @@ mod tests {
         // threshold floored and three threads configured, so every
         // matmul / transpose-matmul / gradient accumulation in the
         // attention forward AND backward pass crosses the pool's
-        // parallel (and, where the cost model picks it, stealing)
-        // code paths instead of the small-shape serial fallback. The
+        // parallel code paths instead of the small-shape serial
+        // fallback. The
         // globals are process-wide, so the test serializes on the
         // crate-wide config lock and restores them even on failure —
         // determinism guarantees the bytes (and thus the gradcheck

@@ -153,7 +153,7 @@ mod tests {
     fn gradients_check_out_on_parallel_kernel_routes() {
         // Mirrors the attention test: work threshold floored + three
         // threads, so the gating MLP's matmuls and the softmax-fusion
-        // backward run on the pool's parallel/stealing paths rather
+        // backward run on the pool's parallel paths rather
         // than the serial small-shape fallback. Gate composed after
         // attention-shaped inputs of three behaviors to cover the
         // K > 2 slicing. Serialized on the crate-wide config lock;

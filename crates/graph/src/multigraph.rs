@@ -155,7 +155,7 @@ impl MultiBehaviorGraph {
     }
 
     /// A view of the graph restricted to a subset of behaviors (used for
-    /// the paper's Table IV "w/o <behavior>" ablations).
+    /// the paper's Table IV `w/o <behavior>` ablations).
     ///
     /// # Panics
     /// If `keep` is empty, contains an unknown name, or drops the target
@@ -231,22 +231,6 @@ impl MultiBehaviorGraph {
     /// Computes the Table I statistics.
     pub fn stats(&self) -> GraphStats {
         GraphStats::from_graph(self)
-    }
-
-    /// Forces the transposed-SpMM companion structures of every
-    /// adjacency (both directions, all behaviors) to exist now. The
-    /// kernel layer builds each matrix's column span table — and, for
-    /// skew-heavy matrices, its column-major index — lazily on first
-    /// use, so propagation over these exact matrices would otherwise
-    /// pay the one-off builds inside its first epoch's timing. This is
-    /// the hook for callers that run `spmm`/`spmm_t` on the *raw*
-    /// adjacencies (research extensions, benchmark harnesses); `Gnmr`
-    /// itself propagates over normalized copies and warms those in its
-    /// constructor instead.
-    pub fn prewarm_kernels(&self) {
-        for csr in self.user_item.iter().chain(self.item_user.iter()) {
-            csr.prewarm_spmm_t();
-        }
     }
 }
 

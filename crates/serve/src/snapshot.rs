@@ -176,6 +176,13 @@ impl ModelSnapshot {
                 "snapshot: representation width mismatch ({u_cols} vs {v_cols})"
             )));
         }
+        // Item ids are u32 and a serving index holds fewer than
+        // `u32::MAX` items, so the one header value past that is a
+        // corrupt file, not a catalog (a width-0 one would pass every
+        // byte-count bound below).
+        if v_rows == u32::MAX {
+            return Err(wire::bad(format!("snapshot: catalog of {v_rows} items exceeds the u32 index space")));
+        }
         // Bound the representation payload the header promises against
         // the bytes actually present, before any table or matrix work.
         let repr_bytes = (u_rows as usize)

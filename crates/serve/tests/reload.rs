@@ -84,19 +84,26 @@ fn corrupt_snapshot_keeps_old_index_and_surfaces_typed_error() {
 
     // A corrupt file on disk: every reload attempt is a typed Load
     // error, the generation counter never moves, and the old index
-    // keeps serving identical bytes.
+    // keeps serving identical bytes. The second file has a valid
+    // checksum but declares u32::MAX items at width 0 — a catalog no
+    // serving index can hold, which must fail the load, not panic the
+    // index build.
     let mut corrupt = gen2.to_bytes();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
-    std::fs::write(&path, &corrupt).expect("write corrupt");
-    for _ in 0..3 {
-        let err = handle.reload_from_path(&path).expect_err("corrupt snapshot accepted");
-        match err {
-            ReloadError::Load(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
-            other => panic!("expected Load error, got {other}"),
+    let huge_catalog =
+        ModelSnapshot::new(Vec::new(), Matrix::zeros(0, 0), Matrix::zeros(u32::MAX as usize, 0)).to_bytes();
+    for bad in [&corrupt, &huge_catalog] {
+        std::fs::write(&path, bad).expect("write corrupt");
+        for _ in 0..3 {
+            let err = handle.reload_from_path(&path).expect_err("corrupt snapshot accepted");
+            match err {
+                ReloadError::Load(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("expected Load error, got {other}"),
+            }
+            assert_eq!(handle.generation(), 0);
+            assert_eq!(full_batch(&handle.index(), 5), before, "old index disturbed");
         }
-        assert_eq!(handle.generation(), 0);
-        assert_eq!(full_batch(&handle.index(), 5), before, "old index disturbed");
     }
 
     // An injected read fault on a *valid* file behaves the same way.

@@ -210,6 +210,16 @@ fn oversized_headers_with_valid_checksums_are_rejected_before_allocating() {
         err.to_string().contains("payload bytes") || err.to_string().contains("overflow"),
         "{err}"
     );
+
+    // item_repr rows = u32::MAX at width 0 with no params: a 40-byte
+    // file whose payload bounds all hold, but no serving index can hold
+    // that catalog.
+    let empty = ModelSnapshot::new(Vec::new(), gnmr_tensor::Matrix::zeros(0, 0), gnmr_tensor::Matrix::zeros(0, 0)).to_bytes();
+    assert_eq!(empty.len(), 40);
+    let huge_catalog = restamp(&empty, |b| b[24..28].copy_from_slice(&u32::MAX.to_le_bytes()));
+    let err = ModelSnapshot::from_bytes(&huge_catalog).err().expect("u32::MAX-item catalog accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("u32 index space"), "{err}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! kernels pay only a few microseconds of handoff rather than per-call
 //! thread spawns.
 //!
-//! [`Matrix`](crate::Matrix) and [`Csr`](crate::Csr) delegate their
+//! [`Matrix`] and [`Csr`] delegate their
 //! public ops here, so this module is the single landing zone for future
 //! SIMD / backend work. Entry points follow one convention:
 //!
@@ -28,21 +28,21 @@
 //! # Cost-model dispatch
 //!
 //! Sparse kernels (`spmm`, `spmm_t`, scatter-add, CSR normalization /
-//! construction) no longer assume rows are equally expensive. Each
-//! parallel call plans its chunks from the actual entry counts
-//! ([`span_plan`]): uniform work keeps the historical static row
-//! partition, while a skewed distribution (one hub user owning most of
-//! a behavior's interactions — the normal case on power-law graphs)
-//! switches to nnz-balanced chunks executed under the work-stealing
-//! schedule ([`par::Schedule::Stealing`]). The plan decides who
-//! computes which rows and when — never what the bytes are.
+//! construction) do not assume rows are equally expensive. Each
+//! parallel call has one plan: nnz-weighted chunks, four per thread
+//! (fewer on machines with fewer cores), which the pool's threads
+//! claim one at a time from a shared counter. A thread held up on a
+//! hub chunk (one user owning most of a behavior's interactions — the
+//! normal case on power-law graphs) just claims fewer of the rest. The
+//! plan decides who computes which rows and when — never what the
+//! bytes are.
 //!
 //! # Determinism and the canonical lane order
 //!
 //! Every parallel kernel partitions *output rows* across workers and
 //! accumulates into each output element in exactly the order of its
 //! one-thread run, so results are bitwise identical to that run at
-//! every thread count and under either schedule.
+//! every thread count and under every chunk plan.
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
@@ -62,7 +62,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dense::Matrix;
-use crate::par::{self, Schedule};
+use crate::par;
 use crate::sparse::Csr;
 
 /// Work threshold (in multiply-add units) below which kernels stay on
@@ -79,7 +79,7 @@ static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Sets (or with `None` clears) the parallel work threshold the
 /// auto-dispatch entry points compare against. `Some(1)` (the floor —
 /// `Some(0)` is clamped to it) forces every kernel through the
-/// parallel/stealing routes regardless of size, which is how the
+/// parallel routes regardless of size, which is how the
 /// equivalence and gradcheck suites exercise those routes on
 /// test-sized shapes; real tuning would raise or lower the threshold a
 /// few binary orders of magnitude around the default.
@@ -96,54 +96,28 @@ pub fn min_work() -> usize {
 
 // ----- cost-model chunk planning --------------------------------------
 
-/// How many chunks per thread the stealing schedule cuts. Finer chunks
-/// smooth skew better but each costs one deque pop; 4 per thread keeps
-/// the worst static-vs-stealing overhead within noise on uniform work
-/// while letting three threads absorb a hub chunk's neighbors.
-const STEAL_CHUNKS_PER_THREAD: usize = 4;
-
-/// Heaviest-static-chunk-to-ideal ratio above which span-weighted
-/// stealing replaces static row partitioning. At 1.25 a uniform random
-/// CSR (whose chunk weights concentrate tightly around the mean) stays
-/// on the cheap static path, while any power-law row distribution
-/// trips the weighted plan.
-const SKEW_RATIO: f64 = 1.25;
+/// How many chunks per thread a parallel sparse call cuts. Threads claim
+/// chunks one at a time from the job's shared counter, so a thread held
+/// up on a hub chunk just claims fewer of the rest; finer chunks smooth
+/// skew better but each costs one claim, and 4 per thread leaves the
+/// other threads enough chunks to absorb a hub's neighbors.
+const CHUNKS_PER_THREAD: usize = 4;
 
 /// Plans parallel chunks for a span-weighted workload (`spans` is a
-/// CSR `indptr`-style table: row `r` weighs `spans[r+1] - spans[r]`).
-///
-/// Uniform work gets the historical static row partition (cheapest to
-/// plan, zero stealing overhead). If balancing rows would hand one
-/// chunk more than [`SKEW_RATIO`] times the ideal weight, the plan
-/// switches to entry-balanced chunks, cut [`STEAL_CHUNKS_PER_THREAD`]×
-/// finer than the thread count, under the stealing schedule. Either
-/// way every row belongs to exactly one chunk, so the plan never
-/// affects the bytes produced — only who computes them when.
-pub(crate) fn span_plan(spans: &[usize], threads: usize) -> (Vec<Range<usize>>, Schedule) {
-    let rows = spans.len().saturating_sub(1);
-    let static_ranges = par::partition(rows, threads);
-    if static_ranges.len() <= 1 {
-        return (static_ranges, Schedule::Static);
-    }
-    let total = spans[rows] - spans[0];
-    if total == 0 {
-        return (static_ranges, Schedule::Static);
-    }
-    let ideal = total as f64 / static_ranges.len() as f64;
-    let heaviest =
-        static_ranges.iter().map(|r| spans[r.end] - spans[r.start]).max().unwrap_or(0) as f64;
-    if heaviest <= ideal * SKEW_RATIO {
-        return (static_ranges, Schedule::Static);
-    }
+/// CSR `indptr`-style table: row `r` weighs `spans[r+1] - spans[r]`):
+/// entry-balanced chunks ([`par::partition_weighted`]), cut
+/// [`CHUNKS_PER_THREAD`]× finer than the thread count. Every row
+/// belongs to exactly one chunk, so the plan never affects the bytes
+/// produced — only who computes them when.
+pub(crate) fn span_plan(spans: &[usize], threads: usize) -> Vec<Range<usize>> {
     // Chunk granularity scales with the parallelism the machine can
     // actually deliver: fine chunks only pay off when they can land on
     // distinct cores, while on an oversubscribed box (threads beyond
     // hardware) each extra chunk boundary is one more context switch
     // for zero concurrency. hw == 1 therefore degenerates to one
-    // weighted chunk per thread — still nnz-balanced, still stealable.
-    let granularity = STEAL_CHUNKS_PER_THREAD.min(par::hardware_threads());
-    let chunks = threads.saturating_mul(granularity);
-    (par::partition_weighted(spans, chunks), Schedule::Stealing)
+    // weighted chunk per thread — still nnz-balanced.
+    let granularity = CHUNKS_PER_THREAD.min(par::hardware_threads());
+    par::partition_weighted(spans, threads.saturating_mul(granularity))
 }
 
 /// Column-block width of the tiled dense matmul: one output block row
@@ -165,7 +139,7 @@ const TILE_K: usize = 64;
 /// partial sums — lane `l` owns the terms whose index is congruent to
 /// `l` modulo `LANES`, including the `chunks_exact` remainder, whose
 /// element at offset `l` lands in lane `l` — and collapse them with
-/// the fixed pairwise tree in [`lane_sum`]. The width is a source
+/// the fixed pairwise tree in `lane_sum`. The width is a source
 /// constant, not a probed vector width, so the accumulation order (and
 /// therefore every output byte) is identical on every machine; 8 lanes
 /// give LLVM room to autovectorize at both 4-wide (SSE2 baseline) and
@@ -439,7 +413,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// checkouts are fine) on an explicit number of threads: the
 /// allocation-free form of [`matmul_with`], and the steady-state entry
 /// point for the packed tiled path (the per-thread pack scratch is
-/// minted once and reused — see [`PACK_BUF`]). Bitwise identical to
+/// minted once and reused — see `PACK_BUF`). Bitwise identical to
 /// [`matmul_serial`].
 pub fn matmul_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
     assert_matmul(a, b);
@@ -912,17 +886,16 @@ fn assert_spmm(csr: &Csr, dense: &Matrix) {
 }
 
 /// Accumulates the sparse x dense product into `dst` on an explicit
-/// number of threads, allocating nothing. Output rows are partitioned;
+/// number of threads, allocating nothing but the chunk plan. Output
+/// rows are partitioned into nnz-balanced chunks, several per thread;
 /// each CSR row is consumed by exactly one worker.
 ///
-/// The chunk plan comes from the cost model: uniform-degree matrices
-/// get static row chunks, skewed ones get nnz-balanced chunks under
-/// the work-stealing schedule. Each output row streams one add per
-/// stored entry, in ascending entry order, so **on a zeroed `dst` the
-/// result is bitwise the plain scalar loop over the CSR entries** at
-/// every thread count and under either plan (the tape's checkout
-/// pattern); accumulate into a zeroed scratch and `add_assign` for the
-/// materialize-then-add float sequence on a non-zero target.
+/// Each output row streams one add per stored entry, in ascending
+/// entry order, so **on a zeroed `dst` the result is bitwise the plain
+/// scalar loop over the CSR entries** at every thread count (the
+/// tape's checkout pattern); accumulate into a zeroed scratch and
+/// `add_assign` for the materialize-then-add float sequence on a
+/// non-zero target.
 pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
     assert_spmm(csr, dense);
     let d = dense.cols();
@@ -939,8 +912,8 @@ pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize
         spmm_rows(csr, dd, d, 0..csr.rows(), dst.data_mut());
         return;
     }
-    let (ranges, schedule) = span_plan(csr.indptr(), threads);
-    par::for_each_row_chunk_ranges(dst.data_mut(), csr.rows(), &ranges, threads, schedule, |rows, chunk| {
+    let ranges = span_plan(csr.indptr(), threads);
+    par::for_each_row_chunk_ranges(dst.data_mut(), csr.rows(), &ranges, threads, |rows, chunk| {
         spmm_rows(csr, dd, d, rows, chunk);
     });
 }
@@ -980,19 +953,18 @@ fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
 }
 
 /// Accumulates `csr^T * dense` into `dst` on an explicit number of
-/// threads, allocating nothing beyond the lazily cached column-major
-/// index the parallel path shares.
+/// threads, allocating nothing beyond the chunk plan and the lazily
+/// cached column-major index the parallel path streams.
 ///
-/// Output rows correspond to CSR *columns*. The parallel path streams
-/// the matrix's lazily built column-major companion index
-/// ([`crate::sparse`]'s `CscIndex`): each output row is one contiguous
-/// entry span, so workers touch only their own columns' entries
-/// instead of binary-searching every CSR row per chunk — the
-/// duplicated row-scan cost that made the old kernel trail serial on
-/// scatter-heavy shapes. Chunks are column-nnz-balanced and scheduled
-/// for stealing when column degrees are skewed. Entries within a
-/// column are ordered by ascending CSR row, exactly the one-thread
-/// scatter's accumulation order, so the bitwise contract is
+/// Output rows correspond to CSR *columns*. On one thread this is the
+/// plain scatter: each CSR row adds its dense row into the output rows
+/// its entries name. On more, the call streams the matrix's
+/// column-major companion index (`Csr::csc`, built once per matrix;
+/// see [`Csr::prewarm_spmm_t`]): each output row is one contiguous
+/// entry span, so a worker touches only its own columns' entries and a
+/// hub column costs exactly its nnz; chunks are column-nnz-balanced.
+/// Entries within a column are ordered by ascending CSR row, exactly
+/// the scatter's accumulation order, so the bitwise contract is
 /// [`spmm_acc_with`]'s: on a zeroed `dst`, the plain scalar loop over
 /// the CSR entries, at every thread count.
 pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
@@ -1007,68 +979,40 @@ pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usi
         csr.cols()
     );
     let dd = dense.data();
-    // Plan and dispatch with the parallelism the call will actually
-    // get — the same count `Csr::prewarm_spmm_t` plans with, so the
-    // prewarm decision and the runtime schedule can never disagree.
+    // Decide with the parallelism the call will actually get — the same
+    // count `Csr::prewarm_spmm_t` decides with, so a prewarmed index is
+    // exactly the one a parallel call reads. A call the oversubscription
+    // guard would run on one thread anyway takes the serial scatter
+    // (each CSR row's dense operand stays register/L1-resident) and
+    // never builds the index.
     let threads = par::effective_parallelism(threads);
-    // The serial scatter is the best single-thread algorithm (each CSR
-    // row's dense operand stays register/L1-resident), so it also
-    // serves any call the oversubscription guard will run on one
-    // thread anyway — the parallel-oriented kernels below only earn
-    // their different access patterns when threads actually run
-    // concurrently.
-    if threads <= 1 || csr.cols() == 0 || csr.nnz() == 0 {
-        spmm_t_cols(csr, dd, d, 0..csr.cols(), dst.data_mut());
+    if threads <= 1 || csr.nnz() == 0 || d == 0 {
+        spmm_t_scatter(csr, dd, d, dst.data_mut());
         return;
     }
-    // Plan from the cheap column span table (O(cols), cached); the
-    // full O(nnz) column-major permutation is only materialized when
-    // the plan actually picks the streaming path below.
-    let (ranges, schedule) = span_plan(csr.col_spans(), threads);
-    match schedule {
-        // Near-uniform column degrees: the row-scanning kernel. Each
-        // chunk streams every CSR row once (sequential reads, binary
-        // search to its own column window), which at the static plan's
-        // low chunk count has better locality than column-major entry
-        // streaming and was never the shape that trailed serial.
-        Schedule::Static => {
-            par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, schedule, |crange, chunk| {
-                spmm_t_cols(csr, dd, d, crange, chunk);
-            });
-        }
-        // Skewed column degrees: stream the column-major index. Each
-        // output row is one contiguous entry span, so a hub column
-        // costs exactly its nnz — no per-chunk full row scans — and
-        // the nnz-weighted stealing chunks keep the hub from
-        // serializing the call.
-        Schedule::Stealing => {
-            if d == 0 {
-                return;
+    let csc = csr.csc();
+    let ranges = span_plan(&csc.col_ptr, threads);
+    par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, |crange, chunk| {
+        // Running split cursors instead of per-column range slicing: on
+        // wide catalogs most columns hold zero or one entry, so
+        // per-column bookkeeping (not arithmetic) is what this loop
+        // mostly executes — keep it to one `split_at` per array per
+        // column.
+        let ptrs = &csc.col_ptr[crange.start..crange.end + 1];
+        let last = ptrs.len() - 1;
+        let mut rrows = &csc.rows[ptrs[0]..ptrs[last]];
+        let mut rvals = &csc.values[ptrs[0]..ptrs[last]];
+        for (orow, w) in chunk.chunks_exact_mut(d).zip(ptrs.windows(2)) {
+            let take = w[1] - w[0];
+            let (hr, tr) = rrows.split_at(take);
+            let (hv, tv) = rvals.split_at(take);
+            (rrows, rvals) = (tr, tv);
+            for (&r, &v) in hr.iter().zip(hv) {
+                let drow = &dd[r as usize * d..(r as usize + 1) * d];
+                axpy_lanes(orow, drow, v);
             }
-            let csc = csr.csc();
-            par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, schedule, |crange, chunk| {
-                // Running split cursors instead of per-column range
-                // slicing: on wide catalogs most columns hold zero or
-                // one entry, so per-column bookkeeping (not arithmetic)
-                // is what this loop mostly executes — keep it to one
-                // `split_at` per array per column.
-                let ptrs = &csc.col_ptr[crange.start..crange.end + 1];
-                let last = ptrs.len() - 1;
-                let mut rrows = &csc.rows[ptrs[0]..ptrs[last]];
-                let mut rvals = &csc.values[ptrs[0]..ptrs[last]];
-                for (orow, w) in chunk.chunks_exact_mut(d).zip(ptrs.windows(2)) {
-                    let take = w[1] - w[0];
-                    let (hr, tr) = rrows.split_at(take);
-                    let (hv, tv) = rvals.split_at(take);
-                    (rrows, rvals) = (tr, tv);
-                    for (&r, &v) in hr.iter().zip(hv) {
-                        let drow = &dd[r as usize * d..(r as usize + 1) * d];
-                        axpy_lanes(orow, drow, v);
-                    }
-                }
-            });
         }
-    }
+    });
 }
 
 /// Accumulates `csr^T * dense` into `dst` with the shared thread-count
@@ -1077,18 +1021,14 @@ pub fn spmm_t_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
     spmm_t_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
 }
 
-fn spmm_t_cols(csr: &Csr, dense: &[f32], d: usize, crange: Range<usize>, out: &mut [f32]) {
+/// The one-thread `spmm_t`: every CSR row scatters its dense row into
+/// the output rows its entries name, rows ascending.
+fn spmm_t_scatter(csr: &Csr, dense: &[f32], d: usize, out: &mut [f32]) {
     for r in 0..csr.rows() {
         let (cols, vals) = csr.row(r);
-        let lo = cols.partition_point(|&c| (c as usize) < crange.start);
-        let hi = cols.partition_point(|&c| (c as usize) < crange.end);
-        if lo == hi {
-            continue;
-        }
         let drow = &dense[r * d..(r + 1) * d];
-        for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
-            let orow = &mut out[(c as usize - crange.start) * d..][..d];
-            axpy_lanes(orow, drow, v);
+        for (&c, &v) in cols.iter().zip(vals) {
+            axpy_lanes(&mut out[c as usize * d..][..d], drow, v);
         }
     }
 }
@@ -1324,7 +1264,7 @@ fn assert_row_dot(dst: &Matrix, a: &Matrix, b: &Matrix, op: &str) {
 }
 
 /// `dst[r, 0] = sum_c a[r, c] * b[r, c]` — the assign form of
-/// `a.row_dot(b)`, each row a [`dot_lanes`] dot in the canonical lane
+/// `a.row_dot(b)`, each row a `dot_lanes` dot in the canonical lane
 /// order (which `Matrix::row_dot` itself delegates to).
 pub fn row_dot_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     assert_row_dot(dst, a, b, "row_dot_into");
@@ -1349,7 +1289,7 @@ fn assert_softmax_backward(dst: &Matrix, g: &Matrix, y: &Matrix, op: &str) {
 }
 
 /// Row-softmax backward, assign form: `dst = y * (g - rowsum(g * y))`.
-/// The row total is a [`dot_lanes`] accumulation of `g[c] * y[c]` in
+/// The row total is a `dot_lanes` accumulation of `g[c] * y[c]` in
 /// the canonical lane order — since the lane rewrite, this (not a
 /// scalar `g.hadamard(y).row_sums()` sweep) is the reference sequence
 /// the equivalence suite replays.
@@ -1389,8 +1329,8 @@ pub fn softmax_rows_backward_acc(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
 /// so each worker touches only the updates landing in its own row
 /// range — the old kernel re-scanned the whole index list per chunk,
 /// which scaled with the thread count. Chunks are update-count
-/// balanced and stealing-scheduled when the index distribution is
-/// skewed (one hot embedding row drawing most updates). Duplicate
+/// balanced, several per thread, so one hot embedding row drawing most
+/// updates does not serialize the call. Duplicate
 /// indices accumulate in their original order (the counting sort is
 /// stable), so results are bitwise identical to the serial loop.
 ///
@@ -1431,8 +1371,8 @@ pub fn scatter_add_rows_with(dst: &mut Matrix, indices: &[u32], src: &Matrix, th
         order[cursor[idx as usize]] = o as u32;
         cursor[idx as usize] += 1;
     }
-    let (ranges, schedule) = span_plan(&spans, threads);
-    par::for_each_row_chunk_ranges(dst.data_mut(), rows, &ranges, threads, schedule, |range, chunk| {
+    let ranges = span_plan(&spans, threads);
+    par::for_each_row_chunk_ranges(dst.data_mut(), rows, &ranges, threads, |range, chunk| {
         for r in range.clone() {
             let orow = &mut chunk[(r - range.start) * d..][..d];
             for &o in &order[spans[r]..spans[r + 1]] {
@@ -1466,7 +1406,7 @@ fn row_dots_sweep(dst: &mut [f32], mat: &Matrix, vec: &[f32], threads: usize) {
 
 /// Dot product of every row of `mat` against `vec`, on an explicit
 /// number of threads. This is the full-catalog scoring primitive; each
-/// row is a [`dot_lanes`] dot in the canonical lane order.
+/// row is a `dot_lanes` dot in the canonical lane order.
 pub fn row_dots_with(mat: &Matrix, vec: &[f32], threads: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; mat.rows()];
     row_dots_sweep(&mut out, mat, vec, threads);
@@ -1744,7 +1684,7 @@ pub fn top_k_select_excluding<'s>(
 /// Reusable scratch for [`rank_rows_with`]: a catalog-sized score
 /// buffer plus the selection heap. Mint one per scoring thread (the
 /// serve crate keeps one in thread-local storage, like
-/// [`with_pack_buf`]); the score buffer grows to the largest catalog
+/// `with_pack_buf`); the score buffer grows to the largest catalog
 /// ranked and steady-state calls allocate nothing.
 pub struct RankScratch {
     scores: Vec<f32>,

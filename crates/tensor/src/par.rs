@@ -22,7 +22,7 @@
 //! when [`set_threads`] lowers the configured count (surplus workers
 //! are retired and joined). Callers are still expected to gate small
 //! workloads to a serial path so even the (much smaller) dispatch
-//! overhead never dominates (see [`crate::kernels`]).
+//! overhead never dominates (see the `kernels` module).
 //!
 //! Dispatch can never deadlock on pool capacity: the dispatching thread
 //! participates in its own job and drains any chunks the workers have
@@ -256,28 +256,16 @@ pub fn partition_weighted(spans: &[usize], parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// How chunks of one parallel call are handed to threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Chunks are claimed from a single shared counter in index order.
-    /// Lowest overhead; the right default when chunks carry similar
-    /// work.
-    #[default]
-    Static,
-    /// Chunks are dealt into per-participant deques; a participant pops
-    /// its own deque from the front and, when empty, steals from the
-    /// back of a victim's. The right choice when chunk weights are
-    /// uneven (skewed CSR rows): a thread stuck on a hub chunk keeps
-    /// working while the others drain the rest of the call. Which
-    /// thread runs a chunk never affects the bytes produced, so the
-    /// determinism contract is unchanged.
-    Stealing,
-}
-
 // ----- the persistent worker pool -------------------------------------
 
 /// One in-flight parallel call: a set of `total` chunks claimed
 /// competitively by pool workers and the dispatching caller.
+///
+/// Chunks are handed out one way: a shared counter, claimed one index
+/// at a time. That is already dynamic scheduling — a thread held up on
+/// a heavy chunk simply claims fewer of the rest — so uneven chunk
+/// weights need a finer plan (see `partition_weighted`), not a second
+/// hand-out discipline.
 ///
 /// The queue holds `Arc<Job>` *notifications*; they are advisory — the
 /// caller always drains its own job to completion, so a notification
@@ -286,56 +274,10 @@ pub enum Schedule {
 /// by a thread that successfully claimed a chunk (`next < total`),
 /// which the caller outlives by construction (it blocks until
 /// `done == total`).
-/// How a [`Job`]'s chunks are handed out to the threads racing for
-/// them. Both variants guarantee each chunk index is claimed exactly
-/// once; they differ only in who tends to claim what.
-enum ChunkQueue {
-    /// One shared counter: chunk `i` goes to whoever increments past it
-    /// first.
-    Claim(AtomicUsize),
-    /// Per-participant deques of chunk indices. A participant pops its
-    /// own deque from the front (preserving the locality of the
-    /// contiguous block it was dealt) and, once empty, steals from the
-    /// *back* of the other deques — the classic work-stealing
-    /// discipline, here with plain mutex-guarded deques: chunks are
-    /// coarse (hundreds per call at most), so lock traffic is
-    /// negligible next to chunk arithmetic and a lock-free deque would
-    /// buy nothing but `unsafe`.
-    Steal {
-        slots: Vec<Mutex<VecDeque<usize>>>,
-        /// Hands each arriving participant a home slot. Wraps modulo
-        /// `slots.len()` so a stale queue notification (from a job that
-        /// already finished) can never index out of bounds.
-        next_slot: AtomicUsize,
-    },
-}
-
-impl ChunkQueue {
-    /// Deals `total` chunks into `slots` deques in contiguous blocks:
-    /// whoever claims a slot works a contiguous run of chunks front to
-    /// back, and thefts peel from the far end of a victim's block.
-    /// Slot order is first-come (an already-woken worker may claim
-    /// slot 0 before the dispatching caller does); no invariant ties a
-    /// particular participant to a particular block, only that every
-    /// chunk is handed out exactly once.
-    fn deal(total: usize, slots: usize) -> Self {
-        let blocks = partition(total, slots);
-        let mut deques: Vec<Mutex<VecDeque<usize>>> = blocks
-            .into_iter()
-            .map(|b| Mutex::new(b.collect::<VecDeque<usize>>()))
-            .collect();
-        // `partition` may return fewer blocks than slots; pad so every
-        // participant has a (possibly empty) home deque to steal from.
-        while deques.len() < slots {
-            deques.push(Mutex::new(VecDeque::new()));
-        }
-        ChunkQueue::Steal { slots: deques, next_slot: AtomicUsize::new(0) }
-    }
-}
-
 struct Job {
-    /// Chunk hand-out discipline (shared counter or stealing deques).
-    queue: ChunkQueue,
+    /// The next unclaimed chunk index: chunk `i` goes to whoever
+    /// increments past it first.
+    next: AtomicUsize,
     /// Total number of chunks.
     total: usize,
     /// Completed chunks; the caller sleeps on `cv` until it hits
@@ -364,62 +306,36 @@ impl Job {
     /// Claims and runs chunks until none remain. Called by workers and
     /// by the dispatching caller alike.
     fn work(&self) {
-        match &self.queue {
-            ChunkQueue::Claim(next) => loop {
-                // ORDERING: Relaxed — the counter only partitions chunk
-                // indices (fetch_add atomicity alone guarantees each
-                // index is claimed once); it publishes no data. Chunk
-                // *outputs* reach the caller through the `done` mutex
-                // (unlock in `run_chunk` happens-before the caller's
-                // lock in `wait`), and the Job itself reached this
-                // thread through the pool's state mutex.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= self.total {
-                    return;
-                }
-                self.run_chunk(i);
-            },
-            ChunkQueue::Steal { slots, next_slot } => {
-                // ORDERING: Relaxed — slot assignment only; the deque
-                // contents are guarded by their own mutexes, and wrapping
-                // modulo `slots.len()` makes any assignment safe.
-                let me = next_slot.fetch_add(1, Ordering::Relaxed) % slots.len();
-                loop {
-                    // Own deque first, front to back.
-                    let own = slots[me].lock().unwrap().pop_front();
-                    if let Some(i) = own {
-                        self.run_chunk(i);
-                        continue;
-                    }
-                    // Steal-on-empty: sweep the victims once, taking
-                    // from the back (the cold end of their block).
-                    let mut stole = false;
-                    for v in 1..slots.len() {
-                        let victim = (me + v) % slots.len();
-                        let theft = slots[victim].lock().unwrap().pop_back();
-                        if let Some(i) = theft {
-                            if crate::sync::fault("double-pop-steal") {
-                                // Seeded bug: hand the stolen chunk back
-                                // to the victim as well, so it executes
-                                // twice (mutant corpus only; `fault` is
-                                // const false in normal builds).
-                                slots[victim].lock().unwrap().push_back(i);
-                            }
-                            self.run_chunk(i);
-                            stole = true;
-                            break;
-                        }
-                    }
-                    if !stole {
-                        // Every deque was empty at the moment we looked:
-                        // all chunks are claimed (possibly still in
-                        // flight on other threads). Nothing left to do
-                        // here; the caller waits on `done`.
-                        return;
-                    }
-                }
+        loop {
+            let i = self.claim();
+            if i >= self.total {
+                return;
             }
+            self.run_chunk(i);
         }
+    }
+
+    /// Claims the next chunk index (`>= total` once none remain).
+    fn claim(&self) -> usize {
+        if crate::sync::fault("racy-claim") {
+            // Seeded bug: the claim split into a load and a store, so
+            // two threads can read the same index and both run that
+            // chunk (mutant corpus only; `fault` is const false in
+            // normal builds).
+            // ORDERING: Relaxed — same argument as the real claim
+            // below; the bug is the lost atomicity, not the ordering.
+            let i = self.next.load(Ordering::Relaxed);
+            // ORDERING: Relaxed — see the load above.
+            self.next.store(i + 1, Ordering::Relaxed);
+            return i;
+        }
+        // ORDERING: Relaxed — the counter only partitions chunk indices
+        // (fetch_add atomicity alone guarantees each index is claimed
+        // once); it publishes no data. Chunk *outputs* reach the caller
+        // through the `done` mutex (unlock in `run_chunk` happens-before
+        // the caller's lock in `wait`), and the Job itself reached this
+        // thread through the pool's state mutex.
+        self.next.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Runs one claimed chunk and ticks the completion protocol.
@@ -614,10 +530,9 @@ unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
 /// invocation for distinct indices; each index is invoked exactly once.
 ///
 /// `participants` caps how many threads (pool workers + the caller)
-/// share the job. The static schedule keeps the historical behavior of
-/// one chunk per participant; the stealing schedule deliberately cuts
-/// more chunks than participants so uneven chunk weights even out.
-fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, schedule: Schedule, f: &F) {
+/// share the job; the plan may cut more chunks than that, and each
+/// participant claims chunks until none remain.
+fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, f: &F) {
     let participants = participants.clamp(1, chunks.max(1));
     // The oversubscription guard: under *implicit* configuration
     // (GNMR_THREADS or the hardware default), dispatch never spawns or
@@ -639,12 +554,8 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, schedule:
         }
         return;
     }
-    let queue = match schedule {
-        Schedule::Static => ChunkQueue::Claim(AtomicUsize::new(0)),
-        Schedule::Stealing => ChunkQueue::deal(chunks, participants),
-    };
     let job = Arc::new(Job {
-        queue,
+        next: AtomicUsize::new(0),
         total: chunks,
         done: Mutex::new(0),
         cv: Condvar::new(),
@@ -740,74 +651,55 @@ where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    assert!(
-        if rows == 0 { data.is_empty() } else { data.len().is_multiple_of(rows) },
-        "for_each_row_chunk: buffer length {} is not row-aligned for {rows} rows",
-        data.len()
-    );
+    assert_row_aligned(data.len(), rows, "for_each_row_chunk");
     let threads = threads.clamp(1, rows.max(1));
     if threads <= 1 {
         f(0..rows, data);
         return;
     }
     let ranges = partition(rows, threads);
-    row_chunk_dispatch(data, rows, &ranges, threads, Schedule::Static, &f);
+    row_chunk_dispatch(data, rows, &ranges, threads, &f);
 }
 
 /// Like [`for_each_row_chunk`], but over an explicit, caller-supplied
-/// chunk plan and schedule. This is the cost-model entry point: the
-/// kernel layer cuts `ranges` by *work* (e.g. CSR nnz spans) rather
-/// than row count and picks [`Schedule::Stealing`] when the plan is
-/// finer than the thread count. `threads` caps how many threads share
-/// the job (the plan may hold many more chunks than that).
+/// chunk plan. This is the cost-model entry point: the kernel layer
+/// cuts `ranges` by *work* (e.g. CSR nnz spans, see
+/// [`partition_weighted`]) rather than row count, several chunks per
+/// thread. `threads` caps how many threads share the job (the plan may
+/// hold many more chunks than that).
 ///
 /// `ranges` must be contiguous, in order, and cover `0..rows` exactly —
 /// the same shape [`partition`] and [`partition_weighted`] produce.
-/// Bytes written are independent of the schedule, the plan, and the
-/// thread count, because each row still belongs to exactly one chunk.
+/// Bytes written are independent of the plan and the thread count,
+/// because each row still belongs to exactly one chunk.
 ///
 /// # Panics
-/// If `data` is not row-aligned or `ranges` does not tile `0..rows`.
-pub fn for_each_row_chunk_ranges<T, F>(
-    data: &mut [T],
-    rows: usize,
-    ranges: &[Range<usize>],
-    threads: usize,
-    schedule: Schedule,
-    f: F,
-) where
+/// If `data` is not row-aligned or `ranges` does not tile `0..rows`;
+/// either way before `f` runs on any chunk.
+pub fn for_each_row_chunk_ranges<T, F>(data: &mut [T], rows: usize, ranges: &[Range<usize>], threads: usize, f: F)
+where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    assert!(
-        if rows == 0 { data.is_empty() } else { data.len().is_multiple_of(rows) },
-        "for_each_row_chunk_ranges: buffer length {} is not row-aligned for {rows} rows",
-        data.len()
-    );
+    assert_row_aligned(data.len(), rows, "for_each_row_chunk_ranges");
     assert_ranges_tile(ranges, rows, "for_each_row_chunk_ranges");
     if rows == 0 {
         f(0..0, data);
         return;
     }
-    row_chunk_dispatch(data, rows, ranges, threads, schedule, &f);
+    row_chunk_dispatch(data, rows, ranges, threads, &f);
 }
 
-/// Shared dispatch body of the row-chunk entry points; `ranges` are
-/// already validated to tile `0..rows`.
-fn row_chunk_dispatch<T, F>(
-    data: &mut [T],
-    rows: usize,
-    ranges: &[Range<usize>],
-    threads: usize,
-    schedule: Schedule,
-    f: &F,
-) where
+/// Shared dispatch body of the row-chunk entry points; `data` is
+/// already validated to be row-aligned and `ranges` to tile `0..rows`.
+fn row_chunk_dispatch<T, F>(data: &mut [T], rows: usize, ranges: &[Range<usize>], threads: usize, f: &F)
+where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     let width = data.len() / rows;
     let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), threads, schedule, &|i: usize| {
+    run_chunks(ranges.len(), threads, &|i: usize| {
         let range = ranges[i].clone();
         // SAFETY: the ranges tile 0..rows (validated by the caller), so
         // each chunk is an exclusive slice of `data`, which the caller
@@ -817,6 +709,15 @@ fn row_chunk_dispatch<T, F>(
         };
         f(range, chunk);
     });
+}
+
+/// Asserts that a buffer of `len` elements splits into `rows` rows of
+/// equal width (and is empty when `rows == 0`).
+fn assert_row_aligned(len: usize, rows: usize, who: &str) {
+    assert!(
+        if rows == 0 { len == 0 } else { len.is_multiple_of(rows) },
+        "{who}: buffer length {len} is not row-aligned for {rows} rows"
+    );
 }
 
 /// Asserts that `ranges` is a contiguous, in-order tiling of `0..rows`.
@@ -831,7 +732,7 @@ fn assert_ranges_tile(ranges: &[Range<usize>], rows: usize, who: &str) {
     assert!(next == rows, "{who}: ranges cover 0..{next}, expected 0..{rows}");
 }
 
-/// Like [`for_each_row_chunk`], but for buffers whose rows have
+/// Like [`for_each_row_chunk_ranges`], but for buffers whose rows have
 /// *uneven* widths — e.g. the `values` array of a CSR matrix, where
 /// `spans` is the `indptr` array mapping row `r` to the element range
 /// `spans[r]..spans[r + 1]`.
@@ -839,52 +740,17 @@ fn assert_ranges_tile(ranges: &[Range<usize>], rows: usize, who: &str) {
 /// `spans` must have `rows + 1` non-decreasing entries with
 /// `spans[rows] <= data.len()`; `f(row_range, chunk)` receives the
 /// elements `spans[row_range.start]..spans[row_range.end]` as a
-/// disjoint `&mut` slice. Rows (not elements) are balanced across
-/// chunks. Serial (`threads <= 1`) and nested calls run inline exactly
-/// like [`for_each_row_chunk`].
+/// disjoint `&mut` slice. Cut `ranges` with [`partition_weighted`] over
+/// the same `spans` to balance elements rather than rows. Serial
+/// (`threads <= 1`) and nested calls run inline exactly like
+/// [`for_each_row_chunk`].
 ///
 /// # Panics
-/// If `spans` is empty, its boundary entries decrease, or it indexes
-/// past `data`.
-pub fn for_each_span_chunk<T, F>(data: &mut [T], spans: &[usize], threads: usize, f: F)
+/// If `spans` is empty, indexes past `data` or decreases across a
+/// chunk, or `ranges` does not tile the row set; either way before `f`
+/// runs on any chunk.
+pub fn for_each_span_chunk_ranges<T, F>(data: &mut [T], spans: &[usize], ranges: &[Range<usize>], threads: usize, f: F)
 where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    assert!(!spans.is_empty(), "for_each_span_chunk: spans must have rows + 1 entries");
-    let rows = spans.len() - 1;
-    assert!(
-        spans[rows] <= data.len() && spans[0] <= spans[rows],
-        "for_each_span_chunk: spans index past the buffer ({} > {})",
-        spans[rows],
-        data.len()
-    );
-    debug_assert!(spans.windows(2).all(|w| w[0] <= w[1]), "for_each_span_chunk: spans decrease");
-    let threads = threads.clamp(1, rows.max(1));
-    if threads <= 1 {
-        f(0..rows, &mut data[spans[0]..spans[rows]]);
-        return;
-    }
-    let ranges = partition(rows, threads);
-    span_chunk_dispatch(data, spans, &ranges, threads, Schedule::Static, &f);
-}
-
-/// Like [`for_each_span_chunk`], but over an explicit chunk plan and
-/// schedule (see [`for_each_row_chunk_ranges`]). The cost-model entry
-/// point for uneven-width rows: cut `ranges` with
-/// [`partition_weighted`] over the same `spans` and pass
-/// [`Schedule::Stealing`] so hub rows stop serializing the call.
-///
-/// # Panics
-/// If `spans` is malformed or `ranges` does not tile the row set.
-pub fn for_each_span_chunk_ranges<T, F>(
-    data: &mut [T],
-    spans: &[usize],
-    ranges: &[Range<usize>],
-    threads: usize,
-    schedule: Schedule,
-    f: F,
-) where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
@@ -896,42 +762,27 @@ pub fn for_each_span_chunk_ranges<T, F>(
         spans[rows],
         data.len()
     );
-    debug_assert!(spans.windows(2).all(|w| w[0] <= w[1]), "for_each_span_chunk_ranges: spans decrease");
     assert_ranges_tile(ranges, rows, "for_each_span_chunk_ranges");
-    if rows == 0 {
-        f(0..0, &mut data[spans[0]..spans[0]]);
-        return;
-    }
-    span_chunk_dispatch(data, spans, ranges, threads, schedule, &f);
-}
-
-/// Shared dispatch body of the span-chunk entry points; `ranges` are
-/// already validated to tile the row set.
-fn span_chunk_dispatch<T, F>(
-    data: &mut [T],
-    spans: &[usize],
-    ranges: &[Range<usize>],
-    threads: usize,
-    schedule: Schedule,
-    f: &F,
-) where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
     // Memory safety rests on the chunk boundaries alone (ranges are
     // contiguous, so per-range monotonicity chains across chunks), so
     // validate them in release builds too — O(chunks), off the
-    // per-row path.
+    // per-row path — and ahead of the full debug check below, which
+    // would otherwise shadow this one in debug builds.
     for r in ranges {
         assert!(
             spans[r.start] <= spans[r.end],
-            "for_each_span_chunk: spans decrease across rows {}..{}",
+            "for_each_span_chunk_ranges: spans decrease across rows {}..{}",
             r.start,
             r.end
         );
     }
+    debug_assert!(spans.windows(2).all(|w| w[0] <= w[1]), "for_each_span_chunk_ranges: spans decrease");
+    if rows == 0 {
+        f(0..0, &mut data[spans[0]..spans[0]]);
+        return;
+    }
     let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), threads, schedule, &|i: usize| {
+    run_chunks(ranges.len(), threads, &|i: usize| {
         let range = ranges[i].clone();
         let (s, e) = (spans[range.start], spans[range.end]);
         // SAFETY: the ranges tile the row set and span boundaries are
@@ -1022,7 +873,8 @@ mod tests {
         let spans = [0usize, 0, 3, 4, 4, 6];
         for threads in [1usize, 2, 3, 5, 8] {
             let mut data = vec![0u32; 6];
-            for_each_span_chunk(&mut data, &spans, threads, |range, chunk| {
+            let ranges = partition(spans.len() - 1, threads);
+            for_each_span_chunk_ranges(&mut data, &spans, &ranges, threads, |range, chunk| {
                 let offset = spans[range.start];
                 for r in range {
                     for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
@@ -1094,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_schedule_matches_static_bitwise() {
+    fn fine_row_plan_matches_serial_bitwise() {
         let rows = 41;
         let width = 5;
         let mut reference = vec![0u64; rows * width];
@@ -1106,11 +958,11 @@ mod tests {
             }
         });
         for threads in [2usize, 3, 4] {
-            // A deliberately fine, uneven plan: many more chunks than
-            // threads, so steals must happen for the call to complete.
+            // A deliberately fine plan: many more chunks than threads,
+            // so every participant claims several of them.
             let ranges = partition(rows, threads * 5);
             let mut out = vec![0u64; rows * width];
-            for_each_row_chunk_ranges(&mut out, rows, &ranges, threads, Schedule::Stealing, |range, chunk| {
+            for_each_row_chunk_ranges(&mut out, rows, &ranges, threads, |range, chunk| {
                 for (local, r) in range.enumerate() {
                     for (c, v) in chunk[local * width..(local + 1) * width].iter_mut().enumerate() {
                         *v = (r * 31 + c) as u64;
@@ -1122,7 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_span_ranges_visit_every_row_once() {
+    fn weighted_span_plan_visits_every_row_once() {
         // Skewed spans: one hub row, empty runs before and after.
         let spans = [0usize, 0, 0, 90, 91, 91, 95, 100];
         let rows = spans.len() - 1;
@@ -1135,7 +987,7 @@ mod tests {
         for threads in [2usize, 3, 5] {
             let ranges = partition_weighted(&spans, threads * 4);
             let mut out = vec![0u32; 100];
-            for_each_span_chunk_ranges(&mut out, &spans, &ranges, threads, Schedule::Stealing, |range, chunk| {
+            for_each_span_chunk_ranges(&mut out, &spans, &ranges, threads, |range, chunk| {
                 let offset = spans[range.start];
                 for r in range {
                     for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
@@ -1148,18 +1000,18 @@ mod tests {
     }
 
     #[test]
-    fn stealing_panic_propagates_and_pool_survives() {
+    fn fine_plan_panic_propagates_and_pool_survives() {
         let rows = 48;
         let mut data = vec![0u8; rows];
         let ranges = partition(rows, 12);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for_each_row_chunk_ranges(&mut data, rows, &ranges, 4, Schedule::Stealing, |range, _chunk| {
+            for_each_row_chunk_ranges(&mut data, rows, &ranges, 4, |range, _chunk| {
                 if range.contains(&33) {
-                    panic!("boom in stolen chunk");
+                    panic!("boom in a late chunk");
                 }
             });
         }));
-        assert!(result.is_err(), "panic must cross the stealing path back to the caller");
+        assert!(result.is_err(), "panic must cross a fine plan back to the caller");
         let mut after = vec![0u32; rows];
         for_each_row_chunk(&mut after, rows, 4, |range, chunk| {
             for (local, r) in range.enumerate() {
@@ -1167,6 +1019,49 @@ mod tests {
             }
         });
         assert!(after.iter().enumerate().all(|(r, &v)| v == r as u32));
+    }
+
+    // The checks every `from_raw_parts_mut` above relies on. Each case
+    // hands the dispatcher an invalid buffer or plan and a closure that
+    // panics with a different message if it ever runs, so a case passes
+    // only when the named check fires before any chunk does.
+
+    fn never_called<T>(_: Range<usize>, _: &mut [T]) {
+        panic!("closure ran on an invalid plan");
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each_row_chunk_ranges: ranges must tile 0..4 in order (got 2..4 at offset 1)")]
+    fn row_plan_with_a_gap_panics_before_any_chunk() {
+        for_each_row_chunk_ranges(&mut [0u32; 8], 4, &[0..1, 2..4], 2, never_called);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each_span_chunk_ranges: ranges must tile 0..4 in order (got 1..4 at offset 2)")]
+    fn span_plan_with_an_overlap_panics_before_any_chunk() {
+        let spans = [0usize, 1, 2, 3, 4];
+        for_each_span_chunk_ranges(&mut [0u32; 4], &spans, &[0..2, 1..4], 2, never_called);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each_row_chunk_ranges: ranges cover 0..3, expected 0..4")]
+    fn row_plan_stopping_short_panics_before_any_chunk() {
+        for_each_row_chunk_ranges(&mut [0u32; 8], 4, &[0..1, 1..3], 2, never_called);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each_row_chunk_ranges: buffer length 7 is not row-aligned for 2 rows")]
+    fn unaligned_buffer_panics_before_any_chunk() {
+        for_each_row_chunk_ranges(&mut [0u32; 7], 2, &[0..1, 1..2], 2, never_called);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_each_span_chunk_ranges: spans decrease across rows 1..3")]
+    fn spans_decreasing_across_a_chunk_panic_before_any_chunk() {
+        // Chunk 1..3 would cover elements 3..2 and chunk 3..4 elements
+        // 2..5, which alias chunk 0..1's elements 0..3.
+        let spans = [0usize, 3, 4, 2, 5];
+        for_each_span_chunk_ranges(&mut [0u32; 5], &spans, &[0..1, 1..3, 3..4], 3, never_called);
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn rebuild_csr(rows: usize, cols: usize, sorted: &[(u32, u32, f32)]) -> Csr {
     for i in 0..rows {
         indptr[i + 1] += indptr[i];
     }
-    Csr { rows, cols, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
+    Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
 }
 
 /// Scales each row span in `range` to sum to 1 (rows summing to 0 are
@@ -163,9 +163,9 @@ fn build_csr(rows: usize, cols: usize, mut entries: Vec<(u32, u32, f32)>, thread
     //    is independent of which worker ran first. The chunk plan is
     //    entry-weighted (cost model), so a hub row's sort does not
     //    serialize construction of a skewed graph.
-    let (ranges, schedule) = kernels::span_plan(&row_start, threads);
+    let ranges = kernels::span_plan(&row_start, threads);
     let outputs = std::sync::Mutex::new(Vec::new());
-    par::for_each_span_chunk_ranges(&mut bucketed, &row_start, &ranges, threads, schedule, |range, chunk| {
+    par::for_each_span_chunk_ranges(&mut bucketed, &row_start, &ranges, threads, |range, chunk| {
         let offset = row_start[range.start];
         let mut out = RangeOut {
             start_row: range.start,
@@ -208,15 +208,15 @@ fn build_csr(rows: usize, cols: usize, mut entries: Vec<(u32, u32, f32)>, thread
         values.extend_from_slice(&out.values);
     }
     debug_assert_eq!(row, rows);
-    Csr { rows, cols, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
+    Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
 }
 
 /// The column-major companion index of a [`Csr`]: the same entries
 /// re-bucketed by column, with rows ascending inside each column (a
-/// CSC view). Built lazily by the transposed-SpMM kernel so each
-/// output row (a CSR *column*) can be produced by streaming one
-/// contiguous span instead of binary-searching every CSR row — the
-/// fix for `spmm_t` trailing serial on scatter-heavy shapes.
+/// CSC view). Built lazily by the parallel transposed-SpMM kernel so
+/// each output row (a CSR *column*) is produced by streaming one
+/// contiguous span, and its `col_ptr` is the span table that kernel
+/// plans column-weighted chunks from.
 #[derive(Clone, Debug)]
 pub(crate) struct CscIndex {
     /// `rows + 1`-style span table over columns: column `c` owns
@@ -239,18 +239,12 @@ pub struct Csr {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f32>,
-    /// Lazily built column span table (the `col_ptr` half of a CSC
-    /// view, O(cols) memory): enough for the kernel cost model to plan
-    /// column-weighted chunks without paying for the full entry
-    /// permutation. Derived from the fields above; not cloned or
-    /// compared.
-    col_spans: OnceLock<Vec<usize>>,
-    /// Lazily built column-major companion (see [`CscIndex`], O(nnz)
-    /// memory) — only materialized when the transposed-SpMM actually
-    /// takes the column-streaming path. Derived entirely from the
-    /// fields above, so it is deliberately *not* cloned or compared —
-    /// a clone whose values are about to be rescaled (normalization)
-    /// must not inherit a stale index.
+    /// Lazily built column-major companion (`CscIndex`, O(nnz) memory)
+    /// — only materialized when a transposed SpMM runs on more than one
+    /// thread. Derived entirely from the fields above, so it is
+    /// deliberately *not* cloned or compared — a clone whose values are
+    /// about to be rescaled (normalization) must not inherit a stale
+    /// index.
     csc: OnceLock<CscIndex>,
 }
 
@@ -262,7 +256,6 @@ impl Clone for Csr {
             indptr: self.indptr.clone(),
             indices: self.indices.clone(),
             values: self.values.clone(),
-            col_spans: OnceLock::new(),
             csc: OnceLock::new(),
         }
     }
@@ -309,7 +302,6 @@ impl Csr {
             indptr: vec![0; rows + 1],
             indices: Vec::new(),
             values: Vec::new(),
-            col_spans: OnceLock::new(),
             csc: OnceLock::new(),
         }
     }
@@ -343,35 +335,19 @@ impl Csr {
         &self.indptr
     }
 
-    /// The lazily built column span table (`cols + 1` entries): column
-    /// `c` holds `col_spans()[c + 1] - col_spans()[c]` stored entries.
-    /// O(cols) memory and one O(nnz) counting pass — this is all the
-    /// kernel cost model needs to plan column-weighted chunks, so
-    /// near-uniform matrices never pay for the full entry permutation
-    /// ([`Csr::csc`]).
-    pub(crate) fn col_spans(&self) -> &[usize] {
-        if let Some(ix) = self.csc.get() {
-            return &ix.col_ptr;
-        }
-        self.col_spans.get_or_init(|| {
-            let mut col_ptr = vec![0usize; self.cols + 1];
-            for &c in &self.indices {
-                col_ptr[c as usize + 1] += 1;
-            }
-            for c in 0..self.cols {
-                col_ptr[c + 1] += col_ptr[c];
-            }
-            col_ptr
-        })
-    }
-
     /// Builds the column-major entry arrays: a stable counting sort of
     /// the entries by column, preserving ascending row order within
     /// each column (exactly the order the serial transposed-SpMM
     /// scatter accumulates in, which is what keeps the CSC kernel
     /// bitwise-equal to it).
     fn build_csc_arrays(&self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        let col_ptr = self.col_spans().to_vec();
+        let mut col_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            col_ptr[c + 1] += col_ptr[c];
+        }
         let mut rows = vec![0u32; self.nnz()];
         let mut values = vec![0.0f32; self.nnz()];
         let mut cursor = col_ptr.clone();
@@ -398,26 +374,16 @@ impl Csr {
         })
     }
 
-    /// Forces the transposed-SpMM companion structures to exist now,
-    /// so the first backward pass of an epoch does not pay the one-off
-    /// builds inside its timing. The cheap column span table is always
-    /// warmed; the full O(nnz) entry permutation is built only when
-    /// the cost model (at the currently configured thread count) would
-    /// actually pick the column-streaming path — near-uniform matrices
-    /// keep their memory. Graph loaders call this on adjacencies they
-    /// know will train.
+    /// Builds the column-major index a parallel transposed SpMM streams
+    /// now, so the first backward pass of an epoch does not pay the
+    /// one-off O(nnz) build inside its timing. It is built only when a
+    /// dispatch at the configured thread count would run on more than
+    /// one thread: a one-thread `spmm_t` scatters straight from the
+    /// CSR rows and never reads the index, so such runs keep the
+    /// memory. Model constructors call this on adjacencies they know
+    /// will train.
     pub fn prewarm_spmm_t(&self) {
-        if self.nnz() == 0 {
-            return;
-        }
-        let spans = self.col_spans();
-        // Plan with the parallelism a dispatch will actually get (the
-        // oversubscription guard serializes implicit thread counts the
-        // hardware cannot run): if the kernel would take the serial
-        // path anyway, the O(nnz) index would never be read.
-        let threads = par::effective_parallelism(par::num_threads());
-        let (_, schedule) = kernels::span_plan(spans, threads);
-        if schedule == par::Schedule::Stealing && threads > 1 {
+        if self.nnz() > 0 && par::effective_parallelism(par::num_threads()) > 1 {
             let _ = self.csc();
         }
     }
@@ -469,7 +435,7 @@ impl Csr {
     /// The transposed CSR (materialized).
     ///
     /// Built in O(nnz + cols) straight from the column-major entry
-    /// order (reusing the cached [`CscIndex`] when one exists) instead
+    /// order (reusing the cached `CscIndex` when one exists) instead
     /// of re-sorting triplets; entries are already unique and sorted,
     /// so the result is byte-identical to the triplet path.
     pub fn transpose(&self) -> Csr {
@@ -477,7 +443,7 @@ impl Csr {
             Some(ix) => (ix.col_ptr.clone(), ix.rows.clone(), ix.values.clone()),
             None => self.build_csc_arrays(),
         };
-        Csr { rows: self.cols, cols: self.rows, indptr, indices, values, col_spans: OnceLock::new(), csc: OnceLock::new() }
+        Csr { rows: self.cols, cols: self.rows, indptr, indices, values, csc: OnceLock::new() }
     }
 
     /// A copy whose rows each sum to 1 (rows summing to 0 are left
@@ -495,8 +461,8 @@ impl Csr {
             normalize_rows_span(&mut out.values, &out.indptr, 0..self.rows, 0);
             return out;
         }
-        let (ranges, schedule) = kernels::span_plan(&out.indptr, threads);
-        par::for_each_span_chunk_ranges(&mut out.values, &out.indptr, &ranges, threads, schedule, |range, chunk| {
+        let ranges = kernels::span_plan(&out.indptr, threads);
+        par::for_each_span_chunk_ranges(&mut out.values, &out.indptr, &ranges, threads, |range, chunk| {
             let offset = out.indptr[range.start];
             normalize_rows_span(chunk, &out.indptr, range, offset);
         });
@@ -535,8 +501,8 @@ impl Csr {
             scale(0..self.rows, &mut values[..], 0);
             return out;
         }
-        let (ranges, schedule) = kernels::span_plan(indptr, threads);
-        par::for_each_span_chunk_ranges(values, indptr, &ranges, threads, schedule, |range, chunk| {
+        let ranges = kernels::span_plan(indptr, threads);
+        par::for_each_span_chunk_ranges(values, indptr, &ranges, threads, |range, chunk| {
             let offset = indptr[range.start];
             scale(range, chunk, offset);
         });

@@ -111,7 +111,7 @@ fn spmm_pair_matches_serial(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResul
 
 /// RAII guard lifting the oversubscription guard for one test body: an
 /// explicit `set_threads` override makes `*_with(t)` run the genuine
-/// parallel/stealing code paths even on a single-core machine (where
+/// parallel code paths even on a single-core machine (where
 /// implicit config would inline them serially). Dropped on any exit —
 /// including proptest's early assert-returns — so the global never
 /// leaks. Other tests dispatching concurrently while the override is
@@ -167,9 +167,9 @@ fn sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
 /// Power-law (Taobao/Yelp-style) inputs: one hub row owns ~90% of the
 /// stored entries, one hub column concentrates the rest, and with only
 /// a handful of light entries over up to 14 rows, long empty-row runs
-/// arise by construction. These shapes trip the kernel cost model into
-/// its nnz-weighted work-stealing plans, so the stealing paths (not
-/// just static partitioning) are what the bitwise assertions guard.
+/// arise by construction. On these shapes the kernels' nnz-weighted
+/// plans give the hub a chunk of its own and fold empty-row runs into
+/// their neighbors' chunks; the bitwise assertions guard those plans.
 fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
     (3usize..14, 3usize..14, 0usize..8).prop_flat_map(|(rows, cols, d)| {
         (0..rows as u32, 0..cols as u32).prop_flat_map(move |(hub_row, hub_col)| {
@@ -247,8 +247,8 @@ proptest! {
 
     #[test]
     fn skewed_spmm_and_spmm_t_are_bitwise_serial((csr, x, xt) in skewed_sparse_inputs()) {
-        // Skewed shapes take the nnz-weighted stealing plans (the
-        // column-major streaming path for `spmm_t`) once the override
+        // Skewed shapes cut hub-isolating nnz-weighted plans (and
+        // `spmm_t` streams the column-major index) once the override
         // lifts the guard; the contract there is exact as well.
         let _caps = ThreadOverride::lift_caps();
         spmm_pair_matches_serial(&csr, &x, &xt)?;
@@ -281,8 +281,8 @@ proptest! {
         seed in 0u32..1000,
     ) {
         // ~90% of the updates land on one hot destination row (an
-        // embedding-table hub), the rest scatter — the skew that flips
-        // the scatter-add kernel onto its weighted stealing plan.
+        // embedding-table hub), the rest scatter — the skew the
+        // scatter-add kernel's update-weighted plan exists for.
         let _caps = ThreadOverride::lift_caps();
         let hot = (hot % rows) as u32;
         let indices: Vec<u32> = (0..src.rows() as u32)
@@ -514,8 +514,8 @@ proptest! {
 
     #[test]
     fn skewed_spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in skewed_sparse_inputs()) {
-        // Same contract through the nnz-weighted stealing plans, which
-        // skewed shapes take once the override lifts the guard.
+        // Same contract through the hub-isolating nnz-weighted plans
+        // skewed shapes cut once the override lifts the guard.
         let _caps = ThreadOverride::lift_caps();
         let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
         for &t in &THREADS {
@@ -699,7 +699,7 @@ fn parallel_results_are_bitwise_identical() {
 
 #[test]
 fn skewed_hub_is_bitwise_identical_across_thread_counts() {
-    // A deterministic power-law shape big enough to cut real stealing
+    // A deterministic power-law shape big enough to cut real weighted
     // plans: row 7 owns ~90% of 5000 entries, columns drawn
     // log-uniformly so column degrees are skewed too.
     let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(5000);
@@ -714,7 +714,7 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     let reference = spmm_ref(&csr, &x);
     let reference_t = spmm_t_ref(&csr, &xt);
     // An explicit set_threads override lifts the oversubscription
-    // guard, so the stealing/CSC-streaming code paths run for real
+    // guard, so the weighted-plan/CSC-streaming code paths run for real
     // here even on a single-core machine. (Other tests in this binary
     // may dispatch concurrently while the override is up; that only
     // flips which code path they take, never their bytes — which is

@@ -57,7 +57,8 @@ proptest! {
         }
         let total = *spans.last().unwrap();
         let fill = |data: &mut [u32], t: usize| {
-            par::for_each_span_chunk(data, &spans, t, |range, chunk| {
+            let ranges = par::partition_weighted(&spans, t * 4);
+            par::for_each_span_chunk_ranges(data, &spans, &ranges, t, |range, chunk| {
                 let offset = spans[range.start];
                 for r in range {
                     for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
@@ -229,10 +230,6 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
     par::set_threads(None);
 }
 
-/// A deterministic scatter-heavy CSR: row 3 owns ~90% of the entries
-/// and the column draw is log-uniform, so both the row and the column
-/// span plans come out skewed and the kernels pick the stealing
-/// schedule.
 /// `csr * x` through `spmm_acc_with` on a zeroed output.
 fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
     let mut out = Matrix::zeros(csr.rows(), x.cols());
@@ -247,6 +244,10 @@ fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
     out
 }
 
+/// A deterministic scatter-heavy CSR: row 3 owns ~90% of the entries
+/// and the column draw is log-uniform, so both the row and the column
+/// span plans come out skewed: the hub gets a chunk of its own and the
+/// light rows share the rest.
 fn skewed_csr() -> Csr {
     let mut triplets = Vec::with_capacity(1200);
     for i in 0..1200u32 {
@@ -258,17 +259,15 @@ fn skewed_csr() -> Csr {
 }
 
 #[test]
-fn stealing_dispatch_self_drains_with_no_free_workers() {
-    // The stealing scheduler's chunk deques obey the same zero-worker
-    // bound as the static claim queue: job notifications pushed to the
-    // pool are capped by the workers actually alive, and the
-    // dispatching caller drains *every* slot's deque itself — its own
-    // first, then steals — so a dispatch completes even when no worker
-    // ever shows up. Observable half of that contract: with the pool
-    // shrunk to zero workers, a threads=1 stealing-capable call stays
-    // inline and must not grow the pool or park notifications nobody
-    // will pop; wider calls grow on demand exactly like the static
-    // path and still produce serial bytes.
+fn skewed_dispatch_self_drains_with_no_free_workers() {
+    // A fine nnz-weighted plan obeys the same zero-worker bound as any
+    // other dispatch: job notifications pushed to the pool are capped by
+    // the workers actually alive, and the dispatching caller claims
+    // chunks until none remain, so a dispatch completes even when no
+    // worker ever shows up. Observable half of that contract: with the
+    // pool shrunk to zero workers, a threads=1 call stays inline and
+    // must not grow the pool or park notifications nobody will pop;
+    // wider calls grow on demand and still produce serial bytes.
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 7 + c) as f32 * 0.05).sin());
@@ -285,23 +284,22 @@ fn stealing_dispatch_self_drains_with_no_free_workers() {
     assert_eq!(spmm_t_at(&csr, &xt, 1).data(), reference_t.data());
     assert_eq!(par::pool_workers(), 0, "a width-1 call must not grow a drained pool");
 
-    // A wider stealing dispatch grows the pool on demand (like the
-    // static path; the set_threads override is active, so the
-    // hardware cap on implicit growth does not apply) and the bytes
-    // still match serial exactly.
+    // A wider dispatch grows the pool on demand (the set_threads
+    // override is active, so the hardware cap on implicit growth does
+    // not apply) and the bytes still match serial exactly.
     assert_eq!(spmm_t_at(&csr, &xt, 3).data(), reference_t.data());
-    assert!(par::pool_workers() <= 2, "stealing dispatch over-grew the pool");
+    assert!(par::pool_workers() <= 2, "skewed dispatch over-grew the pool");
 
     par::set_threads(None);
 }
 
 #[test]
-fn stealing_callers_drain_foreign_slots_on_a_starved_pool() {
-    // One live worker, four concurrent dispatchers each cutting ~8-12
-    // stealing chunks: most slots' notifications never reach a worker,
-    // so each caller finishes only by stealing chunks dealt to slots
-    // it does not own. A caller that drained only its own deque would
-    // hang here; wrong steal bookkeeping would corrupt bytes.
+fn skewed_callers_drain_their_own_plans_on_a_starved_pool() {
+    // One live worker, four concurrent dispatchers each cutting several
+    // nnz-weighted chunks per thread: most notifications never reach a
+    // worker, so each caller finishes only by claiming the chunks no
+    // worker took. A caller that stopped claiming early would hang
+    // here; wrong claim bookkeeping would corrupt bytes.
     let _g = lock();
     par::set_threads(Some(2));
     let csr = skewed_csr();
@@ -323,10 +321,10 @@ fn stealing_callers_drain_foreign_slots_on_a_starved_pool() {
 }
 
 #[test]
-fn nested_stealing_calls_run_inline() {
-    // A stealing dispatch issued from inside a pool worker must run
+fn nested_skewed_calls_run_inline() {
+    // A fine-plan dispatch issued from inside a pool worker must run
     // inline (serial chunk order) rather than re-entering the queue —
-    // same rule as static nested calls, same bytes.
+    // same rule as any nested call, same bytes.
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 4, |r, c| ((r + c) as f32 * 0.02).sin());

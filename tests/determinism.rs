@@ -41,8 +41,8 @@ fn training_is_thread_count_invariant() {
     // The cross-thread half of the determinism contract: a full
     // training run must produce bitwise-identical parameters and
     // recommendation lists at every thread count, now that the kernels
-    // route through cost-model chunk plans and the work-stealing
-    // scheduler. `GNMR_THREADS` is read once per process, so the
+    // route through nnz-weighted chunk plans claimed from the pool's
+    // shared counter. `GNMR_THREADS` is read once per process, so the
     // in-process equivalent `par::set_threads` drives the sweep here
     // ({1, 2, 4}, mirroring the satellite CI matrix that re-runs the
     // whole suite under GNMR_THREADS=1 and 4); `set_min_work(Some(1))`
