@@ -1,0 +1,265 @@
+//! Golden training bytes: what a short seeded fit must produce, pinned
+//! from one commit to the next.
+//!
+//! `tests/determinism.rs` compares runs of one build with each other
+//! (same seed twice, thread sweeps, resume, arena reuse). This suite
+//! pins the bytes themselves. Each case trains for 3 epochs of
+//! `TrainConfig::fast_test()` and commits FNV-1a-64 digests of the
+//! parameter bits, the epoch-loss bits, the representation bits and
+//! the `ModelSnapshot` bytes, plus exact HR@10/NDCG@10 and user 0's
+//! top-10 `recommend` list. A DIPN case pins the baseline's scores over
+//! every user–item pair.
+//!
+//! A deliberate change to the training bytes (a lane count, a combine
+//! tree, an op order) updates these constants in the same change and
+//! says so in CHANGES.md. A digest that differs between hosts is traced
+//! to the op that moved it; the test is never loosened. On a mismatch
+//! the failure message prints the observed values in the form the
+//! constants are written in.
+
+use std::fmt;
+
+use gnmr::prelude::*;
+use gnmr::tensor::wire::fnv1a64;
+use gnmr::tensor::Matrix;
+
+/// Everything one GNMR case pins.
+#[derive(PartialEq)]
+struct Golden {
+    params: u64,
+    losses: u64,
+    repr: u64,
+    snapshot: u64,
+    hr10: f64,
+    ndcg10: f64,
+    /// User 0's top 10 as `(item, score bits)`.
+    top10: [(u32, u32); 10],
+}
+
+impl fmt::Display for Golden {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "Golden {{")?;
+        writeln!(f, "    params: {:#018x},", self.params)?;
+        writeln!(f, "    losses: {:#018x},", self.losses)?;
+        writeln!(f, "    repr: {:#018x},", self.repr)?;
+        writeln!(f, "    snapshot: {:#018x},", self.snapshot)?;
+        writeln!(f, "    hr10: {:?},", self.hr10)?;
+        writeln!(f, "    ndcg10: {:?},", self.ndcg10)?;
+        writeln!(f, "    top10: [")?;
+        for row in self.top10.chunks(5) {
+            let row: Vec<String> = row.iter().map(|(i, s)| format!("({i}, {s:#010x})")).collect();
+            writeln!(f, "        {},", row.join(", "))?;
+        }
+        writeln!(f, "    ],")?;
+        write!(f, "}}")
+    }
+}
+
+fn push_matrix(out: &mut Vec<u8>, m: &Matrix) {
+    out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
+    out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
+    for v in m.data() {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+fn f32_digest(values: impl IntoIterator<Item = f32>) -> u64 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+/// The cases' model: d 8, C 4, S 2, L 2, no pre-training.
+fn small(variant: GnmrVariant) -> GnmrConfig {
+    GnmrConfig {
+        dim: 8,
+        memory_dims: 4,
+        heads: 2,
+        layers: 2,
+        fusion_hidden: 8,
+        variant,
+        pretrain: false,
+        seed: 5,
+        ..GnmrConfig::default()
+    }
+}
+
+fn movielens() -> Dataset {
+    gnmr::data::presets::tiny_movielens(3)
+}
+
+/// Trains `cfg` on `data` and asserts the fit produced `want`.
+fn check(data: &Dataset, cfg: GnmrConfig, want: Golden) {
+    let mut model = Gnmr::new(&data.graph, cfg);
+    let report = model.fit(&data.graph, &TrainConfig { epochs: 3, ..TrainConfig::fast_test() });
+
+    let mut params = Vec::new();
+    for (name, m) in model.params().iter() {
+        params.extend_from_slice(name.as_bytes());
+        push_matrix(&mut params, m);
+    }
+    let (users, items) = model.representations().expect("fit refreshes representations");
+    let mut repr = Vec::new();
+    push_matrix(&mut repr, users);
+    push_matrix(&mut repr, items);
+    let snapshot = ModelSnapshot::from_model(&model).expect("fit refreshes representations");
+    let eval = evaluate(&model, &data.test, &[10]);
+    let mut top10 = [(0, 0); 10];
+    for (slot, (item, score)) in top10.iter_mut().zip(model.recommend(0, 10, &[])) {
+        *slot = (item, score.to_bits());
+    }
+
+    let got = Golden {
+        params: fnv1a64(&params),
+        losses: f32_digest(report.epoch_losses.iter().copied()),
+        repr: fnv1a64(&repr),
+        snapshot: fnv1a64(&snapshot.to_bytes()),
+        hr10: eval.hr_at(10),
+        ndcg10: eval.ndcg_at(10),
+        top10,
+    };
+    assert!(got == want, "{}: training bytes moved\n got: {got}\nwant: {want}", cfg.variant.label());
+}
+
+#[test]
+fn full_model() {
+    check(&movielens(), small(GnmrVariant::full()), Golden {
+        params: 0x8fd742b8672a95f7,
+        losses: 0x6853e3c7ab79e51a,
+        repr: 0x0dbd20e1e9121e2a,
+        snapshot: 0x6f77502afcac0914,
+        hr10: 0.2916666666666667,
+        ndcg10: 0.15094673629508432,
+        top10: [
+            (59, 0x3eea5f77), (42, 0x3ea4b85c), (71, 0x3e94eb35), (81, 0x3e92cc02), (77, 0x3e926ce0),
+            (40, 0x3e6e96e6), (84, 0x3e63970b), (79, 0x3e4c31be), (47, 0x3e433b8b), (25, 0x3e2ab692),
+        ],
+    });
+}
+
+#[test]
+fn without_type_embedding() {
+    check(&movielens(), small(GnmrVariant::without_type_embedding()), Golden {
+        params: 0xcf763b1587010202,
+        losses: 0x591fce611008b0e2,
+        repr: 0xe683956137f1cdbb,
+        snapshot: 0x907ff0cbae53b227,
+        hr10: 0.44166666666666665,
+        ndcg10: 0.23402931337575386,
+        top10: [
+            (59, 0x40d2eafc), (85, 0x40c6d0f6), (42, 0x40bac322), (84, 0x40b07bc2), (9, 0x40b041d4),
+            (90, 0x40af00f6), (64, 0x40ac98d4), (97, 0x40ac361c), (95, 0x40aaaccc), (53, 0x40a9ec8a),
+        ],
+    });
+}
+
+#[test]
+fn without_message_aggregation() {
+    check(&movielens(), small(GnmrVariant::without_message_aggregation()), Golden {
+        params: 0x04116caedd1df80e,
+        losses: 0x8caaf5aa1fa003fa,
+        repr: 0x5cf5a121be159e10,
+        snapshot: 0xc64475a2d4898241,
+        hr10: 0.225,
+        ndcg10: 0.12053680475709852,
+        top10: [
+            (42, 0x3e51b1dd), (59, 0x3e331251), (47, 0x3e2b9279), (81, 0x3e2b557a), (71, 0x3e17c0a0),
+            (61, 0x3e08a6e4), (18, 0x3e05638c), (84, 0x3e054c65), (40, 0x3e03f21e), (9, 0x3e01541c),
+        ],
+    });
+}
+
+#[test]
+fn without_attention() {
+    let variant = GnmrVariant { cross_attention: false, ..GnmrVariant::full() };
+    check(&movielens(), small(variant), Golden {
+        params: 0x89901a4514149a12,
+        losses: 0xc81a25db7200c935,
+        repr: 0x8cbd61d6f45f98e2,
+        snapshot: 0xde608944bf3521bc,
+        hr10: 0.2,
+        ndcg10: 0.1147924508361876,
+        top10: [
+            (42, 0x3e51c920), (59, 0x3e324e2d), (81, 0x3e2c00f8), (47, 0x3e2bf183), (71, 0x3e178960),
+            (61, 0x3e088838), (18, 0x3e06765b), (40, 0x3e05bf3d), (84, 0x3e057844), (9, 0x3e01d6d8),
+        ],
+    });
+}
+
+#[test]
+fn without_gate() {
+    let variant = GnmrVariant { gated_fusion: false, ..GnmrVariant::full() };
+    check(&movielens(), small(variant), Golden {
+        params: 0xc4512d6747c190a5,
+        losses: 0x9b116a203ce2e0f1,
+        repr: 0x8f03e6a59ebdce2c,
+        snapshot: 0x589aa7d391f3f19f,
+        hr10: 0.2916666666666667,
+        ndcg10: 0.15149653431377058,
+        top10: [
+            (59, 0x3edcebd1), (42, 0x3ea03b9c), (71, 0x3e8f5006), (77, 0x3e8b4863), (81, 0x3e809f3a),
+            (40, 0x3e66e57e), (84, 0x3e5b293a), (79, 0x3e3fa3ce), (47, 0x3e3be797), (25, 0x3e21c041),
+        ],
+    });
+}
+
+#[test]
+fn one_memory_dim() {
+    let cfg = GnmrConfig { memory_dims: 1, ..small(GnmrVariant::full()) };
+    check(&movielens(), cfg, Golden {
+        params: 0x7b5b1689e373ae59,
+        losses: 0xa61a0ba6bf0101f0,
+        repr: 0xa241c16a81a9d3fd,
+        snapshot: 0x991379cf3c3aef2b,
+        hr10: 0.31666666666666665,
+        ndcg10: 0.1592653406262361,
+        top10: [
+            (81, 0x3fec4f8c), (42, 0x3fd45388), (59, 0x3fcdc67c), (37, 0x3fbde555), (53, 0x3fbad6bc),
+            (47, 0x3fbacfa6), (11, 0x3fb713eb), (61, 0x3fb61c43), (84, 0x3fb0e086), (71, 0x3faec26a),
+        ],
+    });
+}
+
+#[test]
+fn four_behaviors() {
+    let taobao = gnmr::data::presets::tiny_taobao(3);
+    assert_eq!(taobao.graph.n_behaviors(), 4);
+    check(&taobao, small(GnmrVariant::full()), Golden {
+        params: 0x5ec82c329942f80e,
+        losses: 0xae08bed11ec94699,
+        repr: 0x585b0d1e0a6ba5b5,
+        snapshot: 0x16399f5a72a76df1,
+        hr10: 0.3302752293577982,
+        ndcg10: 0.14270490584841394,
+        top10: [
+            (17, 0x3f76ca2e), (3, 0x3f559056), (88, 0x3f4ace5f), (80, 0x3f3e5b46), (111, 0x3f3428b2),
+            (76, 0x3f277097), (77, 0x3f18bcfc), (94, 0x3f0af83d), (50, 0x3f07fdba), (103, 0x3f03416c),
+        ],
+    });
+}
+
+#[test]
+fn pretrained() {
+    let cfg = GnmrConfig { pretrain: true, ..small(GnmrVariant::full()) };
+    check(&movielens(), cfg, Golden {
+        params: 0x210d99d0ebbc029e,
+        losses: 0x20cefaa42519fc32,
+        repr: 0xc2f8ac38c998ec8b,
+        snapshot: 0xa8b826b528043305,
+        hr10: 0.45,
+        ndcg10: 0.2354428002290743,
+        top10: [
+            (59, 0x40ba2cd0), (85, 0x40b02bd6), (90, 0x409b087a), (71, 0x4090224b), (84, 0x408f2a5f),
+            (97, 0x408b932d), (42, 0x408a62b3), (64, 0x4085fe84), (95, 0x4085fadc), (14, 0x4084fa54),
+        ],
+    });
+}
+
+#[test]
+fn dipn_scores() {
+    let data = movielens();
+    let model = Dipn::fit(&data.graph, &data.train_log, &BaselineConfig { epochs: 3, ..BaselineConfig::fast_test() });
+    let items: Vec<u32> = (0..data.graph.n_items() as u32).collect();
+    let users = 0..data.graph.n_users() as u32;
+    let digest = f32_digest(users.flat_map(|u| model.score(u, &items)));
+    assert_eq!(digest, 0xb5e67e082c53955d, "DIPN scores moved: got {digest:#018x}");
+}
