@@ -53,7 +53,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnmr_tensor::{init, rng::seeded};
+    use gnmr_tensor::{init, rng::seeded, Matrix};
 
     fn random_store(shapes: &[(&str, usize, usize)], seed: u64) -> ParamStore {
         let mut rng = seeded(seed);
@@ -101,12 +101,12 @@ mod tests {
 
     #[test]
     fn gradcheck_softmax_attention_like() {
-        let store = random_store(&[("q", 4, 3), ("k", 4, 3), ("v", 4, 3)], 3);
+        // Keys are stored transposed (3 x 4), so `q · kt` is `Q Kᵀ`.
+        let store = random_store(&[("q", 4, 3), ("kt", 3, 4), ("v", 4, 3)], 3);
         let err = max_grad_error(&store, 5e-3, |ctx| {
             let q = ctx.param("q");
-            let k = ctx.param("k");
+            let kt = ctx.param("kt");
             let v = ctx.param("v");
-            let kt = ctx.g.transpose(k);
             let scores = ctx.g.matmul(q, kt);
             let scaled = ctx.g.scale(scores, 1.0 / (3.0f32).sqrt());
             let attn = ctx.g.softmax_rows(scaled);
@@ -125,10 +125,10 @@ mod tests {
             let col = ctx.param("col");
             let row = ctx.param("row");
             let x = ctx.g.add_row_broadcast(a, row);
-            let y = ctx.g.mul_col_broadcast(x, col);
+            let y = ctx.g.weighted_sum(col, &[x]);
             let d = ctx.g.row_dot(y, a);
-            let sp = ctx.g.softplus(d);
-            ctx.g.mean(sp)
+            let s = ctx.g.sigmoid(d);
+            ctx.g.mean(s)
         });
         assert!(err < TOL, "err {err}");
     }
@@ -141,7 +141,10 @@ mod tests {
             let g1 = ctx.g.gather_rows(t, std::sync::Arc::new(vec![0, 2, 2, 5]));
             let g2 = ctx.g.gather_rows(t, std::sync::Arc::new(vec![1, 1, 3, 4]));
             let cat = ctx.g.concat_cols(&[g1, g2]);
-            let sl = ctx.g.slice_cols(cat, 2, 7);
+            // Columns [2, 7) through a 0/1 selection matrix.
+            let select = Matrix::from_fn(8, 5, |r, c| if r == c + 2 { 1.0 } else { 0.0 });
+            let select = ctx.constant(select);
+            let sl = ctx.g.matmul(cat, select);
             let e = ctx.g.sqr(sl);
             ctx.g.mean(e)
         });
@@ -157,10 +160,11 @@ mod tests {
             4,
             &[(0, 0, 0.5), (1, 2, -1.0), (2, 1, 2.0), (4, 3, 1.5), (4, 0, -0.5)],
         ));
+        let csr_t = std::sync::Arc::new(csr.transpose());
         let err = max_grad_error(&store, 5e-3, |ctx| {
             let x = ctx.param("x");
             let y = ctx.g.spmm(std::sync::Arc::clone(&csr), x);
-            let yt = ctx.g.spmm_t(std::sync::Arc::clone(&csr), y);
+            let yt = ctx.g.spmm(std::sync::Arc::clone(&csr_t), y);
             let s = ctx.g.sqr(yt);
             ctx.g.mean(s)
         });
@@ -169,21 +173,49 @@ mod tests {
 
     #[test]
     fn gradcheck_reductions_and_unaries() {
-        let mut store = random_store(&[("a", 3, 3)], 7);
-        // Keep ln inputs positive.
-        store.get_mut("a").map_inplace(|x| x.abs() + 0.5);
+        let store = random_store(&[("a", 3, 3)], 7);
         let err = max_grad_error(&store, 2e-3, |ctx| {
             let a = ctx.param("a");
-            let l = ctx.g.ln(a);
-            let e = ctx.g.exp(l);
-            let rs = ctx.g.row_sums(e);
-            let cs = ctx.g.col_sums(l);
+            let s = ctx.g.sigmoid(a);
+            let t = ctx.g.tanh(a);
+            let n = ctx.g.neg(t);
+            // Row sums as row dots with ones, column sums as a ones-row
+            // matmul.
+            let ones_col = ctx.constant(Matrix::ones(3, 3));
+            let rs = ctx.g.row_dot(s, ones_col);
+            let ones_row = ctx.constant(Matrix::ones(1, 3));
+            let cs = ctx.g.matmul(ones_row, n);
             let s1 = ctx.g.sum(rs);
-            let s2 = ctx.g.sum(cs);
+            let s2 = ctx.g.mean(cs);
             let total = ctx.g.add(s1, s2);
             ctx.g.scale(total, 0.25)
         });
         assert!(err < TOL, "err {err}");
+    }
+
+    #[test]
+    fn gradcheck_weighted_sum() {
+        // C = 3 over two parts, `p0` passed twice.
+        let store = random_store(&[("w", 4, 3), ("p0", 4, 5), ("p1", 4, 5)], 11);
+        let err = max_grad_error(&store, 5e-3, |ctx| {
+            let w = ctx.param("w");
+            let p0 = ctx.param("p0");
+            let p1 = ctx.param("p1");
+            let ws = ctx.g.weighted_sum(w, &[p0, p1, p0]);
+            let sq = ctx.g.sqr(ws);
+            ctx.g.mean(sq)
+        });
+        assert!(err < TOL, "C = 3 err {err}");
+
+        let store = random_store(&[("w", 4, 1), ("p0", 4, 5)], 12);
+        let err = max_grad_error(&store, 5e-3, |ctx| {
+            let w = ctx.param("w");
+            let p0 = ctx.param("p0");
+            let ws = ctx.g.weighted_sum(w, &[p0]);
+            let sq = ctx.g.sqr(ws);
+            ctx.g.mean(sq)
+        });
+        assert!(err < TOL, "C = 1 err {err}");
     }
 
     #[test]
@@ -219,15 +251,17 @@ mod tests {
 
     #[test]
     fn wrong_gradient_is_detected() {
-        // Sanity check that the checker can actually fail: compare d(sum x)/dx
-        // against a deliberately wrong loss surface by perturbing eps wildly.
+        // The checker must be able to fail. `sum(a ⊙ c)` with `c` a
+        // constant copy of `a`'s value: the tape's gradient is `c = a`,
+        // but the finite differences perturb `a` inside `c` too and see
+        // the true gradient of `sum(a²)`, `2a`.
         let store = random_store(&[("a", 2, 2)], 10);
         let err = max_grad_error(&store, 5e-3, |ctx| {
             let a = ctx.param("a");
-            let s = ctx.g.sqr(a);
-            ctx.g.sum(s)
+            let c = ctx.constant(ctx.g.value(a).clone());
+            let m = ctx.g.mul(a, c);
+            ctx.g.sum(m)
         });
-        // Correct implementation: error small.
-        assert!(err < TOL);
+        assert!(err > 0.1, "a wrong gradient passed the check: err {err}");
     }
 }

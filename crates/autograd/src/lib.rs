@@ -2,8 +2,8 @@
 //!
 //! A define-by-run tape ([`Graph`]) over [`gnmr_tensor::Matrix`] values,
 //! with named parameter storage ([`ParamStore`]), per-step parameter
-//! binding ([`Ctx`]), first-order optimizers ([`Sgd`], [`Adam`]),
-//! finite-difference gradient checking, and small NN building blocks.
+//! binding ([`Ctx`]), the [`Adam`] optimizer, finite-difference
+//! gradient checking, and small NN building blocks.
 //!
 //! # Example
 //!
@@ -34,6 +34,6 @@ pub mod tape;
 pub use gradcheck::max_grad_error;
 pub use gnmr_tensor::Arena;
 pub use nn::{Activation, GruCell, Linear, Mlp};
-pub use optim::{adam_step, sgd_step, Adam, AdamState, AdamStep, Sgd};
+pub use optim::{adam_step, Adam, AdamState, AdamStep};
 pub use params::{Ctx, Grads, ParamStore};
 pub use tape::{Graph, Var};

@@ -1,19 +1,18 @@
-//! First-order optimizers.
+//! The optimizer: Adam.
 //!
 //! The paper trains GNMR with Adam (lr `1e-3`, decay rate 0.96); the
 //! Frobenius regularization `lambda * ||Theta||_F^2` of Eq. 7 is applied
 //! here as coupled L2 weight decay (`grad += 2 * lambda * w`), which is
 //! its exact gradient.
 //!
-//! Both optimizers update through **fused single-pass kernels**
-//! ([`sgd_step`] / [`adam_step`]): weight decay, moment updates, and
-//! the parameter write happen in one sweep over each tensor, with no
-//! temporary matrices — the steady-state optimizer path performs zero
-//! heap allocations (Adam's moment buffers are minted once, on a
-//! parameter's first step). The fused loops evaluate exactly the same
-//! per-element expressions, in the same order, as the historical
-//! materialize-temporaries implementation, so updates are bitwise
-//! identical to it.
+//! Updates go through a **fused single-pass kernel** ([`adam_step`]):
+//! weight decay, moment updates, and the parameter write happen in one
+//! sweep over each tensor, with no temporary matrices — the
+//! steady-state optimizer path performs zero heap allocations (the
+//! moment buffers are minted once, on a parameter's first step). The
+//! fused loop evaluates exactly the same per-element expressions, in
+//! the same order, as the historical materialize-temporaries
+//! implementation, so updates are bitwise identical to it.
 
 use std::collections::BTreeMap;
 
@@ -21,68 +20,6 @@ use gnmr_tensor::kernels::LANES;
 use gnmr_tensor::Matrix;
 
 use crate::params::{Grads, ParamStore};
-
-/// Fused SGD update for one tensor: `w -= lr * (g + 2*wd*w)`, one pass,
-/// no temporaries. The loop body is blocked into fixed
-/// [`LANES`]-element groups (explicit scalar remainder) so LLVM
-/// autovectorizes it; the update is elementwise, so blocking changes
-/// no accumulation order and per element this is still the exact float
-/// sequence of the old clone-then-`add_scaled_assign` path.
-pub fn sgd_step(w: &mut Matrix, g: &Matrix, lr: f32, weight_decay: f32) {
-    assert_eq!(w.shape(), g.shape(), "sgd_step: shape mismatch");
-    let nlr = -lr;
-    if weight_decay > 0.0 {
-        let s = 2.0 * weight_decay;
-        let mut wc = w.data_mut().chunks_exact_mut(LANES);
-        let mut gc = g.data().chunks_exact(LANES);
-        for (wb, gb) in (&mut wc).zip(&mut gc) {
-            for l in 0..LANES {
-                let eff = gb[l] + s * wb[l];
-                wb[l] += nlr * eff;
-            }
-        }
-        for (wv, &gv) in wc.into_remainder().iter_mut().zip(gc.remainder()) {
-            let eff = gv + s * *wv;
-            *wv += nlr * eff;
-        }
-    } else {
-        let mut wc = w.data_mut().chunks_exact_mut(LANES);
-        let mut gc = g.data().chunks_exact(LANES);
-        for (wb, gb) in (&mut wc).zip(&mut gc) {
-            for l in 0..LANES {
-                wb[l] += nlr * gb[l];
-            }
-        }
-        for (wv, &gv) in wc.into_remainder().iter_mut().zip(gc.remainder()) {
-            *wv += nlr * gv;
-        }
-    }
-}
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Coupled L2 coefficient (the paper's `lambda`, applied as `2*lambda*w`).
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, weight_decay: 0.0 }
-    }
-
-    /// Applies one update step (fused, allocation-free).
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Grads) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        for (name, w) in store.iter_mut() {
-            if let Some(g) = grads.get(name) {
-                sgd_step(w, g, lr, wd);
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with coupled L2 weight decay and optional
 /// exponential learning-rate decay, matching the paper's training setup.
@@ -246,11 +183,11 @@ pub struct AdamStep {
 /// with no temporaries. Element-for-element the same float expressions
 /// (and evaluation order) as the historical
 /// clone/`scale_assign`/`add_scaled_assign`/`hadamard` sequence, so
-/// updates are bitwise identical to it. Like [`sgd_step`] the pass is
-/// blocked into fixed [`LANES`]-element groups with the weight-decay
-/// branch hoisted out of the loop, so LLVM vectorizes the whole update
-/// chain (including the `sqrt` and divides); blocking an elementwise
-/// update reorders nothing.
+/// updates are bitwise identical to it. The pass is blocked into fixed
+/// [`LANES`]-element groups (explicit scalar remainder) with the
+/// weight-decay branch hoisted out of the loop, so LLVM vectorizes the
+/// whole update chain (including the `sqrt` and divides); blocking an
+/// elementwise update reorders nothing.
 pub fn adam_step(w: &mut Matrix, g: &Matrix, m: &mut Matrix, v: &mut Matrix, p: &AdamStep) {
     assert_eq!(w.shape(), g.shape(), "adam_step: grad shape mismatch");
     assert_eq!(w.shape(), m.shape(), "adam_step: first-moment shape mismatch");
@@ -332,13 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut opt = Sgd::new(0.05);
-        let err = quadratic_converges(|s, g| opt.step(s, g));
-        assert!(err < 1e-3, "SGD did not converge: err {err}");
-    }
-
-    #[test]
     fn adam_minimizes_quadratic() {
         let mut opt = Adam::new(0.05);
         let err = quadratic_converges(|s, g| opt.step(s, g));
@@ -347,11 +277,12 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_weights() {
-        // With a zero-gradient loss, weight decay alone must shrink weights.
+        // With a zero-gradient loss, weight decay alone must shrink
+        // weights. Adam normalizes the decay gradient `2*wd*w`, so each
+        // step moves a positive weight down by about `lr`.
         let mut store = ParamStore::new();
         store.insert("w", Matrix::filled(1, 2, 4.0));
-        let mut opt = Sgd::new(0.1);
-        opt.weight_decay = 0.5;
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
         for _ in 0..10 {
             let mut ctx = Ctx::new(&store);
             let w = ctx.param("w");
@@ -360,7 +291,7 @@ mod tests {
             let grads = ctx.grads(loss);
             opt.step(&mut store, &grads);
         }
-        assert!(store.get("w").max_abs() < 4.0 * 0.95f32.powi(9));
+        assert!(store.get("w").max_abs() < 3.1, "w = {:?}", store.get("w").data());
     }
 
     #[test]

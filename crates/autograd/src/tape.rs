@@ -9,15 +9,18 @@
 //! model fails at construction time with a clear message rather than
 //! during backward.
 //!
-//! The tape owns no loops over matrix elements itself: forward values
-//! and backward contributions are produced by [`gnmr_tensor`] ops, so
-//! `matmul`/`spmm` (and their transposed backward counterparts) inherit
-//! the tiled, thread-parallel kernels of `gnmr_tensor::kernels`, and
+//! Forward values and backward contributions are produced by
+//! [`gnmr_tensor`] ops wherever a kernel exists, so `matmul`/`spmm`
+//! (and their transposed backward counterparts) inherit the tiled,
+//! thread-parallel kernels of `gnmr_tensor::kernels`, and
 //! gradient accumulation (`add_assign`, the `gather_rows` scatter-add)
 //! runs on the same shared **persistent worker pool** where the
 //! buffers are large enough to amortize dispatch — important for the
 //! tape, which issues many sub-millisecond kernel calls per training
-//! step and would otherwise pay a thread spawn on each.
+//! step and would otherwise pay a thread spawn on each. The few ops that
+//! only copy or scale rows (`concat_cols`, `weighted_sum`) loop over
+//! their rows in place; `weighted_sum`'s weight gradients are
+//! `kernels::dot` row dots, in the canonical lane order.
 //!
 //! The backward pass is **allocation-free in the steady state**:
 //! gradient accumulators come from a shape-keyed [`Arena`]
@@ -26,8 +29,8 @@
 //! `matmul_*`/`spmm_*` accumulate forms), and every buffer is returned
 //! to the arena for the next step. The in-place paths reproduce the
 //! historical allocate-then-combine float sequences exactly, so
-//! training bytes are unchanged (see the kernel docs and
-//! `tests/determinism.rs`).
+//! training bytes are unchanged (see the kernel docs;
+//! `tests/determinism.rs` and `tests/golden.rs` pin them).
 
 use std::sync::Arc;
 
@@ -50,29 +53,21 @@ enum Op {
     AddScalar(Var),
     Neg(Var),
     MatMul(Var, Var),
-    Transpose(Var),
     Relu(Var),
     LeakyRelu(Var, f32),
     Sigmoid(Var),
     Tanh(Var),
-    Exp(Var),
-    Ln(Var),
     Sqr(Var),
-    Softplus(Var),
     SoftmaxRows(Var),
     SumAll(Var),
     MeanAll(Var),
-    RowSums(Var),
-    ColSums(Var),
     ConcatCols(Vec<Var>),
-    SliceCols(Var, usize, usize),
     GatherRows(Var, Arc<Vec<u32>>),
     AddRowBroadcast(Var, Var),
-    MulColBroadcast(Var, Var),
+    // Weights (n x C), then the C parts (each n x d).
+    WeightedSum(Var, Vec<Var>),
     RowDot(Var, Var),
     Spmm(Arc<Csr>, Var),
-    SpmmT(Arc<Csr>, Var),
-    Dropout(Var, Arc<Vec<f32>>),
 }
 
 struct Node {
@@ -201,54 +196,16 @@ impl Graph {
         self.push(v, Op::Tanh(a))
     }
 
-    /// Element-wise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::exp);
-        self.push(v, Op::Exp(a))
-    }
-
-    /// Element-wise natural logarithm. Inputs must be positive.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::ln);
-        self.push(v, Op::Ln(a))
-    }
-
     /// Element-wise square.
     pub fn sqr(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| x * x);
         self.push(v, Op::Sqr(a))
     }
 
-    /// Numerically stable `ln(1 + e^x)`.
-    pub fn softplus(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| {
-            if x > 20.0 {
-                x
-            } else if x < -20.0 {
-                x.exp()
-            } else {
-                x.exp().ln_1p()
-            }
-        });
-        self.push(v, Op::Softplus(a))
-    }
-
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let v = stats::softmax_rows(self.value(a));
         self.push(v, Op::SoftmaxRows(a))
-    }
-
-    /// Inverted-scale dropout with keep mask `mask` (entries `0` or
-    /// `1/(1-p)`); the mask is applied identically in forward and backward.
-    pub fn dropout(&mut self, a: Var, mask: Arc<Vec<f32>>) -> Var {
-        assert_eq!(mask.len(), self.value(a).len(), "dropout: mask length mismatch");
-        let val = self.value(a);
-        let mut v = val.clone();
-        for (x, &m) in v.data_mut().iter_mut().zip(mask.iter()) {
-            *x *= m;
-        }
-        self.push(v, Op::Dropout(a, mask))
     }
 
     // ----- linear algebra ---------------------------------------------------
@@ -259,23 +216,11 @@ impl Graph {
         self.push(v, Op::MatMul(a, b))
     }
 
-    /// Transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
-        self.push(v, Op::Transpose(a))
-    }
-
     /// Sparse x dense product with a constant CSR (no gradient flows into
     /// the sparse matrix).
     pub fn spmm(&mut self, csr: Arc<Csr>, x: Var) -> Var {
         let v = csr.spmm(self.value(x));
         self.push(v, Op::Spmm(csr, x))
-    }
-
-    /// Transposed sparse x dense product `csr^T * x` with a constant CSR.
-    pub fn spmm_t(&mut self, csr: Arc<Csr>, x: Var) -> Var {
-        let v = csr.spmm_t(self.value(x));
-        self.push(v, Op::SpmmT(csr, x))
     }
 
     // ----- reductions ---------------------------------------------------
@@ -292,18 +237,6 @@ impl Graph {
         self.push(v, Op::MeanAll(a))
     }
 
-    /// Per-row sums: `(n, d) -> (n, 1)`.
-    pub fn row_sums(&mut self, a: Var) -> Var {
-        let v = self.value(a).row_sums();
-        self.push(v, Op::RowSums(a))
-    }
-
-    /// Per-column sums: `(n, d) -> (1, d)`.
-    pub fn col_sums(&mut self, a: Var) -> Var {
-        let v = self.value(a).col_sums();
-        self.push(v, Op::ColSums(a))
-    }
-
     // ----- shape ---------------------------------------------------------
 
     /// Horizontal concatenation.
@@ -312,12 +245,6 @@ impl Graph {
         let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
         let v = Matrix::concat_cols(&mats);
         self.push(v, Op::ConcatCols(parts.to_vec()))
-    }
-
-    /// Column slice `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let v = self.value(a).slice_cols(start, end);
-        self.push(v, Op::SliceCols(a, start, end))
     }
 
     /// Gathers rows of `a` by index (embedding lookup). Gradients
@@ -335,23 +262,43 @@ impl Graph {
         self.push(v, Op::AddRowBroadcast(a, row))
     }
 
-    /// Scales row `r` of an `n x d` matrix by `col[r]` (`col` is `n x 1`).
-    pub fn mul_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        let v = self.value(a).mul_col_broadcast(self.value(col));
-        self.push(v, Op::MulColBroadcast(a, col))
+    /// Per-row weighted sum of `C` parts: `weights` is `n x C`, every
+    /// part is `n x d`, and row `r` of the result is
+    /// `sum_c weights[r, c] * parts[c][r]`, folded left
+    /// (`p0·w0 + p1·w1 + …`). A part may appear more than once. This is
+    /// the closing step of eta (Eq. 2), xi (Eq. 3) and psi (Eq. 5).
+    ///
+    /// # Panics
+    /// If `parts` is empty, its length is not `C`, or a part is not
+    /// `n x d`.
+    pub fn weighted_sum(&mut self, weights: Var, parts: &[Var]) -> Var {
+        let (n, c) = self.shape(weights);
+        assert!(!parts.is_empty(), "weighted_sum: no parts");
+        assert_eq!(parts.len(), c, "weighted_sum: {} parts for {c} weight columns", parts.len());
+        let d = self.shape(parts[0]).1;
+        let mut v = Matrix::zeros(n, d);
+        for (ci, &p) in parts.iter().enumerate() {
+            let (w, pv) = (self.value(weights), self.value(p));
+            assert_eq!(pv.shape(), (n, d), "weighted_sum: part {ci} is {:?}, not {n}x{d}", pv.shape());
+            for r in 0..n {
+                let s = w.get(r, ci);
+                let rows = v.row_mut(r).iter_mut().zip(pv.row(r));
+                // The first part assigns, so the sum starts from its
+                // exact products (no `0.0 +` turning a -0.0 into +0.0).
+                if ci == 0 {
+                    rows.for_each(|(o, &x)| *o = x * s);
+                } else {
+                    rows.for_each(|(o, &x)| *o += x * s);
+                }
+            }
+        }
+        self.push(v, Op::WeightedSum(weights, parts.to_vec()))
     }
 
     /// Row-wise dot product of two `n x d` matrices, giving `n x 1`.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).row_dot(self.value(b));
         self.push(v, Op::RowDot(a, b))
-    }
-
-    /// Broadcasts a `1 x d` row vector to `n x d`.
-    pub fn broadcast_row_to(&mut self, row: Var, n: usize) -> Var {
-        let d = self.shape(row).1;
-        let zeros = self.input(Matrix::zeros(n, d));
-        self.add_row_broadcast(zeros, row)
     }
 
     // ----- backward -------------------------------------------------------
@@ -483,17 +430,6 @@ impl Graph {
                         kernels::matmul_tn_acc(d, &h[a.0].value, g)
                     });
                 }
-                Op::Transpose(a) => {
-                    let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| kernels::transpose_into(d, g),
-                        |_, d| kernels::transpose_acc(d, g),
-                    );
-                }
                 Op::Relu(a) => {
                     let f = |gi: f32, yi: f32| if yi > 0.0 { gi } else { 0.0 };
                     apply_map(
@@ -539,41 +475,8 @@ impl Graph {
                         |_, d| kernels::zip_map_acc(d, g, out, f),
                     );
                 }
-                Op::Exp(a) => {
-                    let f = |gi: f32, yi: f32| gi * yi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
-                }
-                Op::Ln(a) => {
-                    let f = |gi: f32, xi: f32| gi / xi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
-                }
                 Op::Sqr(a) => {
                     let f = |gi: f32, xi: f32| 2.0 * gi * xi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
-                }
-                Op::Softplus(a) => {
-                    let f = |gi: f32, xi: f32| gi * stats::sigmoid(xi);
                     apply_map(
                         head,
                         arena,
@@ -626,52 +529,6 @@ impl Graph {
                         },
                     );
                 }
-                Op::RowSums(a) => {
-                    let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                let gi = g.get(r, 0);
-                                for v in d.row_mut(r) {
-                                    *v = gi;
-                                }
-                            }
-                        },
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                let gi = g.get(r, 0);
-                                for v in d.row_mut(r) {
-                                    *v += gi;
-                                }
-                            }
-                        },
-                    );
-                }
-                Op::ColSums(a) => {
-                    let shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                d.row_mut(r).copy_from_slice(g.row(0));
-                            }
-                        },
-                        |_, d| {
-                            for r in 0..shape.0 {
-                                for (o, &x) in d.row_mut(r).iter_mut().zip(g.row(0)) {
-                                    *o += x;
-                                }
-                            }
-                        },
-                    );
-                }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for &p in parts {
@@ -699,15 +556,6 @@ impl Graph {
                         offset += w;
                     }
                 }
-                Op::SliceCols(a, start, end) => {
-                    let shape = head[a.0].value.shape();
-                    let (start, end) = (*start, *end);
-                    apply_sum(head, arena, *a, shape, |_, d| {
-                        for r in 0..shape.0 {
-                            d.row_mut(r)[start..end].copy_from_slice(g.row(r));
-                        }
-                    });
-                }
                 Op::GatherRows(a, indices) => {
                     // Scatter-add via the kernel layer: updates are bucketed
                     // by destination row and the chunk plan is update-count
@@ -732,23 +580,46 @@ impl Graph {
                         }
                     });
                 }
-                Op::MulColBroadcast(a, col) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::mul_col_broadcast_into(d, g, &h[col.0].value),
-                        |h, d| kernels::mul_col_broadcast_acc(d, g, &h[col.0].value),
-                    );
-                    apply_map(
-                        head,
-                        arena,
-                        *col,
-                        (g.rows(), 1),
-                        |h, d| kernels::row_dot_into(d, g, &h[a.0].value),
-                        |h, d| kernels::row_dot_acc(d, g, &h[a.0].value),
-                    );
+                Op::WeightedSum(weights, parts) => {
+                    // Part c gets `g` scaled per row by weight column c.
+                    // Parts are visited last to first, the order a
+                    // reverse pass reaches the terms of the left fold,
+                    // so a part passed twice accumulates in that order.
+                    for (ci, &p) in parts.iter().enumerate().rev() {
+                        let scaled = |h: &[Node], d: &mut Matrix, assign: bool| {
+                            let w = &h[weights.0].value;
+                            for r in 0..g.rows() {
+                                let s = w.get(r, ci);
+                                let rows = d.row_mut(r).iter_mut().zip(g.row(r));
+                                if assign {
+                                    rows.for_each(|(o, &x)| *o = x * s);
+                                } else {
+                                    rows.for_each(|(o, &x)| *o += x * s);
+                                }
+                            }
+                        };
+                        apply_map(head, arena, p, g.shape(), |h, d| scaled(h, d, true), |h, d| {
+                            scaled(h, d, false)
+                        });
+                    }
+                    // Weight column c gets the row dots of `g` with part c.
+                    let dots = |h: &[Node], d: &mut Matrix, assign: bool| {
+                        for r in 0..g.rows() {
+                            let grow = g.row(r);
+                            for (o, &p) in d.row_mut(r).iter_mut().zip(parts) {
+                                let x = kernels::dot(grow, h[p.0].value.row(r));
+                                if assign {
+                                    *o = x;
+                                } else {
+                                    *o += x;
+                                }
+                            }
+                        }
+                    };
+                    let shape = head[weights.0].value.shape();
+                    apply_map(head, arena, *weights, shape, |h, d| dots(h, d, true), |h, d| {
+                        dots(h, d, false)
+                    });
                 }
                 Op::RowDot(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
@@ -766,32 +637,6 @@ impl Graph {
                 Op::Spmm(csr, x) => {
                     let shape = head[x.0].value.shape();
                     apply_sum(head, arena, *x, shape, |_, d| kernels::spmm_t_acc(d, csr, g));
-                }
-                Op::SpmmT(csr, x) => {
-                    let shape = head[x.0].value.shape();
-                    apply_sum(head, arena, *x, shape, |_, d| kernels::spmm_acc(d, csr, g));
-                }
-                Op::Dropout(a, mask) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| {
-                            for ((o, &gi), &mi) in
-                                d.data_mut().iter_mut().zip(g.data()).zip(mask.iter())
-                            {
-                                *o = gi * mi;
-                            }
-                        },
-                        |_, d| {
-                            for ((o, &gi), &mi) in
-                                d.data_mut().iter_mut().zip(g.data()).zip(mask.iter())
-                            {
-                                *o += gi * mi;
-                            }
-                        },
-                    );
                 }
             }
         }
@@ -1006,7 +851,7 @@ mod tests {
         let bias = g.input(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
         let col = g.input(Matrix::from_vec(3, 1, vec![2.0, 3.0, 4.0]));
         let x = g.add_row_broadcast(a, bias);
-        let y = g.mul_col_broadcast(x, col);
+        let y = g.weighted_sum(col, &[x]);
         let loss = g.sum(y);
         g.backward(loss);
         assert_eq!(g.grad(bias).unwrap().shape(), (1, 2));
@@ -1023,7 +868,9 @@ mod tests {
         let a = g.input(Matrix::ones(2, 2));
         let b = g.input(Matrix::ones(2, 3));
         let c = g.concat_cols(&[a, b]);
-        let sl = g.slice_cols(c, 1, 4);
+        // Columns [1, 4) through a 0/1 selection matrix.
+        let select = g.input(Matrix::from_fn(5, 3, |r, c| if r == c + 1 { 1.0 } else { 0.0 }));
+        let sl = g.matmul(c, select);
         let loss = g.sum(sl);
         g.backward(loss);
         // Columns 1 of a and 0..2 of b are in the slice.
@@ -1052,15 +899,80 @@ mod tests {
         g.backward(a);
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn dropout_masks_forward_and_backward() {
+    fn weighted_sum_matches_matrix_reference_bitwise() {
+        // Three weight columns over two parts, `p0` passed twice. The
+        // last row has zero weights over negative parts and a negative
+        // upstream gradient, so its value and part gradients are -0.0:
+        // a sum started from +0.0 instead of the first term would flip
+        // their sign bits.
+        let (n, d, last) = (5, 3, 4);
+        let pick = |r: usize, at_last: f32, x: f32| if r == last { at_last } else { x };
+        let w = Matrix::from_fn(n, 3, |r, c| pick(r, 0.0, ((r * 3 + c) as f32 * 0.7).sin()));
+        let p0 = Matrix::from_fn(n, d, |r, c| pick(r, -1.0, ((r * 5 + c) as f32 * 0.3).cos() - 0.5));
+        let p1 = Matrix::from_fn(n, d, |r, c| pick(r, -2.0, -((r + 2 * c) as f32 * 0.9).sin()));
+        let up = Matrix::from_fn(n, d, |r, c| pick(r, -0.5, ((r * 7 + c) as f32 * 0.45).sin()));
+        let col = |c: usize| Matrix::from_fn(n, 1, |r, _| w.get(r, c));
+        let value = p0
+            .mul_col_broadcast(&col(0))
+            .add(&p1.mul_col_broadcast(&col(1)))
+            .add(&p0.mul_col_broadcast(&col(2)));
+        assert!(value.row(last).iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        // Part gradients `g · w_c`, a repeated part last use first;
+        // weight column c is `row_dot(g, part_c)`.
+        let d_p0 = up.mul_col_broadcast(&col(2)).add(&up.mul_col_broadcast(&col(0)));
+        let d_p1 = up.mul_col_broadcast(&col(1));
+        let dots = [up.row_dot(&p0), up.row_dot(&p1), up.row_dot(&p0)];
+        let d_w = Matrix::from_fn(n, 3, |r, c| dots[c].get(r, 0));
+
+        // `prior` is None on the first-contribution path; otherwise
+        // every input already holds a gradient (from consumers recorded
+        // after the weighted sum, which backward visits first).
+        let run = |prior: Option<(&Matrix, &Matrix, &Matrix)>| {
+            let mut g = Graph::new();
+            let (wv, a, b) = (g.input(w.clone()), g.input(p0.clone()), g.input(p1.clone()));
+            let ws = g.weighted_sum(wv, &[a, b, a]);
+            assert_eq!(bits(g.value(ws)), bits(&value));
+            let upv = g.input(up.clone());
+            let scaled = g.mul(ws, upv);
+            let mut loss = g.sum(scaled);
+            if let Some((hw, h0, h1)) = prior {
+                for (v, h) in [(wv, hw), (a, h0), (b, h1)] {
+                    let hv = g.input(h.clone());
+                    let m = g.mul(v, hv);
+                    let s = g.sum(m);
+                    loss = g.add(loss, s);
+                }
+            }
+            g.backward(loss);
+            [wv, a, b].map(|v| g.grad(v).unwrap().clone())
+        };
+
+        let [gw, g0, g1] = run(None);
+        assert_eq!(bits(&gw), bits(&d_w));
+        assert_eq!(bits(&g0), bits(&d_p0));
+        assert_eq!(bits(&g1), bits(&d_p1));
+
+        let hw = Matrix::from_fn(n, 3, |r, c| ((r + c) as f32 * 1.3).cos());
+        let h0 = Matrix::from_fn(n, d, |r, c| ((r * 2 + c) as f32 * 0.8).sin());
+        let h1 = Matrix::from_fn(n, d, |r, c| ((r + 3 * c) as f32 * 0.6).cos());
+        let [gw, g0, g1] = run(Some((&hw, &h0, &h1)));
+        let d_p0_acc = h0.add(&up.mul_col_broadcast(&col(2))).add(&up.mul_col_broadcast(&col(0)));
+        assert_eq!(bits(&gw), bits(&hw.add(&d_w)));
+        assert_eq!(bits(&g0), bits(&d_p0_acc));
+        assert_eq!(bits(&g1), bits(&h1.add(&d_p1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "2 parts for 3 weight columns")]
+    fn weighted_sum_requires_one_part_per_weight_column() {
         let mut g = Graph::new();
-        let a = g.input(Matrix::ones(1, 4));
-        let mask = Arc::new(vec![0.0, 2.0, 0.0, 2.0]);
-        let d = g.dropout(a, mask);
-        assert_eq!(g.value(d).data(), &[0.0, 2.0, 0.0, 2.0]);
-        let loss = g.sum(d);
-        g.backward(loss);
-        assert_eq!(g.grad(a).unwrap().data(), &[0.0, 2.0, 0.0, 2.0]);
+        let w = g.input(Matrix::ones(2, 3));
+        let p = g.input(Matrix::ones(2, 4));
+        g.weighted_sum(w, &[p, p]);
     }
 }

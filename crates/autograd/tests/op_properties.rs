@@ -31,16 +31,19 @@ fn smooth_loss(ctx: &mut Ctx<'_>, which: u8) -> Var {
     let x = match which % 6 {
         0 => ctx.g.sigmoid(a),
         1 => ctx.g.tanh(a),
-        2 => ctx.g.softplus(a),
+        2 => {
+            let s = ctx.g.one_minus(a);
+            ctx.g.sigmoid(s)
+        }
         3 => {
             let s = ctx.g.scale(a, 0.5);
-            ctx.g.exp(s)
+            ctx.g.tanh(s)
         }
         4 => ctx.g.sqr(a),
         _ => {
             let s = ctx.g.sqr(a);
             let s = ctx.g.add_scalar(s, 0.5);
-            ctx.g.ln(s)
+            ctx.g.sigmoid(s)
         }
     };
     ctx.g.mean(x)
@@ -96,8 +99,7 @@ proptest! {
             let a = ctx.param("a");
             let b = ctx.param("b");
             let x = ctx.g.matmul(a, b);
-            let t = ctx.g.transpose(x);
-            let s = ctx.g.sqr(t);
+            let s = ctx.g.sqr(x);
             ctx.g.mean(s)
         });
         prop_assert!(err < TOL, "matmul err {}", err);
@@ -120,12 +122,15 @@ proptest! {
                     ctx.g.mean(s)
                 }
                 2 => {
-                    let rs = ctx.g.row_sums(a);
+                    // Per-row sums of squares.
+                    let rs = ctx.g.row_dot(a, a);
                     let s = ctx.g.sqr(rs);
                     ctx.g.mean(s)
                 }
                 _ => {
-                    let cs = ctx.g.col_sums(a);
+                    // Column sums as a ones-row matmul.
+                    let ones = ctx.constant(Matrix::ones(1, r));
+                    let cs = ctx.g.matmul(ones, a);
                     let s = ctx.g.sqr(cs);
                     ctx.g.mean(s)
                 }
@@ -161,10 +166,30 @@ proptest! {
             let a = ctx.param("a");
             let colv = ctx.param("b");
             let g = ctx.g.gather_rows(a, std::sync::Arc::new(idx.clone()));
-            let scaled = ctx.g.mul_col_broadcast(g, colv);
+            let scaled = ctx.g.weighted_sum(colv, &[g]);
             let s = ctx.g.sqr(scaled);
             ctx.g.mean(s)
         });
         prop_assert!(err < TOL, "gather err {}", err);
+    }
+
+    #[test]
+    fn weighted_sum_grads(n in 1usize..5, d in 1usize..4, c in 1usize..4) {
+        // `c` weight columns over two parts taken alternately, so every
+        // `c >= 3` passes `p0` more than once.
+        let mut runner = proptest::test_runner::TestRunner::deterministic();
+        let mut store = ParamStore::new();
+        store.insert("w", param_matrix(n, c).new_tree(&mut runner).unwrap().current());
+        store.insert("p0", param_matrix(n, d).new_tree(&mut runner).unwrap().current());
+        store.insert("p1", param_matrix(n, d).new_tree(&mut runner).unwrap().current());
+        let err = max_grad_error(&store, 2e-3, |ctx| {
+            let w = ctx.param("w");
+            let parts = [ctx.param("p0"), ctx.param("p1")];
+            let picked: Vec<Var> = (0..c).map(|i| parts[i % 2]).collect();
+            let ws = ctx.g.weighted_sum(w, &picked);
+            let s = ctx.g.sqr(ws);
+            ctx.g.mean(s)
+        });
+        prop_assert!(err < TOL, "weighted_sum n={} d={} C={} err {}", n, d, c, err);
     }
 }

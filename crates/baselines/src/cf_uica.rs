@@ -1,10 +1,10 @@
 //! CF-UIcA (Du et al., AAAI 2018): user-item co-autoregressive
 //! collaborative filtering.
 //!
-//! Implicit-feedback reduction (see DESIGN.md): the score of `(u, i)`
-//! combines a user-side conditional (hidden state from the user's item
-//! set, matched against the item) and an item-side conditional (hidden
-//! state from the item's user set, matched against the user):
+//! Implicit-feedback reduction: the score of `(u, i)` combines a
+//! user-side conditional (hidden state from the user's item set,
+//! matched against the item) and an item-side conditional (hidden state
+//! from the item's user set, matched against the user):
 //! `s(u,i) = <h_u, V_i> + <g_i, U_u> + b_i`.
 
 use std::sync::Arc;

@@ -2,12 +2,12 @@
 //! attention over a GRU run across the user's time-ordered multi-behavior
 //! interaction sequence.
 //!
-//! Reduction (see DESIGN.md): the original predicts real-time purchasing
-//! intent from rich page features; here the sequence elements are
+//! Reduction: the original predicts real-time purchasing intent from
+//! rich page features; here the sequence elements are
 //! `item embedding + behavior-type embedding` over the user's last `T`
-//! training events, the GRU's states are attention-pooled into a user
-//! intent vector, and the score is its dot product with a separate output
-//! item embedding.
+//! training events, the GRU's states are attention-pooled (one
+//! `weighted_sum` over the time steps) into a user intent vector, and
+//! the score is its dot product with a separate output item embedding.
 
 use std::sync::Arc;
 
@@ -90,16 +90,7 @@ impl DipnNet {
         }
         let score_mat = ctx.g.concat_cols(&scores); // (batch, T)
         let weights = ctx.g.softmax_rows(score_mat);
-        let mut pooled: Option<Var> = None;
-        for (t, &s) in states.iter().enumerate() {
-            let w = ctx.g.slice_cols(weights, t, t + 1);
-            let term = ctx.g.mul_col_broadcast(s, w);
-            pooled = Some(match pooled {
-                Some(p) => ctx.g.add(p, term),
-                None => term,
-            });
-        }
-        pooled.expect("SEQ_LEN >= 1")
+        ctx.g.weighted_sum(weights, &states)
     }
 }
 

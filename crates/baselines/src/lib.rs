@@ -15,8 +15,8 @@
 //! | [`nmtr`] | NMTR | multi-task cascaded multi-behavior model |
 //! | [`dipn`] | DIPN | attention + GRU over behavior sequences |
 //!
-//! Documented simplifications for NADE / CF-UIcA / DIPN are listed in
-//! DESIGN.md section 3.
+//! The simplifications NADE, CF-UIcA and DIPN make are documented in the
+//! [`nade`], [`cf_uica`] and [`dipn`] module docs.
 
 pub mod autorec;
 pub mod bias_mf;

@@ -2,8 +2,8 @@
 //!
 //! Every function returns a rendered text artifact; the `repro_*`
 //! binaries print it and archive it under `results/`. Absolute values
-//! differ from the paper (synthetic data, see DESIGN.md section 2); the
-//! comparisons in EXPERIMENTS.md are about the *shape* of each result.
+//! differ from the paper (synthetic data; see the [`gnmr::data`] crate
+//! docs), so the comparisons are about the *shape* of each result.
 
 use gnmr::eval::table::fmt_metric;
 use gnmr::prelude::*;

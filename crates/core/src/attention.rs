@@ -6,9 +6,9 @@
 //! `k'`, heads concatenated, then a residual connection with the original
 //! embedding.
 //!
-//! The paper's text applies the residual twice (see DESIGN.md); the
-//! default here is a single residual, with the literal double residual
-//! available behind [`GnmrConfig::double_residual`].
+//! The paper's text applies the residual twice; the default here is a
+//! single residual, with the literal double residual available behind
+//! [`GnmrConfig::double_residual`].
 
 use gnmr_autograd::{Ctx, ParamStore, Var};
 use gnmr_tensor::init;
@@ -61,16 +61,7 @@ pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, behaviors: &[Var], cfg: &Gn
             let scores = ctx.g.concat_cols(&score_cols); // (n, K)
             let beta = ctx.g.softmax_rows(scores);
             // Weighted combination of the value projections.
-            let mut head: Option<Var> = None;
-            for (k_prime, &value) in values[s].iter().enumerate() {
-                let w = ctx.g.slice_cols(beta, k_prime, k_prime + 1);
-                let term = ctx.g.mul_col_broadcast(value, w);
-                head = Some(match head {
-                    Some(acc) => ctx.g.add(acc, term),
-                    None => term,
-                });
-            }
-            head_outputs.push(head.expect("at least one behavior"));
+            head_outputs.push(ctx.g.weighted_sum(beta, &values[s]));
         }
         let concat = ctx.g.concat_cols(&head_outputs); // (n, d)
         let mut out = ctx.g.add(concat, h_k);

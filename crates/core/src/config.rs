@@ -75,7 +75,7 @@ pub struct GnmrConfig {
     /// Epochs of autoencoder pre-training when `pretrain` is set.
     pub pretrain_epochs: usize,
     /// Apply the paper's literal double residual in xi (`attn + 2h`)
-    /// instead of the single residual (`attn + h`). See DESIGN.md.
+    /// instead of the single residual (`attn + h`).
     pub double_residual: bool,
     /// Model initialization seed.
     pub seed: u64,

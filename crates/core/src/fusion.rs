@@ -20,9 +20,8 @@ pub(crate) fn register(store: &mut ParamStore, rng: &mut impl Rng, prefix: &str,
 }
 
 /// Applies gated fusion over the K behavior embeddings, returning `(n, d)`.
-pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, behaviors: &[Var], cfg: &GnmrConfig) -> Var {
+pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, behaviors: &[Var]) -> Var {
     debug_assert!(!behaviors.is_empty());
-    let _ = cfg;
     let w3 = ctx.param(&format!("{prefix}.w3"));
     let b2 = ctx.param(&format!("{prefix}.b2"));
     let w2 = ctx.param(&format!("{prefix}.w2"));
@@ -38,17 +37,7 @@ pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, behaviors: &[Var], cfg: &Gn
     }
     let gamma = ctx.g.concat_cols(&gamma_cols); // (n, K)
     let weights = ctx.g.softmax_rows(gamma);
-
-    let mut fused: Option<Var> = None;
-    for (k, &h) in behaviors.iter().enumerate() {
-        let w = ctx.g.slice_cols(weights, k, k + 1);
-        let term = ctx.g.mul_col_broadcast(h, w);
-        fused = Some(match fused {
-            Some(acc) => ctx.g.add(acc, term),
-            None => term,
-        });
-    }
-    fused.expect("non-empty behaviors")
+    ctx.g.weighted_sum(weights, behaviors)
 }
 
 /// The fallback used by the GNMR-ma ablation: a uniform average over
@@ -91,7 +80,7 @@ mod tests {
         register(&mut store, &mut seeded(2), "psi", &c);
         let mut ctx = Ctx::new(&store);
         let h = ctx.constant(init::uniform(4, 6, -1.0, 1.0, &mut seeded(3)));
-        let out = apply(&mut ctx, "psi", &[h, h, h], &c);
+        let out = apply(&mut ctx, "psi", &[h, h, h]);
         let hv = ctx.g.value(h).clone();
         assert!(ctx.g.value(out).approx_eq(&hv, 1e-5));
     }
@@ -106,7 +95,7 @@ mod tests {
         let mut ctx = Ctx::new(&store);
         let a = ctx.constant(init::uniform(5, 6, -1.0, 0.0, &mut seeded(5)));
         let b = ctx.constant(init::uniform(5, 6, 0.0, 1.0, &mut seeded(6)));
-        let out = apply(&mut ctx, "psi", &[a, b], &c);
+        let out = apply(&mut ctx, "psi", &[a, b]);
         let (av, bv, ov) = (
             ctx.g.value(a).clone(),
             ctx.g.value(b).clone(),
@@ -142,7 +131,7 @@ mod tests {
         let err = max_grad_error(&store, 5e-3, |ctx| {
             let h0 = ctx.param("h0");
             let h1 = ctx.param("h1");
-            let out = apply(ctx, "psi", &[h0, h1], &c);
+            let out = apply(ctx, "psi", &[h0, h1]);
             let sq = ctx.g.sqr(out);
             ctx.g.mean(sq)
         });
@@ -170,7 +159,7 @@ mod tests {
             store.insert("h2", init::uniform(5, 6, -1.0, 1.0, &mut seeded(30)));
             max_grad_error(&store, 5e-3, |ctx| {
                 let hs = [ctx.param("h0"), ctx.param("h1"), ctx.param("h2")];
-                let out = apply(ctx, "psi", &hs, &c);
+                let out = apply(ctx, "psi", &hs);
                 let sq = ctx.g.sqr(out);
                 ctx.g.mean(sq)
             })

@@ -155,8 +155,8 @@ impl Gnmr {
         if self.cfg.variant.gated_fusion {
             let psi_prefix = format!("l{l}.psi");
             (
-                fusion::apply(ctx, &psi_prefix, &user_behaviors, &self.cfg),
-                fusion::apply(ctx, &psi_prefix, &item_behaviors, &self.cfg),
+                fusion::apply(ctx, &psi_prefix, &user_behaviors),
+                fusion::apply(ctx, &psi_prefix, &item_behaviors),
             )
         } else {
             (fusion::uniform(ctx, &user_behaviors), fusion::uniform(ctx, &item_behaviors))

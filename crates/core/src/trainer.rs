@@ -9,8 +9,8 @@
 use std::io;
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Grads};
-use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
+use gnmr_autograd::{Adam, Ctx, Grads, Var};
+use gnmr_graph::{BatchSampler, MultiBehaviorGraph, TrainBatch};
 use gnmr_tensor::rng::StateRng;
 use gnmr_tensor::wire;
 
@@ -140,20 +140,7 @@ impl Gnmr {
                     continue;
                 }
                 let mut ctx = Ctx::new(&self.store);
-                let (user_orders, item_orders) = self.forward(&mut ctx);
-                let user_all = ctx.g.concat_cols(&user_orders);
-                let item_all = ctx.g.concat_cols(&item_orders);
-
-                let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
-                let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
-                let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
-                let pos_scores = ctx.g.row_dot(u, p);
-                let neg_scores = ctx.g.row_dot(u, n);
-                let diff = ctx.g.sub(neg_scores, pos_scores);
-                let margin = ctx.g.add_scalar(diff, 1.0);
-                let hinge = ctx.g.relu(margin);
-                let loss = ctx.g.mean(hinge);
-
+                let loss = self.hinge_loss(&mut ctx, batch);
                 epoch_loss += ctx.g.value(loss).scalar_value();
                 counted += 1;
                 ctx.grads_into(loss, &self.arena, &mut grads);
@@ -183,6 +170,26 @@ impl Gnmr {
         debug_assert!(self.store.all_finite(), "parameters diverged");
         self.refresh_representations();
         Ok(report)
+    }
+
+    /// One step's loss on `ctx`: the full-graph forward, multi-order
+    /// matching scores (`row_dot` of the concatenated orders) of the
+    /// batch's (user, positive, negative) triples, and the Eq. 7
+    /// pairwise hinge `mean(max(0, 1 - Pr_pos + Pr_neg))`.
+    fn hinge_loss(&self, ctx: &mut Ctx<'_>, batch: TrainBatch) -> Var {
+        let (user_orders, item_orders) = self.forward(ctx);
+        let user_all = ctx.g.concat_cols(&user_orders);
+        let item_all = ctx.g.concat_cols(&item_orders);
+
+        let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
+        let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
+        let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
+        let pos_scores = ctx.g.row_dot(u, p);
+        let neg_scores = ctx.g.row_dot(u, n);
+        let diff = ctx.g.sub(neg_scores, pos_scores);
+        let margin = ctx.g.add_scalar(diff, 1.0);
+        let hinge = ctx.g.relu(margin);
+        ctx.g.mean(hinge)
     }
 
     /// Validates a loaded checkpoint against this model and the run
@@ -246,8 +253,10 @@ impl Gnmr {
 mod tests {
     use super::*;
     use crate::config::{GnmrConfig, GnmrVariant};
+    use gnmr_autograd::max_grad_error;
     use gnmr_data::presets;
     use gnmr_eval::{evaluate, PopularityRecommender, RandomRecommender};
+    use gnmr_graph::{Interaction, InteractionLog};
 
     fn quick_cfg(variant: GnmrVariant) -> GnmrConfig {
         GnmrConfig {
@@ -325,6 +334,80 @@ mod tests {
             m.score_pair(0, 0)
         };
         assert_eq!(run(), run());
+    }
+
+    /// 6 users x 5 items, behaviors `view` and `buy`; every user and
+    /// item has an edge.
+    fn hand_built_graph() -> MultiBehaviorGraph {
+        let edges = [
+            (0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 3, 1), (2, 0, 1), (2, 4, 0),
+            (3, 3, 0), (3, 4, 1), (4, 1, 0), (4, 2, 1), (5, 0, 0), (5, 3, 0), (5, 4, 1),
+        ];
+        let events = edges
+            .iter()
+            .enumerate()
+            .map(|(ts, &(user, item, behavior))| Interaction { user, item, behavior, ts: ts as u32 })
+            .collect();
+        let log = InteractionLog::new(6, 5, vec!["view".into(), "buy".into()], events).unwrap();
+        MultiBehaviorGraph::from_log(&log, "buy")
+    }
+
+    /// Largest finite-difference error of one training step's loss
+    /// over every parameter of a d 4, C 2, S 2, L 2 model.
+    fn whole_model_grad_error(graph: &MultiBehaviorGraph, variant: GnmrVariant) -> f32 {
+        let cfg = GnmrConfig {
+            dim: 4,
+            memory_dims: 2,
+            heads: 2,
+            layers: 2,
+            fusion_hidden: 4,
+            variant,
+            pretrain: false,
+            seed: 9,
+            ..GnmrConfig::default()
+        };
+        let model = Gnmr::new(graph, cfg);
+        // Small initial scores keep every hinge margin near 1, far from
+        // the kink at 0.
+        let batch = || TrainBatch {
+            users: vec![0, 1, 2, 3, 4, 5],
+            pos_items: vec![1, 3, 0, 4, 2, 4],
+            neg_items: vec![2, 0, 3, 1, 4, 1],
+        };
+        max_grad_error(model.params(), 5e-3, |ctx| model.hinge_loss(ctx, batch()))
+    }
+
+    #[test]
+    fn whole_model_gradients_check_out() {
+        // Every variant on the serial route, then again with the work
+        // threshold floored and three threads configured, so every
+        // kernel of the forward and backward crosses the pool's
+        // parallel paths. Serialized on the crate-wide config lock;
+        // globals restored even on panic.
+        let graph = hand_built_graph();
+        let variants = [
+            GnmrVariant::full(),
+            GnmrVariant::without_type_embedding(),
+            GnmrVariant::without_message_aggregation(),
+            GnmrVariant { cross_attention: false, ..GnmrVariant::full() },
+            GnmrVariant { gated_fusion: false, ..GnmrVariant::full() },
+        ];
+        let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for variant in variants {
+            let err = whole_model_grad_error(&graph, variant);
+            assert!(err < 1e-2, "{} serial: err {err}", variant.label());
+        }
+        gnmr_tensor::kernels::set_min_work(Some(1));
+        gnmr_tensor::par::set_threads(Some(3));
+        let result = std::panic::catch_unwind(|| {
+            variants.map(|variant| whole_model_grad_error(&graph, variant))
+        });
+        gnmr_tensor::kernels::set_min_work(None);
+        gnmr_tensor::par::set_threads(None);
+        let errs = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        for (variant, err) in variants.iter().zip(errs) {
+            assert!(err < 1e-2, "{} parallel: err {err}", variant.label());
+        }
     }
 
     #[test]

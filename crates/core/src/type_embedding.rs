@@ -33,22 +33,17 @@ pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, message: Var, cfg: &GnmrCon
     let gate_pre = ctx.g.add_row_broadcast(gate_pre, b1);
     let alpha = ctx.g.relu(gate_pre); // (n, C)
 
-    let mut acc: Option<Var> = None;
-    for ci in 0..cfg.memory_dims {
-        let w2 = ctx.param(&format!("{prefix}.w2.{ci}"));
-        let projected = ctx.g.matmul(message, w2); // (n, d)
-        let alpha_c = ctx.g.slice_cols(alpha, ci, ci + 1); // (n, 1)
-        let term = ctx.g.mul_col_broadcast(projected, alpha_c);
-        acc = Some(match acc {
-            Some(a) => ctx.g.add(a, term),
-            None => term,
-        });
-    }
+    let projected: Vec<Var> = (0..cfg.memory_dims)
+        .map(|ci| {
+            let w2 = ctx.param(&format!("{prefix}.w2.{ci}"));
+            ctx.g.matmul(message, w2) // (n, d)
+        })
+        .collect();
     // Average (rather than Eq. 2's literal sum) over the C memory
     // dimensions: with active gates a plain sum scales the output by
     // ~C/2 per layer, so higher orders explode and drown the order-0
     // personalization signal in the multi-order matching score.
-    let acc = acc.expect("memory_dims >= 1 validated by GnmrConfig");
+    let acc = ctx.g.weighted_sum(alpha, &projected);
     ctx.g.scale(acc, 1.0 / cfg.memory_dims as f32)
 }
 

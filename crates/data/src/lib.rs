@@ -3,7 +3,7 @@
 //! The paper evaluates on MovieLens-10M, Yelp and Taobao. Those raw
 //! datasets are not available offline, so this crate substitutes seeded
 //! latent-factor simulators that reproduce the *structural* properties the
-//! evaluation depends on (see DESIGN.md section 2):
+//! evaluation depends on:
 //!
 //! * every behavior type is a noisy view of one underlying user-item
 //!   affinity, so auxiliary behaviors carry signal about the target;

@@ -337,17 +337,6 @@ impl Matrix {
         out
     }
 
-    /// Per-column sums as a `1 x cols` matrix.
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        out
-    }
-
     /// Horizontal concatenation of matrices with equal row counts.
     ///
     /// # Panics
@@ -367,20 +356,6 @@ impl Matrix {
                 orow[offset..offset + p.cols].copy_from_slice(p.row(r));
                 offset += p.cols;
             }
-        }
-        out
-    }
-
-    /// Copies columns `[start, end)` into a new matrix.
-    ///
-    /// # Panics
-    /// If `start > end` or `end > cols`.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.cols, "slice_cols: bad range {start}..{end} for {} cols", self.cols);
-        let w = end - start;
-        let mut out = Matrix::zeros(self.rows, w);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
         }
         out
     }
@@ -583,9 +558,6 @@ mod tests {
         assert_eq!(rs.shape(), (2, 1));
         assert_eq!(rs.get(0, 0), 6.0);
         assert_eq!(rs.get(1, 0), 15.0);
-        let cs = m.col_sums();
-        assert_eq!(cs.shape(), (1, 3));
-        assert_eq!(cs.get(0, 0), 5.0);
     }
 
     #[test]
@@ -595,8 +567,10 @@ mod tests {
         let c = Matrix::concat_cols(&[&a, &b]);
         assert_eq!(c.shape(), (2, 3));
         assert_eq!(c.row(1), &[5.0, 6.0, 7.0]);
-        assert!(c.slice_cols(0, 2).approx_eq(&a, 0.0));
-        assert!(c.slice_cols(2, 3).approx_eq(&b, 0.0));
+        for r in 0..2 {
+            assert_eq!(&c.row(r)[..2], a.row(r));
+            assert_eq!(&c.row(r)[2..], b.row(r));
+        }
     }
 
     #[test]

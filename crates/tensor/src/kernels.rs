@@ -15,9 +15,10 @@
 //!   [`PAR_MIN_WORK`]).
 //! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
 //!   overwrites it, `_assign` updates it in place. On a zeroed `dst`,
-//!   `*_acc_with(.., 1)` is the serial product. The row-wise backward kernels (`row_dot_*`,
-//!   `mul_col_broadcast_*`, `softmax_rows_backward_*`, `transpose_*`)
-//!   and [`row_dots_into`] are serial and have only these forms.
+//!   `*_acc_with(.., 1)` is the serial product. The row-wise backward
+//!   kernels (`row_dot_*`, `mul_col_broadcast_*`,
+//!   `softmax_rows_backward_*`) and [`row_dots_into`] are serial and
+//!   have only these forms.
 //! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
 //!   the tests and benches to compare the tiled matmul against.
 //! * Allocating forms live on `Matrix` and `Csr` (`Csr::spmm`/`spmm_t`
@@ -1184,50 +1185,6 @@ where
 {
     let work = dst.len();
     zip_map_acc_with(dst, a, b, f, auto_threads(work));
-}
-
-/// `dst = src^T` (overwrites every element) — the assign form of the
-/// transpose backward contribution.
-pub fn transpose_into(dst: &mut Matrix, src: &Matrix) {
-    assert_eq!(
-        (dst.rows(), dst.cols()),
-        (src.cols(), src.rows()),
-        "transpose_into: dst is {}x{}, transpose is {}x{}",
-        dst.rows(),
-        dst.cols(),
-        src.cols(),
-        src.rows()
-    );
-    let (r, c) = (src.rows(), src.cols());
-    let sd = src.data();
-    let dd = dst.data_mut();
-    for i in 0..r {
-        for j in 0..c {
-            dd[j * r + i] = sd[i * c + j];
-        }
-    }
-}
-
-/// `dst += src^T` — one add of a fully-formed value per element,
-/// bitwise-equal to materializing the transpose and `add_assign`ing.
-pub fn transpose_acc(dst: &mut Matrix, src: &Matrix) {
-    assert_eq!(
-        (dst.rows(), dst.cols()),
-        (src.cols(), src.rows()),
-        "transpose_acc: dst is {}x{}, transpose is {}x{}",
-        dst.rows(),
-        dst.cols(),
-        src.cols(),
-        src.rows()
-    );
-    let (r, c) = (src.rows(), src.cols());
-    let sd = src.data();
-    let dd = dst.data_mut();
-    for i in 0..r {
-        for j in 0..c {
-            dd[j * r + i] += sd[i * c + j];
-        }
-    }
 }
 
 fn assert_mul_col(dst: &Matrix, src: &Matrix, col: &Matrix, op: &str) {

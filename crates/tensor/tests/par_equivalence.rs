@@ -885,25 +885,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
     assert_eq!(kernels::rank_rows(&base, &query, 4, &[1, 5], &mut scratch), &want[..], "rank_rows");
 }
 
-#[test]
-fn transpose_kernels_match_materialized_transpose() {
-    let src = Matrix::from_fn(7, 12, |r, c| ((r * 13 + c * 3) as f32 * 0.19).sin());
-    let transposed = Matrix::from_fn(12, 7, |r, c| src.get(c, r));
-    let dst0 = Matrix::from_fn(12, 7, |r, c| ((r + 5 * c) as f32 * 0.23).cos());
-    // transpose_into overwrites a dirty buffer completely.
-    let mut dirty = dst0.clone();
-    kernels::transpose_into(&mut dirty, &src);
-    assert_eq!(dirty.data(), transposed.data());
-    // transpose_acc == materialize src^T, then add_assign it.
-    let mut expected = dst0.clone();
-    for (e, &x) in expected.data_mut().iter_mut().zip(transposed.data()) {
-        *e += x;
-    }
-    let mut acc = dst0;
-    kernels::transpose_acc(&mut acc, &src);
-    assert_eq!(acc.data(), expected.data());
-}
-
 // ----- canonical dot & top-k partial selection ------------------------
 //
 // The serving-path kernels: `dot` and `row_dots_into` must replay the
