@@ -303,6 +303,26 @@ fn main() {
         },
     );
 
+    // A * B^T as used by the matmul backward pass (dA = g * B^T), at
+    // the η layer's shape: 900 users, d = 16.
+    let nt_a = init::uniform(900, 16, -1.0, 1.0, &mut rng::seeded(19));
+    let nt_b = init::uniform(16, 16, -1.0, 1.0, &mut rng::seeded(20));
+    let mut nt_sdst = Matrix::zeros(900, 16);
+    let mut nt_pdst = Matrix::zeros(900, 16);
+    cells.push(
+        "matmul_nt",
+        "900x16*(16x16)^T".into(),
+        "serial_1t",
+        || {
+            kernels::matmul_nt_into_with(&mut nt_sdst, &nt_a, &nt_b, 1);
+            black_box(&nt_sdst);
+        },
+        |t| {
+            kernels::matmul_nt_into_with(&mut nt_pdst, &nt_a, &nt_b, t);
+            black_box(&nt_pdst);
+        },
+    );
+
     // SpMM over a graph-sized CSR (message passing forward).
     let csr = random_csr(4000, 4000, 80_000, 5);
     let dense = init::uniform(4000, 64, -1.0, 1.0, &mut rng::seeded(6));

@@ -16,7 +16,7 @@
 //! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
 //!   overwrites it, `_assign` updates it in place. On a zeroed `dst`,
 //!   `*_acc_with(.., 1)` is the serial product. The row-wise backward
-//!   kernels (`row_dot_*`, `mul_col_broadcast_*`,
+//!   kernels ([`row_dot_into`], `mul_col_broadcast_*`,
 //!   `softmax_rows_backward_*`) and [`row_dots_into`] are serial and
 //!   have only these forms.
 //! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
@@ -47,10 +47,14 @@
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
-//! kernels (`matmul_nt`, `row_dot*`, `row_dots`, the softmax-backward
-//! row totals) accumulate into a fixed block of `LANES` partial sums —
-//! lane `l` owns the terms whose index is congruent to `l` modulo
-//! `LANES` — and collapse it with a fixed pairwise tree. Streaming
+//! kernels (`matmul_nt`, [`row_dot_into`], `row_dots`, the
+//! softmax-backward row totals) accumulate into a fixed block of
+//! `LANES` partial sums — lane `l` owns the terms whose index is
+//! congruent to `l` modulo `LANES` — and collapse it with a fixed
+//! pairwise tree. `matmul_nt` vectorizes across output columns instead
+//! of across that block: it packs `b^T` in `LANES`-wide column strips
+//! and keeps one lane block per column, so each element still sees the
+//! same lanes, the same order and the same tree. Streaming
 //! kernels (`matmul`, `matmul_tn`, `spmm`, the elementwise family, the
 //! optimizer steps) keep one accumulator per output element advancing
 //! in ascending inner order, so their bytes never depended on the lane
@@ -157,7 +161,8 @@ fn lane_sum(acc: [f32; LANES]) -> f32 {
 
 /// Canonical-lane-order dot product of two equal-length slices. Every
 /// dot-reduction kernel in the workspace routes through this exact
-/// sequence (or replays it per column, see [`dot_lanes_x4`]).
+/// sequence, or replays it column by column (`matmul_nt`, see
+/// [`nt_strip_lanes`]).
 #[inline(always)]
 fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
@@ -173,41 +178,6 @@ fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
         acc[l] += xv * yv;
     }
     lane_sum(acc)
-}
-
-/// Four simultaneous [`dot_lanes`] against a shared left operand: the
-/// register-blocked body of the `matmul_nt` microkernel. Each column's
-/// lane block sees exactly the per-column [`dot_lanes`] sequence, so
-/// the unrolled and single-column paths produce identical bytes.
-#[inline(always)]
-fn dot_lanes_x4(x: &[f32], y0: &[f32], y1: &[f32], y2: &[f32], y3: &[f32]) -> [f32; 4] {
-    let mut a0 = [0.0f32; LANES];
-    let mut a1 = [0.0f32; LANES];
-    let mut a2 = [0.0f32; LANES];
-    let mut a3 = [0.0f32; LANES];
-    let mut xc = x.chunks_exact(LANES);
-    let mut c0 = y0.chunks_exact(LANES);
-    let mut c1 = y1.chunks_exact(LANES);
-    let mut c2 = y2.chunks_exact(LANES);
-    let mut c3 = y3.chunks_exact(LANES);
-    for ((((xb, b0), b1), b2), b3) in
-        (&mut xc).zip(&mut c0).zip(&mut c1).zip(&mut c2).zip(&mut c3)
-    {
-        for l in 0..LANES {
-            a0[l] += xb[l] * b0[l];
-            a1[l] += xb[l] * b1[l];
-            a2[l] += xb[l] * b2[l];
-            a3[l] += xb[l] * b3[l];
-        }
-    }
-    let (r0, r1, r2, r3) = (c0.remainder(), c1.remainder(), c2.remainder(), c3.remainder());
-    for (l, &xv) in xc.remainder().iter().enumerate() {
-        a0[l] += xv * r0[l];
-        a1[l] += xv * r1[l];
-        a2[l] += xv * r2[l];
-        a3[l] += xv * r3[l];
-    }
-    [lane_sum(a0), lane_sum(a1), lane_sum(a2), lane_sum(a3)]
 }
 
 /// Lane-blocked `dst += src * s`. Streaming (one accumulator per
@@ -270,21 +240,23 @@ fn scale_store_lanes(dst: &mut [f32], src: &[f32], s: f32) {
     }
 }
 
-// ----- B-panel packing ------------------------------------------------
+// ----- B-panel and B^T-strip packing ----------------------------------
 
 std::thread_local! {
-    /// Per-thread reusable B-panel pack buffer for the tiled matmul.
-    /// Minted lazily, grows monotonically to the largest panel a thread
-    /// ever packs (`TILE_K * TILE_J` f32s = 128 KiB at most), and is
-    /// reused for every subsequent call — the steady-state training
-    /// step packs with zero heap traffic, which the train-step bench
-    /// gate checks explicitly.
+    /// Per-thread reusable pack buffer: B panels for the tiled matmul,
+    /// B^T strips for `matmul_nt`. Minted lazily, grows monotonically to
+    /// the largest panel a thread ever packs (`TILE_K * TILE_J` f32s =
+    /// 128 KiB at most; a `matmul_nt` strip holds at most
+    /// [`NT_PANEL_K`] rows of [`LANES`] f32s, the same 128 KiB), and is
+    /// reused for every subsequent call — the steady-state training step
+    /// packs with zero heap traffic, which the train-step bench gate
+    /// checks explicitly.
     static PACK_BUF: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on this thread's pack scratch, grown to at least `len`
-/// floats. Growth is a once-per-thread event (see [`PACK_BUF`]);
-/// steady-state calls are allocation-free.
+/// floats (callers ask for at most 128 KiB — see [`PACK_BUF`]). Growth
+/// is a once-per-thread event; steady-state calls are allocation-free.
 fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK_BUF.with(|buf| {
         let mut buf = buf.borrow_mut();
@@ -313,6 +285,56 @@ fn pack_b_panel(pack: &mut [f32], b: &[f32], n: usize, krange: Range<usize>, j0:
             row.copy_from_slice(&b[kk * n + js..kk * n + js + LANES]);
         }
     }
+}
+
+/// Deepest run of `b^T` one packed `matmul_nt` strip holds: a
+/// [`LANES`]-wide strip of this depth is the tiled matmul's whole
+/// `TILE_K * TILE_J` panel, so [`PACK_BUF`] keeps its 128 KiB bound. A
+/// multiple of [`LANES`], so a term's lane (`t mod LANES`) is the same
+/// within a k-block as in the whole row.
+const NT_PANEL_K: usize = TILE_K * TILE_J / LANES;
+
+/// Packs rows `trange` of `b^T` (`b` is `p x k`, row-major) restricted
+/// to the [`LANES`] columns starting at `c0` into `pack`, k-major:
+/// `pack[(t - trange.start) * LANES + c] = b[c0 + c][t]`. Columns at or
+/// past `p` are zero padding; their sums are computed and never
+/// stored. A pure layout change, like [`pack_b_panel`].
+fn pack_bt_strip(pack: &mut [f32], b: &[f32], k: usize, p: usize, c0: usize, trange: Range<usize>) {
+    let w = LANES.min(p - c0);
+    for (row, t) in pack.chunks_exact_mut(LANES).zip(trange) {
+        for (c, o) in row.iter_mut().enumerate() {
+            *o = if c < w { b[(c0 + c) * k + t] } else { 0.0 };
+        }
+    }
+}
+
+/// The `matmul_nt` inner loop, vectorized across output columns: adds
+/// `arow[t] * panel[t][c]` into lane block `acc[t mod LANES]`, lane by
+/// lane, ascending `t` within each lane. Per column `c` this is the
+/// [`dot_lanes`] sequence of `arow` against column `c` of the strip —
+/// same lanes, same order — so [`lane_sum_cols`] finishes the same
+/// bytes.
+#[inline(always)]
+fn nt_strip_lanes(acc: &mut [[f32; LANES]; LANES], arow: &[f32], panel: &[f32]) {
+    let k = arow.len();
+    for (l, lane) in acc.iter_mut().enumerate() {
+        let mut t = l;
+        while t < k {
+            let x = arow[t];
+            let brow = &panel[t * LANES..(t + 1) * LANES];
+            for c in 0..LANES {
+                lane[c] += x * brow[c];
+            }
+            t += LANES;
+        }
+    }
+}
+
+/// [`lane_sum`]'s tree applied to every column of a lane block at once,
+/// as vertical adds.
+#[inline(always)]
+fn lane_sum_cols(acc: &[[f32; LANES]; LANES]) -> [f32; LANES] {
+    std::array::from_fn(|c| lane_sum(std::array::from_fn(|l| acc[l][c])))
 }
 
 /// Resolves the thread count for a kernel invocation: serial below
@@ -780,7 +802,7 @@ pub fn matmul_nt_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: us
     assert_eq!(dst.shape(), (m, p), "matmul_nt_into: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
     let (ad, bd) = (a.data(), b.data());
     dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_nt_rows(ad, k, bd, p, rows, chunk);
+        matmul_nt_rows(ad, k, bd, p, rows, chunk, |o, v| *o = v);
     });
 }
 
@@ -801,7 +823,7 @@ pub fn matmul_nt_acc_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usi
     assert_eq!(dst.shape(), (m, p), "matmul_nt_acc: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
     let (ad, bd) = (a.data(), b.data());
     dense_rows_dispatch(dst.data_mut(), m, threads, |rows, chunk| {
-        matmul_nt_acc_rows(ad, k, bd, p, rows, chunk);
+        matmul_nt_rows(ad, k, bd, p, rows, chunk, |o, v| *o += v);
     });
 }
 
@@ -811,65 +833,57 @@ pub fn matmul_nt_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     matmul_nt_acc_with(dst, a, b, auto_threads(a.rows() * a.cols() * b.rows()));
 }
 
-/// Each output element is an independent [`dot_lanes`] dot product in
-/// the canonical lane order; the 4×-unrolled body ([`dot_lanes_x4`])
-/// computes four adjacent output columns per pass so `arow` is re-read
-/// from registers/L1 instead of streamed once per column. Per-element
-/// lane sequences are unchanged between the unrolled and remainder
-/// paths, so they produce identical bytes.
-fn matmul_nt_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, out: &mut [f32]) {
-    for (local, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * p..(local + 1) * p];
-        let mut j = 0usize;
-        while j + MICRO_MR <= p {
-            let d = dot_lanes_x4(
-                arow,
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-            );
-            orow[j] = d[0];
-            orow[j + 1] = d[1];
-            orow[j + 2] = d[2];
-            orow[j + 3] = d[3];
-            j += MICRO_MR;
+/// Rows `rows` of `a (m x k) * b^T` (`b` is `p x k`) into the chunk
+/// `out`, handing each finished element to `store` (assign for
+/// `_into`, one add for `_acc`). Vectorized across output columns: per
+/// [`LANES`]-wide column strip, `b^T` is packed once per chunk
+/// ([`pack_bt_strip`]) and every row runs [`nt_strip_lanes`] from
+/// +0.0 lanes, then [`lane_sum_cols`] — per element exactly the
+/// [`dot_lanes`] sequence, so the bytes are those of one lane dot per
+/// element. A strip deeper than [`NT_PANEL_K`] is packed one k-block
+/// at a time per row instead, which keeps the pack within its bound
+/// without changing a term's lane or order.
+fn matmul_nt_rows(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    p: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+    store: impl Fn(&mut f32, f32),
+) {
+    let finish = |orow: &mut [f32], acc: &[[f32; LANES]; LANES]| {
+        for (o, &v) in orow.iter_mut().zip(&lane_sum_cols(acc)) {
+            store(o, v);
         }
-        for j in j..p {
-            orow[j] = dot_lanes(arow, &b[j * k..(j + 1) * k]);
+    };
+    with_pack_buf(k.min(NT_PANEL_K) * LANES, |pack| {
+        for c0 in (0..p).step_by(LANES) {
+            let c1 = (c0 + LANES).min(p);
+            // Branch once per strip, not per row: inside the row loop
+            // the k-block loop measured up to 3x slower on the model's
+            // shapes.
+            if k <= NT_PANEL_K {
+                pack_bt_strip(pack, b, k, p, c0, 0..k);
+                for (i, orow) in (rows.start..rows.end).zip(out.chunks_exact_mut(p)) {
+                    let mut acc = [[0.0f32; LANES]; LANES];
+                    nt_strip_lanes(&mut acc, &a[i * k..(i + 1) * k], pack);
+                    finish(&mut orow[c0..c1], &acc);
+                }
+            } else {
+                for (i, orow) in (rows.start..rows.end).zip(out.chunks_exact_mut(p)) {
+                    let mut acc = [[0.0f32; LANES]; LANES];
+                    for t0 in (0..k).step_by(NT_PANEL_K) {
+                        let t1 = (t0 + NT_PANEL_K).min(k);
+                        let panel = &mut pack[..(t1 - t0) * LANES];
+                        pack_bt_strip(panel, b, k, p, c0, t0..t1);
+                        nt_strip_lanes(&mut acc, &a[i * k + t0..i * k + t1], panel);
+                    }
+                    finish(&mut orow[c0..c1], &acc);
+                }
+            }
         }
-    }
-}
-
-/// The accumulate twin of [`matmul_nt_rows`]: identical lane dot
-/// products (same 4× unroll, same canonical lane order), but the
-/// fully-formed dot is *added* to the output element instead of
-/// assigned — one add per element, matching the
-/// materialize-then-`add_assign` float sequence exactly.
-fn matmul_nt_acc_rows(a: &[f32], k: usize, b: &[f32], p: usize, rows: Range<usize>, out: &mut [f32]) {
-    for (local, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * p..(local + 1) * p];
-        let mut j = 0usize;
-        while j + MICRO_MR <= p {
-            let d = dot_lanes_x4(
-                arow,
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-            );
-            orow[j] += d[0];
-            orow[j + 1] += d[1];
-            orow[j + 2] += d[2];
-            orow[j + 3] += d[3];
-            j += MICRO_MR;
-        }
-        for j in j..p {
-            orow[j] += dot_lanes(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
+    });
 }
 
 // ----- sparse matmul --------------------------------------------------
@@ -1215,28 +1229,14 @@ pub fn mul_col_broadcast_acc(dst: &mut Matrix, src: &Matrix, col: &Matrix) {
     }
 }
 
-fn assert_row_dot(dst: &Matrix, a: &Matrix, b: &Matrix, op: &str) {
-    assert_eq!(a.shape(), b.shape(), "{op}: operand shape mismatch");
-    assert_eq!(dst.shape(), (a.rows(), 1), "{op}: dst must be {}x1", a.rows());
-}
-
 /// `dst[r, 0] = sum_c a[r, c] * b[r, c]` — the assign form of
 /// `a.row_dot(b)`, each row a `dot_lanes` dot in the canonical lane
 /// order (which `Matrix::row_dot` itself delegates to).
 pub fn row_dot_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    assert_row_dot(dst, a, b, "row_dot_into");
+    assert_eq!(a.shape(), b.shape(), "row_dot_into: operand shape mismatch");
+    assert_eq!(dst.shape(), (a.rows(), 1), "row_dot_into: dst must be {}x1", a.rows());
     for r in 0..a.rows() {
         dst.data_mut()[r] = dot_lanes(a.row(r), b.row(r));
-    }
-}
-
-/// `dst[r, 0] += sum_c a[r, c] * b[r, c]` — the fully-formed dot is
-/// folded in with a single add per row, bitwise-equal to materializing
-/// `a.row_dot(b)` and `add_assign`ing it.
-pub fn row_dot_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    assert_row_dot(dst, a, b, "row_dot_acc");
-    for r in 0..a.rows() {
-        dst.data_mut()[r] += dot_lanes(a.row(r), b.row(r));
     }
 }
 

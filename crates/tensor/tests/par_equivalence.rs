@@ -7,7 +7,9 @@
 //! reference (each output row is produced by one worker in the serial
 //! accumulation order), so the 1e-5 tolerance here is slack on top of
 //! an exact contract — the dedicated tests at the bottom pin the exact
-//! version down.
+//! version down. Every exact assertion compares bit patterns
+//! ([`bits`]), not `f32` values: `==` treats −0.0 and +0.0 as equal,
+//! and the contract does not.
 
 use gnmr_tensor::{kernels, par, Csr, Matrix};
 use proptest::prelude::*;
@@ -31,6 +33,22 @@ fn lane_dot_ref(x: &[f32], y: &[f32]) -> f32 {
         acc[i % kernels::LANES] += a * b;
     }
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+}
+
+/// The bit pattern of every element, for exact comparison: a −0.0
+/// where +0.0 belongs fails here, where `f32`'s `==` lets it through.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A CSR's shape and its `(row, col, value bits)` entries in order.
+fn csr_bits(csr: &Csr) -> (usize, usize, Vec<(u32, u32, u32)>) {
+    (csr.rows(), csr.cols(), csr.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect())
+}
+
+/// A top-k list as `(index, score bits)` pairs.
+fn pair_bits(v: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
 }
 
 /// Plain scalar `csr * x`: one add per stored entry into a zeroed
@@ -102,9 +120,9 @@ fn spmm_pair_matches_serial(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResul
     let serial_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, 1));
     for &t in &THREADS {
         let got = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, t));
-        prop_assert_eq!(got.data(), serial.data(), "spmm_acc threads={}", t);
+        prop_assert_eq!(bits(got.data()), bits(serial.data()), "spmm_acc threads={}", t);
         let got_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, t));
-        prop_assert_eq!(got_t.data(), serial_t.data(), "spmm_t_acc threads={}", t);
+        prop_assert_eq!(bits(got_t.data()), bits(serial_t.data()), "spmm_t_acc threads={}", t);
     }
     Ok(())
 }
@@ -218,7 +236,7 @@ proptest! {
         let serial = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, 1));
         for &t in &THREADS {
             let got = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, t));
-            prop_assert_eq!(got.data(), serial.data(), "threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(serial.data()), "threads={}", t);
         }
     }
 
@@ -233,9 +251,9 @@ proptest! {
         let serial_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, 1));
         for &t in &THREADS {
             let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-            prop_assert_eq!(got.data(), serial.data(), "into threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(serial.data()), "into threads={}", t);
             let got_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
-            prop_assert_eq!(got_acc.data(), serial_acc.data(), "acc threads={}", t);
+            prop_assert_eq!(bits(got_acc.data()), bits(serial_acc.data()), "acc threads={}", t);
         }
     }
 
@@ -269,8 +287,8 @@ proptest! {
         let row_ref = csr.row_normalized_with(1);
         let sym_ref = csr.sym_normalized_with(1);
         for &t in &THREADS[1..] {
-            prop_assert_eq!(&csr.row_normalized_with(t), &row_ref, "row threads={}", t);
-            prop_assert_eq!(&csr.sym_normalized_with(t), &sym_ref, "sym threads={}", t);
+            prop_assert_eq!(csr_bits(&csr.row_normalized_with(t)), csr_bits(&row_ref), "row threads={}", t);
+            prop_assert_eq!(csr_bits(&csr.sym_normalized_with(t)), csr_bits(&sym_ref), "sym threads={}", t);
         }
     }
 
@@ -293,7 +311,7 @@ proptest! {
         for &t in &THREADS[1..] {
             let mut dst = Matrix::zeros(rows, src.cols());
             kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
-            prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
+            prop_assert_eq!(bits(dst.data()), bits(reference.data()), "threads={}", t);
         }
     }
 
@@ -342,9 +360,11 @@ fn matmul_acc_inputs() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
         .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n), matrix(m, n)))
 }
 
-/// `(a, b, dst)` for `dst += a * b^T` (dst is `m x p`).
+/// `(a, b, dst)` for `dst += a * b^T` (dst is `m x p`): `p` spans
+/// three 8-column strips, so a full strip, several strips and a ragged
+/// last one all occur.
 fn nt_acc_inputs() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
-    (0usize..10, 0usize..10, 0usize..10)
+    (0usize..10, 0usize..10, 0usize..26)
         .prop_flat_map(|(m, k, p)| (matrix(m, k), matrix(p, k), matrix(m, p)))
 }
 
@@ -363,7 +383,7 @@ proptest! {
         for &t in &THREADS {
             let mut dst = dst0.clone();
             kernels::axpy_with(&mut dst, &src, s, t);
-            prop_assert_eq!(dst.data(), expected.data(), "threads={}", t);
+            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "threads={}", t);
         }
     }
 
@@ -377,12 +397,12 @@ proptest! {
             // scale_into overwrites a dirty buffer completely.
             let mut dirty = dst0.clone();
             kernels::scale_into_with(&mut dirty, &src, s, t);
-            prop_assert_eq!(dirty.data(), scaled.data(), "scale_into threads={}", t);
+            prop_assert_eq!(bits(dirty.data()), bits(scaled.data()), "scale_into threads={}", t);
             // scale_assign == materializing self * s.
             let mut dst = dst0.clone();
             let expected = dst0.scale(s);
             kernels::scale_assign_with(&mut dst, s, t);
-            prop_assert_eq!(dst.data(), expected.data(), "scale_assign threads={}", t);
+            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "scale_assign threads={}", t);
         }
     }
 
@@ -400,11 +420,11 @@ proptest! {
         for &t in &THREADS {
             let mut dirty = src.clone();
             kernels::zip_map_into_with(&mut dirty, &dst0, &src, f, t);
-            prop_assert_eq!(dirty.data(), expected_into.data(), "into threads={}", t);
+            prop_assert_eq!(bits(dirty.data()), bits(expected_into.data()), "into threads={}", t);
 
             let mut acc = dst0.clone();
             kernels::zip_map_acc_with(&mut acc, &dst0, &src, f, t);
-            prop_assert_eq!(acc.data(), expected_acc.data(), "acc threads={}", t);
+            prop_assert_eq!(bits(acc.data()), bits(expected_acc.data()), "acc threads={}", t);
         }
     }
 
@@ -418,11 +438,11 @@ proptest! {
         for &t in &THREADS {
             let mut dst = dst0.clone();
             kernels::matmul_nt_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), expected.data(), "acc threads={}", t);
+            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "acc threads={}", t);
             // The assign form overwrites a dirty buffer with the product.
             let mut dirty = dst0.clone();
             kernels::matmul_nt_into_with(&mut dirty, &a, &b, t);
-            prop_assert_eq!(dirty.data(), product.data(), "into threads={}", t);
+            prop_assert_eq!(bits(dirty.data()), bits(product.data()), "into threads={}", t);
         }
     }
 
@@ -439,28 +459,20 @@ proptest! {
         }
         let mut dirty = dst0.clone();
         kernels::mul_col_broadcast_into(&mut dirty, &src, &col);
-        prop_assert_eq!(dirty.data(), product.data());
+        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
         let mut acc = dst0.clone();
         kernels::mul_col_broadcast_acc(&mut acc, &src, &col);
-        prop_assert_eq!(acc.data(), expected.data());
+        prop_assert_eq!(bits(acc.data()), bits(expected.data()));
     }
 
     #[test]
     fn row_dot_fused_match_allocate_then_combine((a, b) in elementwise_inputs()) {
         // Per-row dots in the canonical lane order (the reference never
-        // shares code with the kernel under test).
+        // shares code with the kernel under test), over a dirty buffer.
         let product = Matrix::from_fn(a.rows(), 1, |r, _| lane_dot_ref(a.row(r), b.row(r)));
-        let dst0 = Matrix::from_fn(a.rows(), 1, |r, _| (r as f32 * 0.61 - 1.3).cos());
-        let mut expected = dst0.clone();
-        for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
-            *e += x;
-        }
-        let mut dirty = dst0.clone();
+        let mut dirty = Matrix::from_fn(a.rows(), 1, |r, _| (r as f32 * 0.61 - 1.3).cos());
         kernels::row_dot_into(&mut dirty, &a, &b);
-        prop_assert_eq!(dirty.data(), product.data());
-        let mut acc = dst0.clone();
-        kernels::row_dot_acc(&mut acc, &a, &b);
-        prop_assert_eq!(acc.data(), expected.data());
+        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
     }
 
     #[test]
@@ -481,10 +493,10 @@ proptest! {
         }
         let mut dirty = dst0.clone();
         kernels::softmax_rows_backward_into(&mut dirty, &g, &y);
-        prop_assert_eq!(dirty.data(), product.data());
+        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
         let mut acc = dst0.clone();
         kernels::softmax_rows_backward_acc(&mut acc, &g, &y);
-        prop_assert_eq!(acc.data(), expected.data());
+        prop_assert_eq!(bits(acc.data()), bits(expected.data()));
     }
 
     #[test]
@@ -497,7 +509,7 @@ proptest! {
         let product = kernels::matmul_serial(&a.transpose(), &b);
         for &t in &THREADS {
             let got = matmul_tn_at(&a, &b, t);
-            prop_assert_eq!(got.data(), product.data(), "threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(product.data()), "threads={}", t);
         }
     }
 
@@ -507,8 +519,8 @@ proptest! {
         let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
         for &t in &THREADS {
             let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
-            prop_assert_eq!(got.data(), product.data(), "spmm_acc threads={}", t);
-            prop_assert_eq!(got_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(product.data()), "spmm_acc threads={}", t);
+            prop_assert_eq!(bits(got_t.data()), bits(product_t.data()), "spmm_t_acc threads={}", t);
         }
     }
 
@@ -520,8 +532,8 @@ proptest! {
         let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
         for &t in &THREADS {
             let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
-            prop_assert_eq!(got.data(), product.data(), "spmm_acc threads={}", t);
-            prop_assert_eq!(got_t.data(), product_t.data(), "spmm_t_acc threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(product.data()), "spmm_acc threads={}", t);
+            prop_assert_eq!(bits(got_t.data()), bits(product_t.data()), "spmm_t_acc threads={}", t);
         }
     }
 }
@@ -529,7 +541,7 @@ proptest! {
 // ----- canonical lane order (LANES = 8 dot reductions) ----------------
 //
 // The dot-reduction kernels — the `matmul_nt` family, `row_dots`,
-// `row_dot_into` / `row_dot_acc`, and the softmax-backward row totals —
+// `row_dot_into`, and the softmax-backward row totals —
 // accumulate in the fixed-lane order spelled out by `lane_dot_ref` at
 // the top of this file: machine-independent by construction, and the
 // same on every code path. These proptests pin every entry point
@@ -541,9 +553,10 @@ proptest! {
 
 /// `(a, b)` with equal column counts for the dot-reduction kernels;
 /// k ranges past one full lane block so every remainder length shows
-/// up both with and without a preceding full block.
+/// up both with and without a preceding full block, and p spans three
+/// of `matmul_nt`'s 8-column strips (full, several, ragged).
 fn nt_lane_inputs() -> impl Strategy<Value = (Matrix, Matrix)> {
-    (0usize..5, 0usize..20, 0usize..6).prop_flat_map(|(m, k, p)| (matrix(m, k), matrix(p, k)))
+    (0usize..5, 0usize..20, 0usize..26).prop_flat_map(|(m, k, p)| (matrix(m, k), matrix(p, k)))
 }
 
 /// A catalog matrix and a conformable query vector for `row_dots`.
@@ -559,10 +572,10 @@ proptest! {
             Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
         let nan = Matrix::filled(a.rows(), b.rows(), f32::NAN);
         let auto = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
-        prop_assert_eq!(auto.data(), expected.data());
+        prop_assert_eq!(bits(auto.data()), bits(expected.data()));
         for &t in &THREADS {
             let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-            prop_assert_eq!(got.data(), expected.data(), "threads={}", t);
+            prop_assert_eq!(bits(got.data()), bits(expected.data()), "threads={}", t);
         }
     }
 
@@ -570,9 +583,9 @@ proptest! {
     fn row_dots_matches_lane_order_reference((base, query) in row_dots_inputs()) {
         let expected: Vec<f32> =
             (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
-        prop_assert_eq!(&kernels::row_dots(&base, &query), &expected);
+        prop_assert_eq!(bits(&kernels::row_dots(&base, &query)), bits(&expected));
         for &t in &THREADS {
-            prop_assert_eq!(&kernels::row_dots_with(&base, &query, t), &expected, "threads={}", t);
+            prop_assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&expected), "threads={}", t);
         }
     }
 
@@ -589,7 +602,7 @@ proptest! {
         for &t in &THREADS {
             let mut dst = dst0.clone();
             kernels::matmul_into_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(dst.data(), reference.data(), "threads={}", t);
+            prop_assert_eq!(bits(dst.data()), bits(reference.data()), "threads={}", t);
         }
     }
 }
@@ -606,10 +619,54 @@ fn matmul_packed_tiling_boundaries_are_bitwise_serial() {
     let b = Matrix::from_fn(130, 519, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
     let reference = kernels::matmul_serial(&a, &b);
     for t in 1..=4 {
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data(), "threads={t}");
+        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()), "threads={t}");
         let mut dst = Matrix::from_fn(9, 519, |r, c| (r as f32 - c as f32) * 0.1);
         kernels::matmul_into_with(&mut dst, &a, &b, t);
-        assert_eq!(dst.data(), reference.data(), "into threads={t}");
+        assert_eq!(bits(dst.data()), bits(reference.data()), "into threads={t}");
+    }
+}
+
+#[test]
+fn matmul_nt_zero_row_is_positive_zero() {
+    // A zero row of `a` against all-negative rows of `b`: every product
+    // is −0.0, and lanes that start at +0.0 absorb it (+0.0 + −0.0 =
+    // +0.0), so every element is +0.0 — the `into` form writes it, the
+    // `acc` form turns a −0.0 destination into it. Lanes started at
+    // −0.0, or seeded with their first product, would leave −0.0.
+    let _caps = ThreadOverride::lift_caps();
+    for k in [8, 16] {
+        let a = Matrix::zeros(3, k);
+        let b = Matrix::from_fn(11, k, |r, c| -1.0 - (r * k + c) as f32 * 0.25);
+        let (nan, neg) = (Matrix::filled(3, 11, f32::NAN), Matrix::filled(3, 11, -0.0));
+        for &t in &THREADS {
+            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
+            assert_eq!(bits(got.data()), bits(&[0.0; 33]), "into k={k} threads={t}");
+            let got = run_on(&neg, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
+            assert_eq!(bits(got.data()), bits(&[0.0; 33]), "acc k={k} threads={t}");
+        }
+    }
+}
+
+#[test]
+fn matmul_nt_deep_rows_match_lane_order_reference() {
+    // k = 4100 is deeper than one packed b^T strip holds (4096 rows, the
+    // pack buffer's bound), so each row's strips are packed and summed
+    // one k-block at a time; the lane sequence must not notice.
+    let _caps = ThreadOverride::lift_caps();
+    let k = 4100;
+    let a = Matrix::from_fn(3, k, |r, c| ((r * 31 + c * 7) as f32 * 0.013).sin());
+    let b = Matrix::from_fn(11, k, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
+    let product = Matrix::from_fn(3, 11, |i, j| lane_dot_ref(a.row(i), b.row(j)));
+    let dst0 = dirty(3, 11);
+    let mut expected = dst0.clone();
+    for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
+        *e += x;
+    }
+    for &t in &THREADS {
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
+        assert_eq!(bits(got.data()), bits(product.data()), "into threads={t}");
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
+        assert_eq!(bits(got.data()), bits(expected.data()), "acc threads={t}");
     }
 }
 
@@ -628,10 +685,10 @@ fn fused_kernels_bitwise_across_pool_threads() {
     for t in [2, 3, 4] {
         let mut dst = a.clone();
         kernels::axpy_with(&mut dst, &b, 0.75, t);
-        assert_eq!(dst.data(), expected_axpy.data(), "axpy threads={t}");
+        assert_eq!(bits(dst.data()), bits(expected_axpy.data()), "axpy threads={t}");
         let mut tn = Matrix::zeros(a.cols(), b.cols());
         kernels::matmul_tn_acc_with(&mut tn, &a, &b, t);
-        assert_eq!(tn.data(), expected_tn.data(), "matmul_tn_acc threads={t}");
+        assert_eq!(bits(tn.data()), bits(expected_tn.data()), "matmul_tn_acc threads={t}");
     }
 }
 
@@ -644,10 +701,10 @@ fn empty_matrices_all_kernels() {
         assert_eq!(kernels::matmul_with(&a00, &a00, t).shape(), (0, 0));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
-        assert_eq!(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).data(), &[0.0; 8]);
+        assert_eq!(bits(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).data()), bits(&[0.0; 8]));
         let mut nt = Matrix::ones(2, 5);
         kernels::matmul_nt_into_with(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t);
-        assert_eq!(nt.data(), &[0.0; 10], "an empty dot overwrites with 0");
+        assert_eq!(bits(nt.data()), bits(&[0.0; 10]), "an empty dot overwrites with 0");
     }
 }
 
@@ -658,7 +715,7 @@ fn single_row_inputs() {
     let reference = kernels::matmul_serial(&a, &b);
     for &t in &THREADS {
         // More threads than rows must clamp, not panic.
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data());
+        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()));
     }
 }
 
@@ -668,8 +725,8 @@ fn nnz_zero_csr() {
     let x = Matrix::ones(7, 3);
     let xt = Matrix::ones(5, 3);
     for &t in &THREADS {
-        assert_eq!(spmm_at(&e, &x, t).data(), &[0.0; 15]);
-        assert_eq!(spmm_t_at(&e, &xt, t).data(), &[0.0; 21]);
+        assert_eq!(bits(spmm_at(&e, &x, t).data()), bits(&[0.0; 15]));
+        assert_eq!(bits(spmm_t_at(&e, &xt, t).data()), bits(&[0.0; 21]));
     }
 }
 
@@ -681,7 +738,7 @@ fn parallel_results_are_bitwise_identical() {
     let b = Matrix::from_fn(53, 29, |r, c| ((r * 7 + c * 11) as f32 * 0.029).cos());
     let reference = kernels::matmul_serial(&a, &b);
     for t in 1..=8 {
-        assert_eq!(kernels::matmul_with(&a, &b, t).data(), reference.data(), "threads={t}");
+        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()), "threads={t}");
     }
     let csr = Csr::from_triplets(
         40,
@@ -693,7 +750,7 @@ fn parallel_results_are_bitwise_identical() {
     let x = Matrix::from_fn(31, 6, |r, c| (r as f32 - c as f32) * 0.3);
     let reference = spmm_ref(&csr, &x);
     for t in 1..=8 {
-        assert_eq!(spmm_at(&csr, &x, t).data(), reference.data(), "threads={t}");
+        assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(reference.data()), "threads={t}");
     }
 }
 
@@ -722,8 +779,8 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     par::set_threads(Some(8));
     let result = std::panic::catch_unwind(|| {
         for t in 1..=8 {
-            assert_eq!(spmm_at(&csr, &x, t).data(), reference.data(), "spmm threads={t}");
-            assert_eq!(spmm_t_at(&csr, &xt, t).data(), reference_t.data(), "spmm_t threads={t}");
+            assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(reference.data()), "spmm threads={t}");
+            assert_eq!(bits(spmm_t_at(&csr, &xt, t).data()), bits(reference_t.data()), "spmm_t threads={t}");
         }
     });
     par::set_threads(None);
@@ -737,7 +794,7 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
         400,
         &csr.iter().map(|(r, c, v)| (c, r, v)).collect::<Vec<_>>(),
     );
-    assert_eq!(csr.transpose(), via_triplets);
+    assert_eq!(csr_bits(&csr.transpose()), csr_bits(&via_triplets));
 }
 
 // ----- auto-dispatch wrappers -----------------------------------------
@@ -793,19 +850,19 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let mut want = tn_dirty.clone();
     kernels::matmul_tn_acc(&mut got, &a, &same_rows);
     kernels::matmul_tn_acc_with(&mut want, &a, &same_rows, 1);
-    assert_eq!(got.data(), want.data(), "matmul_tn_acc");
+    assert_eq!(bits(got.data()), bits(want.data()), "matmul_tn_acc");
 
     let nt_dirty = Matrix::from_fn(13, 7, |r, c| ((r * 5 + c) as f32 * 0.13).sin());
     let mut got = nt_dirty.clone();
     let mut want = nt_dirty.clone();
     kernels::matmul_nt_acc(&mut got, &a, &same_cols);
     kernels::matmul_nt_acc_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(got.data(), want.data(), "matmul_nt_acc");
+    assert_eq!(bits(got.data()), bits(want.data()), "matmul_nt_acc");
     let mut got = nt_dirty.clone();
     let mut want = nt_dirty;
     kernels::matmul_nt_into(&mut got, &a, &same_cols);
     kernels::matmul_nt_into_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(got.data(), want.data(), "matmul_nt_into");
+    assert_eq!(bits(got.data()), bits(want.data()), "matmul_nt_into");
 
     // Sparse wrappers.
     let csr = Csr::from_triplets(
@@ -821,12 +878,12 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let mut want = Matrix::zeros(12, 5);
     kernels::spmm_acc(&mut got, &csr, &x);
     kernels::spmm_acc_with(&mut want, &csr, &x, 1);
-    assert_eq!(got.data(), want.data(), "spmm_acc");
+    assert_eq!(bits(got.data()), bits(want.data()), "spmm_acc");
     let mut got = Matrix::zeros(10, 5);
     let mut want = Matrix::zeros(10, 5);
     kernels::spmm_t_acc(&mut got, &csr, &xt);
     kernels::spmm_t_acc_with(&mut want, &csr, &xt, 1);
-    assert_eq!(got.data(), want.data(), "spmm_t_acc");
+    assert_eq!(bits(got.data()), bits(want.data()), "spmm_t_acc");
 
     // Elementwise wrappers.
     let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
@@ -837,32 +894,32 @@ fn auto_wrappers_match_explicit_thread_counts() {
         let mut want = base.clone();
         kernels::add_assign(&mut got, &src);
         kernels::add_assign_with(&mut want, &src, t);
-        assert_eq!(got.data(), want.data(), "add_assign threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "add_assign threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::axpy(&mut got, &src, 0.6);
         kernels::axpy_with(&mut want, &src, 0.6, t);
-        assert_eq!(got.data(), want.data(), "axpy threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "axpy threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::scale_into(&mut got, &src, -1.7);
         kernels::scale_into_with(&mut want, &src, -1.7, t);
-        assert_eq!(got.data(), want.data(), "scale_into threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "scale_into threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::scale_assign(&mut got, 2.3);
         kernels::scale_assign_with(&mut want, 2.3, t);
-        assert_eq!(got.data(), want.data(), "scale_assign threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "scale_assign threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::zip_map_into(&mut got, &base, &src, f);
         kernels::zip_map_into_with(&mut want, &base, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_into threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "zip_map_into threads={t}");
         let mut got = base.clone();
         let mut want = base.clone();
         kernels::zip_map_acc(&mut got, &base, &src, f);
         kernels::zip_map_acc_with(&mut want, &base, &src, f, t);
-        assert_eq!(got.data(), want.data(), "zip_map_acc threads={t}");
+        assert_eq!(bits(got.data()), bits(want.data()), "zip_map_acc threads={t}");
     }
 
     // Scatter-add, row-dot and ranking wrappers.
@@ -871,18 +928,18 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let mut want = Matrix::zeros(4, base.cols());
     kernels::scatter_add_rows(&mut got, &indices, &base);
     kernels::scatter_add_rows_with(&mut want, &indices, &base, 1);
-    assert_eq!(got.data(), want.data(), "scatter_add_rows");
+    assert_eq!(bits(got.data()), bits(want.data()), "scatter_add_rows");
 
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();
     let serial: Vec<f32> =
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
-    assert_eq!(kernels::row_dots(&base, &query), serial, "row_dots");
+    assert_eq!(bits(&kernels::row_dots(&base, &query)), bits(&serial), "row_dots");
     for t in 1..=3usize {
-        assert_eq!(kernels::row_dots_with(&base, &query, t), serial, "row_dots_with threads={t}");
+        assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&serial), "row_dots_with threads={t}");
     }
     let mut scratch = kernels::RankScratch::new();
     let want = kernels::rank_rows_with(&base, &query, 4, &[1, 5], &mut scratch, 1).to_vec();
-    assert_eq!(kernels::rank_rows(&base, &query, 4, &[1, 5], &mut scratch), &want[..], "rank_rows");
+    assert_eq!(pair_bits(kernels::rank_rows(&base, &query, 4, &[1, 5], &mut scratch)), pair_bits(&want), "rank_rows");
 }
 
 // ----- canonical dot & top-k partial selection ------------------------
@@ -947,10 +1004,10 @@ proptest! {
         for k in [0, 1, 3, n / 8, n / 2, n.saturating_sub(1), n, n + 7] {
             let expected = top_k_ref(&scores, k, &exclude);
             let got = kernels::top_k_select_excluding(&scores, k, &exclude, &mut scratch);
-            prop_assert_eq!(got, &expected[..], "excluding, k={}", k);
+            prop_assert_eq!(pair_bits(got), pair_bits(&expected), "excluding, k={}", k);
             let expected_all = top_k_ref(&scores, k, &[]);
             let got_all = kernels::top_k_select_excluding(&scores, k, &[], &mut scratch);
-            prop_assert_eq!(got_all, &expected_all[..], "no exclusion, k={}", k);
+            prop_assert_eq!(pair_bits(got_all), pair_bits(&expected_all), "no exclusion, k={}", k);
         }
     }
 
@@ -962,14 +1019,13 @@ proptest! {
         // really split the sweep on a 1-core host.
         let _caps = ThreadOverride::lift_caps();
         let scores: Vec<f32> = (0..catalog.rows()).map(|r| lane_dot_ref(catalog.row(r), &query)).collect();
-        let bits = |v: &[(u32, f32)]| v.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>();
         let n = catalog.rows();
         let mut scratch = kernels::RankScratch::new();
         for k in [0, 1, n, n + 3] {
-            let expected = bits(&top_k_ref(&scores, k, &exclude));
+            let expected = pair_bits(&top_k_ref(&scores, k, &exclude));
             for &t in &THREADS {
                 let got = kernels::rank_rows_with(&catalog, &query, k, &exclude, &mut scratch, t);
-                prop_assert_eq!(bits(got), expected.clone(), "k={} threads={}", k, t);
+                prop_assert_eq!(pair_bits(got), expected.clone(), "k={} threads={}", k, t);
             }
         }
     }
@@ -985,10 +1041,7 @@ proptest! {
         let mut dst = vec![f32::NAN; base.rows()];
         kernels::row_dots_into(&mut dst, &base, &query);
         let reference = kernels::row_dots(&base, &query);
-        prop_assert_eq!(
-            dst.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(bits(&dst), bits(&reference));
     }
 }
 
@@ -1008,7 +1061,7 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // exclusion merge-walk tolerates duplicate entries.
     let scores = [0.5, 2.0, 2.0, -1.0, 2.0, 0.0];
     let got = kernels::top_k_select_excluding(&scores, 3, &[1, 1, 4], &mut scratch);
-    assert_eq!(got, &[(2, 2.0), (0, 0.5), (5, 0.0)]);
+    assert_eq!(pair_bits(got), pair_bits(&[(2, 2.0), (0, 0.5), (5, 0.0)]));
     // NaN scores are ordered by total_cmp (positive NaN above +inf),
     // not silently shuffled like the old partial_cmp comparator.
     let with_nan = [1.0, f32::NAN, f32::INFINITY, 2.0];
@@ -1029,5 +1082,5 @@ fn auto_dispatch_is_thread_count_invariant() {
     par::set_threads(Some(1));
     let narrow = a.matmul(&b);
     par::set_threads(None);
-    assert_eq!(wide.data(), narrow.data());
+    assert_eq!(bits(wide.data()), bits(narrow.data()));
 }
