@@ -21,42 +21,36 @@ use gnmr_tensor::Matrix;
 
 use crate::params::{Grads, ParamStore};
 
-/// Adam (Kingma & Ba) with coupled L2 weight decay and optional
-/// exponential learning-rate decay, matching the paper's training setup.
+/// First-moment decay `beta1`.
+const BETA1: f32 = 0.9;
+
+/// Second-moment decay `beta2`.
+const BETA2: f32 = 0.999;
+
+/// Numerical-stability epsilon.
+const EPS: f32 = 1e-8;
+
+/// Multiplicative lr decay applied per epoch by [`Adam::decay_lr`] (the
+/// paper's 0.96).
+const LR_DECAY: f32 = 0.96;
+
+/// Adam (Kingma & Ba) with coupled L2 weight decay and per-epoch
+/// exponential learning-rate decay, matching the paper's training setup:
+/// `beta1 = 0.9`, `beta2 = 0.999`, `eps = 1e-8`, lr decay 0.96.
 pub struct Adam {
-    /// Base learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
+    /// Current learning rate (decayed by [`Adam::decay_lr`]).
+    lr: f32,
     /// Coupled L2 coefficient (the paper's `lambda`).
-    pub weight_decay: f32,
-    /// Multiplicative lr decay applied per epoch via [`Adam::decay_lr`]
-    /// (the paper uses 0.96).
-    pub lr_decay: f32,
+    weight_decay: f32,
     t: u64,
     m: BTreeMap<String, Matrix>,
     v: BTreeMap<String, Matrix>,
 }
 
 impl Adam {
-    /// Adam with the paper's defaults: `beta1=0.9`, `beta2=0.999`,
-    /// `eps=1e-8`, no weight decay, lr decay 0.96.
+    /// Adam at learning rate `lr` with no weight decay.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            lr_decay: 0.96,
-            t: 0,
-            m: BTreeMap::new(),
-            v: BTreeMap::new(),
-        }
+        Self { lr, weight_decay: 0.0, t: 0, m: BTreeMap::new(), v: BTreeMap::new() }
     }
 
     /// Sets the coupled L2 coefficient, builder-style.
@@ -72,12 +66,12 @@ impl Adam {
 
     /// Applies the per-epoch exponential learning-rate decay.
     pub fn decay_lr(&mut self) {
-        self.lr *= self.lr_decay;
+        self.lr *= LR_DECAY;
     }
 
     /// Freezes the optimizer's evolving state for checkpointing: the
     /// step count, the *decayed* learning rate (stored as the exact f32
-    /// reached by the repeated `lr *= lr_decay` chain — recomputing it
+    /// reached by the repeated `lr *= 0.96` chain — recomputing it
     /// as a power on resume would not be bitwise-identical), and both
     /// moment maps in ascending name order.
     pub fn export_state(&self) -> AdamState {
@@ -92,10 +86,10 @@ impl Adam {
         AdamState { t: self.t, lr: self.lr, moments }
     }
 
-    /// Restores state frozen by [`Adam::export_state`]. Hyperparameters
-    /// (betas, eps, weight decay, decay rate) are construction-time
-    /// configuration and are left untouched; a resumed optimizer takes
-    /// its next step exactly as the uninterrupted one would have.
+    /// Restores state frozen by [`Adam::export_state`]. The weight
+    /// decay is construction-time configuration and is left untouched;
+    /// a resumed optimizer takes its next step exactly as the
+    /// uninterrupted one would have.
     ///
     /// # Panics
     /// If the moment names are not strictly ascending or m/v shapes
@@ -122,12 +116,12 @@ impl Adam {
         self.t += 1;
         let cfg = AdamStep {
             lr: self.lr,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            eps: self.eps,
+            beta1: BETA1,
+            beta2: BETA2,
+            eps: EPS,
             weight_decay: self.weight_decay,
-            bc1: 1.0 - self.beta1.powi(self.t as i32),
-            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            bc1: 1.0 - BETA1.powi(self.t as i32),
+            bc2: 1.0 - BETA2.powi(self.t as i32),
         };
         for (name, w) in store.iter_mut() {
             let Some(g) = grads.get(name) else { continue };

@@ -86,17 +86,6 @@ impl ParamStore {
         self.entries.is_empty()
     }
 
-    /// Total number of scalar weights.
-    pub fn num_scalars(&self) -> usize {
-        self.entries.values().map(Matrix::len).sum()
-    }
-
-    /// Squared Frobenius norm over all parameters (the `||Theta||_F^2`
-    /// regularization term of the paper's Eq. 7).
-    pub fn l2_norm_sq(&self) -> f32 {
-        self.entries.values().map(Matrix::frobenius_norm_sq).sum()
-    }
-
     /// Whether every parameter is finite.
     pub fn all_finite(&self) -> bool {
         self.entries.values().all(Matrix::is_finite)
@@ -284,8 +273,6 @@ mod tests {
     fn store_basics() {
         let s = store_with(&[("b", Matrix::ones(1, 2)), ("a", Matrix::ones(2, 2))]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.num_scalars(), 6);
-        assert!((s.l2_norm_sq() - 6.0).abs() < 1e-6);
         let names: Vec<_> = s.names().collect();
         assert_eq!(names, vec!["a", "b"]); // sorted order
         assert!(s.contains("a"));

@@ -41,7 +41,7 @@ impl Cdae {
         let keep_scale = 1.0 / (1.0 - corruption);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
+            let (mut epoch_loss, mut counted) = (0.0, 0usize);
             for _ in 0..steps {
                 let eligible = sampler.eligible_users();
                 if eligible.is_empty() {
@@ -88,12 +88,13 @@ impl Cdae {
                 let masked = ctx.g.mul(sq, maskv);
                 let loss = ctx.g.mean(masked);
                 epoch_loss += ctx.g.value(loss).scalar_value();
+                counted += 1;
                 let mut grads = ctx.grads(loss);
                 grads.clip_global_norm(5.0);
                 opt.step(&mut store, &grads);
             }
             opt.decay_lr();
-            losses.push(epoch_loss / steps as f32);
+            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
         }
 
         // Clean-input reconstruction for scoring.
@@ -150,5 +151,17 @@ mod tests {
         let a = m.reconstruction.row(0);
         let b = m.reconstruction.row(1);
         assert!(a != b, "reconstructions identical");
+    }
+
+    #[test]
+    fn epochs_without_a_step_report_nan() {
+        // Views only: no user has a target interaction, so no epoch
+        // takes a step, and a mean over zero steps is NaN, not 0.
+        let view = gnmr_graph::Interaction { user: 0, item: 1, behavior: 0, ts: 0 };
+        let log = gnmr_graph::InteractionLog::new(3, 4, vec!["view".into(), "buy".into()], vec![view]).unwrap();
+        let graph = MultiBehaviorGraph::from_log(&log, "buy");
+        let m = Cdae::fit(&graph, &BaselineConfig { epochs: 2, ..BaselineConfig::fast_test() });
+        assert_eq!(m.losses.len(), 2);
+        assert!(m.losses.iter().all(|l| l.is_nan()), "{:?}", m.losses);
     }
 }

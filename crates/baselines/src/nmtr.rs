@@ -89,7 +89,7 @@ impl Nmtr {
             .max(1);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
+            let (mut epoch_loss, mut counted) = (0.0, 0usize);
             for _ in 0..steps {
                 let mut ctx = Ctx::new(&store);
                 let mut total: Option<Var> = None;
@@ -131,12 +131,13 @@ impl Nmtr {
                 }
                 let Some(loss) = total else { continue };
                 epoch_loss += ctx.g.value(loss).scalar_value();
+                counted += 1;
                 let mut grads = ctx.grads(loss);
                 grads.clip_global_norm(5.0);
                 opt.step(&mut store, &grads);
             }
             opt.decay_lr();
-            losses.push(epoch_loss / steps as f32);
+            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
         }
         Self { store, n_behaviors: k_types, target: graph.target(), losses }
     }
@@ -185,5 +186,16 @@ mod tests {
         let r = evaluate(&m, &d.test, &[10]);
         assert!(r.hr_at(10).is_finite());
         assert!(r.hr_at(10) > 0.05, "NMTR on funnel: {:.3}", r.hr_at(10));
+    }
+
+    #[test]
+    fn epochs_without_a_step_report_nan() {
+        // An empty log: no behavior has an eligible user, so no epoch
+        // takes a step, and a mean over zero steps is NaN, not 0.
+        let log = gnmr_graph::InteractionLog::new(3, 4, vec!["view".into(), "buy".into()], vec![]).unwrap();
+        let graph = MultiBehaviorGraph::from_log(&log, "buy");
+        let m = Nmtr::fit(&graph, &BaselineConfig { epochs: 2, ..BaselineConfig::fast_test() });
+        assert_eq!(m.losses.len(), 2);
+        assert!(m.losses.iter().all(|l| l.is_nan()), "{:?}", m.losses);
     }
 }

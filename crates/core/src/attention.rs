@@ -6,9 +6,8 @@
 //! `k'`, heads concatenated, then a residual connection with the original
 //! embedding.
 //!
-//! The paper's text applies the residual twice; the default here is a
-//! single residual, with the literal double residual available behind
-//! [`GnmrConfig::double_residual`].
+//! The paper's text adds the residual twice (`attn + 2h`); the model adds
+//! it once (`attn + h`).
 
 use gnmr_autograd::{Ctx, ParamStore, Var};
 use gnmr_tensor::init;
@@ -64,11 +63,7 @@ pub(crate) fn apply(ctx: &mut Ctx<'_>, prefix: &str, behaviors: &[Var], cfg: &Gn
             head_outputs.push(ctx.g.weighted_sum(beta, &values[s]));
         }
         let concat = ctx.g.concat_cols(&head_outputs); // (n, d)
-        let mut out = ctx.g.add(concat, h_k);
-        if cfg.double_residual {
-            out = ctx.g.add(out, h_k);
-        }
-        outputs.push(out);
+        outputs.push(ctx.g.add(concat, h_k));
     }
     outputs
 }
@@ -129,29 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn double_residual_adds_input_twice() {
-        let mut c = cfg();
-        let mut store = ParamStore::new();
-        register(&mut store, &mut seeded(5), "att", &c);
-        let input = init::uniform(3, 8, -1.0, 1.0, &mut seeded(6));
-
-        let single = {
-            let mut ctx = Ctx::new(&store);
-            let h = ctx.constant(input.clone());
-            let outs = apply(&mut ctx, "att", &[h, h], &c);
-            ctx.g.value(outs[0]).clone()
-        };
-        c.double_residual = true;
-        let double = {
-            let mut ctx = Ctx::new(&store);
-            let h = ctx.constant(input.clone());
-            let outs = apply(&mut ctx, "att", &[h, h], &c);
-            ctx.g.value(outs[0]).clone()
-        };
-        assert!(double.sub(&single).approx_eq(&input, 1e-5));
-    }
-
-    #[test]
     fn gradients_check_out() {
         let c = cfg();
         let mut store = ParamStore::new();
@@ -187,7 +159,7 @@ mod tests {
         gnmr_tensor::kernels::set_min_work(Some(1));
         gnmr_tensor::par::set_threads(Some(3));
         let result = std::panic::catch_unwind(|| {
-            let c = GnmrConfig { dim: 8, heads: 2, double_residual: true, ..GnmrConfig::default() };
+            let c = cfg();
             let mut store = ParamStore::new();
             register(&mut store, &mut seeded(17), "att", &c);
             store.insert("h0", init::uniform(5, 8, -1.0, 1.0, &mut seeded(18)));

@@ -220,27 +220,26 @@ impl TrainCheckpoint {
 }
 
 /// Checkpointing policy for [`crate::Gnmr::fit_checkpointed`]: where to
-/// write, how often, whether to resume, and the fault plan every I/O
-/// operation is routed through (production: [`FaultPlan::none`]).
+/// write, how often, and the fault plan every I/O operation is routed
+/// through (production: [`FaultPlan::none`]). A fit resumes from `path`
+/// whenever a checkpoint is there when it starts.
 #[derive(Debug)]
 pub struct Checkpointing {
     /// Checkpoint file path; each write atomically replaces it.
     pub path: PathBuf,
-    /// Checkpoint after every `every` completed epochs (must be ≥ 1).
+    /// Checkpoint after every `every` completed epochs. Must be at
+    /// least 1; `fit_checkpointed` rejects 0 with
+    /// [`io::ErrorKind::InvalidInput`].
     pub every: usize,
-    /// If `path` holds a checkpoint when the fit starts, resume from it
-    /// instead of training from scratch.
-    pub resume: bool,
     /// Fault plan for crash drills; all checkpoint I/O flows through it.
     pub plan: FaultPlan,
 }
 
 impl Checkpointing {
-    /// Checkpoints to `path` every `every` epochs, resuming if `path`
-    /// already holds a checkpoint, with no fault injection.
+    /// Checkpoints to `path` every `every` epochs with no fault
+    /// injection.
     pub fn every(path: impl Into<PathBuf>, every: usize) -> Self {
-        assert!(every >= 1, "Checkpointing: `every` must be >= 1");
-        Checkpointing { path: path.into(), every, resume: true, plan: FaultPlan::none() }
+        Checkpointing { path: path.into(), every, plan: FaultPlan::none() }
     }
 
     /// Replaces the fault plan, builder-style (crash drills).

@@ -1,7 +1,5 @@
 //! GNMR model and training configuration.
 
-use gnmr_graph::NeighborNorm;
-
 /// Which components of the propagation layer are active. Used for the
 /// paper's Figure 2 component ablations and the extra design ablations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -65,8 +63,6 @@ pub struct GnmrConfig {
     pub layers: usize,
     /// Hidden width `d'` of the psi gate network.
     pub fusion_hidden: usize,
-    /// Neighbor normalization in eta (see `NeighborNorm`).
-    pub norm: NeighborNorm,
     /// Active components.
     pub variant: GnmrVariant,
     /// Whether to initialize order-0 embeddings with the autoencoder
@@ -74,9 +70,6 @@ pub struct GnmrConfig {
     pub pretrain: bool,
     /// Epochs of autoencoder pre-training when `pretrain` is set.
     pub pretrain_epochs: usize,
-    /// Apply the paper's literal double residual in xi (`attn + 2h`)
-    /// instead of the single residual (`attn + h`).
-    pub double_residual: bool,
     /// Model initialization seed.
     pub seed: u64,
 }
@@ -89,11 +82,9 @@ impl Default for GnmrConfig {
             heads: 2,
             layers: 2,
             fusion_hidden: 16,
-            norm: NeighborNorm::Mean,
             variant: GnmrVariant::full(),
             pretrain: true,
             pretrain_epochs: 4,
-            double_residual: false,
             seed: 1,
         }
     }

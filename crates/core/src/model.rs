@@ -66,11 +66,15 @@ impl Gnmr {
             }
         }
 
+        // Eq. 2 sums neighbor messages, but raw sums scale with node
+        // degree and destabilize deep propagation, so (as in the authors'
+        // released implementation) every per-behavior adjacency is
+        // row-normalized: each message is the mean over the neighbors.
         let adj_user_item: Vec<Arc<Csr>> = (0..graph.n_behaviors())
-            .map(|k| Arc::new(cfg.norm.apply(graph.user_item(k))))
+            .map(|k| Arc::new(graph.user_item(k).row_normalized()))
             .collect();
         let adj_item_user: Vec<Arc<Csr>> = (0..graph.n_behaviors())
-            .map(|k| Arc::new(cfg.norm.apply(graph.item_user(k))))
+            .map(|k| Arc::new(graph.item_user(k).row_normalized()))
             .collect();
         // Training backpropagates through every spmm above via spmm_t,
         // whose parallel kernel streams a lazily built column-major
@@ -313,6 +317,37 @@ mod tests {
         }
         for &v in &vs {
             assert_eq!(ctx.g.shape(v), (d.graph.n_items(), 8));
+        }
+    }
+
+    #[test]
+    fn adjacency_rows_are_neighbor_means() {
+        // Messages are means over the neighbors, not Eq. 2's plain sum:
+        // each propagation adjacency keeps the graph's pattern, every
+        // stored weight is its share of the row, and non-empty rows sum
+        // to one.
+        let (model, d) = small_model(GnmrVariant::full(), 1);
+        for k in 0..d.graph.n_behaviors() {
+            for (adj, raw) in [
+                (&model.adj_user_item[k], d.graph.user_item(k)),
+                (&model.adj_item_user[k], d.graph.item_user(k)),
+            ] {
+                assert!(raw.nnz() > 0, "behavior {k} has no edges");
+                assert_eq!(adj.shape(), raw.shape());
+                for r in 0..raw.rows() {
+                    let (cols, vals) = adj.row(r);
+                    let (raw_cols, raw_vals) = raw.row(r);
+                    assert_eq!(cols, raw_cols, "behavior {k} row {r}");
+                    let total: f32 = raw_vals.iter().sum();
+                    for (&v, &w) in vals.iter().zip(raw_vals) {
+                        assert!((v - w / total).abs() < 1e-6, "behavior {k} row {r}: {v} vs {w}/{total}");
+                    }
+                    if !vals.is_empty() {
+                        let sum: f32 = vals.iter().sum();
+                        assert!((sum - 1.0).abs() < 1e-5, "behavior {k} row {r} sums to {sum}");
+                    }
+                }
+            }
         }
     }
 

@@ -61,8 +61,8 @@ impl Gnmr {
 
     /// [`Gnmr::fit`] with crash safety: atomically writes a
     /// [`TrainCheckpoint`] to `ck.path` every `ck.every` completed
-    /// epochs, and (when `ck.resume` is set and the file exists)
-    /// resumes from it instead of starting over. A resumed run is
+    /// epochs, and, when that file exists at the start, resumes from
+    /// it instead of starting over. A resumed run is
     /// **bitwise identical** to the uninterrupted run — parameters,
     /// representations, recommendations, eval output — because the
     /// checkpoint freezes every evolving input (params, Adam moments
@@ -70,7 +70,8 @@ impl Gnmr {
     /// and everything else is pure configuration or bitwise-neutral
     /// (`tests/determinism.rs` pins this at thread counts 1/2/4).
     ///
-    /// Errors surface checkpoint I/O failures (including injected
+    /// Errors surface an `every` of 0 ([`io::ErrorKind::InvalidInput`],
+    /// before any I/O), checkpoint I/O failures (including injected
     /// faults from `ck.plan`) and resume-validation failures
     /// ([`io::ErrorKind::InvalidData`] when the checkpoint does not
     /// match this model's parameters or the training config). On a
@@ -87,6 +88,12 @@ impl Gnmr {
         ck: &mut Checkpointing,
     ) -> io::Result<TrainReport> {
         assert_eq!(graph.n_behaviors(), self.n_behaviors(), "fit: behavior count mismatch");
+        if ck.every == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "Checkpointing: `every` must be at least 1",
+            ));
+        }
         self.fit_inner(graph, tcfg, Some(ck))
     }
 
@@ -104,8 +111,6 @@ impl Gnmr {
 
         let sampler = BatchSampler::new(graph);
         let mut opt = Adam::new(tcfg.lr).with_weight_decay(tcfg.weight_decay);
-        // The checkpointable SplitMix64 — stream-identical to the old
-        // `rng::substream` SmallRng, so training bytes are unchanged.
         let mut sample_rng = StateRng::substream(tcfg.seed, 0x7212);
         let steps_per_epoch = sampler
             .eligible_users()
@@ -125,7 +130,7 @@ impl Gnmr {
         let mut report = TrainReport::default();
         let mut start_epoch = 0usize;
         if let Some(ck) = ck.as_deref_mut() {
-            if ck.resume && ck.path.exists() {
+            if ck.path.exists() {
                 let c = TrainCheckpoint::load_with(&ck.path, &mut ck.plan)?;
                 self.restore_checkpoint(&c, tcfg, &mut opt, &mut sample_rng, &mut report)?;
                 start_epoch = c.epochs_done as usize;

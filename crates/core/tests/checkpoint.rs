@@ -240,3 +240,30 @@ fn injected_write_faults_keep_previous_generation_and_resume_cleanly() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn zero_checkpoint_interval_is_invalid_input_before_any_io() {
+    let d = presets::tiny_movielens(3);
+    let dir = scratch("every0");
+    let path = dir.join("run.ckpt");
+    let mut m = Gnmr::new(&d.graph, quick_cfg());
+    m.fit_checkpointed(&d.graph, &train_cfg(1), &mut Checkpointing::every(&path, 1)).expect("fit");
+    let on_disk = std::fs::read(&path).expect("read");
+
+    // Through the constructor, and through the public field of a policy
+    // that was valid when built: both are rejected before the existing
+    // checkpoint is read or a step is taken.
+    let mut zero_built = Checkpointing::every(&path, 0);
+    let mut zero_set = Checkpointing::every(&path, 1);
+    zero_set.every = 0;
+    for ck in [&mut zero_built, &mut zero_set] {
+        let mut fresh = Gnmr::new(&d.graph, quick_cfg());
+        let before = param_bits(&fresh);
+        let err = fresh.fit_checkpointed(&d.graph, &train_cfg(2), ck).expect_err("every = 0 accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(ck.plan.ops(), 0, "I/O ran before the interval was checked");
+        assert_eq!(param_bits(&fresh), before, "training ran before the interval was checked");
+    }
+    assert_eq!(std::fs::read(&path).expect("read"), on_disk);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,44 +9,37 @@
 use gnmr_tensor::{init, rng};
 use rand::Rng;
 
-/// Dimensions and seed of a synthetic world.
+/// Ground-truth latent dimensionality (not the model's embedding dim).
+const LATENT_DIM: usize = 6;
+
+/// Number of user taste communities. Users draw most of their factor
+/// vector from a shared cluster center (real interaction data has strong
+/// community structure; this is what makes collaborative signal
+/// recoverable from few observations).
+const N_CLUSTERS: usize = 10;
+
+/// Fraction of user-factor variance explained by the cluster center
+/// (`0` = fully idiosyncratic users, `1` = pure communities).
+const CLUSTER_STRENGTH: f32 = 0.65;
+
+/// Zipf exponent of item popularity (0 = uniform; ~0.8 realistic).
+const POPULARITY_EXPONENT: f64 = 0.8;
+
+/// Log-normal sigma of per-user activity.
+const ACTIVITY_SIGMA: f32 = 0.4;
+
+/// Dimensions and seed of a synthetic world. The world's shape
+/// (6 latent dimensions, 10 user communities explaining 65% of the
+/// factor variance, Zipf-0.8 popularity, log-normal activity with
+/// sigma 0.4) is fixed.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct WorldConfig {
     /// Number of users `I`.
     pub n_users: usize,
     /// Number of items `J`.
     pub n_items: usize,
-    /// Ground-truth latent dimensionality (not the model's embedding dim).
-    pub latent_dim: usize,
-    /// Number of user taste communities. Users draw most of their factor
-    /// vector from a shared cluster center (real interaction data has
-    /// strong community structure; this is what makes collaborative
-    /// signal recoverable from few observations).
-    pub n_clusters: usize,
-    /// Fraction of user-factor variance explained by the cluster center
-    /// (`0` = fully idiosyncratic users, `1` = pure communities).
-    pub cluster_strength: f32,
-    /// Zipf exponent for item popularity (0 = uniform; ~0.8 realistic).
-    pub popularity_exponent: f64,
-    /// Log-normal sigma of per-user activity.
-    pub activity_sigma: f32,
     /// Master seed.
     pub seed: u64,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        Self {
-            n_users: 500,
-            n_items: 400,
-            latent_dim: 6,
-            n_clusters: 10,
-            cluster_strength: 0.65,
-            popularity_exponent: 0.8,
-            activity_sigma: 0.4,
-            seed: 7,
-        }
-    }
 }
 
 /// The generated latent world.
@@ -68,22 +61,18 @@ impl LatentWorld {
         assert!(cfg.n_users > 0 && cfg.n_items > 1, "world needs users and >=2 items");
         let mut factor_rng = rng::substream(cfg.seed, 0x11);
         let item_factors =
-            init::normal(cfg.n_items, cfg.latent_dim, 0.0, 1.0, &mut factor_rng).into_data();
+            init::normal(cfg.n_items, LATENT_DIM, 0.0, 1.0, &mut factor_rng).into_data();
         // Users: shared cluster center + idiosyncratic deviation, with
         // variance split so factors stay ~N(0, 1) marginally.
-        let n_clusters = cfg.n_clusters.max(1);
-        let centers =
-            init::normal(n_clusters, cfg.latent_dim, 0.0, 1.0, &mut factor_rng).into_data();
-        let rho = cfg.cluster_strength.clamp(0.0, 1.0);
-        let (w_shared, w_own) = (rho.sqrt(), (1.0 - rho).sqrt());
-        let own = init::normal(cfg.n_users, cfg.latent_dim, 0.0, 1.0, &mut factor_rng).into_data();
-        let mut user_factors = Vec::with_capacity(cfg.n_users * cfg.latent_dim);
+        let centers = init::normal(N_CLUSTERS, LATENT_DIM, 0.0, 1.0, &mut factor_rng).into_data();
+        let (w_shared, w_own) = (CLUSTER_STRENGTH.sqrt(), (1.0 - CLUSTER_STRENGTH).sqrt());
+        let own = init::normal(cfg.n_users, LATENT_DIM, 0.0, 1.0, &mut factor_rng).into_data();
+        let mut user_factors = Vec::with_capacity(cfg.n_users * LATENT_DIM);
         for u in 0..cfg.n_users {
-            let cluster = u % n_clusters;
-            for f in 0..cfg.latent_dim {
+            let cluster = u % N_CLUSTERS;
+            for f in 0..LATENT_DIM {
                 user_factors.push(
-                    w_shared * centers[cluster * cfg.latent_dim + f]
-                        + w_own * own[u * cfg.latent_dim + f],
+                    w_shared * centers[cluster * LATENT_DIM + f] + w_own * own[u * LATENT_DIM + f],
                 );
             }
         }
@@ -98,7 +87,7 @@ impl LatentWorld {
         }
         let mut weights = vec![0.0f64; cfg.n_items];
         for (rank, &item) in perm.iter().enumerate() {
-            weights[item] = 1.0 / ((rank + 1) as f64).powf(cfg.popularity_exponent);
+            weights[item] = 1.0 / ((rank + 1) as f64).powf(POPULARITY_EXPONENT);
         }
         let total: f64 = weights.iter().sum();
         let mut pop_cdf = Vec::with_capacity(cfg.n_items);
@@ -116,7 +105,7 @@ impl LatentWorld {
 
         let mut act_rng = rng::substream(cfg.seed, 0x33);
         let user_activity = (0..cfg.n_users)
-            .map(|_| (cfg.activity_sigma * init::standard_normal(&mut act_rng)).exp())
+            .map(|_| (ACTIVITY_SIGMA * init::standard_normal(&mut act_rng)).exp())
             .collect();
 
         Self { cfg, user_factors, item_factors, item_pop_z, pop_cdf, user_activity }
@@ -128,19 +117,14 @@ impl LatentWorld {
     }
 
     /// Ground-truth affinity of a pair, approximately standard normal:
-    /// normalized factor dot plus a 0.4-weighted popularity term.
+    /// normalized factor dot plus a 0.25-weighted popularity term.
     pub fn affinity(&self, user: u32, item: u32) -> f32 {
-        let d = self.cfg.latent_dim;
+        let d = LATENT_DIM;
         let u = &self.user_factors[user as usize * d..(user as usize + 1) * d];
         let v = &self.item_factors[item as usize * d..(item as usize + 1) * d];
         let dot: f32 = u.iter().zip(v).map(|(a, b)| a * b).sum();
         let z = dot / (d as f32).sqrt();
         z + 0.25 * self.item_pop_z[item as usize]
-    }
-
-    /// Standardized popularity logit of an item.
-    pub fn popularity_logit(&self, item: u32) -> f32 {
-        self.item_pop_z[item as usize]
     }
 
     /// Activity multiplier of a user (log-normal, mean ~1).
@@ -249,7 +233,7 @@ mod tests {
     use gnmr_tensor::stats;
 
     fn world() -> LatentWorld {
-        LatentWorld::generate(WorldConfig { n_users: 300, n_items: 200, ..WorldConfig::default() })
+        LatentWorld::generate(WorldConfig { n_users: 300, n_items: 200, seed: 7 })
     }
 
     #[test]
@@ -306,7 +290,7 @@ mod tests {
 
     #[test]
     fn sample_items_caps_at_catalogue() {
-        let w = LatentWorld::generate(WorldConfig { n_users: 5, n_items: 10, ..WorldConfig::default() });
+        let w = LatentWorld::generate(WorldConfig { n_users: 5, n_items: 10, seed: 7 });
         let mut rng = seeded(4);
         let items = w.sample_items(50, &mut rng);
         assert_eq!(items.len(), 10);

@@ -19,30 +19,23 @@ pub const RATING_BEHAVIORS: [&str; 3] = ["dislike", "neutral", "like"];
 /// The target behavior of rating datasets.
 pub const TARGET: &str = "like";
 
-/// Configuration of the MovieLens-like generator.
+/// Standard deviation of per-event affinity noise.
+const RATING_NOISE: f32 = 0.5;
+
+/// Strength of affinity-biased exposure (acceptance
+/// `sigmoid(EXPOSURE_BIAS * affinity)`): strong self-selection /
+/// community-driven discovery.
+const EXPOSURE_BIAS: f32 = 2.5;
+
+/// Configuration of the MovieLens-like generator. Ratings carry
+/// N(0, 0.5²) affinity noise and exposure is affinity-biased with
+/// strength 2.5.
 #[derive(Copy, Clone, Debug)]
 pub struct MovieLensConfig {
     /// The latent world.
     pub world: WorldConfig,
     /// Mean number of rated items per user (activity-scaled).
     pub mean_ratings_per_user: f32,
-    /// Standard deviation of per-event affinity noise.
-    pub rating_noise: f32,
-    /// Strength of affinity-biased exposure (acceptance
-    /// `sigmoid(exposure_bias * affinity)`); higher values model stronger
-    /// self-selection / community-driven discovery.
-    pub exposure_bias: f32,
-}
-
-impl Default for MovieLensConfig {
-    fn default() -> Self {
-        Self {
-            world: WorldConfig::default(),
-            mean_ratings_per_user: 40.0,
-            rating_noise: 0.5,
-            exposure_bias: 2.5,
-        }
-    }
 }
 
 /// Maps a noisy affinity to a half-star rating in `[0.5, 5.0]`.
@@ -69,9 +62,9 @@ pub fn generate(cfg: &MovieLensConfig) -> InteractionLog {
     let mut event_rng = rng::substream(cfg.world.seed, 0x5157_4d4c);
     for user in 0..cfg.world.n_users as u32 {
         let n = world.interactions_for_user(user, cfg.mean_ratings_per_user, &mut event_rng);
-        let items = world.sample_items_biased(user, n, cfg.exposure_bias, &mut event_rng);
+        let items = world.sample_items_biased(user, n, EXPOSURE_BIAS, &mut event_rng);
         for item in items {
-            let noise = cfg.rating_noise * init::standard_normal(&mut event_rng);
+            let noise = RATING_NOISE * init::standard_normal(&mut event_rng);
             let rating = rating_from_affinity(world.affinity(user, item) + noise);
             let ts = event_rng.gen_range(0..1_000_000u32);
             events.push(Interaction { user, item, behavior: behavior_for_rating(rating), ts });
@@ -92,10 +85,8 @@ mod tests {
 
     fn small_cfg() -> MovieLensConfig {
         MovieLensConfig {
-            world: WorldConfig { n_users: 150, n_items: 120, seed: 11, ..WorldConfig::default() },
+            world: WorldConfig { n_users: 150, n_items: 120, seed: 11 },
             mean_ratings_per_user: 20.0,
-            rating_noise: 0.5,
-            ..MovieLensConfig::default()
         }
     }
 

@@ -1,11 +1,11 @@
 //! Named dataset presets.
 //!
-//! The `*_small` presets are the defaults used by tests, examples and the
-//! reproduction harness: they are sized so the entire 13-model Table II
-//! run completes in minutes on a laptop while preserving the structural
-//! properties the paper's comparisons depend on. The `*_paper_scale`
-//! presets match the row counts of the paper's Table I (slow; provided
-//! for completeness).
+//! The `*_small` presets are the defaults used by the examples, the
+//! reproduction harness and the benchmark: they are sized so the entire
+//! 13-model Table II run completes in minutes on a laptop while
+//! preserving the structural properties the paper's comparisons depend
+//! on. The `tiny_*` presets are for tests. None is at the row counts of
+//! the paper's Table I.
 
 use crate::dataset::Dataset;
 use crate::latent::WorldConfig;
@@ -19,10 +19,8 @@ pub const EVAL_NEGATIVES: usize = 99;
 /// MovieLens-like dataset at harness scale.
 pub fn movielens_small(seed: u64) -> Dataset {
     let cfg = MovieLensConfig {
-        world: WorldConfig { n_users: 900, n_items: 700, seed, ..WorldConfig::default() },
+        world: WorldConfig { n_users: 900, n_items: 700, seed },
         mean_ratings_per_user: 42.0,
-        rating_noise: 0.5,
-        ..MovieLensConfig::default()
     };
     Dataset::from_log("ml", &movielens::generate(&cfg), movielens::TARGET, EVAL_NEGATIVES, seed)
 }
@@ -30,9 +28,8 @@ pub fn movielens_small(seed: u64) -> Dataset {
 /// Yelp-like dataset at harness scale.
 pub fn yelp_small(seed: u64) -> Dataset {
     let cfg = YelpConfig {
-        world: WorldConfig { n_users: 800, n_items: 850, seed, ..WorldConfig::default() },
+        world: WorldConfig { n_users: 800, n_items: 850, seed },
         mean_ratings_per_user: 32.0,
-        ..YelpConfig::default()
     };
     Dataset::from_log("yelp", &yelp::generate(&cfg), yelp::TARGET, EVAL_NEGATIVES, seed)
 }
@@ -40,9 +37,8 @@ pub fn yelp_small(seed: u64) -> Dataset {
 /// Taobao-like dataset at harness scale.
 pub fn taobao_small(seed: u64) -> Dataset {
     let cfg = TaobaoConfig {
-        world: WorldConfig { n_users: 1100, n_items: 900, seed, ..WorldConfig::default() },
+        world: WorldConfig { n_users: 1100, n_items: 900, seed },
         mean_pv_per_user: 38.0,
-        ..TaobaoConfig::default()
     };
     Dataset::from_log("taobao", &taobao::generate(&cfg), taobao::TARGET, EVAL_NEGATIVES, seed)
 }
@@ -51,10 +47,8 @@ pub fn taobao_small(seed: u64) -> Dataset {
 /// train any model).
 pub fn tiny_movielens(seed: u64) -> Dataset {
     let cfg = MovieLensConfig {
-        world: WorldConfig { n_users: 120, n_items: 100, seed, ..WorldConfig::default() },
+        world: WorldConfig { n_users: 120, n_items: 100, seed },
         mean_ratings_per_user: 26.0,
-        rating_noise: 0.5,
-        ..MovieLensConfig::default()
     };
     Dataset::from_log("ml-tiny", &movielens::generate(&cfg), movielens::TARGET, 50, seed)
 }
@@ -62,42 +56,10 @@ pub fn tiny_movielens(seed: u64) -> Dataset {
 /// A tiny Taobao-like dataset for unit/integration tests.
 pub fn tiny_taobao(seed: u64) -> Dataset {
     let cfg = TaobaoConfig {
-        world: WorldConfig { n_users: 150, n_items: 120, seed, ..WorldConfig::default() },
+        world: WorldConfig { n_users: 150, n_items: 120, seed },
         mean_pv_per_user: 22.0,
-        ..TaobaoConfig::default()
     };
     Dataset::from_log("taobao-tiny", &taobao::generate(&cfg), taobao::TARGET, 50, seed)
-}
-
-/// MovieLens at the paper's Table I scale (67,788 x 8,704; slow).
-pub fn movielens_paper_scale(seed: u64) -> Dataset {
-    let cfg = MovieLensConfig {
-        world: WorldConfig { n_users: 67_788, n_items: 8_704, seed, ..WorldConfig::default() },
-        mean_ratings_per_user: 146.0, // ~9.9M interactions
-        rating_noise: 0.5,
-        ..MovieLensConfig::default()
-    };
-    Dataset::from_log("ml10m", &movielens::generate(&cfg), movielens::TARGET, EVAL_NEGATIVES, seed)
-}
-
-/// Yelp at the paper's Table I scale (19,800 x 22,734; slow).
-pub fn yelp_paper_scale(seed: u64) -> Dataset {
-    let cfg = YelpConfig {
-        world: WorldConfig { n_users: 19_800, n_items: 22_734, seed, ..WorldConfig::default() },
-        mean_ratings_per_user: 64.0, // ~1.4M interactions incl. tips
-        ..YelpConfig::default()
-    };
-    Dataset::from_log("yelp-full", &yelp::generate(&cfg), yelp::TARGET, EVAL_NEGATIVES, seed)
-}
-
-/// Taobao at the paper's Table I scale (147,894 x 99,037; slow).
-pub fn taobao_paper_scale(seed: u64) -> Dataset {
-    let cfg = TaobaoConfig {
-        world: WorldConfig { n_users: 147_894, n_items: 99_037, seed, ..WorldConfig::default() },
-        mean_pv_per_user: 40.0, // ~7.6M interactions incl. funnel events
-        ..TaobaoConfig::default()
-    };
-    Dataset::from_log("taobao-full", &taobao::generate(&cfg), taobao::TARGET, EVAL_NEGATIVES, seed)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use gnmr_graph::sampling::rank_to_item;
 use gnmr_graph::InteractionLog;
 use gnmr_tensor::rng;
 use rand::Rng;
@@ -98,8 +99,9 @@ pub fn leave_one_out(log: &InteractionLog, target: &str, n_negatives: usize, see
 /// exactly one RNG draw per negative, uniform over ordered
 /// `n_negatives`-subsets, dense users included — and maps each rank to
 /// its item through a binary search over the user's sorted positives
-/// ([`rank_to_item`]). The output distribution is identical to the
-/// rejection sampler's (a uniform ordered sample of the complement;
+/// ([`rank_to_item`], shared with the training-negative sampler). The
+/// output distribution is identical to the rejection sampler's (a
+/// uniform ordered sample of the complement;
 /// the unit test `batched_sampler_matches_rejection_distribution` pins
 /// this), the RNG cost is exact rather than expected, and the work is
 /// `O(n_negatives * (log|interacted| + 1) + |interacted| log
@@ -134,25 +136,6 @@ fn sample_negatives(
         negatives.push(rank_to_item(picked, &positives));
     }
     negatives
-}
-
-/// Maps a complement rank to its item: the `rank`-th smallest item id
-/// (0-based) **not** present in `interacted_sorted`. Binary-searches
-/// for the number of interacted items at or below the answer.
-fn rank_to_item(rank: u32, interacted_sorted: &[u32]) -> u32 {
-    let r = rank as usize;
-    // Find `skip` = how many interacted ids precede the answer: the
-    // smallest count where every counted id fits below `r + skip`.
-    let (mut lo, mut hi) = (0usize, interacted_sorted.len());
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if (interacted_sorted[mid] as usize) <= r + mid {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    (r + lo) as u32
 }
 
 #[cfg(test)]
@@ -327,7 +310,7 @@ mod tests {
         let complement = n_items as usize - interacted.len();
         let trials = 40_000;
 
-        type Sampler<'a> = Box<dyn FnMut(&mut rand::rngs::SmallRng) -> Vec<u32> + 'a>;
+        type Sampler<'a> = Box<dyn FnMut(&mut rng::StateRng) -> Vec<u32> + 'a>;
         let run = |mut sampler: Sampler<'_>, seed: u64| {
             let mut rng = rng::substream(seed, 0xD157);
             let mut any = vec![0u32; n_items as usize];

@@ -19,34 +19,28 @@ pub const TAOBAO_BEHAVIORS: [&str; 4] = ["pv", "fav", "cart", "buy"];
 /// The target behavior.
 pub const TARGET: &str = "buy";
 
-/// Configuration of the Taobao-like generator.
+/// Standard deviation of per-pair affinity noise.
+const NOISE: f32 = 0.45;
+
+/// Scale of the favorite probability.
+const FAV_SCALE: f32 = 0.30;
+
+/// Scale of the cart probability.
+const CART_SCALE: f32 = 0.40;
+
+/// Scale of the conditional purchase probability.
+const BUY_SCALE: f32 = 0.55;
+
+/// Configuration of the Taobao-like generator. A viewed pair carries
+/// N(0, 0.45²) affinity noise and is favorited, carted and (given a
+/// favorite or cart) bought with probabilities scaled by 0.30, 0.40
+/// and 0.55.
 #[derive(Copy, Clone, Debug)]
 pub struct TaobaoConfig {
     /// The latent world.
     pub world: WorldConfig,
     /// Mean page views per user (activity-scaled).
     pub mean_pv_per_user: f32,
-    /// Standard deviation of per-pair affinity noise.
-    pub noise: f32,
-    /// Scale of the favorite probability.
-    pub fav_scale: f32,
-    /// Scale of the cart probability.
-    pub cart_scale: f32,
-    /// Scale of the conditional purchase probability.
-    pub buy_scale: f32,
-}
-
-impl Default for TaobaoConfig {
-    fn default() -> Self {
-        Self {
-            world: WorldConfig::default(),
-            mean_pv_per_user: 40.0,
-            noise: 0.45,
-            fav_scale: 0.30,
-            cart_scale: 0.40,
-            buy_scale: 0.55,
-        }
-    }
 }
 
 /// Generates a Taobao-like interaction log with strict funnel structure:
@@ -59,12 +53,12 @@ pub fn generate(cfg: &TaobaoConfig) -> InteractionLog {
         let n = world.interactions_for_user(user, cfg.mean_pv_per_user, &mut event_rng);
         let items = world.sample_items_biased(user, n, 1.0, &mut event_rng);
         for item in items {
-            let a = world.affinity(user, item) + cfg.noise * init::standard_normal(&mut event_rng);
+            let a = world.affinity(user, item) + NOISE * init::standard_normal(&mut event_rng);
             let ts = event_rng.gen_range(0..1_000_000u32);
             events.push(Interaction { user, item, behavior: 0, ts });
-            let fav = event_rng.gen_range(0.0f32..1.0) < cfg.fav_scale * stats::sigmoid(1.6 * a - 1.0);
+            let fav = event_rng.gen_range(0.0f32..1.0) < FAV_SCALE * stats::sigmoid(1.6 * a - 1.0);
             let cart =
-                event_rng.gen_range(0.0f32..1.0) < cfg.cart_scale * stats::sigmoid(1.6 * a - 0.8);
+                event_rng.gen_range(0.0f32..1.0) < CART_SCALE * stats::sigmoid(1.6 * a - 0.8);
             if fav {
                 events.push(Interaction { user, item, behavior: 1, ts: ts.saturating_add(1) });
             }
@@ -72,7 +66,7 @@ pub fn generate(cfg: &TaobaoConfig) -> InteractionLog {
                 events.push(Interaction { user, item, behavior: 2, ts: ts.saturating_add(2) });
             }
             if (fav || cart)
-                && event_rng.gen_range(0.0f32..1.0) < cfg.buy_scale * stats::sigmoid(1.8 * a - 0.6)
+                && event_rng.gen_range(0.0f32..1.0) < BUY_SCALE * stats::sigmoid(1.8 * a - 0.6)
             {
                 events.push(Interaction { user, item, behavior: 3, ts: ts.saturating_add(3) });
             }
@@ -94,9 +88,8 @@ mod tests {
 
     fn small_cfg() -> TaobaoConfig {
         TaobaoConfig {
-            world: WorldConfig { n_users: 200, n_items: 150, seed: 17, ..WorldConfig::default() },
+            world: WorldConfig { n_users: 200, n_items: 150, seed: 17 },
             mean_pv_per_user: 25.0,
-            ..TaobaoConfig::default()
         }
     }
 

@@ -20,28 +20,21 @@ pub const YELP_BEHAVIORS: [&str; 4] = ["tip", "dislike", "neutral", "like"];
 /// The target behavior.
 pub const TARGET: &str = "like";
 
-/// Configuration of the Yelp-like generator.
+/// Standard deviation of per-event affinity noise.
+const RATING_NOISE: f32 = 0.55;
+
+/// Scale of the tip probability (`p_tip = TIP_SCALE * sigmoid(1.2 a - 0.8)`).
+const TIP_SCALE: f32 = 0.45;
+
+/// Configuration of the Yelp-like generator. Ratings carry
+/// N(0, 0.55²) affinity noise and a rated venue is tipped with
+/// probability `0.45 * sigmoid(1.2 a - 0.8)`.
 #[derive(Copy, Clone, Debug)]
 pub struct YelpConfig {
     /// The latent world.
     pub world: WorldConfig,
     /// Mean number of rated venues per user (activity-scaled).
     pub mean_ratings_per_user: f32,
-    /// Standard deviation of per-event affinity noise.
-    pub rating_noise: f32,
-    /// Scale of the tip probability (`p_tip = scale * sigmoid(1.2 a - 0.8)`).
-    pub tip_scale: f32,
-}
-
-impl Default for YelpConfig {
-    fn default() -> Self {
-        Self {
-            world: WorldConfig::default(),
-            mean_ratings_per_user: 30.0,
-            rating_noise: 0.55,
-            tip_scale: 0.45,
-        }
-    }
 }
 
 /// Generates a Yelp-like interaction log.
@@ -54,13 +47,13 @@ pub fn generate(cfg: &YelpConfig) -> InteractionLog {
         let items = world.sample_items_biased(user, n, 1.0, &mut event_rng);
         for item in items {
             let noisy =
-                world.affinity(user, item) + cfg.rating_noise * init::standard_normal(&mut event_rng);
+                world.affinity(user, item) + RATING_NOISE * init::standard_normal(&mut event_rng);
             let rating = rating_from_affinity(noisy);
             let ts = event_rng.gen_range(0..1_000_000u32);
             // Rating behaviors are ids 1..=3 here (id 0 is tip).
             let rating_behavior = behavior_for_rating(rating) + 1;
             events.push(Interaction { user, item, behavior: rating_behavior, ts });
-            let p_tip = cfg.tip_scale * stats::sigmoid(1.2 * noisy - 0.8);
+            let p_tip = TIP_SCALE * stats::sigmoid(1.2 * noisy - 0.8);
             if event_rng.gen_range(0.0f32..1.0) < p_tip {
                 events.push(Interaction { user, item, behavior: 0, ts: ts.saturating_add(1) });
             }
@@ -81,9 +74,8 @@ mod tests {
 
     fn small_cfg() -> YelpConfig {
         YelpConfig {
-            world: WorldConfig { n_users: 150, n_items: 120, seed: 13, ..WorldConfig::default() },
+            world: WorldConfig { n_users: 150, n_items: 120, seed: 13 },
             mean_ratings_per_user: 20.0,
-            ..YelpConfig::default()
         }
     }
 

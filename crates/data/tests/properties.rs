@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn world(seed: u64, users: usize, items: usize) -> WorldConfig {
-    WorldConfig { n_users: users, n_items: items, seed, ..WorldConfig::default() }
+    WorldConfig { n_users: users, n_items: items, seed }
 }
 
 proptest! {
@@ -17,8 +17,6 @@ proptest! {
         let cfg = movielens::MovieLensConfig {
             world: world(seed, 60, 80),
             mean_ratings_per_user: 12.0,
-            rating_noise: 0.5,
-            ..movielens::MovieLensConfig::default()
         };
         let log = movielens::generate(&cfg);
         // A (user, item) pair carries exactly one rating behavior.
@@ -33,7 +31,6 @@ proptest! {
         let cfg = yelp::YelpConfig {
             world: world(seed, 60, 80),
             mean_ratings_per_user: 12.0,
-            ..yelp::YelpConfig::default()
         };
         let log = yelp::generate(&cfg);
         let rated: HashSet<(u32, u32)> = log
@@ -52,7 +49,6 @@ proptest! {
         let cfg = taobao::TaobaoConfig {
             world: world(seed, 80, 70),
             mean_pv_per_user: 15.0,
-            ..taobao::TaobaoConfig::default()
         };
         let log = taobao::generate(&cfg);
         let pairs = |b: u8| -> HashSet<(u32, u32)> {
@@ -73,8 +69,6 @@ proptest! {
         let cfg = movielens::MovieLensConfig {
             world: world(seed, 50, 120),
             mean_ratings_per_user: 14.0,
-            rating_noise: 0.5,
-            ..movielens::MovieLensConfig::default()
         };
         let log = movielens::generate(&cfg);
         let data = Dataset::from_log("p", &log, "like", 10, seed);

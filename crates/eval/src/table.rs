@@ -29,11 +29,6 @@ impl Table {
         self.row(&owned)
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();

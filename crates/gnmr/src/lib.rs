@@ -54,7 +54,6 @@ pub mod prelude {
     pub use gnmr_tensor::fio::{Fault, FaultPlan};
     pub use gnmr_tensor::par;
     pub use gnmr_graph::{
-        BatchSampler, GraphStats, Interaction, InteractionLog, MultiBehaviorGraph, NeighborNorm,
-        NegativeSampler,
+        BatchSampler, GraphStats, Interaction, InteractionLog, MultiBehaviorGraph, NegativeSampler,
     };
 }

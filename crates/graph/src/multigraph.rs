@@ -111,11 +111,6 @@ impl MultiBehaviorGraph {
         self.user_item[k].contains(user as usize, item)
     }
 
-    /// Whether `(user, item)` interact under *any* behavior.
-    pub fn has_any_edge(&self, user: u32, item: u32) -> bool {
-        (0..self.n_behaviors()).any(|k| self.has_edge(user, item, k))
-    }
-
     /// Items the user interacted with under behavior `k`.
     pub fn user_items(&self, user: u32, k: usize) -> &[u32] {
         self.user_item[k].row(user as usize).0
@@ -134,24 +129,6 @@ impl MultiBehaviorGraph {
     /// Total number of interactions across behaviors.
     pub fn total_interactions(&self) -> usize {
         self.user_item.iter().map(|c| c.nnz()).sum()
-    }
-
-    /// The union adjacency across all behaviors (binary).
-    pub fn union_user_item(&self) -> Csr {
-        let mut triplets = Vec::with_capacity(self.total_interactions());
-        for csr in &self.user_item {
-            for (r, c, _) in csr.iter() {
-                triplets.push((r, c, 1.0));
-            }
-        }
-        let mut union = Csr::from_triplets(self.n_users, self.n_items, &triplets);
-        // Duplicate edges were summed; re-binarize.
-        union = Csr::from_triplets(
-            self.n_users,
-            self.n_items,
-            &union.iter().map(|(r, c, _)| (r, c, 1.0)).collect::<Vec<_>>(),
-        );
-        union
     }
 
     /// A view of the graph restricted to a subset of behaviors (used for
@@ -279,8 +256,6 @@ mod tests {
         assert_eq!(g.user_degree(0, 0), 2);
         assert!(g.has_edge(2, 3, 1));
         assert!(!g.has_edge(2, 3, 0));
-        assert!(g.has_any_edge(2, 3));
-        assert!(!g.has_any_edge(1, 0));
     }
 
     #[test]
@@ -291,16 +266,6 @@ mod tests {
             let iu = g.item_user(k).to_dense();
             assert!(ui.transpose().approx_eq(&iu, 0.0));
         }
-    }
-
-    #[test]
-    fn union_is_binary_superset() {
-        let g = demo_graph();
-        let union = g.union_user_item();
-        // (0,1) appears under both behaviors but must stay 1.0 in the union.
-        let d = union.to_dense();
-        assert_eq!(d.get(0, 1), 1.0);
-        assert_eq!(union.nnz(), 5);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Positive/negative sampling for pairwise training and evaluation.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::multigraph::MultiBehaviorGraph;
@@ -43,56 +42,14 @@ impl<'g> NegativeSampler<'g> {
         let rank = rng.gen_range(0..complement);
         rank_to_item(rank, positives)
     }
-
-    /// Samples `n` distinct negatives for `user`, excluding `extra_exclude`
-    /// (e.g. the held-out test positive).
-    ///
-    /// Falls back to enumerating the complement when the request cannot be
-    /// satisfied by rejection sampling (very dense users).
-    pub fn sample_distinct(
-        &self,
-        user: u32,
-        n: usize,
-        extra_exclude: &[u32],
-        rng: &mut impl Rng,
-    ) -> Vec<u32> {
-        let n_items = self.graph.n_items() as u32;
-        let target = self.graph.target();
-        let mut out = Vec::with_capacity(n);
-        let mut attempts = 0usize;
-        let max_attempts = n * 30 + 200;
-        while out.len() < n && attempts < max_attempts {
-            attempts += 1;
-            let item = rng.gen_range(0..n_items);
-            if self.graph.has_edge(user, item, target)
-                || extra_exclude.contains(&item)
-                || out.contains(&item)
-            {
-                continue;
-            }
-            out.push(item);
-        }
-        if out.len() < n {
-            // Dense user: enumerate all valid negatives and shuffle.
-            let mut pool: Vec<u32> = (0..n_items)
-                .filter(|&i| {
-                    !self.graph.has_edge(user, i, target)
-                        && !extra_exclude.contains(&i)
-                        && !out.contains(&i)
-                })
-                .collect();
-            pool.shuffle(rng);
-            out.extend(pool.into_iter().take(n - out.len()));
-        }
-        out
-    }
 }
 
 /// Maps a complement rank to its item: the `rank`-th smallest item id
 /// (0-based) **not** present in `interacted_sorted`. Binary-searches
-/// for the number of interacted ids that precede the answer (same
-/// mapping as `gnmr_data::split`'s evaluation-candidate sampler).
-fn rank_to_item(rank: u32, interacted_sorted: &[u32]) -> u32 {
+/// for the number of interacted ids that precede the answer. Training
+/// negatives ([`NegativeSampler::sample_one`]) and `gnmr_data::split`'s
+/// evaluation candidates both map ranks through it.
+pub fn rank_to_item(rank: u32, interacted_sorted: &[u32]) -> u32 {
     let r = rank as usize;
     // Find `skip` = how many interacted ids precede the answer: the
     // smallest count where every counted id fits below `r + skip`.
@@ -274,36 +231,6 @@ mod tests {
             let n = sampler.sample_one(0, &mut rng);
             assert!(!g.has_edge(0, n, g.target()), "sampled positive {n}");
         }
-    }
-
-    #[test]
-    fn distinct_negatives_respect_exclusions() {
-        let g = graph();
-        let sampler = NegativeSampler::new(&g);
-        let mut rng = seeded(2);
-        let negs = sampler.sample_distinct(0, 4, &[9], &mut rng);
-        assert_eq!(negs.len(), 4);
-        let mut unique = negs.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 4, "negatives must be distinct");
-        assert!(!negs.contains(&9), "excluded item sampled");
-        for &n in &negs {
-            assert!(!g.has_edge(0, n, g.target()));
-        }
-    }
-
-    #[test]
-    fn dense_user_falls_back_to_enumeration() {
-        // User 0 likes 5 of 10 items; asking for all 5 remaining minus one
-        // exclusion forces the enumeration path.
-        let g = graph();
-        let sampler = NegativeSampler::new(&g);
-        let mut rng = seeded(3);
-        let negs = sampler.sample_distinct(0, 4, &[5], &mut rng);
-        let mut sorted = negs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![6, 7, 8, 9]);
     }
 
     #[test]

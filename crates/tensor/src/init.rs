@@ -17,13 +17,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     uniform(rows, cols, -a, a, rng)
 }
 
-/// He/Kaiming uniform initialization: `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-/// Preferred ahead of ReLU nonlinearities.
-pub fn he_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    let a = (6.0 / rows.max(1) as f32).sqrt();
-    uniform(rows, cols, -a, a, rng)
-}
-
 /// Uniform initialization on `[lo, hi)`.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut impl Rng) -> Matrix {
     assert!(lo <= hi, "uniform: lo {lo} > hi {hi}");
@@ -75,14 +68,6 @@ mod tests {
         assert!(m.data().iter().all(|&v| v > -a && v < a));
         // Should not be degenerate.
         assert!(m.max_abs() > a * 0.5);
-    }
-
-    #[test]
-    fn he_bounds_hold() {
-        let mut rng = seeded(7);
-        let m = he_uniform(50, 10, &mut rng);
-        let a = (6.0f32 / 50.0).sqrt();
-        assert!(m.data().iter().all(|&v| v > -a && v < a));
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub mod wire;
 
 pub use arena::Arena;
 pub use dense::Matrix;
-pub use sparse::{Coo, Csr};
+pub use sparse::Csr;

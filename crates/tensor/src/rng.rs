@@ -2,14 +2,13 @@
 //!
 //! Every randomized component in the workspace receives its randomness
 //! through this module so that a single `u64` seed reproduces an entire
-//! experiment bit-for-bit.
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+//! experiment bit-for-bit. There is one generator, [`StateRng`]
+//! (SplitMix64), defined here rather than taken from `rand`; the `rand`
+//! crate supplies only the `rand::Rng` sampling methods on top of it.
 
 /// Creates the workspace-standard RNG from a seed.
-pub fn seeded(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
+pub fn seeded(seed: u64) -> StateRng {
+    StateRng::seed_from_u64(seed)
 }
 
 /// Derives an independent stream seed from a base seed and a stream label.
@@ -25,32 +24,35 @@ pub fn derive(seed: u64, stream: u64) -> u64 {
 }
 
 /// Convenience: a seeded RNG for a named sub-stream.
-pub fn substream(seed: u64, stream: u64) -> SmallRng {
-    seeded(derive(seed, stream))
+pub fn substream(seed: u64, stream: u64) -> StateRng {
+    StateRng::substream(seed, stream)
 }
 
-/// A checkpointable RNG: SplitMix64 with its one `u64` of state
-/// exported and restorable, so a training run can be frozen at an
-/// epoch boundary and resumed bit-for-bit.
+/// The workspace's one generator: SplitMix64 with its one `u64` of
+/// state exported and restorable, so a training run can be frozen at
+/// an epoch boundary and resumed bit-for-bit.
 ///
-/// The generator is *stream-identical* to [`SmallRng`] for the same
-/// seed (both are SplitMix64 with the same increment and finalizer, and
-/// `next_u32` is the same high-half of `next_u64`), which is what let
-/// the trainer switch onto it without changing a single training byte —
-/// pinned by `state_rng_matches_small_rng_stream` below.
+/// The stream is identical to the vendored `rand::rngs::SmallRng` for
+/// the same seed (both are SplitMix64 with the same increment and
+/// finalizer, and `next_u32` is the same high half of `next_u64`), the
+/// generator every seed's bytes were first produced with — pinned by
+/// `state_rng_matches_small_rng_stream` below. Upstream `rand`'s
+/// `SmallRng` is a different (xoshiro) generator, so owning the stream
+/// here keeps every seed's raw stream if the vendored crate is
+/// replaced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StateRng {
     state: u64,
 }
 
 impl StateRng {
-    /// Seeds exactly like `SmallRng::seed_from_u64`.
+    /// Seeds exactly like the vendored `SmallRng::seed_from_u64`.
     pub fn seed_from_u64(seed: u64) -> Self {
         StateRng { state: seed }
     }
 
-    /// A checkpointable RNG for a named sub-stream (the [`substream`]
-    /// derivation, checkpointable flavor).
+    /// The RNG for a named sub-stream: seeded with
+    /// [`derive(seed, stream)`](fn@derive).
     pub fn substream(seed: u64, stream: u64) -> Self {
         Self::seed_from_u64(derive(seed, stream))
     }
@@ -71,8 +73,8 @@ impl StateRng {
 impl rand::RngCore for StateRng {
     fn next_u64(&mut self) -> u64 {
         // Same step as the vendored `SmallRng`: SplitMix64 increment
-        // then finalizer. Any divergence here would silently fork the
-        // sampler stream on resume; the equivalence test pins it.
+        // then finalizer. Any divergence here would move every seed's
+        // bytes; the equivalence test pins it.
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -84,7 +86,8 @@ impl rand::RngCore for StateRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn same_seed_same_sequence() {
@@ -108,18 +111,18 @@ mod tests {
 
     #[test]
     fn state_rng_matches_small_rng_stream() {
-        // The checkpointable generator must be stream-identical to the
-        // workspace-standard SmallRng: same u64s, same u32s, same
-        // gen_range draws. The trainer relies on this — switching its
-        // sampler RNG to StateRng changed no training bytes.
+        // The workspace generator must be stream-identical to the
+        // vendored SmallRng that every seed's bytes were first produced
+        // with: same u64s, same u32s, same gen_range draws.
         for seed in [0u64, 1, 11, 0xDEAD_BEEF, u64::MAX] {
-            let mut small = seeded(seed);
-            let mut state = StateRng::seed_from_u64(seed);
+            let mut small = SmallRng::seed_from_u64(seed);
+            let mut state = seeded(seed);
             for _ in 0..64 {
                 assert_eq!(small.gen::<u64>(), state.gen::<u64>());
+                assert_eq!(small.gen::<u32>(), state.gen::<u32>());
             }
-            let mut small = seeded(seed);
-            let mut state = StateRng::seed_from_u64(seed);
+            let mut small = SmallRng::seed_from_u64(seed);
+            let mut state = seeded(seed);
             for _ in 0..64 {
                 assert_eq!(small.gen_range(0..977usize), state.gen_range(0..977usize));
             }

@@ -20,58 +20,6 @@ use crate::dense::Matrix;
 use crate::kernels;
 use crate::par;
 
-/// A coordinate-format sparse matrix builder.
-///
-/// Entries may arrive in any order; duplicates are summed when the COO is
-/// converted to [`Csr`].
-#[derive(Clone, Debug, Default)]
-pub struct Coo {
-    rows: usize,
-    cols: usize,
-    entries: Vec<(u32, u32, f32)>,
-}
-
-impl Coo {
-    /// Creates an empty COO of the given shape.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, entries: Vec::new() }
-    }
-
-    /// Appends an entry.
-    ///
-    /// # Panics
-    /// If the coordinates are out of bounds.
-    pub fn push(&mut self, row: u32, col: u32, value: f32) {
-        assert!((row as usize) < self.rows, "Coo::push: row {row} out of bounds ({})", self.rows);
-        assert!((col as usize) < self.cols, "Coo::push: col {col} out of bounds ({})", self.cols);
-        self.entries.push((row, col, value));
-    }
-
-    /// Number of raw (pre-deduplication) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entries have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Converts to CSR, sorting entries and summing duplicates in
-    /// insertion order. Large conversions run on the shared worker
-    /// pool.
-    pub fn to_csr(self) -> Csr {
-        let threads = auto_build_threads(self.entries.len());
-        build_csr(self.rows, self.cols, self.entries, threads)
-    }
-
-    /// [`Coo::to_csr`] on an explicit number of threads (used by the
-    /// equivalence tests and benches).
-    pub fn to_csr_with(self, threads: usize) -> Csr {
-        build_csr(self.rows, self.cols, self.entries, threads)
-    }
-}
-
 /// Thread count for CSR construction/normalization: serial below
 /// [`kernels::min_work`] stored entries, otherwise the shared config.
 fn auto_build_threads(nnz: usize) -> usize {
@@ -82,7 +30,7 @@ fn auto_build_threads(nnz: usize) -> usize {
     }
 }
 
-/// Builds a CSR from serially sorted COO entries, summing duplicates.
+/// Builds a CSR from serially sorted triplets, summing duplicates.
 /// `sorted` must be stably sorted by `(row, col)`, so duplicates sum in
 /// insertion order.
 fn rebuild_csr(rows: usize, cols: usize, sorted: &[(u32, u32, f32)]) -> Csr {
@@ -530,18 +478,6 @@ impl Csr {
     }
 }
 
-impl Coo {
-    /// Number of rows the COO was created with.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns the COO was created with.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,17 +496,6 @@ mod tests {
         let d = csr.to_dense();
         assert_eq!(d.get(0, 0), 2.0);
         assert_eq!(d.get(1, 1), 4.0);
-    }
-
-    #[test]
-    fn coo_roundtrip_matches_from_triplets() {
-        let mut coo = Coo::new(3, 3);
-        coo.push(2, 1, 4.0);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 2, 2.0);
-        coo.push(2, 0, 3.0);
-        let csr = coo.to_csr();
-        assert_eq!(csr, sample_csr());
     }
 
     #[test]
@@ -657,8 +582,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn coo_push_out_of_bounds_panics() {
-        let mut coo = Coo::new(2, 2);
-        coo.push(2, 0, 1.0);
+    fn from_triplets_out_of_bounds_panics() {
+        let _ = Csr::from_triplets(2, 2, &[(0, 1, 1.0), (2, 0, 1.0)]);
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use gnmr_tensor::{kernels, par, Coo, Csr, Matrix};
+use gnmr_tensor::{kernels, par, Csr, Matrix};
 use proptest::prelude::*;
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -89,11 +89,6 @@ proptest! {
             let got = Csr::from_triplets_with(rows, cols, &entries, threads);
             prop_assert_eq!(&got, &reference, "threads={}", threads);
         }
-        let mut coo = Coo::new(rows, cols);
-        for &(r, c, v) in &entries {
-            coo.push(r, c, v);
-        }
-        prop_assert_eq!(coo.to_csr_with(4), reference);
     }
 
     #[test]
