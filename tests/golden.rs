@@ -7,8 +7,11 @@
 //! `TrainConfig::fast_test()` and commits FNV-1a-64 digests of the
 //! parameter bits, the epoch-loss bits, the representation bits and
 //! the `ModelSnapshot` bytes, plus exact HR@10/NDCG@10 and user 0's
-//! top-10 `recommend` list. A DIPN case pins the baseline's scores over
-//! every user–item pair.
+//! top-10 `recommend` list. One case per baseline (BiasMF, DMF, the
+//! three NCF variants, AutoRec, CDAE, NADE, CF-UIcA, NGCF, NMTR and
+//! DIPN) fits it for 3 epochs of `BaselineConfig::fast_test()` on
+//! `tiny_movielens(3)` and `tiny_taobao(3)` and pins digests of its
+//! scores over every user–item pair and of its epoch-loss bits.
 //!
 //! A deliberate change to the training bytes (a lane count, a combine
 //! tree, an op order) updates these constants in the same change and
@@ -254,12 +257,211 @@ fn pretrained() {
     });
 }
 
-#[test]
-fn dipn_scores() {
-    let data = movielens();
-    let model = Dipn::fit(&data.graph, &data.train_log, &BaselineConfig { epochs: 3, ..BaselineConfig::fast_test() });
+// ----- baselines ------------------------------------------------------
+
+/// Everything one baseline case pins: FNV-1a-64 digests of the scores
+/// over every user–item pair and of the epoch-loss bits, on each
+/// dataset.
+#[derive(PartialEq)]
+struct BaselineGolden {
+    movielens_scores: u64,
+    movielens_losses: u64,
+    taobao_scores: u64,
+    taobao_losses: u64,
+}
+
+impl fmt::Display for BaselineGolden {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "BaselineGolden {{")?;
+        writeln!(f, "    movielens_scores: {:#018x},", self.movielens_scores)?;
+        writeln!(f, "    movielens_losses: {:#018x},", self.movielens_losses)?;
+        writeln!(f, "    taobao_scores: {:#018x},", self.taobao_scores)?;
+        writeln!(f, "    taobao_losses: {:#018x},", self.taobao_losses)?;
+        write!(f, "}}")
+    }
+}
+
+/// The `(scores, losses)` digests of one fitted baseline.
+fn digests(data: &Dataset, model: &impl Recommender, losses: &[f32]) -> (u64, u64) {
     let items: Vec<u32> = (0..data.graph.n_items() as u32).collect();
     let users = 0..data.graph.n_users() as u32;
-    let digest = f32_digest(users.flat_map(|u| model.score(u, &items)));
-    assert_eq!(digest, 0xb5e67e082c53955d, "DIPN scores moved: got {digest:#018x}");
+    (f32_digest(users.flat_map(|u| model.score(u, &items))), f32_digest(losses.iter().copied()))
+}
+
+/// Fits a baseline with `fit` on both datasets and asserts the digests
+/// it returns.
+fn check_baseline(name: &str, fit: impl Fn(&Dataset, &BaselineConfig) -> (u64, u64), want: BaselineGolden) {
+    let cfg = BaselineConfig { epochs: 3, ..BaselineConfig::fast_test() };
+    let (movielens_scores, movielens_losses) = fit(&movielens(), &cfg);
+    let (taobao_scores, taobao_losses) = fit(&gnmr::data::presets::tiny_taobao(3), &cfg);
+    let got = BaselineGolden { movielens_scores, movielens_losses, taobao_scores, taobao_losses };
+    assert!(got == want, "{name}: baseline bytes moved\n got: {got}\nwant: {want}");
+}
+
+#[test]
+fn bias_mf_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = BiasMf::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("BiasMF", fit, BaselineGolden {
+        movielens_scores: 0x453ee3453eabecc3,
+        movielens_losses: 0x980ad1abf91f10dd,
+        taobao_scores: 0xa89d966b45726f4b,
+        taobao_losses: 0x1e45253be0fc51d8,
+    });
+}
+
+#[test]
+fn dmf_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Dmf::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("DMF", fit, BaselineGolden {
+        movielens_scores: 0xd66167334822fbaa,
+        movielens_losses: 0x0482533248b0d0eb,
+        taobao_scores: 0x3e5ee98707adce13,
+        taobao_losses: 0xd0752beea37909b0,
+    });
+}
+
+#[test]
+fn ncf_gmf_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Ncf::fit(&d.graph, cfg, NcfVariant::Gmf);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NCF-G", fit, BaselineGolden {
+        movielens_scores: 0x6f0f5206bb45c772,
+        movielens_losses: 0x14aa0e3cc7c44e9e,
+        taobao_scores: 0x2d72ace3b168d83b,
+        taobao_losses: 0x0d69160f4e12ffaf,
+    });
+}
+
+#[test]
+fn ncf_mlp_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Ncf::fit(&d.graph, cfg, NcfVariant::Mlp);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NCF-M", fit, BaselineGolden {
+        movielens_scores: 0x69ce5e49c7d24655,
+        movielens_losses: 0xf109d0148cd069b1,
+        taobao_scores: 0xb1faa2bf1e40a39b,
+        taobao_losses: 0xb1940dcd34f034df,
+    });
+}
+
+#[test]
+fn ncf_neumf_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Ncf::fit(&d.graph, cfg, NcfVariant::NeuMf);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NCF-N", fit, BaselineGolden {
+        movielens_scores: 0xdada9fcaf27f0335,
+        movielens_losses: 0xe4615860ebd60d40,
+        taobao_scores: 0xdb945b2931bb588a,
+        taobao_losses: 0xa1bc1385280a6d75,
+    });
+}
+
+#[test]
+fn autorec_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = AutoRec::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("AutoRec", fit, BaselineGolden {
+        movielens_scores: 0x485ff607f5df67f7,
+        movielens_losses: 0x72b223cce6b4eed1,
+        taobao_scores: 0x29ddbe2f439fa7b0,
+        taobao_losses: 0x7978bacd818774f5,
+    });
+}
+
+#[test]
+fn cdae_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Cdae::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("CDAE", fit, BaselineGolden {
+        movielens_scores: 0x26e886913f8dfe1a,
+        movielens_losses: 0x42b89ea141e591fc,
+        taobao_scores: 0xc9493147edd8f106,
+        taobao_losses: 0xde9f866549a4b516,
+    });
+}
+
+#[test]
+fn nade_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Nade::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NADE", fit, BaselineGolden {
+        movielens_scores: 0xe0ca18aebe27f94c,
+        movielens_losses: 0x2a520ebeebfa9729,
+        taobao_scores: 0xc4dacce0ce14d26c,
+        taobao_losses: 0x34330501b2fdcaa6,
+    });
+}
+
+#[test]
+fn cf_uica_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = CfUica::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("CF-UIcA", fit, BaselineGolden {
+        movielens_scores: 0xb4090947b344d8a0,
+        movielens_losses: 0x1d18a39402f5c8a1,
+        taobao_scores: 0xd73640eb63ac58f9,
+        taobao_losses: 0x22085ddc1d368008,
+    });
+}
+
+#[test]
+fn ngcf_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Ngcf::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NGCF", fit, BaselineGolden {
+        movielens_scores: 0x3ef589d3fa53ec3e,
+        movielens_losses: 0xd6ffaa3383c0b23a,
+        taobao_scores: 0x2cccfbded8417ca0,
+        taobao_losses: 0xa7a930df69e497dd,
+    });
+}
+
+#[test]
+fn nmtr_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Nmtr::fit(&d.graph, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("NMTR", fit, BaselineGolden {
+        movielens_scores: 0x7f727d6389e25160,
+        movielens_losses: 0x798e6a45801287f9,
+        taobao_scores: 0x5c6d55ae52c7f5d9,
+        taobao_losses: 0x0dc8883ebbc59b13,
+    });
+}
+
+#[test]
+fn dipn_scores() {
+    let fit = |d: &Dataset, cfg: &BaselineConfig| {
+        let m = Dipn::fit(&d.graph, &d.train_log, cfg);
+        digests(d, &m, &m.losses)
+    };
+    check_baseline("DIPN", fit, BaselineGolden {
+        movielens_scores: 0xb5e67e082c53955d,
+        movielens_losses: 0x4fd7b48ee560e29d,
+        taobao_scores: 0xf3df28cd76fe46ed,
+        taobao_losses: 0xe00f3db5824a7d6c,
+    });
 }
