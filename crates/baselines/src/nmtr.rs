@@ -72,11 +72,12 @@ impl Nmtr {
             store.insert(format!("gmf{k}.b"), Matrix::zeros(1, 1));
         }
 
-        // Eligible users per behavior.
+        // Eligible users per behavior: at least one positive and one
+        // negative under it, so the rejection loop below terminates.
         let eligible: Vec<Vec<u32>> = (0..k_types)
             .map(|k| {
                 (0..graph.n_users() as u32)
-                    .filter(|&u| !graph.user_items(u, k).is_empty())
+                    .filter(|&u| (1..graph.n_items()).contains(&graph.user_degree(u, k)))
                     .collect()
             })
             .collect();
@@ -186,6 +187,44 @@ mod tests {
         let r = evaluate(&m, &d.test, &[10]);
         assert!(r.hr_at(10).is_finite());
         assert!(r.hr_at(10) > 0.05, "NMTR on funnel: {:.3}", r.hr_at(10));
+    }
+
+    #[test]
+    fn users_without_a_negative_are_skipped() {
+        // 6 users x 4 items: user 0 viewed and bought every item and
+        // user 1 viewed every item, so neither has a negative under
+        // those behaviors. A seed without one would spin the rejection
+        // loop forever, so the fit runs on its own thread with a
+        // deadline.
+        let mut edges = vec![(1, 1, 1)];
+        for item in 0..4 {
+            edges.extend([(0, item, 0), (0, item, 1), (1, item, 0)]);
+        }
+        for user in 2..6 {
+            edges.extend([(user, user % 4, 0), (user, (user + 1) % 4, 0), (user, user % 4, 1)]);
+        }
+        let events = edges
+            .into_iter()
+            .map(|(user, item, behavior)| gnmr_graph::Interaction { user, item, behavior, ts: item })
+            .collect();
+        let log = gnmr_graph::InteractionLog::new(6, 4, vec!["view".into(), "buy".into()], events).unwrap();
+        let graph = MultiBehaviorGraph::from_log(&log, "buy");
+        let (done, finished) = std::sync::mpsc::channel();
+        let fit = std::thread::spawn(move || {
+            let losses = Nmtr::fit(&graph, &BaselineConfig { epochs: 2, ..BaselineConfig::fast_test() }).losses;
+            let _ = done.send(());
+            losses
+        });
+        // A panicking fit drops `done`, which ends the wait early; the
+        // join below reports the panic.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(30));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "NMTR fit did not finish within 30 s"
+        );
+        let losses = fit.join().expect("NMTR fit panicked");
+        assert_eq!(losses.len(), 2);
+        assert!(losses.iter().all(|l| l.is_finite()), "{losses:?}");
     }
 
     #[test]

@@ -416,6 +416,26 @@ mod tests {
     }
 
     #[test]
+    fn users_without_a_negative_are_skipped() {
+        // 6 users x 4 items where user 0 bought every item: it has no
+        // negative, so it cannot seed a pair.
+        let mut edges: Vec<(u32, u32, u8)> = (0..4).map(|item| (0, item, 1)).collect();
+        for user in 1..6 {
+            edges.extend([(user, user % 4, 0), (user, (user + 1) % 4, 1)]);
+        }
+        let events = edges
+            .into_iter()
+            .map(|(user, item, behavior)| Interaction { user, item, behavior, ts: item })
+            .collect();
+        let log = InteractionLog::new(6, 4, vec!["view".into(), "buy".into()], events).unwrap();
+        let graph = MultiBehaviorGraph::from_log(&log, "buy");
+        let mut model = Gnmr::new(&graph, quick_cfg(GnmrVariant::full()));
+        let report = model.fit(&graph, &TrainConfig { epochs: 2, ..TrainConfig::fast_test() });
+        assert_eq!(report.epoch_losses.len(), 2);
+        assert!(report.epoch_losses.iter().all(|l| l.is_finite()), "{:?}", report.epoch_losses);
+    }
+
+    #[test]
     #[should_panic(expected = "count mismatch")]
     fn fit_on_wrong_graph_panics() {
         let d1 = presets::tiny_movielens(3);

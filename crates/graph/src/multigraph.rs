@@ -12,11 +12,10 @@ use crate::stats::GraphStats;
 /// Adjacency is stored both as user->item CSR and item->user CSR (the
 /// transpose), because GNMR propagates messages in both directions each
 /// layer. Matrices are wrapped in `Arc` so the autodiff tape can reference
-/// them without copies. Construction and normalization of large
-/// adjacencies run on the shared `gnmr_tensor::par` worker pool (the
-/// CSR builders parallelize automatically past the kernel-layer work
-/// threshold), so graph building is no longer a serial preprocessing
-/// step.
+/// them without copies. Each adjacency is built once, on the calling
+/// thread, in O(entries) (`Csr::from_triplets` buckets entries by row);
+/// the per-step SpMM over it is what runs on the shared
+/// `gnmr_tensor::par` worker pool.
 #[derive(Clone)]
 pub struct MultiBehaviorGraph {
     n_users: usize,

@@ -99,16 +99,18 @@ pub struct BatchSampler<'g> {
 
 impl<'g> BatchSampler<'g> {
     /// Creates a sampler; only users with at least one target-behavior
-    /// interaction are eligible seeds.
+    /// interaction and at least one item without one are eligible
+    /// seeds. A user who interacted with every item has no negative to
+    /// pair a positive with.
     pub fn new(graph: &'g MultiBehaviorGraph) -> Self {
         let target = graph.target();
         let eligible_users = (0..graph.n_users() as u32)
-            .filter(|&u| graph.user_degree(u, target) > 0)
+            .filter(|&u| (1..graph.n_items()).contains(&graph.user_degree(u, target)))
             .collect();
         Self { graph, eligible_users, negatives: NegativeSampler::new(graph) }
     }
 
-    /// Users with at least one target positive.
+    /// Users with at least one target positive and one target negative.
     pub fn eligible_users(&self) -> &[u32] {
         &self.eligible_users
     }
@@ -150,13 +152,17 @@ mod tests {
     fn graph() -> MultiBehaviorGraph {
         let ev = |user, item, behavior, ts| Interaction { user, item, behavior, ts };
         let mut events = Vec::new();
-        // User 0 likes items 0..5; user 1 likes item 7; user 2 has only views.
+        // User 0 likes items 0..5; user 1 likes item 7; user 2 has only
+        // views; user 3 likes every item, so it has no negative.
         for i in 0..5 {
             events.push(ev(0, i, 1, i));
         }
         events.push(ev(1, 7, 1, 0));
         events.push(ev(2, 3, 0, 0));
-        let log = InteractionLog::new(3, 10, vec!["view".into(), "like".into()], events).unwrap();
+        for i in 0..10 {
+            events.push(ev(3, i, 1, i));
+        }
+        let log = InteractionLog::new(4, 10, vec!["view".into(), "like".into()], events).unwrap();
         MultiBehaviorGraph::from_log(&log, "like")
     }
 

@@ -28,15 +28,16 @@
 //!
 //! # Cost-model dispatch
 //!
-//! Sparse kernels (`spmm`, `spmm_t`, scatter-add, CSR normalization /
-//! construction) do not assume rows are equally expensive. Each
-//! parallel call has one plan: nnz-weighted chunks, four per thread
-//! (fewer on machines with fewer cores), which the pool's threads
-//! claim one at a time from a shared counter. A thread held up on a
-//! hub chunk (one user owning most of a behavior's interactions — the
-//! normal case on power-law graphs) just claims fewer of the rest. The
-//! plan decides who computes which rows and when — never what the
-//! bytes are.
+//! The per-step sparse kernels (`spmm`, `spmm_t`, scatter-add) do not
+//! assume rows are equally expensive. Each parallel call has one plan:
+//! nnz-weighted chunks, four per thread (fewer on machines with fewer
+//! cores), which the pool's threads claim one at a time from a shared
+//! counter. A thread held up on a hub chunk (one user owning most of a
+//! behavior's interactions — the normal case on power-law graphs) just
+//! claims fewer of the rest. The plan decides who computes which rows
+//! and when — never what the bytes are. CSR construction and
+//! normalization are one-time costs that run on the calling thread
+//! (see [`crate::sparse`]).
 //!
 //! # Determinism and the canonical lane order
 //!

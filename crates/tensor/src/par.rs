@@ -732,67 +732,6 @@ fn assert_ranges_tile(ranges: &[Range<usize>], rows: usize, who: &str) {
     assert!(next == rows, "{who}: ranges cover 0..{next}, expected 0..{rows}");
 }
 
-/// Like [`for_each_row_chunk_ranges`], but for buffers whose rows have
-/// *uneven* widths — e.g. the `values` array of a CSR matrix, where
-/// `spans` is the `indptr` array mapping row `r` to the element range
-/// `spans[r]..spans[r + 1]`.
-///
-/// `spans` must have `rows + 1` non-decreasing entries with
-/// `spans[rows] <= data.len()`; `f(row_range, chunk)` receives the
-/// elements `spans[row_range.start]..spans[row_range.end]` as a
-/// disjoint `&mut` slice. Cut `ranges` with [`partition_weighted`] over
-/// the same `spans` to balance elements rather than rows. Serial
-/// (`threads <= 1`) and nested calls run inline exactly like
-/// [`for_each_row_chunk`].
-///
-/// # Panics
-/// If `spans` is empty, indexes past `data` or decreases across a
-/// chunk, or `ranges` does not tile the row set; either way before `f`
-/// runs on any chunk.
-pub fn for_each_span_chunk_ranges<T, F>(data: &mut [T], spans: &[usize], ranges: &[Range<usize>], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    assert!(!spans.is_empty(), "for_each_span_chunk_ranges: spans must have rows + 1 entries");
-    let rows = spans.len() - 1;
-    assert!(
-        spans[rows] <= data.len() && spans[0] <= spans[rows],
-        "for_each_span_chunk_ranges: spans index past the buffer ({} > {})",
-        spans[rows],
-        data.len()
-    );
-    assert_ranges_tile(ranges, rows, "for_each_span_chunk_ranges");
-    // Memory safety rests on the chunk boundaries alone (ranges are
-    // contiguous, so per-range monotonicity chains across chunks), so
-    // validate them in release builds too — O(chunks), off the
-    // per-row path — and ahead of the full debug check below, which
-    // would otherwise shadow this one in debug builds.
-    for r in ranges {
-        assert!(
-            spans[r.start] <= spans[r.end],
-            "for_each_span_chunk_ranges: spans decrease across rows {}..{}",
-            r.start,
-            r.end
-        );
-    }
-    debug_assert!(spans.windows(2).all(|w| w[0] <= w[1]), "for_each_span_chunk_ranges: spans decrease");
-    if rows == 0 {
-        f(0..0, &mut data[spans[0]..spans[0]]);
-        return;
-    }
-    let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), threads, &|i: usize| {
-        let range = ranges[i].clone();
-        let (s, e) = (spans[range.start], spans[range.end]);
-        // SAFETY: the ranges tile the row set and span boundaries are
-        // non-decreasing (asserted above), so element ranges are
-        // disjoint; the caller's exclusive borrow outlives the call.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
-        f(range, chunk);
-    });
-}
-
 // Unit tests run in `gnmr-tensor` only: `gnmr-check` includes this file
 // under `cfg(gnmr_model)` and drives the pool through its own scenario
 // suite instead (these tests assume real, free-running threads).
@@ -865,25 +804,6 @@ mod tests {
             }
         });
         assert!(seen.into_inner().unwrap().iter().all(|&b| b));
-    }
-
-    #[test]
-    fn for_each_span_chunk_visits_uneven_rows() {
-        // Rows of widths 0, 3, 1, 0, 2 over a 6-element buffer.
-        let spans = [0usize, 0, 3, 4, 4, 6];
-        for threads in [1usize, 2, 3, 5, 8] {
-            let mut data = vec![0u32; 6];
-            let ranges = partition(spans.len() - 1, threads);
-            for_each_span_chunk_ranges(&mut data, &spans, &ranges, threads, |range, chunk| {
-                let offset = spans[range.start];
-                for r in range {
-                    for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
-                        *v += r as u32 + 1;
-                    }
-                }
-            });
-            assert_eq!(data, vec![2, 2, 2, 3, 5, 5], "threads={threads}");
-        }
     }
 
     #[test]
@@ -974,32 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_span_plan_visits_every_row_once() {
-        // Skewed spans: one hub row, empty runs before and after.
-        let spans = [0usize, 0, 0, 90, 91, 91, 95, 100];
-        let rows = spans.len() - 1;
-        let mut reference = vec![0u32; 100];
-        for r in 0..rows {
-            for v in &mut reference[spans[r]..spans[r + 1]] {
-                *v += r as u32 + 1;
-            }
-        }
-        for threads in [2usize, 3, 5] {
-            let ranges = partition_weighted(&spans, threads * 4);
-            let mut out = vec![0u32; 100];
-            for_each_span_chunk_ranges(&mut out, &spans, &ranges, threads, |range, chunk| {
-                let offset = spans[range.start];
-                for r in range {
-                    for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
-                        *v += r as u32 + 1;
-                    }
-                }
-            });
-            assert_eq!(out, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn fine_plan_panic_propagates_and_pool_survives() {
         let rows = 48;
         let mut data = vec![0u8; rows];
@@ -1037,13 +931,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "for_each_span_chunk_ranges: ranges must tile 0..4 in order (got 1..4 at offset 2)")]
-    fn span_plan_with_an_overlap_panics_before_any_chunk() {
-        let spans = [0usize, 1, 2, 3, 4];
-        for_each_span_chunk_ranges(&mut [0u32; 4], &spans, &[0..2, 1..4], 2, never_called);
-    }
-
-    #[test]
     #[should_panic(expected = "for_each_row_chunk_ranges: ranges cover 0..3, expected 0..4")]
     fn row_plan_stopping_short_panics_before_any_chunk() {
         for_each_row_chunk_ranges(&mut [0u32; 8], 4, &[0..1, 1..3], 2, never_called);
@@ -1053,15 +940,6 @@ mod tests {
     #[should_panic(expected = "for_each_row_chunk_ranges: buffer length 7 is not row-aligned for 2 rows")]
     fn unaligned_buffer_panics_before_any_chunk() {
         for_each_row_chunk_ranges(&mut [0u32; 7], 2, &[0..1, 1..2], 2, never_called);
-    }
-
-    #[test]
-    #[should_panic(expected = "for_each_span_chunk_ranges: spans decrease across rows 1..3")]
-    fn spans_decreasing_across_a_chunk_panic_before_any_chunk() {
-        // Chunk 1..3 would cover elements 3..2 and chunk 3..4 elements
-        // 2..5, which alias chunk 0..1's elements 0..3.
-        let spans = [0usize, 3, 4, 2, 5];
-        for_each_span_chunk_ranges(&mut [0u32; 5], &spans, &[0..1, 1..3, 3..4], 3, never_called);
     }
 
     #[test]

@@ -1,163 +1,23 @@
 //! Compressed sparse row matrices and the SpMM kernels used for graph
 //! message passing.
 //!
-//! # Parallel construction & normalization
+//! # Construction & normalization
 //!
-//! Building a CSR from triplets and normalizing it (row / symmetric)
-//! run on the shared persistent worker pool ([`crate::par`]) once the
-//! matrix is large enough to amortize dispatch; below
-//! [`crate::kernels::PAR_MIN_WORK`] stored entries everything stays on
-//! the serial path. Results are **bitwise identical** at every thread
-//! count: construction buckets entries by row (preserving insertion
-//! order), sorts each row stably by column, and sums duplicates in
-//! insertion order — the same accumulation order as the serial
-//! reference; normalization scales disjoint row spans in place.
+//! There is one way to build a CSR, [`Csr::from_triplets`], and it runs
+//! on the calling thread: a graph's adjacencies are built once per
+//! dataset and normalized once per model, an O(nnz) cost next to the
+//! per-step SpMM kernels that run on the shared worker pool. The build
+//! counts each row's entries, copies the entries into per-row buckets
+//! in insertion order, sorts each row stably by column and sums each
+//! run of one column in order, so duplicate coordinates always add up
+//! in insertion order. [`Csr::row_normalized`] and
+//! [`Csr::sym_normalized`] each scale the values in one pass over the
+//! rows.
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::dense::Matrix;
-use crate::kernels;
 use crate::par;
-
-/// Thread count for CSR construction/normalization: serial below
-/// [`kernels::min_work`] stored entries, otherwise the shared config.
-fn auto_build_threads(nnz: usize) -> usize {
-    if nnz < kernels::min_work() {
-        1
-    } else {
-        par::num_threads()
-    }
-}
-
-/// Builds a CSR from serially sorted triplets, summing duplicates.
-/// `sorted` must be stably sorted by `(row, col)`, so duplicates sum in
-/// insertion order.
-fn rebuild_csr(rows: usize, cols: usize, sorted: &[(u32, u32, f32)]) -> Csr {
-    let mut indptr = vec![0usize; rows + 1];
-    let mut indices: Vec<u32> = Vec::with_capacity(sorted.len());
-    let mut values: Vec<f32> = Vec::with_capacity(sorted.len());
-    let mut prev: Option<(u32, u32)> = None;
-    for &(r, c, v) in sorted {
-        if prev == Some((r, c)) {
-            *values.last_mut().unwrap() += v;
-        } else {
-            indices.push(c);
-            values.push(v);
-            indptr[r as usize + 1] += 1;
-            prev = Some((r, c));
-        }
-    }
-    for i in 0..rows {
-        indptr[i + 1] += indptr[i];
-    }
-    Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
-}
-
-/// Scales each row span in `range` to sum to 1 (rows summing to 0 are
-/// left zero). `chunk` holds the elements of those spans, shifted left
-/// by `offset` (the chunk's first element index).
-fn normalize_rows_span(chunk: &mut [f32], indptr: &[usize], range: Range<usize>, offset: usize) {
-    for r in range {
-        let row = &mut chunk[indptr[r] - offset..indptr[r + 1] - offset];
-        let total: f32 = row.iter().sum();
-        if total != 0.0 {
-            for v in row {
-                *v /= total;
-            }
-        }
-    }
-}
-
-/// Output of one worker's row range during parallel CSR construction.
-struct RangeOut {
-    start_row: usize,
-    row_nnz: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
-}
-
-/// Builds a CSR from (row, col, value) triplets in any order; duplicate
-/// coordinates are summed **in insertion order** (both paths below are
-/// stable, so serial and parallel construction yield identical bytes).
-fn build_csr(rows: usize, cols: usize, mut entries: Vec<(u32, u32, f32)>, threads: usize) -> Csr {
-    let threads = threads.clamp(1, rows.max(1));
-    if threads <= 1 {
-        // Serial reference: one stable sort, then a linear compaction.
-        entries.sort_by_key(|&(r, c, _)| (r, c));
-        return rebuild_csr(rows, cols, &entries);
-    }
-
-    // 1) Counting-sort entries by row (stable: insertion order survives
-    //    within each row). Serial, O(nnz + rows), cache-friendly.
-    let mut row_start = vec![0usize; rows + 1];
-    for &(r, _, _) in &entries {
-        row_start[r as usize + 1] += 1;
-    }
-    for i in 0..rows {
-        row_start[i + 1] += row_start[i];
-    }
-    let mut cursor = row_start.clone();
-    let mut bucketed: Vec<(u32, f32)> = vec![(0, 0.0); entries.len()];
-    for &(r, c, v) in &entries {
-        bucketed[cursor[r as usize]] = (c, v);
-        cursor[r as usize] += 1;
-    }
-    drop(entries);
-
-    // 2) Workers own disjoint row ranges: stable-sort each row slice by
-    //    column, sum duplicates in order, emit compacted arrays. Range
-    //    outputs are stitched back together in row order, so the result
-    //    is independent of which worker ran first. The chunk plan is
-    //    entry-weighted (cost model), so a hub row's sort does not
-    //    serialize construction of a skewed graph.
-    let ranges = kernels::span_plan(&row_start, threads);
-    let outputs = std::sync::Mutex::new(Vec::new());
-    par::for_each_span_chunk_ranges(&mut bucketed, &row_start, &ranges, threads, |range, chunk| {
-        let offset = row_start[range.start];
-        let mut out = RangeOut {
-            start_row: range.start,
-            row_nnz: Vec::with_capacity(range.len()),
-            indices: Vec::with_capacity(chunk.len()),
-            values: Vec::with_capacity(chunk.len()),
-        };
-        for r in range.clone() {
-            let row = &mut chunk[row_start[r] - offset..row_start[r + 1] - offset];
-            row.sort_by_key(|&(c, _)| c);
-            let before = out.indices.len();
-            let mut prev: Option<u32> = None;
-            for &(c, v) in row.iter() {
-                if prev == Some(c) {
-                    *out.values.last_mut().unwrap() += v;
-                } else {
-                    out.indices.push(c);
-                    out.values.push(v);
-                    prev = Some(c);
-                }
-            }
-            out.row_nnz.push(out.indices.len() - before);
-        }
-        outputs.lock().unwrap().push(out);
-    });
-    let mut outputs = outputs.into_inner().unwrap();
-    outputs.sort_by_key(|o| o.start_row);
-
-    let mut indptr = vec![0usize; rows + 1];
-    let mut indices = Vec::with_capacity(bucketed.len());
-    let mut values = Vec::with_capacity(bucketed.len());
-    let mut row = 0;
-    for out in outputs {
-        debug_assert_eq!(out.start_row, row, "row ranges must stitch contiguously");
-        for nnz in out.row_nnz {
-            indptr[row + 1] = indptr[row] + nnz;
-            row += 1;
-        }
-        indices.extend_from_slice(&out.indices);
-        values.extend_from_slice(&out.values);
-    }
-    debug_assert_eq!(row, rows);
-    Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
-}
 
 /// The column-major companion index of a [`Csr`]: the same entries
 /// re-bucketed by column, with rows ascending inside each column (a
@@ -220,26 +80,49 @@ impl PartialEq for Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from (row, col, value) triplets (any order,
-    /// duplicates summed in insertion order). Large builds run on the
-    /// shared worker pool; results are bitwise identical to the serial
-    /// path.
+    /// Builds a CSR from (row, col, value) triplets in any order;
+    /// duplicate coordinates are summed in insertion order (see the
+    /// module doc for the steps).
+    ///
+    /// # Panics
+    /// If a triplet lies outside `rows x cols`.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
-        Self::from_triplets_with(rows, cols, triplets, auto_build_threads(triplets.len()))
-    }
-
-    /// [`Csr::from_triplets`] on an explicit number of threads (used by
-    /// the equivalence tests and benches).
-    pub fn from_triplets_with(
-        rows: usize,
-        cols: usize,
-        triplets: &[(u32, u32, f32)],
-        threads: usize,
-    ) -> Self {
+        // Row `r`'s bucket is `start[r]..start[r + 1]` of `bucketed`.
+        let mut start = vec![0usize; rows + 1];
         for &(r, c, _) in triplets {
             assert!((r as usize) < rows && (c as usize) < cols, "Csr::from_triplets: ({r},{c}) out of bounds for {rows}x{cols}");
+            start[r as usize + 1] += 1;
         }
-        build_csr(rows, cols, triplets.to_vec(), threads)
+        for i in 0..rows {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut bucketed = vec![(0u32, 0.0f32); triplets.len()];
+        for &(r, c, v) in triplets {
+            bucketed[cursor[r as usize]] = (c, v);
+            cursor[r as usize] += 1;
+        }
+
+        let mut indptr = vec![0usize; rows + 1];
+        let mut indices = Vec::with_capacity(triplets.len());
+        let mut values: Vec<f32> = Vec::with_capacity(triplets.len());
+        for r in 0..rows {
+            let row = &mut bucketed[start[r]..start[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let mut prev = None;
+            for &(c, v) in row.iter() {
+                match values.last_mut() {
+                    Some(last) if prev == Some(c) => *last += v,
+                    _ => {
+                        indices.push(c);
+                        values.push(v);
+                        prev = Some(c);
+                    }
+                }
+            }
+            indptr[r + 1] = indices.len();
+        }
+        Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
     }
 
     /// An empty (all-zero) CSR.
@@ -395,65 +278,40 @@ impl Csr {
     }
 
     /// A copy whose rows each sum to 1 (rows summing to 0 are left
-    /// zero). Large matrices normalize their row spans on the shared
-    /// worker pool; each row is scaled by exactly one thread, so the
-    /// result is bitwise identical at every thread count.
+    /// as they are).
     pub fn row_normalized(&self) -> Csr {
-        self.row_normalized_with(auto_build_threads(self.nnz()))
-    }
-
-    /// [`Csr::row_normalized`] on an explicit number of threads.
-    pub fn row_normalized_with(&self, threads: usize) -> Csr {
         let mut out = self.clone();
-        if threads <= 1 || self.rows == 0 {
-            normalize_rows_span(&mut out.values, &out.indptr, 0..self.rows, 0);
-            return out;
+        for r in 0..out.rows {
+            let row = &mut out.values[out.indptr[r]..out.indptr[r + 1]];
+            let total: f32 = row.iter().sum();
+            if total != 0.0 {
+                for v in row {
+                    *v /= total;
+                }
+            }
         }
-        let ranges = kernels::span_plan(&out.indptr, threads);
-        par::for_each_span_chunk_ranges(&mut out.values, &out.indptr, &ranges, threads, |range, chunk| {
-            let offset = out.indptr[range.start];
-            normalize_rows_span(chunk, &out.indptr, range, offset);
-        });
         out
     }
 
     /// A copy scaled by `1/sqrt(deg_row * deg_col)` (GCN-style symmetric
     /// normalization on the bipartite graph), where degrees count stored
-    /// entries. Large matrices scale on the shared worker pool with
-    /// bitwise-identical results at every thread count.
+    /// entries.
     pub fn sym_normalized(&self) -> Csr {
-        self.sym_normalized_with(auto_build_threads(self.nnz()))
-    }
-
-    /// [`Csr::sym_normalized`] on an explicit number of threads.
-    pub fn sym_normalized_with(&self, threads: usize) -> Csr {
         let mut col_deg = vec![0.0f32; self.cols];
         for &c in &self.indices {
             col_deg[c as usize] += 1.0;
         }
         let mut out = self.clone();
-        let (indptr, indices, values) = (&out.indptr, &out.indices, &mut out.values);
-        let scale = |range: Range<usize>, chunk: &mut [f32], offset: usize| {
-            for r in range {
-                let (s, e) = (indptr[r], indptr[r + 1]);
-                let rd = (e - s) as f32;
-                for i in s..e {
-                    let denom = (rd * col_deg[indices[i] as usize]).sqrt();
-                    if denom != 0.0 {
-                        chunk[i - offset] /= denom;
-                    }
+        for r in 0..out.rows {
+            let (s, e) = (out.indptr[r], out.indptr[r + 1]);
+            let rd = (e - s) as f32;
+            for i in s..e {
+                let denom = (rd * col_deg[out.indices[i] as usize]).sqrt();
+                if denom != 0.0 {
+                    out.values[i] /= denom;
                 }
             }
-        };
-        if threads <= 1 || self.rows == 0 {
-            scale(0..self.rows, &mut values[..], 0);
-            return out;
         }
-        let ranges = kernels::span_plan(indptr, threads);
-        par::for_each_span_chunk_ranges(values, indptr, &ranges, threads, |range, chunk| {
-            let offset = indptr[range.start];
-            scale(range, chunk, offset);
-        });
         out
     }
 
@@ -464,11 +322,6 @@ impl Csr {
             out[(r as usize, c as usize)] += v;
         }
         out
-    }
-
-    /// Stored-entry degree of row `r` (same as [`Csr::row_nnz`]).
-    pub fn degree(&self, r: usize) -> usize {
-        self.row_nnz(r)
     }
 
     /// Whether the entry `(r, c)` is stored.
@@ -505,7 +358,7 @@ mod tests {
         assert_eq!(cols, &[0, 2]);
         assert_eq!(vals, &[1.0, 2.0]);
         assert_eq!(csr.row_nnz(1), 0);
-        assert_eq!(csr.degree(2), 2);
+        assert_eq!(csr.row_nnz(2), 2);
         assert!(csr.contains(2, 1));
         assert!(!csr.contains(1, 0));
     }

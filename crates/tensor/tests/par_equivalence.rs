@@ -182,14 +182,12 @@ fn sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
     })
 }
 
-/// Power-law (Taobao/Yelp-style) inputs: one hub row owns ~90% of the
-/// stored entries, one hub column concentrates the rest, and with only
-/// a handful of light entries over up to 14 rows, long empty-row runs
-/// arise by construction. On these shapes the kernels' nnz-weighted
-/// plans give the hub a chunk of its own and fold empty-row runs into
-/// their neighbors' chunks; the bitwise assertions guard those plans.
-fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
-    (3usize..14, 3usize..14, 0usize..8).prop_flat_map(|(rows, cols, d)| {
+/// Power-law (Taobao/Yelp-style) triplets: one hub row owns ~90% of
+/// the entries, one hub column concentrates the rest, and with only a
+/// handful of light entries over up to 14 rows, long empty-row runs
+/// arise by construction.
+fn skewed_triplets() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)> {
+    (3usize..14, 3usize..14).prop_flat_map(|(rows, cols)| {
         (0..rows as u32, 0..cols as u32).prop_flat_map(move |(hub_row, hub_col)| {
             let hub = (Just(hub_row), 0..cols as u32, -3.0f32..3.0)
                 .prop_map(|(r, c, v)| (r, c, v));
@@ -201,15 +199,23 @@ fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
                 proptest::collection::vec(hub, 27..45),
                 proptest::collection::vec(col_hub, 6..12),
                 proptest::collection::vec(light, 0..5),
-                matrix(cols, d),
-                matrix(rows, d),
             )
-                .prop_map(move |(mut entries, col_entries, light, x, xt)| {
+                .prop_map(move |(mut entries, col_entries, light)| {
                     entries.extend(col_entries);
                     entries.extend(light);
-                    (Csr::from_triplets(rows, cols, &entries), x, xt)
+                    (rows, cols, entries)
                 })
         })
+    })
+}
+
+/// A CSR of [`skewed_triplets`] with conformable dense matrices for
+/// `spmm` and `spmm_t`. On these shapes the kernels' nnz-weighted plans
+/// give the hub a chunk of its own and fold empty-row runs into their
+/// neighbors' chunks; the bitwise assertions guard those plans.
+fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
+    (skewed_triplets(), 0usize..8).prop_flat_map(|((rows, cols, entries), d)| {
+        (Just(Csr::from_triplets(rows, cols, &entries)), matrix(cols, d), matrix(rows, d))
     })
 }
 
@@ -282,17 +288,6 @@ proptest! {
     }
 
     #[test]
-    fn skewed_normalization_matches_serial((csr, _x, _xt) in skewed_sparse_inputs()) {
-        let _caps = ThreadOverride::lift_caps();
-        let row_ref = csr.row_normalized_with(1);
-        let sym_ref = csr.sym_normalized_with(1);
-        for &t in &THREADS[1..] {
-            prop_assert_eq!(csr_bits(&csr.row_normalized_with(t)), csr_bits(&row_ref), "row threads={}", t);
-            prop_assert_eq!(csr_bits(&csr.sym_normalized_with(t)), csr_bits(&sym_ref), "sym threads={}", t);
-        }
-    }
-
-    #[test]
     fn skewed_scatter_add_matches_serial(
         (rows, src) in (2usize..10, 0usize..6).prop_flat_map(|(r, c)| (Just(r), matrix(40, c))),
         hot in 0usize..10,
@@ -334,6 +329,99 @@ proptest! {
             kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
             prop_assert!(dst.max_abs_diff(&reference) <= TOL, "threads={}", t);
         }
+    }
+}
+
+// ----- CSR construction & normalization -------------------------------
+//
+// `Csr::from_triplets`, `row_normalized` and `sym_normalized` run on the
+// calling thread. They are pinned bit for bit against specs that share
+// no code with `sparse.rs`: one stable sort of every triplet by
+// `(row, col)` with a left-to-right pass summing each run of one
+// coordinate, then plain per-row loops over the entries it leaves.
+
+/// Triplets whose duplicate sums depend on the order of the adds: few
+/// rows and columns, so most coordinates repeat and some rows stay
+/// empty, with values from {1e8, 1, −1e8, −0.0}. `1e8 + 1 − 1e8` is 0
+/// but `1e8 − 1e8 + 1` is 1, and `−0.0 + −0.0` keeps the sign that
+/// `0.0 + −0.0` loses.
+fn duplicate_heavy_triplets() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)> {
+    (1usize..10, 1usize..5).prop_flat_map(|(rows, cols)| {
+        let entry = (0..rows as u32, 0..cols as u32, 0usize..4)
+            .prop_map(|(r, c, i)| (r, c, [1e8f32, 1.0, -1e8, -0.0][i]));
+        (Just(rows), Just(cols), proptest::collection::vec(entry, 0..48))
+    })
+}
+
+/// The build spec: a stable sort by `(row, col)`, so each coordinate's
+/// values stay in insertion order, then one pass that adds each run of
+/// one coordinate into its first value, left to right.
+fn from_triplets_ref(triplets: &[(u32, u32, f32)]) -> Vec<(u32, u32, f32)> {
+    let mut sorted = triplets.to_vec();
+    sorted.sort_by_key(|&(r, c, _)| (r, c));
+    let mut out: Vec<(u32, u32, f32)> = Vec::with_capacity(sorted.len());
+    for (r, c, v) in sorted {
+        match out.last_mut() {
+            Some(last) if (last.0, last.1) == (r, c) => last.2 += v,
+            _ => out.push((r, c, v)),
+        }
+    }
+    out
+}
+
+/// Row normalization over row-major `entries`: each row divided by its
+/// sum, added left to right; a row summing to zero stays as it is.
+fn row_normalized_ref(entries: &[(u32, u32, f32)]) -> Vec<(u32, u32, f32)> {
+    let mut out = Vec::with_capacity(entries.len());
+    for row in entries.chunk_by(|a, b| a.0 == b.0) {
+        let mut total = 0.0f32;
+        for &(_, _, v) in row {
+            total += v;
+        }
+        out.extend(row.iter().map(|&(r, c, v)| (r, c, if total != 0.0 { v / total } else { v })));
+    }
+    out
+}
+
+/// Symmetric normalization over row-major `entries`: each value divided
+/// by `sqrt(row entries * column entries)`.
+fn sym_normalized_ref(cols: usize, entries: &[(u32, u32, f32)]) -> Vec<(u32, u32, f32)> {
+    let mut col_deg = vec![0usize; cols];
+    for &(_, c, _) in entries {
+        col_deg[c as usize] += 1;
+    }
+    let mut out = Vec::with_capacity(entries.len());
+    for row in entries.chunk_by(|a, b| a.0 == b.0) {
+        for &(r, c, v) in row {
+            out.push((r, c, v / (row.len() as f32 * col_deg[c as usize] as f32).sqrt()));
+        }
+    }
+    out
+}
+
+/// Builds and normalizes `triplets` and compares each result with its
+/// spec in the [`csr_bits`] form.
+fn csr_matches_references(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> TestCaseResult {
+    let as_bits = |entries: &[(u32, u32, f32)]| {
+        (rows, cols, entries.iter().map(|&(r, c, v)| (r, c, v.to_bits())).collect::<Vec<_>>())
+    };
+    let csr = Csr::from_triplets(rows, cols, triplets);
+    let built = from_triplets_ref(triplets);
+    prop_assert_eq!(csr_bits(&csr), as_bits(&built), "from_triplets");
+    prop_assert_eq!(csr_bits(&csr.row_normalized()), as_bits(&row_normalized_ref(&built)), "row_normalized");
+    prop_assert_eq!(csr_bits(&csr.sym_normalized()), as_bits(&sym_normalized_ref(cols, &built)), "sym_normalized");
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn csr_build_and_normalization_match_references((rows, cols, triplets) in duplicate_heavy_triplets()) {
+        csr_matches_references(rows, cols, &triplets)?;
+    }
+
+    #[test]
+    fn skewed_csr_build_and_normalization_match_references((rows, cols, triplets) in skewed_triplets()) {
+        csr_matches_references(rows, cols, &triplets)?;
     }
 }
 

@@ -43,67 +43,6 @@ proptest! {
         let max = ranges.iter().map(|r| r.len()).max().unwrap();
         prop_assert!(max - min <= 1, "unbalanced: min {} max {}", min, max);
     }
-
-    #[test]
-    fn span_chunks_match_serial(widths in proptest::collection::vec(0usize..5, 0..40),
-                                threads in 1usize..6) {
-        // Build an indptr-style span table from random row widths and
-        // check the parallel visit writes exactly what the serial one
-        // does.
-        let _g = lock();
-        let mut spans = vec![0usize];
-        for w in &widths {
-            spans.push(spans.last().unwrap() + w);
-        }
-        let total = *spans.last().unwrap();
-        let fill = |data: &mut [u32], t: usize| {
-            let ranges = par::partition_weighted(&spans, t * 4);
-            par::for_each_span_chunk_ranges(data, &spans, &ranges, t, |range, chunk| {
-                let offset = spans[range.start];
-                for r in range {
-                    for v in &mut chunk[spans[r] - offset..spans[r + 1] - offset] {
-                        *v += r as u32 + 1;
-                    }
-                }
-            });
-        };
-        let mut serial = vec![0u32; total];
-        fill(&mut serial, 1);
-        let mut parallel = vec![0u32; total];
-        fill(&mut parallel, threads);
-        prop_assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn csr_construction_matches_serial(
-        (rows, cols, entries) in (1usize..20, 1usize..20).prop_flat_map(|(r, c)| {
-            let entry = (0..r as u32, 0..c as u32, -3.0f32..3.0).prop_map(|(a, b, v)| (a, b, v));
-            (Just(r), Just(c), proptest::collection::vec(entry, 0..200))
-        }),
-    ) {
-        // Parallel CSR construction must sum duplicates in insertion
-        // order — bitwise equal to the serial stable-sort reference.
-        let _g = lock();
-        let reference = Csr::from_triplets_with(rows, cols, &entries, 1);
-        for threads in [2usize, 3, 4] {
-            let got = Csr::from_triplets_with(rows, cols, &entries, threads);
-            prop_assert_eq!(&got, &reference, "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn csr_normalization_matches_serial(
-        (rows, cols, entries) in (1usize..16, 1usize..16).prop_flat_map(|(r, c)| {
-            let entry = (0..r as u32, 0..c as u32, 0.1f32..3.0).prop_map(|(a, b, v)| (a, b, v));
-            (Just(r), Just(c), proptest::collection::vec(entry, 0..120))
-        }),
-        threads in 2usize..5,
-    ) {
-        let _g = lock();
-        let csr = Csr::from_triplets(rows, cols, &entries);
-        prop_assert_eq!(csr.row_normalized_with(threads), csr.row_normalized_with(1));
-        prop_assert_eq!(csr.sym_normalized_with(threads), csr.sym_normalized_with(1));
-    }
 }
 
 #[test]
