@@ -2,25 +2,26 @@
 //!
 //! A define-by-run tape ([`Graph`]) over [`gnmr_tensor::Matrix`] values,
 //! with named parameter storage ([`ParamStore`]), per-step parameter
-//! binding ([`Ctx`]), the [`Adam`] optimizer, finite-difference
-//! gradient checking, and small NN building blocks.
+//! binding ([`Ctx`]), the [`Adam`] optimizer, the training loop every
+//! model shares ([`Trainer`], with Eq. 7's [`pairwise_hinge`]),
+//! finite-difference gradient checking, and small NN building blocks.
 //!
 //! # Example
 //!
 //! ```
-//! use gnmr_autograd::{Adam, Ctx, ParamStore};
+//! use gnmr_autograd::{Adam, ParamStore, Trainer};
 //! use gnmr_tensor::Matrix;
 //!
 //! let mut store = ParamStore::new();
 //! store.insert("w", Matrix::from_vec(1, 2, vec![3.0, -2.0]));
-//! let mut opt = Adam::new(0.1);
-//! for _ in 0..200 {
-//!     let mut ctx = Ctx::new(&store);
-//!     let w = ctx.param("w");
-//!     let sq = ctx.g.sqr(w);
-//!     let loss = ctx.g.sum(sq);
-//!     let grads = ctx.grads(loss);
-//!     opt.step(&mut store, &grads);
+//! // Clip threshold 0: no clipping.
+//! let mut trainer = Trainer::new(Adam::new(0.1), 0.0);
+//! for _ in 0..20 {
+//!     trainer.epoch(&mut store, 10, |ctx| {
+//!         let w = ctx.param("w");
+//!         let sq = ctx.g.sqr(w);
+//!         Some(ctx.g.sum(sq))
+//!     });
 //! }
 //! assert!(store.get("w").max_abs() < 0.05);
 //! ```
@@ -30,6 +31,7 @@ pub mod nn;
 pub mod optim;
 pub mod params;
 pub mod tape;
+pub mod trainer;
 
 pub use gradcheck::max_grad_error;
 pub use gnmr_tensor::Arena;
@@ -37,3 +39,4 @@ pub use nn::{Activation, GruCell, Linear, Mlp};
 pub use optim::{adam_step, Adam, AdamState, AdamStep};
 pub use params::{Ctx, Grads, ParamStore};
 pub use tape::{Graph, Var};
+pub use trainer::{pairwise_hinge, Trainer};

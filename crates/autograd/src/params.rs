@@ -217,18 +217,13 @@ impl<'s> Ctx<'s> {
     /// Runs backward from `loss` and extracts gradients for every bound
     /// parameter that participated in it.
     ///
-    /// Convenience (allocating) form; steady-state training loops use
-    /// [`Ctx::grads_into`] with a long-lived [`Arena`] and a reused
-    /// [`Grads`], which allocates nothing after warm-up.
+    /// Convenience form of [`Ctx::grads_into`] over a throwaway arena;
+    /// training loops go through [`crate::Trainer`], whose long-lived
+    /// arena and reused [`Grads`] allocate nothing after warm-up.
     pub fn grads(mut self, loss: Var) -> Grads {
-        self.g.backward(loss);
-        let mut entries = BTreeMap::new();
-        for (name, var) in self.bound {
-            if let Some(grad) = self.g.grad(var) {
-                entries.insert(name, Some(grad.clone()));
-            }
-        }
-        Grads { entries }
+        let mut out = Grads::default();
+        self.grads_into(loss, &Arena::new(), &mut out);
+        out
     }
 
     /// Runs backward from `loss` through `arena` and refills `out` with

@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Activation, Adam, Ctx, Linear, ParamStore};
+use gnmr_autograd::{Activation, Ctx, Linear, ParamStore};
 use gnmr_eval::Recommender;
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
 use gnmr_tensor::{rng, Matrix};
 use rand::Rng;
 
-use crate::common::{dense_rows, BaselineConfig};
+use crate::common::{dense_rows, trainer, BaselineConfig};
 
 /// A trained AutoRec model: the full reconstruction matrix.
 pub struct AutoRec {
@@ -31,20 +31,19 @@ impl AutoRec {
         let j = graph.n_items();
         let enc = Linear::new(&mut store, &mut init_rng, "enc", j, cfg.dim * 2);
         let dec = Linear::new(&mut store, &mut init_rng, "dec", cfg.dim * 2, j);
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
         let ui = Arc::clone(graph.target_user_item());
         let sampler = BatchSampler::new(graph);
         let mut sample_rng = rng::substream(cfg.seed, 0xA08);
         let users_per_step = cfg.batch_users.max(1);
         let steps = sampler.eligible_users().len().div_ceil(users_per_step).max(1);
+        let mut trainer = trainer(cfg);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let (mut epoch_loss, mut counted) = (0.0, 0usize);
-            for _ in 0..steps {
+            let (loss, _) = trainer.epoch(&mut store, steps, |ctx| {
                 let eligible = sampler.eligible_users();
                 if eligible.is_empty() {
-                    break;
+                    return None;
                 }
                 let batch: Vec<u32> = (0..users_per_step)
                     .map(|_| eligible[sample_rng.gen_range(0..eligible.len())])
@@ -59,24 +58,17 @@ impl AutoRec {
                         mask.row_mut(r)[candidate] = 1.0;
                     }
                 }
-                let mut ctx = Ctx::new(&store);
                 let xv = ctx.constant(x);
                 let maskv = ctx.constant(mask);
-                let hidden_pre = enc.apply(&mut ctx, xv);
-                let hidden = Activation::Sigmoid.apply(&mut ctx, hidden_pre);
-                let recon = dec.apply(&mut ctx, hidden);
+                let hidden_pre = enc.apply(ctx, xv);
+                let hidden = Activation::Sigmoid.apply(ctx, hidden_pre);
+                let recon = dec.apply(ctx, hidden);
                 let diff = ctx.g.sub(recon, xv);
                 let sq = ctx.g.sqr(diff);
                 let masked = ctx.g.mul(sq, maskv);
-                let loss = ctx.g.mean(masked);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
-            }
-            opt.decay_lr();
-            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+                Some(ctx.g.mean(masked))
+            });
+            losses.push(loss);
         }
 
         // Reconstruct every user once.

@@ -29,7 +29,7 @@ impl BiasMf {
         store.insert("bu", Matrix::zeros(graph.n_users(), 1));
         store.insert("bi", Matrix::zeros(graph.n_items(), 1));
 
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let u = ctx.param("u");
             let v = ctx.param("v");
             let bu = ctx.param("bu");

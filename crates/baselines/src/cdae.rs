@@ -5,13 +5,13 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Activation, Adam, Ctx, Linear, ParamStore};
+use gnmr_autograd::{Activation, Ctx, Linear, ParamStore};
 use gnmr_eval::Recommender;
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
 use gnmr_tensor::{init, rng, Matrix};
 use rand::Rng;
 
-use crate::common::{dense_rows, BaselineConfig};
+use crate::common::{dense_rows, trainer, BaselineConfig};
 
 /// A trained CDAE model.
 pub struct Cdae {
@@ -31,7 +31,6 @@ impl Cdae {
         let enc = Linear::new(&mut store, &mut init_rng, "enc", j, hidden_dim);
         let dec = Linear::new(&mut store, &mut init_rng, "dec", hidden_dim, j);
         store.insert("user_emb", init::normal(graph.n_users(), hidden_dim, 0.0, 0.1, &mut init_rng));
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
         let ui = Arc::clone(graph.target_user_item());
         let sampler = BatchSampler::new(graph);
@@ -39,13 +38,13 @@ impl Cdae {
         let users_per_step = cfg.batch_users.max(1);
         let steps = sampler.eligible_users().len().div_ceil(users_per_step).max(1);
         let keep_scale = 1.0 / (1.0 - corruption);
+        let mut trainer = trainer(cfg);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let (mut epoch_loss, mut counted) = (0.0, 0usize);
-            for _ in 0..steps {
+            let (loss, _) = trainer.epoch(&mut store, steps, |ctx| {
                 let eligible = sampler.eligible_users();
                 if eligible.is_empty() {
-                    break;
+                    return None;
                 }
                 let batch: Vec<u32> = (0..users_per_step)
                     .map(|_| eligible[sample_rng.gen_range(0..eligible.len())])
@@ -72,29 +71,21 @@ impl Cdae {
                         mask.row_mut(r)[candidate] = 1.0;
                     }
                 }
-                let batch_arc = Arc::new(batch);
-                let mut ctx = Ctx::new(&store);
                 let x_clean = ctx.constant(clean);
                 let x_cor = ctx.constant(corrupted);
                 let maskv = ctx.constant(mask);
                 let user_emb = ctx.param("user_emb");
-                let u_vec = ctx.g.gather_rows(user_emb, batch_arc);
-                let enc_pre = enc.apply(&mut ctx, x_cor);
+                let u_vec = ctx.g.gather_rows(user_emb, Arc::new(batch));
+                let enc_pre = enc.apply(ctx, x_cor);
                 let with_user = ctx.g.add(enc_pre, u_vec);
-                let hidden = Activation::Sigmoid.apply(&mut ctx, with_user);
-                let recon = dec.apply(&mut ctx, hidden);
+                let hidden = Activation::Sigmoid.apply(ctx, with_user);
+                let recon = dec.apply(ctx, hidden);
                 let diff = ctx.g.sub(recon, x_clean);
                 let sq = ctx.g.sqr(diff);
                 let masked = ctx.g.mul(sq, maskv);
-                let loss = ctx.g.mean(masked);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
-            }
-            opt.decay_lr();
-            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+                Some(ctx.g.mean(masked))
+            });
+            losses.push(loss);
         }
 
         // Clean-input reconstruction for scoring.

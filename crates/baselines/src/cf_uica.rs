@@ -57,7 +57,7 @@ impl CfUica {
             (h_user, g_item)
         };
 
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let (h_user, g_item) = hiddens(ctx);
             let v_item = ctx.param("v_item");
             let u_user = ctx.param("u_user");

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Var};
+use gnmr_autograd::{pairwise_hinge, Adam, Ctx, ParamStore, Trainer, Var};
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph};
 use gnmr_tensor::rng;
 
@@ -49,53 +49,51 @@ impl BaselineConfig {
     }
 }
 
-/// Runs a standard pairwise-hinge training loop: each step the `step_fn`
-/// receives `(ctx, users, pos_items, neg_items)` and must return the
-/// `(pos_scores, neg_scores)` column vectors; this helper applies the
-/// hinge loss and one Adam update. Returns per-epoch mean losses.
+/// The baselines' optimizer protocol on the shared training loop: Adam
+/// at `cfg.lr` with `cfg.weight_decay`, gradients clipped to global
+/// norm 5.
+pub(crate) fn trainer(cfg: &BaselineConfig) -> Trainer {
+    Trainer::new(Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay), 5.0)
+}
+
+/// Trains with Eq. 7's pairwise hinge on the target behavior: each step
+/// samples a batch on RNG substream `stream` of `cfg.seed`, `step_fn`
+/// receives `(ctx, users, pos_items, neg_items)` and returns the
+/// `(pos_scores, neg_scores)` column vectors, and the shared
+/// [`Trainer`] takes one step on their hinge. Returns per-epoch mean
+/// losses.
 pub fn train_pairwise<F>(
     graph: &MultiBehaviorGraph,
-    store: &mut gnmr_autograd::ParamStore,
+    store: &mut ParamStore,
     cfg: &BaselineConfig,
+    stream: u64,
     mut step_fn: F,
 ) -> Vec<f32>
 where
     F: FnMut(&mut Ctx<'_>, Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Vec<u32>>) -> (Var, Var),
 {
     let sampler = BatchSampler::new(graph);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut sample_rng = rng::substream(cfg.seed, 0xBA5E);
+    let mut sample_rng = rng::substream(cfg.seed, stream);
     let steps_per_epoch = sampler
         .eligible_users()
         .len()
         .div_ceil(cfg.batch_users.max(1))
         .max(1);
+    let mut trainer = trainer(cfg);
     let mut losses = Vec::with_capacity(cfg.epochs);
     for _ in 0..cfg.epochs {
-        let mut epoch_loss = 0.0;
-        let mut counted = 0usize;
-        for _ in 0..steps_per_epoch {
+        let (loss, _) = trainer.epoch(store, steps_per_epoch, |ctx| {
             let batch = sampler.sample(cfg.batch_users, cfg.samples_per_user, &mut sample_rng);
             if batch.is_empty() {
-                continue;
+                return None;
             }
             let users = Arc::new(batch.users);
             let pos = Arc::new(batch.pos_items);
             let neg = Arc::new(batch.neg_items);
-            let mut ctx = Ctx::new(store);
-            let (pos_scores, neg_scores) = step_fn(&mut ctx, users, pos, neg);
-            let diff = ctx.g.sub(neg_scores, pos_scores);
-            let margin = ctx.g.add_scalar(diff, 1.0);
-            let hinge = ctx.g.relu(margin);
-            let loss = ctx.g.mean(hinge);
-            epoch_loss += ctx.g.value(loss).scalar_value();
-            counted += 1;
-            let mut grads = ctx.grads(loss);
-            grads.clip_global_norm(5.0);
-            opt.step(store, &grads);
-        }
-        opt.decay_lr();
-        losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+            let (pos_scores, neg_scores) = step_fn(ctx, users, pos, neg);
+            Some(pairwise_hinge(&mut ctx.g, pos_scores, neg_scores))
+        });
+        losses.push(loss);
     }
     losses
 }
@@ -117,7 +115,6 @@ pub fn dense_rows(csr: &gnmr_tensor::Csr, rows: &[u32]) -> gnmr_tensor::Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnmr_autograd::ParamStore;
     use gnmr_data::presets;
     use gnmr_tensor::init;
 
@@ -141,6 +138,7 @@ mod tests {
             &d.graph,
             &mut store,
             &BaselineConfig { epochs: 10, ..BaselineConfig::fast_test() },
+            0xBA5E,
             |ctx, users, pos, neg| {
                 let u = ctx.param("u");
                 let v = ctx.param("v");

@@ -11,12 +11,12 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, GruCell, ParamStore, Var};
+use gnmr_autograd::{Ctx, GruCell, ParamStore, Var};
 use gnmr_eval::Recommender;
-use gnmr_graph::{BatchSampler, InteractionLog, MultiBehaviorGraph};
+use gnmr_graph::{InteractionLog, MultiBehaviorGraph};
 use gnmr_tensor::{init, rng, Matrix};
 
-use crate::common::BaselineConfig;
+use crate::common::{train_pairwise, BaselineConfig};
 
 /// Sequence length used by the GRU.
 const SEQ_LEN: usize = 12;
@@ -111,49 +111,18 @@ impl Dipn {
         let gru = GruCell::new(&mut store, &mut init_rng, "gru", cfg.dim, cfg.dim);
         let net = DipnNet { gru, dim: cfg.dim };
 
-        let sampler = BatchSampler::new(graph);
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut sample_rng = rng::substream(cfg.seed, 0xD19B);
-        let steps = sampler
-            .eligible_users()
-            .len()
-            .div_ceil(cfg.batch_users.max(1))
-            .max(1);
-        let mut losses = Vec::with_capacity(cfg.epochs);
-        for _ in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut counted = 0;
-            for _ in 0..steps {
-                let batch = sampler.sample(cfg.batch_users, cfg.samples_per_user, &mut sample_rng);
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut ctx = Ctx::new(&store);
-                let intent = net.intent(&mut ctx, &sequences, &batch.users);
-                let item_out = ctx.param("item_out");
-                let bias = ctx.param("item_bias");
-                let score = |ctx: &mut Ctx<'_>, items: Vec<u32>| {
-                    let items = Arc::new(items);
-                    let ie = ctx.g.gather_rows(item_out, items.clone());
-                    let be = ctx.g.gather_rows(bias, items);
-                    let dot = ctx.g.row_dot(intent, ie);
-                    ctx.g.add(dot, be)
-                };
-                let p = score(&mut ctx, batch.pos_items);
-                let n = score(&mut ctx, batch.neg_items);
-                let diff = ctx.g.sub(n, p);
-                let margin = ctx.g.add_scalar(diff, 1.0);
-                let hinge = ctx.g.relu(margin);
-                let loss = ctx.g.mean(hinge);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
-            }
-            opt.decay_lr();
-            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
-        }
+        let losses = train_pairwise(graph, &mut store, cfg, 0xD19B, |ctx, users, pos, neg| {
+            let intent = net.intent(ctx, &sequences, &users);
+            let item_out = ctx.param("item_out");
+            let bias = ctx.param("item_bias");
+            let mut score = |items: Arc<Vec<u32>>| {
+                let ie = ctx.g.gather_rows(item_out, Arc::clone(&items));
+                let be = ctx.g.gather_rows(bias, items);
+                let dot = ctx.g.row_dot(intent, ie);
+                ctx.g.add(dot, be)
+            };
+            (score(pos), score(neg))
+        });
 
         // Materialize intent vectors for all users.
         let all: Vec<u32> = (0..graph.n_users() as u32).collect();

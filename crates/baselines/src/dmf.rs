@@ -45,7 +45,7 @@ impl Dmf {
         let ui = Arc::clone(graph.target_user_item());
         let iu = Arc::new(graph.target_user_item().transpose());
 
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let u_profiles = ctx.constant(dense_rows(&ui, &users));
             let p_profiles = ctx.constant(dense_rows(&iu, &pos));
             let n_profiles = ctx.constant(dense_rows(&iu, &neg));

@@ -1,6 +1,11 @@
 //! The twelve baseline recommenders of the paper's Table II, implemented
 //! from their original papers on the shared substrate and trained/
-//! evaluated with the same protocol as GNMR.
+//! evaluated with the same protocol as GNMR: every model steps the same
+//! training loop, [`gnmr_autograd::Trainer`] (Adam with the 0.96
+//! per-epoch lr decay, gradients clipped to global norm 5), and the
+//! pairwise models minimize Eq. 7's hinge,
+//! [`gnmr_autograd::pairwise_hinge`], all but NMTR through
+//! [`common::train_pairwise`].
 //!
 //! | Module | Model(s) | Family |
 //! |---|---|---|
@@ -25,15 +30,10 @@ pub mod cf_uica;
 pub mod common;
 pub mod dipn;
 pub mod dmf;
-pub mod item_knn;
 pub mod nade;
 pub mod ncf;
 pub mod ngcf;
 pub mod nmtr;
-
-
-
-
 
 pub use autorec::AutoRec;
 pub use bias_mf::BiasMf;
@@ -42,14 +42,7 @@ pub use cf_uica::CfUica;
 pub use common::BaselineConfig;
 pub use dipn::Dipn;
 pub use dmf::Dmf;
-pub use item_knn::ItemKnn;
 pub use nade::Nade;
 pub use ncf::{Ncf, NcfVariant};
 pub use ngcf::Ngcf;
 pub use nmtr::Nmtr;
-
-
-
-
-
-

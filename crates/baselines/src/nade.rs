@@ -50,7 +50,7 @@ impl Nade {
             ctx.g.tanh(shifted)
         };
 
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let h = hidden_of(ctx);
             let v_out = ctx.param("v_out");
             let b = ctx.param("b_item");

@@ -110,7 +110,7 @@ impl Ncf {
     pub fn fit(graph: &MultiBehaviorGraph, cfg: &BaselineConfig, variant: NcfVariant) -> Self {
         let mut store = ParamStore::new();
         let net = NcfNet::build(&mut store, graph, cfg, variant);
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let p = net.score_batch(ctx, users.clone(), pos);
             let n = net.score_batch(ctx, users, neg);
             (p, n)

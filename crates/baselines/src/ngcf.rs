@@ -78,7 +78,7 @@ impl Ngcf {
             adj_iu: Arc::new(graph.item_user(graph.target()).sym_normalized()),
         };
 
-        let losses = train_pairwise(graph, &mut store, cfg, |ctx, users, pos, neg| {
+        let losses = train_pairwise(graph, &mut store, cfg, 0xBA5E, |ctx, users, pos, neg| {
             let (u_all, v_all) = net.forward(ctx);
             let ue = ctx.g.gather_rows(u_all, users);
             let pe = ctx.g.gather_rows(v_all, pos);

@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, ParamStore, Var};
+use gnmr_autograd::{pairwise_hinge, Ctx, ParamStore, Var};
 use gnmr_eval::Recommender;
 use gnmr_graph::MultiBehaviorGraph;
 use gnmr_tensor::{init, rng, Matrix};
 use rand::Rng;
 
-use crate::common::BaselineConfig;
+use crate::common::{trainer, BaselineConfig};
 
 /// A trained NMTR model.
 pub struct Nmtr {
@@ -82,17 +82,15 @@ impl Nmtr {
             })
             .collect();
 
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
         let mut sample_rng = rng::substream(cfg.seed, 0x4274);
         let steps = eligible[graph.target()]
             .len()
             .div_ceil(cfg.batch_users.max(1))
             .max(1);
+        let mut trainer = trainer(cfg);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for _ in 0..cfg.epochs {
-            let (mut epoch_loss, mut counted) = (0.0, 0usize);
-            for _ in 0..steps {
-                let mut ctx = Ctx::new(&store);
+            let (loss, _) = trainer.epoch(&mut store, steps, |ctx| {
                 let mut total: Option<Var> = None;
                 for k in 0..k_types {
                     if eligible[k].is_empty() {
@@ -119,26 +117,17 @@ impl Nmtr {
                         }
                     }
                     let users = Arc::new(users);
-                    let p_logit = cascade_logit(&mut ctx, k, users.clone(), Arc::new(pos));
-                    let n_logit = cascade_logit(&mut ctx, k, users, Arc::new(neg));
-                    let diff = ctx.g.sub(n_logit, p_logit);
-                    let margin = ctx.g.add_scalar(diff, 1.0);
-                    let hinge = ctx.g.relu(margin);
-                    let task_loss = ctx.g.mean(hinge);
+                    let p_logit = cascade_logit(ctx, k, users.clone(), Arc::new(pos));
+                    let n_logit = cascade_logit(ctx, k, users, Arc::new(neg));
+                    let task_loss = pairwise_hinge(&mut ctx.g, p_logit, n_logit);
                     total = Some(match total {
                         Some(t) => ctx.g.add(t, task_loss),
                         None => task_loss,
                     });
                 }
-                let Some(loss) = total else { continue };
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                let mut grads = ctx.grads(loss);
-                grads.clip_global_norm(5.0);
-                opt.step(&mut store, &grads);
-            }
-            opt.decay_lr();
-            losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+                total
+            });
+            losses.push(loss);
         }
         Self { store, n_behaviors: k_types, target: graph.target(), losses }
     }

@@ -1,7 +1,7 @@
 //! The six experiments of the paper's evaluation section.
 //!
-//! Every function returns a rendered text artifact; the `repro_*`
-//! binaries print it and archive it under `results/`. Absolute values
+//! Every function returns a rendered text artifact; the `repro`
+//! binary prints it and archives it under `results/`. Absolute values
 //! differ from the paper (synthetic data; see the [`gnmr::data`] crate
 //! docs), so the comparisons are about the *shape* of each result.
 

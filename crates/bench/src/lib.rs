@@ -1,9 +1,10 @@
 //! The reproduction harness: trains every model on every dataset and
 //! regenerates each table and figure of the paper's evaluation section.
 //!
-//! Each `repro_*` binary is a thin wrapper over the functions in
-//! [`experiments`]; `repro_all` runs the full suite and writes results
-//! under `results/`.
+//! The `repro` binary is a thin wrapper over the functions in
+//! [`experiments`]: `repro table1` … `repro table4`, `repro fig2` and
+//! `repro fig3` regenerate one artifact each, and `repro` alone (or
+//! `repro all`) runs the full suite, writing results under `results/`.
 //!
 //! Scale: by default the harness runs the `*_small` dataset presets with
 //! a reduced (but converged-enough) training budget so the full suite

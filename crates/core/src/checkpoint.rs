@@ -7,8 +7,9 @@
 //! bitwise-identical), the sampler RNG state, the completed-epoch
 //! counter, and the per-epoch loss history. Everything else the loop
 //! touches is either pure configuration (rebuilt from `TrainConfig` /
-//! `GnmrConfig`) or bitwise-neutral (the buffer arena: warm-vs-fresh
-//! arenas are pinned byte-identical by the autograd suite).
+//! `GnmrConfig`) or bitwise-neutral (the gradient arena, which the
+//! training loop creates fresh for each fit: warm and fresh arenas are
+//! pinned byte-identical by `tests/determinism.rs`).
 //!
 //! The binary layout reuses the snapshot machinery
 //! ([`gnmr_tensor::wire`]): magic, version, fixed header, named-matrix

@@ -12,7 +12,9 @@
 //! * [`model`] — L-layer propagation over the multi-behavior bipartite
 //!   graph and multi-order matching scores;
 //! * [`pretrain`] — autoencoder-based order-0 embedding initialization;
-//! * [`trainer`] — Algorithm 1 with the Eq. 7 pairwise hinge loss;
+//! * [`trainer`] — `Gnmr::fit`: Algorithm 1 with the Eq. 7 pairwise
+//!   hinge loss, on the training loop every model shares
+//!   (`gnmr_autograd::Trainer`);
 //! * [`checkpoint`] — crash-safe, bitwise-resumable training
 //!   checkpoints over the fault-injectable I/O layer.
 //!

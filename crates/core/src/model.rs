@@ -5,7 +5,7 @@ use std::sync::Arc;
 use gnmr_autograd::{Ctx, ParamStore, Var};
 use gnmr_eval::Recommender;
 use gnmr_graph::MultiBehaviorGraph;
-use gnmr_tensor::{init, kernels, rng, Arena, Csr, Matrix};
+use gnmr_tensor::{init, kernels, rng, Csr, Matrix};
 
 use crate::config::GnmrConfig;
 use crate::{attention, fusion, pretrain, type_embedding};
@@ -18,22 +18,22 @@ use crate::{attention, fusion, pretrain, type_embedding};
 /// per-order representations and scores pairs by multi-order matching
 /// `Pr_{i,j} = sum_l <H_i^(l), H_j^(l)>`.
 pub struct Gnmr {
-    pub(crate) cfg: GnmrConfig,
+    pub(crate) net: Net,
     pub(crate) store: ParamStore,
-    /// Gradient-buffer arena shared by every training step the model
-    /// ever runs: the tape's backward pass checks its accumulators out
-    /// of here, so after the first step of the first epoch the entire
-    /// backward + optimizer path is allocation-free (see
-    /// `gnmr_tensor::arena`). Held on the model (not per-`fit`) so
-    /// repeated fits — pretraining sweeps, ablation retrains — stay
-    /// warm too.
-    pub(crate) arena: Arena,
-    adj_user_item: Vec<Arc<Csr>>,
-    adj_item_user: Vec<Arc<Csr>>,
     n_users: usize,
     n_items: usize,
     user_repr: Option<Matrix>,
     item_repr: Option<Matrix>,
+}
+
+/// What the forward pass reads besides the parameters: the
+/// configuration and the row-normalized propagation adjacencies. Kept
+/// apart from the [`ParamStore`] so a training step can read it while
+/// the training loop writes the parameters.
+pub(crate) struct Net {
+    pub(crate) cfg: GnmrConfig,
+    pub(crate) adj_user_item: Vec<Arc<Csr>>,
+    pub(crate) adj_item_user: Vec<Arc<Csr>>,
 }
 
 impl Gnmr {
@@ -85,11 +85,8 @@ impl Gnmr {
         }
 
         Self {
-            cfg,
+            net: Net { cfg, adj_user_item, adj_item_user },
             store,
-            arena: Arena::new(),
-            adj_user_item,
-            adj_item_user,
             n_users: graph.n_users(),
             n_items: graph.n_items(),
             user_repr: None,
@@ -99,7 +96,7 @@ impl Gnmr {
 
     /// The model configuration.
     pub fn config(&self) -> &GnmrConfig {
-        &self.cfg
+        &self.net.cfg
     }
 
     /// Read access to the parameters.
@@ -118,7 +115,7 @@ impl Gnmr {
 
     /// Number of behavior types the model was built for.
     pub fn n_behaviors(&self) -> usize {
-        self.adj_user_item.len()
+        self.net.adj_user_item.len()
     }
 
     /// Number of users.
@@ -131,42 +128,6 @@ impl Gnmr {
         self.n_items
     }
 
-    /// One propagation layer: eta per behavior, cross-behavior attention,
-    /// gated fusion — on both graph directions.
-    fn layer(&self, ctx: &mut Ctx<'_>, l: usize, users: Var, items: Var) -> (Var, Var) {
-        let k_types = self.n_behaviors();
-        let mut user_behaviors = Vec::with_capacity(k_types);
-        let mut item_behaviors = Vec::with_capacity(k_types);
-        let eta_prefix = format!("l{l}.eta");
-        for k in 0..k_types {
-            let msg_u = ctx.g.spmm(Arc::clone(&self.adj_user_item[k]), items);
-            let msg_v = ctx.g.spmm(Arc::clone(&self.adj_item_user[k]), users);
-            if self.cfg.variant.type_embedding {
-                user_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_u, &self.cfg));
-                item_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_v, &self.cfg));
-            } else {
-                user_behaviors.push(msg_u);
-                item_behaviors.push(msg_v);
-            }
-        }
-
-        if self.cfg.variant.cross_attention {
-            let att_prefix = format!("l{l}.att");
-            user_behaviors = attention::apply(ctx, &att_prefix, &user_behaviors, &self.cfg);
-            item_behaviors = attention::apply(ctx, &att_prefix, &item_behaviors, &self.cfg);
-        }
-
-        if self.cfg.variant.gated_fusion {
-            let psi_prefix = format!("l{l}.psi");
-            (
-                fusion::apply(ctx, &psi_prefix, &user_behaviors),
-                fusion::apply(ctx, &psi_prefix, &item_behaviors),
-            )
-        } else {
-            (fusion::uniform(ctx, &user_behaviors), fusion::uniform(ctx, &item_behaviors))
-        }
-    }
-
     /// Full-graph forward pass on a caller-provided tape; returns the
     /// per-order user and item embeddings `H^(0) ... H^(L)`. Exposed for
     /// research extensions and the benchmark harness; most users want
@@ -177,20 +138,7 @@ impl Gnmr {
     /// thread count is governed by the shared `GNMR_THREADS` config and
     /// results are identical at every thread count.
     pub fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
-        let mut users = ctx.param("emb.user");
-        let mut items = ctx.param("emb.item");
-        let mut user_orders = Vec::with_capacity(self.cfg.layers + 1);
-        let mut item_orders = Vec::with_capacity(self.cfg.layers + 1);
-        user_orders.push(users);
-        item_orders.push(items);
-        for l in 0..self.cfg.layers {
-            let (u_next, v_next) = self.layer(ctx, l, users, items);
-            user_orders.push(u_next);
-            item_orders.push(v_next);
-            users = u_next;
-            items = v_next;
-        }
-        (user_orders, item_orders)
+        self.net.forward(ctx)
     }
 
     /// Recomputes and caches the multi-order representations (the
@@ -255,6 +203,62 @@ impl Gnmr {
         excl.sort_unstable();
         let mut scratch = kernels::RankScratch::new();
         kernels::rank_rows(vrepr, urepr.row(user as usize), k, &excl, &mut scratch).to_vec()
+    }
+}
+
+impl Net {
+    /// One propagation layer: eta per behavior, cross-behavior attention,
+    /// gated fusion — on both graph directions.
+    fn layer(&self, ctx: &mut Ctx<'_>, l: usize, users: Var, items: Var) -> (Var, Var) {
+        let k_types = self.adj_user_item.len();
+        let mut user_behaviors = Vec::with_capacity(k_types);
+        let mut item_behaviors = Vec::with_capacity(k_types);
+        let eta_prefix = format!("l{l}.eta");
+        for k in 0..k_types {
+            let msg_u = ctx.g.spmm(Arc::clone(&self.adj_user_item[k]), items);
+            let msg_v = ctx.g.spmm(Arc::clone(&self.adj_item_user[k]), users);
+            if self.cfg.variant.type_embedding {
+                user_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_u, &self.cfg));
+                item_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_v, &self.cfg));
+            } else {
+                user_behaviors.push(msg_u);
+                item_behaviors.push(msg_v);
+            }
+        }
+
+        if self.cfg.variant.cross_attention {
+            let att_prefix = format!("l{l}.att");
+            user_behaviors = attention::apply(ctx, &att_prefix, &user_behaviors, &self.cfg);
+            item_behaviors = attention::apply(ctx, &att_prefix, &item_behaviors, &self.cfg);
+        }
+
+        if self.cfg.variant.gated_fusion {
+            let psi_prefix = format!("l{l}.psi");
+            (
+                fusion::apply(ctx, &psi_prefix, &user_behaviors),
+                fusion::apply(ctx, &psi_prefix, &item_behaviors),
+            )
+        } else {
+            (fusion::uniform(ctx, &user_behaviors), fusion::uniform(ctx, &item_behaviors))
+        }
+    }
+
+    /// [`Gnmr::forward`].
+    pub(crate) fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
+        let mut users = ctx.param("emb.user");
+        let mut items = ctx.param("emb.item");
+        let mut user_orders = Vec::with_capacity(self.cfg.layers + 1);
+        let mut item_orders = Vec::with_capacity(self.cfg.layers + 1);
+        user_orders.push(users);
+        item_orders.push(items);
+        for l in 0..self.cfg.layers {
+            let (u_next, v_next) = self.layer(ctx, l, users, items);
+            user_orders.push(u_next);
+            item_orders.push(v_next);
+            users = u_next;
+            items = v_next;
+        }
+        (user_orders, item_orders)
     }
 }
 
@@ -329,8 +333,8 @@ mod tests {
         let (model, d) = small_model(GnmrVariant::full(), 1);
         for k in 0..d.graph.n_behaviors() {
             for (adj, raw) in [
-                (&model.adj_user_item[k], d.graph.user_item(k)),
-                (&model.adj_item_user[k], d.graph.item_user(k)),
+                (&model.net.adj_user_item[k], d.graph.user_item(k)),
+                (&model.net.adj_item_user[k], d.graph.item_user(k)),
             ] {
                 assert!(raw.nnz() > 0, "behavior {k} has no edges");
                 assert_eq!(adj.shape(), raw.shape());

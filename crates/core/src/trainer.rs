@@ -1,4 +1,5 @@
-//! Training loop (paper Algorithm 1 and Eq. 7).
+//! GNMR's fit (paper Algorithm 1 and Eq. 7) on the shared
+//! [`Trainer`].
 //!
 //! Each step performs a full-graph forward pass, samples seed users with
 //! `S` positive and `S` negative items each, scores the pairs by
@@ -9,14 +10,14 @@
 use std::io;
 use std::sync::Arc;
 
-use gnmr_autograd::{Adam, Ctx, Grads, Var};
+use gnmr_autograd::{pairwise_hinge, Adam, Ctx, Trainer, Var};
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph, TrainBatch};
 use gnmr_tensor::rng::StateRng;
 use gnmr_tensor::wire;
 
 use crate::checkpoint::{Checkpointing, TrainCheckpoint};
 use crate::config::TrainConfig;
-use crate::model::Gnmr;
+use crate::model::{Gnmr, Net};
 
 /// Summary of one training run.
 #[derive(Clone, Debug, Default)]
@@ -97,8 +98,9 @@ impl Gnmr {
         self.fit_inner(graph, tcfg, Some(ck))
     }
 
-    /// The shared training loop; `ck` is the only source of I/O (and
-    /// therefore of errors).
+    /// Every fit's epochs on the shared [`Trainer`], with checkpoint
+    /// resume and capture at the epoch boundaries; `ck` is the only
+    /// source of I/O (and therefore of errors).
     fn fit_inner(
         &mut self,
         labels: &MultiBehaviorGraph,
@@ -118,15 +120,6 @@ impl Gnmr {
             .div_ceil(tcfg.batch_users.max(1))
             .max(1);
 
-        // One gradient map and one buffer arena (held on the model)
-        // serve every step of every epoch: after the first step warms
-        // the arena, the backward + optimizer path of the steady state
-        // performs zero heap allocations (the `train_step` bench's
-        // allocation gate pins this). Bytes are identical to the old
-        // allocate-per-op path, so training results are unchanged.
-        // (Warm arena state is also why resume needs no arena bytes:
-        // warm-vs-fresh is pinned bitwise-neutral.)
-        let mut grads = Grads::default();
         let mut report = TrainReport::default();
         let mut start_epoch = 0usize;
         if let Some(ck) = ck.as_deref_mut() {
@@ -136,65 +129,33 @@ impl Gnmr {
                 start_epoch = c.epochs_done as usize;
             }
         }
+        // The trainer's arena lives for this fit: after the first step
+        // warms it, the backward + optimizer path of every later step
+        // performs zero heap allocations (the `train_step` bench's
+        // allocation gate pins this). Warm and fresh arenas give the
+        // same bytes, which is why resume needs no arena state.
+        let mut trainer = Trainer::new(opt, tcfg.grad_clip);
         for epoch in start_epoch..tcfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut counted = 0usize;
-            for _ in 0..steps_per_epoch {
+            let (loss, steps) = trainer.epoch(&mut self.store, steps_per_epoch, |ctx| {
                 let batch = sampler.sample(tcfg.batch_users, tcfg.samples_per_user, &mut sample_rng);
-                if batch.is_empty() {
-                    continue;
-                }
-                let mut ctx = Ctx::new(&self.store);
-                let loss = self.hinge_loss(&mut ctx, batch);
-                epoch_loss += ctx.g.value(loss).scalar_value();
-                counted += 1;
-                ctx.grads_into(loss, &self.arena, &mut grads);
-                drop(ctx);
-                if tcfg.grad_clip > 0.0 {
-                    grads.clip_global_norm(tcfg.grad_clip);
-                }
-                opt.step(&mut self.store, &grads);
-                report.steps += 1;
-            }
-            opt.decay_lr();
-            report.epoch_losses.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
+                (!batch.is_empty()).then(|| self.net.hinge_loss(ctx, batch))
+            });
+            report.epoch_losses.push(loss);
+            report.steps += steps;
             if let Some(ck) = ck.as_deref_mut() {
                 // Epoch boundaries are the only coherent cut points:
                 // the RNG sits between epochs, the lr decay has been
                 // applied, and the loss history is whole.
                 if (epoch + 1) % ck.every == 0 {
-                    let c = TrainCheckpoint::capture(&self.store, &opt, &sample_rng, epoch + 1, &report);
+                    let c = TrainCheckpoint::capture(&self.store, trainer.opt(), &sample_rng, epoch + 1, &report);
                     c.save_with(&ck.path, &mut ck.plan)?;
                 }
             }
         }
-        // Hand the last step's gradient buffers back so a future fit on
-        // this model starts with a fully warm arena.
-        grads.recycle(&self.arena);
 
         debug_assert!(self.store.all_finite(), "parameters diverged");
         self.refresh_representations();
         Ok(report)
-    }
-
-    /// One step's loss on `ctx`: the full-graph forward, multi-order
-    /// matching scores (`row_dot` of the concatenated orders) of the
-    /// batch's (user, positive, negative) triples, and the Eq. 7
-    /// pairwise hinge `mean(max(0, 1 - Pr_pos + Pr_neg))`.
-    fn hinge_loss(&self, ctx: &mut Ctx<'_>, batch: TrainBatch) -> Var {
-        let (user_orders, item_orders) = self.forward(ctx);
-        let user_all = ctx.g.concat_cols(&user_orders);
-        let item_all = ctx.g.concat_cols(&item_orders);
-
-        let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
-        let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
-        let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
-        let pos_scores = ctx.g.row_dot(u, p);
-        let neg_scores = ctx.g.row_dot(u, n);
-        let diff = ctx.g.sub(neg_scores, pos_scores);
-        let margin = ctx.g.add_scalar(diff, 1.0);
-        let hinge = ctx.g.relu(margin);
-        ctx.g.mean(hinge)
     }
 
     /// Validates a loaded checkpoint against this model and the run
@@ -254,6 +215,25 @@ impl Gnmr {
     }
 }
 
+impl Net {
+    /// One step's loss on `ctx`: the full-graph forward, multi-order
+    /// matching scores (`row_dot` of the concatenated orders) of the
+    /// batch's (user, positive, negative) triples, and the Eq. 7
+    /// pairwise hinge.
+    pub(crate) fn hinge_loss(&self, ctx: &mut Ctx<'_>, batch: TrainBatch) -> Var {
+        let (user_orders, item_orders) = self.forward(ctx);
+        let user_all = ctx.g.concat_cols(&user_orders);
+        let item_all = ctx.g.concat_cols(&item_orders);
+
+        let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
+        let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
+        let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
+        let pos_scores = ctx.g.row_dot(u, p);
+        let neg_scores = ctx.g.row_dot(u, n);
+        pairwise_hinge(&mut ctx.g, pos_scores, neg_scores)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,8 +286,8 @@ mod tests {
         );
         // Popularity is an unusually strong floor at tiny scale (Zipf
         // exposure + uniform negatives); require GNMR to be at least
-        // competitive with it. The harness-scale comparison lives in the
-        // repro_table2 experiment.
+        // competitive with it. The harness-scale comparison is Table II
+        // (`repro table2`).
         assert!(
             gnmr.hr_at(10) > pop.hr_at(10) - 0.05,
             "GNMR {:.3} far below popularity {:.3}",
@@ -379,7 +359,7 @@ mod tests {
             pos_items: vec![1, 3, 0, 4, 2, 4],
             neg_items: vec![2, 0, 3, 1, 4, 1],
         };
-        max_grad_error(model.params(), 5e-3, |ctx| model.hinge_loss(ctx, batch()))
+        max_grad_error(model.params(), 5e-3, |ctx| model.net.hinge_loss(ctx, batch()))
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`tensor`] — dense/sparse matrix substrate;
-//! * [`autograd`] — reverse-mode autodiff, optimizers, NN blocks;
+//! * [`autograd`] — reverse-mode autodiff, Adam, the training loop every
+//!   model shares, NN blocks;
 //! * [`graph`] — multi-behavior bipartite interaction graphs;
 //! * [`data`] — seeded synthetic datasets (MovieLens/Yelp/Taobao-like);
 //! * [`eval`] — HR@N / NDCG@N and the 99-negative protocol;

@@ -216,9 +216,10 @@ fn datasets_and_baselines_are_reproducible() {
 #[test]
 fn arena_reuse_is_bitwise_equal_to_fresh_arenas() {
     // The allocation-discipline half of the determinism contract: the
-    // gradient-buffer arena recycles storage between steps (and between
-    // whole fits — `Gnmr` holds one arena for its lifetime), so a dirty
-    // buffer checked out on step N must never leak bytes into step N+1.
+    // gradient-buffer arena recycles storage between steps (the shared
+    // training loop, `gnmr::autograd::Trainer`, holds one arena for a
+    // whole fit), so a dirty buffer checked out on step N must never
+    // leak bytes into step N+1.
     // Run the same multi-epoch training loop twice over the GNMR
     // forward pass: once with a single shared arena (dirty from step 2
     // onward, the steady-state path), once checking every step's
