@@ -257,6 +257,60 @@ fn pretrained() {
     });
 }
 
+/// Paper Fig. 3 sweeps the propagation depth L from 0 to 3; `small`
+/// pins L = 2, these cases the other three depths.
+fn layers(layers: usize) -> GnmrConfig {
+    GnmrConfig { layers, ..small(GnmrVariant::full()) }
+}
+
+#[test]
+fn zero_layers() {
+    check(&movielens(), layers(0), Golden {
+        params: 0xc369099eab04a417,
+        losses: 0x7ab92afdb1266116,
+        repr: 0x6471177c27e63f67,
+        snapshot: 0x70b671e52812ef1b,
+        hr10: 0.23333333333333334,
+        ndcg10: 0.11927700290453887,
+        top10: [
+            (47, 0x3e33e6f8), (42, 0x3e31eaa2), (59, 0x3e3071ff), (81, 0x3e2fd740), (18, 0x3e12a519),
+            (61, 0x3e09deba), (40, 0x3e08aec9), (48, 0x3e070221), (9, 0x3e020b07), (63, 0x3df9f644),
+        ],
+    });
+}
+
+#[test]
+fn one_layer() {
+    check(&movielens(), layers(1), Golden {
+        params: 0x05884df670000240,
+        losses: 0x38c3fbbadfa7e50d,
+        repr: 0xa671f9de7fd0297a,
+        snapshot: 0x7989244b40b6080a,
+        hr10: 0.2916666666666667,
+        ndcg10: 0.1500681524410534,
+        top10: [
+            (59, 0x3edd6cfd), (42, 0x3e9b4307), (71, 0x3e8b86bc), (81, 0x3e875779), (77, 0x3e874636),
+            (40, 0x3e5bdee0), (84, 0x3e5714c8), (79, 0x3e3f906c), (47, 0x3e3be0a0), (25, 0x3e1db9e4),
+        ],
+    });
+}
+
+#[test]
+fn three_layers() {
+    check(&movielens(), layers(3), Golden {
+        params: 0xdddb62a27c738027,
+        losses: 0x812d73f0abad9571,
+        repr: 0x82f9c3df3ca3c13e,
+        snapshot: 0xcf498d14a8b86188,
+        hr10: 0.2916666666666667,
+        ndcg10: 0.15094673629508432,
+        top10: [
+            (59, 0x3eeb13be), (42, 0x3ea526df), (71, 0x3e955690), (81, 0x3e931dfe), (77, 0x3e92eb4a),
+            (40, 0x3e6f7ff9), (84, 0x3e641fb6), (79, 0x3e4cc3ed), (47, 0x3e438b70), (25, 0x3e2b5552),
+        ],
+    });
+}
+
 // ----- baselines ------------------------------------------------------
 
 /// Everything one baseline case pins: FNV-1a-64 digests of the scores
