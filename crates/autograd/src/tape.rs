@@ -23,7 +23,7 @@
 //! `kernels::dot` row dots, in the canonical lane order.
 //!
 //! The backward pass is **allocation-free in the steady state**:
-//! gradient accumulators come from a shape-keyed [`Arena`]
+//! gradient accumulators come from a width-keyed, best-fit [`Arena`]
 //! ([`Graph::backward_with`]), contributions are applied through the
 //! fused in-place kernels (`axpy`, the `zip_map` family, the
 //! `matmul_*`/`spmm_*` accumulate forms), and every buffer is returned
@@ -649,8 +649,8 @@ impl Graph {
     }
 
     /// Returns every remaining gradient buffer to `arena`, so the next
-    /// [`Graph::backward_with`] pass over an equally-shaped tape checks
-    /// them out again instead of allocating.
+    /// [`Graph::backward_with`] pass checks them out again instead of
+    /// allocating.
     pub fn recycle_grads(&mut self, arena: &Arena) {
         for n in &mut self.nodes {
             if let Some(g) = n.grad.take() {

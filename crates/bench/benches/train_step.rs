@@ -3,9 +3,9 @@
 //! arena.
 //!
 //! Like the other families it runs on `gnmr_bench::harness`. It drives
-//! the real GNMR training step (full-graph forward, hinge loss, arena-backed
-//! backward, fused Adam) on a small fixed dataset and batch, in two
-//! variants:
+//! the real GNMR training step (`Gnmr::step_loss`, the loss `Gnmr::fit`
+//! steps on, then the arena-backed backward and fused Adam) on a small
+//! fixed dataset and batch, in two variants:
 //!
 //! * `fresh_arena` — a new arena and gradient map every step. Every
 //!   backward buffer is a fresh heap allocation, reproducing the
@@ -29,7 +29,6 @@
 //! allocation count and fails if it exceeds the committed baseline.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use gnmr::autograd::{Adam, Arena, Ctx, Grads};
 use gnmr::graph::{BatchSampler, TrainBatch};
@@ -75,22 +74,11 @@ fn workload() -> Workload {
     Workload { model, batch, opt }
 }
 
-/// One full training step (the `Gnmr::fit` inner loop, verbatim shape),
-/// returning the allocation delta of the backward + optimizer region.
+/// One training step on `Gnmr::fit`'s loss, returning the allocation
+/// delta of the backward + optimizer region.
 fn train_step(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u64 {
     let mut ctx = Ctx::new(w.model.params());
-    let (user_orders, item_orders) = w.model.forward(&mut ctx);
-    let user_all = ctx.g.concat_cols(&user_orders);
-    let item_all = ctx.g.concat_cols(&item_orders);
-    let u = ctx.g.gather_rows(user_all, Arc::new(w.batch.users.clone()));
-    let p = ctx.g.gather_rows(item_all, Arc::new(w.batch.pos_items.clone()));
-    let n = ctx.g.gather_rows(item_all, Arc::new(w.batch.neg_items.clone()));
-    let pos_scores = ctx.g.row_dot(u, p);
-    let neg_scores = ctx.g.row_dot(u, n);
-    let diff = ctx.g.sub(neg_scores, pos_scores);
-    let margin = ctx.g.add_scalar(diff, 1.0);
-    let hinge = ctx.g.relu(margin);
-    let loss = ctx.g.mean(hinge);
+    let loss = w.model.step_loss(&mut ctx, &w.batch);
 
     let before = alloc::allocations();
     ctx.grads_into(loss, arena, grads);

@@ -115,9 +115,13 @@ impl GnmrConfig {
 pub struct TrainConfig {
     /// Training epochs.
     pub epochs: usize,
-    /// Seed users per step (paper uses 32; larger batches with fewer
-    /// steps are numerically equivalent under full-graph propagation and
-    /// much faster, so the harness default is 128).
+    /// Seed users per step (the paper uses 32; the harness default is
+    /// 128). An epoch takes `eligible users / batch_users` steps, rounded
+    /// up, so the batch size is part of what a fit computes: a different
+    /// size trains to different bytes. Each step propagates orders
+    /// `0 .. L-1` over the whole graph and the last layer only for the
+    /// batch's distinct users and items, so fewer, larger steps cost
+    /// less per epoch.
     pub batch_users: usize,
     /// Positive/negative samples per seed user (Algorithm 1's `S`).
     pub samples_per_user: usize,

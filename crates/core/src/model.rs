@@ -131,14 +131,16 @@ impl Gnmr {
     /// Full-graph forward pass on a caller-provided tape; returns the
     /// per-order user and item embeddings `H^(0) ... H^(L)`. Exposed for
     /// research extensions and the benchmark harness; most users want
-    /// [`Gnmr::fit`] / [`Gnmr::recommend`].
+    /// [`Gnmr::fit`] / [`Gnmr::recommend`]. A training step needs the
+    /// last order only at its batch's rows and runs less
+    /// ([`Gnmr::step_loss`]).
     ///
     /// The propagation (SpMM message passing, attention projections) and
     /// its backward pass run on `gnmr_tensor`'s parallel kernels; the
     /// thread count is governed by the shared `GNMR_THREADS` config and
     /// results are identical at every thread count.
     pub fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
-        self.net.forward(ctx)
+        self.net.orders(ctx, self.net.cfg.layers)
     }
 
     /// Recomputes and caches the multi-order representations (the
@@ -208,15 +210,27 @@ impl Gnmr {
 
 impl Net {
     /// One propagation layer: eta per behavior, cross-behavior attention,
-    /// gated fusion — on both graph directions.
-    fn layer(&self, ctx: &mut Ctx<'_>, l: usize, users: Var, items: Var) -> (Var, Var) {
-        let k_types = self.adj_user_item.len();
+    /// gated fusion — on both graph directions. The output has one user
+    /// row per row of the `adj_user_item` adjacencies and one item row
+    /// per row of `adj_item_user`: the model's own adjacencies give the
+    /// whole layer, row selections of them ([`Csr::select_rows`]) the
+    /// layer at those rows, since every op after the messages is
+    /// row-wise.
+    pub(crate) fn layer(
+        &self,
+        ctx: &mut Ctx<'_>,
+        l: usize,
+        (users, items): (Var, Var),
+        adj_user_item: &[Arc<Csr>],
+        adj_item_user: &[Arc<Csr>],
+    ) -> (Var, Var) {
+        let k_types = adj_user_item.len();
         let mut user_behaviors = Vec::with_capacity(k_types);
         let mut item_behaviors = Vec::with_capacity(k_types);
         let eta_prefix = format!("l{l}.eta");
         for k in 0..k_types {
-            let msg_u = ctx.g.spmm(Arc::clone(&self.adj_user_item[k]), items);
-            let msg_v = ctx.g.spmm(Arc::clone(&self.adj_item_user[k]), users);
+            let msg_u = ctx.g.spmm(Arc::clone(&adj_user_item[k]), items);
+            let msg_v = ctx.g.spmm(Arc::clone(&adj_item_user[k]), users);
             if self.cfg.variant.type_embedding {
                 user_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_u, &self.cfg));
                 item_behaviors.push(type_embedding::apply(ctx, &eta_prefix, msg_v, &self.cfg));
@@ -243,20 +257,20 @@ impl Net {
         }
     }
 
-    /// [`Gnmr::forward`].
-    pub(crate) fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
+    /// The embeddings and the first `layers` layers over the whole
+    /// graph: the user and item orders `H^(0) ... H^(layers)`
+    /// ([`Gnmr::forward`] runs all of them).
+    pub(crate) fn orders(&self, ctx: &mut Ctx<'_>, layers: usize) -> (Vec<Var>, Vec<Var>) {
         let mut users = ctx.param("emb.user");
         let mut items = ctx.param("emb.item");
-        let mut user_orders = Vec::with_capacity(self.cfg.layers + 1);
-        let mut item_orders = Vec::with_capacity(self.cfg.layers + 1);
+        let mut user_orders = Vec::with_capacity(layers + 1);
+        let mut item_orders = Vec::with_capacity(layers + 1);
         user_orders.push(users);
         item_orders.push(items);
-        for l in 0..self.cfg.layers {
-            let (u_next, v_next) = self.layer(ctx, l, users, items);
-            user_orders.push(u_next);
-            item_orders.push(v_next);
-            users = u_next;
-            items = v_next;
+        for l in 0..layers {
+            (users, items) = self.layer(ctx, l, (users, items), &self.adj_user_item, &self.adj_item_user);
+            user_orders.push(users);
+            item_orders.push(items);
         }
         (user_orders, item_orders)
     }

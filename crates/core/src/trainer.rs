@@ -1,11 +1,14 @@
 //! GNMR's fit (paper Algorithm 1 and Eq. 7) on the shared
 //! [`Trainer`].
 //!
-//! Each step performs a full-graph forward pass, samples seed users with
-//! `S` positive and `S` negative items each, scores the pairs by
-//! multi-order matching, and minimizes the pairwise hinge loss
-//! `max(0, 1 - Pr_{i,pos} + Pr_{i,neg})` plus Frobenius regularization
-//! (as Adam weight decay) with per-epoch learning-rate decay 0.96.
+//! Each step samples seed users with `S` positive and `S` negative
+//! items each, scores the pairs by multi-order matching, and minimizes
+//! the pairwise hinge loss `max(0, 1 - Pr_{i,pos} + Pr_{i,neg})` plus
+//! Frobenius regularization (as Adam weight decay) with per-epoch
+//! learning-rate decay 0.96. The step propagates orders `0 .. L-1` over
+//! the whole graph and the last layer only for the batch's users and
+//! items, the rows the loss reads ([`Gnmr::step_loss`]); its loss and
+//! gradients are bitwise those of the full-graph forward.
 
 use std::io;
 use std::sync::Arc;
@@ -13,7 +16,7 @@ use std::sync::Arc;
 use gnmr_autograd::{pairwise_hinge, Adam, Ctx, Trainer, Var};
 use gnmr_graph::{BatchSampler, MultiBehaviorGraph, TrainBatch};
 use gnmr_tensor::rng::StateRng;
-use gnmr_tensor::wire;
+use gnmr_tensor::{wire, Csr};
 
 use crate::checkpoint::{Checkpointing, TrainCheckpoint};
 use crate::config::TrainConfig;
@@ -44,6 +47,30 @@ impl Gnmr {
     pub fn fit(&mut self, graph: &MultiBehaviorGraph, tcfg: &TrainConfig) -> TrainReport {
         assert_eq!(graph.n_behaviors(), self.n_behaviors(), "fit: behavior count mismatch");
         self.fit_with_labels(graph, tcfg)
+    }
+
+    /// One training step's loss on `ctx`, a [`Ctx`] over
+    /// [`Gnmr::params`], as [`Gnmr::fit`] computes it: Eq. 7's pairwise
+    /// hinge over the batch's (user, positive, negative) triples, each
+    /// pair scored by multi-order matching (the row dot of the
+    /// concatenated orders `H^(0) ... H^(L)`).
+    ///
+    /// The hinge reads the orders only at the batch's users and items,
+    /// so the last propagation layer runs only for those rows: the
+    /// batch's distinct users and distinct items, in ascending id
+    /// order, through row selections of the adjacencies. Orders
+    /// `0 ... L-1` run over the whole graph, because the last layer's
+    /// messages read them, and are gathered to the same rows.
+    ///
+    /// The loss and every parameter gradient are bitwise those of the
+    /// full forward ([`Gnmr::forward`], the concatenation, row gathers,
+    /// row dots and the hinge). Every op of a layer is row-wise except
+    /// its sums over rows (weight-gradient products, the transposed
+    /// SpMM, bias sums and gather scatter-adds); those start at +0.0 and
+    /// run over rows in ascending order, and a row the loss does not
+    /// read only ever adds ±0.0 to them.
+    pub fn step_loss(&self, ctx: &mut Ctx<'_>, batch: &TrainBatch) -> Var {
+        self.net.step_loss(ctx, batch)
     }
 
     /// Like [`Gnmr::fit`], but allows the *label* graph (where positives
@@ -138,7 +165,7 @@ impl Gnmr {
         for epoch in start_epoch..tcfg.epochs {
             let (loss, steps) = trainer.epoch(&mut self.store, steps_per_epoch, |ctx| {
                 let batch = sampler.sample(tcfg.batch_users, tcfg.samples_per_user, &mut sample_rng);
-                (!batch.is_empty()).then(|| self.net.hinge_loss(ctx, batch))
+                (!batch.is_empty()).then(|| self.net.step_loss(ctx, &batch))
             });
             report.epoch_losses.push(loss);
             report.steps += steps;
@@ -216,29 +243,61 @@ impl Gnmr {
 }
 
 impl Net {
-    /// One step's loss on `ctx`: the full-graph forward, multi-order
-    /// matching scores (`row_dot` of the concatenated orders) of the
-    /// batch's (user, positive, negative) triples, and the Eq. 7
-    /// pairwise hinge.
-    pub(crate) fn hinge_loss(&self, ctx: &mut Ctx<'_>, batch: TrainBatch) -> Var {
-        let (user_orders, item_orders) = self.forward(ctx);
-        let user_all = ctx.g.concat_cols(&user_orders);
-        let item_all = ctx.g.concat_cols(&item_orders);
+    /// [`Gnmr::step_loss`].
+    pub(crate) fn step_loss(&self, ctx: &mut Ctx<'_>, batch: &TrainBatch) -> Var {
+        let users = Arc::new(ascending_distinct(batch.users.iter()));
+        let items = Arc::new(ascending_distinct(batch.pos_items.iter().chain(&batch.neg_items)));
+        let layers = self.cfg.layers;
+        let (user_orders, item_orders) = self.orders(ctx, layers.saturating_sub(1));
+        let last = (layers > 0).then(|| {
+            let select = |adj: &[Arc<Csr>], rows: &[u32]| -> Vec<Arc<Csr>> {
+                adj.iter().map(|a| Arc::new(a.select_rows(rows))).collect()
+            };
+            let below = (user_orders[layers - 1], item_orders[layers - 1]);
+            let (adj_ui, adj_iu) = (select(&self.adj_user_item, &users), select(&self.adj_item_user, &items));
+            self.layer(ctx, layers - 1, below, &adj_ui, &adj_iu)
+        });
 
-        let u = ctx.g.gather_rows(user_all, Arc::new(batch.users));
-        let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items));
-        let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items));
+        // Orders 0 .. L-1 at the same rows, then the matching over the
+        // concatenation, indexed by position in `users` / `items`.
+        let mut user_parts: Vec<Var> =
+            user_orders.iter().map(|&o| ctx.g.gather_rows(o, Arc::clone(&users))).collect();
+        let mut item_parts: Vec<Var> =
+            item_orders.iter().map(|&o| ctx.g.gather_rows(o, Arc::clone(&items))).collect();
+        if let Some((u, v)) = last {
+            user_parts.push(u);
+            item_parts.push(v);
+        }
+        let user_all = ctx.g.concat_cols(&user_parts);
+        let item_all = ctx.g.concat_cols(&item_parts);
+
+        let u = ctx.g.gather_rows(user_all, positions(&users, &batch.users));
+        let p = ctx.g.gather_rows(item_all, positions(&items, &batch.pos_items));
+        let n = ctx.g.gather_rows(item_all, positions(&items, &batch.neg_items));
         let pos_scores = ctx.g.row_dot(u, p);
         let neg_scores = ctx.g.row_dot(u, n);
         pairwise_hinge(&mut ctx.g, pos_scores, neg_scores)
     }
 }
 
+/// The distinct ids, ascending.
+fn ascending_distinct<'a>(ids: impl Iterator<Item = &'a u32>) -> Vec<u32> {
+    let mut rows: Vec<u32> = ids.copied().collect();
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
+/// Each of `ids`' position in `rows` (ascending, holding every id).
+fn positions(rows: &[u32], ids: &[u32]) -> Arc<Vec<u32>> {
+    Arc::new(ids.iter().map(|id| rows.binary_search(id).expect("id among the rows") as u32).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{GnmrConfig, GnmrVariant};
-    use gnmr_autograd::max_grad_error;
+    use gnmr_autograd::{max_grad_error, Grads};
     use gnmr_data::presets;
     use gnmr_eval::{evaluate, PopularityRecommender, RandomRecommender};
     use gnmr_graph::{Interaction, InteractionLog};
@@ -337,6 +396,17 @@ mod tests {
         MultiBehaviorGraph::from_log(&log, "buy")
     }
 
+    /// The full model and its four ablations.
+    fn all_variants() -> [GnmrVariant; 5] {
+        [
+            GnmrVariant::full(),
+            GnmrVariant::without_type_embedding(),
+            GnmrVariant::without_message_aggregation(),
+            GnmrVariant { cross_attention: false, ..GnmrVariant::full() },
+            GnmrVariant { gated_fusion: false, ..GnmrVariant::full() },
+        ]
+    }
+
     /// Largest finite-difference error of one training step's loss
     /// over every parameter of a d 4, C 2, S 2, L 2 model.
     fn whole_model_grad_error(graph: &MultiBehaviorGraph, variant: GnmrVariant) -> f32 {
@@ -354,12 +424,12 @@ mod tests {
         let model = Gnmr::new(graph, cfg);
         // Small initial scores keep every hinge margin near 1, far from
         // the kink at 0.
-        let batch = || TrainBatch {
+        let batch = TrainBatch {
             users: vec![0, 1, 2, 3, 4, 5],
             pos_items: vec![1, 3, 0, 4, 2, 4],
             neg_items: vec![2, 0, 3, 1, 4, 1],
         };
-        max_grad_error(model.params(), 5e-3, |ctx| model.net.hinge_loss(ctx, batch()))
+        max_grad_error(model.params(), 5e-3, |ctx| model.step_loss(ctx, &batch))
     }
 
     #[test]
@@ -370,13 +440,7 @@ mod tests {
         // parallel paths. Serialized on the crate-wide config lock;
         // globals restored even on panic.
         let graph = hand_built_graph();
-        let variants = [
-            GnmrVariant::full(),
-            GnmrVariant::without_type_embedding(),
-            GnmrVariant::without_message_aggregation(),
-            GnmrVariant { cross_attention: false, ..GnmrVariant::full() },
-            GnmrVariant { gated_fusion: false, ..GnmrVariant::full() },
-        ];
+        let variants = all_variants();
         let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for variant in variants {
             let err = whole_model_grad_error(&graph, variant);
@@ -392,6 +456,99 @@ mod tests {
         let errs = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         for (variant, err) in variants.iter().zip(errs) {
             assert!(err < 1e-2, "{} parallel: err {err}", variant.label());
+        }
+    }
+
+    /// The step's loss over the full forward, written out: every order
+    /// over the whole graph, concatenated, and gathered by id.
+    fn full_forward_loss(model: &Gnmr, ctx: &mut Ctx<'_>, batch: &TrainBatch) -> Var {
+        let (user_orders, item_orders) = model.forward(ctx);
+        let user_all = ctx.g.concat_cols(&user_orders);
+        let item_all = ctx.g.concat_cols(&item_orders);
+        let u = ctx.g.gather_rows(user_all, Arc::new(batch.users.clone()));
+        let p = ctx.g.gather_rows(item_all, Arc::new(batch.pos_items.clone()));
+        let n = ctx.g.gather_rows(item_all, Arc::new(batch.neg_items.clone()));
+        let pos_scores = ctx.g.row_dot(u, p);
+        let neg_scores = ctx.g.row_dot(u, n);
+        pairwise_hinge(&mut ctx.g, pos_scores, neg_scores)
+    }
+
+    /// The bits of a loss and of every parameter gradient, by name.
+    type StepBits = (u32, Vec<(String, Vec<u32>)>);
+
+    /// Every variant at L 0 to 3 on `data`: a few sampled batches and
+    /// one made by hand, each stepping Adam so later batches see moved
+    /// parameters. Returns, per batch, the restricted step's bits and
+    /// the full forward's.
+    fn step_bits(data: &gnmr_data::Dataset, variants: &[GnmrVariant]) -> Vec<(String, StepBits, StepBits)> {
+        let tcfg = TrainConfig::fast_test();
+        let sampler = BatchSampler::new(&data.graph);
+        // User 3 three times, item 2 both a positive and a negative,
+        // item 5 a positive twice.
+        let by_hand = TrainBatch {
+            users: vec![3, 0, 3, 7, 3],
+            pos_items: vec![5, 2, 9, 5, 1],
+            neg_items: vec![2, 11, 4, 6, 8],
+        };
+        let mut out = Vec::new();
+        for &variant in variants {
+            for layers in 0..=3 {
+                let mut model = Gnmr::new(&data.graph, GnmrConfig { layers, ..quick_cfg(variant) });
+                let mut rng = StateRng::substream(11, 0x7212);
+                let mut batches: Vec<TrainBatch> =
+                    (0..3).map(|_| sampler.sample(tcfg.batch_users, tcfg.samples_per_user, &mut rng)).collect();
+                batches.push(by_hand.clone());
+                let mut opt = Adam::new(tcfg.lr);
+                for (b, batch) in batches.iter().enumerate() {
+                    let run = |model: &Gnmr, loss: &dyn Fn(&mut Ctx<'_>) -> Var| {
+                        let mut ctx = Ctx::new(model.params());
+                        let loss = loss(&mut ctx);
+                        let value = ctx.g.value(loss).scalar_value();
+                        (value, ctx.grads(loss))
+                    };
+                    let (got, grads) = run(&model, &|ctx| model.step_loss(ctx, batch));
+                    let (want, want_grads) = run(&model, &|ctx| full_forward_loss(&model, ctx, batch));
+                    let bits = |loss: f32, grads: &Grads| -> StepBits {
+                        let grads = grads.iter().map(|(name, m)| {
+                            (name.to_string(), m.data().iter().map(|v| v.to_bits()).collect())
+                        });
+                        (loss.to_bits(), grads.collect())
+                    };
+                    let case = format!("{} L {layers} batch {b}", variant.label());
+                    out.push((case, bits(got, &grads), bits(want, &want_grads)));
+                    opt.step(model.params_mut(), &grads);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn step_loss_is_bitwise_the_full_forward_loss() {
+        // One thread, then the work threshold floored and three threads
+        // configured, so every kernel crosses the pool's parallel paths.
+        // Serialized on the crate-wide config lock; globals restored
+        // even on panic.
+        let variants = all_variants();
+        let datasets = [presets::tiny_movielens(3), presets::tiny_taobao(3)];
+        let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        gnmr_tensor::par::set_threads(Some(1));
+        let serial = std::panic::catch_unwind(|| datasets.each_ref().map(|d| step_bits(d, &variants)));
+        gnmr_tensor::kernels::set_min_work(Some(1));
+        gnmr_tensor::par::set_threads(Some(3));
+        let parallel = std::panic::catch_unwind(|| datasets.each_ref().map(|d| step_bits(d, &variants)));
+        gnmr_tensor::kernels::set_min_work(None);
+        gnmr_tensor::par::set_threads(None);
+        for result in [serial, parallel] {
+            let cases = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (case, got, want) in cases.iter().flatten() {
+                assert_eq!(got.0, want.0, "{case}: loss bits differ");
+                assert_eq!(got.1.len(), want.1.len(), "{case}: gradient sets differ");
+                for ((name, g), (want_name, w)) in got.1.iter().zip(&want.1) {
+                    assert_eq!(name, want_name, "{case}: gradient sets differ");
+                    assert!(g == w, "{case}: gradient of {name} differs");
+                }
+            }
         }
     }
 

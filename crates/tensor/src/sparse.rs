@@ -12,7 +12,8 @@
 //! run of one column in order, so duplicate coordinates always add up
 //! in insertion order. [`Csr::row_normalized`] and
 //! [`Csr::sym_normalized`] each scale the values in one pass over the
-//! rows.
+//! rows. [`Csr::select_rows`] copies a subset of rows, for products
+//! that need only some output rows.
 
 use std::sync::OnceLock;
 
@@ -232,6 +233,29 @@ impl Csr {
         self.indptr[r + 1] - self.indptr[r]
     }
 
+    /// The rows named by `rows`, in that order, as a
+    /// `rows.len() x cols` CSR: row `i` of the result holds the entries
+    /// of row `rows[i]`, copied as stored. Each row of an [`Csr::spmm`]
+    /// is computed from its own CSR row alone, so the product of a
+    /// selection is, bit for bit, those rows of the full product.
+    ///
+    /// # Panics
+    /// If an index is not below `rows()`.
+    pub fn select_rows(&self, rows: &[u32]) -> Csr {
+        let nnz = rows.iter().map(|&r| self.row_nnz(r as usize)).sum();
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for &r in rows {
+            let (cols, vals) = self.row(r as usize);
+            indices.extend_from_slice(cols);
+            values.extend_from_slice(vals);
+            indptr.push(indices.len());
+        }
+        Csr { rows: rows.len(), cols: self.cols, indptr, indices, values, csc: OnceLock::new() }
+    }
+
     /// Iterates over `(row, col, value)` triplets in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
         (0..self.rows).flat_map(move |r| {
@@ -431,6 +455,42 @@ mod tests {
             triplets,
             vec![(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)]
         );
+    }
+
+    #[test]
+    fn select_rows_keeps_the_given_order() {
+        let csr = sample_csr();
+        let sel = csr.select_rows(&[2, 0, 2]);
+        assert_eq!(sel.shape(), (3, 3));
+        assert_eq!(sel.row(0), csr.row(2));
+        assert_eq!(sel.row(1), csr.row(0));
+        assert_eq!(sel.row(2), csr.row(2));
+        // Row 1 is empty; an empty selection has no rows at all.
+        let one = csr.select_rows(&[1]);
+        assert_eq!((one.shape(), one.nnz(), one.row_nnz(0)), ((1, 3), 0, 0));
+        let none = csr.select_rows(&[]);
+        assert_eq!((none.shape(), none.nnz()), ((0, 3), 0));
+        assert_eq!(none.spmm(&Matrix::ones(3, 2)).shape(), (0, 2));
+    }
+
+    #[test]
+    fn spmm_of_a_selection_is_those_rows_of_the_full_product() {
+        // Row r draws ~half the columns, with values of both signs.
+        let triplets: Vec<(u32, u32, f32)> = (0..12u32)
+            .flat_map(|r| {
+                let cols = (0..9u32).filter(move |c| (r * 7 + c * 3) % 5 < 3);
+                cols.map(move |c| (r, c, ((r * 9 + c) as f32 * 0.37).sin()))
+            })
+            .collect();
+        let csr = Csr::from_triplets(12, 9, &triplets).row_normalized();
+        let x = Matrix::from_fn(9, 5, |r, c| ((r * 5 + c) as f32 * 0.71).cos());
+        let full = csr.spmm(&x);
+        let rows = [0u32, 3, 4, 8, 11];
+        let part = csr.select_rows(&rows).spmm(&x);
+        for (i, &r) in rows.iter().enumerate() {
+            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(part.row(i)), bits(full.row(r as usize)), "row {r}");
+        }
     }
 
     #[test]
