@@ -311,6 +311,26 @@ fn three_layers() {
     });
 }
 
+/// The GNMRCKPT file a checkpointed fit of the full model leaves: the
+/// layout, the Adam moments and the sampler state, none of which the
+/// snapshot digest covers. The file is epoch 3's, the last write of a
+/// checkpoint every epoch.
+#[test]
+fn checkpoint_file() {
+    const WANT: u64 = 0x9cdcc1ebf4b60ef8;
+    let data = movielens();
+    let mut model = Gnmr::new(&data.graph, small(GnmrVariant::full()));
+    let dir = std::env::temp_dir().join(format!("gnmr_golden_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("fit.ckpt");
+    let tcfg = TrainConfig { epochs: 3, ..TrainConfig::fast_test() };
+    model.fit_checkpointed(&data.graph, &tcfg, &mut Checkpointing::every(&path, 1)).expect("checkpointed fit");
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    let got = fnv1a64(&bytes);
+    assert!(got == WANT, "checkpoint bytes moved\n got: {got:#018x}\nwant: {WANT:#018x}");
+}
+
 // ----- baselines ------------------------------------------------------
 
 /// Everything one baseline case pins: FNV-1a-64 digests of the scores
