@@ -10,27 +10,30 @@
 //! during backward.
 //!
 //! Forward values and backward contributions are produced by
-//! [`gnmr_tensor`] ops wherever a kernel exists, so `matmul`/`spmm`
-//! (and their transposed backward counterparts) inherit the tiled,
-//! thread-parallel kernels of `gnmr_tensor::kernels`, and
-//! gradient accumulation (`add_assign`, the `gather_rows` scatter-add)
-//! runs on the same shared **persistent worker pool** where the
-//! buffers are large enough to amortize dispatch — important for the
-//! tape, which issues many sub-millisecond kernel calls per training
-//! step and would otherwise pay a thread spawn on each. The few ops that
-//! only copy or scale rows (`concat_cols`, `weighted_sum`) loop over
-//! their rows in place; `weighted_sum`'s weight gradients are
-//! `kernels::dot` row dots, in the canonical lane order.
+//! [`gnmr_tensor`] ops wherever a kernel exists, so the dense products,
+//! `spmm` and gradient accumulation (`add_assign`) inherit the tiled,
+//! thread-parallel kernels of `gnmr_tensor::kernels` and run on the
+//! shared **persistent worker pool** where the buffers are large
+//! enough to amortize dispatch — important for the tape, which issues
+//! many sub-millisecond kernel calls per training step and would
+//! otherwise pay a thread spawn on each. The backward scatters
+//! (`spmm`'s transposed product, the `gather_rows` scatter-add) run on
+//! the calling thread. The few ops that only copy or scale rows
+//! (`concat_cols`, `weighted_sum`) loop over their rows in place;
+//! `weighted_sum`'s weight gradients are `kernels::dot` row dots, in
+//! the canonical lane order.
 //!
-//! The backward pass is **allocation-free in the steady state**:
-//! gradient accumulators come from a width-keyed, best-fit [`Arena`]
-//! ([`Graph::backward_with`]), contributions are applied through the
-//! fused in-place kernels (`axpy`, the `zip_map` family, the
-//! `matmul_*`/`spmm_*` accumulate forms), and every buffer is returned
-//! to the arena for the next step. The in-place paths reproduce the
-//! historical allocate-then-combine float sequences exactly, so
-//! training bytes are unchanged (see the kernel docs;
-//! `tests/determinism.rs` and `tests/golden.rs` pin them).
+//! At one pool thread the backward pass is **allocation-free in the
+//! steady state**: gradient accumulators come from a width-keyed,
+//! best-fit [`Arena`] ([`Graph::backward_with`]), contributions are
+//! applied through the fused in-place kernels (`axpy`, the `zip_map`
+//! family, the `matmul_*`/`spmm_*` accumulate forms), and every buffer
+//! is returned to the arena for the next step. On more threads each
+//! parallel kernel dispatch allocates twice, its chunk plan and the
+//! pool's shared job. The in-place paths reproduce the historical
+//! allocate-then-combine float sequences exactly, so training bytes are
+//! unchanged (see the kernel docs; `tests/determinism.rs` and
+//! `tests/golden.rs` pin them).
 
 use std::sync::Arc;
 
@@ -51,7 +54,6 @@ enum Op {
     // The scalar is applied eagerly in the forward pass and the gradient
     // passes through unchanged, so only the parent is stored.
     AddScalar(Var),
-    Neg(Var),
     MatMul(Var, Var),
     Relu(Var),
     LeakyRelu(Var, f32),
@@ -160,10 +162,9 @@ impl Graph {
         self.push(v, Op::AddScalar(a))
     }
 
-    /// Negation.
+    /// Negation: [`Graph::scale`] by −1.
     pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.value(a).scale(-1.0);
-        self.push(v, Op::Neg(a))
+        self.scale(a, -1.0)
     }
 
     /// `1 - x` (composite of [`Graph::neg`] and [`Graph::add_scalar`]).
@@ -405,16 +406,6 @@ impl Graph {
                         kernels::add_assign(d, g)
                     });
                 }
-                Op::Neg(a) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, -1.0),
-                        |_, d| kernels::axpy(d, g, -1.0),
-                    );
-                }
                 Op::MatMul(a, b) => {
                     let da_shape = head[a.0].value.shape();
                     apply_map(
@@ -557,12 +548,7 @@ impl Graph {
                     }
                 }
                 Op::GatherRows(a, indices) => {
-                    // Scatter-add via the kernel layer: updates are bucketed
-                    // by destination row and the chunk plan is update-count
-                    // weighted (one hot embedding row drawing most of the
-                    // gradient traffic gets a chunk of its own), so large
-                    // tables accumulate in parallel with the same per-row
-                    // order (and bytes) as the serial loop.
+                    // The kernel layer's scatter-add, in source order.
                     let shape = head[a.0].value.shape();
                     apply_sum(head, arena, *a, shape, |_, d| {
                         kernels::scatter_add_rows(d, indices, g)

@@ -105,8 +105,8 @@ impl Cells {
     }
 
     /// Measures a single-variant op (no `*_with` form — the optimizer
-    /// kernels take no thread count): one "serial" row, same
-    /// min-of-rounds discipline as [`Cells::push`].
+    /// and backward-scatter kernels take no thread count): one "serial"
+    /// row, same min-of-rounds discipline as [`Cells::push`].
     fn push_serial(&mut self, op: &'static str, shape: String, mut f: impl FnMut()) {
         f();
         let timer = self.timer;
@@ -169,13 +169,6 @@ fn matmul_tn_at(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
     let mut out = Matrix::zeros(csr.rows(), x.cols());
     kernels::spmm_acc_with(&mut out, csr, x, threads);
-    out
-}
-
-/// `csr^T * xt` on `threads`: a zeroed output plus `spmm_t_acc_with`.
-fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.cols(), xt.cols());
-    kernels::spmm_t_acc_with(&mut out, csr, xt, threads);
     out
 }
 
@@ -338,26 +331,16 @@ fn main() {
         },
     );
 
-    // Transposed SpMM (message passing backward).
-    cells.push(
-        "spmm_t",
-        format!("{}nnz^T*4000x64", csr.nnz()),
-        "serial_1t",
-        || {
-            black_box(spmm_t_at(&csr, &dense, 1));
-        },
-        |t| {
-            black_box(spmm_t_at(&csr, &dense, t));
-        },
-    );
+    // Transposed SpMM (message passing backward), a serial scatter.
+    cells.push_serial("spmm_t", format!("{}nnz^T*4000x64", csr.nnz()), || {
+        black_box(csr.spmm_t(&dense));
+    });
 
     // The same two ops on a power-law graph (one hub row with ~90% of
     // the nnz, Zipf-ish columns): the shape where equal-row chunks
-    // would serialize on the hub, so the nnz-weighted plans isolate it.
-    // The transposed kernel streams the cached column-major index on
-    // more than one thread, as it does on the uniform graph above.
+    // would serialize `spmm` on the hub, so its nnz-weighted plan
+    // isolates it.
     let skew = skewed_csr(8000, 40_000, 40_000, 9);
-    skew.prewarm_spmm_t(); // the index is per-matrix and amortized in training; keep it out of the cells
     let skew_x = init::uniform(40_000, 64, -1.0, 1.0, &mut rng::seeded(10));
     let skew_xt = init::uniform(8000, 64, -1.0, 1.0, &mut rng::seeded(11));
     cells.push(
@@ -371,17 +354,9 @@ fn main() {
             black_box(spmm_at(&skew, &skew_x, t));
         },
     );
-    cells.push(
-        "spmm_t_skew",
-        format!("{}nnz(hub90)^T*8000x64", skew.nnz()),
-        "serial_1t",
-        || {
-            black_box(spmm_t_at(&skew, &skew_xt, 1));
-        },
-        |t| {
-            black_box(spmm_t_at(&skew, &skew_xt, t));
-        },
-    );
+    cells.push_serial("spmm_t_skew", format!("{}nnz(hub90)^T*8000x64", skew.nnz()), || {
+        black_box(skew.spmm_t(&skew_xt));
+    });
 
     // Element-wise / optimizer / serving rows: the fixed-lane rewrite
     // targets these flat loops directly, so their trajectory is

@@ -112,17 +112,12 @@ impl TrainCheckpoint {
             wire::push_u32(&mut out, loss.to_bits());
         }
         wire::push_u32(&mut out, self.params.len() as u32);
-        wire::push_shape_table(&mut out, &self.params);
+        wire::push_shape_table(&mut out, self.params.iter().map(|(n, m)| (n.as_str(), m)));
         for (_, m) in &self.params {
             wire::push_matrix(&mut out, m);
         }
         wire::push_u32(&mut out, self.opt.moments.len() as u32);
-        for (name, m, _) in &self.opt.moments {
-            wire::push_u32(&mut out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            wire::push_u32(&mut out, m.rows() as u32);
-            wire::push_u32(&mut out, m.cols() as u32);
-        }
+        wire::push_shape_table(&mut out, self.opt.moments.iter().map(|(n, m, _)| (n.as_str(), m)));
         for (_, m, v) in &self.opt.moments {
             wire::push_matrix(&mut out, m);
             wire::push_matrix(&mut out, v);

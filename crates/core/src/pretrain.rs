@@ -7,7 +7,7 @@
 //! behaviors, so every behavior contributes signal) and keep the encoder
 //! output as the initial embedding.
 
-use gnmr_autograd::{Activation, Adam, Arena, Ctx, Grads, Linear, ParamStore};
+use gnmr_autograd::{Activation, Adam, Ctx, Linear, ParamStore, Trainer};
 use gnmr_graph::MultiBehaviorGraph;
 use gnmr_tensor::{rng, Csr, Matrix};
 use rand::seq::SliceRandom;
@@ -46,33 +46,31 @@ fn autoencode(
     let mut init_rng = rng::substream(seed, 0xAE);
     let enc = Linear::new(&mut store, &mut init_rng, "enc", profile_width, dim);
     let dec = Linear::new(&mut store, &mut init_rng, "dec", dim, profile_width);
-    let mut opt = Adam::new(5e-3);
 
     let mut order: Vec<u32> = (0..n_entities as u32).collect();
     let mut shuffle_rng = rng::substream(seed, 0xAF);
     let batch = 128.min(n_entities.max(1));
-    // Same allocation discipline as the main trainer: one arena and one
-    // gradient map across all pre-training epochs, so the steady-state
-    // autoencoder step's backward + optimizer path allocates nothing.
-    let arena = Arena::new();
-    let mut grads = Grads::default();
-    for _ in 0..epochs {
-        order.shuffle(&mut shuffle_rng);
-        for chunk in order.chunks(batch) {
-            let x = profile_rows(adjacencies, chunk, profile_width);
-            let mut ctx = Ctx::new(&store);
-            let xv = ctx.constant(x);
-            let hidden_pre = enc.apply(&mut ctx, xv);
-            let hidden = Activation::Tanh.apply(&mut ctx, hidden_pre);
-            let recon = dec.apply(&mut ctx, hidden);
-            let diff = ctx.g.sub(recon, xv);
-            let sq = ctx.g.sqr(diff);
-            let loss = ctx.g.mean(sq);
-            ctx.grads_into(loss, &arena, &mut grads);
-            drop(ctx);
-            opt.step(&mut store, &grads);
+    let batches = n_entities.div_ceil(batch);
+    // All pre-training epochs run as one trainer epoch of unclipped
+    // steps, reshuffling the entity order at each pre-training epoch's
+    // first batch; the lr decay at its end lands on a dropped trainer.
+    let mut trainer = Trainer::new(Adam::new(5e-3), 0.0);
+    let mut step = 0usize;
+    trainer.epoch(&mut store, epochs * batches, |ctx| {
+        let b = step % batches;
+        step += 1;
+        if b == 0 {
+            order.shuffle(&mut shuffle_rng);
         }
-    }
+        let chunk = &order[b * batch..((b + 1) * batch).min(n_entities)];
+        let xv = ctx.constant(profile_rows(adjacencies, chunk, profile_width));
+        let hidden_pre = enc.apply(ctx, xv);
+        let hidden = Activation::Tanh.apply(ctx, hidden_pre);
+        let recon = dec.apply(ctx, hidden);
+        let diff = ctx.g.sub(recon, xv);
+        let sq = ctx.g.sqr(diff);
+        Some(ctx.g.mean(sq))
+    });
 
     // Encode all entities.
     let mut embeddings = Matrix::zeros(n_entities, dim);

@@ -137,7 +137,7 @@ impl ModelSnapshot {
         wire::push_u32(&mut out, self.user_repr.cols() as u32);
         wire::push_u32(&mut out, self.item_repr.rows() as u32);
         wire::push_u32(&mut out, self.item_repr.cols() as u32);
-        wire::push_shape_table(&mut out, &self.params);
+        wire::push_shape_table(&mut out, self.params.iter().map(|(n, m)| (n.as_str(), m)));
         for (_, m) in &self.params {
             wire::push_matrix(&mut out, m);
         }

@@ -15,7 +15,8 @@
 //!   [`PAR_MIN_WORK`]).
 //! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
 //!   overwrites it, `_assign` updates it in place. On a zeroed `dst`,
-//!   `*_acc_with(.., 1)` is the serial product. The row-wise backward
+//!   `*_acc_with(.., 1)` is the serial product. The backward scatters
+//!   ([`spmm_t_acc`], [`scatter_add_rows`]), the row-wise backward
 //!   kernels ([`row_dot_into`], `mul_col_broadcast_*`,
 //!   `softmax_rows_backward_*`) and [`row_dots_into`] are serial and
 //!   have only these forms.
@@ -28,8 +29,8 @@
 //!
 //! # Cost-model dispatch
 //!
-//! The per-step sparse kernels (`spmm`, `spmm_t`, scatter-add) do not
-//! assume rows are equally expensive. Each parallel call has one plan:
+//! The per-step sparse product (`spmm`) does not assume rows are
+//! equally expensive. Each parallel call has one plan:
 //! nnz-weighted chunks, four per thread (fewer on machines with fewer
 //! cores), which the pool's threads claim one at a time from a shared
 //! counter. A thread held up on a hub chunk (one user owning most of a
@@ -956,7 +957,15 @@ fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, rows: Range<usize>, out: &mut [
     }
 }
 
-fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
+/// Accumulates `csr^T * dense` into `dst` on the calling thread,
+/// allocating nothing.
+///
+/// Output rows correspond to CSR *columns*: each CSR row scatters its
+/// dense row into the output rows its entries name, rows ascending, so
+/// each output element takes one add per stored entry in ascending CSR
+/// row order. On a zeroed `dst` the result is bitwise the plain scalar
+/// loop over the CSR entries, as for [`spmm_acc_with`].
+pub fn spmm_t_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
     assert_eq!(
         csr.rows(),
         dense.rows(),
@@ -966,25 +975,6 @@ fn assert_spmm_t(csr: &Csr, dense: &Matrix) {
         dense.rows(),
         dense.cols()
     );
-}
-
-/// Accumulates `csr^T * dense` into `dst` on an explicit number of
-/// threads, allocating nothing beyond the chunk plan and the lazily
-/// cached column-major index the parallel path streams.
-///
-/// Output rows correspond to CSR *columns*. On one thread this is the
-/// plain scatter: each CSR row adds its dense row into the output rows
-/// its entries name. On more, the call streams the matrix's
-/// column-major companion index (`Csr::csc`, built once per matrix;
-/// see [`Csr::prewarm_spmm_t`]): each output row is one contiguous
-/// entry span, so a worker touches only its own columns' entries and a
-/// hub column costs exactly its nnz; chunks are column-nnz-balanced.
-/// Entries within a column are ordered by ascending CSR row, exactly
-/// the scatter's accumulation order, so the bitwise contract is
-/// [`spmm_acc_with`]'s: on a zeroed `dst`, the plain scalar loop over
-/// the CSR entries, at every thread count.
-pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
-    assert_spmm_t(csr, dense);
     let d = dense.cols();
     assert_eq!(
         dst.shape(),
@@ -994,51 +984,16 @@ pub fn spmm_t_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usi
         dst.cols(),
         csr.cols()
     );
-    let dd = dense.data();
-    // Decide with the parallelism the call will actually get — the same
-    // count `Csr::prewarm_spmm_t` decides with, so a prewarmed index is
-    // exactly the one a parallel call reads. A call the oversubscription
-    // guard would run on one thread anyway takes the serial scatter
-    // (each CSR row's dense operand stays register/L1-resident) and
-    // never builds the index.
-    let threads = par::effective_parallelism(threads);
-    if threads <= 1 || csr.nnz() == 0 || d == 0 {
-        spmm_t_scatter(csr, dd, d, dst.data_mut());
-        return;
-    }
-    let csc = csr.csc();
-    let ranges = span_plan(&csc.col_ptr, threads);
-    par::for_each_row_chunk_ranges(dst.data_mut(), csr.cols(), &ranges, threads, |crange, chunk| {
-        // Running split cursors instead of per-column range slicing: on
-        // wide catalogs most columns hold zero or one entry, so
-        // per-column bookkeeping (not arithmetic) is what this loop
-        // mostly executes — keep it to one `split_at` per array per
-        // column.
-        let ptrs = &csc.col_ptr[crange.start..crange.end + 1];
-        let last = ptrs.len() - 1;
-        let mut rrows = &csc.rows[ptrs[0]..ptrs[last]];
-        let mut rvals = &csc.values[ptrs[0]..ptrs[last]];
-        for (orow, w) in chunk.chunks_exact_mut(d).zip(ptrs.windows(2)) {
-            let take = w[1] - w[0];
-            let (hr, tr) = rrows.split_at(take);
-            let (hv, tv) = rvals.split_at(take);
-            (rrows, rvals) = (tr, tv);
-            for (&r, &v) in hr.iter().zip(hv) {
-                let drow = &dd[r as usize * d..(r as usize + 1) * d];
-                axpy_lanes(orow, drow, v);
-            }
-        }
-    });
+    spmm_t_scatter(csr, dense.data(), d, dst.data_mut());
 }
 
-/// Accumulates `csr^T * dense` into `dst` with the shared thread-count
-/// config.
-pub fn spmm_t_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
-    spmm_t_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
-}
-
-/// The one-thread `spmm_t`: every CSR row scatters its dense row into
-/// the output rows its entries name, rows ascending.
+/// The loop behind [`spmm_t_acc`]: every CSR row scatters its dense
+/// row into the output rows its entries name, rows ascending. The
+/// operands are slice parameters, so the compiler may assume `out`
+/// aliases neither `dense` nor the CSR's arrays: the same loop over the
+/// matrices' own storage ran about 2x slower on `movielens_small(1)`'s
+/// largest adjacency at d = 16 (one process, both forms interleaved, a
+/// 2-core x86-64 host).
 fn spmm_t_scatter(csr: &Csr, dense: &[f32], d: usize, out: &mut [f32]) {
     for r in 0..csr.rows() {
         let (cols, vals) = csr.row(r);
@@ -1278,23 +1233,15 @@ pub fn softmax_rows_backward_acc(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
     }
 }
 
-/// Scatter-add: `dst.row(indices[o]) += src.row(o)` for every `o`, on
-/// an explicit number of threads (this is the backward pass of
+/// Scatter-add on the calling thread: `dst.row(indices[o]) +=
+/// src.row(o)` for every `o`, in source order, so duplicate indices
+/// accumulate in the order they appear (this is the backward pass of
 /// `gather_rows`).
 ///
-/// The parallel path first buckets the source positions by destination
-/// row with a stable counting sort (O(indices + rows), once per call),
-/// so each worker touches only the updates landing in its own row
-/// range — the old kernel re-scanned the whole index list per chunk,
-/// which scaled with the thread count. Chunks are update-count
-/// balanced, several per thread, so one hot embedding row drawing most
-/// updates does not serialize the call. Duplicate
-/// indices accumulate in their original order (the counting sort is
-/// stable), so results are bitwise identical to the serial loop.
-///
 /// # Panics
-/// If shapes disagree or any index is out of bounds.
-pub fn scatter_add_rows_with(dst: &mut Matrix, indices: &[u32], src: &Matrix, threads: usize) {
+/// If shapes disagree or any index is out of bounds; indices are
+/// checked before `dst` is written.
+pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix) {
     assert_eq!(src.rows(), indices.len(), "scatter_add_rows: index count mismatch");
     assert_eq!(src.cols(), dst.cols(), "scatter_add_rows: column count mismatch");
     let rows = dst.rows();
@@ -1302,48 +1249,10 @@ pub fn scatter_add_rows_with(dst: &mut Matrix, indices: &[u32], src: &Matrix, th
         assert!((idx as usize) < rows, "scatter_add_rows: index {idx} out of bounds for {rows} rows");
     }
     let d = dst.cols();
-    let sd = src.data();
-    if threads <= 1 || rows == 0 || indices.is_empty() {
-        // Serial reference: straight scatter in source order. Per
-        // destination row this is ascending source order — the same
-        // order the bucketed parallel path replays.
-        let dd = dst.data_mut();
-        for (o, &idx) in indices.iter().enumerate() {
-            let orow = &mut dd[idx as usize * d..(idx as usize + 1) * d];
-            add_lanes(orow, &sd[o * d..(o + 1) * d]);
-        }
-        return;
-    }
-    // Bucket source positions by destination row, preserving source
-    // order within each bucket (stable counting sort).
-    let mut spans = vec![0usize; rows + 1];
-    for &idx in indices {
-        spans[idx as usize + 1] += 1;
-    }
-    for r in 0..rows {
-        spans[r + 1] += spans[r];
-    }
-    let mut order = vec![0u32; indices.len()];
-    let mut cursor = spans.clone();
+    let (sd, dd) = (src.data(), dst.data_mut());
     for (o, &idx) in indices.iter().enumerate() {
-        order[cursor[idx as usize]] = o as u32;
-        cursor[idx as usize] += 1;
+        add_lanes(&mut dd[idx as usize * d..][..d], &sd[o * d..(o + 1) * d]);
     }
-    let ranges = span_plan(&spans, threads);
-    par::for_each_row_chunk_ranges(dst.data_mut(), rows, &ranges, threads, |range, chunk| {
-        for r in range.clone() {
-            let orow = &mut chunk[(r - range.start) * d..][..d];
-            for &o in &order[spans[r]..spans[r + 1]] {
-                add_lanes(orow, &sd[o as usize * d..(o as usize + 1) * d]);
-            }
-        }
-    });
-}
-
-/// Scatter-add with the shared thread-count config.
-pub fn scatter_add_rows(dst: &mut Matrix, indices: &[u32], src: &Matrix) {
-    let work = indices.len() * dst.cols();
-    scatter_add_rows_with(dst, indices, src, auto_threads(work));
 }
 
 /// The full-catalog sweep behind [`row_dots_with`], [`row_dots_into`]
@@ -1398,35 +1307,22 @@ pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
 //
 // The serving path's ranking primitive: the `k` best-scoring indices in
 // the deterministic total order (score descending, index ascending on
-// ties), WITHOUT sorting the full catalog. Two algorithms behind one
-// entry point, both producing exactly the sequence a full
-// `(score desc, index asc)` sort would — the order is total (ties are
-// broken by the unique index), so the top-k sequence is unique and
-// "same algorithm ⇒ same bytes" holds trivially across paths:
-//
-// * a bounded worst-at-root binary heap for small `k`: one comparison
-//   against the current cutoff per candidate (O(n) total, almost all
-//   failing fast) plus O(log k) maintenance per admitted candidate;
-// * deterministic quickselect (median-of-three pivots, no entropy,
-//   introsort-style depth bound collapsing to `sort_unstable_by`) once
-//   `k` is a sizable fraction of the candidates, where per-candidate
-//   heap maintenance would thrash.
+// ties), WITHOUT sorting the full catalog. A bounded worst-at-root
+// binary heap keeps the best `k` seen so far: one comparison against
+// the current cutoff per candidate (O(n) total, almost all failing
+// fast) plus O(log k) maintenance per admitted candidate, then one sort
+// of the kept candidates. The order is total (ties are broken by the
+// unique index), so the top-k sequence is unique: it is exactly the
+// prefix a full `(score desc, index asc)` sort would produce.
 //
 // Scores are compared with `f32::total_cmp`, so NaNs are *ordered*
 // (positive NaN above +inf) instead of poisoning the comparison the way
 // the historical `partial_cmp().unwrap_or(Equal)` full sort did.
 
-/// `k`-to-candidate ratio at which selection switches from the bounded
-/// heap to quickselect: heap while `k * QUICKSELECT_RATIO < n`. At that
-/// point roughly 1/8 of candidates displace the heap root, so expected
-/// maintenance (`n/8 · log k`) starts rivaling quickselect's copy +
-/// partition passes.
-const QUICKSELECT_RATIO: usize = 8;
-
 /// Reusable scratch for [`top_k_select_excluding`]. Mint one per
 /// scoring thread (or one [`RankScratch`], which holds one) and
 /// steady-state selection performs zero heap allocations: the buffer
-/// grows to `max(k, candidates)` entries once and is reused thereafter.
+/// grows to `min(k, candidates)` entries once and is reused thereafter.
 pub struct TopKScratch {
     buf: Vec<(u32, f32)>,
 }
@@ -1492,69 +1388,6 @@ fn build_worst_heap(heap: &mut [(u32, f32)]) {
     }
 }
 
-/// Deterministic median-of-three pivot index for [`quickselect_topk`].
-#[inline]
-fn median_of_three(v: &[(u32, f32)], lo: usize, hi: usize) -> usize {
-    let mid = lo + (hi - lo) / 2;
-    let (a, b, c) = (v[lo], v[mid], v[hi - 1]);
-    if sel_before(a, b) {
-        if sel_before(b, c) {
-            mid
-        } else if sel_before(a, c) {
-            hi - 1
-        } else {
-            lo
-        }
-    } else if sel_before(a, c) {
-        lo
-    } else if sel_before(b, c) {
-        hi - 1
-    } else {
-        mid
-    }
-}
-
-/// Partitions `v` so its first `k` slots hold the `k` best-ranked
-/// candidates (in arbitrary order). Median-of-three pivots keep the
-/// choice deterministic without entropy; an introsort-style depth bound
-/// collapses pathological pivot runs to a guaranteed-`O(n log n)`
-/// unstable sort. All keys are distinct under [`sel_before`] (the index
-/// breaks every score tie), so no equal-key partition pathology exists.
-fn quickselect_topk(v: &mut [(u32, f32)], k: usize) {
-    let mut lo = 0usize;
-    let mut hi = v.len();
-    debug_assert!(k < hi);
-    let mut depth = 2 * (usize::BITS - v.len().leading_zeros()) as usize;
-    while hi - lo > 1 {
-        if depth == 0 {
-            v[lo..hi].sort_unstable_by(sel_cmp);
-            return;
-        }
-        depth -= 1;
-        let p = median_of_three(v, lo, hi);
-        v.swap(p, hi - 1);
-        let pivot = v[hi - 1];
-        let mut store = lo;
-        for i in lo..hi - 1 {
-            if sel_before(v[i], pivot) {
-                v.swap(i, store);
-                store += 1;
-            }
-        }
-        v.swap(store, hi - 1);
-        // v[lo..store] rank before the pivot (now at `store`), the rest
-        // after it.
-        if k < store {
-            hi = store;
-        } else if k <= store + 1 {
-            // The first k slots are exactly the k best.
-            return;
-        } else {
-            lo = store + 1;
-        }
-    }
-}
-
 /// Core selection: fills `buf` with the top-`k` non-excluded candidates
 /// in the deterministic `(score desc, index asc)` order. `exclude` must
 /// be ascending (duplicates allowed); candidates are streamed in index
@@ -1562,62 +1395,42 @@ fn quickselect_topk(v: &mut [(u32, f32)], k: usize) {
 /// O(n + e) regardless of list sizes.
 fn select_into_buf(scores: &[f32], k: usize, exclude: &[u32], buf: &mut Vec<(u32, f32)>) {
     buf.clear();
-    if k == 0 || scores.is_empty() {
+    if k == 0 {
         return;
     }
-    let n = scores.len();
+    // Admit the first k candidates, then only those ranking before the
+    // current worst (the root).
     let mut p = 0usize;
-    if k.saturating_mul(QUICKSELECT_RATIO) < n {
-        // Bounded heap: admit the first k candidates, then only those
-        // ranking before the current worst (the root).
-        for (i, &s) in scores.iter().enumerate() {
-            let idx = i as u32;
-            while p < exclude.len() && exclude[p] < idx {
-                p += 1;
-            }
-            if p < exclude.len() && exclude[p] == idx {
-                continue;
-            }
-            let cand = (idx, s);
-            if buf.len() < k {
-                buf.push(cand);
-                if buf.len() == k {
-                    build_worst_heap(buf);
-                }
-            } else if sel_before(cand, buf[0]) {
-                buf[0] = cand;
-                sift_down_worst(buf, 0);
-            }
+    for (i, &s) in scores.iter().enumerate() {
+        let idx = i as u32;
+        while p < exclude.len() && exclude[p] < idx {
+            p += 1;
         }
-    } else {
-        // k is a sizable fraction of the candidates: gather them all
-        // and partial-select in place.
-        for (i, &s) in scores.iter().enumerate() {
-            let idx = i as u32;
-            while p < exclude.len() && exclude[p] < idx {
-                p += 1;
-            }
-            if p < exclude.len() && exclude[p] == idx {
-                continue;
-            }
-            buf.push((idx, s));
+        if p < exclude.len() && exclude[p] == idx {
+            continue;
         }
-        if buf.len() > k {
-            quickselect_topk(buf, k);
-            buf.truncate(k);
+        let cand = (idx, s);
+        if buf.len() < k {
+            buf.push(cand);
+            if buf.len() == k {
+                build_worst_heap(buf);
+            }
+        } else if sel_before(cand, buf[0]) {
+            buf[0] = cand;
+            sift_down_worst(buf, 0);
         }
     }
     buf.sort_unstable_by(sel_cmp);
 }
 
 /// Top-`k` indices and scores of `scores`, in the deterministic
-/// `(score desc, index asc)` order, via bounded partial selection —
-/// O(n + k log k) instead of the full-catalog argsort — skipping the
-/// ascending exclusion list `exclude` (seen items, training
-/// interactions; pass `&[]` for none). Returns fewer than `k` entries
-/// when fewer candidates remain; the result is exactly the prefix a
-/// full `(score desc, index asc)` sort of the non-excluded candidates
-/// would produce.
+/// `(score desc, index asc)` order, via a bounded heap — one
+/// comparison per candidate plus O(log k) per admitted one, instead of
+/// the full-catalog argsort — skipping the ascending exclusion list
+/// `exclude` (seen items, training interactions; pass `&[]` for none).
+/// Returns fewer than `k` entries when fewer candidates remain; the
+/// result is exactly the prefix a full `(score desc, index asc)` sort
+/// of the non-excluded candidates would produce.
 pub fn top_k_select_excluding<'s>(
     scores: &[f32],
     k: usize,
@@ -1766,11 +1579,14 @@ mod tests {
             spmm_acc_with(&mut got, &csr, &x, threads);
             assert_eq!(got.data(), reference.data());
         }
+        // The transposed CSR's rows hold each column's entries in
+        // ascending row order, the order the scatter adds them in.
         let xt = mat(6, 7, 0.8);
-        let reference_t = csr.spmm_t(&xt);
+        let mut got = Matrix::zeros(5, 7);
+        spmm_t_acc(&mut got, &csr, &xt);
         for threads in [1, 2, 4] {
-            let mut got = Matrix::zeros(5, 7);
-            spmm_t_acc_with(&mut got, &csr, &xt, threads);
+            let mut reference_t = Matrix::zeros(5, 7);
+            spmm_acc_with(&mut reference_t, &csr.transpose(), &xt, threads);
             assert_eq!(got.data(), reference_t.data());
         }
     }
@@ -1779,7 +1595,7 @@ mod tests {
     fn scatter_add_duplicates_accumulate() {
         let mut dst = Matrix::zeros(4, 2);
         let src = mat(3, 2, 0.0);
-        scatter_add_rows_with(&mut dst, &[1, 1, 3], &src, 4);
+        scatter_add_rows(&mut dst, &[1, 1, 3], &src);
         let mut expected = Matrix::zeros(4, 2);
         for (o, &idx) in [1u32, 1, 3].iter().enumerate() {
             for c in 0..2 {
@@ -1818,7 +1634,7 @@ mod tests {
         let e = Csr::empty(0, 0);
         let mut y = Matrix::zeros(0, 2);
         spmm_acc_with(&mut y, &e, &Matrix::zeros(0, 2), 4);
-        spmm_t_acc_with(&mut y, &e, &Matrix::zeros(0, 2), 4);
+        spmm_t_acc(&mut y, &e, &Matrix::zeros(0, 2));
         assert_eq!(e.spmm(&Matrix::zeros(0, 2)).shape(), (0, 2));
     }
 }

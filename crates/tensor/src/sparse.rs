@@ -15,69 +15,19 @@
 //! rows. [`Csr::select_rows`] copies a subset of rows, for products
 //! that need only some output rows.
 
-use std::sync::OnceLock;
-
 use crate::dense::Matrix;
-use crate::par;
-
-/// The column-major companion index of a [`Csr`]: the same entries
-/// re-bucketed by column, with rows ascending inside each column (a
-/// CSC view). Built lazily by the parallel transposed-SpMM kernel so
-/// each output row (a CSR *column*) is produced by streaming one
-/// contiguous span, and its `col_ptr` is the span table that kernel
-/// plans column-weighted chunks from.
-#[derive(Clone, Debug)]
-pub(crate) struct CscIndex {
-    /// `rows + 1`-style span table over columns: column `c` owns
-    /// entries `col_ptr[c]..col_ptr[c + 1]`.
-    pub(crate) col_ptr: Vec<usize>,
-    /// Row index of each entry, ascending within a column.
-    pub(crate) rows: Vec<u32>,
-    /// Entry values, permuted to match `rows`.
-    pub(crate) values: Vec<f32>,
-}
 
 /// A compressed-sparse-row matrix of `f32`.
 ///
 /// Immutable once built; graph adjacency matrices are constructed once per
 /// dataset and shared (via `Arc`) with the autodiff layer.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f32>,
-    /// Lazily built column-major companion (`CscIndex`, O(nnz) memory)
-    /// — only materialized when a transposed SpMM runs on more than one
-    /// thread. Derived entirely from the fields above, so it is
-    /// deliberately *not* cloned or compared — a clone whose values are
-    /// about to be rescaled (normalization) must not inherit a stale
-    /// index.
-    csc: OnceLock<CscIndex>,
-}
-
-impl Clone for Csr {
-    fn clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.clone(),
-            csc: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for Csr {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.indptr == other.indptr
-            && self.indices == other.indices
-            && self.values == other.values
-    }
 }
 
 impl Csr {
@@ -123,19 +73,12 @@ impl Csr {
             }
             indptr[r + 1] = indices.len();
         }
-        Csr { rows, cols, indptr, indices, values, csc: OnceLock::new() }
+        Csr { rows, cols, indptr, indices, values }
     }
 
     /// An empty (all-zero) CSR.
     pub fn empty(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-            csc: OnceLock::new(),
-        }
+        Self { rows, cols, indptr: vec![0; rows + 1], indices: Vec::new(), values: Vec::new() }
     }
 
     /// Number of rows.
@@ -165,59 +108,6 @@ impl Csr {
     /// keeps one hub user from serializing a parallel SpMM.
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
-    }
-
-    /// Builds the column-major entry arrays: a stable counting sort of
-    /// the entries by column, preserving ascending row order within
-    /// each column (exactly the order the serial transposed-SpMM
-    /// scatter accumulates in, which is what keeps the CSC kernel
-    /// bitwise-equal to it).
-    fn build_csc_arrays(&self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            col_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..self.cols {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let mut rows = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = col_ptr.clone();
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let slot = cursor[c as usize];
-                rows[slot] = r as u32;
-                values[slot] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        (col_ptr, rows, values)
-    }
-
-    /// The lazily built column-major companion index (see [`CscIndex`]).
-    /// First call pays one O(nnz + cols) counting sort; every later
-    /// call is free. `Csr` values are immutable once built, so the
-    /// index can never go stale (clones start with an empty cache).
-    pub(crate) fn csc(&self) -> &CscIndex {
-        self.csc.get_or_init(|| {
-            let (col_ptr, rows, values) = self.build_csc_arrays();
-            CscIndex { col_ptr, rows, values }
-        })
-    }
-
-    /// Builds the column-major index a parallel transposed SpMM streams
-    /// now, so the first backward pass of an epoch does not pay the
-    /// one-off O(nnz) build inside its timing. It is built only when a
-    /// dispatch at the configured thread count would run on more than
-    /// one thread: a one-thread `spmm_t` scatters straight from the
-    /// CSR rows and never reads the index, so such runs keep the
-    /// memory. Model constructors call this on adjacencies they know
-    /// will train.
-    pub fn prewarm_spmm_t(&self) {
-        if self.nnz() > 0 && par::effective_parallelism(par::num_threads()) > 1 {
-            let _ = self.csc();
-        }
     }
 
     /// Column indices and values of row `r`.
@@ -253,7 +143,7 @@ impl Csr {
             values.extend_from_slice(vals);
             indptr.push(indices.len());
         }
-        Csr { rows: rows.len(), cols: self.cols, indptr, indices, values, csc: OnceLock::new() }
+        Csr { rows: rows.len(), cols: self.cols, indptr, indices, values }
     }
 
     /// Iterates over `(row, col, value)` triplets in row-major order.
@@ -278,9 +168,8 @@ impl Csr {
     /// Transposed sparse x dense product: `self^T (c x r) * dense (r x d)`.
     ///
     /// Used by SpMM backward passes; avoids materializing the transpose.
-    /// A zeroed output plus [`crate::kernels::spmm_t_acc`], whose
-    /// parallel path partitions output rows (CSR columns) so the scatter
-    /// writes stay race-free and deterministic.
+    /// A zeroed output plus [`crate::kernels::spmm_t_acc`], which
+    /// scatters each CSR row on the calling thread.
     pub fn spmm_t(&self, dense: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, dense.cols());
         crate::kernels::spmm_t_acc(&mut out, self, dense);
@@ -289,16 +178,31 @@ impl Csr {
 
     /// The transposed CSR (materialized).
     ///
-    /// Built in O(nnz + cols) straight from the column-major entry
-    /// order (reusing the cached `CscIndex` when one exists) instead
-    /// of re-sorting triplets; entries are already unique and sorted,
-    /// so the result is byte-identical to the triplet path.
+    /// Built in O(nnz + cols) by a stable counting sort of the entries
+    /// by column, so rows stay ascending within each column; entries
+    /// are already unique and sorted, so the result is byte-identical
+    /// to building the transpose from triplets.
     pub fn transpose(&self) -> Csr {
-        let (indptr, indices, values) = match self.csc.get() {
-            Some(ix) => (ix.col_ptr.clone(), ix.rows.clone(), ix.values.clone()),
-            None => self.build_csc_arrays(),
-        };
-        Csr { rows: self.cols, cols: self.rows, indptr, indices, values, csc: OnceLock::new() }
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        let mut cursor = indptr.clone();
+        for r in 0..self.rows {
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = cursor[c as usize];
+                indices[slot] = r as u32;
+                values[slot] = v;
+                cursor[c as usize] += 1;
+            }
+        }
+        Csr { rows: self.cols, cols: self.rows, indptr, indices, values }
     }
 
     /// A copy whose rows each sum to 1 (rows summing to 0 are left

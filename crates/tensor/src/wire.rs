@@ -175,10 +175,11 @@ impl<'a> Reader<'a> {
 /// physically hold.
 const MIN_TABLE_ENTRY: usize = 12;
 
-/// Writes the named-matrix shape table: per entry, name length, name
-/// bytes, rows, cols. Callers guarantee strictly ascending names (the
-/// canonical `ParamStore` iteration order).
-pub fn push_shape_table(out: &mut Vec<u8>, entries: &[(String, Matrix)]) {
+/// Writes the named-matrix shape table of `(name, matrix)` pairs: per
+/// entry, name length, name bytes, rows, cols. Callers guarantee
+/// strictly ascending names (the canonical `ParamStore` iteration
+/// order).
+pub fn push_shape_table<'a>(out: &mut Vec<u8>, entries: impl IntoIterator<Item = (&'a str, &'a Matrix)>) {
     for (name, m) in entries {
         push_u32(out, name.len() as u32);
         out.extend_from_slice(name.as_bytes());
@@ -295,12 +296,9 @@ mod tests {
 
     #[test]
     fn shape_table_roundtrip() {
-        let entries = vec![
-            ("alpha".to_string(), Matrix::zeros(2, 3)),
-            ("beta".to_string(), Matrix::zeros(1, 4)),
-        ];
+        let (alpha, beta) = (Matrix::zeros(2, 3), Matrix::zeros(1, 4));
         let mut buf = Vec::new();
-        push_shape_table(&mut buf, &entries);
+        push_shape_table(&mut buf, [("alpha", &alpha), ("beta", &beta)]);
         // Payload placeholder so the declared-total bound passes.
         buf.extend_from_slice(&[0u8; (2 * 3 + 4) * 4]);
         let mut r = Reader::new(&buf, "test");
@@ -319,9 +317,9 @@ mod tests {
 
     #[test]
     fn shape_table_bounds_declared_payload() {
-        let entries = vec![("w".to_string(), Matrix::zeros(1000, 1000))];
+        let w = Matrix::zeros(1000, 1000);
         let mut buf = Vec::new();
-        push_shape_table(&mut buf, &entries);
+        push_shape_table(&mut buf, [("w", &w)]);
         // No payload follows: 4M declared bytes vs 0 remaining.
         let mut r = Reader::new(&buf, "test");
         let err = read_shape_table(&mut r, 1, "test table").unwrap_err();
@@ -330,12 +328,9 @@ mod tests {
 
     #[test]
     fn shape_table_rejects_disorder_and_bad_utf8() {
-        let entries = vec![
-            ("b".to_string(), Matrix::zeros(1, 1)),
-            ("a".to_string(), Matrix::zeros(1, 1)),
-        ];
+        let one = Matrix::zeros(1, 1);
         let mut buf = Vec::new();
-        push_shape_table(&mut buf, &entries);
+        push_shape_table(&mut buf, [("b", &one), ("a", &one)]);
         buf.extend_from_slice(&[0u8; 8]);
         let mut r = Reader::new(&buf, "test");
         assert!(read_shape_table(&mut r, 2, "test table").is_err());

@@ -64,11 +64,11 @@ fn spmm_ref(csr: &Csr, x: &Matrix) -> Matrix {
     out
 }
 
-/// Plain scalar `csr^T * xt`, likewise: entry `(r, c, v)` adds
-/// `v * xt.row(r)` into output row `c`, entries in CSR order (so each
-/// output element sums in ascending `r`).
-fn spmm_t_ref(csr: &Csr, xt: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(csr.cols(), xt.cols());
+/// Plain scalar `dst0 + csr^T * xt`: entry `(r, c, v)` adds
+/// `v * xt.row(r)` into output row `c`, one element at a time, entries
+/// in CSR order (so each output element sums in ascending `r`).
+fn spmm_t_ref(dst0: &Matrix, csr: &Csr, xt: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
     for (r, c, v) in csr.iter() {
         for j in 0..xt.cols() {
             out[(c as usize, j)] += v * xt.get(r as usize, j);
@@ -91,10 +91,23 @@ fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
     out
 }
 
-/// `csr^T * xt` through `spmm_t_acc_with` on a zeroed output.
-fn spmm_t_at(csr: &Csr, xt: &Matrix, threads: usize) -> Matrix {
+/// Plain scalar scatter-add `dst0 + scatter(src)`: source row `o` adds
+/// into destination row `indices[o]`, one element at a time, sources in
+/// order (so duplicate indices sum in source order).
+fn scatter_add_ref(dst0: &Matrix, indices: &[u32], src: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
+    for (o, &idx) in indices.iter().enumerate() {
+        for j in 0..src.cols() {
+            out[(idx as usize, j)] += src.get(o, j);
+        }
+    }
+    out
+}
+
+/// `csr^T * xt` through `spmm_t_acc` on a zeroed output.
+fn spmm_t_at(csr: &Csr, xt: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(csr.cols(), xt.cols());
-    kernels::spmm_t_acc_with(&mut out, csr, xt, threads);
+    kernels::spmm_t_acc(&mut out, csr, xt);
     out
 }
 
@@ -110,20 +123,20 @@ fn run_on(dst0: &Matrix, kernel: impl FnOnce(&mut Matrix)) -> Matrix {
     dst
 }
 
-/// Both streaming sparse accumulators on non-zero destinations: each
-/// output element takes one add per stored entry, in ascending entry
-/// order, whichever worker owns it, so every thread count must
-/// reproduce the one-thread (serial) bytes.
+/// Both sparse accumulators on non-zero destinations: each output
+/// element takes one add per stored entry, in ascending entry order.
+/// `spmm_acc` must reproduce its one-thread (serial) bytes whichever
+/// worker owns a row; the serial `spmm_t_acc` scatter must reproduce
+/// [`spmm_t_ref`].
 fn spmm_pair_matches_serial(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResult {
     let (dst0, dst0_t) = (dirty(csr.rows(), x.cols()), dirty(csr.cols(), xt.cols()));
     let serial = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, 1));
-    let serial_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, 1));
     for &t in &THREADS {
         let got = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, t));
         prop_assert_eq!(bits(got.data()), bits(serial.data()), "spmm_acc threads={}", t);
-        let got_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc_with(dst, csr, xt, t));
-        prop_assert_eq!(bits(got_t.data()), bits(serial_t.data()), "spmm_t_acc threads={}", t);
     }
+    let got_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc(dst, csr, xt));
+    prop_assert_eq!(bits(got_t.data()), bits(spmm_t_ref(&dst0_t, csr, xt).data()), "spmm_t_acc");
     Ok(())
 }
 
@@ -271,9 +284,9 @@ proptest! {
 
     #[test]
     fn skewed_spmm_and_spmm_t_are_bitwise_serial((csr, x, xt) in skewed_sparse_inputs()) {
-        // Skewed shapes cut hub-isolating nnz-weighted plans (and
-        // `spmm_t` streams the column-major index) once the override
-        // lifts the guard; the contract there is exact as well.
+        // Skewed shapes cut hub-isolating nnz-weighted `spmm` plans
+        // once the override lifts the guard; the contract there is
+        // exact as well.
         let _caps = ThreadOverride::lift_caps();
         spmm_pair_matches_serial(&csr, &x, &xt)?;
     }
@@ -289,25 +302,18 @@ proptest! {
 
     #[test]
     fn skewed_scatter_add_matches_serial(
-        (rows, src) in (2usize..10, 0usize..6).prop_flat_map(|(r, c)| (Just(r), matrix(40, c))),
-        hot in 0usize..10,
-        seed in 0u32..1000,
+        (rows, indices, src) in (skewed_triplets(), 0usize..6).prop_flat_map(|((rows, _, entries), d)| {
+            let indices: Vec<u32> = entries.iter().map(|&(r, _, _)| r).collect();
+            let n = indices.len();
+            (Just(rows), Just(indices), matrix(n, d))
+        }),
     ) {
-        // ~90% of the updates land on one hot destination row (an
-        // embedding-table hub), the rest scatter — the skew the
-        // scatter-add kernel's update-weighted plan exists for.
-        let _caps = ThreadOverride::lift_caps();
-        let hot = (hot % rows) as u32;
-        let indices: Vec<u32> = (0..src.rows() as u32)
-            .map(|i| if (i + seed) % 10 < 9 { hot } else { (i * 7 + seed) % rows as u32 })
-            .collect();
-        let mut reference = Matrix::zeros(rows, src.cols());
-        kernels::scatter_add_rows_with(&mut reference, &indices, &src, 1);
-        for &t in &THREADS[1..] {
-            let mut dst = Matrix::zeros(rows, src.cols());
-            kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
-            prop_assert_eq!(bits(dst.data()), bits(reference.data()), "threads={}", t);
-        }
+        // The power-law rows as destination indices: one hot row takes
+        // most of the updates, the rest repeat or never appear (empty
+        // rows), into a non-zero destination.
+        let dst0 = dirty(rows, src.cols());
+        let got = run_on(&dst0, |dst| kernels::scatter_add_rows(dst, &indices, &src));
+        prop_assert_eq!(bits(got.data()), bits(scatter_add_ref(&dst0, &indices, &src).data()));
     }
 
     #[test]
@@ -318,17 +324,9 @@ proptest! {
         // Deterministic pseudo-indices into `rows` destination rows.
         let indices: Vec<u32> =
             (0..src.rows() as u32).map(|i| (i * 7 + seed) % rows as u32).collect();
-        let mut reference = Matrix::zeros(rows, src.cols());
-        for (o, &idx) in indices.iter().enumerate() {
-            for (d, s) in reference.row_mut(idx as usize).iter_mut().zip(src.row(o)) {
-                *d += s;
-            }
-        }
-        for &t in &THREADS {
-            let mut dst = Matrix::zeros(rows, src.cols());
-            kernels::scatter_add_rows_with(&mut dst, &indices, &src, t);
-            prop_assert!(dst.max_abs_diff(&reference) <= TOL, "threads={}", t);
-        }
+        let dst0 = dirty(rows, src.cols());
+        let got = run_on(&dst0, |dst| kernels::scatter_add_rows(dst, &indices, &src));
+        prop_assert_eq!(bits(got.data()), bits(scatter_add_ref(&dst0, &indices, &src).data()));
     }
 }
 
@@ -604,24 +602,24 @@ proptest! {
     #[test]
     fn spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in sparse_inputs()) {
         let _caps = ThreadOverride::lift_caps();
-        let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
+        let product_t = spmm_t_ref(&Matrix::zeros(csr.cols(), xt.cols()), &csr, &xt);
+        prop_assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(product_t.data()), "spmm_t_acc");
+        let product = spmm_ref(&csr, &x);
         for &t in &THREADS {
-            let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
-            prop_assert_eq!(bits(got.data()), bits(product.data()), "spmm_acc threads={}", t);
-            prop_assert_eq!(bits(got_t.data()), bits(product_t.data()), "spmm_t_acc threads={}", t);
+            prop_assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(product.data()), "spmm_acc threads={}", t);
         }
     }
 
     #[test]
     fn skewed_spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in skewed_sparse_inputs()) {
-        // Same contract through the hub-isolating nnz-weighted plans
-        // skewed shapes cut once the override lifts the guard.
+        // Same contract through the hub-isolating nnz-weighted `spmm`
+        // plans skewed shapes cut once the override lifts the guard.
         let _caps = ThreadOverride::lift_caps();
-        let (product, product_t) = (spmm_ref(&csr, &x), spmm_t_ref(&csr, &xt));
+        let product_t = spmm_t_ref(&Matrix::zeros(csr.cols(), xt.cols()), &csr, &xt);
+        prop_assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(product_t.data()), "spmm_t_acc");
+        let product = spmm_ref(&csr, &x);
         for &t in &THREADS {
-            let (got, got_t) = (spmm_at(&csr, &x, t), spmm_t_at(&csr, &xt, t));
-            prop_assert_eq!(bits(got.data()), bits(product.data()), "spmm_acc threads={}", t);
-            prop_assert_eq!(bits(got_t.data()), bits(product_t.data()), "spmm_t_acc threads={}", t);
+            prop_assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(product.data()), "spmm_acc threads={}", t);
         }
     }
 }
@@ -814,8 +812,8 @@ fn nnz_zero_csr() {
     let xt = Matrix::ones(5, 3);
     for &t in &THREADS {
         assert_eq!(bits(spmm_at(&e, &x, t).data()), bits(&[0.0; 15]));
-        assert_eq!(bits(spmm_t_at(&e, &xt, t).data()), bits(&[0.0; 21]));
     }
+    assert_eq!(bits(spmm_t_at(&e, &xt).data()), bits(&[0.0; 21]));
 }
 
 #[test]
@@ -857,26 +855,26 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     let x = Matrix::from_fn(300, 16, |r, c| ((r * 3 + c) as f32 * 0.01).cos());
     let xt = Matrix::from_fn(400, 16, |r, c| ((r + 5 * c) as f32 * 0.01).sin());
     let reference = spmm_ref(&csr, &x);
-    let reference_t = spmm_t_ref(&csr, &xt);
+    let reference_t = spmm_t_ref(&Matrix::zeros(300, 16), &csr, &xt);
+    assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(reference_t.data()), "spmm_t");
     // An explicit set_threads override lifts the oversubscription
-    // guard, so the weighted-plan/CSC-streaming code paths run for real
-    // here even on a single-core machine. (Other tests in this binary
-    // may dispatch concurrently while the override is up; that only
-    // flips which code path they take, never their bytes — which is
-    // the contract this whole suite pins.)
+    // guard, so the weighted-plan code path runs for real here even on
+    // a single-core machine. (Other tests in this binary may dispatch
+    // concurrently while the override is up; that only flips which code
+    // path they take, never their bytes — which is the contract this
+    // whole suite pins.)
     par::set_threads(Some(8));
     let result = std::panic::catch_unwind(|| {
         for t in 1..=8 {
             assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(reference.data()), "spmm threads={t}");
-            assert_eq!(bits(spmm_t_at(&csr, &xt, t).data()), bits(reference_t.data()), "spmm_t threads={t}");
         }
     });
     par::set_threads(None);
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
     }
-    // The O(nnz) CSC-based transpose must match the triplet-sort path
-    // byte for byte (entries are unique and sorted either way).
+    // The O(nnz) counting-sort transpose must match the triplet-sort
+    // path byte for byte (entries are unique and sorted either way).
     let via_triplets = Csr::from_triplets(
         300,
         400,
@@ -952,7 +950,7 @@ fn auto_wrappers_match_explicit_thread_counts() {
     kernels::matmul_nt_into_with(&mut want, &a, &same_cols, 1);
     assert_eq!(bits(got.data()), bits(want.data()), "matmul_nt_into");
 
-    // Sparse wrappers.
+    // Sparse wrapper.
     let csr = Csr::from_triplets(
         12,
         10,
@@ -961,17 +959,11 @@ fn auto_wrappers_match_explicit_thread_counts() {
             .collect::<Vec<_>>(),
     );
     let x = Matrix::from_fn(10, 5, |r, c| ((r + 2 * c) as f32 * 0.09).cos());
-    let xt = Matrix::from_fn(12, 5, |r, c| ((3 * r + c) as f32 * 0.09).sin());
     let mut got = Matrix::zeros(12, 5);
     let mut want = Matrix::zeros(12, 5);
     kernels::spmm_acc(&mut got, &csr, &x);
     kernels::spmm_acc_with(&mut want, &csr, &x, 1);
     assert_eq!(bits(got.data()), bits(want.data()), "spmm_acc");
-    let mut got = Matrix::zeros(10, 5);
-    let mut want = Matrix::zeros(10, 5);
-    kernels::spmm_t_acc(&mut got, &csr, &xt);
-    kernels::spmm_t_acc_with(&mut want, &csr, &xt, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "spmm_t_acc");
 
     // Elementwise wrappers.
     let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
@@ -1010,14 +1002,7 @@ fn auto_wrappers_match_explicit_thread_counts() {
         assert_eq!(bits(got.data()), bits(want.data()), "zip_map_acc threads={t}");
     }
 
-    // Scatter-add, row-dot and ranking wrappers.
-    let indices: Vec<u32> = (0..base.rows() as u32).map(|i| (i * 5 + 2) % 4).collect();
-    let mut got = Matrix::zeros(4, base.cols());
-    let mut want = Matrix::zeros(4, base.cols());
-    kernels::scatter_add_rows(&mut got, &indices, &base);
-    kernels::scatter_add_rows_with(&mut want, &indices, &base, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "scatter_add_rows");
-
+    // Row-dot and ranking wrappers.
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();
     let serial: Vec<f32> =
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
@@ -1037,8 +1022,7 @@ fn auto_wrappers_match_explicit_thread_counts() {
 // selection (`top_k_select_excluding`, and `rank_rows_with` on top of
 // it) must be exact-match — same indices, same order — against a full
 // sort under the deterministic `(score desc, index asc)` total order,
-// on both of its internal algorithms (bounded heap for small k,
-// quickselect once k is a sizable fraction of the candidates).
+// for every k from 0 past the candidate count.
 
 /// Full-sort reference for the selection kernels: the historical
 /// argsort path — rank every non-excluded candidate, truncate to k.
@@ -1087,8 +1071,8 @@ proptest! {
     fn top_k_selection_matches_full_sort((scores, exclude) in selection_inputs()) {
         let n = scores.len();
         let mut scratch = kernels::TopKScratch::new();
-        // k sweep covers {0, 1, small (heap path), n/2 and n
-        // (quickselect / copy-all paths), > n}.
+        // k sweep covers {0, 1, small, a sizable fraction of n, n,
+        // > n}.
         for k in [0, 1, 3, n / 8, n / 2, n.saturating_sub(1), n, n + 7] {
             let expected = top_k_ref(&scores, k, &exclude);
             let got = kernels::top_k_select_excluding(&scores, k, &exclude, &mut scratch);
@@ -1136,15 +1120,15 @@ proptest! {
 #[test]
 fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     // All-equal scores: the winner set is decided purely by the
-    // (score desc, index asc) tie-break on every path.
+    // (score desc, index asc) tie-break, for a small and a large k.
     let flat = vec![1.5f32; 100];
     let mut scratch = kernels::TopKScratch::new();
-    let heap_path: Vec<u32> =
+    let small: Vec<u32> =
         kernels::top_k_select_excluding(&flat, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
-    assert_eq!(heap_path, vec![0, 1, 2, 3]);
-    let qsel_path: Vec<u32> =
+    assert_eq!(small, vec![0, 1, 2, 3]);
+    let large: Vec<u32> =
         kernels::top_k_select_excluding(&flat, 60, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
-    assert_eq!(qsel_path, (0..60).collect::<Vec<u32>>());
+    assert_eq!(large, (0..60).collect::<Vec<u32>>());
     // One scratch serves differently-sized calls back to back; the
     // exclusion merge-walk tolerates duplicate entries.
     let scores = [0.5, 2.0, 2.0, -1.0, 2.0, 0.0];
