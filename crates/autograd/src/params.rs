@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use gnmr_tensor::{Arena, Matrix};
+use gnmr_tensor::{kernels, Arena, Matrix};
 
 use crate::tape::{Graph, Var};
 
@@ -170,7 +170,7 @@ impl Grads {
         if norm > max_norm && norm > 0.0 {
             let factor = max_norm / norm;
             for m in self.entries.values_mut().flatten() {
-                m.scale_assign(factor);
+                kernels::scale_assign(m, factor);
             }
             factor
         } else {

@@ -10,30 +10,29 @@
 //! during backward.
 //!
 //! Forward values and backward contributions are produced by
-//! [`gnmr_tensor`] ops wherever a kernel exists, so the dense products,
-//! `spmm` and gradient accumulation (`add_assign`) inherit the tiled,
-//! thread-parallel kernels of `gnmr_tensor::kernels` and run on the
-//! shared **persistent worker pool** where the buffers are large
-//! enough to amortize dispatch — important for the tape, which issues
-//! many sub-millisecond kernel calls per training step and would
-//! otherwise pay a thread spawn on each. The backward scatters
-//! (`spmm`'s transposed product, the `gather_rows` scatter-add) run on
-//! the calling thread. The few ops that only copy or scale rows
+//! [`gnmr_tensor`] ops wherever a kernel exists. The forward's dense
+//! products and `spmm` inherit the tiled, thread-parallel kernels of
+//! `gnmr_tensor::kernels` and run on the shared **persistent worker
+//! pool** where the buffers are large enough to amortize dispatch. The
+//! backward runs on the calling thread: its transposed products, the
+//! backward scatters (`spmm`'s transposed product, the `gather_rows`
+//! scatter-add) and the elementwise accumulation kernels
+//! (`add_assign`, `axpy`, the `zip_map` family) are serial, since each
+//! call at the model's width is tens of microseconds, too little to pay
+//! for a dispatch. The few ops that only copy or scale rows
 //! (`concat_cols`, `weighted_sum`) loop over their rows in place;
 //! `weighted_sum`'s weight gradients are `kernels::dot` row dots, in
 //! the canonical lane order.
 //!
-//! At one pool thread the backward pass is **allocation-free in the
-//! steady state**: gradient accumulators come from a width-keyed,
-//! best-fit [`Arena`] ([`Graph::backward_with`]), contributions are
-//! applied through the fused in-place kernels (`axpy`, the `zip_map`
-//! family, the `matmul_*`/`spmm_*` accumulate forms), and every buffer
-//! is returned to the arena for the next step. On more threads each
-//! parallel kernel dispatch allocates twice, its chunk plan and the
-//! pool's shared job. The in-place paths reproduce the historical
-//! allocate-then-combine float sequences exactly, so training bytes are
-//! unchanged (see the kernel docs; `tests/determinism.rs` and
-//! `tests/golden.rs` pin them).
+//! The backward pass is **allocation-free in the steady state**, at
+//! every pool thread count: gradient accumulators come from a
+//! width-keyed, best-fit [`Arena`] ([`Graph::backward_with`]),
+//! contributions are applied through the fused in-place kernels
+//! (`axpy`, the `zip_map` family, the `matmul_*`/`spmm_t` accumulate
+//! forms), and every buffer is returned to the arena for the next step.
+//! The in-place paths reproduce the historical allocate-then-combine
+//! float sequences exactly, so training bytes are unchanged (see the
+//! kernel docs; `tests/determinism.rs` and `tests/golden.rs` pin them).
 
 use std::sync::Arc;
 

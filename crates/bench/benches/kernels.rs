@@ -105,7 +105,7 @@ impl Cells {
     }
 
     /// Measures a single-variant op (no `*_with` form — the optimizer
-    /// and backward-scatter kernels take no thread count): one "serial"
+    /// and the backward's kernels take no thread count): one "serial"
     /// row, same min-of-rounds discipline as [`Cells::push`].
     fn push_serial(&mut self, op: &'static str, shape: String, mut f: impl FnMut()) {
         f();
@@ -155,14 +155,6 @@ fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
         triplets.push((row, col, r.gen_range(-1.0..1.0)));
     }
     Csr::from_triplets(rows, cols, &triplets)
-}
-
-/// `a^T * b` on `threads`: a zeroed output plus `matmul_tn_acc_with`.
-/// At one thread this is the serial row kernel over the full range.
-fn matmul_tn_at(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    kernels::matmul_tn_acc_with(&mut out, a, b, threads);
-    out
 }
 
 /// `csr * x` on `threads`: a zeroed output plus `spmm_acc_with`.
@@ -281,40 +273,27 @@ fn main() {
         },
     );
 
-    // A^T * B as used by the matmul backward pass.
+    // A^T * B as used by the matmul backward pass (dB = A^T * g), a
+    // zeroed output like the tape's checkout. The backward's kernels
+    // run on the calling thread, so this and the next cell are
+    // single-variant rows.
     let at = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(3));
     let bt = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(4));
-    cells.push(
-        "matmul_tn",
-        "1024x96^T*1024x96".into(),
-        "serial_1t",
-        || {
-            black_box(matmul_tn_at(&at, &bt, 1));
-        },
-        |t| {
-            black_box(matmul_tn_at(&at, &bt, t));
-        },
-    );
+    cells.push_serial("matmul_tn", "1024x96^T*1024x96".into(), || {
+        let mut out = Matrix::zeros(at.cols(), bt.cols());
+        kernels::matmul_tn_acc(&mut out, &at, &bt);
+        black_box(out);
+    });
 
     // A * B^T as used by the matmul backward pass (dA = g * B^T), at
     // the η layer's shape: 900 users, d = 16.
     let nt_a = init::uniform(900, 16, -1.0, 1.0, &mut rng::seeded(19));
     let nt_b = init::uniform(16, 16, -1.0, 1.0, &mut rng::seeded(20));
-    let mut nt_sdst = Matrix::zeros(900, 16);
-    let mut nt_pdst = Matrix::zeros(900, 16);
-    cells.push(
-        "matmul_nt",
-        "900x16*(16x16)^T".into(),
-        "serial_1t",
-        || {
-            kernels::matmul_nt_into_with(&mut nt_sdst, &nt_a, &nt_b, 1);
-            black_box(&nt_sdst);
-        },
-        |t| {
-            kernels::matmul_nt_into_with(&mut nt_pdst, &nt_a, &nt_b, t);
-            black_box(&nt_pdst);
-        },
-    );
+    let mut nt_dst = Matrix::zeros(900, 16);
+    cells.push_serial("matmul_nt", "900x16*(16x16)^T".into(), || {
+        kernels::matmul_nt_into(&mut nt_dst, &nt_a, &nt_b);
+        black_box(&nt_dst);
+    });
 
     // SpMM over a graph-sized CSR (message passing forward).
     let csr = random_csr(4000, 4000, 80_000, 5);
@@ -365,24 +344,13 @@ fn main() {
     // pass on the serving path.
     let (er, ec) = (1024usize, 512);
     let esrc = init::uniform(er, ec, -1.0, 1.0, &mut rng::seeded(12));
-    let mut axpy_sdst = init::uniform(er, ec, -1.0, 1.0, &mut rng::seeded(13));
-    let mut axpy_pdst = axpy_sdst.clone();
-    cells.push(
-        "axpy",
-        format!("{er}x{ec}"),
-        "serial_1t",
-        // The scale is tiny so thousands of timed iterations cannot
-        // drift the in-place destination toward inf and skew late
-        // rounds.
-        || {
-            kernels::axpy_with(&mut axpy_sdst, &esrc, 1e-6, 1);
-            black_box(&axpy_sdst);
-        },
-        |t| {
-            kernels::axpy_with(&mut axpy_pdst, &esrc, 1e-6, t);
-            black_box(&axpy_pdst);
-        },
-    );
+    let mut axpy_dst = init::uniform(er, ec, -1.0, 1.0, &mut rng::seeded(13));
+    // The scale is tiny so thousands of timed iterations cannot drift
+    // the in-place destination toward inf and skew late rounds.
+    cells.push_serial("axpy", format!("{er}x{ec}"), || {
+        kernels::axpy(&mut axpy_dst, &esrc, 1e-6);
+        black_box(&axpy_dst);
+    });
 
     // The fused Adam update (4 streams in, 3 in-place) at parameter-
     // block scale. No thread count — the optimizer is serial by

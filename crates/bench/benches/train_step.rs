@@ -26,7 +26,8 @@
 //! Run with `cargo bench -p gnmr-bench --bench train_step`.
 //! `-- --quick-smoke` short-runs every cell and leaves the archive
 //! untouched; `-- --regression-gate` re-measures the steady-state
-//! allocation count and fails if it exceeds the committed baseline.
+//! allocation count, at one pool thread and again at two, and fails if
+//! either exceeds the committed baseline.
 
 use std::hint::black_box;
 
@@ -112,13 +113,13 @@ fn pack_workload() -> (Matrix, Matrix, Matrix) {
 }
 
 /// `--regression-gate`: re-measures the steady-state allocation count
-/// of the backward + optimizer region, and of the packed tiled matmul
-/// path (whose pack scratch is minted once per thread), and fails
-/// (exit 1) if either exceeds its committed row in
-/// `results/bench_train_step.json`. Counts are exact (the committed
-/// baselines are 0), so this gate is immune to timing noise and machine
-/// class — any regression is a real allocation someone reintroduced
-/// into the hot path.
+/// of the backward + optimizer region, at one pool thread and at two,
+/// and of the packed tiled matmul path (whose pack scratch is minted
+/// once per thread), and fails (exit 1) if any exceeds its committed
+/// row in `results/bench_train_step.json`. Counts are exact (the
+/// committed baselines are 0), so this gate is immune to timing noise
+/// and machine class — any regression is a real allocation someone
+/// reintroduced into the hot path.
 fn regression_gate() -> ! {
     let file = "bench_train_step.json";
     let baseline = harness::baseline(file, &[("variant", "steady_arena")], "allocs_backward_opt");
@@ -131,6 +132,17 @@ fn regression_gate() -> ! {
     let arena = Arena::new();
     let mut grads = Grads::default();
     let fresh = steady_state_allocs(&mut w, &arena, &mut grads);
+    // The same region at two pool threads with the work threshold
+    // floored, so every kernel that still dispatches takes its parallel
+    // route (each dispatch allocates its chunk plan and the pool's
+    // job). The backward, the clip and Adam run on the calling thread,
+    // so the region still allocates nothing; the forward, outside it,
+    // dispatches.
+    par::set_threads(Some(2));
+    kernels::set_min_work(Some(1));
+    let fresh_two = steady_state_allocs(&mut w, &arena, &mut grads);
+    kernels::set_min_work(None);
+    par::set_threads(Some(1));
     let (pa, pb, mut pdst) = pack_workload();
     let pack_fresh = harness::steady_allocations(|| kernels::matmul_into_with(&mut pdst, &pa, &pb, 1));
     harness::finish_gate(
@@ -140,6 +152,12 @@ fn regression_gate() -> ! {
                 what: "steady-state backward + optimizer allocs/step (1 thread)",
                 base: baseline,
                 fresh: fresh.into(),
+                budget: Budget::Exact,
+            },
+            Reading {
+                what: "steady-state backward + optimizer allocs/step (2 threads, every dispatch parallel)",
+                base: baseline,
+                fresh: fresh_two.into(),
                 budget: Budget::Exact,
             },
             Reading {

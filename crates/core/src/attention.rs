@@ -145,16 +145,16 @@ mod tests {
     fn gradients_check_out_on_parallel_kernel_routes() {
         // Same finite-difference check, but with the kernel work
         // threshold floored and three threads configured, so every
-        // matmul / transpose-matmul / gradient accumulation in the
-        // attention forward AND backward pass crosses the pool's
-        // parallel code paths instead of the small-shape serial
-        // fallback. The
+        // matmul in the attention forward crosses the pool's parallel
+        // code paths instead of the small-shape serial fallback, and
+        // the backward (which runs on the calling thread) starts from
+        // those values. The
         // globals are process-wide, so the test serializes on the
         // crate-wide config lock and restores them even on failure —
         // determinism guarantees the bytes (and thus the gradcheck
         // verdict) cannot depend on these settings; what this test
-        // adds is coverage that the parallel backward actually
-        // computes correct gradients end to end.
+        // adds is coverage that gradients check out end to end with
+        // the forward on the parallel routes.
         let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         gnmr_tensor::kernels::set_min_work(Some(1));
         gnmr_tensor::par::set_threads(Some(3));

@@ -141,12 +141,12 @@ mod tests {
     #[test]
     fn gradients_check_out_on_parallel_kernel_routes() {
         // Mirrors the attention test: work threshold floored + three
-        // threads, so the gating MLP's matmuls and the softmax-fusion
-        // backward run on the pool's parallel paths rather
-        // than the serial small-shape fallback. Gate composed after
-        // attention-shaped inputs of three behaviors to cover the
-        // K > 2 slicing. Serialized on the crate-wide config lock;
-        // globals restored even on panic.
+        // threads, so the gating MLP's forward matmuls run on the
+        // pool's parallel paths rather than the serial small-shape
+        // fallback (the backward runs on the calling thread). Gate
+        // composed after attention-shaped inputs of three behaviors to
+        // cover the K > 2 slicing. Serialized on the crate-wide config
+        // lock; globals restored even on panic.
         let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         gnmr_tensor::kernels::set_min_work(Some(1));
         gnmr_tensor::par::set_threads(Some(3));

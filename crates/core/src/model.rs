@@ -128,10 +128,10 @@ impl Gnmr {
     /// last order only at its batch's rows and runs less
     /// ([`Gnmr::step_loss`]).
     ///
-    /// The propagation (SpMM message passing, attention projections) and
-    /// its backward pass run on `gnmr_tensor`'s parallel kernels; the
-    /// thread count is governed by the shared `GNMR_THREADS` config and
-    /// results are identical at every thread count.
+    /// The propagation (SpMM message passing, attention projections)
+    /// runs on `gnmr_tensor`'s parallel kernels, under the shared
+    /// `GNMR_THREADS` config; its backward pass runs on the calling
+    /// thread. Results are identical at every thread count.
     pub fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
         self.net.orders(ctx, self.net.cfg.layers)
     }

@@ -9,7 +9,7 @@
 
 use gnmr_autograd::{Activation, Adam, Ctx, Linear, ParamStore, Trainer};
 use gnmr_graph::MultiBehaviorGraph;
-use gnmr_tensor::{rng, Csr, Matrix};
+use gnmr_tensor::{kernels, rng, Csr, Matrix};
 use rand::seq::SliceRandom;
 
 /// Builds the dense multi-behavior profile rows for a set of entities.
@@ -90,7 +90,7 @@ fn autoencode(
     // random init (~0.1).
     let norm = embeddings.frobenius_norm() / ((n_entities * dim) as f32).sqrt();
     if norm > 0.0 {
-        embeddings.scale_assign(0.1 / norm.max(1e-6));
+        kernels::scale_assign(&mut embeddings, 0.1 / norm.max(1e-6));
     }
     embeddings
 }

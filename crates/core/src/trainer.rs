@@ -436,9 +436,10 @@ mod tests {
     fn whole_model_gradients_check_out() {
         // Every variant on the serial route, then again with the work
         // threshold floored and three threads configured, so every
-        // kernel of the forward and backward crosses the pool's
-        // parallel paths. Serialized on the crate-wide config lock;
-        // globals restored even on panic.
+        // forward kernel that dispatches crosses the pool's parallel
+        // paths (the backward runs on the calling thread either way).
+        // Serialized on the crate-wide config lock; globals restored
+        // even on panic.
         let graph = hand_built_graph();
         let variants = all_variants();
         let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -526,9 +527,10 @@ mod tests {
     #[test]
     fn step_loss_is_bitwise_the_full_forward_loss() {
         // One thread, then the work threshold floored and three threads
-        // configured, so every kernel crosses the pool's parallel paths.
-        // Serialized on the crate-wide config lock; globals restored
-        // even on panic.
+        // configured, so every forward kernel that dispatches crosses
+        // the pool's parallel paths; the backward runs on the calling
+        // thread either way. Serialized on the crate-wide config lock;
+        // globals restored even on panic.
         let variants = all_variants();
         let datasets = [presets::tiny_movielens(3), presets::tiny_taobao(3)];
         let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -7,11 +7,12 @@
 //! the allocator became the dominant per-step cost. An [`Arena`] breaks
 //! that: callers *check out* matrix storage by shape and *check it back
 //! in* when done, so after a warm-up pass (the first training steps of
-//! a run) the steady state recycles the same buffers forever and, at
-//! one pool thread, the backward + optimizer path performs **zero heap
-//! allocations** (the contract the `train_step` bench's allocation gate
-//! pins in CI). On more threads each parallel kernel dispatch still
-//! allocates its chunk plan and the pool's shared job.
+//! a run) the steady state recycles the same buffers forever and the
+//! backward + optimizer path performs **zero heap allocations** at any
+//! pool thread count (the contract the `train_step` bench's allocation
+//! gate pins in CI, at one thread and at two): the kernels it calls run
+//! on the calling thread, so none of them pays a dispatch's chunk plan
+//! or the pool's shared job.
 //!
 //! # Design
 //!

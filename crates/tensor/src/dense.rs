@@ -1,10 +1,12 @@
 //! Dense row-major `f32` matrices and the kernels the autodiff layer
 //! builds on.
 //!
-//! The hot product (`matmul`) and the gradient-accumulation primitive
-//! (`add_assign`) delegate to
-//! [`crate::kernels`], which tiles and parallelizes large shapes under
-//! the shared [`crate::par`] thread-count config.
+//! Ops that return a new matrix live here; the hot product (`matmul`)
+//! delegates to [`crate::kernels`], which tiles and parallelizes large
+//! shapes under the shared [`crate::par`] thread-count config. The
+//! in-place kernels the tape accumulates gradients with
+//! (`kernels::add_assign`, `kernels::axpy`, `kernels::scale_assign`,
+//! ...) live in [`crate::kernels`] only.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -224,23 +226,6 @@ impl Matrix {
     pub fn scale(&self, s: f32) -> Matrix {
         let data = self.data.iter().map(|a| a * s).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// In-place `self += other` (parallel for large matrices — this is
-    /// the autodiff tape's gradient-accumulation primitive).
-    pub fn add_assign(&mut self, other: &Matrix) {
-        kernels::add_assign(self, other);
-    }
-
-    /// In-place `self += s * other` (axpy; delegates to the fused
-    /// kernel layer, parallel for large matrices).
-    pub fn add_scaled_assign(&mut self, other: &Matrix, s: f32) {
-        kernels::axpy(self, other, s);
-    }
-
-    /// In-place `self *= s` (delegates to the fused kernel layer).
-    pub fn scale_assign(&mut self, s: f32) {
-        kernels::scale_assign(self, s);
     }
 
     /// Overwrites every element with `value`.
@@ -494,14 +479,25 @@ mod tests {
 
     #[test]
     fn in_place_ops() {
+        // The in-place kernels against plain loops over the elements.
         let mut m = sample();
-        let other = sample();
-        m.add_assign(&other);
-        assert_eq!(m.get(0, 0), 2.0);
-        m.add_scaled_assign(&other, -1.0);
-        assert!(m.approx_eq(&other, 1e-6));
-        m.scale_assign(2.0);
-        assert_eq!(m.get(1, 2), 12.0);
+        let other = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.25, 3.0, -4.0]);
+        let mut want: Vec<f32> = m.data().to_vec();
+        kernels::add_assign(&mut m, &other);
+        for (w, &x) in want.iter_mut().zip(other.data()) {
+            *w += x;
+        }
+        assert_eq!(m.data(), &want[..]);
+        kernels::axpy(&mut m, &other, -1.5);
+        for (w, &x) in want.iter_mut().zip(other.data()) {
+            *w += x * -1.5;
+        }
+        assert_eq!(m.data(), &want[..]);
+        kernels::scale_assign(&mut m, 2.0);
+        for w in &mut want {
+            *w *= 2.0;
+        }
+        assert_eq!(m.data(), &want[..]);
     }
 
     #[test]

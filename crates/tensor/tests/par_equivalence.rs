@@ -1,13 +1,17 @@
-//! Equivalence suite for the parallel execution layer: every tiled /
-//! thread-parallel kernel must match its serial reference across random
-//! shapes, thread counts (1, 2, 4) and degenerate cases (empty
-//! matrices, single rows, nnz = 0 CSRs).
+//! Equivalence suite for the kernel layer: every kernel that dispatches
+//! on the pool (`matmul`, `spmm_acc`, `row_dots`, `rank_rows`) must
+//! match its serial reference across random shapes, thread counts
+//! (1, 2, 4) and degenerate cases (empty matrices, single rows, nnz = 0
+//! CSRs); every kernel that runs on the calling thread (the backward's
+//! transposed products, scatters and elementwise family) must match an
+//! independent plain-loop reference, on a dirty destination where its
+//! contract allows one.
 //!
-//! The kernels are designed to be *bitwise* identical to the serial
-//! reference (each output row is produced by one worker in the serial
-//! accumulation order), so the 1e-5 tolerance here is slack on top of
-//! an exact contract — the dedicated tests at the bottom pin the exact
-//! version down. Every exact assertion compares bit patterns
+//! The dispatching kernels are designed to be *bitwise* identical to
+//! the serial reference (each output row is produced by one worker in
+//! the serial accumulation order), so the 1e-5 tolerance here is slack
+//! on top of an exact contract — the dedicated tests at the bottom pin
+//! the exact version down. Every exact assertion compares bit patterns
 //! ([`bits`]), not `f32` values: `==` treats −0.0 and +0.0 as equal,
 //! and the contract does not.
 
@@ -77,10 +81,45 @@ fn spmm_t_ref(dst0: &Matrix, csr: &Csr, xt: &Matrix) -> Matrix {
     out
 }
 
-/// `a^T * b` through `matmul_tn_acc_with` on a zeroed output.
-fn matmul_tn_at(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+/// Plain scalar `dst0 + a^T * b`: row `i` of `a` and `b` adds
+/// `a[i][c] * b[i][j]` into output element `(c, j)`, one element at a
+/// time, `i` ascending — so each element folds its terms into its
+/// `dst0` value in ascending `i`.
+fn matmul_tn_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
+    for i in 0..a.rows() {
+        for c in 0..a.cols() {
+            for j in 0..b.cols() {
+                out[(c, j)] += a.get(i, c) * b.get(i, j);
+            }
+        }
+    }
+    out
+}
+
+/// `dst0` plus the `a * b^T` product `lane_dot_ref` spells out, folded
+/// in with one add per element: the allocate-then-combine reference of
+/// `matmul_nt_acc`.
+fn matmul_nt_acc_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            out[(i, j)] += lane_dot_ref(a.row(i), b.row(j));
+        }
+    }
+    out
+}
+
+/// `a * b^T` with every element a `lane_dot_ref` dot: the reference of
+/// `matmul_nt_into`.
+fn matmul_nt_ref(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)))
+}
+
+/// `a^T * b` through `matmul_tn_acc` on a zeroed output.
+fn matmul_tn_at(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    kernels::matmul_tn_acc_with(&mut out, a, b, threads);
+    kernels::matmul_tn_acc(&mut out, a, b);
     out
 }
 
@@ -246,34 +285,23 @@ proptest! {
     #[test]
     fn matmul_tn_matches_serial((a, b) in tn_inputs()) {
         // On a non-zero destination the streaming accumulator folds one
-        // add per `i` step into each element, ascending, whichever
-        // worker owns its row — so every thread count reproduces the
-        // one-thread (serial) bytes. The override lets 2 and 4 threads
-        // really partition the rows on a 1-core host.
-        let _caps = ThreadOverride::lift_caps();
+        // add per `i` step into each element, ascending: exactly the
+        // plain triple loop of `matmul_tn_ref`.
         let dst0 = dirty(a.cols(), b.cols());
-        let serial = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, 1));
-        for &t in &THREADS {
-            let got = run_on(&dst0, |dst| kernels::matmul_tn_acc_with(dst, &a, &b, t));
-            prop_assert_eq!(bits(got.data()), bits(serial.data()), "threads={}", t);
-        }
+        let got = run_on(&dst0, |dst| kernels::matmul_tn_acc(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_tn_ref(&dst0, &a, &b).data()));
     }
 
     #[test]
     fn matmul_nt_matches_serial((a, b) in nt_inputs()) {
-        // Both `matmul_nt` forms at every thread count against their
-        // one-thread bytes: the overwriting one on a NaN-filled buffer,
-        // the accumulating one on a non-zero destination.
-        let _caps = ThreadOverride::lift_caps();
+        // Both `matmul_nt` forms against the lane-order spec: the
+        // overwriting one on a NaN-filled buffer, the accumulating one
+        // on a non-zero destination.
         let (nan, dst0) = (Matrix::filled(a.rows(), b.rows(), f32::NAN), dirty(a.rows(), b.rows()));
-        let serial = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, 1));
-        let serial_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, 1));
-        for &t in &THREADS {
-            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-            prop_assert_eq!(bits(got.data()), bits(serial.data()), "into threads={}", t);
-            let got_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
-            prop_assert_eq!(bits(got_acc.data()), bits(serial_acc.data()), "acc threads={}", t);
-        }
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
+        let got_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
+        prop_assert_eq!(bits(got_acc.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
     }
 
     #[test]
@@ -466,11 +494,15 @@ proptest! {
             let tmp = x * s;
             *e += tmp;
         }
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::axpy_with(&mut dst, &src, s, t);
-            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "threads={}", t);
+        let got = run_on(&dst0, |dst| kernels::axpy(dst, &src, s));
+        prop_assert_eq!(bits(got.data()), bits(expected.data()), "axpy");
+        // add_assign: dst += src, one add per element.
+        let mut expected = dst0.clone();
+        for (e, &x) in expected.data_mut().iter_mut().zip(src.data()) {
+            *e += x;
         }
+        let got = run_on(&dst0, |dst| kernels::add_assign(dst, &src));
+        prop_assert_eq!(bits(got.data()), bits(expected.data()), "add_assign");
     }
 
     #[test]
@@ -478,18 +510,12 @@ proptest! {
         (dst0, src) in elementwise_inputs(),
         s in -3.0f32..3.0,
     ) {
-        let scaled = src.scale(s);
-        for &t in &THREADS {
-            // scale_into overwrites a dirty buffer completely.
-            let mut dirty = dst0.clone();
-            kernels::scale_into_with(&mut dirty, &src, s, t);
-            prop_assert_eq!(bits(dirty.data()), bits(scaled.data()), "scale_into threads={}", t);
-            // scale_assign == materializing self * s.
-            let mut dst = dst0.clone();
-            let expected = dst0.scale(s);
-            kernels::scale_assign_with(&mut dst, s, t);
-            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "scale_assign threads={}", t);
-        }
+        // scale_into overwrites a dirty buffer completely.
+        let got = run_on(&dst0, |dst| kernels::scale_into(dst, &src, s));
+        prop_assert_eq!(bits(got.data()), bits(src.scale(s).data()), "scale_into");
+        // scale_assign == materializing self * s.
+        let got = run_on(&dst0, |dst| kernels::scale_assign(dst, s));
+        prop_assert_eq!(bits(got.data()), bits(dst0.scale(s).data()), "scale_assign");
     }
 
     #[test]
@@ -503,33 +529,19 @@ proptest! {
             let tmp = f(a, b);
             *e += tmp;
         }
-        for &t in &THREADS {
-            let mut dirty = src.clone();
-            kernels::zip_map_into_with(&mut dirty, &dst0, &src, f, t);
-            prop_assert_eq!(bits(dirty.data()), bits(expected_into.data()), "into threads={}", t);
-
-            let mut acc = dst0.clone();
-            kernels::zip_map_acc_with(&mut acc, &dst0, &src, f, t);
-            prop_assert_eq!(bits(acc.data()), bits(expected_acc.data()), "acc threads={}", t);
-        }
+        let got = run_on(&src, |dst| kernels::zip_map_into(dst, &dst0, &src, f));
+        prop_assert_eq!(bits(got.data()), bits(expected_into.data()), "into");
+        let got = run_on(&dst0, |dst| kernels::zip_map_acc(dst, &dst0, &src, f));
+        prop_assert_eq!(bits(got.data()), bits(expected_acc.data()), "acc");
     }
 
     #[test]
     fn matmul_nt_fused_match_allocate_then_combine((a, b, dst0) in nt_acc_inputs()) {
-        let product = Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
-        let mut expected = dst0.clone();
-        for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
-            *e += x;
-        }
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::matmul_nt_acc_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(bits(dst.data()), bits(expected.data()), "acc threads={}", t);
-            // The assign form overwrites a dirty buffer with the product.
-            let mut dirty = dst0.clone();
-            kernels::matmul_nt_into_with(&mut dirty, &a, &b, t);
-            prop_assert_eq!(bits(dirty.data()), bits(product.data()), "into threads={}", t);
-        }
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
+        // The assign form overwrites a dirty buffer with the product.
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
     }
 
     #[test]
@@ -589,14 +601,8 @@ proptest! {
     fn matmul_tn_acc_zeroed_is_bitwise_product((a, b) in tn_inputs()) {
         // Streaming accumulator: on the tape's zeroed checkouts it must
         // reproduce the i-k-j product of the explicit transpose exactly.
-        // The override lifts the oversubscription guard, so 2 and 4
-        // threads partition across the pool even on a 1-core host.
-        let _caps = ThreadOverride::lift_caps();
         let product = kernels::matmul_serial(&a.transpose(), &b);
-        for &t in &THREADS {
-            let got = matmul_tn_at(&a, &b, t);
-            prop_assert_eq!(bits(got.data()), bits(product.data()), "threads={}", t);
-        }
+        prop_assert_eq!(bits(matmul_tn_at(&a, &b).data()), bits(product.data()));
     }
 
     #[test]
@@ -634,8 +640,8 @@ proptest! {
 // bitwise against that scalar spec across adversarial shapes: k % 8
 // ∈ {1..7} (every remainder length, on both sides of one full lane
 // block), single rows/columns, empty matrices, and below-`min_work`
-// sizes (the bare wrappers dispatch those serially, so both dispatch
-// outcomes are covered).
+// sizes (the bare `row_dots` runs those serially, so both of its
+// dispatch outcomes are covered).
 
 /// `(a, b)` with equal column counts for the dot-reduction kernels;
 /// k ranges past one full lane block so every remainder length shows
@@ -654,15 +660,9 @@ fn row_dots_inputs() -> impl Strategy<Value = (Matrix, Vec<f32>)> {
 proptest! {
     #[test]
     fn matmul_nt_matches_lane_order_reference((a, b) in nt_lane_inputs()) {
-        let expected =
-            Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)));
         let nan = Matrix::filled(a.rows(), b.rows(), f32::NAN);
-        let auto = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
-        prop_assert_eq!(bits(auto.data()), bits(expected.data()));
-        for &t in &THREADS {
-            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-            prop_assert_eq!(bits(got.data()), bits(expected.data()), "threads={}", t);
-        }
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()));
     }
 
     #[test]
@@ -719,17 +719,14 @@ fn matmul_nt_zero_row_is_positive_zero() {
     // +0.0), so every element is +0.0 — the `into` form writes it, the
     // `acc` form turns a −0.0 destination into it. Lanes started at
     // −0.0, or seeded with their first product, would leave −0.0.
-    let _caps = ThreadOverride::lift_caps();
     for k in [8, 16] {
         let a = Matrix::zeros(3, k);
         let b = Matrix::from_fn(11, k, |r, c| -1.0 - (r * k + c) as f32 * 0.25);
         let (nan, neg) = (Matrix::filled(3, 11, f32::NAN), Matrix::filled(3, 11, -0.0));
-        for &t in &THREADS {
-            let got = run_on(&nan, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-            assert_eq!(bits(got.data()), bits(&[0.0; 33]), "into k={k} threads={t}");
-            let got = run_on(&neg, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
-            assert_eq!(bits(got.data()), bits(&[0.0; 33]), "acc k={k} threads={t}");
-        }
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
+        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "into k={k}");
+        let got = run_on(&neg, |dst| kernels::matmul_nt_acc(dst, &a, &b));
+        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "acc k={k}");
     }
 }
 
@@ -738,44 +735,34 @@ fn matmul_nt_deep_rows_match_lane_order_reference() {
     // k = 4100 is deeper than one packed b^T strip holds (4096 rows, the
     // pack buffer's bound), so each row's strips are packed and summed
     // one k-block at a time; the lane sequence must not notice.
-    let _caps = ThreadOverride::lift_caps();
     let k = 4100;
     let a = Matrix::from_fn(3, k, |r, c| ((r * 31 + c * 7) as f32 * 0.013).sin());
     let b = Matrix::from_fn(11, k, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
-    let product = Matrix::from_fn(3, 11, |i, j| lane_dot_ref(a.row(i), b.row(j)));
     let dst0 = dirty(3, 11);
-    let mut expected = dst0.clone();
-    for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
-        *e += x;
-    }
-    for &t in &THREADS {
-        let got = run_on(&dst0, |dst| kernels::matmul_nt_into_with(dst, &a, &b, t));
-        assert_eq!(bits(got.data()), bits(product.data()), "into threads={t}");
-        let got = run_on(&dst0, |dst| kernels::matmul_nt_acc_with(dst, &a, &b, t));
-        assert_eq!(bits(got.data()), bits(expected.data()), "acc threads={t}");
-    }
+    let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b));
+    assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
+    let got = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
+    assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
 }
 
-/// The fused kernels through the *real* pool machinery (explicit
-/// `set_threads` override lifts the single-core oversubscription guard,
-/// as in the hub tests above): bytes must not depend on which worker
-/// ran which chunk.
+/// The backward's fused kernels with the pool sized past one thread
+/// (explicit `set_threads` override lifts the single-core
+/// oversubscription guard, as in the hub tests above): they run on the
+/// calling thread whatever the pool's size, and must give their plain
+/// references' bytes.
 #[test]
 fn fused_kernels_bitwise_across_pool_threads() {
     let _guard = ThreadOverride::lift_caps();
     let a = Matrix::from_fn(37, 23, |r, c| ((r * 31 + c * 7) as f32 * 0.13).sin());
     let b = Matrix::from_fn(37, 23, |r, c| ((r * 17 + c * 3) as f32 * 0.29).cos());
     let mut expected_axpy = a.clone();
-    expected_axpy.add_scaled_assign(&b, 0.75);
-    let expected_tn = kernels::matmul_serial(&a.transpose(), &b);
-    for t in [2, 3, 4] {
-        let mut dst = a.clone();
-        kernels::axpy_with(&mut dst, &b, 0.75, t);
-        assert_eq!(bits(dst.data()), bits(expected_axpy.data()), "axpy threads={t}");
-        let mut tn = Matrix::zeros(a.cols(), b.cols());
-        kernels::matmul_tn_acc_with(&mut tn, &a, &b, t);
-        assert_eq!(bits(tn.data()), bits(expected_tn.data()), "matmul_tn_acc threads={t}");
+    for (e, &x) in expected_axpy.data_mut().iter_mut().zip(b.data()) {
+        *e += x * 0.75;
     }
+    let got = run_on(&a, |dst| kernels::axpy(dst, &b, 0.75));
+    assert_eq!(bits(got.data()), bits(expected_axpy.data()), "axpy");
+    let expected_tn = kernels::matmul_serial(&a.transpose(), &b);
+    assert_eq!(bits(matmul_tn_at(&a, &b).data()), bits(expected_tn.data()), "matmul_tn_acc");
 }
 
 // ----- degenerate cases, pinned exactly -------------------------------
@@ -787,11 +774,11 @@ fn empty_matrices_all_kernels() {
         assert_eq!(kernels::matmul_with(&a00, &a00, t).shape(), (0, 0));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
         assert_eq!(kernels::matmul_with(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
-        assert_eq!(bits(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2), t).data()), bits(&[0.0; 8]));
-        let mut nt = Matrix::ones(2, 5);
-        kernels::matmul_nt_into_with(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0), t);
-        assert_eq!(bits(nt.data()), bits(&[0.0; 10]), "an empty dot overwrites with 0");
     }
+    assert_eq!(bits(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2)).data()), bits(&[0.0; 8]));
+    let mut nt = Matrix::ones(2, 5);
+    kernels::matmul_nt_into(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0));
+    assert_eq!(bits(nt.data()), bits(&[0.0; 10]), "an empty dot overwrites with 0");
 }
 
 #[test]
@@ -886,8 +873,9 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
 // ----- auto-dispatch wrappers -----------------------------------------
 //
 // Every `*_with(threads)` kernel has a wrapper that picks its thread
-// count from the shared config (`matmul_tn_acc`, `spmm_acc`, `axpy`, …).
-// The wrapper contract is pure delegation: identical bytes to the
+// count from the shared config (`spmm_acc`, `row_dots`, `rank_rows`
+// here; `matmul` in `auto_dispatch_is_thread_count_invariant`). The
+// wrapper contract is pure delegation: identical bytes to the
 // explicit form for any config. `set_min_work(Some(1))` forces the
 // wrappers down their genuine parallel routes even on test-sized
 // shapes; this test is the single owner of that global (a second
@@ -927,29 +915,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let _caps = ThreadOverride::lift_caps();
     let _work = MinWorkOverride::force_parallel();
 
-    // Dense product wrappers against their one-thread forms.
-    let a = Matrix::from_fn(13, 11, |r, c| ((r * 19 + c * 5) as f32 * 0.11).sin());
-    let same_rows = Matrix::from_fn(13, 9, |r, c| ((r + 4 * c) as f32 * 0.07).sin());
-    let same_cols = Matrix::from_fn(7, 11, |r, c| ((2 * r + c) as f32 * 0.19).cos());
-    let tn_dirty = Matrix::from_fn(11, 9, |r, c| ((r + c * 3) as f32 * 0.17).cos());
-    let mut got = tn_dirty.clone();
-    let mut want = tn_dirty.clone();
-    kernels::matmul_tn_acc(&mut got, &a, &same_rows);
-    kernels::matmul_tn_acc_with(&mut want, &a, &same_rows, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "matmul_tn_acc");
-
-    let nt_dirty = Matrix::from_fn(13, 7, |r, c| ((r * 5 + c) as f32 * 0.13).sin());
-    let mut got = nt_dirty.clone();
-    let mut want = nt_dirty.clone();
-    kernels::matmul_nt_acc(&mut got, &a, &same_cols);
-    kernels::matmul_nt_acc_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "matmul_nt_acc");
-    let mut got = nt_dirty.clone();
-    let mut want = nt_dirty;
-    kernels::matmul_nt_into(&mut got, &a, &same_cols);
-    kernels::matmul_nt_into_with(&mut want, &a, &same_cols, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "matmul_nt_into");
-
     // Sparse wrapper.
     let csr = Csr::from_triplets(
         12,
@@ -965,44 +930,8 @@ fn auto_wrappers_match_explicit_thread_counts() {
     kernels::spmm_acc_with(&mut want, &csr, &x, 1);
     assert_eq!(bits(got.data()), bits(want.data()), "spmm_acc");
 
-    // Elementwise wrappers.
-    let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
-    let src = Matrix::from_fn(9, 8, |r, c| ((r + 7 * c) as f32 * 0.33).cos());
-    let f = |p: f32, q: f32| if q > 0.0 { p } else { p * 0.25 };
-    for t in 1..=3usize {
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::add_assign(&mut got, &src);
-        kernels::add_assign_with(&mut want, &src, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "add_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::axpy(&mut got, &src, 0.6);
-        kernels::axpy_with(&mut want, &src, 0.6, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "axpy threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::scale_into(&mut got, &src, -1.7);
-        kernels::scale_into_with(&mut want, &src, -1.7, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "scale_into threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::scale_assign(&mut got, 2.3);
-        kernels::scale_assign_with(&mut want, 2.3, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "scale_assign threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_into(&mut got, &base, &src, f);
-        kernels::zip_map_into_with(&mut want, &base, &src, f, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "zip_map_into threads={t}");
-        let mut got = base.clone();
-        let mut want = base.clone();
-        kernels::zip_map_acc(&mut got, &base, &src, f);
-        kernels::zip_map_acc_with(&mut want, &base, &src, f, t);
-        assert_eq!(bits(got.data()), bits(want.data()), "zip_map_acc threads={t}");
-    }
-
     // Row-dot and ranking wrappers.
+    let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();
     let serial: Vec<f32> =
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();

@@ -46,9 +46,10 @@ fn training_is_thread_count_invariant() {
     // in-process equivalent `par::set_threads` drives the sweep here
     // ({1, 2, 4}, mirroring the satellite CI matrix that re-runs the
     // whole suite under GNMR_THREADS=1 and 4); `set_min_work(Some(1))`
-    // pushes even this tiny model's kernels through the parallel
-    // paths, which would otherwise stay serial below the work
-    // threshold and make the sweep vacuous.
+    // pushes even this tiny model's forward products, `spmm` and
+    // ranking sweeps through the parallel paths, which would otherwise
+    // stay serial below the work threshold and make the sweep vacuous.
+    // The backward runs on the calling thread at every count.
     gnmr::tensor::kernels::set_min_work(Some(1));
     let run = |threads: usize| {
         par::set_threads(Some(threads));
@@ -137,8 +138,8 @@ fn resume_equivalence_is_thread_count_invariant() {
     // then resumed by a fresh process, must land bitwise on the
     // uninterrupted run — parameters, fused representations, and full
     // recommendation lists — at every thread count. As above,
-    // `set_min_work(Some(1))` forces the tiny model through the
-    // parallel kernel paths so the sweep is not vacuous.
+    // `set_min_work(Some(1))` forces the tiny model's forward kernels
+    // through their parallel paths so the sweep is not vacuous.
     gnmr::tensor::kernels::set_min_work(Some(1));
     let total_epochs = 4;
     let run = |threads: usize, kill_after: Option<usize>| {
