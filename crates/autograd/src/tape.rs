@@ -10,16 +10,14 @@
 //! during backward.
 //!
 //! Forward values and backward contributions are produced by
-//! [`gnmr_tensor`] ops wherever a kernel exists. The forward's dense
-//! products and `spmm` inherit the tiled, thread-parallel kernels of
-//! `gnmr_tensor::kernels` and run on the shared **persistent worker
-//! pool** where the buffers are large enough to amortize dispatch. The
-//! backward runs on the calling thread: its transposed products, the
-//! backward scatters (`spmm`'s transposed product, the `gather_rows`
-//! scatter-add) and the elementwise accumulation kernels
-//! (`add_assign`, `axpy`, the `zip_map` family) are serial, since each
-//! call at the model's width is tens of microseconds, too little to pay
-//! for a dispatch. The few ops that only copy or scale rows
+//! [`gnmr_tensor`] ops wherever a kernel exists, and every op runs on
+//! the calling thread. The forward's dense products and `spmm` use the
+//! tiled `gnmr_tensor::kernels::matmul_acc` and `spmm_acc`; the
+//! backward's transposed products, the backward scatters (`spmm`'s
+//! transposed product, the `gather_rows` scatter-add) and the
+//! elementwise accumulation kernels (`add_assign`, `axpy`, the
+//! `zip_map` family) are serial too, since each call at the model's
+//! width is tens of microseconds, too little to pay for a dispatch. The few ops that only copy or scale rows
 //! (`concat_cols`, `weighted_sum`) loop over their rows in place;
 //! `weighted_sum`'s weight gradients are `kernels::dot` row dots, in
 //! the canonical lane order.

@@ -1,5 +1,7 @@
-//! Kernel-layer benchmarks: serial reference vs. tiled vs. parallel at
-//! multiple thread counts, with a machine-readable summary.
+//! Kernel-layer benchmarks: the serial matmul reference against the
+//! tiled kernel, one row per training kernel (they run on the calling
+//! thread), and the ranking sweep at multiple thread counts, with a
+//! machine-readable summary.
 //!
 //! It times each (op, variant, threads) cell on the shared
 //! `gnmr_bench::harness` and writes `results/bench_kernels.json` — one
@@ -14,9 +16,10 @@
 //!
 //! `-- --quick-smoke` runs every cell for a few milliseconds instead of
 //! [`TARGET_MS`] and skips the JSON archive: a CI-friendly regression
-//! smoke test that exercises every kernel through the persistent pool
-//! (including the sub-millisecond `dispatch` cells) without perturbing
-//! the recorded perf trajectory.
+//! smoke test that exercises every kernel, and the persistent pool
+//! through the `row_dots` sweeps (including the sub-millisecond
+//! `dispatch` cells), without perturbing the recorded perf trajectory;
+//! it fails if the archive holds a row no cell produces any more.
 
 use std::hint::black_box;
 
@@ -25,7 +28,7 @@ use gnmr::tensor::{init, kernels, par, rng, Csr, Matrix};
 use gnmr_bench::harness::{self, Budget, Mode, Reading, Timer};
 use rand::Rng;
 
-/// Thread counts every parallel variant is measured at.
+/// Thread counts the ranking sweep is measured at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Target wall-clock per measurement cell.
@@ -57,19 +60,35 @@ struct Cells {
 }
 
 impl Cells {
-    /// Measures one op: the serial reference and the `*_with` entry
-    /// point at each thread count, interleaved (see
+    /// Appends one row, its speedup taken against `serial_ns`.
+    fn record(
+        &mut self,
+        op: &'static str,
+        shape: &str,
+        variant: String,
+        threads: usize,
+        ns: u128,
+        serial_ns: u128,
+    ) {
+        self.records.push(Record {
+            op,
+            shape: shape.into(),
+            variant,
+            threads,
+            ns_per_iter: ns,
+            speedup_vs_serial: serial_ns as f64 / ns.max(1) as f64,
+        });
+    }
+
+    /// Measures a ranking sweep: the serial reference and the `*_with`
+    /// entry point at each thread count, interleaved (see
     /// `Timer::min_of_rounds`), so the speedup ratios stay meaningful
-    /// even when absolute ns drift between runs. `one_thread_label`
-    /// names the threads==1 cell honestly — "tiled" only where a
-    /// distinct tiled code path exists (dense matmul); elsewhere the
-    /// one-thread cell re-runs the serial loop inline and is labeled
-    /// "serial_1t".
+    /// even when absolute ns drift between runs. The one-thread cell
+    /// re-runs the serial loop inline and is labeled "serial_1t".
     fn push(
         &mut self,
         op: &'static str,
         shape: String,
-        one_thread_label: &'static str,
         mut serial: impl FnMut(),
         mut parallel: impl FnMut(usize),
     ) {
@@ -82,43 +101,47 @@ impl Cells {
             0 => timer.block(&mut serial),
             c => timer.block(&mut || parallel(THREAD_COUNTS[c - 1])),
         });
-        let serial_ns = best[0];
-        self.records.push(Record {
-            op,
-            shape: shape.clone(),
-            variant: "serial".into(),
-            threads: 1,
-            ns_per_iter: serial_ns,
-            speedup_vs_serial: 1.0,
-        });
+        self.record(op, &shape, "serial".into(), 1, best[0], best[0]);
         for (slot, &threads) in THREAD_COUNTS.iter().enumerate() {
-            let ns = best[1 + slot];
-            self.records.push(Record {
-                op,
-                shape: shape.clone(),
-                variant: if threads == 1 { one_thread_label.into() } else { format!("parallel{threads}") },
-                threads,
-                ns_per_iter: ns,
-                speedup_vs_serial: serial_ns as f64 / ns.max(1) as f64,
-            });
+            let variant = if threads == 1 {
+                "serial_1t".into()
+            } else {
+                format!("parallel{threads}")
+            };
+            self.record(op, &shape, variant, threads, best[1 + slot], best[0]);
         }
     }
 
-    /// Measures a single-variant op (no `*_with` form — the optimizer
-    /// and the backward's kernels take no thread count): one "serial"
-    /// row, same min-of-rounds discipline as [`Cells::push`].
+    /// Measures a one-thread kernel against its serial reference (the
+    /// tiled matmul against `matmul_serial`): a "serial" row and a
+    /// `label` row, interleaved like [`Cells::push`].
+    fn push_vs_serial(
+        &mut self,
+        op: &'static str,
+        shape: String,
+        label: &'static str,
+        mut serial: impl FnMut(),
+        mut f: impl FnMut(),
+    ) {
+        serial();
+        f();
+        let timer = self.timer;
+        let [serial_ns, ns] = timer.min_of_rounds(|cell| match cell {
+            0 => timer.block(&mut serial),
+            _ => timer.block(&mut f),
+        });
+        self.record(op, &shape, "serial".into(), 1, serial_ns, serial_ns);
+        self.record(op, &shape, label.into(), 1, ns, serial_ns);
+    }
+
+    /// Measures a single-variant op (training's kernels and the
+    /// optimizer take no thread count): one "serial" row, same
+    /// min-of-rounds discipline as [`Cells::push`].
     fn push_serial(&mut self, op: &'static str, shape: String, mut f: impl FnMut()) {
         f();
         let timer = self.timer;
         let [best] = timer.min_of_rounds(|_| timer.block(&mut f));
-        self.records.push(Record {
-            op,
-            shape,
-            variant: "serial".into(),
-            threads: 1,
-            ns_per_iter: best,
-            speedup_vs_serial: 1.0,
-        });
+        self.record(op, &shape, "serial".into(), 1, best, best);
     }
 }
 
@@ -130,14 +153,11 @@ fn random_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     Csr::from_triplets(rows, cols, &triplets)
 }
 
-/// A power-law CSR in the shape the cost model exists for: one hub row
-/// owns ~90% of the stored entries (distinct columns via a coprime
-/// stride, so duplicate-summing cannot dilute the hub), and the light
-/// rows draw their columns log-uniformly so column degrees are
-/// Zipf-like too (hub items on a Taobao-style graph). Equal-row chunks
-/// would serialize on the hub; the nnz-weighted plan, which gives the
-/// hub a chunk of its own while the other threads claim the rest, is
-/// what these bench rows measure.
+/// A power-law CSR: one hub row owns ~90% of the stored entries
+/// (distinct columns via a coprime stride, so duplicate-summing cannot
+/// dilute the hub), and the light rows draw their columns
+/// log-uniformly so column degrees are Zipf-like too (hub items on a
+/// Taobao-style graph).
 fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     let mut r = rng::seeded(seed);
     let hub = r.gen_range(0..rows as u32);
@@ -157,34 +177,40 @@ fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     Csr::from_triplets(rows, cols, &triplets)
 }
 
-/// `csr * x` on `threads`: a zeroed output plus `spmm_acc_with`.
-fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.rows(), x.cols());
-    kernels::spmm_acc_with(&mut out, csr, x, threads);
-    out
+/// The `dispatch` cells' workload: a 1024 x 64 catalog and a query,
+/// 65,536 multiply-adds, the smallest sweep the bare `row_dots`
+/// dispatches (`PAR_MIN_WORK`). Its arithmetic is a few microseconds,
+/// so the fixed cost of handing chunks to workers shows in the
+/// parallel cells.
+fn dispatch_workload() -> (Matrix, Vec<f32>) {
+    let (rows, cols) = (1024usize, 64);
+    assert_eq!(
+        rows * cols,
+        kernels::PAR_MIN_WORK,
+        "the dispatch cells sit at the threshold"
+    );
+    let catalog = init::uniform(rows, cols, -1.0, 1.0, &mut rng::seeded(7));
+    let query = (0..cols).map(|i| ((i as f32) * 0.23).cos()).collect();
+    (catalog, query)
 }
 
 /// `--regression-gate`: re-measures the `dispatch` cells (the
-/// sub-millisecond kernel that isolates per-call pool handoff cost)
+/// sub-millisecond sweep that isolates per-call pool handoff cost)
 /// and fails with exit code 1 if dispatch overhead at 2 threads —
-/// `ns(parallel2) - ns(tiled)`, both cells running the identical
-/// tiled kernel so the difference is purely scheduler bookkeeping —
-/// outgrew [`DISPATCH_BUDGET`] over the committed rows in
-/// `results/bench_kernels.json`. The archive is left untouched. Run by
-/// CI under `GNMR_THREADS=2`.
+/// `ns(parallel2) - ns(serial_1t)`, both cells running the identical
+/// `row_dots_with` sweep so the difference is purely scheduler
+/// bookkeeping — outgrew [`DISPATCH_BUDGET`] over the committed rows
+/// in `results/bench_kernels.json`. The archive is left untouched. Run
+/// by CI under `GNMR_THREADS=2`.
 fn regression_gate(timer: Timer) -> ! {
-    // The dispatch op's one-thread cell is archived as "tiled" (same
-    // code path as parallel2 minus the dispatch).
     let dispatch = |variant| harness::baseline(ARCHIVE, &[("op", "dispatch"), ("variant", variant)], "ns_per_iter");
-    let (base_serial, base_par2) = (dispatch("tiled"), dispatch("parallel2"));
-    let (dm, dk, dn) = (72usize, 32, 32);
-    let da = init::uniform(dm, dk, -1.0, 1.0, &mut rng::seeded(7));
-    let db = init::uniform(dk, dn, -1.0, 1.0, &mut rng::seeded(8));
+    let (base_serial, base_par2) = (dispatch("serial_1t"), dispatch("parallel2"));
+    let (catalog, query) = dispatch_workload();
     let mut one = || {
-        black_box(kernels::matmul_with(&da, &db, 1));
+        black_box(kernels::row_dots_with(&catalog, &query, 1));
     };
     let mut two = || {
-        black_box(kernels::matmul_with(&da, &db, 2));
+        black_box(kernels::row_dots_with(&catalog, &query, 2));
     };
     one();
     two();
@@ -196,8 +222,8 @@ fn regression_gate(timer: Timer) -> ! {
         _ => timer.block(&mut two),
     });
     println!(
-        "dispatch cells (ns): baseline tiled {base_serial}, parallel2 {base_par2}; \
-         fresh tiled {serial_ns}, parallel2 {par2_ns}"
+        "dispatch cells (ns): baseline serial_1t {base_serial}, parallel2 {base_par2}; \
+         fresh serial_1t {serial_ns}, parallel2 {par2_ns}"
     );
     // The committed baseline may come from a different machine class
     // than the runner: on a 1-CPU container the oversubscription guard
@@ -234,49 +260,44 @@ fn main() {
 
     let mut cells = Cells { timer, records: Vec::new() };
 
-    // Per-call dispatch overhead: a matmul barely above PAR_MIN_WORK, so
-    // the arithmetic is sub-millisecond and the fixed cost of handing
+    // Per-call dispatch overhead: a `row_dots` sweep at PAR_MIN_WORK, so
+    // the arithmetic is a few microseconds and the fixed cost of handing
     // chunks to workers dominates the parallel cells. This is the number
     // the persistent pool exists to shrink, and the one the regression
     // gate reads.
-    let (dm, dk, dn) = (72usize, 32, 32);
-    let da = init::uniform(dm, dk, -1.0, 1.0, &mut rng::seeded(7));
-    let db = init::uniform(dk, dn, -1.0, 1.0, &mut rng::seeded(8));
+    let (dcat, dquery) = dispatch_workload();
     cells.push(
         "dispatch",
-        format!("{dm}x{dk}x{dn}"),
-        // 72x32x32 = 73,728 multiply-adds sits just above PAR_MIN_WORK,
-        // so the one-thread `*_with` cell runs the tiled microkernel,
-        // not the plain serial reference — label it honestly.
-        "tiled",
+        format!("{}x{}", dcat.rows(), dcat.cols()),
         || {
-            black_box(kernels::matmul_serial(&da, &db));
+            black_box(kernels::row_dots_with(&dcat, &dquery, 1));
         },
         |t| {
-            black_box(kernels::matmul_with(&da, &db, t));
+            black_box(kernels::row_dots_with(&dcat, &dquery, t));
         },
     );
 
-    // Dense matmul at the model's message-passing scale.
+    // Dense matmul at the model's message-passing scale: the i-k-j
+    // reference against the tiled kernel `Matrix::matmul` runs.
     let (m, k, n) = (512usize, 128, 128);
     let a = init::uniform(m, k, -1.0, 1.0, &mut rng::seeded(1));
     let b = init::uniform(k, n, -1.0, 1.0, &mut rng::seeded(2));
-    cells.push(
+    cells.push_vs_serial(
         "matmul",
         format!("{m}x{k}x{n}"),
         "tiled",
         || {
             black_box(kernels::matmul_serial(&a, &b));
         },
-        |t| {
-            black_box(kernels::matmul_with(&a, &b, t));
+        || {
+            black_box(a.matmul(&b));
         },
     );
 
     // A^T * B as used by the matmul backward pass (dB = A^T * g), a
-    // zeroed output like the tape's checkout. The backward's kernels
-    // run on the calling thread, so this and the next cell are
-    // single-variant rows.
+    // zeroed output like the tape's checkout. Training's kernels run on
+    // the calling thread, so this and the cells below up to `adam_step`
+    // are single-variant rows.
     let at = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(3));
     let bt = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(4));
     cells.push_serial("matmul_tn", "1024x96^T*1024x96".into(), || {
@@ -298,17 +319,9 @@ fn main() {
     // SpMM over a graph-sized CSR (message passing forward).
     let csr = random_csr(4000, 4000, 80_000, 5);
     let dense = init::uniform(4000, 64, -1.0, 1.0, &mut rng::seeded(6));
-    cells.push(
-        "spmm",
-        format!("{}nnz*4000x64", csr.nnz()),
-        "serial_1t",
-        || {
-            black_box(spmm_at(&csr, &dense, 1));
-        },
-        |t| {
-            black_box(spmm_at(&csr, &dense, t));
-        },
-    );
+    cells.push_serial("spmm", format!("{}nnz*4000x64", csr.nnz()), || {
+        black_box(csr.spmm(&dense));
+    });
 
     // Transposed SpMM (message passing backward), a serial scatter.
     cells.push_serial("spmm_t", format!("{}nnz^T*4000x64", csr.nnz()), || {
@@ -316,23 +329,13 @@ fn main() {
     });
 
     // The same two ops on a power-law graph (one hub row with ~90% of
-    // the nnz, Zipf-ish columns): the shape where equal-row chunks
-    // would serialize `spmm` on the hub, so its nnz-weighted plan
-    // isolates it.
+    // the nnz, Zipf-ish columns).
     let skew = skewed_csr(8000, 40_000, 40_000, 9);
     let skew_x = init::uniform(40_000, 64, -1.0, 1.0, &mut rng::seeded(10));
     let skew_xt = init::uniform(8000, 64, -1.0, 1.0, &mut rng::seeded(11));
-    cells.push(
-        "spmm_skew",
-        format!("{}nnz(hub90)*40000x64", skew.nnz()),
-        "serial_1t",
-        || {
-            black_box(spmm_at(&skew, &skew_x, 1));
-        },
-        |t| {
-            black_box(spmm_at(&skew, &skew_x, t));
-        },
-    );
+    cells.push_serial("spmm_skew", format!("{}nnz(hub90)*40000x64", skew.nnz()), || {
+        black_box(skew.spmm(&skew_x));
+    });
     cells.push_serial("spmm_t_skew", format!("{}nnz(hub90)^T*8000x64", skew.nnz()), || {
         black_box(skew.spmm_t(&skew_xt));
     });
@@ -380,7 +383,6 @@ fn main() {
     cells.push(
         "row_dots",
         "20000x64".into(),
-        "serial_1t",
         || {
             black_box(kernels::row_dots_with(&catalog, &query, 1));
         },

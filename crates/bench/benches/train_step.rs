@@ -27,7 +27,8 @@
 //! `-- --quick-smoke` short-runs every cell and leaves the archive
 //! untouched; `-- --regression-gate` re-measures the steady-state
 //! allocation count, at one pool thread and again at two, and fails if
-//! either exceeds the committed baseline.
+//! either exceeds the committed baseline, or if the forward allocates
+//! more at two pool threads than at one.
 
 use std::hint::black_box;
 
@@ -100,16 +101,25 @@ fn steady_state_allocs(w: &mut Workload, arena: &Arena, grads: &mut Grads) -> u6
     allocs
 }
 
-/// The packed-matmul probe: `matmul_into_with` on a shape above the
-/// work threshold runs the B-panel-packed tiled kernel, whose pack
-/// scratch is a once-per-thread thread-local. 256x96 * 96x128 clears
-/// `PAR_MIN_WORK` at one thread and packs 16 full 8-wide strips. Its
-/// steady state (the one `Gnmr::fit` sees) must allocate nothing.
+/// The packed-matmul probe: `matmul_acc` runs the B-panel-packed tiled
+/// kernel, whose pack scratch is a once-per-thread thread-local.
+/// 256x96 * 96x128 packs 16 full 8-wide strips. Its steady state (the
+/// one `Gnmr::fit` sees) must allocate nothing.
 fn pack_workload() -> (Matrix, Matrix, Matrix) {
     let a = init::uniform(256, 96, -1.0, 1.0, &mut rng::seeded(31));
     let b = init::uniform(96, 128, -1.0, 1.0, &mut rng::seeded(32));
     let dst = Matrix::zeros(256, 128);
     (a, b, dst)
+}
+
+/// Heap allocations of one warm forward: `Ctx::new` plus
+/// `Gnmr::step_loss`, the values `fit`'s step builds before its
+/// backward.
+fn forward_allocs(w: &Workload) -> u64 {
+    harness::steady_allocations(|| {
+        let mut ctx = Ctx::new(w.model.params());
+        black_box(w.model.step_loss(&mut ctx, &w.batch));
+    })
 }
 
 /// `--regression-gate`: re-measures the steady-state allocation count
@@ -119,7 +129,11 @@ fn pack_workload() -> (Matrix, Matrix, Matrix) {
 /// row in `results/bench_train_step.json`. Counts are exact (the
 /// committed baselines are 0), so this gate is immune to timing noise
 /// and machine class — any regression is a real allocation someone
-/// reintroduced into the hot path.
+/// reintroduced into the hot path. A fourth reading pins that the
+/// forward does not dispatch: its allocations at two pool threads,
+/// with every dispatch threshold floored, must equal the count at one
+/// thread taken in the same run (a forward kernel that dispatched
+/// would add its chunk plan and the pool's job per call).
 fn regression_gate() -> ! {
     let file = "bench_train_step.json";
     let baseline = harness::baseline(file, &[("variant", "steady_arena")], "allocs_backward_opt");
@@ -132,19 +146,21 @@ fn regression_gate() -> ! {
     let arena = Arena::new();
     let mut grads = Grads::default();
     let fresh = steady_state_allocs(&mut w, &arena, &mut grads);
-    // The same region at two pool threads with the work threshold
-    // floored, so every kernel that still dispatches takes its parallel
-    // route (each dispatch allocates its chunk plan and the pool's
-    // job). The backward, the clip and Adam run on the calling thread,
-    // so the region still allocates nothing; the forward, outside it,
-    // dispatches.
+    let forward_one = forward_allocs(&w);
+    // The same readings at two pool threads with the work threshold
+    // floored, so any kernel that dispatches takes its parallel route
+    // (each dispatch allocates its chunk plan and the pool's job).
+    // Training's kernels run on the calling thread, so neither the
+    // backward region nor the forward may allocate more than at one
+    // thread.
     par::set_threads(Some(2));
     kernels::set_min_work(Some(1));
     let fresh_two = steady_state_allocs(&mut w, &arena, &mut grads);
+    let forward_two = forward_allocs(&w);
     kernels::set_min_work(None);
     par::set_threads(Some(1));
     let (pa, pb, mut pdst) = pack_workload();
-    let pack_fresh = harness::steady_allocations(|| kernels::matmul_into_with(&mut pdst, &pa, &pb, 1));
+    let pack_fresh = harness::steady_allocations(|| kernels::matmul_acc(&mut pdst, &pa, &pb));
     harness::finish_gate(
         "allocation gate",
         &[
@@ -166,6 +182,12 @@ fn regression_gate() -> ! {
                 fresh: pack_fresh.into(),
                 budget: Budget::Exact,
             },
+            Reading {
+                what: "forward allocs/step at 2 threads, every dispatch parallel (base: 1 thread, this run)",
+                base: forward_one.into(),
+                fresh: forward_two.into(),
+                budget: Budget::Exact,
+            },
         ],
     )
 }
@@ -178,9 +200,9 @@ fn main() {
     let smoke = mode == Mode::QuickSmoke;
     let timer = mode.timer(TARGET_MS, MIN_ITERS);
 
-    // One thread for determinism of the allocation profile; the tiny
-    // model's kernels sit below the parallel work threshold anyway, and
-    // dispatch-overhead comparisons belong to the kernels bench.
+    // One thread, like the gate's first reading; training's kernels run
+    // on the calling thread at any count, and dispatch-overhead
+    // comparisons belong to the kernels bench.
     par::set_threads(Some(1));
     println!(
         "train_step benches — machine parallelism: {} (measuring at 1 thread){}",
@@ -200,7 +222,7 @@ fn main() {
     let mut grads = Grads::default();
     let warm = steady_state_allocs(&mut w_steady, &arena, &mut grads);
     let (pa, pb, mut pdst) = pack_workload();
-    let pack_allocs = harness::steady_allocations(|| kernels::matmul_into_with(&mut pdst, &pa, &pb, 1));
+    let pack_allocs = harness::steady_allocations(|| kernels::matmul_acc(&mut pdst, &pa, &pb));
 
     let mut fresh_allocs = 0;
     let mut steady_allocs = 0;
@@ -212,7 +234,7 @@ fn main() {
         }),
         1 => timer.block(&mut || steady_allocs = black_box(train_step(&mut w_steady, &arena, &mut grads))),
         _ => timer.block(&mut || {
-            kernels::matmul_into_with(&mut pdst, &pa, &pb, 1);
+            kernels::matmul_acc(&mut pdst, &pa, &pb);
             black_box(&pdst);
         }),
     });

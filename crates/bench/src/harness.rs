@@ -5,8 +5,9 @@
 //! only its workload, cells, printed table and gate budget.
 //!
 //! `-- --quick-smoke` runs every cell for a few milliseconds and leaves
-//! the archive untouched; `-- --regression-gate` re-measures a family's
-//! gated figures against its committed archive and exits 0 or 1.
+//! the archive untouched, but fails on an archived row no cell produces
+//! any more; `-- --regression-gate` re-measures a family's gated
+//! figures against its committed archive and exits 0 or 1.
 
 use std::path::Path;
 use std::time::Instant;
@@ -108,18 +109,68 @@ pub fn steady_allocations(mut f: impl FnMut()) -> u64 {
 
 /// Writes `rows`, one JSON object each, to `results/<file>` as a JSON
 /// array with one row per line: the layout [`baseline`] reads back.
-/// Under `--quick-smoke` the archive is left untouched.
+///
+/// Under `--quick-smoke` the archive is left untouched but checked:
+/// if it holds a row whose string-valued fields (`op`, `shape`,
+/// `variant`) match no row of `rows` — a cell the family no longer
+/// measures — the run names the row and exits 1, as `gnmr-analyze`
+/// reports a manifest entry that matches no function. A missing
+/// archive has no rows to check.
 pub fn archive(mode: Mode, file: &str, rows: &[String]) {
+    let path = results_dir().join(file);
     if mode == Mode::QuickSmoke {
         println!("[quick smoke — results/{file} left untouched]");
+        let committed = std::fs::read_to_string(&path).unwrap_or_default();
+        let stale = stale_rows(&committed, rows);
+        if !stale.is_empty() {
+            for row in &stale {
+                eprintln!("results/{file}: no cell produces the archived row {row}");
+            }
+            eprintln!(
+                "results/{file} holds {} stale row(s); a full run rewrites it",
+                stale.len()
+            );
+            std::process::exit(1);
+        }
         return;
     }
-    let path = results_dir().join(file);
     let lines: Vec<String> = rows.iter().map(|r| format!("  {r}")).collect();
     match std::fs::write(&path, format!("[\n{}\n]", lines.join(",\n"))) {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),
     }
+}
+
+/// The rows of an archive's text whose string-valued fields match those
+/// of no row in `produced`.
+fn stale_rows<'a>(archive: &'a str, produced: &[String]) -> Vec<&'a str> {
+    let cells: Vec<Vec<(&str, &str)>> = produced.iter().map(|r| string_fields(r)).collect();
+    archive
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with('{') && !cells.contains(&string_fields(l)))
+        .collect()
+}
+
+/// The `"key": "value"` pairs of one row, in order: the fields that
+/// name its cell (the numeric fields are its measurements).
+fn string_fields(row: &str) -> Vec<(&str, &str)> {
+    let mut fields = Vec::new();
+    let mut rest = row;
+    while let Some((_, tail)) = rest.split_once('"') {
+        let Some((key, tail)) = tail.split_once('"') else {
+            break;
+        };
+        rest = tail;
+        if let Some(value) = tail.strip_prefix(": \"") {
+            let Some((value, tail)) = value.split_once('"') else {
+                break;
+            };
+            fields.push((key, value));
+            rest = tail;
+        }
+    }
+    fields
 }
 
 /// Reads the committed integer `key` from the row of `results/<file>`
@@ -219,13 +270,13 @@ mod tests {
 
     /// Two rows in the committed one-row-per-line layout.
     const ARCHIVE: &str = "[\n  \
-        {\"op\": \"dispatch\", \"shape\": \"72x32x32\", \"variant\": \"tiled\", \"threads\": 1, \"ns_per_iter\": 5551, \"speedup_vs_serial\": 1.717},\n  \
-        {\"op\": \"dispatch\", \"shape\": \"72x32x32\", \"variant\": \"parallel2\", \"threads\": 2, \"ns_per_iter\": 5581, \"speedup_vs_serial\": 1.708}\n]";
+        {\"op\": \"dispatch\", \"shape\": \"1024x64\", \"variant\": \"serial_1t\", \"threads\": 1, \"ns_per_iter\": 24428, \"speedup_vs_serial\": 0.987},\n  \
+        {\"op\": \"dispatch\", \"shape\": \"1024x64\", \"variant\": \"parallel2\", \"threads\": 2, \"ns_per_iter\": 24645, \"speedup_vs_serial\": 0.978}\n]";
 
     #[test]
     fn committed_layout_rows_parse() {
-        let tiled = [("op", "dispatch"), ("variant", "tiled")];
-        assert_eq!(find_figure(ARCHIVE, &tiled, "ns_per_iter"), Ok(5551));
+        let one_thread = [("op", "dispatch"), ("variant", "serial_1t")];
+        assert_eq!(find_figure(ARCHIVE, &one_thread, "ns_per_iter"), Ok(24428));
         assert_eq!(find_figure(ARCHIVE, &[("variant", "parallel2")], "threads"), Ok(2));
         let steady = "[\n  {\"op\": \"train_step\", \"variant\": \"steady_arena\", \"threads\": 1, \
                       \"ns_per_iter\": 5282066, \"allocs_backward_opt\": 0}\n]";
@@ -236,10 +287,50 @@ mod tests {
     fn missing_row_or_key_is_an_error() {
         assert!(find_figure(ARCHIVE, &[("op", "dispatch"), ("variant", "parallel4")], "ns_per_iter").is_err());
         assert!(find_figure(ARCHIVE, &[("op", "matmul")], "ns_per_iter").is_err());
-        assert!(find_figure(ARCHIVE, &[("variant", "tiled")], "allocs_per_batch").is_err());
+        assert!(find_figure(ARCHIVE, &[("variant", "serial_1t")], "allocs_per_batch").is_err());
         // A key whose value is not an integer is missing, not zero.
-        assert!(find_figure(ARCHIVE, &[("variant", "tiled")], "shape").is_err());
-        assert!(find_figure("", &[("variant", "tiled")], "ns_per_iter").is_err());
+        assert!(find_figure(ARCHIVE, &[("variant", "serial_1t")], "shape").is_err());
+        assert!(find_figure("", &[("variant", "serial_1t")], "ns_per_iter").is_err());
+    }
+
+    #[test]
+    fn archived_rows_without_a_cell_are_stale() {
+        let produced = |variants: &[&str]| -> Vec<String> {
+            variants
+                .iter()
+                .map(|v| {
+                    format!(
+                        "{{\"op\": \"dispatch\", \"shape\": \"1024x64\", \"variant\": \"{v}\", \
+                         \"threads\": 1, \"ns_per_iter\": 1}}"
+                    )
+                })
+                .collect()
+        };
+        // Clean: every archived row has a cell, whatever it measured.
+        assert!(stale_rows(ARCHIVE, &produced(&["serial_1t", "parallel2"])).is_empty());
+        // Stale: the run no longer measures `parallel2`; a cell whose
+        // name merely starts or ends the same is a different cell.
+        let stale = stale_rows(ARCHIVE, &produced(&["serial_1t", "parallel", "parallel2_"]));
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert!(stale[0].contains("\"variant\": \"parallel2\""), "{stale:?}");
+        // An archive with no rows (or no archive) has nothing stale.
+        assert!(stale_rows("", &produced(&[])).is_empty());
+        assert!(stale_rows("[\n]", &produced(&["serial_1t"])).is_empty());
+    }
+
+    #[test]
+    fn string_fields_name_the_cell() {
+        let row = "{\"op\": \"matmul\", \"shape\": \"512x128x128\", \"variant\": \"serial\", \"threads\": 1, \"ns_per_iter\": 9}";
+        assert_eq!(
+            string_fields(row),
+            [
+                ("op", "matmul"),
+                ("shape", "512x128x128"),
+                ("variant", "serial")
+            ]
+        );
+        let serve = "{\"op\": \"serve_batch\", \"catalog\": 100000, \"threads\": 2, \"users_per_sec\": 1248}";
+        assert_eq!(string_fields(serve), [("op", "serve_batch")]);
     }
 
     #[test]
@@ -266,9 +357,10 @@ mod tests {
         for (base, limit) in [(0u128, 10_000u128), (3, 10_003), (30, 10_037), (999, 11_248), (46_000, 67_500)] {
             assert_eq!(budget.limit(base), limit, "base {base}");
         }
-        // The committed dispatch rows (parallel2 5581 ns, tiled 5551 ns).
-        let reading = |fresh| Reading { what: "dispatch", base: 5_581 - 5_551, fresh, budget };
-        assert!(reading(10_037).passes());
-        assert!(!reading(10_038).passes());
+        // The committed dispatch rows (parallel2 24,645 ns, serial_1t
+        // 24,428 ns).
+        let reading = |fresh| Reading { what: "dispatch", base: 24_645 - 24_428, fresh, budget };
+        assert!(reading(10_271).passes());
+        assert!(!reading(10_272).passes());
     }
 }

@@ -137,36 +137,4 @@ mod tests {
         });
         assert!(err < 1e-2, "err {err}");
     }
-
-    #[test]
-    fn gradients_check_out_on_parallel_kernel_routes() {
-        // Mirrors the attention test: work threshold floored + three
-        // threads, so the gating MLP's forward matmuls run on the
-        // pool's parallel paths rather than the serial small-shape
-        // fallback (the backward runs on the calling thread). Gate
-        // composed after attention-shaped inputs of three behaviors to
-        // cover the K > 2 slicing. Serialized on the crate-wide config
-        // lock; globals restored even on panic.
-        let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        gnmr_tensor::kernels::set_min_work(Some(1));
-        gnmr_tensor::par::set_threads(Some(3));
-        let result = std::panic::catch_unwind(|| {
-            let c = cfg();
-            let mut store = ParamStore::new();
-            register(&mut store, &mut seeded(27), "psi", &c);
-            store.insert("h0", init::uniform(5, 6, -1.0, 1.0, &mut seeded(28)));
-            store.insert("h1", init::uniform(5, 6, -1.0, 1.0, &mut seeded(29)));
-            store.insert("h2", init::uniform(5, 6, -1.0, 1.0, &mut seeded(30)));
-            max_grad_error(&store, 5e-3, |ctx| {
-                let hs = [ctx.param("h0"), ctx.param("h1"), ctx.param("h2")];
-                let out = apply(ctx, "psi", &hs);
-                let sq = ctx.g.sqr(out);
-                ctx.g.mean(sq)
-            })
-        });
-        gnmr_tensor::kernels::set_min_work(None);
-        gnmr_tensor::par::set_threads(None);
-        let err = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        assert!(err < 1e-2, "err {err}");
-    }
 }

@@ -49,12 +49,3 @@ pub use config::{GnmrConfig, GnmrVariant, TrainConfig};
 pub use model::Gnmr;
 pub use pretrain::pretrain_embeddings;
 pub use trainer::TrainReport;
-
-/// Serializes tests that reconfigure the process-wide kernel dispatch
-/// globals (`par::set_threads` / `kernels::set_min_work`). Without it,
-/// one test's cleanup (`set_min_work(None)`) could silently drop a
-/// concurrently running test back onto the serial small-shape path —
-/// the bytes would still match (determinism contract), but the test
-/// would no longer cover the parallel routes it exists to cover.
-#[cfg(test)]
-pub(crate) static PAR_CONFIG_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -129,9 +129,9 @@ impl Gnmr {
     /// ([`Gnmr::step_loss`]).
     ///
     /// The propagation (SpMM message passing, attention projections)
-    /// runs on `gnmr_tensor`'s parallel kernels, under the shared
-    /// `GNMR_THREADS` config; its backward pass runs on the calling
-    /// thread. Results are identical at every thread count.
+    /// and its backward pass run on the calling thread, through
+    /// `gnmr_tensor`'s tiled kernels; the pool and `GNMR_THREADS` do not
+    /// reach them.
     pub fn forward(&self, ctx: &mut Ctx<'_>) -> (Vec<Var>, Vec<Var>) {
         self.net.orders(ctx, self.net.cfg.layers)
     }

@@ -434,29 +434,12 @@ mod tests {
 
     #[test]
     fn whole_model_gradients_check_out() {
-        // Every variant on the serial route, then again with the work
-        // threshold floored and three threads configured, so every
-        // forward kernel that dispatches crosses the pool's parallel
-        // paths (the backward runs on the calling thread either way).
-        // Serialized on the crate-wide config lock; globals restored
-        // even on panic.
+        // Every variant; the step runs on the calling thread, so one
+        // pass covers every route its kernels take.
         let graph = hand_built_graph();
-        let variants = all_variants();
-        let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for variant in variants {
+        for variant in all_variants() {
             let err = whole_model_grad_error(&graph, variant);
-            assert!(err < 1e-2, "{} serial: err {err}", variant.label());
-        }
-        gnmr_tensor::kernels::set_min_work(Some(1));
-        gnmr_tensor::par::set_threads(Some(3));
-        let result = std::panic::catch_unwind(|| {
-            variants.map(|variant| whole_model_grad_error(&graph, variant))
-        });
-        gnmr_tensor::kernels::set_min_work(None);
-        gnmr_tensor::par::set_threads(None);
-        let errs = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        for (variant, err) in variants.iter().zip(errs) {
-            assert!(err < 1e-2, "{} parallel: err {err}", variant.label());
+            assert!(err < 1e-2, "{}: err {err}", variant.label());
         }
     }
 
@@ -526,24 +509,11 @@ mod tests {
 
     #[test]
     fn step_loss_is_bitwise_the_full_forward_loss() {
-        // One thread, then the work threshold floored and three threads
-        // configured, so every forward kernel that dispatches crosses
-        // the pool's parallel paths; the backward runs on the calling
-        // thread either way. Serialized on the crate-wide config lock;
-        // globals restored even on panic.
+        // Training's kernels run on the calling thread, so the pool's
+        // thread count cannot reach these bytes and one pass covers them.
         let variants = all_variants();
-        let datasets = [presets::tiny_movielens(3), presets::tiny_taobao(3)];
-        let _config = crate::PAR_CONFIG_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        gnmr_tensor::par::set_threads(Some(1));
-        let serial = std::panic::catch_unwind(|| datasets.each_ref().map(|d| step_bits(d, &variants)));
-        gnmr_tensor::kernels::set_min_work(Some(1));
-        gnmr_tensor::par::set_threads(Some(3));
-        let parallel = std::panic::catch_unwind(|| datasets.each_ref().map(|d| step_bits(d, &variants)));
-        gnmr_tensor::kernels::set_min_work(None);
-        gnmr_tensor::par::set_threads(None);
-        for result in [serial, parallel] {
-            let cases = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (case, got, want) in cases.iter().flatten() {
+        for data in [presets::tiny_movielens(3), presets::tiny_taobao(3)] {
+            for (case, got, want) in step_bits(&data, &variants) {
                 assert_eq!(got.0, want.0, "{case}: loss bits differ");
                 assert_eq!(got.1.len(), want.1.len(), "{case}: gradient sets differ");
                 for ((name, g), (want_name, w)) in got.1.iter().zip(&want.1) {

@@ -88,7 +88,7 @@ pub fn evaluate<R: Recommender + ?Sized>(model: &R, test: &[EvalInstance], ns: &
 /// identical to the sequential version (per-instance metrics are
 /// independent). Instances are partitioned across the shared
 /// `gnmr_tensor::par` **persistent worker pool** — the same long-lived
-/// workers the tensor kernels dispatch to, so one knob governs the
+/// workers the ranking sweeps dispatch to, so one knob governs the
 /// whole binary and evaluation reuses the threads model scoring
 /// already warmed up.
 pub fn evaluate_parallel<R>(model: &R, test: &[EvalInstance], ns: &[usize], threads: usize) -> EvalReport

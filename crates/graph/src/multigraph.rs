@@ -14,8 +14,7 @@ use crate::stats::GraphStats;
 /// layer. Matrices are wrapped in `Arc` so the autodiff tape can reference
 /// them without copies. Each adjacency is built once, on the calling
 /// thread, in O(entries) (`Csr::from_triplets` buckets entries by row);
-/// the per-step SpMM over it is what runs on the shared
-/// `gnmr_tensor::par` worker pool.
+/// the per-step SpMM over it runs on the calling thread too.
 #[derive(Clone)]
 pub struct MultiBehaviorGraph {
     n_users: usize,

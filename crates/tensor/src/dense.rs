@@ -2,11 +2,10 @@
 //! builds on.
 //!
 //! Ops that return a new matrix live here; the hot product (`matmul`)
-//! delegates to [`crate::kernels`], which tiles and parallelizes large
-//! shapes under the shared [`crate::par`] thread-count config. The
-//! in-place kernels the tape accumulates gradients with
-//! (`kernels::add_assign`, `kernels::axpy`, `kernels::scale_assign`,
-//! ...) live in [`crate::kernels`] only.
+//! is a zeroed output plus the tiled [`kernels::matmul_acc`], on the
+//! calling thread. The in-place kernels the tape accumulates gradients
+//! with (`kernels::add_assign`, `kernels::axpy`,
+//! `kernels::scale_assign`, ...) live in [`crate::kernels`] only.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -261,11 +260,13 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Delegates to the kernel layer: tiled and row-parallel for large
-    /// shapes, a plain i-k-j loop for small ones; results are bitwise
-    /// identical at every thread count.
+    /// A zeroed output plus [`kernels::matmul_acc`], which runs the
+    /// packed tiled kernel on the calling thread; the bytes are
+    /// [`kernels::matmul_serial`]'s at every shape.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        kernels::matmul(self, other)
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        kernels::matmul_acc(&mut out, self, other);
+        out
     }
 
     /// The transpose.

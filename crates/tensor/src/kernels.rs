@@ -1,9 +1,10 @@
 //! The kernel layer: tiled, vectorized implementations of the
 //! workspace's hot linear-algebra loops, plus the serial matmul
-//! reference the tiled path is tested against. The forward products and
-//! the ranking sweeps dispatch on the persistent worker pool in
-//! [`crate::par`], so even sub-millisecond kernels pay only a few
-//! microseconds of handoff rather than per-call thread spawns.
+//! reference the tiled path is tested against. Training runs every
+//! kernel on the calling thread; only the ranking sweeps dispatch on
+//! the persistent worker pool in [`crate::par`], so even
+//! sub-millisecond sweeps pay only a few microseconds of handoff rather
+//! than per-call thread spawns.
 //!
 //! [`Matrix`] and [`Csr`] delegate their
 //! public ops here, so this module is the single landing zone for future
@@ -12,52 +13,37 @@
 //! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
 //!   overwrites it, `_assign` updates it in place. On a zeroed `dst`, an
 //!   `_acc` product is the serial product.
-//! * The kernels that dispatch — the forward products [`matmul`] and
-//!   [`spmm_acc`] and the ranking sweeps [`row_dots`] and [`rank_rows`]
-//!   — take a thread count: `*_with` takes an explicit one (used by the
-//!   equivalence tests and benches; [`matmul_into_with`], the
-//!   allocation-free product, has only this form); the bare name
-//!   resolves the thread count from [`crate::par`] and runs on one
-//!   thread below [`min_work`] (default [`PAR_MIN_WORK`]).
-//! * Every kernel the tape's backward, the gradient clip and the
-//!   optimizer call runs on the calling thread and has only its bare
-//!   name: the transposed products ([`matmul_tn_acc`],
-//!   [`matmul_nt_into`], [`matmul_nt_acc`], [`spmm_t_acc`]), the
-//!   scatter-add ([`scatter_add_rows`]), the elementwise family
-//!   ([`add_assign`], [`axpy`], [`scale_into`], [`scale_assign`],
-//!   [`zip_map_into`], [`zip_map_acc`]) and the row-wise backward
-//!   kernels ([`row_dot_into`], `mul_col_broadcast_*`,
-//!   `softmax_rows_backward_*`); so does [`row_dots_into`]. A gradient
-//!   product at the model's width is tens of microseconds, too little
-//!   to pay for a dispatch, and a backward that never dispatches
-//!   allocates nothing at any thread count. Each of these loops takes
-//!   its operands as slices, like `spmm_t_scatter`.
+//! * Every kernel the training step calls runs on the calling thread
+//!   and has only its bare name: the forward's products ([`matmul_acc`],
+//!   [`spmm_acc`]), the backward's transposed products
+//!   ([`matmul_tn_acc`], [`matmul_nt_into`], [`matmul_nt_acc`],
+//!   [`spmm_t_acc`]), the scatter-add ([`scatter_add_rows`]), the
+//!   elementwise family ([`add_assign`], [`axpy`], [`scale_into`],
+//!   [`scale_assign`], [`zip_map_into`], [`zip_map_acc`]) and the
+//!   row-wise backward kernels ([`row_dot_into`], `mul_col_broadcast_*`,
+//!   `softmax_rows_backward_*`); so does [`row_dots_into`]. A product
+//!   at the model's width is tens of microseconds, too little to pay for
+//!   a dispatch, and a step that never dispatches allocates the same at
+//!   any thread count. Each of these loops takes its operands as
+//!   slices, like `spmm_t_scatter`.
+//! * Only the ranking sweeps dispatch: [`row_dots`] and [`rank_rows`]
+//!   resolve the thread count from [`crate::par`] and run on one thread
+//!   below [`min_work`] (default [`PAR_MIN_WORK`]); [`row_dots_with`]
+//!   and [`rank_rows_with`] take an explicit one (used by the
+//!   equivalence tests, the benches and the serving batch).
 //! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
-//!   the tests and benches to compare the tiled matmul against.
-//! * Allocating forms live on `Matrix` and `Csr` (`Csr::spmm`/`spmm_t`
-//!   build a zeroed output and call [`spmm_acc`]/[`spmm_t_acc`]); here
-//!   only `matmul`/[`matmul_with`] and `row_dots`/[`row_dots_with`]
-//!   return new storage.
-//!
-//! # Cost-model dispatch
-//!
-//! The per-step sparse product (`spmm`) does not assume rows are
-//! equally expensive. Each parallel call has one plan:
-//! nnz-weighted chunks, four per thread (fewer on machines with fewer
-//! cores), which the pool's threads claim one at a time from a shared
-//! counter. A thread held up on a hub chunk (one user owning most of a
-//! behavior's interactions — the normal case on power-law graphs) just
-//! claims fewer of the rest. The plan decides who computes which rows
-//! and when — never what the bytes are. CSR construction and
-//! normalization are one-time costs that run on the calling thread
-//! (see [`crate::sparse`]).
+//!   the tests and benches to compare the tiled [`matmul_acc`] against.
+//! * Allocating forms live on `Matrix` and `Csr` (`Matrix::matmul` and
+//!   `Csr::spmm`/`spmm_t` build a zeroed output and call [`matmul_acc`],
+//!   [`spmm_acc`] or [`spmm_t_acc`]); here only `row_dots`/
+//!   [`row_dots_with`] return new storage.
 //!
 //! # Determinism and the canonical lane order
 //!
-//! Every parallel kernel partitions *output rows* across workers and
-//! accumulates into each output element in exactly the order of its
-//! one-thread run, so results are bitwise identical to that run at
-//! every thread count and under every chunk plan.
+//! Every kernel accumulates into each output element in one fixed
+//! order, and the ranking sweeps partition *output rows* across
+//! workers, so their results are bitwise identical to their one-thread
+//! run at every thread count and under every chunk plan.
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
@@ -84,11 +70,12 @@ use crate::dense::Matrix;
 use crate::par;
 use crate::sparse::Csr;
 
-/// Work threshold (in multiply-add units) below which kernels stay on
-/// the serial path: handing chunks to the persistent pool costs a few
-/// microseconds per call (condvar wake + completion wait — far below
-/// the old per-call thread spawn, but not free), so only kernels with
-/// enough arithmetic to amortize it go parallel.
+/// Work threshold (in multiply-add units) below which the ranking
+/// sweeps ([`row_dots`], [`rank_rows`]) and the serving batch stay on
+/// the calling thread: handing chunks to the persistent pool costs a
+/// few microseconds per call (condvar wake + completion wait — far
+/// below the old per-call thread spawn, but not free), so only sweeps
+/// with enough arithmetic to amortize it go parallel.
 pub const PAR_MIN_WORK: usize = 64 * 1024;
 
 /// Override for the parallel work threshold; 0 means "use
@@ -96,49 +83,22 @@ pub const PAR_MIN_WORK: usize = 64 * 1024;
 static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets (or with `None` clears) the parallel work threshold the
-/// auto-dispatch entry points ([`matmul`], [`spmm_acc`], [`row_dots`],
-/// [`rank_rows`]) compare against. `Some(1)` (the floor — `Some(0)` is
-/// clamped to it) forces each of them through its parallel route
-/// regardless of size, which is how the equivalence and gradcheck
-/// suites exercise those routes on test-sized shapes; the backward's
-/// kernels never dispatch, so it does not reach them. Real tuning would
-/// raise or lower the threshold a few binary orders of magnitude around
-/// the default.
+/// ranking sweeps ([`row_dots`], [`rank_rows`]) and the serving batch
+/// compare against. `Some(1)` (the floor — `Some(0)` is clamped to it)
+/// sends each of them through its parallel route regardless of size,
+/// which is how the equivalence and determinism suites exercise those
+/// routes on test-sized shapes. Training's kernels never dispatch, so
+/// it does not reach them. Real tuning would raise or lower the
+/// threshold a few binary orders of magnitude around the default.
 pub fn set_min_work(threshold: Option<usize>) {
     MIN_WORK_OVERRIDE.store(threshold.map_or(0, |t| t.max(1)), Ordering::Relaxed);
 }
 
-/// The active parallel work threshold ([`PAR_MIN_WORK`] unless
-/// overridden via [`set_min_work`]).
+/// The active parallel work threshold of the ranking sweeps
+/// ([`PAR_MIN_WORK`] unless overridden via [`set_min_work`]).
 pub fn min_work() -> usize {
     let o = MIN_WORK_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 { o } else { PAR_MIN_WORK }
-}
-
-// ----- cost-model chunk planning --------------------------------------
-
-/// How many chunks per thread a parallel sparse call cuts. Threads claim
-/// chunks one at a time from the job's shared counter, so a thread held
-/// up on a hub chunk just claims fewer of the rest; finer chunks smooth
-/// skew better but each costs one claim, and 4 per thread leaves the
-/// other threads enough chunks to absorb a hub's neighbors.
-const CHUNKS_PER_THREAD: usize = 4;
-
-/// Plans parallel chunks for a span-weighted workload (`spans` is a
-/// CSR `indptr`-style table: row `r` weighs `spans[r+1] - spans[r]`):
-/// entry-balanced chunks ([`par::partition_weighted`]), cut
-/// [`CHUNKS_PER_THREAD`]× finer than the thread count. Every row
-/// belongs to exactly one chunk, so the plan never affects the bytes
-/// produced — only who computes them when.
-pub(crate) fn span_plan(spans: &[usize], threads: usize) -> Vec<Range<usize>> {
-    // Chunk granularity scales with the parallelism the machine can
-    // actually deliver: fine chunks only pay off when they can land on
-    // distinct cores, while on an oversubscribed box (threads beyond
-    // hardware) each extra chunk boundary is one more context switch
-    // for zero concurrency. hw == 1 therefore degenerates to one
-    // weighted chunk per thread — still nnz-balanced.
-    let granularity = CHUNKS_PER_THREAD.min(par::hardware_threads());
-    par::partition_weighted(spans, threads.saturating_mul(granularity))
 }
 
 /// Column-block width of the tiled dense matmul: one output block row
@@ -288,7 +248,7 @@ fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
 /// starting at `j0`) into `pack`, strip-major and k-major within each
 /// strip: strip `s` occupies `pack[s * kt * LANES..][kk * LANES + l]`
 /// for `kk` in `0..kt`. The microkernel then streams each strip as one
-/// contiguous run, reused across every 4-row block of the chunk.
+/// contiguous run, reused across every 4-row block of the product.
 /// Packing is a pure layout change — it never touches accumulation
 /// order.
 fn pack_b_panel(pack: &mut [f32], b: &[f32], n: usize, krange: Range<usize>, j0: usize, strips: usize) {
@@ -353,7 +313,7 @@ fn lane_sum_cols(acc: &[[f32; LANES]; LANES]) -> [f32; LANES] {
     std::array::from_fn(|c| lane_sum(std::array::from_fn(|l| acc[l][c])))
 }
 
-/// Resolves the thread count for a kernel invocation: serial below
+/// Resolves the thread count for a ranking sweep: serial below
 /// [`min_work`], otherwise the shared [`par::num_threads`] config.
 #[inline]
 fn auto_threads(work: usize) -> usize {
@@ -387,66 +347,35 @@ pub fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
     assert_matmul(a, b);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Matrix::zeros(m, n);
-    matmul_rows_serial(a.data(), k, b.data(), n, 0..m, out.data_mut());
+    matmul_rows_serial(a.data(), m, k, b.data(), n, out.data_mut());
     out
 }
 
-/// Shared zeroed-target dispatch of [`matmul_with`] /
-/// [`matmul_into_with`]: serial i-k-j below the work threshold,
-/// packed-tiled otherwise, row-partitioned across the pool when more
-/// than one effective thread will run.
-fn matmul_dispatch(ad: &[f32], k: usize, bd: &[f32], n: usize, m: usize, threads: usize, out: &mut [f32]) {
-    let threads = par::effective_parallelism(threads);
-    if threads <= 1 {
-        if m * k * n < PAR_MIN_WORK {
-            matmul_rows_serial(ad, k, bd, n, 0..m, out);
-        } else {
-            matmul_rows_tiled(ad, k, bd, n, 0..m, out);
-        }
-        return;
-    }
-    par::for_each_row_chunk(out, m, threads, |rows, chunk| {
-        matmul_rows_tiled(ad, k, bd, n, rows, chunk);
-    });
-}
-
-/// `a * b` on an explicit number of threads (packed-tiled when
-/// parallel or large).
-pub fn matmul_with(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+/// Accumulates `a * b` into `dst` on the calling thread through the
+/// packed tiled kernel, allocating nothing once this thread's pack
+/// scratch is minted (see `PACK_BUF`).
+///
+/// Each output element takes one add per inner index `k`, ascending,
+/// so **on a zeroed `dst` the result is bitwise [`matmul_serial`]** at
+/// every shape, and on a dirty one it is the plain i-k-j loop started
+/// from `dst`'s values. The tiled kernel is the only path: it was
+/// 1.4–2.8x faster than the i-k-j loop at the model's shapes (120–900
+/// rows x 16 times 16 x {1, 8, 16}; best of 15, one process, a 2-core
+/// x86-64 host), and the loop won only at toy shapes of a few dozen
+/// multiply-adds, by under 20 ns a call.
+pub fn matmul_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
     assert_matmul(a, b);
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    matmul_dispatch(a.data(), k, b.data(), n, m, threads, out.data_mut());
-    out
+    assert_eq!(dst.shape(), (m, n), "matmul_acc: dst is {}x{}, product is {m}x{n}", dst.rows(), dst.cols());
+    matmul_rows_tiled(a.data(), m, k, b.data(), n, dst.data_mut());
 }
 
-/// `a * b` with the shared thread-count config (serial for small
-/// shapes).
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_matmul(a, b);
-    matmul_with(a, b, auto_threads(a.rows() * a.cols() * b.cols()))
-}
-
-/// Writes `a * b` into `dst` (overwriting every element — dirty arena
-/// checkouts are fine) on an explicit number of threads: the
-/// allocation-free form of [`matmul_with`], and the steady-state entry
-/// point for the packed tiled path (the per-thread pack scratch is
-/// minted once and reused — see `PACK_BUF`). Bitwise identical to
-/// [`matmul_serial`].
-pub fn matmul_into_with(dst: &mut Matrix, a: &Matrix, b: &Matrix, threads: usize) {
-    assert_matmul(a, b);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(dst.shape(), (m, n), "matmul_into: dst is {}x{}, product is {m}x{n}", dst.rows(), dst.cols());
-    dst.data_mut().fill(0.0);
-    matmul_dispatch(a.data(), k, b.data(), n, m, threads, dst.data_mut());
-}
-
-/// Computes output rows `rows` of `a (m x k) * b (k x n)` into the
-/// row-aligned chunk `out` (`rows.len() x n`).
-fn matmul_rows_serial(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
-    for (local, i) in rows.enumerate() {
+/// Accumulates `a (m x k) * b (k x n)` into `out` (`m x n`) with the
+/// plain i-k-j loop: the loop behind [`matmul_serial`].
+fn matmul_rows_serial(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[local * n..(local + 1) * n];
+        let orow = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &b[kk * n..(kk + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
@@ -462,22 +391,22 @@ fn matmul_rows_serial(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usiz
 /// instead of re-read per output row.
 const MICRO_MR: usize = 4;
 
-/// Cache-blocked, panel-packed variant of [`matmul_rows_serial`]:
-/// identical accumulation order per output element (k-blocks advance
-/// in k order, one add per k step into that element's accumulator —
-/// held in a register tile loaded from / stored back to the output
-/// row), so results are bitwise equal to the serial reference.
+/// Cache-blocked, panel-packed variant of [`matmul_rows_serial`], the
+/// loop behind [`matmul_acc`]: identical accumulation order per output
+/// element (k-blocks advance in k order, one add per k step into that
+/// element's accumulator — held in a register tile loaded from / stored
+/// back to the output row), so results are bitwise equal to the serial
+/// reference.
 ///
 /// Per (k-tile, j-tile) the full [`LANES`]-wide column strips of `b`
 /// are packed k-major into a per-thread scratch ([`pack_b_panel`]) and
 /// streamed contiguously by the 4x8 register microkernel, reused
-/// across every 4-row block of the chunk. Leftover rows run a 1x8
-/// microkernel over the same panel; leftover columns (tile width not a
-/// multiple of [`LANES`]) fall back to the plain streaming loop
-/// straight from `b`, which accumulates in the same order.
-fn matmul_rows_tiled(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
-    let nrows = rows.len();
-    if nrows == 0 || n == 0 || k == 0 {
+/// across every 4-row block. Leftover rows run a 1x8 microkernel over
+/// the same panel; leftover columns (tile width not a multiple of
+/// [`LANES`]) fall back to the plain streaming loop straight from `b`,
+/// which accumulates in the same order.
+fn matmul_rows_tiled(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
     let mut k0 = 0;
@@ -491,11 +420,10 @@ fn matmul_rows_tiled(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize
             let kt = k1 - k0;
             with_pack_buf(strips * kt * LANES, |pack| {
                 pack_b_panel(pack, b, n, k0..k1, j0, strips);
-                let mut local = 0usize;
-                while local + MICRO_MR <= nrows {
-                    let i = rows.start + local;
+                let mut i = 0usize;
+                while i + MICRO_MR <= m {
                     // Four disjoint output-row slices of the block's columns.
-                    let (r0, rest) = out[local * n..].split_at_mut(n);
+                    let (r0, rest) = out[i * n..].split_at_mut(n);
                     let (r1, rest) = rest.split_at_mut(n);
                     let (r2, r3) = rest.split_at_mut(n);
                     for s in 0..strips {
@@ -534,18 +462,17 @@ fn matmul_rows_tiled(a: &[f32], k: usize, b: &[f32], n: usize, rows: Range<usize
                             }
                         }
                     }
-                    local += MICRO_MR;
+                    i += MICRO_MR;
                 }
-                for local in local..nrows {
-                    let i = rows.start + local;
+                for i in i..m {
                     for s in 0..strips {
                         let js = j0 + s * LANES;
                         let panel = &pack[s * kt * LANES..(s + 1) * kt * LANES];
-                        matmul_micro_1x8(a, k, i, k0..k1, panel, &mut out[local * n + js..local * n + js + LANES]);
+                        matmul_micro_1x8(a, k, i, k0..k1, panel, &mut out[i * n + js..i * n + js + LANES]);
                     }
                     if jt < j1 {
                         let arow = &a[i * k + k0..i * k + k1];
-                        let orow = &mut out[local * n + jt..local * n + j1];
+                        let orow = &mut out[i * n + jt..i * n + j1];
                         for (kk, &av) in arow.iter().enumerate() {
                             let brow = &b[(k0 + kk) * n + jt..(k0 + kk) * n + j1];
                             for (o, &bv) in orow.iter_mut().zip(brow) {
@@ -609,7 +536,7 @@ fn matmul_micro_4x8(
 }
 
 /// Single-row twin of [`matmul_micro_4x8`] for the row remainder of a
-/// chunk. Same per-element order, same panel.
+/// product. Same per-element order, same panel.
 #[inline(always)]
 fn matmul_micro_1x8(a: &[f32], k: usize, i: usize, krange: Range<usize>, panel: &[f32], o0: &mut [f32]) {
     let mut c0 = [0.0f32; LANES];
@@ -853,18 +780,15 @@ fn assert_spmm(csr: &Csr, dense: &Matrix) {
     );
 }
 
-/// Accumulates the sparse x dense product into `dst` on an explicit
-/// number of threads, allocating nothing but the chunk plan. Output
-/// rows are partitioned into nnz-balanced chunks, several per thread;
-/// each CSR row is consumed by exactly one worker.
+/// Accumulates the sparse x dense product into `dst` on the calling
+/// thread, allocating nothing.
 ///
 /// Each output row streams one add per stored entry, in ascending
 /// entry order, so **on a zeroed `dst` the result is bitwise the plain
-/// scalar loop over the CSR entries** at every thread count (the
-/// tape's checkout pattern); accumulate into a zeroed scratch and
-/// `add_assign` for the materialize-then-add float sequence on a
-/// non-zero target.
-pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize) {
+/// scalar loop over the CSR entries** (the tape's checkout pattern);
+/// accumulate into a zeroed scratch and `add_assign` for the
+/// materialize-then-add float sequence on a non-zero target.
+pub fn spmm_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
     assert_spmm(csr, dense);
     let d = dense.cols();
     assert_eq!(
@@ -875,32 +799,20 @@ pub fn spmm_acc_with(dst: &mut Matrix, csr: &Csr, dense: &Matrix, threads: usize
         dst.cols(),
         csr.rows()
     );
-    let dd = dense.data();
-    if threads <= 1 || csr.rows() == 0 {
-        spmm_rows(csr, dd, d, 0..csr.rows(), dst.data_mut());
-        return;
-    }
-    let ranges = span_plan(csr.indptr(), threads);
-    par::for_each_row_chunk_ranges(dst.data_mut(), csr.rows(), &ranges, threads, |rows, chunk| {
-        spmm_rows(csr, dd, d, rows, chunk);
-    });
+    spmm_rows(csr, dense.data(), d, dst.data_mut());
 }
 
-/// Accumulates the sparse x dense product into `dst` with the shared
-/// thread-count config.
-pub fn spmm_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
-    spmm_acc_with(dst, csr, dense, auto_threads(csr.nnz() * dense.cols()));
-}
-
-fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, rows: Range<usize>, out: &mut [f32]) {
+/// The loop behind [`spmm_acc`]: every CSR row gathers the dense rows
+/// its entries name into its output row, entries in order.
+fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, out: &mut [f32]) {
     // One lane-blocked axpy per entry: each output element still
     // receives exactly one add per entry, in ascending entry order, so
     // bytes are unchanged by the lane restructuring. (Unrolling across
     // entries would reassociate the per-element sums — deliberately
     // not done.)
-    for (local, r) in rows.enumerate() {
+    for r in 0..csr.rows() {
         let (cols, vals) = csr.row(r);
-        let orow = &mut out[local * d..(local + 1) * d];
+        let orow = &mut out[r * d..(r + 1) * d];
         for (&c, &v) in cols.iter().zip(vals) {
             let drow = &dense[c as usize * d..(c as usize + 1) * d];
             axpy_lanes(orow, drow, v);
@@ -915,7 +827,7 @@ fn spmm_rows(csr: &Csr, dense: &[f32], d: usize, rows: Range<usize>, out: &mut [
 /// dense row into the output rows its entries name, rows ascending, so
 /// each output element takes one add per stored entry in ascending CSR
 /// row order. On a zeroed `dst` the result is bitwise the plain scalar
-/// loop over the CSR entries, as for [`spmm_acc_with`].
+/// loop over the CSR entries, as for [`spmm_acc`].
 pub fn spmm_t_acc(dst: &mut Matrix, csr: &Csr, dense: &Matrix) {
     assert_eq!(
         csr.rows(),
@@ -1440,10 +1352,15 @@ mod tests {
         let a = mat(9, 17, 0.1);
         let b = mat(17, 23, 0.7);
         let reference = matmul_serial(&a, &b);
-        for threads in [1, 2, 3, 4] {
-            let got = matmul_with(&a, &b, threads);
-            assert_eq!(got.data(), reference.data(), "threads={threads}");
-        }
+        assert_eq!(a.matmul(&b).data(), reference.data());
+        // On a dirty destination the tiled kernel is the i-k-j loop
+        // started from the destination's values.
+        let dst0 = mat(9, 23, 0.3);
+        let mut got = dst0.clone();
+        matmul_acc(&mut got, &a, &b);
+        let mut want = dst0.clone();
+        matmul_rows_serial(a.data(), 9, 17, b.data(), 23, want.data_mut());
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]
@@ -1453,20 +1370,7 @@ mod tests {
         let a = mat(5, TILE_K + 3, 0.2);
         let b = mat(TILE_K + 3, TILE_J + 5, 0.4);
         let reference = matmul_serial(&a, &b);
-        let got = matmul_with(&a, &b, 2);
-        assert_eq!(got.data(), reference.data());
-    }
-
-    #[test]
-    fn matmul_into_overwrites_dirty_dst() {
-        let a = mat(7, 9, 0.2);
-        let b = mat(9, 11, 0.5);
-        let reference = matmul_serial(&a, &b);
-        for threads in [1, 3] {
-            let mut dst = Matrix::ones(7, 11);
-            matmul_into_with(&mut dst, &a, &b, threads);
-            assert_eq!(dst.data(), reference.data(), "threads={threads}");
-        }
+        assert_eq!(a.matmul(&b).data(), reference.data());
     }
 
     #[test]
@@ -1489,23 +1393,23 @@ mod tests {
             5,
             &[(0, 1, 1.0), (0, 4, -2.0), (2, 0, 3.0), (2, 1, 0.5), (5, 4, 1.5), (5, 0, -1.0)],
         );
+        // `spmm` splits the entries by row: each output row adds its CSR
+        // row's entries, in order, into a zeroed row.
         let x = mat(5, 7, 0.6);
-        let reference = csr.spmm(&x);
-        for threads in [1, 2, 4] {
-            let mut got = Matrix::zeros(6, 7);
-            spmm_acc_with(&mut got, &csr, &x, threads);
-            assert_eq!(got.data(), reference.data());
+        let mut reference = Matrix::zeros(6, 7);
+        for (r, c, v) in csr.iter() {
+            for j in 0..7 {
+                reference[(r as usize, j)] += v * x.get(c as usize, j);
+            }
         }
-        // The transposed CSR's rows hold each column's entries in
-        // ascending row order, the order the scatter adds them in.
+        assert_eq!(csr.spmm(&x).data(), reference.data());
+        // `spmm_t` splits them by column: the transposed CSR's rows hold
+        // each column's entries in ascending row order, the order the
+        // scatter adds them in.
         let xt = mat(6, 7, 0.8);
         let mut got = Matrix::zeros(5, 7);
         spmm_t_acc(&mut got, &csr, &xt);
-        for threads in [1, 2, 4] {
-            let mut reference_t = Matrix::zeros(5, 7);
-            spmm_acc_with(&mut reference_t, &csr.transpose(), &xt, threads);
-            assert_eq!(got.data(), reference_t.data());
-        }
+        assert_eq!(got.data(), csr.transpose().spmm(&xt).data());
     }
 
     #[test]
@@ -1545,12 +1449,12 @@ mod tests {
     fn empty_shapes_are_fine() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 4);
-        assert_eq!(matmul_with(&a, &b, 4).shape(), (0, 4));
+        assert_eq!(a.matmul(&b).shape(), (0, 4));
         let c = Matrix::zeros(3, 0);
-        assert_eq!(matmul_with(&b.transpose(), &c, 4).shape(), (4, 0));
+        assert_eq!(b.transpose().matmul(&c).shape(), (4, 0));
         let e = Csr::empty(0, 0);
         let mut y = Matrix::zeros(0, 2);
-        spmm_acc_with(&mut y, &e, &Matrix::zeros(0, 2), 4);
+        spmm_acc(&mut y, &e, &Matrix::zeros(0, 2));
         spmm_t_acc(&mut y, &e, &Matrix::zeros(0, 2));
         assert_eq!(e.spmm(&Matrix::zeros(0, 2)).shape(), (0, 2));
     }

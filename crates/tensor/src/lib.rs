@@ -13,9 +13,10 @@
 //!   *data-dependent* operations return `Result`.
 //! * Every randomized routine takes an explicit RNG; the workspace-wide
 //!   determinism contract is "same seed, same bytes".
-//! * Hot kernels run on the shared **persistent worker pool** in
+//! * Training's kernels run on the calling thread; the ranking sweeps
+//!   and evaluation run on the shared **persistent worker pool** in
 //!   [`par`] (long-lived workers parked on a condvar, spawned lazily
-//!   and reused across calls); the thread count is governed by one knob
+//!   and reused across calls). The thread count is governed by one knob
 //!   (`GNMR_THREADS` / [`par::set_threads`]) and parallel results are
 //!   bitwise identical to the serial reference (see [`kernels`]).
 

@@ -2,10 +2,13 @@
 //! **persistent worker pool** with row-range partitioning, plus the
 //! workspace-wide thread-count config.
 //!
-//! Every hot loop in the workspace — dense/sparse kernels, autograd
-//! gradient accumulation, the evaluation protocol, the repro harness —
-//! routes through this module, so a single knob governs the whole
-//! binary. The thread count resolves, in order:
+//! The workspace's parallel loops — the ranking sweeps
+//! (`kernels::row_dots`, `kernels::rank_rows`), the serving batch, the
+//! evaluation protocol and the repro harness — route through this
+//! module, so a single knob governs the whole binary. Training (the
+//! forward's products, the backward and the optimizer) runs on the
+//! calling thread and never dispatches here. The thread count
+//! resolves, in order:
 //!
 //! 1. a programmatic override set with [`set_threads`];
 //! 2. the `GNMR_THREADS` environment variable (positive integer, **read
@@ -148,21 +151,6 @@ pub fn hardware_threads() -> usize {
     HW_THREADS.get_or_init(available_parallelism_raw)
 }
 
-/// How many threads a dispatch requesting `threads` will actually run
-/// on once the oversubscription guard is applied: capped at
-/// [`hardware_threads`] under implicit configuration, exact when a
-/// programmatic [`set_threads`] override is active. Kernels use this
-/// to pick the right *algorithm* — a call that will execute on one
-/// thread should run the best serial kernel, not a parallel-oriented
-/// one minus its parallelism.
-pub fn effective_parallelism(threads: usize) -> usize {
-    if explicit_override() {
-        threads
-    } else {
-        threads.min(hardware_threads())
-    }
-}
-
 // ----- partitioning ---------------------------------------------------
 
 /// Splits `0..rows` into at most `parts` contiguous, balanced ranges.
@@ -188,74 +176,6 @@ pub fn partition(rows: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Splits `0..spans.len() - 1` rows into at most `parts` contiguous
-/// ranges of approximately equal *weight*, where row `r` weighs
-/// `spans[r + 1] - spans[r]` (the CSR `indptr` convention: weight =
-/// stored entries). This is the cost-model complement to [`partition`]:
-/// balancing rows is wrong for power-law degree distributions, where
-/// one hub row can own most of the work.
-///
-/// Every range contains at least one row (a hub row heavier than the
-/// ideal chunk weight gets a range of its own), ranges cover `0..rows`
-/// in order, and an empty `Vec` is returned for `rows == 0`. Zero-work
-/// tails collapse into the final range rather than minting empty-weight
-/// chunks.
-///
-/// # Panics
-/// If `spans` is empty or decreases.
-pub fn partition_weighted(spans: &[usize], parts: usize) -> Vec<Range<usize>> {
-    assert!(!spans.is_empty(), "partition_weighted: spans must have rows + 1 entries");
-    let rows = spans.len() - 1;
-    if rows == 0 {
-        return Vec::new();
-    }
-    debug_assert!(spans.windows(2).all(|w| w[0] <= w[1]), "partition_weighted: spans decrease");
-    let total = spans[rows] - spans[0];
-    let parts = parts.clamp(1, rows);
-    if parts == 1 || total == 0 {
-        return std::iter::once(0..rows).collect();
-    }
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for chunk in 0..parts {
-        if start == rows {
-            break;
-        }
-        let remaining_chunks = parts - chunk;
-        if remaining_chunks == 1 {
-            out.push(start..rows);
-            start = rows;
-            break;
-        }
-        // Aim each remaining chunk at an equal share of the remaining
-        // weight, but never consume so many rows that later chunks
-        // would go empty.
-        let remaining_weight = spans[rows] - spans[start];
-        let target = spans[start] + remaining_weight.div_ceil(remaining_chunks);
-        let mut end = spans.partition_point(|&s| s < target).max(start + 1);
-        // `partition_point` indexes into `spans` (rows + 1 entries);
-        // clamp so every later chunk keeps at least one row.
-        end = end.min(rows - (remaining_chunks - 1)).max(start + 1);
-        out.push(start..end);
-        start = end;
-    }
-    if start < rows {
-        out.push(start..rows);
-    }
-    // Merge a zero-weight tail into its predecessor so schedulers never
-    // see trailing chunks with no work (empty-row runs at the end of a
-    // skewed CSR would otherwise mint them).
-    while out.len() > 1 {
-        let last = out.last().unwrap().clone();
-        if spans[last.end] - spans[last.start] > 0 {
-            break;
-        }
-        out.pop();
-        out.last_mut().unwrap().end = last.end;
-    }
-    out
-}
-
 // ----- the persistent worker pool -------------------------------------
 
 /// One in-flight parallel call: a set of `total` chunks claimed
@@ -264,8 +184,8 @@ pub fn partition_weighted(spans: &[usize], parts: usize) -> Vec<Range<usize>> {
 /// Chunks are handed out one way: a shared counter, claimed one index
 /// at a time. That is already dynamic scheduling — a thread held up on
 /// a heavy chunk simply claims fewer of the rest — so uneven chunk
-/// weights need a finer plan (see `partition_weighted`), not a second
-/// hand-out discipline.
+/// weights need a finer plan (more, smaller ranges through
+/// `for_each_row_chunk_ranges`), not a second hand-out discipline.
 ///
 /// The queue holds `Arc<Job>` *notifications*; they are advisory — the
 /// caller always drains its own job to completion, so a notification
@@ -662,14 +582,14 @@ where
 }
 
 /// Like [`for_each_row_chunk`], but over an explicit, caller-supplied
-/// chunk plan. This is the cost-model entry point: the kernel layer
-/// cuts `ranges` by *work* (e.g. CSR nnz spans, see
-/// [`partition_weighted`]) rather than row count, several chunks per
-/// thread. `threads` caps how many threads share the job (the plan may
-/// hold many more chunks than that).
+/// chunk plan: a caller can cut `ranges` finer than the thread count
+/// (e.g. [`partition`] into several chunks per thread), and the
+/// participants claim them one at a time. `threads` caps how many
+/// threads share the job (the plan may hold many more chunks than
+/// that).
 ///
 /// `ranges` must be contiguous, in order, and cover `0..rows` exactly —
-/// the same shape [`partition`] and [`partition_weighted`] produce.
+/// the shape [`partition`] produces.
 /// Bytes written are independent of the plan and the thread count,
 /// because each row still belongs to exactly one chunk.
 ///
@@ -826,43 +746,6 @@ mod tests {
             }
         });
         assert!(after.iter().enumerate().all(|(r, &v)| v == r as u32));
-    }
-
-    #[test]
-    fn partition_weighted_isolates_hub_rows() {
-        // Row 2 owns 90 of 100 units of work; it must get a chunk of
-        // its own and the light rows must share the rest.
-        let spans = [0usize, 4, 8, 98, 99, 100];
-        let ranges = partition_weighted(&spans, 4);
-        let mut next = 0;
-        for r in &ranges {
-            assert_eq!(r.start, next);
-            next = r.end;
-        }
-        assert_eq!(next, 5);
-        assert!(ranges.contains(&(2..3)), "hub row not isolated: {ranges:?}");
-    }
-
-    #[test]
-    fn partition_weighted_handles_degenerate_spans() {
-        assert_eq!(partition_weighted(&[0], 4), vec![]);
-        assert_eq!(partition_weighted(&[0, 0, 0, 0], 3), vec![0..3]);
-        assert_eq!(partition_weighted(&[0, 5], 8), vec![0..1]);
-        // Zero-weight tail rows collapse into the last real chunk.
-        let ranges = partition_weighted(&[0, 10, 20, 20, 20, 20], 4);
-        assert_eq!(*ranges.last().unwrap(), (1..5));
-        // Every range non-empty, covering in order.
-        let spans: Vec<usize> = [0, 1, 1, 50, 50, 51, 99, 100].to_vec();
-        for parts in 1..=8 {
-            let ranges = partition_weighted(&spans, parts);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start, "empty range {r:?} at parts={parts}");
-                next = r.end;
-            }
-            assert_eq!(next, spans.len() - 1, "parts={parts}");
-        }
     }
 
     #[test]

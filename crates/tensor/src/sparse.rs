@@ -6,14 +6,13 @@
 //! There is one way to build a CSR, [`Csr::from_triplets`], and it runs
 //! on the calling thread: a graph's adjacencies are built once per
 //! dataset and normalized once per model, an O(nnz) cost next to the
-//! per-step SpMM kernels that run on the shared worker pool. The build
-//! counts each row's entries, copies the entries into per-row buckets
-//! in insertion order, sorts each row stably by column and sums each
-//! run of one column in order, so duplicate coordinates always add up
-//! in insertion order. [`Csr::row_normalized`] and
-//! [`Csr::sym_normalized`] each scale the values in one pass over the
-//! rows. [`Csr::select_rows`] copies a subset of rows, for products
-//! that need only some output rows.
+//! per-step SpMM kernels. The build counts each row's entries, copies
+//! the entries into per-row buckets in insertion order, sorts each row
+//! stably by column and sums each run of one column in order, so
+//! duplicate coordinates always add up in insertion order.
+//! [`Csr::row_normalized`] and [`Csr::sym_normalized`] each scale the
+//! values in one pass over the rows. [`Csr::select_rows`] copies a
+//! subset of rows, for products that need only some output rows.
 
 use crate::dense::Matrix;
 
@@ -101,15 +100,6 @@ impl Csr {
         self.indices.len()
     }
 
-    /// The row span table: row `r` owns entries
-    /// `indptr()[r]..indptr()[r + 1]` (`rows + 1` entries). This is the
-    /// weight vector the kernel layer's cost model chunks by — on
-    /// power-law graphs, balancing *entries* instead of rows is what
-    /// keeps one hub user from serializing a parallel SpMM.
-    pub fn indptr(&self) -> &[usize] {
-        &self.indptr
-    }
-
     /// Column indices and values of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
@@ -156,9 +146,8 @@ impl Csr {
 
     /// Sparse x dense product: `self (r x c) * dense (c x d) -> r x d`.
     ///
-    /// A zeroed output plus [`crate::kernels::spmm_acc`], which
-    /// partitions output rows across the shared worker pool for large
-    /// products.
+    /// A zeroed output plus [`crate::kernels::spmm_acc`], which runs
+    /// each CSR row on the calling thread.
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, dense.cols());
         crate::kernels::spmm_acc(&mut out, self, dense);

@@ -1,25 +1,20 @@
-//! Equivalence suite for the kernel layer: every kernel that dispatches
-//! on the pool (`matmul`, `spmm_acc`, `row_dots`, `rank_rows`) must
-//! match its serial reference across random shapes, thread counts
-//! (1, 2, 4) and degenerate cases (empty matrices, single rows, nnz = 0
-//! CSRs); every kernel that runs on the calling thread (the backward's
-//! transposed products, scatters and elementwise family) must match an
-//! independent plain-loop reference, on a dirty destination where its
-//! contract allows one.
+//! Equivalence suite for the kernel layer: every kernel that runs on
+//! the calling thread (the forward's `matmul_acc` and `spmm_acc`, the
+//! backward's transposed products, scatters and elementwise family)
+//! must match an independent plain-loop reference, on a dirty
+//! destination where its contract allows one, across random shapes and
+//! degenerate cases (empty matrices, single rows, nnz = 0 CSRs); the
+//! kernels that dispatch on the pool (`row_dots`, `rank_rows`) must
+//! match their lane-order reference at every thread count (1, 2, 4).
 //!
-//! The dispatching kernels are designed to be *bitwise* identical to
-//! the serial reference (each output row is produced by one worker in
-//! the serial accumulation order), so the 1e-5 tolerance here is slack
-//! on top of an exact contract — the dedicated tests at the bottom pin
-//! the exact version down. Every exact assertion compares bit patterns
-//! ([`bits`]), not `f32` values: `==` treats −0.0 and +0.0 as equal,
-//! and the contract does not.
+//! Every exact assertion compares bit patterns ([`bits`]), not `f32`
+//! values: `==` treats −0.0 and +0.0 as equal, and the contract does
+//! not.
 
 use gnmr_tensor::{kernels, par, Csr, Matrix};
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 4];
-const TOL: f32 = 1e-5;
 
 /// Plain scalar replay of the canonical `kernels::LANES = 8` reduction
 /// order: lane `l` accumulates the elements at indices ≡ `l` (mod 8) —
@@ -55,11 +50,12 @@ fn pair_bits(v: &[(u32, f32)]) -> Vec<(u32, u32)> {
     v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
 }
 
-/// Plain scalar `csr * x`: one add per stored entry into a zeroed
-/// output, entries in CSR order. Shares no code with the streaming
-/// kernels; the `spmm` family is pinned bitwise against it.
-fn spmm_ref(csr: &Csr, x: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(csr.rows(), x.cols());
+/// Plain scalar `dst0 + csr * x`: entry `(r, c, v)` adds
+/// `v * x.row(c)` into output row `r`, one element at a time, entries
+/// in CSR order. Shares no code with the streaming kernels; the `spmm`
+/// family is pinned bitwise against it.
+fn spmm_ref(dst0: &Matrix, csr: &Csr, x: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
     for (r, c, v) in csr.iter() {
         for j in 0..x.cols() {
             out[(r as usize, j)] += v * x.get(c as usize, j);
@@ -76,6 +72,22 @@ fn spmm_t_ref(dst0: &Matrix, csr: &Csr, xt: &Matrix) -> Matrix {
     for (r, c, v) in csr.iter() {
         for j in 0..xt.cols() {
             out[(c as usize, j)] += v * xt.get(r as usize, j);
+        }
+    }
+    out
+}
+
+/// Plain scalar `dst0 + a * b`, the i-k-j loop: row `kk` of `b`,
+/// scaled by `a[i][kk]`, adds into output row `i`, one element at a
+/// time, `kk` ascending — so each element folds its terms into its
+/// `dst0` value in ascending `kk`.
+fn matmul_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = dst0.clone();
+    for i in 0..a.rows() {
+        for kk in 0..a.cols() {
+            for j in 0..b.cols() {
+                out[(i, j)] += a.get(i, kk) * b.get(kk, j);
+            }
         }
     }
     out
@@ -123,10 +135,10 @@ fn matmul_tn_at(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `csr * x` through `spmm_acc_with` on a zeroed output.
-fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
+/// `csr * x` through `spmm_acc` on a zeroed output.
+fn spmm_at(csr: &Csr, x: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(csr.rows(), x.cols());
-    kernels::spmm_acc_with(&mut out, csr, x, threads);
+    kernels::spmm_acc(&mut out, csr, x);
     out
 }
 
@@ -163,26 +175,23 @@ fn run_on(dst0: &Matrix, kernel: impl FnOnce(&mut Matrix)) -> Matrix {
 }
 
 /// Both sparse accumulators on non-zero destinations: each output
-/// element takes one add per stored entry, in ascending entry order.
-/// `spmm_acc` must reproduce its one-thread (serial) bytes whichever
-/// worker owns a row; the serial `spmm_t_acc` scatter must reproduce
-/// [`spmm_t_ref`].
-fn spmm_pair_matches_serial(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResult {
+/// element takes one add per stored entry, in ascending entry order,
+/// so `spmm_acc` must reproduce [`spmm_ref`] and the `spmm_t_acc`
+/// scatter [`spmm_t_ref`].
+fn spmm_pair_matches_references(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseResult {
     let (dst0, dst0_t) = (dirty(csr.rows(), x.cols()), dirty(csr.cols(), xt.cols()));
-    let serial = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, 1));
-    for &t in &THREADS {
-        let got = run_on(&dst0, |dst| kernels::spmm_acc_with(dst, csr, x, t));
-        prop_assert_eq!(bits(got.data()), bits(serial.data()), "spmm_acc threads={}", t);
-    }
+    let got = run_on(&dst0, |dst| kernels::spmm_acc(dst, csr, x));
+    prop_assert_eq!(bits(got.data()), bits(spmm_ref(&dst0, csr, x).data()), "spmm_acc");
     let got_t = run_on(&dst0_t, |dst| kernels::spmm_t_acc(dst, csr, xt));
     prop_assert_eq!(bits(got_t.data()), bits(spmm_t_ref(&dst0_t, csr, xt).data()), "spmm_t_acc");
     Ok(())
 }
 
 /// RAII guard lifting the oversubscription guard for one test body: an
-/// explicit `set_threads` override makes `*_with(t)` run the genuine
-/// parallel code paths even on a single-core machine (where
-/// implicit config would inline them serially). Dropped on any exit —
+/// explicit `set_threads` override makes `row_dots_with(t)` and
+/// `rank_rows_with(t)` run the genuine parallel code paths even on a
+/// single-core machine (where implicit config would inline them
+/// serially). Dropped on any exit —
 /// including proptest's early assert-returns — so the global never
 /// leaks. Other tests dispatching concurrently while the override is
 /// up merely switch code paths; their bytes are invariant, which is
@@ -262,9 +271,8 @@ fn skewed_triplets() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)
 }
 
 /// A CSR of [`skewed_triplets`] with conformable dense matrices for
-/// `spmm` and `spmm_t`. On these shapes the kernels' nnz-weighted plans
-/// give the hub a chunk of its own and fold empty-row runs into their
-/// neighbors' chunks; the bitwise assertions guard those plans.
+/// `spmm` and `spmm_t`: a hub row, a hub column and empty-row runs in
+/// one product.
 fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
     (skewed_triplets(), 0usize..8).prop_flat_map(|((rows, cols, entries), d)| {
         (Just(Csr::from_triplets(rows, cols, &entries)), matrix(cols, d), matrix(rows, d))
@@ -274,12 +282,20 @@ fn skewed_sparse_inputs() -> impl Strategy<Value = (Csr, Matrix, Matrix)> {
 proptest! {
     #[test]
     fn matmul_matches_serial((a, b) in matmul_inputs()) {
-        let reference = kernels::matmul_serial(&a, &b);
-        for &t in &THREADS {
-            let got = kernels::matmul_with(&a, &b, t);
-            prop_assert_eq!(got.shape(), reference.shape());
-            prop_assert!(got.max_abs_diff(&reference) <= TOL, "threads={}", t);
-        }
+        // The packed tiled kernel against the i-k-j loop, on
+        // pack-adversarial shapes: all-tail column counts (n < 8), one
+        // strip plus a tail, row counts off the 4-row block, k across
+        // the lane remainder. Packing is a layout change, never an order
+        // change, so a zeroed destination gives `matmul_serial`'s bytes
+        // and a dirty one the plain loop started from its values.
+        let product = kernels::matmul_serial(&a, &b);
+        prop_assert_eq!(bits(a.matmul(&b).data()), bits(product.data()), "matmul");
+        let zeros = Matrix::zeros(a.rows(), b.cols());
+        let got = run_on(&zeros, |dst| kernels::matmul_acc(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(product.data()), "zeroed");
+        let dst0 = dirty(a.rows(), b.cols());
+        let got = run_on(&dst0, |dst| kernels::matmul_acc(dst, &a, &b));
+        prop_assert_eq!(bits(got.data()), bits(matmul_ref(&dst0, &a, &b).data()), "dirty");
     }
 
     #[test]
@@ -306,26 +322,21 @@ proptest! {
 
     #[test]
     fn spmm_and_spmm_t_match_serial((csr, x, xt) in sparse_inputs()) {
-        let _caps = ThreadOverride::lift_caps();
-        spmm_pair_matches_serial(&csr, &x, &xt)?;
+        spmm_pair_matches_references(&csr, &x, &xt)?;
     }
 
     #[test]
     fn skewed_spmm_and_spmm_t_are_bitwise_serial((csr, x, xt) in skewed_sparse_inputs()) {
-        // Skewed shapes cut hub-isolating nnz-weighted `spmm` plans
-        // once the override lifts the guard; the contract there is
-        // exact as well.
-        let _caps = ThreadOverride::lift_caps();
-        spmm_pair_matches_serial(&csr, &x, &xt)?;
+        // A hub row, a hub column and empty-row runs; the contract
+        // there is exact as well.
+        spmm_pair_matches_references(&csr, &x, &xt)?;
     }
 
     #[test]
     fn spmm_agrees_with_dense_matmul((csr, x, _xt) in sparse_inputs()) {
         // Cross-check the whole sparse path against the dense one.
         let dense = csr.to_dense().matmul(&x);
-        for &t in &THREADS {
-            prop_assert!(spmm_at(&csr, &x, t).max_abs_diff(&dense) <= 1e-4);
-        }
+        prop_assert!(spmm_at(&csr, &x).max_abs_diff(&dense) <= 1e-4);
     }
 
     #[test]
@@ -458,20 +469,15 @@ proptest! {
 // then `+=` it element-wise — spelled out as plain loops below so the
 // reference never shares code with the kernel under test). The
 // fully-fused kernels hold that contract for ANY destination contents;
-// the streaming accumulators (`matmul_tn_acc`, `spmm_acc`,
-// `spmm_t_acc`) hold it for the zeroed checkouts the tape feeds them,
-// where the reference is the product itself: `matmul_serial` on the
-// explicit transpose, or the plain scalar loops `spmm_ref`/`spmm_t_ref`.
+// the streaming accumulators (`matmul_acc`, `matmul_tn_acc`,
+// `spmm_acc`, `spmm_t_acc`) hold it for the zeroed checkouts the tape
+// feeds them, where the reference is the product itself:
+// `matmul_serial` (on the explicit transpose for `matmul_tn`), or the
+// plain scalar loops `spmm_ref`/`spmm_t_ref` from zeros.
 
 /// `(dst, src)` with matching shapes for the elementwise fused kernels.
 fn elementwise_inputs() -> impl Strategy<Value = (Matrix, Matrix)> {
     (0usize..10, 0usize..10).prop_flat_map(|(r, c)| (matrix(r, c), matrix(r, c)))
-}
-
-/// `(a, b, dst)` for `dst += a * b` (dst is `m x n`).
-fn matmul_acc_inputs() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
-    (0usize..10, 0usize..10, 0usize..10)
-        .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n), matrix(m, n)))
 }
 
 /// `(a, b, dst)` for `dst += a * b^T` (dst is `m x p`): `p` spans
@@ -607,26 +613,19 @@ proptest! {
 
     #[test]
     fn spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in sparse_inputs()) {
-        let _caps = ThreadOverride::lift_caps();
         let product_t = spmm_t_ref(&Matrix::zeros(csr.cols(), xt.cols()), &csr, &xt);
         prop_assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(product_t.data()), "spmm_t_acc");
-        let product = spmm_ref(&csr, &x);
-        for &t in &THREADS {
-            prop_assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(product.data()), "spmm_acc threads={}", t);
-        }
+        let product = spmm_ref(&Matrix::zeros(csr.rows(), x.cols()), &csr, &x);
+        prop_assert_eq!(bits(spmm_at(&csr, &x).data()), bits(product.data()), "spmm_acc");
     }
 
     #[test]
     fn skewed_spmm_acc_zeroed_is_bitwise_product((csr, x, xt) in skewed_sparse_inputs()) {
-        // Same contract through the hub-isolating nnz-weighted `spmm`
-        // plans skewed shapes cut once the override lifts the guard.
-        let _caps = ThreadOverride::lift_caps();
+        // Same contract on a hub row, a hub column and empty-row runs.
         let product_t = spmm_t_ref(&Matrix::zeros(csr.cols(), xt.cols()), &csr, &xt);
         prop_assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(product_t.data()), "spmm_t_acc");
-        let product = spmm_ref(&csr, &x);
-        for &t in &THREADS {
-            prop_assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(product.data()), "spmm_acc threads={}", t);
-        }
+        let product = spmm_ref(&Matrix::zeros(csr.rows(), x.cols()), &csr, &x);
+        prop_assert_eq!(bits(spmm_at(&csr, &x).data()), bits(product.data()), "spmm_acc");
     }
 }
 
@@ -674,23 +673,6 @@ proptest! {
             prop_assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&expected), "threads={}", t);
         }
     }
-
-    #[test]
-    fn matmul_into_packed_matches_serial((a, b, dst0) in matmul_acc_inputs()) {
-        // `matmul_into_with` overwrites a dirty destination with the product;
-        // under the thread override the parallel calls run the
-        // panel-packed tiled kernel, which must stay bitwise-serial
-        // (packing is a layout change, never an order change) even on
-        // pack-adversarial shapes: all-tail column counts (n < 8),
-        // row counts off the 4-row block, k across the lane remainder.
-        let _caps = ThreadOverride::lift_caps();
-        let reference = kernels::matmul_serial(&a, &b);
-        for &t in &THREADS {
-            let mut dst = dst0.clone();
-            kernels::matmul_into_with(&mut dst, &a, &b, t);
-            prop_assert_eq!(bits(dst.data()), bits(reference.data()), "threads={}", t);
-        }
-    }
 }
 
 #[test]
@@ -698,18 +680,14 @@ fn matmul_packed_tiling_boundaries_are_bitwise_serial() {
     // Shapes straddling the pack tile sizes (TILE_K = 64 k-tiles, a
     // ragged 519 % 8 = 7 column tail, 9 rows = two 4-row microkernel
     // blocks plus a remainder row): the panel-packed path must stay
-    // bitwise-serial across every seam, at one thread (large-shape
-    // tiled route) and through the pool.
-    let _caps = ThreadOverride::lift_caps();
+    // bitwise-serial across every seam, from zeros and from a dirty
+    // destination.
     let a = Matrix::from_fn(9, 130, |r, c| ((r * 31 + c * 7) as f32 * 0.013).sin());
     let b = Matrix::from_fn(130, 519, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
-    let reference = kernels::matmul_serial(&a, &b);
-    for t in 1..=4 {
-        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()), "threads={t}");
-        let mut dst = Matrix::from_fn(9, 519, |r, c| (r as f32 - c as f32) * 0.1);
-        kernels::matmul_into_with(&mut dst, &a, &b, t);
-        assert_eq!(bits(dst.data()), bits(reference.data()), "into threads={t}");
-    }
+    assert_eq!(bits(a.matmul(&b).data()), bits(kernels::matmul_serial(&a, &b).data()), "zeroed");
+    let dst0 = Matrix::from_fn(9, 519, |r, c| (r as f32 - c as f32) * 0.1);
+    let got = run_on(&dst0, |dst| kernels::matmul_acc(dst, &a, &b));
+    assert_eq!(bits(got.data()), bits(matmul_ref(&dst0, &a, &b).data()), "dirty");
 }
 
 #[test]
@@ -746,10 +724,9 @@ fn matmul_nt_deep_rows_match_lane_order_reference() {
 }
 
 /// The backward's fused kernels with the pool sized past one thread
-/// (explicit `set_threads` override lifts the single-core
-/// oversubscription guard, as in the hub tests above): they run on the
-/// calling thread whatever the pool's size, and must give their plain
-/// references' bytes.
+/// (an explicit `set_threads` override, see [`ThreadOverride`]): they
+/// run on the calling thread whatever the pool's size, and must give
+/// their plain references' bytes.
 #[test]
 fn fused_kernels_bitwise_across_pool_threads() {
     let _guard = ThreadOverride::lift_caps();
@@ -770,11 +747,12 @@ fn fused_kernels_bitwise_across_pool_threads() {
 #[test]
 fn empty_matrices_all_kernels() {
     let a00 = Matrix::zeros(0, 0);
-    for &t in &THREADS {
-        assert_eq!(kernels::matmul_with(&a00, &a00, t).shape(), (0, 0));
-        assert_eq!(kernels::matmul_with(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3), t).shape(), (0, 3));
-        assert_eq!(kernels::matmul_with(&Matrix::zeros(3, 0), &Matrix::zeros(0, 2), t).shape(), (3, 2));
-    }
+    assert_eq!(a00.matmul(&a00).shape(), (0, 0));
+    assert_eq!(Matrix::zeros(0, 4).matmul(&Matrix::zeros(4, 3)).shape(), (0, 3));
+    assert_eq!(bits(Matrix::zeros(3, 0).matmul(&Matrix::zeros(0, 2)).data()), bits(&[0.0; 6]));
+    let mut empty_k = dirty(3, 2);
+    kernels::matmul_acc(&mut empty_k, &Matrix::zeros(3, 0), &Matrix::zeros(0, 2));
+    assert_eq!(bits(empty_k.data()), bits(dirty(3, 2).data()), "an empty inner dimension adds nothing");
     assert_eq!(bits(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2)).data()), bits(&[0.0; 8]));
     let mut nt = Matrix::ones(2, 5);
     kernels::matmul_nt_into(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0));
@@ -783,13 +761,12 @@ fn empty_matrices_all_kernels() {
 
 #[test]
 fn single_row_inputs() {
+    // One row, below the 4-row microkernel block, with a column tail.
     let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
     let b = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    let reference = kernels::matmul_serial(&a, &b);
-    for &t in &THREADS {
-        // More threads than rows must clamp, not panic.
-        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()));
-    }
+    let dst0 = dirty(1, 2);
+    let got = run_on(&dst0, |dst| kernels::matmul_acc(dst, &a, &b));
+    assert_eq!(bits(got.data()), bits(matmul_ref(&dst0, &a, &b).data()));
 }
 
 #[test]
@@ -797,22 +774,20 @@ fn nnz_zero_csr() {
     let e = Csr::empty(5, 7);
     let x = Matrix::ones(7, 3);
     let xt = Matrix::ones(5, 3);
-    for &t in &THREADS {
-        assert_eq!(bits(spmm_at(&e, &x, t).data()), bits(&[0.0; 15]));
-    }
+    assert_eq!(bits(spmm_at(&e, &x).data()), bits(&[0.0; 15]));
     assert_eq!(bits(spmm_t_at(&e, &xt).data()), bits(&[0.0; 21]));
 }
 
 #[test]
 fn parallel_results_are_bitwise_identical() {
-    // The determinism contract is stronger than a tolerance: any thread
-    // count must give byte-for-byte the serial result.
+    // The determinism contract is stronger than a tolerance: both
+    // forward products give byte for byte their plain loops, on dirty
+    // destinations, at a shape with full and ragged microkernel blocks.
     let a = Matrix::from_fn(37, 53, |r, c| ((r * 13 + c * 31) as f32 * 0.017).sin());
     let b = Matrix::from_fn(53, 29, |r, c| ((r * 7 + c * 11) as f32 * 0.029).cos());
-    let reference = kernels::matmul_serial(&a, &b);
-    for t in 1..=8 {
-        assert_eq!(bits(kernels::matmul_with(&a, &b, t).data()), bits(reference.data()), "threads={t}");
-    }
+    let dst0 = dirty(37, 29);
+    let got = run_on(&dst0, |dst| kernels::matmul_acc(dst, &a, &b));
+    assert_eq!(bits(got.data()), bits(matmul_ref(&dst0, &a, &b).data()), "matmul_acc");
     let csr = Csr::from_triplets(
         40,
         31,
@@ -821,17 +796,16 @@ fn parallel_results_are_bitwise_identical() {
             .collect::<Vec<_>>(),
     );
     let x = Matrix::from_fn(31, 6, |r, c| (r as f32 - c as f32) * 0.3);
-    let reference = spmm_ref(&csr, &x);
-    for t in 1..=8 {
-        assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(reference.data()), "threads={t}");
-    }
+    let dst0 = dirty(40, 6);
+    let got = run_on(&dst0, |dst| kernels::spmm_acc(dst, &csr, &x));
+    assert_eq!(bits(got.data()), bits(spmm_ref(&dst0, &csr, &x).data()), "spmm_acc");
 }
 
 #[test]
 fn skewed_hub_is_bitwise_identical_across_thread_counts() {
-    // A deterministic power-law shape big enough to cut real weighted
-    // plans: row 7 owns ~90% of 5000 entries, columns drawn
-    // log-uniformly so column degrees are skewed too.
+    // A deterministic power-law shape: row 7 owns ~90% of 5000
+    // entries, columns drawn log-uniformly so column degrees are skewed
+    // too.
     let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(5000);
     for i in 0..5000u32 {
         let r = if i % 10 < 9 { 7 } else { (i * 131) % 400 };
@@ -841,25 +815,10 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     let csr = Csr::from_triplets(400, 300, &triplets);
     let x = Matrix::from_fn(300, 16, |r, c| ((r * 3 + c) as f32 * 0.01).cos());
     let xt = Matrix::from_fn(400, 16, |r, c| ((r + 5 * c) as f32 * 0.01).sin());
-    let reference = spmm_ref(&csr, &x);
+    let reference = spmm_ref(&Matrix::zeros(400, 16), &csr, &x);
     let reference_t = spmm_t_ref(&Matrix::zeros(300, 16), &csr, &xt);
+    assert_eq!(bits(spmm_at(&csr, &x).data()), bits(reference.data()), "spmm");
     assert_eq!(bits(spmm_t_at(&csr, &xt).data()), bits(reference_t.data()), "spmm_t");
-    // An explicit set_threads override lifts the oversubscription
-    // guard, so the weighted-plan code path runs for real here even on
-    // a single-core machine. (Other tests in this binary may dispatch
-    // concurrently while the override is up; that only flips which code
-    // path they take, never their bytes — which is the contract this
-    // whole suite pins.)
-    par::set_threads(Some(8));
-    let result = std::panic::catch_unwind(|| {
-        for t in 1..=8 {
-            assert_eq!(bits(spmm_at(&csr, &x, t).data()), bits(reference.data()), "spmm threads={t}");
-        }
-    });
-    par::set_threads(None);
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
     // The O(nnz) counting-sort transpose must match the triplet-sort
     // path byte for byte (entries are unique and sorted either way).
     let via_triplets = Csr::from_triplets(
@@ -872,11 +831,10 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
 
 // ----- auto-dispatch wrappers -----------------------------------------
 //
-// Every `*_with(threads)` kernel has a wrapper that picks its thread
-// count from the shared config (`spmm_acc`, `row_dots`, `rank_rows`
-// here; `matmul` in `auto_dispatch_is_thread_count_invariant`). The
-// wrapper contract is pure delegation: identical bytes to the
-// explicit form for any config. `set_min_work(Some(1))` forces the
+// Each ranking sweep with a `*_with(threads)` form has a wrapper that
+// picks its thread count from the shared config (`row_dots`,
+// `rank_rows`). The wrapper contract is pure delegation: identical
+// bytes to the explicit form for any config. `set_min_work(Some(1))` forces the
 // wrappers down their genuine parallel routes even on test-sized
 // shapes; this test is the single owner of that global (a second
 // concurrent owner could observe the other's override — the bytes
@@ -915,22 +873,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let _caps = ThreadOverride::lift_caps();
     let _work = MinWorkOverride::force_parallel();
 
-    // Sparse wrapper.
-    let csr = Csr::from_triplets(
-        12,
-        10,
-        &(0..60)
-            .map(|i| ((i * 7 % 12) as u32, (i * 11 % 10) as u32, (i as f32 * 0.21).sin()))
-            .collect::<Vec<_>>(),
-    );
-    let x = Matrix::from_fn(10, 5, |r, c| ((r + 2 * c) as f32 * 0.09).cos());
-    let mut got = Matrix::zeros(12, 5);
-    let mut want = Matrix::zeros(12, 5);
-    kernels::spmm_acc(&mut got, &csr, &x);
-    kernels::spmm_acc_with(&mut want, &csr, &x, 1);
-    assert_eq!(bits(got.data()), bits(want.data()), "spmm_acc");
-
-    // Row-dot and ranking wrappers.
     let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();
     let serial: Vec<f32> =
@@ -1069,19 +1011,4 @@ fn selection_pins_deterministic_tie_break_and_scratch_reuse() {
     let order: Vec<u32> =
         kernels::top_k_select_excluding(&with_nan, 4, &[], &mut scratch).iter().map(|&(i, _)| i).collect();
     assert_eq!(order, vec![1, 2, 3, 0]);
-}
-
-#[test]
-fn auto_dispatch_is_thread_count_invariant() {
-    // 64*64*80 = 327,680 multiply-adds: above PAR_MIN_WORK, so the
-    // public Matrix::matmul takes the parallel path when the global
-    // config allows it. Results must not depend on that choice.
-    let a = Matrix::from_fn(64, 64, |r, c| ((r + 2 * c) as f32 * 0.01).sin());
-    let b = Matrix::from_fn(64, 80, |r, c| ((3 * r + c) as f32 * 0.01).cos());
-    par::set_threads(Some(4));
-    let wide = a.matmul(&b);
-    par::set_threads(Some(1));
-    let narrow = a.matmul(&b);
-    par::set_threads(None);
-    assert_eq!(bits(wide.data()), bits(narrow.data()));
 }

@@ -1,5 +1,7 @@
 //! Lifecycle tests for the persistent worker pool and property tests
-//! for `par::partition`.
+//! for `par::partition`. The pool's callers are the ranking sweeps, so
+//! most cases dispatch `kernels::row_dots_with`; the fine-plan cases
+//! drive `par::for_each_row_chunk_ranges` directly.
 //!
 //! The pool is process-global, so every test that observes or mutates
 //! its size serializes on [`POOL_LOCK`] — tests in this binary may run
@@ -16,6 +18,22 @@ static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A deterministic `rows x cols` catalog and a query for `row_dots`.
+fn catalog(rows: usize, cols: usize, seed: f32) -> (Matrix, Vec<f32>) {
+    let m = Matrix::from_fn(rows, cols, |r, c| {
+        ((r * 13 + c * 31) as f32 * 0.017 + seed).sin()
+    });
+    let q = (0..cols)
+        .map(|c| ((c * 7) as f32 * 0.029 - seed).cos())
+        .collect();
+    (m, q)
+}
+
+/// The serial scores of `catalog`: one `kernels::dot` per row.
+fn serial_scores(m: &Matrix, q: &[f32]) -> Vec<f32> {
+    (0..m.rows()).map(|r| kernels::dot(m.row(r), q)).collect()
 }
 
 proptest! {
@@ -51,14 +69,13 @@ fn hundred_calls_reuse_one_pool() {
     // dispatches: reuse/teardown bugs — stale queue entries, lost
     // wakeups, worker leakage — show up as wrong bytes or a hang here.
     let _g = lock();
-    let a = Matrix::from_fn(37, 53, |r, c| ((r * 13 + c * 31) as f32 * 0.017).sin());
-    let b = Matrix::from_fn(53, 29, |r, c| ((r * 7 + c * 11) as f32 * 0.029).cos());
-    let reference = kernels::matmul_serial(&a, &b);
-    let _ = kernels::matmul_with(&a, &b, 4); // warm: pool exists hereafter
+    let (m, q) = catalog(37, 53, 0.0);
+    let reference = serial_scores(&m, &q);
+    let _ = kernels::row_dots_with(&m, &q, 4); // warm: pool exists hereafter
     let workers_before = par::pool_workers();
     for call in 0..100 {
-        let got = kernels::matmul_with(&a, &b, 4);
-        assert_eq!(got.data(), reference.data(), "call {call} diverged");
+        let got = kernels::row_dots_with(&m, &q, 4);
+        assert_eq!(got, reference, "call {call} diverged");
     }
     assert_eq!(par::pool_workers(), workers_before, "pool leaked or lost workers across calls");
 }
@@ -66,23 +83,22 @@ fn hundred_calls_reuse_one_pool() {
 #[test]
 fn pool_resizes_with_set_threads() {
     let _g = lock();
-    let a = Matrix::from_fn(24, 8, |r, c| (r + c) as f32);
-    let b = Matrix::from_fn(8, 6, |r, c| (r * c) as f32);
-    let reference = kernels::matmul_with(&a, &b, 1);
+    let (m, q) = catalog(24, 8, 0.5);
+    let reference = kernels::row_dots_with(&m, &q, 1);
 
     // Normalize: if an earlier test grew the pool past 3 workers, this
     // shrinks it; if the pool does not exist yet, it is a no-op and the
     // dispatch below lazily spawns exactly the workers it needs (the
     // caller itself runs one chunk).
     par::set_threads(Some(4));
-    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
     assert_eq!(par::pool_workers(), 3);
 
     // Shrinks retire and join surplus workers immediately...
     par::set_threads(Some(2));
     assert_eq!(par::pool_workers(), 1);
     // ...and the shrunken pool still computes the right bytes.
-    assert_eq!(kernels::matmul_with(&a, &b, 2).data(), reference.data());
+    assert_eq!(kernels::row_dots_with(&m, &q, 2), reference);
     assert_eq!(par::pool_workers(), 1, "a 2-chunk dispatch must not grow a 1-worker pool");
 
     // An explicit wider dispatch grows the pool on demand. (The
@@ -90,7 +106,7 @@ fn pool_resizes_with_set_threads() {
     // apply here: a programmatic set_threads override is active, and
     // explicit overrides are honored exactly so this suite exercises
     // the full cross-thread machinery on any machine.)
-    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
     assert_eq!(par::pool_workers(), 3);
 
     // Raising the configured count grows unconditionally once the pool
@@ -102,7 +118,7 @@ fn pool_resizes_with_set_threads() {
     assert_eq!(par::pool_workers(), 3);
 
     par::set_threads(None);
-    assert_eq!(kernels::matmul_with(&a, &b, 2).data(), reference.data());
+    assert_eq!(kernels::row_dots_with(&m, &q, 2), reference);
 }
 
 #[test]
@@ -142,9 +158,8 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
     // can acknowledge one, and grows cancel pending tokens, so this
     // must run to completion at every interleaving.
     let _g = lock();
-    let a = Matrix::from_fn(40, 24, |r, c| ((r * 5 + c) as f32 * 0.03).sin());
-    let b = Matrix::from_fn(24, 16, |r, c| ((r + 7 * c) as f32 * 0.04).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let (m, q) = catalog(40, 24, 0.25);
+    let reference = serial_scores(&m, &q);
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
@@ -156,7 +171,7 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
         for _ in 0..2 {
             scope.spawn(|| {
                 for _ in 0..40 {
-                    assert_eq!(kernels::matmul_with(&a, &b, 4).data(), reference.data());
+                    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
                 }
             });
         }
@@ -164,16 +179,31 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
     par::set_threads(None);
 }
 
-/// `csr * x` through `spmm_acc_with` on a zeroed output.
+/// `csr * x` row by row on `threads` over a fine plan: `par::partition`
+/// cut four chunks per thread, claimed one at a time. Each output row
+/// adds its entries in order into a zeroed row, so every plan and
+/// thread count gives `csr.spmm(x)`'s bytes.
 fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(csr.rows(), x.cols());
-    kernels::spmm_acc_with(&mut out, csr, x, threads);
+    let (rows, d) = (csr.rows(), x.cols());
+    let mut out = Matrix::zeros(rows, d);
+    let plan = par::partition(rows, threads * 4);
+    par::for_each_row_chunk_ranges(out.data_mut(), rows, &plan, threads, |range, chunk| {
+        for (local, r) in range.enumerate() {
+            let (cols, vals) = csr.row(r);
+            let orow = &mut chunk[local * d..(local + 1) * d];
+            for (&c, &v) in cols.iter().zip(vals) {
+                for (o, &xv) in orow.iter_mut().zip(x.row(c as usize)) {
+                    *o += v * xv;
+                }
+            }
+        }
+    });
     out
 }
 
 /// A deterministic skewed CSR: row 3 owns ~90% of the entries and the
-/// column draw is log-uniform, so the row span plan comes out skewed:
-/// the hub gets a chunk of its own and the light rows share the rest.
+/// column draw is log-uniform, so the chunk holding the hub row is far
+/// heavier than the rest of a fine plan.
 fn skewed_csr() -> Csr {
     let mut triplets = Vec::with_capacity(1200);
     for i in 0..1200u32 {
@@ -186,7 +216,7 @@ fn skewed_csr() -> Csr {
 
 #[test]
 fn skewed_dispatch_self_drains_with_no_free_workers() {
-    // A fine nnz-weighted plan obeys the same zero-worker bound as any
+    // A fine plan obeys the same zero-worker bound as any
     // other dispatch: job notifications pushed to the pool are capped by
     // the workers actually alive, and the dispatching caller claims
     // chunks until none remain, so a dispatch completes even when no
@@ -197,9 +227,10 @@ fn skewed_dispatch_self_drains_with_no_free_workers() {
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 7 + c) as f32 * 0.05).sin());
-    let reference = spmm_at(&csr, &x, 1);
+    let reference = csr.spmm(&x);
 
-    let _ = kernels::matmul_with(&Matrix::ones(16, 8), &Matrix::ones(8, 8), 4); // pool exists
+    let (m, q) = catalog(16, 8, 0.0);
+    let _ = kernels::row_dots_with(&m, &q, 4); // pool exists
     par::set_threads(Some(1));
     assert_eq!(par::pool_workers(), 0, "set_threads(1) must retire every worker");
 
@@ -219,7 +250,7 @@ fn skewed_dispatch_self_drains_with_no_free_workers() {
 #[test]
 fn skewed_callers_drain_their_own_plans_on_a_starved_pool() {
     // One live worker, four concurrent dispatchers each cutting several
-    // nnz-weighted chunks per thread: most notifications never reach a
+    // chunks per thread: most notifications never reach a
     // worker, so each caller finishes only by claiming the chunks no
     // worker took. A caller that stopped claiming early would hang
     // here; wrong claim bookkeeping would corrupt bytes.
@@ -227,7 +258,7 @@ fn skewed_callers_drain_their_own_plans_on_a_starved_pool() {
     par::set_threads(Some(2));
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 8, |r, c| ((r * 3 + c) as f32 * 0.06).sin());
-    let reference = spmm_at(&csr, &x, 1);
+    let reference = csr.spmm(&x);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
@@ -248,7 +279,7 @@ fn nested_skewed_calls_run_inline() {
     let _g = lock();
     let csr = skewed_csr();
     let x = Matrix::from_fn(60, 4, |r, c| ((r + c) as f32 * 0.02).sin());
-    let reference = spmm_at(&csr, &x, 1);
+    let reference = csr.spmm(&x);
     let results = std::sync::Mutex::new(Vec::new());
     let mut outer = vec![0u8; 4];
     par::for_each_row_chunk(&mut outer, 4, 4, |_range, _chunk| {
@@ -266,14 +297,13 @@ fn pool_survives_concurrent_dispatchers() {
     // own correct results (jobs are independent; notifications are
     // advisory).
     let _g = lock();
-    let a = Matrix::from_fn(48, 32, |r, c| ((r * 3 + c) as f32 * 0.05).sin());
-    let b = Matrix::from_fn(32, 24, |r, c| ((r + 5 * c) as f32 * 0.07).cos());
-    let reference = kernels::matmul_serial(&a, &b);
+    let (m, q) = catalog(48, 32, 0.75);
+    let reference = serial_scores(&m, &q);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..25 {
-                    assert_eq!(kernels::matmul_with(&a, &b, 3).data(), reference.data());
+                    assert_eq!(kernels::row_dots_with(&m, &q, 3), reference);
                 }
             });
         }

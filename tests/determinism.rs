@@ -40,16 +40,16 @@ fn different_seeds_differ() {
 fn training_is_thread_count_invariant() {
     // The cross-thread half of the determinism contract: a full
     // training run must produce bitwise-identical parameters and
-    // recommendation lists at every thread count, now that the kernels
-    // route through nnz-weighted chunk plans claimed from the pool's
-    // shared counter. `GNMR_THREADS` is read once per process, so the
-    // in-process equivalent `par::set_threads` drives the sweep here
-    // ({1, 2, 4}, mirroring the satellite CI matrix that re-runs the
-    // whole suite under GNMR_THREADS=1 and 4); `set_min_work(Some(1))`
-    // pushes even this tiny model's forward products, `spmm` and
-    // ranking sweeps through the parallel paths, which would otherwise
-    // stay serial below the work threshold and make the sweep vacuous.
-    // The backward runs on the calling thread at every count.
+    // recommendation lists at every thread count. Training runs on the
+    // calling thread at every count; `recommend` ranks through
+    // `kernels::rank_rows`, which splits the catalog sweep across the
+    // pool. `GNMR_THREADS` is read once per process, so the in-process
+    // equivalent `par::set_threads` drives the sweep here ({1, 2, 4},
+    // mirroring the satellite CI matrix that re-runs the whole suite
+    // under GNMR_THREADS=1 and 4); `set_min_work(Some(1))` pushes even
+    // this tiny catalog's sweeps through the parallel path, which would
+    // otherwise stay serial below the work threshold and make the sweep
+    // vacuous.
     gnmr::tensor::kernels::set_min_work(Some(1));
     let run = |threads: usize| {
         par::set_threads(Some(threads));
@@ -89,57 +89,14 @@ fn training_is_thread_count_invariant() {
 }
 
 #[test]
-fn packed_matmul_path_preserves_training_bytes() {
-    // The panel-packed tiled matmul is the parallel/large-shape route;
-    // with the explicit thread override (and `min_work` floored so this
-    // tiny model's products clear the dispatch threshold) the whole
-    // fit's dense products run through the packed microkernels at 2 and
-    // 4 threads, while the 1-thread run takes the plain serial loops.
-    // Packing is a layout change, never an order change, so parameters
-    // must be bitwise identical whichever path ran. (A concurrent test
-    // resetting the globals would only flip code paths, never bytes.)
-    gnmr::tensor::kernels::set_min_work(Some(1));
-    let run = |threads: usize| -> Vec<(String, Vec<u32>)> {
-        par::set_threads(Some(threads));
-        let data = gnmr::data::presets::tiny_taobao(4);
-        let mut model = Gnmr::new(
-            &data.graph,
-            GnmrConfig { pretrain: false, seed: 23, ..GnmrConfig::default() },
-        );
-        model.fit(&data.graph, &TrainConfig { epochs: 2, seed: 23, ..TrainConfig::fast_test() });
-        model
-            .params()
-            .iter()
-            .map(|(name, m)| (name.to_string(), m.data().iter().map(|v| v.to_bits()).collect()))
-            .collect()
-    };
-    let result = std::panic::catch_unwind(|| {
-        let serial = run(1);
-        assert!(!serial.is_empty());
-        for threads in [2usize, 4] {
-            let packed = run(threads);
-            for ((name_a, bits_a), (name_b, bits_b)) in serial.iter().zip(&packed) {
-                assert_eq!(name_a, name_b);
-                assert_eq!(bits_a, bits_b, "param {name_a}: packed path diverged at {threads} threads");
-            }
-        }
-    });
-    gnmr::tensor::kernels::set_min_work(None);
-    par::set_threads(None);
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-#[test]
 fn resume_equivalence_is_thread_count_invariant() {
     // The crash-safety half of the determinism contract, crossed with
     // the thread sweep: a run checkpointed and killed mid-training,
     // then resumed by a fresh process, must land bitwise on the
     // uninterrupted run — parameters, fused representations, and full
     // recommendation lists — at every thread count. As above,
-    // `set_min_work(Some(1))` forces the tiny model's forward kernels
-    // through their parallel paths so the sweep is not vacuous.
+    // `set_min_work(Some(1))` forces the tiny model's ranking sweeps
+    // through their parallel path so the sweep is not vacuous.
     gnmr::tensor::kernels::set_min_work(Some(1));
     let total_epochs = 4;
     let run = |threads: usize, kill_after: Option<usize>| {
