@@ -186,14 +186,21 @@ pub fn adam_step(w: &mut Matrix, g: &Matrix, m: &mut Matrix, v: &mut Matrix, p: 
     assert_eq!(w.shape(), g.shape(), "adam_step: grad shape mismatch");
     assert_eq!(w.shape(), m.shape(), "adam_step: first-moment shape mismatch");
     assert_eq!(w.shape(), v.shape(), "adam_step: second-moment shape mismatch");
+    adam_slices(w.data_mut(), g.data(), m.data_mut(), v.data_mut(), p);
+}
+
+/// The loop behind [`adam_step`], over equal-length slices. Slice
+/// parameters let the compiler assume the four buffers never alias,
+/// as for the kernel layer's slice loops.
+fn adam_slices(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], p: &AdamStep) {
     let s_wd = 2.0 * p.weight_decay;
     let om1 = 1.0 - p.beta1;
     let om2 = 1.0 - p.beta2;
     let decayed = p.weight_decay > 0.0;
-    let mut wc = w.data_mut().chunks_exact_mut(LANES);
-    let mut gc = g.data().chunks_exact(LANES);
-    let mut mc = m.data_mut().chunks_exact_mut(LANES);
-    let mut vc = v.data_mut().chunks_exact_mut(LANES);
+    let mut wc = w.chunks_exact_mut(LANES);
+    let mut gc = g.chunks_exact(LANES);
+    let mut mc = m.chunks_exact_mut(LANES);
+    let mut vc = v.chunks_exact_mut(LANES);
     if decayed {
         for (((wb, gb), mb), vb) in (&mut wc).zip(&mut gc).zip(&mut mc).zip(&mut vc) {
             for l in 0..LANES {

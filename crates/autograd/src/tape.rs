@@ -278,16 +278,12 @@ impl Graph {
         for (ci, &p) in parts.iter().enumerate() {
             let (w, pv) = (self.value(weights), self.value(p));
             assert_eq!(pv.shape(), (n, d), "weighted_sum: part {ci} is {:?}, not {n}x{d}", pv.shape());
-            for r in 0..n {
-                let s = w.get(r, ci);
-                let rows = v.row_mut(r).iter_mut().zip(pv.row(r));
-                // The first part assigns, so the sum starts from its
-                // exact products (no `0.0 +` turning a -0.0 into +0.0).
-                if ci == 0 {
-                    rows.for_each(|(o, &x)| *o = x * s);
-                } else {
-                    rows.for_each(|(o, &x)| *o += x * s);
-                }
+            // The first part assigns, so the sum starts from its exact
+            // products (no `0.0 +` turning a -0.0 into +0.0).
+            if ci == 0 {
+                kernels::mul_col_broadcast_into(&mut v, pv, w, ci);
+            } else {
+                kernels::mul_col_broadcast_acc(&mut v, pv, w, ci);
             }
         }
         self.push(v, Op::WeightedSum(weights, parts.to_vec()))
@@ -569,40 +565,33 @@ impl Graph {
                     // reverse pass reaches the terms of the left fold,
                     // so a part passed twice accumulates in that order.
                     for (ci, &p) in parts.iter().enumerate().rev() {
-                        let scaled = |h: &[Node], d: &mut Matrix, assign: bool| {
-                            let w = &h[weights.0].value;
-                            for r in 0..g.rows() {
-                                let s = w.get(r, ci);
-                                let rows = d.row_mut(r).iter_mut().zip(g.row(r));
-                                if assign {
-                                    rows.for_each(|(o, &x)| *o = x * s);
-                                } else {
-                                    rows.for_each(|(o, &x)| *o += x * s);
-                                }
-                            }
-                        };
-                        apply_map(head, arena, p, g.shape(), |h, d| scaled(h, d, true), |h, d| {
-                            scaled(h, d, false)
-                        });
+                        apply_map(
+                            head,
+                            arena,
+                            p,
+                            g.shape(),
+                            |h, d| kernels::mul_col_broadcast_into(d, g, &h[weights.0].value, ci),
+                            |h, d| kernels::mul_col_broadcast_acc(d, g, &h[weights.0].value, ci),
+                        );
                     }
                     // Weight column c gets the row dots of `g` with part c.
-                    let dots = |h: &[Node], d: &mut Matrix, assign: bool| {
-                        for r in 0..g.rows() {
-                            let grow = g.row(r);
-                            for (o, &p) in d.row_mut(r).iter_mut().zip(parts) {
-                                let x = kernels::dot(grow, h[p.0].value.row(r));
-                                if assign {
-                                    *o = x;
-                                } else {
-                                    *o += x;
-                                }
-                            }
-                        }
-                    };
                     let shape = head[weights.0].value.shape();
-                    apply_map(head, arena, *weights, shape, |h, d| dots(h, d, true), |h, d| {
-                        dots(h, d, false)
-                    });
+                    apply_map(
+                        head,
+                        arena,
+                        *weights,
+                        shape,
+                        |h, d| {
+                            for (ci, p) in parts.iter().enumerate() {
+                                kernels::row_dot_into(d, ci, g, &h[p.0].value);
+                            }
+                        },
+                        |h, d| {
+                            for (ci, p) in parts.iter().enumerate() {
+                                kernels::row_dot_acc(d, ci, g, &h[p.0].value);
+                            }
+                        },
+                    );
                 }
                 Op::RowDot(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
@@ -612,8 +601,8 @@ impl Graph {
                             arena,
                             p,
                             shape,
-                            |h, d| kernels::mul_col_broadcast_into(d, &h[o.0].value, g),
-                            |h, d| kernels::mul_col_broadcast_acc(d, &h[o.0].value, g),
+                            |h, d| kernels::mul_col_broadcast_into(d, &h[o.0].value, g, 0),
+                            |h, d| kernels::mul_col_broadcast_acc(d, &h[o.0].value, g, 0),
                         );
                     }
                 }

@@ -6,17 +6,18 @@
 //! a synthetic frozen [`ServeIndex`] (seeded uniform
 //! representations — serving cost depends only on shapes, not on how
 //! the embeddings were trained) and drives the batched scoring path
-//! `recommend_batch_into_with`: each worker sweeps whole catalogs into
-//! its thread-local scratch and writes finished top-k rows into the
-//! caller's output slice. Batch sizes shrink as catalogs grow so a
-//! measurement iteration stays near constant work.
+//! `recommend_batch_into_with`: each worker reads the catalog once for
+//! all of its users and streams every score into that user's top-k
+//! heap, which lives in the caller's output slice. Batch sizes shrink
+//! as catalogs grow so a measurement iteration stays near constant
+//! work.
 //!
 //! The `serve_alloc` row is the inference-side arena discipline made
-//! checkable: after one warmup request (which mints the per-thread
-//! score buffer and selection heap), a batch request must perform
-//! **zero** heap allocations. Counts come from the counting global
-//! allocator and are exact integers, so the CI `--regression-gate`
-//! compares them directly — no timing noise on a shared 1-CPU runner.
+//! checkable: after one warmup request (which mints each worker's
+//! per-user selection state), a batch request must perform **zero**
+//! heap allocations. Counts come from the counting global allocator and
+//! are exact integers, so the CI `--regression-gate` compares them
+//! directly — no timing noise on a shared 1-CPU runner.
 //!
 //! Run with `cargo bench -p gnmr-bench --bench serve`. `-- --quick-smoke`
 //! short-runs the smallest catalog and leaves the archive untouched;
@@ -102,8 +103,8 @@ fn serve_batch(w: &mut Workload, threads: usize) {
 
 /// Allocation count of one batch request after per-thread scratch
 /// warmup, at 1 thread (the profile the committed baseline records).
-/// Must be 0: the catalog score buffer and the selection heap are both
-/// minted by the warmup call and reused forever after.
+/// Must be 0: the per-user selection state is minted by the warmup call
+/// and reused forever after, and the heaps live in the output rows.
 fn steady_batch_allocs(w: &mut Workload) -> u64 {
     harness::steady_allocations(|| serve_batch(w, 1))
 }

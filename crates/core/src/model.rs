@@ -189,15 +189,14 @@ impl Gnmr {
     /// score ties (`total_cmp` — NaN-safe).
     ///
     /// Ranks through [`kernels::rank_rows`], the same path `gnmr-serve`
-    /// serves with: the full-catalog sweep (partitioned across the worker
-    /// pool for large catalogs), then bounded partial selection with a
+    /// serves with: one full-catalog sweep on the calling thread that
+    /// streams each score into a bounded partial selection behind a
     /// sorted-exclude merge walk — O(n + e + k log k).
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let (urepr, vrepr) = self.reprs();
         let mut excl = exclude.to_vec();
         excl.sort_unstable();
-        let mut scratch = kernels::RankScratch::new();
-        kernels::rank_rows(vrepr, urepr.row(user as usize), k, &excl, &mut scratch).to_vec()
+        kernels::rank_rows(vrepr, urepr.row(user as usize), k, &excl)
     }
 }
 

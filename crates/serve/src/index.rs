@@ -3,20 +3,22 @@
 //!
 //! [`ServeIndex`] holds the fused user/item representation matrices and
 //! answers top-k queries through the same canonical kernels the trainer
-//! scores with ([`kernels::dot`], [`kernels::rank_rows_with`]), so a
-//! served list is byte-identical to what `Gnmr::recommend` would
-//! produce from the same snapshot. Two shapes of query:
+//! scores with ([`kernels::dot`], [`kernels::rank_rows`],
+//! [`kernels::rank_rows_into`]), so a served list is byte-identical to
+//! what `Gnmr::recommend` would produce from the same snapshot. Two
+//! shapes of query:
 //!
-//! * **latency** — [`ServeIndex::recommend`] parallelizes one user's
-//!   catalog sweep across the worker pool;
+//! * **one user** — [`ServeIndex::recommend`] sweeps the catalog for
+//!   one user on the calling thread;
 //! * **throughput** — [`ServeIndex::recommend_batch_into`] partitions a
-//!   *batch of users* across the pool instead: each worker scores whole
-//!   users into its own thread-local catalog buffer and writes finished
-//!   top-k rows straight into the caller's output slice. After each
-//!   worker has warmed its scratch (first request at a given catalog
-//!   size), the steady state performs **zero heap allocations per
-//!   request** — the arena discipline, applied to inference, enforced by
-//!   the counting-allocator row in the `serve` bench gate.
+//!   *batch of users* across the pool: each worker reads the catalog
+//!   once for all of its users, streams every score into that user's
+//!   top-k heap, and keeps the heaps in the caller's output slice. After
+//!   each worker has warmed its scratch (a few words of selection state
+//!   per user, minted by its first request at a given batch size), the
+//!   steady state performs **zero heap allocations per request** — the
+//!   arena discipline, applied to inference, enforced by the
+//!   counting-allocator row in the `serve` bench gate.
 
 use std::cell::RefCell;
 
@@ -27,8 +29,8 @@ use crate::snapshot::ModelSnapshot;
 
 /// Per-user exclusion lists (already-seen items) in CSR layout: row `u`
 /// is `items[indptr[u]..indptr[u + 1]]`, sorted ascending — the shape
-/// the merge-walk in [`kernels::top_k_select_excluding`] consumes with
-/// zero per-request work.
+/// the exclusion merge walk in [`kernels::rank_rows_into`] consumes
+/// with zero per-request work.
 pub struct ExcludeLists {
     indptr: Vec<usize>,
     items: Vec<u32>,
@@ -67,8 +69,8 @@ impl ExcludeLists {
 }
 
 thread_local! {
-    /// Per-thread ranking scratch (catalog score buffer plus selection
-    /// heap): minted once per worker thread and reused across every
+    /// Per-thread ranking scratch (a few words of selection state per
+    /// user): minted once per worker thread and reused across every
     /// request that thread ever serves.
     static RANK_SCRATCH: RefCell<kernels::RankScratch> = const { RefCell::new(kernels::RankScratch::new()) };
 }
@@ -135,22 +137,22 @@ impl ServeIndex {
         kernels::dot(self.user_repr.row(user as usize), self.item_repr.row(item as usize))
     }
 
-    /// Latency-shaped query: one user's top-`k`, with the catalog sweep
-    /// partitioned across the worker pool. `exclude` must be sorted
-    /// ascending. Returns up to `k` `(item, score)` pairs in the
-    /// deterministic `(score desc, item asc)` order.
+    /// One user's top-`k`, swept on the calling thread through
+    /// [`kernels::rank_rows`]. `exclude` must be sorted ascending.
+    /// Returns up to `k` `(item, score)` pairs in the deterministic
+    /// `(score desc, item asc)` order.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        let mut scratch = kernels::RankScratch::new();
-        kernels::rank_rows(&self.item_repr, self.user_repr.row(user as usize), k, exclude, &mut scratch).to_vec()
+        kernels::rank_rows(&self.item_repr, self.user_repr.row(user as usize), k, exclude)
     }
 
     /// Throughput-shaped query on an explicit thread count: scores
     /// `users` and writes each user's top-`k` row into
     /// `out[i * k..(i + 1) * k]`, padding short rows with
     /// `(u32::MAX, f32::NEG_INFINITY)`. The *user batch* is partitioned
-    /// across the worker pool — each worker sweeps whole catalogs into
-    /// its thread-local scratch — so after per-thread warmup the steady
-    /// state allocates nothing.
+    /// across the worker pool, and each worker ranks its users in one
+    /// pass over the catalog ([`kernels::rank_rows_into`]) with its
+    /// thread-local scratch, so after per-thread warmup the steady state
+    /// allocates nothing.
     pub fn recommend_batch_into_with(
         &self,
         users: &[u32],
@@ -178,22 +180,18 @@ impl ServeIndex {
             return;
         }
         par::for_each_row_chunk(out, users.len(), threads, |range, chunk| {
+            let users = &users[range];
             RANK_SCRATCH.with(|cell| {
+                let exclude = |i: usize| excludes.row(users[i] as usize);
                 let scratch = &mut *cell.borrow_mut();
-                for (row, &user) in chunk.chunks_mut(k).zip(&users[range]) {
-                    let (user_row, exclude) = (self.user_repr.row(user as usize), excludes.row(user as usize));
-                    let sel = kernels::rank_rows_with(&self.item_repr, user_row, k, exclude, scratch, 1);
-                    row[..sel.len()].copy_from_slice(sel);
-                    // `u32::MAX` is never a real item: `new` bounds the catalog below it.
-                    row[sel.len()..].fill((u32::MAX, f32::NEG_INFINITY));
-                }
+                kernels::rank_rows_into(chunk, &self.item_repr, &self.user_repr, users, k, exclude, scratch);
             });
         });
     }
 
     /// [`ServeIndex::recommend_batch_into_with`] on the shared
     /// thread-count config (serial below the kernel layer's minimum
-    /// work threshold, like the `row_dots`/`rank_rows` sweeps).
+    /// work threshold, like the `row_dots` sweep).
     pub fn recommend_batch_into(&self, users: &[u32], k: usize, excludes: &ExcludeLists, out: &mut [(u32, f32)]) {
         let work = users.len() * self.item_repr.len();
         let threads = if work < kernels::min_work() { 1 } else { par::num_threads() };

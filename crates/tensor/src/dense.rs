@@ -391,7 +391,7 @@ impl Matrix {
     pub fn row_dot(&self, other: &Matrix) -> Matrix {
         self.assert_same_shape(other, "row_dot");
         let mut out = Matrix::zeros(self.rows, 1);
-        kernels::row_dot_into(&mut out, self, other);
+        kernels::row_dot_into(&mut out, 0, self, other);
         out
     }
 

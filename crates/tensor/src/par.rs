@@ -2,13 +2,13 @@
 //! **persistent worker pool** with row-range partitioning, plus the
 //! workspace-wide thread-count config.
 //!
-//! The workspace's parallel loops — the ranking sweeps
-//! (`kernels::row_dots`, `kernels::rank_rows`), the serving batch, the
-//! evaluation protocol and the repro harness — route through this
-//! module, so a single knob governs the whole binary. Training (the
-//! forward's products, the backward and the optimizer) runs on the
-//! calling thread and never dispatches here. The thread count
-//! resolves, in order:
+//! The workspace's parallel loops — the `kernels::row_dots` sweep, the
+//! serving batch (users split across workers), the evaluation protocol
+//! and the repro harness — route through this module, so a single knob
+//! governs the whole binary. Training (the forward's products, the
+//! backward and the optimizer) and ranking one user
+//! (`kernels::rank_rows`) run on the calling thread and never dispatch
+//! here. The thread count resolves, in order:
 //!
 //! 1. a programmatic override set with [`set_threads`];
 //! 2. the `GNMR_THREADS` environment variable (positive integer, **read

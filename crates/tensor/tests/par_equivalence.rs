@@ -4,8 +4,10 @@
 //! must match an independent plain-loop reference, on a dirty
 //! destination where its contract allows one, across random shapes and
 //! degenerate cases (empty matrices, single rows, nnz = 0 CSRs); the
-//! kernels that dispatch on the pool (`row_dots`, `rank_rows`) must
-//! match their lane-order reference at every thread count (1, 2, 4).
+//! one sweep that dispatches on the pool (`row_dots`) must match its
+//! lane-order reference at every thread count (1, 2, 4), and the
+//! ranking kernels (`rank_rows`, `rank_rows_into`) a full sort of
+//! lane-order scores.
 //!
 //! Every exact assertion compares bit patterns ([`bits`]), not `f32`
 //! values: `==` treats −0.0 and +0.0 as equal, and the contract does
@@ -188,10 +190,9 @@ fn spmm_pair_matches_references(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseR
 }
 
 /// RAII guard lifting the oversubscription guard for one test body: an
-/// explicit `set_threads` override makes `row_dots_with(t)` and
-/// `rank_rows_with(t)` run the genuine parallel code paths even on a
-/// single-core machine (where implicit config would inline them
-/// serially). Dropped on any exit —
+/// explicit `set_threads` override makes `row_dots_with(t)` run the
+/// genuine parallel code path even on a single-core machine (where
+/// implicit config would inline it serially). Dropped on any exit —
 /// including proptest's early assert-returns — so the global never
 /// leaks. Other tests dispatching concurrently while the override is
 /// up merely switch code paths; their bytes are invariant, which is
@@ -554,29 +555,43 @@ proptest! {
     fn mul_col_broadcast_fused_match_allocate_then_combine(
         (dst0, src) in elementwise_inputs(),
         col_seed in -3.0f32..3.0,
+        (cols, pick) in (1usize..5, 0usize..5),
     ) {
-        let col = Matrix::from_fn(src.rows(), 1, |r, _| ((r as f32) * 0.37 + col_seed).sin());
-        let product = src.mul_col_broadcast(&col);
+        // The scale is column `col` of an `n x cols` weight matrix (the
+        // `WeightedSum` shape; `RowDot` passes one column).
+        let col = pick % cols;
+        let w = Matrix::from_fn(src.rows(), cols, |r, c| ((r * cols + c) as f32 * 0.37 + col_seed).sin());
+        let scale = Matrix::from_fn(src.rows(), 1, |r, _| w.get(r, col));
+        let product = src.mul_col_broadcast(&scale);
         let mut expected = dst0.clone();
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
         let mut dirty = dst0.clone();
-        kernels::mul_col_broadcast_into(&mut dirty, &src, &col);
+        kernels::mul_col_broadcast_into(&mut dirty, &src, &w, col);
         prop_assert_eq!(bits(dirty.data()), bits(product.data()));
         let mut acc = dst0.clone();
-        kernels::mul_col_broadcast_acc(&mut acc, &src, &col);
+        kernels::mul_col_broadcast_acc(&mut acc, &src, &w, col);
         prop_assert_eq!(bits(acc.data()), bits(expected.data()));
     }
 
     #[test]
-    fn row_dot_fused_match_allocate_then_combine((a, b) in elementwise_inputs()) {
+    fn row_dot_fused_match_allocate_then_combine((a, b) in elementwise_inputs(), (cols, pick) in (1usize..5, 0usize..5)) {
         // Per-row dots in the canonical lane order (the reference never
-        // shares code with the kernel under test), over a dirty buffer.
-        let product = Matrix::from_fn(a.rows(), 1, |r, _| lane_dot_ref(a.row(r), b.row(r)));
-        let mut dirty = Matrix::from_fn(a.rows(), 1, |r, _| (r as f32 * 0.61 - 1.3).cos());
-        kernels::row_dot_into(&mut dirty, &a, &b);
-        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
+        // shares code with the kernel under test), into column `col` of
+        // a dirty `n x cols` buffer whose other columns stay as they were.
+        let col = pick % cols;
+        let dots: Vec<f32> = (0..a.rows()).map(|r| lane_dot_ref(a.row(r), b.row(r))).collect();
+        let dst0 = Matrix::from_fn(a.rows(), cols, |r, c| ((r * cols + c) as f32 * 0.61 - 1.3).cos());
+        let product = Matrix::from_fn(a.rows(), cols, |r, c| if c == col { dots[r] } else { dst0.get(r, c) });
+        let summed =
+            Matrix::from_fn(a.rows(), cols, |r, c| if c == col { dst0.get(r, c) + dots[r] } else { dst0.get(r, c) });
+        let mut dirty = dst0.clone();
+        kernels::row_dot_into(&mut dirty, col, &a, &b);
+        prop_assert_eq!(bits(dirty.data()), bits(product.data()), "into");
+        let mut acc = dst0.clone();
+        kernels::row_dot_acc(&mut acc, col, &a, &b);
+        prop_assert_eq!(bits(acc.data()), bits(summed.data()), "acc");
     }
 
     #[test]
@@ -831,14 +846,16 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
 
 // ----- auto-dispatch wrappers -----------------------------------------
 //
-// Each ranking sweep with a `*_with(threads)` form has a wrapper that
-// picks its thread count from the shared config (`row_dots`,
-// `rank_rows`). The wrapper contract is pure delegation: identical
-// bytes to the explicit form for any config. `set_min_work(Some(1))` forces the
-// wrappers down their genuine parallel routes even on test-sized
-// shapes; this test is the single owner of that global (a second
-// concurrent owner could observe the other's override — the bytes
-// would still match, but the `min_work` value assertions would race).
+// `row_dots_with(threads)` has a wrapper that picks its thread count
+// from the shared config (`row_dots`). The wrapper contract is pure
+// delegation: identical bytes to the explicit form for any config.
+// `set_min_work(Some(1))` forces the wrapper down its genuine parallel
+// route even on test-sized shapes, and the ranking kernels, which run
+// on the calling thread, must give the full-sort reference's lists
+// under that config too; this test is the single owner of that global
+// (a second concurrent owner could observe the other's override — the
+// bytes would still match, but the `min_work` value assertions would
+// race).
 
 /// RAII guard forcing every auto-dispatch wrapper onto the parallel
 /// route; restores the default threshold on any exit.
@@ -881,19 +898,23 @@ fn auto_wrappers_match_explicit_thread_counts() {
     for t in 1..=3usize {
         assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&serial), "row_dots_with threads={t}");
     }
-    let mut scratch = kernels::RankScratch::new();
-    let want = kernels::rank_rows_with(&base, &query, 4, &[1, 5], &mut scratch, 1).to_vec();
-    assert_eq!(pair_bits(kernels::rank_rows(&base, &query, 4, &[1, 5], &mut scratch)), pair_bits(&want), "rank_rows");
+    let want = pair_bits(&top_k_ref(&serial, 4, &[1, 5]));
+    assert_eq!(pair_bits(&kernels::rank_rows(&base, &query, 4, &[1, 5])), want, "rank_rows");
+    let queries = Matrix::from_vec(1, query.len(), query);
+    let mut out = vec![(0u32, f32::NAN); 4];
+    kernels::rank_rows_into(&mut out, &base, &queries, &[0], 4, |_| &[1, 5], &mut kernels::RankScratch::new());
+    assert_eq!(pair_bits(&out), want, "rank_rows_into");
 }
 
 // ----- canonical dot & top-k partial selection ------------------------
 //
 // The serving-path kernels: `dot` and `row_dots_into` must replay the
 // exact lane order (spec: `lane_dot_ref`), and the bounded partial
-// selection (`top_k_select_excluding`, and `rank_rows_with` on top of
-// it) must be exact-match — same indices, same order — against a full
-// sort under the deterministic `(score desc, index asc)` total order,
-// for every k from 0 past the candidate count.
+// selection (`top_k_select_excluding` over a score slice, and
+// `rank_rows`/`rank_rows_into`, which stream lane dots through the same
+// selector) must be exact-match — same indices, same order — against a
+// full sort under the deterministic `(score desc, index asc)` total
+// order, for every k from 0 past the candidate count.
 
 /// Full-sort reference for the selection kernels: the historical
 /// argsort path — rank every non-excluded candidate, truncate to k.
@@ -923,17 +944,20 @@ fn selection_inputs() -> impl Strategy<Value = (Vec<f32>, Vec<u32>)> {
     })
 }
 
-/// A catalog, a query and a sorted exclusion subset for `rank_rows`:
-/// entries drawn from a few coarse levels so equal dots (the tie-break
-/// path) are common.
-fn rank_inputs() -> impl Strategy<Value = (Matrix, Vec<f32>, Vec<u32>)> {
-    (0usize..60, 0usize..6).prop_flat_map(|(n, d)| {
+/// A catalog, a few queries and a sorted exclusion subset per query for
+/// the ranking kernels: entries drawn from a few coarse levels so equal
+/// dots (the tie-break path) are common, and each query excluding a
+/// different subset, so one query's exclusion cursor cannot stand in
+/// for another's.
+fn rank_inputs() -> impl Strategy<Value = (Matrix, Matrix, Vec<Vec<u32>>)> {
+    (0usize..60, 0usize..6, 1usize..5).prop_flat_map(|(n, d, q)| {
         let level = || (-2i8..3).prop_map(|v| v as f32 * 0.5);
         let catalog = proptest::collection::vec(level(), n * d).prop_map(move |v| Matrix::from_vec(n, d, v));
+        let queries = proptest::collection::vec(level(), q * d).prop_map(move |v| Matrix::from_vec(q, d, v));
         let excluded = proptest::collection::vec(0u8..3, n).prop_map(|mask| {
             mask.iter().enumerate().filter(|(_, &x)| x == 0).map(|(i, _)| i as u32).collect::<Vec<u32>>()
         });
-        (catalog, proptest::collection::vec(level(), d), excluded)
+        (catalog, queries, proptest::collection::vec(excluded, q))
     })
 }
 
@@ -955,20 +979,39 @@ proptest! {
     }
 
     #[test]
-    fn rank_rows_matches_full_sort_reference((catalog, query, exclude) in rank_inputs()) {
+    fn rank_rows_matches_full_sort_reference((catalog, queries, excludes) in rank_inputs()) {
         // The one path from representation rows to a top-k list, pinned
-        // bitwise against the full sort over lane-order scores; one
-        // scratch serves every call. The override lets 2 and 4 threads
-        // really split the sweep on a 1-core host.
-        let _caps = ThreadOverride::lift_caps();
-        let scores: Vec<f32> = (0..catalog.rows()).map(|r| lane_dot_ref(catalog.row(r), &query)).collect();
+        // bitwise against the full sort over lane-order scores: each
+        // query alone through `rank_rows`, and the whole batch (every
+        // query, then every query again in reverse, so ids repeat)
+        // through `rank_rows_into`, whose rows are padded to k. One
+        // scratch serves every batch call.
         let n = catalog.rows();
+        let q = queries.rows();
+        let ids: Vec<u32> = (0..q as u32).chain((0..q as u32).rev()).collect();
         let mut scratch = kernels::RankScratch::new();
-        for k in [0, 1, n, n + 3] {
-            let expected = pair_bits(&top_k_ref(&scores, k, &exclude));
-            for &t in &THREADS {
-                let got = kernels::rank_rows_with(&catalog, &query, k, &exclude, &mut scratch, t);
-                prop_assert_eq!(pair_bits(got), expected.clone(), "k={} threads={}", k, t);
+        for k in [0, 1, 3, n, n + 3] {
+            let expected: Vec<Vec<(u32, u32)>> = (0..q)
+                .map(|i| {
+                    let scores: Vec<f32> =
+                        (0..n).map(|r| lane_dot_ref(catalog.row(r), queries.row(i))).collect();
+                    pair_bits(&top_k_ref(&scores, k, &excludes[i]))
+                })
+                .collect();
+            for i in 0..q {
+                let got = kernels::rank_rows(&catalog, queries.row(i), k, &excludes[i]);
+                prop_assert_eq!(pair_bits(&got), expected[i].clone(), "rank_rows k={} query={}", k, i);
+            }
+            let mut out = vec![(7u32, f32::NAN); ids.len() * k];
+            kernels::rank_rows_into(&mut out, &catalog, &queries, &ids, k, |i| &excludes[ids[i] as usize], &mut scratch);
+            for (slot, &id) in ids.iter().enumerate() {
+                let want = &expected[id as usize];
+                let row = &out[slot * k..(slot + 1) * k];
+                prop_assert_eq!(pair_bits(&row[..want.len()]), want.clone(), "rank_rows_into k={} slot={}", k, slot);
+                prop_assert!(
+                    row[want.len()..].iter().all(|&(i, s)| i == u32::MAX && s == f32::NEG_INFINITY),
+                    "rank_rows_into k={} slot={}: padding", k, slot
+                );
             }
         }
     }

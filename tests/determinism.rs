@@ -36,18 +36,28 @@ fn different_seeds_differ() {
     });
 }
 
+/// Every user's top-10 list, ranked in one `recommend_batch` over all
+/// users of a `ServeIndex` built from the model: the batch is split
+/// across the pool at the configured thread count.
+fn recommend_all(model: &Gnmr, n_users: usize) -> Vec<Vec<(u32, f32)>> {
+    let index = ServeIndex::from_model(model).expect("fitted model");
+    let users: Vec<u32> = (0..n_users as u32).collect();
+    index.recommend_batch(&users, 10, &ExcludeLists::empty(n_users))
+}
+
 #[test]
 fn training_is_thread_count_invariant() {
     // The cross-thread half of the determinism contract: a full
     // training run must produce bitwise-identical parameters and
     // recommendation lists at every thread count. Training runs on the
-    // calling thread at every count; `recommend` ranks through
-    // `kernels::rank_rows`, which splits the catalog sweep across the
-    // pool. `GNMR_THREADS` is read once per process, so the in-process
+    // calling thread at every count; the lists come from a
+    // `ServeIndex` over the model's representations, whose
+    // `recommend_batch` splits the batch's users across the pool.
+    // `GNMR_THREADS` is read once per process, so the in-process
     // equivalent `par::set_threads` drives the sweep here ({1, 2, 4},
     // mirroring the satellite CI matrix that re-runs the whole suite
     // under GNMR_THREADS=1 and 4); `set_min_work(Some(1))` pushes even
-    // this tiny catalog's sweeps through the parallel path, which would
+    // this tiny catalog's batch through the parallel path, which would
     // otherwise stay serial below the work threshold and make the sweep
     // vacuous.
     gnmr::tensor::kernels::set_min_work(Some(1));
@@ -64,9 +74,7 @@ fn training_is_thread_count_invariant() {
             .iter()
             .map(|(name, m)| (name.to_string(), m.data().to_vec()))
             .collect();
-        let recs: Vec<Vec<(u32, f32)>> = (0..data.graph.n_users() as u32)
-            .map(|u| model.recommend(u, 10, &[]))
-            .collect();
+        let recs = recommend_all(&model, data.graph.n_users());
         (params, recs)
     };
     let result = std::panic::catch_unwind(|| {
@@ -94,9 +102,10 @@ fn resume_equivalence_is_thread_count_invariant() {
     // the thread sweep: a run checkpointed and killed mid-training,
     // then resumed by a fresh process, must land bitwise on the
     // uninterrupted run — parameters, fused representations, and full
-    // recommendation lists — at every thread count. As above,
-    // `set_min_work(Some(1))` forces the tiny model's ranking sweeps
-    // through their parallel path so the sweep is not vacuous.
+    // recommendation lists — at every thread count. As above, the lists
+    // come from a `ServeIndex` batch over every user, and
+    // `set_min_work(Some(1))` splits even the tiny model's batch across
+    // the pool so the sweep is not vacuous.
     gnmr::tensor::kernels::set_min_work(Some(1));
     let total_epochs = 4;
     let run = |threads: usize, kill_after: Option<usize>| {
@@ -131,9 +140,7 @@ fn resume_equivalence_is_thread_count_invariant() {
             .iter()
             .map(|m| m.data().iter().map(|v| v.to_bits()).collect())
             .collect();
-        let recs: Vec<Vec<(u32, f32)>> = (0..data.graph.n_users() as u32)
-            .map(|user| model.recommend(user, 10, &[]))
-            .collect();
+        let recs = recommend_all(&model, data.graph.n_users());
         (params, reprs, recs)
     };
     let result = std::panic::catch_unwind(|| {
