@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn non_manifest_fn_may_allocate() {
-        let f = run("pub fn row_dots_with(a: &M) -> M {\n    let out = Matrix::zeros(1, 1);\n    out\n}");
+        let f = run("pub fn row_dots(a: &M) -> M {\n    let out = Matrix::zeros(1, 1);\n    out\n}");
         assert!(f.is_empty());
     }
 

@@ -1,7 +1,8 @@
 //! Kernel-layer benchmarks: the serial matmul reference against the
-//! tiled kernel, one row per training kernel (they run on the calling
-//! thread), and the ranking sweep at multiple thread counts, with a
-//! machine-readable summary.
+//! tiled kernel, one row per kernel (every kernel runs on the calling
+//! thread), and a catalog sweep split over the worker pool at multiple
+//! thread counts (the `dispatch` cells), with a machine-readable
+//! summary.
 //!
 //! It times each (op, variant, threads) cell on the shared
 //! `gnmr_bench::harness` and writes `results/bench_kernels.json` — one
@@ -17,9 +18,9 @@
 //! `-- --quick-smoke` runs every cell for a few milliseconds instead of
 //! [`TARGET_MS`] and skips the JSON archive: a CI-friendly regression
 //! smoke test that exercises every kernel, and the persistent pool
-//! through the `row_dots` sweeps (including the sub-millisecond
-//! `dispatch` cells), without perturbing the recorded perf trajectory;
-//! it fails if the archive holds a row no cell produces any more.
+//! through the sub-millisecond `dispatch` cells, without perturbing the
+//! recorded perf trajectory; it fails if the archive holds a row no
+//! cell produces any more.
 
 use std::hint::black_box;
 
@@ -28,7 +29,7 @@ use gnmr::tensor::{init, kernels, par, rng, Csr, Matrix};
 use gnmr_bench::harness::{self, Budget, Mode, Reading, Timer};
 use rand::Rng;
 
-/// Thread counts the ranking sweep is measured at.
+/// Thread counts the `dispatch` pool sweep is measured at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Target wall-clock per measurement cell.
@@ -80,11 +81,11 @@ impl Cells {
         });
     }
 
-    /// Measures a ranking sweep: the serial reference and the `*_with`
-    /// entry point at each thread count, interleaved (see
-    /// `Timer::min_of_rounds`), so the speedup ratios stay meaningful
-    /// even when absolute ns drift between runs. The one-thread cell
-    /// re-runs the serial loop inline and is labeled "serial_1t".
+    /// Measures a pool sweep: the serial reference and the sweep at
+    /// each thread count, interleaved (see `Timer::min_of_rounds`), so
+    /// the speedup ratios stay meaningful even when absolute ns drift
+    /// between runs. The one-thread cell runs the sweep inline and is
+    /// labeled "serial_1t".
     fn push(
         &mut self,
         op: &'static str,
@@ -134,9 +135,9 @@ impl Cells {
         self.record(op, &shape, label.into(), 1, ns, serial_ns);
     }
 
-    /// Measures a single-variant op (training's kernels and the
-    /// optimizer take no thread count): one "serial" row, same
-    /// min-of-rounds discipline as [`Cells::push`].
+    /// Measures a single-variant op (no kernel takes a thread count):
+    /// one "serial" row, same min-of-rounds discipline as
+    /// [`Cells::push`].
     fn push_serial(&mut self, op: &'static str, shape: String, mut f: impl FnMut()) {
         f();
         let timer = self.timer;
@@ -178,10 +179,10 @@ fn skewed_csr(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
 }
 
 /// The `dispatch` cells' workload: a 1024 x 64 catalog and a query,
-/// 65,536 multiply-adds, the smallest sweep the bare `row_dots`
-/// dispatches (`PAR_MIN_WORK`). Its arithmetic is a few microseconds,
-/// so the fixed cost of handing chunks to workers shows in the
-/// parallel cells.
+/// 65,536 multiply-adds, the smallest batch the serving path splits
+/// over the pool (`PAR_MIN_WORK`). Its arithmetic is a few
+/// microseconds, so the fixed cost of handing chunks to workers shows
+/// in the parallel cells.
 fn dispatch_workload() -> (Matrix, Vec<f32>) {
     let (rows, cols) = (1024usize, 64);
     assert_eq!(
@@ -194,11 +195,25 @@ fn dispatch_workload() -> (Matrix, Vec<f32>) {
     (catalog, query)
 }
 
+/// The `dispatch` cells' pool sweep: the catalog's rows split over
+/// `threads` participants by `par::for_each_row_chunk`, one
+/// `kernels::dot` per row, the bytes of `kernels::row_dots` at every
+/// thread count. One thread runs inline, the pool's serial path.
+fn pool_sweep(catalog: &Matrix, query: &[f32], threads: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; catalog.rows()];
+    par::for_each_row_chunk(&mut out, catalog.rows(), threads, |range, chunk| {
+        for (o, r) in chunk.iter_mut().zip(range) {
+            *o = kernels::dot(catalog.row(r), query);
+        }
+    });
+    out
+}
+
 /// `--regression-gate`: re-measures the `dispatch` cells (the
 /// sub-millisecond sweep that isolates per-call pool handoff cost)
 /// and fails with exit code 1 if dispatch overhead at 2 threads —
 /// `ns(parallel2) - ns(serial_1t)`, both cells running the identical
-/// `row_dots_with` sweep so the difference is purely scheduler
+/// [`pool_sweep`] so the difference is purely scheduler
 /// bookkeeping — outgrew [`DISPATCH_BUDGET`] over the committed rows
 /// in `results/bench_kernels.json`. The archive is left untouched. Run
 /// by CI under `GNMR_THREADS=2`.
@@ -207,10 +222,10 @@ fn regression_gate(timer: Timer) -> ! {
     let (base_serial, base_par2) = (dispatch("serial_1t"), dispatch("parallel2"));
     let (catalog, query) = dispatch_workload();
     let mut one = || {
-        black_box(kernels::row_dots_with(&catalog, &query, 1));
+        black_box(pool_sweep(&catalog, &query, 1));
     };
     let mut two = || {
-        black_box(kernels::row_dots_with(&catalog, &query, 2));
+        black_box(pool_sweep(&catalog, &query, 2));
     };
     one();
     two();
@@ -260,20 +275,20 @@ fn main() {
 
     let mut cells = Cells { timer, records: Vec::new() };
 
-    // Per-call dispatch overhead: a `row_dots` sweep at PAR_MIN_WORK, so
-    // the arithmetic is a few microseconds and the fixed cost of handing
-    // chunks to workers dominates the parallel cells. This is the number
-    // the persistent pool exists to shrink, and the one the regression
-    // gate reads.
+    // Per-call dispatch overhead: a pool sweep at PAR_MIN_WORK against
+    // the serial `row_dots`, so the arithmetic is a few microseconds and
+    // the fixed cost of handing chunks to workers dominates the parallel
+    // cells. This is the number the persistent pool exists to shrink,
+    // and the one the regression gate reads.
     let (dcat, dquery) = dispatch_workload();
     cells.push(
         "dispatch",
         format!("{}x{}", dcat.rows(), dcat.cols()),
         || {
-            black_box(kernels::row_dots_with(&dcat, &dquery, 1));
+            black_box(kernels::row_dots(&dcat, &dquery));
         },
         |t| {
-            black_box(kernels::row_dots_with(&dcat, &dquery, t));
+            black_box(pool_sweep(&dcat, &dquery, t));
         },
     );
 
@@ -295,9 +310,9 @@ fn main() {
     );
 
     // A^T * B as used by the matmul backward pass (dB = A^T * g), a
-    // zeroed output like the tape's checkout. Training's kernels run on
-    // the calling thread, so this and the cells below up to `adam_step`
-    // are single-variant rows.
+    // zeroed output like the tape's checkout. Every kernel runs on the
+    // calling thread, so this and the cells below are single-variant
+    // rows.
     let at = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(3));
     let bt = init::uniform(1024, 96, -1.0, 1.0, &mut rng::seeded(4));
     cells.push_serial("matmul_tn", "1024x96^T*1024x96".into(), || {
@@ -380,16 +395,9 @@ fn main() {
     // Serving-path catalog scoring: one query against every item row.
     let catalog = init::uniform(20_000, 64, -1.0, 1.0, &mut rng::seeded(18));
     let query: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.37).sin()).collect();
-    cells.push(
-        "row_dots",
-        "20000x64".into(),
-        || {
-            black_box(kernels::row_dots_with(&catalog, &query, 1));
-        },
-        |t| {
-            black_box(kernels::row_dots_with(&catalog, &query, t));
-        },
-    );
+    cells.push_serial("row_dots", "20000x64".into(), || {
+        black_box(kernels::row_dots(&catalog, &query));
+    });
 
     println!("\n{:<10} {:<22} {:<10} {:>8} {:>14} {:>9}", "op", "shape", "variant", "threads", "ns/iter", "speedup");
     for r in &cells.records {

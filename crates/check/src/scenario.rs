@@ -49,7 +49,6 @@ pub fn all() -> &'static [Scenario] {
         Scenario { name: "dispatch-drain", fail_spawns: false, body: dispatch_drain },
         Scenario { name: "zero-workers", fail_spawns: true, body: zero_workers },
         Scenario { name: "nested-inline", fail_spawns: false, body: nested_inline },
-        Scenario { name: "fine-chunks", fail_spawns: false, body: fine_chunks },
         Scenario { name: "panic-propagation", fail_spawns: false, body: panic_propagation },
         Scenario { name: "grow-shrink-midflight", fail_spawns: false, body: grow_shrink_midflight },
         Scenario { name: "concurrent-dispatchers", fail_spawns: false, body: concurrent_dispatchers },
@@ -114,7 +113,10 @@ fn teardown() {
 // ----- scenarios -------------------------------------------------------
 
 /// One static-schedule dispatch: 2 chunks, caller + 1 worker racing
-/// the claim counter, then quiesce and retirement.
+/// the claim counter, then quiesce and retirement. The data check at
+/// quiesce sees a chunk that ran twice as well as one that never ran;
+/// the post-teardown recount catches a duplicate that ran after the
+/// dispatch returned.
 fn dispatch_drain() {
     par::set_threads(Some(2));
     let rows = 2;
@@ -129,7 +131,7 @@ fn dispatch_drain() {
             c[r] += 1;
         }
     });
-    assert!(data.iter().all(|&v| v == 1), "quiesce before all chunks ran: {data:?}");
+    assert!(data.iter().all(|&v| v == 1), "dispatch-drain: chunk effects not exactly once at quiesce: {data:?}");
     teardown();
     assert_exactly_once(&counts, "dispatch-drain");
 }
@@ -184,30 +186,6 @@ fn nested_inline() {
     assert!(data.iter().all(|&v| v == 1), "outer dispatch lost chunks: {data:?}");
     teardown();
     assert_exactly_once(&counts, "nested-inline");
-}
-
-/// An explicit plan with more chunks than participants, so the caller
-/// and the worker race the shared claim counter chunk after chunk. The
-/// post-teardown recount catches a chunk executed twice even when the
-/// duplicate ran after the dispatch quiesced.
-fn fine_chunks() {
-    par::set_threads(Some(2));
-    let rows = 4;
-    let mut data = vec![0u32; rows];
-    let counts = StdMutex::new(vec![0usize; rows]);
-    let ranges = par::partition(rows, 4);
-    par::for_each_row_chunk_ranges(&mut data, rows, &ranges, 2, |range, chunk| {
-        for v in chunk.iter_mut() {
-            *v += 1;
-        }
-        let mut c = counts.lock().unwrap_or_else(|e| e.into_inner());
-        for r in range {
-            c[r] += 1;
-        }
-    });
-    assert!(data.iter().all(|&v| v == 1), "fine-chunks: chunk effects not exactly once: {data:?}");
-    teardown();
-    assert_exactly_once(&counts, "fine-chunks");
 }
 
 /// A chunk panic must rethrow from the dispatch on the caller, and the

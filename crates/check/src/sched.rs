@@ -906,7 +906,7 @@ mod tests {
         assert_eq!(t.scenario, "dispatch-drain");
         assert_eq!(t.fault, None);
         assert_eq!(t.choices, vec![0, 1, 2]);
-        let t = Token::parse("v1:fine-chunks:racy-claim:").unwrap();
+        let t = Token::parse("v1:dispatch-drain:racy-claim:").unwrap();
         assert_eq!(t.fault.as_deref(), Some("racy-claim"));
         assert!(t.choices.is_empty());
         assert!(Token::parse("v0:x::1").is_err());

@@ -37,11 +37,6 @@ fn nested_inline_is_sound() {
 }
 
 #[test]
-fn fine_chunks_is_sound() {
-    explore("fine-chunks");
-}
-
-#[test]
 fn panic_propagation_is_sound() {
     explore("panic-propagation");
 }

@@ -48,7 +48,7 @@ fn skip_caller_drain_is_caught() {
 /// checks must object.
 #[test]
 fn racy_claim_is_caught() {
-    let failure = must_catch("fine-chunks", "racy-claim");
+    let failure = must_catch("dispatch-drain", "racy-claim");
     assert!(
         failure.reason.contains("exactly once"),
         "expected an exactly-once violation, got: {}",

@@ -88,8 +88,8 @@ pub fn evaluate<R: Recommender + ?Sized>(model: &R, test: &[EvalInstance], ns: &
 /// identical to the sequential version (per-instance metrics are
 /// independent). Instances are partitioned across the shared
 /// `gnmr_tensor::par` **persistent worker pool** — the same long-lived
-/// workers the ranking sweeps dispatch to, so one knob governs the
-/// whole binary and evaluation reuses the threads model scoring
+/// workers the serving batch splits its users over, so one knob
+/// governs the whole binary and evaluation reuses threads serving
 /// already warmed up.
 pub fn evaluate_parallel<R>(model: &R, test: &[EvalInstance], ns: &[usize], threads: usize) -> EvalReport
 where

@@ -23,12 +23,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of `&str`.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Renders with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -79,8 +73,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["Model", "HR", "NDCG"]);
-        t.row_str(&["BiasMF", "0.767", "0.490"]);
-        t.row_str(&["GNMR", "0.857", "0.575"]);
+        t.row(&["BiasMF".into(), "0.767".into(), "0.490".into()]);
+        t.row(&["GNMR".into(), "0.857".into(), "0.575".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -96,7 +90,7 @@ mod tests {
     #[should_panic(expected = "expected 2 cells")]
     fn wrong_arity_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_str(&["only one"]);
+        t.row(&["only one".into()]);
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl GraphStats {
             },
         }
     }
-
-    /// Renders a one-line summary in the style of the paper's Table I row.
-    pub fn table_row(&self, dataset: &str) -> String {
-        let behaviors: Vec<&str> = self.per_behavior.iter().map(|(n, _)| n.as_str()).collect();
-        format!(
-            "{dataset}\t{}\t{}\t{:.2e}\t{{{}}}",
-            self.n_users,
-            self.n_items,
-            self.n_interactions as f64,
-            behaviors.join(", ")
-        )
-    }
 }
 
 impl std::fmt::Display for GraphStats {
@@ -96,9 +84,6 @@ mod tests {
         assert_eq!(s.target_interactions, 2);
         assert!((s.target_density - 2.0 / 20.0).abs() < 1e-12);
         assert!((s.avg_target_degree - 0.5).abs() < 1e-12);
-        let row = s.table_row("demo");
-        assert!(row.contains("demo"));
-        assert!(row.contains("view, buy"));
         assert!(!format!("{s}").is_empty());
     }
 }

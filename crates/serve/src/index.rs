@@ -191,7 +191,7 @@ impl ServeIndex {
 
     /// [`ServeIndex::recommend_batch_into_with`] on the shared
     /// thread-count config (serial below the kernel layer's minimum
-    /// work threshold, like the `row_dots` sweep).
+    /// work threshold, `kernels::min_work`).
     pub fn recommend_batch_into(&self, users: &[u32], k: usize, excludes: &ExcludeLists, out: &mut [(u32, f32)]) {
         let work = users.len() * self.item_repr.len();
         let threads = if work < kernels::min_work() { 1 } else { par::num_threads() };

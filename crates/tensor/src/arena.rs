@@ -40,10 +40,6 @@
 //!   a lock, a walk over one width's shelves, a `Vec` pop/push, and
 //!   nothing else. The tape is a serial orchestrator, so the lock is
 //!   uncontended in practice.
-//! * **Scoped reset.** [`Arena::reset`] drops all pooled storage. Call
-//!   it at workload boundaries (a new dataset, a different model
-//!   shape) — *not* per epoch, or the next epoch re-allocates the
-//!   population the arena exists to keep warm.
 //!
 //! Buffers are plain [`Matrix`] values once checked out: forgetting to
 //! check one back in is a lost *reuse*, never a leak or a soundness
@@ -129,13 +125,6 @@ impl Arena {
         // A zero-width buffer holds any number of rows.
         let key = (cols, data.capacity().checked_div(cols).unwrap_or(usize::MAX));
         self.shelves.lock().expect("arena poisoned").entry(key).or_default().push(data);
-    }
-
-    /// Drops every pooled buffer and its shelf. Use at
-    /// workload boundaries when the shape population changes; calling
-    /// this inside a steady-state loop defeats the arena.
-    pub fn reset(&self) {
-        self.shelves.lock().expect("arena poisoned").clear();
     }
 
     /// Number of checkouts that had to allocate because no shelved
@@ -257,18 +246,6 @@ mod tests {
         for (a, b) in z.data().iter().zip(fresh.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn reset_drops_pooled_buffers() {
-        let arena = Arena::new();
-        arena.checkin(Matrix::zeros(1, 8));
-        arena.checkin(Matrix::zeros(1, 8));
-        assert_eq!(arena.pooled(), 2);
-        arena.reset();
-        assert_eq!(arena.pooled(), 0);
-        let _ = arena.checkout(1, 8);
-        assert_eq!(arena.minted(), 1);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     /// A `1 x 1` matrix holding `value`.
     pub fn scalar(value: f32) -> Self {
         Self::from_vec(1, 1, vec![value])
@@ -440,7 +435,7 @@ mod tests {
         assert!(z.data().iter().all(|&v| v == 0.0));
         let o = Matrix::ones(1, 4);
         assert_eq!(o.sum(), 4.0);
-        let e = Matrix::eye(3);
+        let e = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(e.get(0, 0), 1.0);
         assert_eq!(e.get(0, 1), 0.0);
         assert_eq!(e.sum(), 3.0);
@@ -516,7 +511,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = sample();
-        let i = Matrix::eye(3);
+        let i = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         assert!(a.matmul(&i).approx_eq(&a, 1e-6));
     }
 

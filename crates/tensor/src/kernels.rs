@@ -1,10 +1,7 @@
 //! The kernel layer: tiled, vectorized implementations of the
 //! workspace's hot linear-algebra loops, plus the serial matmul
 //! reference the tiled path is tested against. Every kernel runs on
-//! the calling thread except the [`row_dots`] sweep, which dispatches
-//! on the persistent worker pool in [`crate::par`], so even a
-//! sub-millisecond sweep pays only a few microseconds of handoff rather
-//! than per-call thread spawns.
+//! the calling thread; none dispatches on the worker pool.
 //!
 //! [`Matrix`] and [`Csr`] delegate their
 //! public ops here, so this module is the single landing zone for future
@@ -21,30 +18,29 @@
 //!   elementwise family ([`add_assign`], [`axpy`], [`scale_into`],
 //!   [`scale_assign`], [`zip_map_into`], [`zip_map_acc`]) and the
 //!   row-wise kernels ([`row_dot_into`], [`row_dot_acc`],
-//!   `mul_col_broadcast_*`, `softmax_rows_backward_*`); so do [`row_dots_into`] and the
-//!   ranking kernels ([`rank_rows`], [`rank_rows_into`]). A product
-//!   at the model's width is tens of microseconds, too little to pay for
-//!   a dispatch, and a step that never dispatches allocates the same at
+//!   `mul_col_broadcast_*`, `softmax_rows_backward_*`); so do the
+//!   catalog sweeps ([`row_dots`], [`row_dots_into`]) and the ranking
+//!   kernels ([`rank_rows`], [`rank_rows_into`]). A product at the
+//!   model's width is tens of microseconds, too little to pay for a
+//!   dispatch, and a step that never dispatches allocates the same at
 //!   any thread count. Each of these loops takes its operands as
-//!   slices, like `spmm_t_scatter`. The serving batch splits *users*
-//!   across the pool and runs [`rank_rows_into`] once per worker.
-//! * Only [`row_dots`] dispatches: it resolves the thread count from
-//!   [`crate::par`] and runs on one thread below [`min_work`] (default
-//!   [`PAR_MIN_WORK`]); [`row_dots_with`] takes an explicit one (used
-//!   by the equivalence tests and the benches).
+//!   slices, like `spmm_t_scatter`.
+//! * Parallelism lives one level up: the serving batch splits *users*
+//!   across the worker pool once its work reaches [`min_work`]
+//!   (default [`PAR_MIN_WORK`]) and runs [`rank_rows_into`] once per
+//!   worker.
 //! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
 //!   the tests and benches to compare the tiled [`matmul_acc`] against.
 //! * Allocating forms live on `Matrix` and `Csr` (`Matrix::matmul` and
 //!   `Csr::spmm`/`spmm_t` build a zeroed output and call [`matmul_acc`],
-//!   [`spmm_acc`] or [`spmm_t_acc`]); here only `row_dots`/
-//!   [`row_dots_with`] and [`rank_rows`] return new storage.
+//!   [`spmm_acc`] or [`spmm_t_acc`]); here only [`row_dots`] and
+//!   [`rank_rows`] return new storage.
 //!
 //! # Determinism and the canonical lane order
 //!
 //! Every kernel accumulates into each output element in one fixed
-//! order, and [`row_dots`] partitions *output rows* across workers, so
-//! its results are bitwise identical to its one-thread run at every
-//! thread count and under every chunk plan.
+//! order on the calling thread, so its bytes do not depend on the
+//! pool's thread count.
 //!
 //! Since the fixed-lane SIMD rewrite, the reference order itself is
 //! the **canonical lane order** (see [`LANES`]): reduction-style
@@ -68,15 +64,14 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dense::Matrix;
-use crate::par;
 use crate::sparse::Csr;
 
-/// Work threshold (in multiply-add units) below which the [`row_dots`]
-/// sweep and the serving batch stay on the calling thread: handing
-/// chunks to the persistent pool costs a
-/// few microseconds per call (condvar wake + completion wait — far
-/// below the old per-call thread spawn, but not free), so only sweeps
-/// with enough arithmetic to amortize it go parallel.
+/// Work threshold (in multiply-add units) below which the serving
+/// batch (`ServeIndex::recommend_batch_into`) stays on the calling
+/// thread: handing chunks to the persistent pool costs a few
+/// microseconds per call (condvar wake + completion wait — far below a
+/// per-call thread spawn, but not free), so only batches with enough
+/// arithmetic to amortize it go parallel. No kernel reads it.
 pub const PAR_MIN_WORK: usize = 64 * 1024;
 
 /// Override for the parallel work threshold; 0 means "use
@@ -84,19 +79,19 @@ pub const PAR_MIN_WORK: usize = 64 * 1024;
 static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets (or with `None` clears) the parallel work threshold the
-/// [`row_dots`] sweep and the serving batch compare against. `Some(1)`
-/// (the floor — `Some(0)` is clamped to it) sends each of them through
-/// its parallel route regardless of size, which is how the equivalence
-/// and determinism suites exercise those routes on test-sized shapes.
-/// Training's kernels and the ranking kernels never dispatch, so it
-/// does not reach them. Real tuning would raise or lower the
-/// threshold a few binary orders of magnitude around the default.
+/// serving batch compares against. `Some(1)` (the floor — `Some(0)` is
+/// clamped to it) sends every batch through its parallel route
+/// regardless of size, which is how the serving and determinism suites
+/// exercise that route on test-sized shapes. Every kernel runs on the
+/// calling thread, so it does not reach them. Real tuning would raise
+/// or lower the threshold a few binary orders of magnitude around the
+/// default.
 pub fn set_min_work(threshold: Option<usize>) {
     MIN_WORK_OVERRIDE.store(threshold.map_or(0, |t| t.max(1)), Ordering::Relaxed);
 }
 
-/// The active parallel work threshold of [`row_dots`] and the serving
-/// batch ([`PAR_MIN_WORK`] unless overridden via [`set_min_work`]).
+/// The active parallel work threshold of the serving batch
+/// ([`PAR_MIN_WORK`] unless overridden via [`set_min_work`]).
 pub fn min_work() -> usize {
     let o = MIN_WORK_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 { o } else { PAR_MIN_WORK }
@@ -312,17 +307,6 @@ fn nt_strip_lanes(acc: &mut [[f32; LANES]; LANES], arow: &[f32], panel: &[f32]) 
 #[inline(always)]
 fn lane_sum_cols(acc: &[[f32; LANES]; LANES]) -> [f32; LANES] {
     std::array::from_fn(|c| lane_sum(std::array::from_fn(|l| acc[l][c])))
-}
-
-/// Resolves the thread count for a [`row_dots`] sweep: serial below
-/// [`min_work`], otherwise the shared [`par::num_threads`] config.
-#[inline]
-fn auto_threads(work: usize) -> usize {
-    if work < min_work() {
-        1
-    } else {
-        par::num_threads()
-    }
 }
 
 // ----- dense matmul ---------------------------------------------------
@@ -1139,34 +1123,14 @@ fn scatter_add_slices(indices: &[u32], src: &[f32], d: usize, out: &mut [f32]) {
     }
 }
 
-/// The full-catalog sweep behind [`row_dots_with`] and
-/// [`row_dots_into`]: `dst[r] = <mat.row(r), vec>`, each row a
-/// [`dot_lanes`] dot in the canonical lane order, rows partitioned
-/// across `threads` (one thread runs inline).
-fn row_dots_sweep(dst: &mut [f32], mat: &Matrix, vec: &[f32], threads: usize) {
-    assert_eq!(mat.cols(), vec.len(), "row_dots: vector length {} != {} cols", vec.len(), mat.cols());
-    assert_eq!(dst.len(), mat.rows(), "row_dots: dst length {} != {} rows", dst.len(), mat.rows());
-    let d = mat.cols();
-    let md = mat.data();
-    par::for_each_row_chunk(dst, mat.rows(), threads, |range, chunk| {
-        for (o, r) in chunk.iter_mut().zip(range) {
-            *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
-        }
-    });
-}
-
-/// Dot product of every row of `mat` against `vec`, on an explicit
-/// number of threads. This is the full-catalog scoring primitive; each
-/// row is a `dot_lanes` dot in the canonical lane order.
-pub fn row_dots_with(mat: &Matrix, vec: &[f32], threads: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; mat.rows()];
-    row_dots_sweep(&mut out, mat, vec, threads);
-    out
-}
-
-/// Row dots with the shared thread-count config.
+/// Dot product of every row of `mat` against `vec`, on the calling
+/// thread: the full-catalog scoring primitive, each row a `dot_lanes`
+/// dot in the canonical lane order ([`row_dots_into`] into new
+/// storage).
 pub fn row_dots(mat: &Matrix, vec: &[f32]) -> Vec<f32> {
-    row_dots_with(mat, vec, auto_threads(mat.len()))
+    let mut out = vec![0.0f32; mat.rows()];
+    row_dots_into(&mut out, mat, vec);
+    out
 }
 
 /// Canonical fixed-lane dot product of two equal-length slices — the
@@ -1179,12 +1143,17 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     dot_lanes(x, y)
 }
 
-/// Serial [`row_dots`] into a caller-provided buffer:
+/// [`row_dots`] into a caller-provided buffer:
 /// `dst[r] = <mat.row(r), vec>` in the canonical lane order, allocating
-/// nothing. Meant for callers already inside a pool worker, where a
-/// nested dispatch would run inline anyway.
+/// nothing.
 pub fn row_dots_into(dst: &mut [f32], mat: &Matrix, vec: &[f32]) {
-    row_dots_sweep(dst, mat, vec, 1);
+    assert_eq!(mat.cols(), vec.len(), "row_dots: vector length {} != {} cols", vec.len(), mat.cols());
+    assert_eq!(dst.len(), mat.rows(), "row_dots: dst length {} != {} rows", dst.len(), mat.rows());
+    let d = mat.cols();
+    let md = mat.data();
+    for (r, o) in dst.iter_mut().enumerate() {
+        *o = dot_lanes(&md[r * d..(r + 1) * d], vec);
+    }
 }
 
 // ----- top-k partial selection ----------------------------------------
@@ -1618,7 +1587,7 @@ mod tests {
     fn row_dots_matches_manual() {
         let m = mat(12, 5, 0.4);
         let v: Vec<f32> = (0..5).map(|i| i as f32 * 0.2 - 0.3).collect();
-        let got = row_dots_with(&m, &v, 3);
+        let got = row_dots(&m, &v);
         for (r, &g) in got.iter().enumerate() {
             let expect: f32 = m.row(r).iter().zip(&v).map(|(a, b)| a * b).sum();
             assert!((g - expect).abs() < 1e-6);

@@ -13,12 +13,13 @@
 //!   *data-dependent* operations return `Result`.
 //! * Every randomized routine takes an explicit RNG; the workspace-wide
 //!   determinism contract is "same seed, same bytes".
-//! * Training's kernels run on the calling thread; the ranking sweeps
-//!   and evaluation run on the shared **persistent worker pool** in
-//!   [`par`] (long-lived workers parked on a condvar, spawned lazily
-//!   and reused across calls). The thread count is governed by one knob
-//!   (`GNMR_THREADS` / [`par::set_threads`]) and parallel results are
-//!   bitwise identical to the serial reference (see [`kernels`]).
+//! * Every kernel runs on the calling thread; the serving batch and
+//!   evaluation split their rows over the shared **persistent worker
+//!   pool** in [`par`] (long-lived workers parked on a condvar, spawned
+//!   lazily and reused across calls). The thread count is governed by
+//!   one knob (`GNMR_THREADS` / [`par::set_threads`]) and parallel
+//!   results are bitwise identical to the serial reference (see
+//!   [`par::for_each_row_chunk`]).
 
 pub mod arena;
 pub mod dense;

@@ -2,13 +2,14 @@
 //! **persistent worker pool** with row-range partitioning, plus the
 //! workspace-wide thread-count config.
 //!
-//! The workspace's parallel loops — the `kernels::row_dots` sweep, the
-//! serving batch (users split across workers), the evaluation protocol
-//! and the repro harness — route through this module, so a single knob
-//! governs the whole binary. Training (the forward's products, the
-//! backward and the optimizer) and ranking one user
-//! (`kernels::rank_rows`) run on the calling thread and never dispatch
-//! here. The thread count resolves, in order:
+//! The workspace's two parallel loops dispatch through
+//! [`for_each_row_chunk`]: the serving batch
+//! (`ServeIndex::recommend_batch_into_with`, users split across
+//! workers) and the evaluation protocol (`evaluate_parallel`, test
+//! instances split across workers), so a single knob governs the whole
+//! binary. No kernel dispatches here: training (the forward's products,
+//! the backward and the optimizer), the catalog sweeps and ranking run
+//! on the calling thread. The thread count resolves, in order:
 //!
 //! 1. a programmatic override set with [`set_threads`];
 //! 2. the `GNMR_THREADS` environment variable (positive integer, **read
@@ -25,7 +26,8 @@
 //! when [`set_threads`] lowers the configured count (surplus workers
 //! are retired and joined). Callers are still expected to gate small
 //! workloads to a serial path so even the (much smaller) dispatch
-//! overhead never dominates (see the `kernels` module).
+//! overhead never dominates (the serving batch compares its work
+//! against `kernels::min_work`).
 //!
 //! Dispatch can never deadlock on pool capacity: the dispatching thread
 //! participates in its own job and drains any chunks the workers have
@@ -41,11 +43,12 @@
 //! slice of the output, so there are no write races and no reduction
 //! step: any partition of the rows yields the same result as the serial
 //! loop, bit for bit, as long as the per-row computation is itself
-//! deterministic. All kernels in this crate are written that way, which
-//! preserves the workspace "same seed, same bytes" contract at every
-//! thread count. Which thread executes a chunk (a pool worker, the
-//! caller, or — for nested calls — the enclosing worker) never affects
-//! the bytes produced.
+//! deterministic. Both callers are written that way (a user's list and
+//! an instance's rank depend on that row alone), which preserves the
+//! workspace "same seed, same bytes" contract at every thread count.
+//! Which thread executes a chunk (a pool worker, the caller, or — for
+//! nested calls — the enclosing worker) never affects the bytes
+//! produced.
 
 // The workspace denies `unsafe_code`; this module is the single,
 // deliberate exception. Persistent workers outlive any one call, so
@@ -102,26 +105,42 @@ static HW_THREADS: OnceLock<usize> = OnceLock::new();
 /// `Some(0)` is treated as `None`. If the worker pool is already
 /// running, it is resized to match the new configuration: surplus
 /// workers are retired and joined immediately; growth happens eagerly
-/// too, so the next dispatch finds the pool ready.
+/// too, so the next dispatch finds the pool ready. Clearing the
+/// override sizes the pool the way dispatch does under `GNMR_THREADS`
+/// or the hardware default: no more workers than the machine can run
+/// beside the caller.
 pub fn set_threads(n: Option<usize>) {
     // ORDERING: Relaxed — the override is a standalone flag; no other
-    // memory is published through it, and `resize_pool` below reads the
-    // new value through `num_threads` on this same thread.
+    // memory is published through it, and the resize below reads the
+    // new value (through `num_threads` and `worker_cap`) on this same
+    // thread.
     OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-    resize_pool(num_threads().saturating_sub(1));
+    resize_pool(worker_cap(num_threads()));
 }
 
 /// Whether a programmatic [`set_threads`] override is active. An
-/// explicit override is an exact contract: dispatch honors it without
-/// the hardware-parallelism caps applied to implicit configuration
-/// (`GNMR_THREADS` / the default), both because the caller may know
-/// better than `available_parallelism` (cgroup misdetection) and so
-/// the cross-thread test suites exercise the full pool machinery on
-/// any machine.
+/// explicit override is an exact contract: dispatch and resizes honor
+/// it without the hardware-parallelism cap applied to implicit
+/// configuration (`GNMR_THREADS` / the default), both because the
+/// caller may know better than `available_parallelism` (cgroup
+/// misdetection) and so the cross-thread test suites exercise the full
+/// pool machinery on any machine.
 fn explicit_override() -> bool {
     // ORDERING: Relaxed — standalone flag, no dependent data (see the
     // store in `set_threads`).
     OVERRIDE.load(Ordering::Relaxed) > 0
+}
+
+/// The oversubscription guard: how many pool workers may join a caller
+/// that wants `threads` participants. That is `threads - 1`; under
+/// implicit configuration it is also at most `hardware_threads() - 1`,
+/// so neither a dispatch nor a resize spawns or wakes more workers than
+/// the machine can co-schedule with the caller, and an oversubscribed
+/// `GNMR_THREADS` never accumulates permanently parked threads. An
+/// explicit override lifts the cap (see [`explicit_override`]).
+fn worker_cap(threads: usize) -> usize {
+    let threads = if explicit_override() { threads } else { threads.min(hardware_threads()) };
+    threads.saturating_sub(1)
 }
 
 fn env_threads() -> Option<usize> {
@@ -182,10 +201,9 @@ pub fn partition(rows: usize, parts: usize) -> Vec<Range<usize>> {
 /// competitively by pool workers and the dispatching caller.
 ///
 /// Chunks are handed out one way: a shared counter, claimed one index
-/// at a time. That is already dynamic scheduling — a thread held up on
-/// a heavy chunk simply claims fewer of the rest — so uneven chunk
-/// weights need a finer plan (more, smaller ranges through
-/// `for_each_row_chunk_ranges`), not a second hand-out discipline.
+/// at a time. [`for_each_row_chunk`] cuts one chunk per participant,
+/// and whoever gets to the counter first takes the next chunk, so a
+/// worker that wakes late leaves its chunk to the caller.
 ///
 /// The queue holds `Arc<Job>` *notifications*; they are advisory — the
 /// caller always drains its own job to completion, so a notification
@@ -448,27 +466,16 @@ unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
 /// Runs `f(0)..f(chunks-1)` across the pool and the calling thread,
 /// returning when all chunks completed. `f` must tolerate concurrent
 /// invocation for distinct indices; each index is invoked exactly once.
-///
-/// `participants` caps how many threads (pool workers + the caller)
-/// share the job; the plan may cut more chunks than that, and each
-/// participant claims chunks until none remain.
-fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, f: &F) {
-    let participants = participants.clamp(1, chunks.max(1));
-    // The oversubscription guard: under *implicit* configuration
-    // (GNMR_THREADS or the hardware default), dispatch never spawns or
-    // wakes more workers than the machine can co-schedule with the
-    // caller. A programmatic `set_threads` override lifts the cap —
-    // an explicit contract, honored exactly (see [`explicit_override`]).
-    let hw_cap = if explicit_override() { usize::MAX } else { hardware_threads() };
-    // Single-core hardware under implicit config is the degenerate
-    // case: no worker could ever be woken (the notification cap below
-    // would be zero), so the job/queue machinery would only add
+/// At most `chunks - 1` workers join the caller (see [`worker_cap`]).
+fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, f: &F) {
+    let workers = worker_cap(chunks);
+    // No worker to join (one chunk, or single-core hardware under
+    // implicit config): the job/queue machinery would only add
     // allocation and lock traffic around a caller that drains every
     // chunk anyway. Run inline instead — chunk order 0..n, the serial
-    // reference order, identical bytes.
-    if chunks <= 1 || participants <= 1 || hw_cap <= 1 || IN_WORKER.with(|w| w.get()) {
-        // Serial / nested path: same chunks, same order as the serial
-        // reference — identical bytes, no queue involvement.
+    // reference order, identical bytes. Nested calls from a worker run
+    // inline the same way, with no queue involvement.
+    if workers == 0 || IN_WORKER.with(|w| w.get()) {
         for i in 0..chunks {
             f(i);
         }
@@ -488,25 +495,21 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, f: &F) {
         let mut st = shared.state.lock().unwrap();
         // Dispatch-driven growth obeys the same cap as the
         // notifications below: a dispatch only spawns workers it will
-        // also notify, so an oversubscribed implicit thread count
-        // never accumulates permanently parked threads.
-        grow_locked(&shared, &mut st, (participants - 1).min(hw_cap - 1));
-        // Bounded three ways. (1) By the workers actually alive: with
+        // also notify.
+        grow_locked(&shared, &mut st, workers);
+        // Bounded two ways. (1) By the workers actually alive: with
         // zero live workers (a pool shrunk to one thread, or thread
         // spawning failing) nothing is queued at all — the
         // caller-drains-own-job rule means the dispatch below
         // completes regardless, and the pool queue can never
-        // accumulate notifications no worker will pop. (2) By the
-        // requested participants. (3) By the hardware cap (implicit
-        // config only): waking a worker the machine cannot co-schedule
-        // with the caller buys zero concurrency and costs context
-        // switches and cache mixing mid-kernel, so GNMR_THREADS above
-        // the core count degenerates to the caller draining its own
-        // job — same bytes, none of the thrash. Un-woken notifications
-        // are never enqueued, keeping the queue bounded by what will
-        // actually be popped.
-        let notifications =
-            (participants - 1).min(st.live - st.retiring).min(hw_cap - 1);
+        // accumulate notifications no worker will pop. (2) By
+        // `workers`, which under implicit config holds the hardware
+        // cap: waking a worker the machine cannot co-schedule with the
+        // caller buys zero concurrency and costs context switches and
+        // cache mixing mid-sweep — same bytes, none of the thrash.
+        // Un-woken notifications are never enqueued, keeping the queue
+        // bounded by what will actually be popped.
+        let notifications = workers.min(st.live - st.retiring);
         for _ in 0..notifications {
             st.queue.push_back(Arc::clone(&job));
         }
@@ -533,7 +536,7 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, participants: usize, f: &F) {
 /// chunk a disjoint `&mut` slice of the caller's buffer.
 struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only turned into `&mut` slices over disjoint
-// chunk ranges (asserted to tile by the dispatchers), so moving it
+// chunk ranges (`partition`'s, which tile the rows), so moving it
 // across threads cannot alias.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: shared access hands out only disjoint ranges — same
@@ -553,103 +556,53 @@ impl<T> SendPtr<T> {
 ///
 /// `data` must be row-aligned: `data.len()` must be a multiple of
 /// `rows` (the common case is a row-major matrix buffer, where the
-/// implied row width is `data.len() / rows`). Each claimed chunk is a
-/// disjoint `&mut` slice covering exactly the rows in its range, so the
-/// closure needs no synchronization. With `threads <= 1` (or a single
-/// row) the closure runs inline on the calling thread — the serial path
-/// and the parallel path execute identical per-row code. Nested calls
-/// from inside a chunk closure also run inline (serially, in chunk
-/// order) rather than re-entering the pool.
+/// implied row width is `data.len() / rows`). `threads` is clamped to
+/// `1..=rows`, and [`partition`] cuts the rows into that many chunks,
+/// one per participant (the caller and up to `threads - 1` workers).
+/// Each claimed chunk is a disjoint `&mut` slice covering exactly the
+/// rows in its range, so the closure needs no synchronization. With
+/// `threads <= 1` (or a single row) the closure runs inline on the
+/// calling thread — the serial path and the parallel path execute
+/// identical per-row code. Nested calls from inside a chunk closure
+/// also run inline (serially, in chunk order) rather than re-entering
+/// the pool.
 ///
 /// The call blocks until every chunk has completed; a panic inside the
 /// closure is rethrown on the calling thread after the job quiesces.
 ///
 /// # Panics
-/// If `rows > 0` and `data.len()` is not a multiple of `rows`.
+/// If `rows > 0` and `data.len()` is not a multiple of `rows`, or
+/// `rows == 0` and `data` is not empty; either way before `f` runs.
 pub fn for_each_row_chunk<T, F>(data: &mut [T], rows: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    assert_row_aligned(data.len(), rows, "for_each_row_chunk");
+    // Memory safety of the chunk slices below rests on this check, so
+    // it runs in release builds too.
+    let len = data.len();
+    assert!(
+        if rows == 0 { len == 0 } else { len.is_multiple_of(rows) },
+        "for_each_row_chunk: buffer length {len} is not row-aligned for {rows} rows"
+    );
     let threads = threads.clamp(1, rows.max(1));
     if threads <= 1 {
         f(0..rows, data);
         return;
     }
     let ranges = partition(rows, threads);
-    row_chunk_dispatch(data, rows, &ranges, threads, &f);
-}
-
-/// Like [`for_each_row_chunk`], but over an explicit, caller-supplied
-/// chunk plan: a caller can cut `ranges` finer than the thread count
-/// (e.g. [`partition`] into several chunks per thread), and the
-/// participants claim them one at a time. `threads` caps how many
-/// threads share the job (the plan may hold many more chunks than
-/// that).
-///
-/// `ranges` must be contiguous, in order, and cover `0..rows` exactly —
-/// the shape [`partition`] produces.
-/// Bytes written are independent of the plan and the thread count,
-/// because each row still belongs to exactly one chunk.
-///
-/// # Panics
-/// If `data` is not row-aligned or `ranges` does not tile `0..rows`;
-/// either way before `f` runs on any chunk.
-pub fn for_each_row_chunk_ranges<T, F>(data: &mut [T], rows: usize, ranges: &[Range<usize>], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    assert_row_aligned(data.len(), rows, "for_each_row_chunk_ranges");
-    assert_ranges_tile(ranges, rows, "for_each_row_chunk_ranges");
-    if rows == 0 {
-        f(0..0, data);
-        return;
-    }
-    row_chunk_dispatch(data, rows, ranges, threads, &f);
-}
-
-/// Shared dispatch body of the row-chunk entry points; `data` is
-/// already validated to be row-aligned and `ranges` to tile `0..rows`.
-fn row_chunk_dispatch<T, F>(data: &mut [T], rows: usize, ranges: &[Range<usize>], threads: usize, f: &F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    let width = data.len() / rows;
+    let width = len / rows;
     let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), threads, &|i: usize| {
+    run_chunks(ranges.len(), &|i: usize| {
         let range = ranges[i].clone();
-        // SAFETY: the ranges tile 0..rows (validated by the caller), so
-        // each chunk is an exclusive slice of `data`, which the caller
-        // borrows mutably for the whole (blocking) call.
+        // SAFETY: `partition`'s ranges tile 0..rows, so each chunk is
+        // an exclusive slice of `data`, which the caller borrows
+        // mutably for the whole (blocking) call.
         let chunk = unsafe {
             std::slice::from_raw_parts_mut(base.get().add(range.start * width), range.len() * width)
         };
         f(range, chunk);
     });
-}
-
-/// Asserts that a buffer of `len` elements splits into `rows` rows of
-/// equal width (and is empty when `rows == 0`).
-fn assert_row_aligned(len: usize, rows: usize, who: &str) {
-    assert!(
-        if rows == 0 { len == 0 } else { len.is_multiple_of(rows) },
-        "{who}: buffer length {len} is not row-aligned for {rows} rows"
-    );
-}
-
-/// Asserts that `ranges` is a contiguous, in-order tiling of `0..rows`.
-/// Memory safety of the chunk slices rests on this, so it runs in
-/// release builds too — O(chunks), off the per-row path.
-fn assert_ranges_tile(ranges: &[Range<usize>], rows: usize, who: &str) {
-    let mut next = 0usize;
-    for r in ranges {
-        assert!(r.start == next && r.end >= r.start, "{who}: ranges must tile 0..{rows} in order (got {r:?} at offset {next})");
-        next = r.end;
-    }
-    assert!(next == rows, "{who}: ranges cover 0..{next}, expected 0..{rows}");
 }
 
 // Unit tests run in `gnmr-tensor` only: `gnmr-check` includes this file
@@ -748,81 +701,19 @@ mod tests {
         assert!(after.iter().enumerate().all(|(r, &v)| v == r as u32));
     }
 
-    #[test]
-    fn fine_row_plan_matches_serial_bitwise() {
-        let rows = 41;
-        let width = 5;
-        let mut reference = vec![0u64; rows * width];
-        for_each_row_chunk(&mut reference, rows, 1, |range, chunk| {
-            for (local, r) in range.enumerate() {
-                for (c, v) in chunk[local * width..(local + 1) * width].iter_mut().enumerate() {
-                    *v = (r * 31 + c) as u64;
-                }
-            }
-        });
-        for threads in [2usize, 3, 4] {
-            // A deliberately fine plan: many more chunks than threads,
-            // so every participant claims several of them.
-            let ranges = partition(rows, threads * 5);
-            let mut out = vec![0u64; rows * width];
-            for_each_row_chunk_ranges(&mut out, rows, &ranges, threads, |range, chunk| {
-                for (local, r) in range.enumerate() {
-                    for (c, v) in chunk[local * width..(local + 1) * width].iter_mut().enumerate() {
-                        *v = (r * 31 + c) as u64;
-                    }
-                }
-            });
-            assert_eq!(out, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fine_plan_panic_propagates_and_pool_survives() {
-        let rows = 48;
-        let mut data = vec![0u8; rows];
-        let ranges = partition(rows, 12);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for_each_row_chunk_ranges(&mut data, rows, &ranges, 4, |range, _chunk| {
-                if range.contains(&33) {
-                    panic!("boom in a late chunk");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must cross a fine plan back to the caller");
-        let mut after = vec![0u32; rows];
-        for_each_row_chunk(&mut after, rows, 4, |range, chunk| {
-            for (local, r) in range.enumerate() {
-                chunk[local] = r as u32;
-            }
-        });
-        assert!(after.iter().enumerate().all(|(r, &v)| v == r as u32));
-    }
-
-    // The checks every `from_raw_parts_mut` above relies on. Each case
-    // hands the dispatcher an invalid buffer or plan and a closure that
-    // panics with a different message if it ever runs, so a case passes
-    // only when the named check fires before any chunk does.
+    // The check every `from_raw_parts_mut` above relies on: the case
+    // hands the dispatcher an unaligned buffer and a closure that panics
+    // with a different message if it ever runs, so it passes only when
+    // the check fires before any chunk does.
 
     fn never_called<T>(_: Range<usize>, _: &mut [T]) {
-        panic!("closure ran on an invalid plan");
+        panic!("closure ran on an unaligned buffer");
     }
 
     #[test]
-    #[should_panic(expected = "for_each_row_chunk_ranges: ranges must tile 0..4 in order (got 2..4 at offset 1)")]
-    fn row_plan_with_a_gap_panics_before_any_chunk() {
-        for_each_row_chunk_ranges(&mut [0u32; 8], 4, &[0..1, 2..4], 2, never_called);
-    }
-
-    #[test]
-    #[should_panic(expected = "for_each_row_chunk_ranges: ranges cover 0..3, expected 0..4")]
-    fn row_plan_stopping_short_panics_before_any_chunk() {
-        for_each_row_chunk_ranges(&mut [0u32; 8], 4, &[0..1, 1..3], 2, never_called);
-    }
-
-    #[test]
-    #[should_panic(expected = "for_each_row_chunk_ranges: buffer length 7 is not row-aligned for 2 rows")]
+    #[should_panic(expected = "for_each_row_chunk: buffer length 7 is not row-aligned for 2 rows")]
     fn unaligned_buffer_panics_before_any_chunk() {
-        for_each_row_chunk_ranges(&mut [0u32; 7], 2, &[0..1, 1..2], 2, never_called);
+        for_each_row_chunk(&mut [0u32; 7], 2, 2, never_called);
     }
 
     #[test]

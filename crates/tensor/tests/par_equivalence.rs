@@ -4,10 +4,10 @@
 //! must match an independent plain-loop reference, on a dirty
 //! destination where its contract allows one, across random shapes and
 //! degenerate cases (empty matrices, single rows, nnz = 0 CSRs); the
-//! one sweep that dispatches on the pool (`row_dots`) must match its
-//! lane-order reference at every thread count (1, 2, 4), and the
-//! ranking kernels (`rank_rows`, `rank_rows_into`) a full sort of
-//! lane-order scores.
+//! catalog sweep (`row_dots`) must match its lane-order reference, and
+//! the ranking kernels (`rank_rows`, `rank_rows_into`) a full sort of
+//! lane-order scores. No kernel dispatches on the pool, so none takes a
+//! thread count.
 //!
 //! Every exact assertion compares bit patterns ([`bits`]), not `f32`
 //! values: `==` treats −0.0 and +0.0 as equal, and the contract does
@@ -15,8 +15,6 @@
 
 use gnmr_tensor::{kernels, par, Csr, Matrix};
 use proptest::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Plain scalar replay of the canonical `kernels::LANES = 8` reduction
 /// order: lane `l` accumulates the elements at indices ≡ `l` (mod 8) —
@@ -189,14 +187,12 @@ fn spmm_pair_matches_references(csr: &Csr, x: &Matrix, xt: &Matrix) -> TestCaseR
     Ok(())
 }
 
-/// RAII guard lifting the oversubscription guard for one test body: an
-/// explicit `set_threads` override makes `row_dots_with(t)` run the
-/// genuine parallel code path even on a single-core machine (where
-/// implicit config would inline it serially). Dropped on any exit —
-/// including proptest's early assert-returns — so the global never
-/// leaks. Other tests dispatching concurrently while the override is
-/// up merely switch code paths; their bytes are invariant, which is
-/// the contract this suite pins.
+/// RAII guard sizing the pool past one thread for one test body: an
+/// explicit `set_threads` override, which lifts the hardware cap, so
+/// the pool runs workers even on a single-core machine. The kernels
+/// run on the calling thread whatever the pool's size; the tests under
+/// this guard pin that. Dropped on any exit — including proptest's
+/// early assert-returns — so the global never leaks.
 struct ThreadOverride;
 
 impl ThreadOverride {
@@ -653,9 +649,7 @@ proptest! {
 // same on every code path. These proptests pin every entry point
 // bitwise against that scalar spec across adversarial shapes: k % 8
 // ∈ {1..7} (every remainder length, on both sides of one full lane
-// block), single rows/columns, empty matrices, and below-`min_work`
-// sizes (the bare `row_dots` runs those serially, so both of its
-// dispatch outcomes are covered).
+// block), single rows/columns and empty matrices.
 
 /// `(a, b)` with equal column counts for the dot-reduction kernels;
 /// k ranges past one full lane block so every remainder length shows
@@ -684,9 +678,6 @@ proptest! {
         let expected: Vec<f32> =
             (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
         prop_assert_eq!(bits(&kernels::row_dots(&base, &query)), bits(&expected));
-        for &t in &THREADS {
-            prop_assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&expected), "threads={}", t);
-        }
     }
 }
 
@@ -844,21 +835,19 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
     assert_eq!(csr_bits(&csr.transpose()), csr_bits(&via_triplets));
 }
 
-// ----- auto-dispatch wrappers -----------------------------------------
+// ----- the dispatch configuration reaches no kernel --------------------
 //
-// `row_dots_with(threads)` has a wrapper that picks its thread count
-// from the shared config (`row_dots`). The wrapper contract is pure
-// delegation: identical bytes to the explicit form for any config.
-// `set_min_work(Some(1))` forces the wrapper down its genuine parallel
-// route even on test-sized shapes, and the ranking kernels, which run
-// on the calling thread, must give the full-sort reference's lists
-// under that config too; this test is the single owner of that global
-// (a second concurrent owner could observe the other's override — the
-// bytes would still match, but the `min_work` value assertions would
-// race).
+// `set_min_work` sets the serving batch's threshold and `set_threads`
+// sizes the pool; neither reaches a kernel. Under both overrides at
+// once — the work threshold floored, the pool past one thread — the
+// catalog sweep and the ranking kernels must still give their
+// references' bytes. This test is the single owner of the threshold
+// global (a second concurrent owner could observe the other's
+// override — the bytes would still match, but the `min_work` value
+// assertions would race).
 
-/// RAII guard forcing every auto-dispatch wrapper onto the parallel
-/// route; restores the default threshold on any exit.
+/// RAII guard flooring the serving batch's work threshold; restores
+/// the default on any exit.
 struct MinWorkOverride;
 
 impl MinWorkOverride {
@@ -895,9 +884,6 @@ fn auto_wrappers_match_explicit_thread_counts() {
     let serial: Vec<f32> =
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
     assert_eq!(bits(&kernels::row_dots(&base, &query)), bits(&serial), "row_dots");
-    for t in 1..=3usize {
-        assert_eq!(bits(&kernels::row_dots_with(&base, &query, t)), bits(&serial), "row_dots_with threads={t}");
-    }
     let want = pair_bits(&top_k_ref(&serial, 4, &[1, 5]));
     assert_eq!(pair_bits(&kernels::rank_rows(&base, &query, 4, &[1, 5])), want, "rank_rows");
     let queries = Matrix::from_vec(1, query.len(), query);

@@ -1,7 +1,8 @@
 //! Lifecycle tests for the persistent worker pool and property tests
-//! for `par::partition`. The pool's callers are the ranking sweeps, so
-//! most cases dispatch `kernels::row_dots_with`; the fine-plan cases
-//! drive `par::for_each_row_chunk_ranges` directly.
+//! for `par::partition`. Every case drives the pool through
+//! `par::for_each_row_chunk`, its one dispatch entry point: most score
+//! a catalog with one `kernels::dot` per row ([`scores_at`]), the
+//! skewed cases multiply a power-law CSR row by row ([`spmm_at`]).
 //!
 //! The pool is process-global, so every test that observes or mutates
 //! its size serializes on [`POOL_LOCK`] — tests in this binary may run
@@ -20,7 +21,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A deterministic `rows x cols` catalog and a query for `row_dots`.
+/// A deterministic `rows x cols` catalog and a query to score it with.
 fn catalog(rows: usize, cols: usize, seed: f32) -> (Matrix, Vec<f32>) {
     let m = Matrix::from_fn(rows, cols, |r, c| {
         ((r * 13 + c * 31) as f32 * 0.017 + seed).sin()
@@ -34,6 +35,18 @@ fn catalog(rows: usize, cols: usize, seed: f32) -> (Matrix, Vec<f32>) {
 /// The serial scores of `catalog`: one `kernels::dot` per row.
 fn serial_scores(m: &Matrix, q: &[f32]) -> Vec<f32> {
     (0..m.rows()).map(|r| kernels::dot(m.row(r), q)).collect()
+}
+
+/// The same scores with the rows split over `threads` participants by
+/// `par::for_each_row_chunk`; any split gives [`serial_scores`]' bytes.
+fn scores_at(m: &Matrix, q: &[f32], threads: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m.rows()];
+    par::for_each_row_chunk(&mut out, m.rows(), threads, |range, chunk| {
+        for (o, r) in chunk.iter_mut().zip(range) {
+            *o = kernels::dot(m.row(r), q);
+        }
+    });
+    out
 }
 
 proptest! {
@@ -71,10 +84,10 @@ fn hundred_calls_reuse_one_pool() {
     let _g = lock();
     let (m, q) = catalog(37, 53, 0.0);
     let reference = serial_scores(&m, &q);
-    let _ = kernels::row_dots_with(&m, &q, 4); // warm: pool exists hereafter
+    let _ = scores_at(&m, &q, 4); // warm: pool exists hereafter
     let workers_before = par::pool_workers();
     for call in 0..100 {
-        let got = kernels::row_dots_with(&m, &q, 4);
+        let got = scores_at(&m, &q, 4);
         assert_eq!(got, reference, "call {call} diverged");
     }
     assert_eq!(par::pool_workers(), workers_before, "pool leaked or lost workers across calls");
@@ -84,21 +97,21 @@ fn hundred_calls_reuse_one_pool() {
 fn pool_resizes_with_set_threads() {
     let _g = lock();
     let (m, q) = catalog(24, 8, 0.5);
-    let reference = kernels::row_dots_with(&m, &q, 1);
+    let reference = serial_scores(&m, &q);
 
     // Normalize: if an earlier test grew the pool past 3 workers, this
     // shrinks it; if the pool does not exist yet, it is a no-op and the
     // dispatch below lazily spawns exactly the workers it needs (the
     // caller itself runs one chunk).
     par::set_threads(Some(4));
-    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
+    assert_eq!(scores_at(&m, &q, 4), reference);
     assert_eq!(par::pool_workers(), 3);
 
     // Shrinks retire and join surplus workers immediately...
     par::set_threads(Some(2));
     assert_eq!(par::pool_workers(), 1);
     // ...and the shrunken pool still computes the right bytes.
-    assert_eq!(kernels::row_dots_with(&m, &q, 2), reference);
+    assert_eq!(scores_at(&m, &q, 2), reference);
     assert_eq!(par::pool_workers(), 1, "a 2-chunk dispatch must not grow a 1-worker pool");
 
     // An explicit wider dispatch grows the pool on demand. (The
@@ -106,7 +119,7 @@ fn pool_resizes_with_set_threads() {
     // apply here: a programmatic set_threads override is active, and
     // explicit overrides are honored exactly so this suite exercises
     // the full cross-thread machinery on any machine.)
-    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
+    assert_eq!(scores_at(&m, &q, 4), reference);
     assert_eq!(par::pool_workers(), 3);
 
     // Raising the configured count grows unconditionally once the pool
@@ -118,7 +131,27 @@ fn pool_resizes_with_set_threads() {
     assert_eq!(par::pool_workers(), 3);
 
     par::set_threads(None);
-    assert_eq!(kernels::row_dots_with(&m, &q, 2), reference);
+    assert_eq!(scores_at(&m, &q, 2), reference);
+}
+
+#[test]
+fn clearing_the_override_keeps_the_implicit_cap() {
+    // Under implicit configuration (`GNMR_THREADS` or the hardware
+    // default) a dispatch wakes at most `hardware_threads() - 1`
+    // workers, so a pool that clearing an override grew past that would
+    // keep workers no dispatch ever wakes. The cap binds only when
+    // `GNMR_THREADS` exceeds the core count, so CI also runs this
+    // binary with it two above `nproc`.
+    let _g = lock();
+    let (m, q) = catalog(24, 8, 0.5);
+    let reference = serial_scores(&m, &q);
+    par::set_threads(Some(2));
+    assert_eq!(scores_at(&m, &q, 2), reference); // pool exists hereafter
+    par::set_threads(None);
+    let cap = par::num_threads().min(par::hardware_threads()) - 1;
+    assert!(par::pool_workers() <= cap, "{} workers after clearing the override, cap {cap}", par::pool_workers());
+    assert_eq!(scores_at(&m, &q, par::num_threads()), reference);
+    assert!(par::pool_workers() <= cap, "{} workers after an implicit dispatch, cap {cap}", par::pool_workers());
 }
 
 #[test]
@@ -171,7 +204,7 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
         for _ in 0..2 {
             scope.spawn(|| {
                 for _ in 0..40 {
-                    assert_eq!(kernels::row_dots_with(&m, &q, 4), reference);
+                    assert_eq!(scores_at(&m, &q, 4), reference);
                 }
             });
         }
@@ -179,15 +212,13 @@ fn concurrent_resize_and_dispatch_do_not_hang() {
     par::set_threads(None);
 }
 
-/// `csr * x` row by row on `threads` over a fine plan: `par::partition`
-/// cut four chunks per thread, claimed one at a time. Each output row
-/// adds its entries in order into a zeroed row, so every plan and
-/// thread count gives `csr.spmm(x)`'s bytes.
+/// `csr * x` row by row on `threads` participants. Each output row
+/// adds its entries in order into a zeroed row, so every thread count
+/// gives `csr.spmm(x)`'s bytes.
 fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
     let (rows, d) = (csr.rows(), x.cols());
     let mut out = Matrix::zeros(rows, d);
-    let plan = par::partition(rows, threads * 4);
-    par::for_each_row_chunk_ranges(out.data_mut(), rows, &plan, threads, |range, chunk| {
+    par::for_each_row_chunk(out.data_mut(), rows, threads, |range, chunk| {
         for (local, r) in range.enumerate() {
             let (cols, vals) = csr.row(r);
             let orow = &mut chunk[local * d..(local + 1) * d];
@@ -203,7 +234,7 @@ fn spmm_at(csr: &Csr, x: &Matrix, threads: usize) -> Matrix {
 
 /// A deterministic skewed CSR: row 3 owns ~90% of the entries and the
 /// column draw is log-uniform, so the chunk holding the hub row is far
-/// heavier than the rest of a fine plan.
+/// heavier than the others.
 fn skewed_csr() -> Csr {
     let mut triplets = Vec::with_capacity(1200);
     for i in 0..1200u32 {
@@ -216,8 +247,8 @@ fn skewed_csr() -> Csr {
 
 #[test]
 fn skewed_dispatch_self_drains_with_no_free_workers() {
-    // A fine plan obeys the same zero-worker bound as any
-    // other dispatch: job notifications pushed to the pool are capped by
+    // A skewed dispatch obeys the same zero-worker bound as any
+    // other: job notifications pushed to the pool are capped by
     // the workers actually alive, and the dispatching caller claims
     // chunks until none remain, so a dispatch completes even when no
     // worker ever shows up. Observable half of that contract: with the
@@ -230,7 +261,7 @@ fn skewed_dispatch_self_drains_with_no_free_workers() {
     let reference = csr.spmm(&x);
 
     let (m, q) = catalog(16, 8, 0.0);
-    let _ = kernels::row_dots_with(&m, &q, 4); // pool exists
+    let _ = scores_at(&m, &q, 4); // pool exists
     par::set_threads(Some(1));
     assert_eq!(par::pool_workers(), 0, "set_threads(1) must retire every worker");
 
@@ -249,11 +280,11 @@ fn skewed_dispatch_self_drains_with_no_free_workers() {
 
 #[test]
 fn skewed_callers_drain_their_own_plans_on_a_starved_pool() {
-    // One live worker, four concurrent dispatchers each cutting several
-    // chunks per thread: most notifications never reach a
-    // worker, so each caller finishes only by claiming the chunks no
-    // worker took. A caller that stopped claiming early would hang
-    // here; wrong claim bookkeeping would corrupt bytes.
+    // Two live workers, four concurrent dispatchers each cutting three
+    // chunks: most notifications wait behind another caller's job, so
+    // each caller finishes only by claiming the chunks no worker took.
+    // A caller that stopped claiming early would hang here; wrong claim
+    // bookkeeping would corrupt bytes.
     let _g = lock();
     par::set_threads(Some(2));
     let csr = skewed_csr();
@@ -273,7 +304,7 @@ fn skewed_callers_drain_their_own_plans_on_a_starved_pool() {
 
 #[test]
 fn nested_skewed_calls_run_inline() {
-    // A fine-plan dispatch issued from inside a pool worker must run
+    // A skewed dispatch issued from inside a pool worker must run
     // inline (serial chunk order) rather than re-entering the queue —
     // same rule as any nested call, same bytes.
     let _g = lock();
@@ -303,7 +334,7 @@ fn pool_survives_concurrent_dispatchers() {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..25 {
-                    assert_eq!(kernels::row_dots_with(&m, &q, 3), reference);
+                    assert_eq!(scores_at(&m, &q, 3), reference);
                 }
             });
         }
