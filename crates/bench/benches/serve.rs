@@ -5,12 +5,14 @@
 //! Like the other families it runs on `gnmr_bench::harness`. It builds
 //! a synthetic frozen [`ServeIndex`] (seeded uniform
 //! representations — serving cost depends only on shapes, not on how
-//! the embeddings were trained) and drives the batched scoring path
-//! `recommend_batch_into_with`: each worker reads the catalog once for
-//! all of its users and streams every score into that user's top-k
-//! heap, which lives in the caller's output slice. Batch sizes shrink
-//! as catalogs grow so a measurement iteration stays near constant
-//! work.
+//! the embeddings were trained; the index packs the item matrix into
+//! 8-row strips in place as it is built) and drives the batched
+//! scoring path `recommend_batch_into_with`: each worker reads the
+//! catalog's strips once for all of its users, scores each strip
+//! against each user with `matmul_nt`'s inner loop, and streams the
+//! scores into that user's top-k heap, which lives in the caller's
+//! output slice. Batch sizes shrink as catalogs grow so a measurement
+//! iteration stays near constant work.
 //!
 //! The `serve_alloc` row is the inference-side arena discipline made
 //! checkable: after one warmup request (which mints each worker's

@@ -173,11 +173,12 @@ impl Gnmr {
     }
 
     /// Multi-order matching score of a single pair, computed by the
-    /// canonical fixed-lane dot ([`kernels::dot`]) — the same reduction
-    /// order as the full-catalog `row_dots` sweep, so this agrees
-    /// bitwise with the scores [`Gnmr::recommend`] ranks by. (It
-    /// previously used a sequential iterator sum, which made
-    /// `Recommender::score` disagree with `recommend` in the last ulps.)
+    /// canonical fixed-lane dot ([`kernels::dot`]`(user, item)`) — the
+    /// same lane order and operand order as the ranking sweep's strip
+    /// dots, so this agrees bitwise with the scores [`Gnmr::recommend`]
+    /// ranks by. (It previously used a sequential iterator sum, which
+    /// made `Recommender::score` disagree with `recommend` in the last
+    /// ulps.)
     pub fn score_pair(&self, user: u32, item: u32) -> f32 {
         let (u, v) = self.reprs();
         kernels::dot(u.row(user as usize), v.row(item as usize))
@@ -191,12 +192,15 @@ impl Gnmr {
     /// Ranks through [`kernels::rank_rows`], the same path `gnmr-serve`
     /// serves with: one full-catalog sweep on the calling thread that
     /// streams each score into a bounded partial selection behind a
-    /// sorted-exclude merge walk — O(n + e + k log k).
+    /// sorted-exclude merge walk — O(n + e + k log k). The sweep reads
+    /// the catalog as [`kernels::RowStrips`], which this call packs from
+    /// a copy of the item representations; a server keeps the strips
+    /// (`gnmr_serve::ServeIndex`) instead of packing per request.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let (urepr, vrepr) = self.reprs();
         let mut excl = exclude.to_vec();
         excl.sort_unstable();
-        kernels::rank_rows(vrepr, urepr.row(user as usize), k, &excl)
+        kernels::rank_rows(&kernels::RowStrips::new(vrepr.clone()), urepr.row(user as usize), k, &excl)
     }
 }
 

@@ -1,10 +1,13 @@
 //! The serving index: frozen representations plus the batched
 //! million-user scoring path.
 //!
-//! [`ServeIndex`] holds the fused user/item representation matrices and
-//! answers top-k queries through the same canonical kernels the trainer
-//! scores with ([`kernels::dot`], [`kernels::rank_rows`],
-//! [`kernels::rank_rows_into`]), so a served list is byte-identical to
+//! [`ServeIndex`] holds the fused user representations as a matrix and
+//! the item representations as [`kernels::RowStrips`], the catalog in
+//! `matmul_nt`'s packed 8-row strips, built in place from the item
+//! matrix. It answers top-k queries through the same canonical kernels
+//! the trainer scores with ([`kernels::rank_rows`],
+//! [`kernels::rank_rows_into`], and for one pair the strip's lane dot,
+//! bitwise [`kernels::dot`]), so a served list is byte-identical to
 //! what `Gnmr::recommend` would produce from the same snapshot. Two
 //! shapes of query:
 //!
@@ -12,13 +15,14 @@
 //!   one user on the calling thread;
 //! * **throughput** — [`ServeIndex::recommend_batch_into`] partitions a
 //!   *batch of users* across the pool: each worker reads the catalog
-//!   once for all of its users, streams every score into that user's
-//!   top-k heap, and keeps the heaps in the caller's output slice. After
-//!   each worker has warmed its scratch (a few words of selection state
-//!   per user, minted by its first request at a given batch size), the
-//!   steady state performs **zero heap allocations per request** — the
-//!   arena discipline, applied to inference, enforced by the
-//!   counting-allocator row in the `serve` bench gate.
+//!   once for all of its users, scores each strip against each user
+//!   with `matmul_nt`'s inner loop, streams the scores into that user's
+//!   top-k heap, and keeps the heaps in the caller's output slice.
+//!   After each worker has warmed its scratch (a few words of selection
+//!   state per user, minted by its first request at a given batch
+//!   size), the steady state performs **zero heap allocations per
+//!   request** — the arena discipline, applied to inference, enforced
+//!   by the counting-allocator row in the `serve` bench gate.
 
 use std::cell::RefCell;
 
@@ -75,15 +79,17 @@ thread_local! {
     static RANK_SCRATCH: RefCell<kernels::RankScratch> = const { RefCell::new(kernels::RankScratch::new()) };
 }
 
-/// A frozen-model serving index over fused representations.
+/// A frozen-model serving index over fused representations: the user
+/// rows as a matrix, the catalog as [`kernels::RowStrips`].
 pub struct ServeIndex {
     user_repr: Matrix,
-    item_repr: Matrix,
+    items: kernels::RowStrips,
 }
 
 impl ServeIndex {
     /// Builds an index from representation matrices (one row per
-    /// user/item; widths must agree).
+    /// user/item; widths must agree). The item matrix is packed into
+    /// strips in its own buffer, so building holds the catalog once.
     pub fn new(user_repr: Matrix, item_repr: Matrix) -> Self {
         assert_eq!(
             user_repr.cols(),
@@ -97,11 +103,12 @@ impl ServeIndex {
             "ServeIndex: catalog of {} items exceeds u32 index space",
             item_repr.rows()
         );
-        ServeIndex { user_repr, item_repr }
+        ServeIndex { user_repr, items: kernels::RowStrips::new(item_repr) }
     }
 
-    /// Builds an index from a loaded snapshot (consumes only the
-    /// representations; parameters stay with the snapshot).
+    /// Builds an index from a borrowed snapshot, copying its
+    /// representations; parameters stay with the snapshot. An owned
+    /// snapshot converts without the copy (`ServeIndex::from`).
     pub fn from_snapshot(snapshot: &ModelSnapshot) -> Self {
         Self::new(snapshot.user_repr().clone(), snapshot.item_repr().clone())
     }
@@ -122,7 +129,7 @@ impl ServeIndex {
 
     /// Catalog size.
     pub fn n_items(&self) -> usize {
-        self.item_repr.rows()
+        self.items.rows()
     }
 
     /// Representation width (sum over propagation orders).
@@ -130,19 +137,36 @@ impl ServeIndex {
         self.user_repr.cols()
     }
 
-    /// Single-pair score via the canonical fixed-lane dot — bitwise
-    /// equal to the training-side `Gnmr::score_pair` on the same
-    /// representations.
+    /// The user's representation row, after checking the id.
+    fn user_row(&self, user: u32, op: &str) -> &[f32] {
+        let n = self.n_users();
+        assert!((user as usize) < n, "ServeIndex::{op}: user {user} out of range for {n} users");
+        self.user_repr.row(user as usize)
+    }
+
+    /// Single-pair score, bitwise the training-side `Gnmr::score_pair`
+    /// (`kernels::dot(user row, item row)`) on the same
+    /// representations: a lane dot over the item's strip
+    /// ([`kernels::RowStrips::dot_row`]). Allocates nothing.
+    ///
+    /// # Panics
+    /// If `user` or `item` is out of range (the message names the id).
     pub fn score(&self, user: u32, item: u32) -> f32 {
-        kernels::dot(self.user_repr.row(user as usize), self.item_repr.row(item as usize))
+        let query = self.user_row(user, "score");
+        let n = self.n_items();
+        assert!((item as usize) < n, "ServeIndex::score: item {item} out of range for {n} items");
+        self.items.dot_row(query, item as usize)
     }
 
     /// One user's top-`k`, swept on the calling thread through
     /// [`kernels::rank_rows`]. `exclude` must be sorted ascending.
     /// Returns up to `k` `(item, score)` pairs in the deterministic
     /// `(score desc, item asc)` order.
+    ///
+    /// # Panics
+    /// If `user` is out of range (the message names the id).
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        kernels::rank_rows(&self.item_repr, self.user_repr.row(user as usize), k, exclude)
+        kernels::rank_rows(&self.items, self.user_row(user, "recommend"), k, exclude)
     }
 
     /// Throughput-shaped query on an explicit thread count: scores
@@ -184,7 +208,7 @@ impl ServeIndex {
             RANK_SCRATCH.with(|cell| {
                 let exclude = |i: usize| excludes.row(users[i] as usize);
                 let scratch = &mut *cell.borrow_mut();
-                kernels::rank_rows_into(chunk, &self.item_repr, &self.user_repr, users, k, exclude, scratch);
+                kernels::rank_rows_into(chunk, &self.items, &self.user_repr, users, k, exclude, scratch);
             });
         });
     }
@@ -193,7 +217,7 @@ impl ServeIndex {
     /// thread-count config (serial below the kernel layer's minimum
     /// work threshold, `kernels::min_work`).
     pub fn recommend_batch_into(&self, users: &[u32], k: usize, excludes: &ExcludeLists, out: &mut [(u32, f32)]) {
-        let work = users.len() * self.item_repr.len();
+        let work = users.len() * self.n_items() * self.dim();
         let threads = if work < kernels::min_work() { 1 } else { par::num_threads() };
         self.recommend_batch_into_with(users, k, excludes, out, threads);
     }
@@ -209,5 +233,15 @@ impl ServeIndex {
         flat.chunks(k)
             .map(|row| row.iter().take_while(|&&(item, _)| item != u32::MAX).copied().collect())
             .collect()
+    }
+}
+
+impl From<ModelSnapshot> for ServeIndex {
+    /// Builds an index from an owned snapshot, moving its
+    /// representations in: the strips are packed in the decoded item
+    /// buffer, with no copy of either matrix. Parameters are dropped.
+    fn from(snapshot: ModelSnapshot) -> Self {
+        let (user_repr, item_repr) = snapshot.into_reprs();
+        Self::new(user_repr, item_repr)
     }
 }

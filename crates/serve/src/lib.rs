@@ -3,14 +3,15 @@
 //! Training produces fused multi-order representations; this crate
 //! freezes them into a versioned binary [`ModelSnapshot`] (magic,
 //! version, shape table, FNV-1a checksum — see [`snapshot`]) and serves
-//! top-k queries from a [`ServeIndex`] at catalog scale: bounded
-//! partial selection instead of full-catalog sorts, and batched
-//! multi-user scoring dispatched on the shared worker pool with
-//! per-thread reusable scratch (steady-state allocation-free after
-//! warmup). Every scoring surface routes through the same canonical
-//! fixed-lane kernels as training, so served lists are byte-identical
-//! to `Gnmr::recommend` on the same snapshot — "same seed, same bytes"
-//! extended to deployment.
+//! top-k queries from a [`ServeIndex`] at catalog scale: the catalog
+//! kept as `matmul_nt`'s packed 8-row strips
+//! ([`gnmr_tensor::kernels::RowStrips`]), bounded partial selection
+//! instead of full-catalog sorts, and batched multi-user scoring
+//! dispatched on the shared worker pool with per-thread reusable
+//! scratch (steady-state allocation-free after warmup). Every scoring
+//! surface routes through the same canonical fixed-lane kernels as
+//! training, so served lists are byte-identical to `Gnmr::recommend` on
+//! the same snapshot — "same seed, same bytes" extended to deployment.
 //!
 //! Throughput is tracked by the `serve` bench family
 //! (`results/bench_serve.json`): users/sec at catalog sizes 10^5–10^7,

@@ -157,14 +157,16 @@ impl ServeHandle {
 
     /// Reads, validates, and swaps in a snapshot file under a fault
     /// plan. All I/O, parsing, and index construction happen before the
-    /// lock is touched; any failure leaves the old index serving.
+    /// lock is touched; any failure leaves the old index serving. The
+    /// decoded representations move into the index, whose strips are
+    /// packed in the decoded item buffer, so a reload copies neither.
     pub fn reload_from_path_with(
         &self,
         path: impl AsRef<Path>,
         plan: &mut FaultPlan,
     ) -> Result<u64, ReloadError> {
         let snapshot = ModelSnapshot::load_with(path, plan)?;
-        self.reload_snapshot(&snapshot)
+        self.reload(ServeIndex::from(snapshot))
     }
 
     /// [`ServeHandle::reload_from_path_with`] without fault injection.

@@ -107,6 +107,11 @@ impl ModelSnapshot {
         &self.item_repr
     }
 
+    /// The representations, moved out (parameters dropped).
+    pub(crate) fn into_reprs(self) -> (Matrix, Matrix) {
+        (self.user_repr, self.item_repr)
+    }
+
     /// The frozen parameters, ascending by name.
     pub fn params(&self) -> &[(String, Matrix)] {
         &self.params

@@ -179,6 +179,28 @@ fn width_mismatch_panics() {
     let _ = ServeIndex::new(Matrix::zeros(2, 4), Matrix::zeros(3, 5));
 }
 
+// Ids are checked before any strip arithmetic: 13 items fill one strip
+// and five rows of a zero-padded tail strip, so item 13 would land in
+// the padding instead of past the end of the storage.
+
+#[test]
+#[should_panic(expected = "ServeIndex::score: item 13 out of range for 13 items")]
+fn score_rejects_the_item_past_the_catalog() {
+    let _ = synthetic_index(4, 13, 19).score(0, 13);
+}
+
+#[test]
+#[should_panic(expected = "ServeIndex::score: user 4 out of range for 4 users")]
+fn score_rejects_an_unknown_user() {
+    let _ = synthetic_index(4, 13, 19).score(4, 0);
+}
+
+#[test]
+#[should_panic(expected = "ServeIndex::recommend: user 7 out of range for 4 users")]
+fn recommend_rejects_an_unknown_user() {
+    let _ = synthetic_index(4, 13, 19).recommend(7, 3, &[]);
+}
+
 /// A value from a few coarse levels, signed zeros among them, so equal
 /// dots and `-0.0` scores are common.
 fn level() -> impl Strategy<Value = f32> {

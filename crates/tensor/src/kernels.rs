@@ -25,6 +25,14 @@
 //!   dispatch, and a step that never dispatches allocates the same at
 //!   any thread count. Each of these loops takes its operands as
 //!   slices, like `spmm_t_scatter`.
+//! * The ranking kernels take their catalog as [`RowStrips`]: the rows
+//!   stored the way `matmul_nt` packs `b^T`, in [`LANES`]-row strips,
+//!   packed once when an index is built and kept. Their sweep scores a
+//!   strip against a query with `matmul_nt`'s inner loop
+//!   (`nt_strip_lanes` + `lane_sum_cols`): item strips outside, queries
+//!   inside. The row-by-row dot (`dot_lanes`) compiles to partial
+//!   vectors with scalar lane shuffles on rustc 1.95; the strip form
+//!   gives the same bits about twice as fast.
 //! * Parallelism lives one level up: the serving batch splits *users*
 //!   across the worker pool once its work reaches [`min_work`]
 //!   (default [`PAR_MIN_WORK`]) and runs [`rank_rows_into`] once per
@@ -34,7 +42,8 @@
 //! * Allocating forms live on `Matrix` and `Csr` (`Matrix::matmul` and
 //!   `Csr::spmm`/`spmm_t` build a zeroed output and call [`matmul_acc`],
 //!   [`spmm_acc`] or [`spmm_t_acc`]); here only [`row_dots`] and
-//!   [`rank_rows`] return new storage.
+//!   [`rank_rows`] return new storage, and [`RowStrips::new`] repacks
+//!   the matrix it is given.
 //!
 //! # Determinism and the canonical lane order
 //!
@@ -51,7 +60,9 @@
 //! pairwise tree. `matmul_nt` vectorizes across output columns instead
 //! of across that block: it packs `b^T` in `LANES`-wide column strips
 //! and keeps one lane block per column, so each element still sees the
-//! same lanes, the same order and the same tree. Streaming
+//! same lanes, the same order and the same tree. The ranking sweep
+//! runs the same loop over a catalog kept in that layout
+//! ([`RowStrips`]), one column per catalog row. Streaming
 //! kernels (`matmul`, `matmul_tn`, `spmm`, the elementwise family, the
 //! optimizer steps) keep one accumulator per output element advancing
 //! in ascending inner order, so their bytes never depended on the lane
@@ -133,8 +144,8 @@ fn lane_sum(acc: [f32; LANES]) -> f32 {
 
 /// Canonical-lane-order dot product of two equal-length slices. Every
 /// dot-reduction kernel in the workspace routes through this exact
-/// sequence, or replays it column by column (`matmul_nt`, see
-/// [`nt_strip_lanes`]).
+/// sequence, or replays it column by column (`matmul_nt` and the
+/// ranking sweep over [`RowStrips`], see [`nt_strip_lanes`]).
 #[inline(always)]
 fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
@@ -1361,6 +1372,118 @@ pub fn top_k_select_excluding<'s>(
 
 // ----- ranking: representation rows to a top-k list -------------------
 
+/// The canonical dots of `query` against the [`LANES`] rows of one
+/// packed strip (element-major, [`pack_bt_strip`]'s layout): column `c`
+/// is bitwise `dot_lanes(query, row c)`, query times row, the operand
+/// order of [`dot`]`(user, item)`.
+#[inline(always)]
+fn strip_dots(query: &[f32], strip: &[f32]) -> [f32; LANES] {
+    let mut acc = [[0.0f32; LANES]; LANES];
+    nt_strip_lanes(&mut acc, query, strip);
+    lane_sum_cols(&acc)
+}
+
+/// A matrix stored the way `matmul_nt` packs `b^T`: rows in
+/// [`LANES`]-row strips, element-major within a strip
+/// (`pack_bt_strip`'s layout), so element `t` of row `s * LANES + c`
+/// sits at index `t * LANES + c` of strip `s`. The ranking kernels
+/// ([`rank_rows`], [`rank_rows_into`]) take their catalog in this form
+/// and score a strip against a query with `matmul_nt`'s inner loop,
+/// one vector lane per row. Every score keeps the canonical lane order
+/// and tree, so it is bitwise [`dot`]`(query, row)`.
+///
+/// [`RowStrips::new`] builds the strips in place: it takes the
+/// matrix's own buffer and transposes each full `LANES x cols` block
+/// through one `cols x LANES` scratch, so a catalog is never held
+/// twice. The last `rows % LANES` rows live in a side strip of
+/// `LANES * cols` floats, zero-padded, so every strip has the same
+/// shape and a sweep runs one kernel on all of them.
+pub struct RowStrips {
+    /// The full strips, in the matrix's own buffer.
+    full: Vec<f32>,
+    /// The last `rows % LANES` rows as one zero-padded strip; empty if
+    /// `LANES` divides `rows`.
+    tail: Vec<f32>,
+    rows: usize,
+    cols: usize,
+}
+
+impl RowStrips {
+    /// Packs `m` into strips in place (see the type docs). Allocates
+    /// the `cols x LANES` transpose scratch and, if `LANES` does not
+    /// divide `m.rows()`, the tail strip; never a second catalog.
+    pub fn new(m: Matrix) -> Self {
+        let (rows, cols) = m.shape();
+        let mut full = m.into_data();
+        let full_rows = rows - rows % LANES;
+        let mut tail = Vec::new();
+        if full_rows < rows {
+            tail = vec![0.0; LANES * cols];
+            pack_bt_strip(&mut tail, &full[full_rows * cols..], cols, rows - full_rows, 0, 0..cols);
+            full.truncate(full_rows * cols);
+        }
+        if cols > 0 {
+            let mut scratch = vec![0.0f32; LANES * cols];
+            for block in full.chunks_exact_mut(LANES * cols) {
+                pack_bt_strip(&mut scratch, block, cols, LANES, 0, 0..cols);
+                block.copy_from_slice(&scratch);
+            }
+        }
+        RowStrips { full, tail, rows, cols }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Element `(r, c)`.
+    ///
+    /// # Panics
+    /// If `r` or `c` is out of range.
+    pub fn get(&self, r: usize, c: usize) -> f32 {
+        let (strip, lane) = self.strip_of(r);
+        assert!(c < self.cols, "RowStrips: column {c} out of range for {} columns", self.cols);
+        strip[c * LANES + lane]
+    }
+
+    /// The canonical lane-order dot of `query` with row `r`, bitwise
+    /// [`dot`]`(query, row r)`: one strip's dots through the sweep's
+    /// kernel, of which row `r`'s is kept. Allocates nothing.
+    ///
+    /// # Panics
+    /// If `r` is out of range or `query` is not `cols` wide.
+    pub fn dot_row(&self, query: &[f32], r: usize) -> f32 {
+        let (strip, lane) = self.strip_of(r);
+        assert_eq!(query.len(), self.cols, "RowStrips::dot_row: query length {} != {} cols", query.len(), self.cols);
+        strip_dots(query, strip)[lane]
+    }
+
+    /// The strip holding row `r` and the row's lane in it; checks `r`
+    /// first, so an id past the last row never reads tail padding.
+    fn strip_of(&self, r: usize) -> (&[f32], usize) {
+        assert!(r < self.rows, "RowStrips: row {r} out of range for {} rows", self.rows);
+        (self.strip(r / LANES), r % LANES)
+    }
+
+    /// Strip `s`, `LANES * cols` floats: a full strip, or the padded
+    /// tail past the last one.
+    #[inline(always)]
+    fn strip(&self, s: usize) -> &[f32] {
+        let len = LANES * self.cols;
+        if (s + 1) * LANES <= self.rows {
+            &self.full[s * len..(s + 1) * len]
+        } else {
+            &self.tail
+        }
+    }
+}
+
 /// Reusable scratch for [`rank_rows_into`]: a few words of selection
 /// state per query (its exclusion cursor, heap fill count and heap
 /// root; the heaps themselves live in the output rows). Mint one per
@@ -1385,8 +1508,8 @@ impl Default for RankScratch {
     }
 }
 
-/// Ranks the rows of `mat` for a batch of queries in one pass over
-/// `mat`, on the calling thread: query `i` is row `ids[i]` of
+/// Ranks the rows of `items` for a batch of queries in one pass over
+/// the catalog, on the calling thread: query `i` is row `ids[i]` of
 /// `queries`, with the ascending exclusion list `exclude(i)`
 /// (duplicates and indices past the catalog are fine). Row `i` of
 /// `out` (`out[i * k..(i + 1) * k]`) receives query `i`'s top-`k`
@@ -1394,21 +1517,25 @@ impl Default for RankScratch {
 /// order, padded with `(u32::MAX, f32::NEG_INFINITY)` when fewer than
 /// `k` rows remain.
 ///
-/// Every row of `mat` is read once for the whole batch: each query's
-/// score is the canonical lane-order [`dot`], streamed straight into
+/// Every strip of `items` is read once for the whole batch: each
+/// query's scores against a strip are the canonical lane-order
+/// [`dot`]`(query, row)` (query times row, like `ServeIndex::score` and
+/// `Gnmr::score_pair`), streamed in ascending row order straight into
 /// that query's bounded heap (`select_step`), which lives in its output
-/// row. So each list is bitwise the one a full
-/// `(score desc, row asc)` sort of [`row_dots`]'s scores gives, at any
-/// batch size, and once `scratch` has seen the largest batch the call
-/// allocates nothing.
+/// row. So each list is bitwise the one a full `(score desc, row asc)`
+/// sort of those dots gives, at any batch size, and once `scratch` has
+/// seen the largest batch the call allocates nothing. [`row_dots`]
+/// multiplies row times query instead; IEEE arithmetic commutes except
+/// in which payload an operation on two NaNs keeps, so its scores are
+/// these bits unless two NaNs of different payloads meet.
 ///
 /// # Panics
 /// If widths or `out`'s length disagree, an id is out of range, an
-/// exclusion list is not ascending, or `mat` has `u32::MAX` rows or
+/// exclusion list is not ascending, or `items` has `u32::MAX` rows or
 /// more.
 pub fn rank_rows_into<'e>(
     out: &mut [(u32, f32)],
-    mat: &Matrix,
+    items: &RowStrips,
     queries: &Matrix,
     ids: &[u32],
     k: usize,
@@ -1416,9 +1543,9 @@ pub fn rank_rows_into<'e>(
     scratch: &mut RankScratch,
 ) {
     const OP: &str = "rank_rows_into";
-    assert_eq!(mat.cols(), queries.cols(), "{OP}: query width {} != {} cols", queries.cols(), mat.cols());
+    assert_eq!(items.cols(), queries.cols(), "{OP}: query width {} != {} cols", queries.cols(), items.cols());
     assert_eq!(out.len(), ids.len() * k, "{OP}: out length {} != {} queries x k {k}", out.len(), ids.len());
-    assert_catalog_fits(mat.rows(), OP);
+    assert_catalog_fits(items.rows(), OP);
     for (i, &id) in ids.iter().enumerate() {
         assert!((id as usize) < queries.rows(), "{OP}: query id {id} out of range for {} rows", queries.rows());
         assert_sorted_exclusions(exclude(i), OP);
@@ -1428,10 +1555,10 @@ pub fn rank_rows_into<'e>(
     }
     scratch.selections.clear();
     scratch.selections.resize(ids.len(), Selection::START);
-    rank_rows_sweep(out, mat.data(), mat.rows(), queries.data(), ids, k, &exclude, &mut scratch.selections);
+    rank_rows_sweep(out, items, queries.data(), ids, k, &exclude, &mut scratch.selections);
 }
 
-/// The top-`k` rows of `mat` by their canonical dot with `query`, as
+/// The top-`k` rows of `items` by their canonical dot with `query`, as
 /// `(row, score)` pairs in the deterministic `(score desc, row asc)`
 /// order, skipping the ascending `exclude` list: [`rank_rows_into`]'s
 /// sweep with one query, on the calling thread, without padding. The
@@ -1440,46 +1567,67 @@ pub fn rank_rows_into<'e>(
 ///
 /// # Panics
 /// As [`rank_rows_into`].
-pub fn rank_rows(mat: &Matrix, query: &[f32], k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
+pub fn rank_rows(items: &RowStrips, query: &[f32], k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
     const OP: &str = "rank_rows";
-    assert_eq!(mat.cols(), query.len(), "{OP}: query length {} != {} cols", query.len(), mat.cols());
-    assert_catalog_fits(mat.rows(), OP);
+    assert_eq!(items.cols(), query.len(), "{OP}: query length {} != {} cols", query.len(), items.cols());
+    assert_catalog_fits(items.rows(), OP);
     assert_sorted_exclusions(exclude, OP);
-    let k = k.min(mat.rows());
+    let k = k.min(items.rows());
     let mut out = vec![NO_ITEM; k];
     if k > 0 {
         let mut sel = [Selection::START];
-        rank_rows_sweep(&mut out, mat.data(), mat.rows(), query, &[0], k, &|_| exclude, &mut sel);
+        rank_rows_sweep(&mut out, items, query, &[0], k, &|_| exclude, &mut sel);
         out.truncate(sel[0].filled);
     }
     out
 }
 
-/// The loop behind [`rank_rows_into`] and [`rank_rows`]: catalog rows
-/// (`n` rows of `items`, each as wide as a query) in the outer loop,
-/// ascending, queries (rows `ids` of `queries`) in the inner loop. Each
-/// (row, query) dot goes through [`select_step`] into the query's heap,
-/// `out[i * k..][..min(k, n)]`, with its state `selections[i]`; then
+/// Whether a strip's scores can all be skipped against a full heap
+/// whose root scores `worst`: every one is below it under IEEE `<`.
+/// Conservative under `total_cmp`, the selector's order: a score that
+/// order could rank before the root (+0.0 against a −0.0 root, a NaN)
+/// fails `<` and still reaches [`select_step`]. Before the heap is full
+/// its root is [`NO_ITEM`], scoring −inf, so nothing is skipped.
+#[inline(always)]
+fn all_below(scores: &[f32; LANES], worst: f32) -> bool {
+    scores.iter().all(|&v| v < worst)
+}
+
+/// The loop behind [`rank_rows_into`] and [`rank_rows`]: the strips of
+/// `items` in the outer loop, ascending, queries (rows `ids` of
+/// `queries`, each as wide as a row) in the inner loop. Each (strip,
+/// query) pair runs `matmul_nt`'s inner loop ([`nt_strip_lanes`] and
+/// [`lane_sum_cols`]) for the strip's scores; unless they all fall
+/// below the query's heap root ([`all_below`]), the strip's real rows
+/// go through [`select_step`] in ascending order into the query's
+/// heap, `out[i * k..][..min(k, n)]`, with its state `selections[i]`.
+/// A skipped strip leaves the exclusion cursor behind; it is a forward
+/// merge, so it catches up at the next candidate it is offered. Then
 /// every row is sorted and padded. `k` must be positive.
-#[allow(clippy::too_many_arguments)]
 fn rank_rows_sweep<'e>(
     out: &mut [(u32, f32)],
-    items: &[f32],
-    n: usize,
+    items: &RowStrips,
     queries: &[f32],
     ids: &[u32],
     k: usize,
     exclude: &impl Fn(usize) -> &'e [u32],
     selections: &mut [Selection],
 ) {
-    let d = items.len().checked_div(n).unwrap_or(0);
+    let (n, d) = (items.rows(), items.cols());
     let cap = k.min(n);
-    for r in 0..n {
-        let item = &items[r * d..(r + 1) * d];
+    for s in 0..n.div_ceil(LANES) {
+        let strip = items.strip(s);
+        let r0 = s * LANES;
+        let width = LANES.min(n - r0);
         let heaps = out.chunks_exact_mut(k).zip(selections.iter_mut());
         for (i, (&id, (heap, sel))) in ids.iter().zip(heaps).enumerate() {
-            let query = &queries[id as usize * d..][..d];
-            select_step(&mut heap[..cap], sel, || exclude(i), (r as u32, dot_lanes(item, query)));
+            let scores = strip_dots(&queries[id as usize * d..][..d], strip);
+            if all_below(&scores, sel.worst.1) {
+                continue;
+            }
+            for (c, &v) in scores[..width].iter().enumerate() {
+                select_step(&mut heap[..cap], sel, || exclude(i), ((r0 + c) as u32, v));
+            }
         }
     }
     for (row, sel) in out.chunks_exact_mut(k).zip(selections.iter()) {
@@ -1581,6 +1729,22 @@ mod tests {
         let mut dst = Matrix::zeros(2, 2);
         let src = Matrix::ones(1, 2);
         scatter_add_rows(&mut dst, &[5], &src);
+    }
+
+    #[test]
+    fn strip_cutoff_passes_every_score_total_order_may_admit() {
+        // The sweep skips a strip only if `select_step` would reject all
+        // of its scores: below the root under IEEE `<`. Dots start their
+        // lanes at +0.0 and never return −0.0, so the sweep cannot reach
+        // the signed-zero case; the predicate is pinned here instead.
+        let mut scores = [-1.0f32; LANES];
+        assert!(all_below(&scores, 0.5), "a strip wholly below the root is skipped");
+        scores[3] = 0.0;
+        assert!(!all_below(&scores, -0.0), "+0.0 ranks before a -0.0 root under total_cmp");
+        scores[3] = f32::NAN;
+        assert!(!all_below(&scores, 0.5), "a NaN score is offered");
+        assert!(!all_below(&[-1.0; LANES], f32::NAN), "a NaN root skips nothing");
+        assert!(!all_below(&[f32::MIN; LANES], NO_ITEM.1), "nothing is skipped before the heap fills");
     }
 
     #[test]

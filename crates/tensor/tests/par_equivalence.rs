@@ -4,10 +4,11 @@
 //! must match an independent plain-loop reference, on a dirty
 //! destination where its contract allows one, across random shapes and
 //! degenerate cases (empty matrices, single rows, nnz = 0 CSRs); the
-//! catalog sweep (`row_dots`) must match its lane-order reference, and
-//! the ranking kernels (`rank_rows`, `rank_rows_into`) a full sort of
-//! lane-order scores. No kernel dispatches on the pool, so none takes a
-//! thread count.
+//! catalog sweep (`row_dots`) must match its lane-order reference, the
+//! packed catalog (`RowStrips`) must hold every element and score each
+//! row in lane order, and the ranking kernels (`rank_rows`,
+//! `rank_rows_into`) must match a full sort of lane-order scores. No
+//! kernel dispatches on the pool, so none takes a thread count.
 //!
 //! Every exact assertion compares bit patterns ([`bits`]), not `f32`
 //! values: `==` treats −0.0 and +0.0 as equal, and the contract does
@@ -885,10 +886,11 @@ fn auto_wrappers_match_explicit_thread_counts() {
         (0..base.rows()).map(|r| lane_dot_ref(base.row(r), &query)).collect();
     assert_eq!(bits(&kernels::row_dots(&base, &query)), bits(&serial), "row_dots");
     let want = pair_bits(&top_k_ref(&serial, 4, &[1, 5]));
-    assert_eq!(pair_bits(&kernels::rank_rows(&base, &query, 4, &[1, 5])), want, "rank_rows");
+    let strips = kernels::RowStrips::new(base.clone());
+    assert_eq!(pair_bits(&kernels::rank_rows(&strips, &query, 4, &[1, 5])), want, "rank_rows");
     let queries = Matrix::from_vec(1, query.len(), query);
     let mut out = vec![(0u32, f32::NAN); 4];
-    kernels::rank_rows_into(&mut out, &base, &queries, &[0], 4, |_| &[1, 5], &mut kernels::RankScratch::new());
+    kernels::rank_rows_into(&mut out, &strips, &queries, &[0], 4, |_| &[1, 5], &mut kernels::RankScratch::new());
     assert_eq!(pair_bits(&out), want, "rank_rows_into");
 }
 
@@ -930,20 +932,52 @@ fn selection_inputs() -> impl Strategy<Value = (Vec<f32>, Vec<u32>)> {
     })
 }
 
+/// The platform's default NaN, computed at run time: the bits `inf * 0`
+/// and `inf - inf` give. IEEE leaves to the implementation which
+/// payload an operation on two NaNs keeps, and the code generator may
+/// put either operand of a product or sum first; when this is the only
+/// NaN an input holds, every NaN a dot can produce has these same bits,
+/// so a kernel and its reference agree on NaN scores whatever order
+/// either was compiled to.
+fn default_nan() -> f32 {
+    std::hint::black_box(f32::INFINITY) * std::hint::black_box(0.0f32)
+}
+
 /// A catalog, a few queries and a sorted exclusion subset per query for
 /// the ranking kernels: entries drawn from a few coarse levels so equal
-/// dots (the tie-break path) are common, and each query excluding a
-/// different subset, so one query's exclusion cursor cannot stand in
-/// for another's.
+/// dots (the tie-break path) are common, with NaN, ±inf and −0.0 among
+/// them (one entry in sixteen), and widths up to 50, so a row spans
+/// several lane blocks and a catalog several strips plus a tail. Each
+/// query excludes a different subset, so one query's exclusion cursor
+/// cannot stand in for another's.
 fn rank_inputs() -> impl Strategy<Value = (Matrix, Matrix, Vec<Vec<u32>>)> {
-    (0usize..60, 0usize..6, 1usize..5).prop_flat_map(|(n, d, q)| {
-        let level = || (-2i8..3).prop_map(|v| v as f32 * 0.5);
+    (0usize..60, 0usize..51, 1usize..5).prop_flat_map(|(n, d, q)| {
+        let level = || {
+            (0u8..64).prop_map(|i| match i {
+                0 => default_nan(),
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -0.0,
+                _ => f32::from(i % 5) * 0.5 - 1.0,
+            })
+        };
         let catalog = proptest::collection::vec(level(), n * d).prop_map(move |v| Matrix::from_vec(n, d, v));
         let queries = proptest::collection::vec(level(), q * d).prop_map(move |v| Matrix::from_vec(q, d, v));
         let excluded = proptest::collection::vec(0u8..3, n).prop_map(|mask| {
             mask.iter().enumerate().filter(|(_, &x)| x == 0).map(|(i, _)| i as u32).collect::<Vec<u32>>()
         });
         (catalog, queries, proptest::collection::vec(excluded, q))
+    })
+}
+
+/// A matrix of every tail width (`n` in 0..=17 rows, so `n mod 8` takes
+/// every value and zero, one or two full strips come first), at the
+/// widths around a lane block and the serving width 48, and a query as
+/// wide as its rows.
+fn strip_inputs() -> impl Strategy<Value = (Matrix, Vec<f32>)> {
+    (0usize..18, 0usize..7).prop_flat_map(|(n, di)| {
+        let d = [0, 1, 7, 8, 9, 16, 48][di];
+        (matrix(n, d), proptest::collection::vec(-5.0f32..5.0, d))
     })
 }
 
@@ -972,24 +1006,26 @@ proptest! {
         // query, then every query again in reverse, so ids repeat)
         // through `rank_rows_into`, whose rows are padded to k. One
         // scratch serves every batch call.
+        // Scores are query times row, the sweep's operand order.
         let n = catalog.rows();
         let q = queries.rows();
         let ids: Vec<u32> = (0..q as u32).chain((0..q as u32).rev()).collect();
+        let strips = kernels::RowStrips::new(catalog.clone());
         let mut scratch = kernels::RankScratch::new();
         for k in [0, 1, 3, n, n + 3] {
             let expected: Vec<Vec<(u32, u32)>> = (0..q)
                 .map(|i| {
                     let scores: Vec<f32> =
-                        (0..n).map(|r| lane_dot_ref(catalog.row(r), queries.row(i))).collect();
+                        (0..n).map(|r| lane_dot_ref(queries.row(i), catalog.row(r))).collect();
                     pair_bits(&top_k_ref(&scores, k, &excludes[i]))
                 })
                 .collect();
             for i in 0..q {
-                let got = kernels::rank_rows(&catalog, queries.row(i), k, &excludes[i]);
+                let got = kernels::rank_rows(&strips, queries.row(i), k, &excludes[i]);
                 prop_assert_eq!(pair_bits(&got), expected[i].clone(), "rank_rows k={} query={}", k, i);
             }
             let mut out = vec![(7u32, f32::NAN); ids.len() * k];
-            kernels::rank_rows_into(&mut out, &catalog, &queries, &ids, k, |i| &excludes[ids[i] as usize], &mut scratch);
+            kernels::rank_rows_into(&mut out, &strips, &queries, &ids, k, |i| &excludes[ids[i] as usize], &mut scratch);
             for (slot, &id) in ids.iter().enumerate() {
                 let want = &expected[id as usize];
                 let row = &out[slot * k..(slot + 1) * k];
@@ -999,6 +1035,25 @@ proptest! {
                     "rank_rows_into k={} slot={}: padding", k, slot
                 );
             }
+        }
+    }
+
+    #[test]
+    fn row_strips_hold_every_element_and_score_in_lane_order((m, query) in strip_inputs()) {
+        // The packed catalog returns every element of the matrix it was
+        // built from, whatever the tail width, and each row's strip dot
+        // is the lane-order dot of the query with that row, bit for bit.
+        let strips = kernels::RowStrips::new(m.clone());
+        prop_assert_eq!((strips.rows(), strips.cols()), m.shape());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                prop_assert_eq!(strips.get(r, c).to_bits(), m.get(r, c).to_bits(), "element ({}, {})", r, c);
+            }
+            prop_assert_eq!(
+                strips.dot_row(&query, r).to_bits(),
+                lane_dot_ref(&query, m.row(r)).to_bits(),
+                "row {} of {}", r, m.rows()
+            );
         }
     }
 
@@ -1015,6 +1070,15 @@ proptest! {
         let reference = kernels::row_dots(&base, &query);
         prop_assert_eq!(bits(&dst), bits(&reference));
     }
+}
+
+#[test]
+#[should_panic(expected = "RowStrips: row 13 out of range for 13 rows")]
+fn row_strips_reject_a_row_in_the_tail_padding() {
+    // 13 rows: one full strip and a tail holding five rows and three
+    // zero-padded lanes, where row 13 would otherwise read padding.
+    let strips = kernels::RowStrips::new(Matrix::from_fn(13, 3, |r, c| (r * 3 + c) as f32));
+    let _ = strips.dot_row(&[1.0, 2.0, 3.0], 13);
 }
 
 #[test]
