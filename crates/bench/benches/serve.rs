@@ -5,31 +5,39 @@
 //! Like the other families it runs on `gnmr_bench::harness`. It builds
 //! a synthetic frozen [`ServeIndex`] (seeded uniform
 //! representations — serving cost depends only on shapes, not on how
-//! the embeddings were trained; the index packs the item matrix into
-//! 8-row strips in place as it is built) and drives the batched
-//! scoring path `recommend_batch_into_with`: each worker reads the
-//! catalog's strips once for all of its users, scores each strip
-//! against each user with `matmul_nt`'s inner loop, and streams the
-//! scores into that user's top-k heap, which lives in the caller's
-//! output slice. Batch sizes shrink as catalogs grow so a measurement
-//! iteration stays near constant work.
+//! the embeddings were trained; the index splits the item matrix into
+//! 8-row strips of high and low float halves in place as it is built)
+//! and drives the batched scoring path `recommend_batch_into_with`:
+//! each worker reads the catalog's high halves once for all of its
+//! users, bounds each strip's scores for each user from them, rescores
+//! exactly (`matmul_nt`'s inner loop over the strip rebuilt from both
+//! halves) only where a bound reaches that user's heap root, and
+//! streams the exact scores into the user's top-k heap, which lives in
+//! the caller's output slice. Batch sizes shrink as catalogs grow so a
+//! measurement iteration stays near constant work.
 //!
-//! The `serve_alloc` row is the inference-side arena discipline made
-//! checkable: after one warmup request (which mints each worker's
-//! per-user selection state), a batch request must perform **zero**
-//! heap allocations. Counts come from the counting global allocator and
-//! are exact integers, so the CI `--regression-gate` compares them
-//! directly — no timing noise on a shared 1-CPU runner.
+//! Two rows are exact integers, so the CI `--regression-gate` compares
+//! them directly — no timing noise on a shared runner:
+//!
+//! * `serve_alloc`, the inference-side arena discipline made checkable:
+//!   after one warmup request (which mints each worker's per-user
+//!   state), a batch request must perform **zero** heap allocations,
+//!   counted by the counting global allocator;
+//! * `serve_rescored`, the (strip, user) pairs one pass over the
+//!   smallest cell rescores exactly: its seeded batch ranked once
+//!   through `kernels::rank_rows_into` with a fresh scratch. The lists
+//!   are exact whatever the count; a coarse bound that goes loose only
+//!   rescores more, and this row is what catches it.
 //!
 //! Run with `cargo bench -p gnmr-bench --bench serve`. `-- --quick-smoke`
 //! short-runs the smallest catalog and leaves the archive untouched;
-//! `-- --regression-gate` re-measures the steady-state allocation count
-//! against the committed `serve_alloc` row in `results/bench_serve.json`.
+//! `-- --regression-gate` re-measures both counts against the committed
+//! `serve_alloc` and `serve_rescored` rows in `results/bench_serve.json`.
 
 use std::hint::black_box;
 
 use gnmr::prelude::*;
-use gnmr::tensor::{init, par, rng};
+use gnmr::tensor::{init, kernels, par, rng, Matrix};
 use gnmr_bench::harness::{self, Budget, Mode, Reading};
 
 /// Representation width (sum over propagation orders; 16 matches the
@@ -77,10 +85,16 @@ struct Workload {
     out: Vec<(u32, f32)>,
 }
 
-fn workload(catalog: usize, batch: usize) -> Workload {
+/// A cell's seeded user and item representations.
+fn representations(catalog: usize) -> (Matrix, Matrix) {
     let mut r = rng::seeded(0x5e7e + catalog as u64);
     let user_repr = init::uniform(N_USERS, DIM, -1.0, 1.0, &mut r);
     let item_repr = init::uniform(catalog, DIM, -1.0, 1.0, &mut r);
+    (user_repr, item_repr)
+}
+
+fn workload(catalog: usize, batch: usize) -> Workload {
+    let (user_repr, item_repr) = representations(catalog);
     let index = ServeIndex::new(user_repr, item_repr);
     // Deterministic pseudo-random interaction histories (duplicates are
     // fine — the exclusion walk tolerates them).
@@ -111,24 +125,48 @@ fn steady_batch_allocs(w: &mut Workload) -> u64 {
     harness::steady_allocations(|| serve_batch(w, 1))
 }
 
+/// The (strip, user) pairs that ranking `w`'s batch once over the
+/// catalog of `catalog` items rescores exactly: the cell's own seeded
+/// representations, split into a `kernels::RowStrips`, through
+/// `kernels::rank_rows_into` with a fresh scratch. Deterministic, like
+/// the lists.
+fn rescored_pairs(w: &Workload, catalog: usize) -> u64 {
+    let (user_repr, item_repr) = representations(catalog);
+    let items = kernels::RowStrips::new(item_repr);
+    let mut out = vec![(0u32, 0.0f32); w.users.len() * K];
+    let mut scratch = kernels::RankScratch::new();
+    let exclude = |i: usize| w.excludes.row(w.users[i] as usize);
+    kernels::rank_rows_into(&mut out, &items, &user_repr, &w.users, K, exclude, &mut scratch);
+    scratch.rescored()
+}
+
 /// `--regression-gate`: re-measures the steady-state allocation count
-/// of a warm batch request and fails (exit 1) if it exceeds the
-/// committed `serve_alloc` row in `results/bench_serve.json`. Counts
-/// are exact (the committed baseline is 0), so any regression is a real
+/// of a warm batch request and the smallest cell's rescored pairs, and
+/// fails (exit 1) if either exceeds its committed row in
+/// `results/bench_serve.json` (`serve_alloc`, `serve_rescored`). Both
+/// are exact: an allocation count above the committed 0 is a real
 /// allocation reintroduced into the serving hot path — a dropped
 /// scratch reuse, an accidental per-request Vec, a selection path that
-/// forgot its buffer.
+/// forgot its buffer — and more rescored pairs mean a coarse bound that
+/// went loose, which still serves exact lists but reads the whole
+/// catalog again.
 fn regression_gate() -> ! {
-    let baseline = harness::baseline("bench_serve.json", &[("op", "serve_alloc")], "allocs_per_batch");
+    let base_allocs = harness::baseline("bench_serve.json", &[("op", "serve_alloc")], "allocs_per_batch");
+    let base_rescored = harness::baseline("bench_serve.json", &[("op", "serve_rescored")], "pairs");
     // Pin one thread so the measured profile is exactly the serial one
     // the baseline recorded, regardless of the runner's GNMR_THREADS.
     par::set_threads(Some(1));
     let (catalog, batch) = CELLS[0];
-    let fresh = steady_batch_allocs(&mut workload(catalog, batch));
-    println!("serve allocation gate: catalog {catalog}, batch {batch}, k {K}, 1 thread");
+    let mut w = workload(catalog, batch);
+    let allocs = steady_batch_allocs(&mut w);
+    let rescored = rescored_pairs(&w, catalog);
+    println!("serve gate: catalog {catalog}, batch {batch}, k {K}, 1 thread");
     harness::finish_gate(
-        "serve allocation gate",
-        &[Reading { what: "warm batch request allocs", base: baseline, fresh: fresh.into(), budget: Budget::Exact }],
+        "serve gate",
+        &[
+            Reading { what: "warm batch request allocs", base: base_allocs, fresh: allocs.into(), budget: Budget::Exact },
+            Reading { what: "rescored (strip, user) pairs", base: base_rescored, fresh: rescored.into(), budget: Budget::Exact },
+        ],
     )
 }
 
@@ -153,10 +191,12 @@ fn main() {
 
     let mut records = Vec::new();
     let mut alloc_cell = (0usize, 0usize, 0u64);
+    let mut rescored = 0;
     for &(catalog, batch) in cells {
         let mut w = workload(catalog, batch);
         if catalog == CELLS[0].0 {
             alloc_cell = (catalog, batch, steady_batch_allocs(&mut w));
+            rescored = rescored_pairs(&w, catalog);
         }
         let best: [u128; THREAD_COUNTS.len()] =
             timer.min_of_rounds(|cell| timer.block(&mut || serve_batch(&mut w, THREAD_COUNTS[cell])));
@@ -180,7 +220,9 @@ fn main() {
         );
     }
     let (ac, ab, allocs) = alloc_cell;
-    println!("\nsteady-state batch request (catalog {ac}, batch {ab}, 1 thread): {allocs} allocs");
+    let pairs = ac.div_ceil(kernels::LANES) * ab;
+    println!("\none pass (catalog {ac}, batch {ab}): {rescored} of {pairs} (strip, user) pairs rescored exactly");
+    println!("steady-state batch request (catalog {ac}, batch {ab}, 1 thread): {allocs} allocs");
     if allocs == 0 {
         println!("steady-state serving is allocation-free ✓");
     } else {
@@ -200,6 +242,10 @@ fn main() {
     rows.push(format!(
         "{{\"op\": \"serve_alloc\", \"catalog\": {ac}, \"dim\": {DIM}, \"batch\": {ab}, \
          \"k\": {K}, \"threads\": 1, \"allocs_per_batch\": {allocs}}}"
+    ));
+    rows.push(format!(
+        "{{\"op\": \"serve_rescored\", \"catalog\": {ac}, \"dim\": {DIM}, \"batch\": {ab}, \
+         \"k\": {K}, \"pairs\": {rescored}}}"
     ));
     harness::archive(mode, "bench_serve.json", &rows);
 }

@@ -193,9 +193,10 @@ impl Gnmr {
     /// serves with: one full-catalog sweep on the calling thread that
     /// streams each score into a bounded partial selection behind a
     /// sorted-exclude merge walk — O(n + e + k log k). The sweep reads
-    /// the catalog as [`kernels::RowStrips`], which this call packs from
-    /// a copy of the item representations; a server keeps the strips
-    /// (`gnmr_serve::ServeIndex`) instead of packing per request.
+    /// the catalog as [`kernels::RowStrips`], which this call splits
+    /// from a copy of the item representations; a server keeps the
+    /// strips (`gnmr_serve::ServeIndex`) instead of splitting per
+    /// request.
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
         let (urepr, vrepr) = self.reprs();
         let mut excl = exclude.to_vec();

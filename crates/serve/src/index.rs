@@ -2,27 +2,31 @@
 //! million-user scoring path.
 //!
 //! [`ServeIndex`] holds the fused user representations as a matrix and
-//! the item representations as [`kernels::RowStrips`], the catalog in
-//! `matmul_nt`'s packed 8-row strips, built in place from the item
-//! matrix. It answers top-k queries through the same canonical kernels
-//! the trainer scores with ([`kernels::rank_rows`],
-//! [`kernels::rank_rows_into`], and for one pair the strip's lane dot,
-//! bitwise [`kernels::dot`]), so a served list is byte-identical to
-//! what `Gnmr::recommend` would produce from the same snapshot. Two
-//! shapes of query:
+//! the item representations as [`kernels::RowStrips`]: 8-row strips
+//! with each float split into its high and low 16 bits, all the high
+//! halves of a block of strips first, built in place from the item
+//! matrix, so the catalog takes the matrix's bytes and no more. It
+//! answers top-k queries through the same canonical kernels the
+//! trainer scores with ([`kernels::rank_rows`],
+//! [`kernels::rank_rows_into`], and for one pair the lane dot over the
+//! item's rebuilt strip, bitwise [`kernels::dot`]), so a served list is
+//! byte-identical to what `Gnmr::recommend` would produce from the same
+//! snapshot. Two shapes of query:
 //!
 //! * **one user** — [`ServeIndex::recommend`] sweeps the catalog for
 //!   one user on the calling thread;
 //! * **throughput** — [`ServeIndex::recommend_batch_into`] partitions a
-//!   *batch of users* across the pool: each worker reads the catalog
-//!   once for all of its users, scores each strip against each user
-//!   with `matmul_nt`'s inner loop, streams the scores into that user's
-//!   top-k heap, and keeps the heaps in the caller's output slice.
-//!   After each worker has warmed its scratch (a few words of selection
-//!   state per user, minted by its first request at a given batch
-//!   size), the steady state performs **zero heap allocations per
-//!   request** — the arena discipline, applied to inference, enforced
-//!   by the counting-allocator row in the `serve` bench gate.
+//!   *batch of users* across the pool: each worker reads the catalog's
+//!   high halves once for all of its users, bounds each strip's scores
+//!   for each user from them, rescores the strip exactly from both
+//!   halves (`matmul_nt`'s inner loop) only where a bound reaches that
+//!   user's heap root, streams the exact scores into the user's top-k
+//!   heap, and keeps the heaps in the caller's output slice. After each
+//!   worker has warmed its scratch (a few words of state per user and
+//!   one strip, minted by its first request at a given batch size), the
+//!   steady state performs **zero heap allocations per request** — the
+//!   arena discipline, applied to inference, enforced by the
+//!   counting-allocator row in the `serve` bench gate.
 
 use std::cell::RefCell;
 
@@ -73,9 +77,9 @@ impl ExcludeLists {
 }
 
 thread_local! {
-    /// Per-thread ranking scratch (a few words of selection state per
-    /// user): minted once per worker thread and reused across every
-    /// request that thread ever serves.
+    /// Per-thread ranking scratch (a few words of state per user and
+    /// one rebuilt strip): minted once per worker thread and reused
+    /// across every request that thread ever serves.
     static RANK_SCRATCH: RefCell<kernels::RankScratch> = const { RefCell::new(kernels::RankScratch::new()) };
 }
 
@@ -88,7 +92,7 @@ pub struct ServeIndex {
 
 impl ServeIndex {
     /// Builds an index from representation matrices (one row per
-    /// user/item; widths must agree). The item matrix is packed into
+    /// user/item; widths must agree). The item matrix is split into
     /// strips in its own buffer, so building holds the catalog once.
     pub fn new(user_repr: Matrix, item_repr: Matrix) -> Self {
         assert_eq!(
@@ -146,8 +150,10 @@ impl ServeIndex {
 
     /// Single-pair score, bitwise the training-side `Gnmr::score_pair`
     /// (`kernels::dot(user row, item row)`) on the same
-    /// representations: a lane dot over the item's strip
-    /// ([`kernels::RowStrips::dot_row`]). Allocates nothing.
+    /// representations: a lane dot over the item's strip, rebuilt from
+    /// both halves in the thread's pack buffer
+    /// ([`kernels::RowStrips::dot_row`]). Allocates nothing once that
+    /// buffer holds a strip.
     ///
     /// # Panics
     /// If `user` or `item` is out of range (the message names the id).
@@ -238,7 +244,7 @@ impl ServeIndex {
 
 impl From<ModelSnapshot> for ServeIndex {
     /// Builds an index from an owned snapshot, moving its
-    /// representations in: the strips are packed in the decoded item
+    /// representations in: the strips are split in the decoded item
     /// buffer, with no copy of either matrix. Parameters are dropped.
     fn from(snapshot: ModelSnapshot) -> Self {
         let (user_repr, item_repr) = snapshot.into_reprs();

@@ -4,9 +4,11 @@
 //! freezes them into a versioned binary [`ModelSnapshot`] (magic,
 //! version, shape table, FNV-1a checksum — see [`snapshot`]) and serves
 //! top-k queries from a [`ServeIndex`] at catalog scale: the catalog
-//! kept as `matmul_nt`'s packed 8-row strips
-//! ([`gnmr_tensor::kernels::RowStrips`]), bounded partial selection
-//! instead of full-catalog sorts, and batched multi-user scoring
+//! kept as 8-row strips whose floats are split into high and low 16
+//! bits ([`gnmr_tensor::kernels::RowStrips`]), so a sweep reads the
+//! high halves and rescores exactly only where a proven bound says a
+//! strip may enter a top-k list, bounded partial selection instead of
+//! full-catalog sorts, and batched multi-user scoring
 //! dispatched on the shared worker pool with per-thread reusable
 //! scratch (steady-state allocation-free after warmup). Every scoring
 //! surface routes through the same canonical fixed-lane kernels as
@@ -15,7 +17,8 @@
 //!
 //! Throughput is tracked by the `serve` bench family
 //! (`results/bench_serve.json`): users/sec at catalog sizes 10^5–10^7,
-//! with a CI regression gate on the steady-state allocation count.
+//! with a CI regression gate on the steady-state allocation count and
+//! on the strips one pass rescores exactly.
 //!
 //! Deployment is fault-tolerant: snapshot writes are atomic and all
 //! snapshot I/O routes through the fault-injectable layer

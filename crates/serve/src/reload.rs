@@ -159,7 +159,7 @@ impl ServeHandle {
     /// plan. All I/O, parsing, and index construction happen before the
     /// lock is touched; any failure leaves the old index serving. The
     /// decoded representations move into the index, whose strips are
-    /// packed in the decoded item buffer, so a reload copies neither.
+    /// split in the decoded item buffer, so a reload copies neither.
     pub fn reload_from_path_with(
         &self,
         path: impl AsRef<Path>,

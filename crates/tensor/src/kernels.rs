@@ -26,13 +26,18 @@
 //!   any thread count. Each of these loops takes its operands as
 //!   slices, like `spmm_t_scatter`.
 //! * The ranking kernels take their catalog as [`RowStrips`]: the rows
-//!   stored the way `matmul_nt` packs `b^T`, in [`LANES`]-row strips,
-//!   packed once when an index is built and kept. Their sweep scores a
-//!   strip against a query with `matmul_nt`'s inner loop
-//!   (`nt_strip_lanes` + `lane_sum_cols`): item strips outside, queries
-//!   inside. The row-by-row dot (`dot_lanes`) compiles to partial
-//!   vectors with scalar lane shuffles on rustc 1.95; the strip form
-//!   gives the same bits about twice as fast.
+//!   in [`LANES`]-row strips, each float split into its high and low 16
+//!   bits, stored in blocks of strips with all the high halves first,
+//!   split once when an index is built and kept in the matrix's own
+//!   buffer. Their sweep runs item strips outside and queries inside:
+//!   a coarse kernel over a strip's high halves (half the bytes) plus a
+//!   proven width bounds the strip's scores for a query, and only a
+//!   strip whose bounds reach the query's heap root is rebuilt from
+//!   both halves and scored exactly with `matmul_nt`'s inner loop
+//!   (`nt_strip_lanes` + `lane_sum_cols`), the only source of a
+//!   returned score. The row-by-row dot (`dot_lanes`) compiles to
+//!   partial vectors with scalar lane shuffles on rustc 1.95; the strip
+//!   form gives the same bits about twice as fast.
 //! * Parallelism lives one level up: the serving batch splits *users*
 //!   across the worker pool once its work reaches [`min_work`]
 //!   (default [`PAR_MIN_WORK`]) and runs [`rank_rows_into`] once per
@@ -42,8 +47,8 @@
 //! * Allocating forms live on `Matrix` and `Csr` (`Matrix::matmul` and
 //!   `Csr::spmm`/`spmm_t` build a zeroed output and call [`matmul_acc`],
 //!   [`spmm_acc`] or [`spmm_t_acc`]); here only [`row_dots`] and
-//!   [`rank_rows`] return new storage, and [`RowStrips::new`] repacks
-//!   the matrix it is given.
+//!   [`rank_rows`] return new storage, and [`RowStrips::new`] splits
+//!   the matrix it is given in place.
 //!
 //! # Determinism and the canonical lane order
 //!
@@ -61,8 +66,8 @@
 //! of across that block: it packs `b^T` in `LANES`-wide column strips
 //! and keeps one lane block per column, so each element still sees the
 //! same lanes, the same order and the same tree. The ranking sweep
-//! runs the same loop over a catalog kept in that layout
-//! ([`RowStrips`]), one column per catalog row. Streaming
+//! runs the same loop over strips of its catalog ([`RowStrips`])
+//! rebuilt in that layout, one column per catalog row. Streaming
 //! kernels (`matmul`, `matmul_tn`, `spmm`, the elementwise family, the
 //! optimizer steps) keep one accumulator per output element advancing
 //! in ascending inner order, so their bytes never depended on the lane
@@ -227,10 +232,12 @@ fn scale_store_lanes(dst: &mut [f32], src: &[f32], s: f32) {
 
 std::thread_local! {
     /// Per-thread reusable pack buffer: B panels for the tiled matmul,
-    /// B^T strips for `matmul_nt`. Minted lazily, grows monotonically to
-    /// the largest panel a thread ever packs (`TILE_K * TILE_J` f32s =
+    /// B^T strips for `matmul_nt`, and the one [`RowStrips`] strip that
+    /// `RowStrips::dot_row` rebuilds. Minted lazily, grows monotonically
+    /// to the largest panel a thread ever packs (`TILE_K * TILE_J` f32s =
     /// 128 KiB at most; a `matmul_nt` strip holds at most
-    /// [`NT_PANEL_K`] rows of [`LANES`] f32s, the same 128 KiB), and is
+    /// [`NT_PANEL_K`] rows of [`LANES`] f32s, the same 128 KiB; a
+    /// catalog strip `LANES * cols` f32s, 1.5 KiB at 48 columns), and is
     /// reused for every subsequent call — the steady-state training step
     /// packs with zero heap traffic, which the train-step bench gate
     /// checks explicitly.
@@ -238,7 +245,7 @@ std::thread_local! {
 }
 
 /// Runs `f` on this thread's pack scratch, grown to at least `len`
-/// floats (callers ask for at most 128 KiB — see [`PACK_BUF`]). Growth
+/// floats (see [`PACK_BUF`] for what callers ask for). Growth
 /// is a once-per-thread event; steady-state calls are allocation-free.
 fn with_pack_buf<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     PACK_BUF.with(|buf| {
@@ -1375,7 +1382,9 @@ pub fn top_k_select_excluding<'s>(
 /// The canonical dots of `query` against the [`LANES`] rows of one
 /// packed strip (element-major, [`pack_bt_strip`]'s layout): column `c`
 /// is bitwise `dot_lanes(query, row c)`, query times row, the operand
-/// order of [`dot`]`(user, item)`.
+/// order of [`dot`]`(user, item)`. Every score the ranking kernels
+/// return comes from here, over a strip rebuilt from both of its
+/// [`RowStrips`] halves.
 #[inline(always)]
 fn strip_dots(query: &[f32], strip: &[f32]) -> [f32; LANES] {
     let mut acc = [[0.0f32; LANES]; LANES];
@@ -1383,53 +1392,271 @@ fn strip_dots(query: &[f32], strip: &[f32]) -> [f32; LANES] {
     lane_sum_cols(&acc)
 }
 
-/// A matrix stored the way `matmul_nt` packs `b^T`: rows in
-/// [`LANES`]-row strips, element-major within a strip
-/// (`pack_bt_strip`'s layout), so element `t` of row `s * LANES + c`
-/// sits at index `t * LANES + c` of strip `s`. The ranking kernels
-/// ([`rank_rows`], [`rank_rows_into`]) take their catalog in this form
-/// and score a strip against a query with `matmul_nt`'s inner loop,
-/// one vector lane per row. Every score keeps the canonical lane order
-/// and tree, so it is bitwise [`dot`]`(query, row)`.
+/// Words per element in a [`RowStrips`] half, two rows to a word: the
+/// word of element `t` and slot `p` holds row `p` in its upper 16 bits
+/// and row `p + HALF_LANES` in its lower 16.
+const HALF_LANES: usize = LANES / 2;
+
+/// Strips per block of a [`RowStrips`] catalog: a block stores the
+/// high halves of all of its strips, then their low halves.
+const SPLIT_BLOCK: usize = 64;
+
+/// The upper 16 bits of a word.
+const UPPER: u32 = 0xFFFF_0000;
+
+/// Exchanges the lower half of `a` with the upper half of `b`. On the
+/// bits of two floats it gives the word of their high halves and the
+/// word of their low halves; on those two words, the floats' bits
+/// again.
+#[inline(always)]
+fn transpose_halves(a: u32, b: u32) -> (u32, u32) {
+    ((a & UPPER) | (b >> 16), (a << 16) | (b & !UPPER))
+}
+
+/// The least `f32` at or above `x` (+inf past `f32::MAX`).
+fn round_up(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// The sum of the squares of the floats whose bits `row` holds, each
+/// square exact in f64, summed in f64; +inf if a float is not finite.
+fn sum_squares(row: &[u32]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let (blocks, rest) = row.as_chunks::<LANES>();
+    for block in blocks {
+        for l in 0..LANES {
+            let x = f64::from(f32::from_bits(block[l]));
+            acc[l] += x * x;
+        }
+    }
+    for (a, &w) in acc.iter_mut().zip(rest) {
+        let x = f64::from(f32::from_bits(w));
+        *a += x * x;
+    }
+    let sum: f64 = acc.iter().sum();
+    if sum.is_nan() {
+        f64::INFINITY
+    } else {
+        sum
+    }
+}
+
+/// An upper bound on the L2 norm of `len` floats whose squares sum to
+/// `sum` ([`sum_squares`]), as f32; +inf if `sum` is. The sum, in any
+/// order, and its root lose at most `(len + 1) * 2^-53` of the norm,
+/// so the root is raised by `(len + 2) * 2^-52` and rounded up.
+fn norm_bound(sum: f64, len: usize) -> f32 {
+    round_up(sum.sqrt() * (1.0 + (len + 2) as f64 * f64::EPSILON))
+}
+
+/// ε of the coarse width for rows `d` wide (see [`RowStrips`]):
+/// `2^-7 + 2 * γ_d + 2^-20`, `γ_d = d * 2^-24 / (1 - d * 2^-24)`,
+/// rounded up; +inf once `d * 2^-24` reaches 1/2.
+fn coarse_eps(d: usize) -> f32 {
+    let du = d as f64 * 2f64.powi(-24);
+    if du >= 0.5 {
+        return f32::INFINITY;
+    }
+    round_up(2f64.powi(-7) + 2.0 * du / (1.0 - du) + 2f64.powi(-20))
+}
+
+/// Past this `‖q‖ * ν_s` the coarse width is +inf: 2^126, a quarter of
+/// the way to overflow, so no partial sum of either dot can overflow
+/// below it.
+const COARSE_LIMIT: f32 = f32::from_bits(253 << 23);
+
+/// What a query brings to the width of its coarse scores (see
+/// [`RowStrips`]): its norm bound `‖q‖` and the width's absolute term
+/// `√d * ‖q‖ * 2^-132 + d * 2^-147`, rounded up.
+#[derive(Clone, Copy)]
+struct QueryBound {
+    norm: f32,
+    floor: f32,
+}
+
+impl QueryBound {
+    fn of(query: &[f32]) -> Self {
+        let sum: f64 = query.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+        let norm = norm_bound(if sum.is_nan() { f64::INFINITY } else { sum }, query.len());
+        let d = query.len() as f64;
+        let floor = round_up(f64::from(norm) * d.sqrt() * 2f64.powi(-132) + d * 2f64.powi(-147));
+        QueryBound { norm, floor }
+    }
+}
+
+/// The width that lifts a coarse score of a query bounded by `q`
+/// against a strip with norm bound `strip_norm` past the exact score:
+/// `eps * ‖q‖ * ν_s` plus `q`'s absolute term, or +inf past
+/// [`COARSE_LIMIT`] or when either norm is not finite (a NaN product
+/// fails the `<=`).
+#[inline(always)]
+fn coarse_width(eps: f32, q: QueryBound, strip_norm: f32) -> f32 {
+    let m = q.norm * strip_norm;
+    if m <= COARSE_LIMIT {
+        eps * m + q.floor
+    } else {
+        f32::INFINITY
+    }
+}
+
+/// Coarse dots of `query` against one strip's high halves (`high`, the
+/// strip's [`RowStrips`] high half): each element truncated to its
+/// upper 16 bits, a bf16 value read as f32. A word holds rows `p` and
+/// `p + HALF_LANES` of one element, so a mask and a shift decode both,
+/// into one accumulator block each. The sums run in no canonical order:
+/// [`coarse_width`] covers any order, and no returned score comes from
+/// here.
 ///
-/// [`RowStrips::new`] builds the strips in place: it takes the
-/// matrix's own buffer and transposes each full `LANES x cols` block
-/// through one `cols x LANES` scratch, so a catalog is never held
-/// twice. The last `rows % LANES` rows live in a side strip of
-/// `LANES * cols` floats, zero-padded, so every strip has the same
-/// shape and a sweep runs one kernel on all of them.
+/// Kept out of line: inlined into the sweep, rustc 1.95 turns the mask
+/// into word shuffles (`pshuflw`, `pshufhw`, `pshufd`, `punpcklwd`) on
+/// every element, and the sweep ran ~1.6x slower (2·10^4 x 48, 16
+/// queries, in cache, a 2-core x86-64 host).
+#[inline(never)]
+fn coarse_dots(query: &[f32], high: &[u32]) -> [f32; LANES] {
+    let (words, _) = high.as_chunks::<HALF_LANES>();
+    let mut upper = [0.0f32; HALF_LANES];
+    let mut lower = [0.0f32; HALF_LANES];
+    for (&x, w) in query.iter().zip(words) {
+        for p in 0..HALF_LANES {
+            upper[p] += x * f32::from_bits(w[p] & UPPER);
+            lower[p] += x * f32::from_bits(w[p] << 16);
+        }
+    }
+    std::array::from_fn(|c| if c < HALF_LANES { upper[c] } else { lower[c - HALF_LANES] })
+}
+
+/// Writes the `m` strips of `src` (`m * LANES` rows of `cols` floats'
+/// bits, row-major, zero rows as padding) into `dst` in the split
+/// layout, the high halves of all `m` first, and pushes each strip's
+/// norm bound onto `norms`.
+fn split_block(dst: &mut [u32], src: &[u32], m: usize, cols: usize, norms: &mut Vec<f32>) {
+    let half = HALF_LANES * cols;
+    let (highs, lows) = dst.split_at_mut(m * half);
+    for j in 0..m {
+        let rows: [&[u32]; LANES] = std::array::from_fn(|c| &src[(j * LANES + c) * cols..(j * LANES + c + 1) * cols]);
+        norms.push(norm_bound(rows.iter().map(|row| sum_squares(row)).fold(0.0, f64::max), cols));
+        let (high, _) = highs[j * half..(j + 1) * half].as_chunks_mut::<HALF_LANES>();
+        let (low, _) = lows[j * half..(j + 1) * half].as_chunks_mut::<HALF_LANES>();
+        for (t, (high, low)) in high.iter_mut().zip(low).enumerate() {
+            for p in 0..HALF_LANES {
+                (high[p], low[p]) = transpose_halves(rows[p][t], rows[p + HALF_LANES][t]);
+            }
+        }
+    }
+}
+
+/// A catalog of rows in [`LANES`]-row strips, each float split into
+/// its high and low 16 bits, with one norm bound per strip. The ranking
+/// kernels ([`rank_rows`], [`rank_rows_into`]) take their catalog in
+/// this form: they sweep the high halves, half the bytes, and rebuild a
+/// strip from both halves only where a coarse bound says one of its
+/// rows may enter a heap; every score they return is bitwise
+/// [`dot`]`(query, row)`.
+///
+/// # Layout
+///
+/// A strip holds rows `8s .. 8s + 8`. Its high half is `4 * cols`
+/// words: the word of element `t` and slot `p` (at `4t + p`) holds the
+/// upper 16 bits of row `p`'s element `t` in its upper half and those
+/// of row `p + 4` in its lower half. Its low half holds the rows' lower
+/// 16 bits in the same places. Strips are stored in blocks of 64: the
+/// high halves of a block's strips, in order, then their low halves,
+/// so a sweep that skips the low halves skips 48 KiB runs at 48
+/// columns. A float is its two halves joined back (`get`), and a strip
+/// rebuilt from them is `matmul_nt`'s packed 8-row strip, which
+/// `strip_dots` scores.
+///
+/// [`RowStrips::new`] builds this in place: it takes the matrix's own
+/// buffer (its floats' bits collected as `u32` words, which `Vec` does
+/// in the same allocation) and rewrites each block through one
+/// block-sized scratch, so a catalog is never held twice. The last
+/// `rows % LANES` rows live in a side strip of `LANES * cols` words,
+/// zero-padded, laid out as a block of one, so a sweep runs one loop
+/// over every strip. A strip's norm bound `ν_s` is the largest L2 norm
+/// of its rows, rounded up, or +inf if a row holds a non-finite value.
+///
+/// # The coarse bound
+///
+/// For a query `q` and a row `x` of strip `s`, let `h` be `x` with each
+/// element's low 16 bits cleared, `ŝ` the exact lane-order dot and `ĉ`
+/// the coarse dot of `q` and `h`, summed in any order. Then
+/// `ŝ <= ĉ + w`, with the width
+/// `w = ε * ‖q‖ * ν_s + √d * ‖q‖ * 2^-132 + d * 2^-147`
+/// (`d = cols`, `‖q‖` an upper bound on the query's norm), where
+/// `ε = 2^-7 + 2γ_d + 2^-20`, `γ_d = d * 2^-24 / (1 - d * 2^-24)`:
+///
+/// * *Truncation.* A normal element loses less than 2^-7 of its value,
+///   a subnormal one less than 2^-133, so
+///   `|q·x − q·h| <= 2^-7 Σ|q_t x_t| + 2^-133 Σ|q_t|`, and by
+///   Cauchy–Schwarz `Σ|q_t x_t| <= ‖q‖ ν_s` and `Σ|q_t| <= √d ‖q‖`.
+/// * *Rounding in both dots.* A dot of `d` products summed in any order
+///   is within `γ_d Σ|q_t x_t|` of its real value, and `|h_t| <= |x_t|`:
+///   `2γ_d ‖q‖ ν_s` for the two.
+/// * *Underflow.* A product that underflows is off by at most 2^-150,
+///   and a sum that underflows is exact: `d * 2^-149` per dot.
+/// * *Rounding the width itself and `ĉ + w`.* A few f32 roundings of
+///   values at most about `‖q‖ ν_s`, and the norms' own rounding (both
+///   are summed in f64 and rounded up): the 2^-20 in `ε` and the
+///   doubled absolute terms cover them.
+/// * *Overflow.* Below `‖q‖ ν_s = 2^126` no partial sum of either dot,
+///   in any order, nor `ĉ + w`, can overflow. At or past it the width
+///   is +inf and the strip is rescored, so a sum that overflows in one
+///   order and not in the other never decides a skip.
+/// * *Non-finite values.* A row holding NaN or ±inf has `ν_s = +inf`
+///   (its high half may even turn a NaN into an infinity), and a
+///   non-finite query has `‖q‖ = +inf`, so the width is +inf. A finite
+///   width thus meets only finite elements and sums, and an infinite
+///   one makes `ĉ + w` +inf or NaN, which fails the skip test.
+///
+/// The sweep skips a (strip, query) pair only when all eight upper
+/// bounds `ĉ + w` fall below the query's heap root under IEEE `<`
+/// (`all_below`): then every exact score is below the root, where
+/// the selector would reject it. A NaN or +inf bound fails `<`, and a
+/// heap that is not yet full has a −inf root, so nothing is skipped
+/// until it fills.
 pub struct RowStrips {
-    /// The full strips, in the matrix's own buffer.
-    full: Vec<f32>,
-    /// The last `rows % LANES` rows as one zero-padded strip; empty if
-    /// `LANES` divides `rows`.
-    tail: Vec<f32>,
+    /// The full strips in the split layout, in the matrix's own buffer.
+    words: Vec<u32>,
+    /// The last `rows % LANES` rows as one zero-padded strip in the
+    /// same layout; empty if `LANES` divides `rows`.
+    tail: Vec<u32>,
+    /// One norm bound per strip, the tail strip's last.
+    norms: Vec<f32>,
     rows: usize,
     cols: usize,
 }
 
 impl RowStrips {
-    /// Packs `m` into strips in place (see the type docs). Allocates
-    /// the `cols x LANES` transpose scratch and, if `LANES` does not
-    /// divide `m.rows()`, the tail strip; never a second catalog.
+    /// Splits `m` into strips in place (see the type docs). Allocates
+    /// the block-sized scratch, the norm bounds (one per strip) and, if
+    /// `LANES` does not divide `m.rows()`, the tail strip; never a
+    /// second catalog.
     pub fn new(m: Matrix) -> Self {
         let (rows, cols) = m.shape();
-        let mut full = m.into_data();
-        let full_rows = rows - rows % LANES;
+        let mut words: Vec<u32> = m.into_data().into_iter().map(f32::to_bits).collect();
+        let strip = LANES * cols;
+        let full = rows / LANES;
+        let mut norms = Vec::with_capacity(rows.div_ceil(LANES));
+        let mut scratch = vec![0u32; SPLIT_BLOCK.min(full) * strip];
+        for b0 in (0..full).step_by(SPLIT_BLOCK) {
+            let m = SPLIT_BLOCK.min(full - b0);
+            let block = &mut words[b0 * strip..(b0 + m) * strip];
+            split_block(&mut scratch[..m * strip], block, m, cols, &mut norms);
+            block.copy_from_slice(&scratch[..m * strip]);
+        }
         let mut tail = Vec::new();
-        if full_rows < rows {
-            tail = vec![0.0; LANES * cols];
-            pack_bt_strip(&mut tail, &full[full_rows * cols..], cols, rows - full_rows, 0, 0..cols);
-            full.truncate(full_rows * cols);
+        if full * LANES < rows {
+            let mut padded = words.split_off(full * strip);
+            padded.resize(strip, 0);
+            tail = vec![0; strip];
+            split_block(&mut tail, &padded, 1, cols, &mut norms);
         }
-        if cols > 0 {
-            let mut scratch = vec![0.0f32; LANES * cols];
-            for block in full.chunks_exact_mut(LANES * cols) {
-                pack_bt_strip(&mut scratch, block, cols, LANES, 0, 0..cols);
-                block.copy_from_slice(&scratch);
-            }
-        }
-        RowStrips { full, tail, rows, cols }
+        RowStrips { words, tail, norms, rows, cols }
     }
 
     /// Number of rows.
@@ -1442,63 +1669,102 @@ impl RowStrips {
         self.cols
     }
 
-    /// Element `(r, c)`.
+    /// Element `(r, c)`, its two halves joined.
     ///
     /// # Panics
     /// If `r` or `c` is out of range.
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        let (strip, lane) = self.strip_of(r);
+        let (s, lane) = self.strip_of(r);
         assert!(c < self.cols, "RowStrips: column {c} out of range for {} columns", self.cols);
-        strip[c * LANES + lane]
+        let (high, low) = self.halves(s);
+        let w = c * HALF_LANES + lane % HALF_LANES;
+        let (a, b) = transpose_halves(high[w], low[w]);
+        f32::from_bits(if lane < HALF_LANES { a } else { b })
     }
 
     /// The canonical lane-order dot of `query` with row `r`, bitwise
-    /// [`dot`]`(query, row r)`: one strip's dots through the sweep's
-    /// kernel, of which row `r`'s is kept. Allocates nothing.
+    /// [`dot`]`(query, row r)`: the row's strip rebuilt in this thread's
+    /// pack buffer and scored through the sweep's exact kernel, of
+    /// which row `r`'s dot is kept. Allocates nothing once the thread's
+    /// pack buffer holds a strip.
     ///
     /// # Panics
     /// If `r` is out of range or `query` is not `cols` wide.
     pub fn dot_row(&self, query: &[f32], r: usize) -> f32 {
-        let (strip, lane) = self.strip_of(r);
+        let (s, lane) = self.strip_of(r);
         assert_eq!(query.len(), self.cols, "RowStrips::dot_row: query length {} != {} cols", query.len(), self.cols);
-        strip_dots(query, strip)[lane]
+        with_pack_buf(LANES * self.cols, |strip| {
+            self.decode_strip(s, strip);
+            strip_dots(query, strip)[lane]
+        })
     }
 
     /// The strip holding row `r` and the row's lane in it; checks `r`
     /// first, so an id past the last row never reads tail padding.
-    fn strip_of(&self, r: usize) -> (&[f32], usize) {
+    fn strip_of(&self, r: usize) -> (usize, usize) {
         assert!(r < self.rows, "RowStrips: row {r} out of range for {} rows", self.rows);
-        (self.strip(r / LANES), r % LANES)
+        (r / LANES, r % LANES)
     }
 
-    /// Strip `s`, `LANES * cols` floats: a full strip, or the padded
-    /// tail past the last one.
+    /// The high and low halves of strip `s`, `HALF_LANES * cols` words
+    /// each: from its block of the full strips, or the padded tail past
+    /// the last one.
     #[inline(always)]
-    fn strip(&self, s: usize) -> &[f32] {
-        let len = LANES * self.cols;
-        if (s + 1) * LANES <= self.rows {
-            &self.full[s * len..(s + 1) * len]
+    fn halves(&self, s: usize) -> (&[u32], &[u32]) {
+        let half = HALF_LANES * self.cols;
+        let full = self.rows / LANES;
+        if s < full {
+            let (b0, j) = (s - s % SPLIT_BLOCK, s % SPLIT_BLOCK);
+            let m = SPLIT_BLOCK.min(full - b0);
+            let block = &self.words[2 * b0 * half..2 * (b0 + m) * half];
+            (&block[j * half..(j + 1) * half], &block[(m + j) * half..(m + j + 1) * half])
         } else {
-            &self.tail
+            self.tail.split_at(half)
+        }
+    }
+
+    /// Rebuilds strip `s` into `dst` (`LANES * cols` floats) in
+    /// [`pack_bt_strip`]'s layout, every float its two halves joined.
+    #[inline(always)]
+    fn decode_strip(&self, s: usize, dst: &mut [f32]) {
+        let (high, low) = self.halves(s);
+        let ((high, _), (low, _)) = (high.as_chunks::<HALF_LANES>(), low.as_chunks::<HALF_LANES>());
+        for ((out, h), l) in dst.chunks_exact_mut(LANES).zip(high).zip(low) {
+            for p in 0..HALF_LANES {
+                let (a, b) = transpose_halves(h[p], l[p]);
+                out[p] = f32::from_bits(a);
+                out[p + HALF_LANES] = f32::from_bits(b);
+            }
         }
     }
 }
 
-/// Reusable scratch for [`rank_rows_into`]: a few words of selection
-/// state per query (its exclusion cursor, heap fill count and heap
-/// root; the heaps themselves live in the output rows). Mint one per
-/// scoring thread (the serve crate keeps one in thread-local storage,
-/// like `with_pack_buf`); it grows to the largest batch ranked and
-/// steady-state calls allocate nothing.
+/// Reusable scratch for [`rank_rows_into`]: a few words of state per
+/// query (its exclusion cursor, heap fill count and heap root, and its
+/// coarse-width terms; the heaps themselves live in the output rows),
+/// one strip rebuilt from both halves, and the count of (strip, query)
+/// pairs rescored exactly. Mint one per scoring thread (the serve crate
+/// keeps one in thread-local storage, like `with_pack_buf`); it grows
+/// to the largest batch ranked and steady-state calls allocate nothing.
 pub struct RankScratch {
     selections: Vec<Selection>,
+    bounds: Vec<QueryBound>,
+    strip: Vec<f32>,
+    rescored: u64,
 }
 
 impl RankScratch {
     /// An empty scratch; the first ranking call sizes it. `const` so
     /// thread-local scratch slots can be statically initialized.
     pub const fn new() -> Self {
-        RankScratch { selections: Vec::new() }
+        RankScratch { selections: Vec::new(), bounds: Vec::new(), strip: Vec::new(), rescored: 0 }
+    }
+
+    /// The (strip, query) pairs this scratch's calls have scored
+    /// exactly since it was made: those whose coarse bounds did not all
+    /// fall below the query's heap root (see [`RowStrips`]).
+    pub fn rescored(&self) -> u64 {
+        self.rescored
     }
 }
 
@@ -1517,17 +1783,20 @@ impl Default for RankScratch {
 /// order, padded with `(u32::MAX, f32::NEG_INFINITY)` when fewer than
 /// `k` rows remain.
 ///
-/// Every strip of `items` is read once for the whole batch: each
-/// query's scores against a strip are the canonical lane-order
-/// [`dot`]`(query, row)` (query times row, like `ServeIndex::score` and
-/// `Gnmr::score_pair`), streamed in ascending row order straight into
-/// that query's bounded heap (`select_step`), which lives in its output
-/// row. So each list is bitwise the one a full `(score desc, row asc)`
-/// sort of those dots gives, at any batch size, and once `scratch` has
-/// seen the largest batch the call allocates nothing. [`row_dots`]
-/// multiplies row times query instead; IEEE arithmetic commutes except
-/// in which payload an operation on two NaNs keeps, so its scores are
-/// these bits unless two NaNs of different payloads meet.
+/// Every strip of `items` is read once for the whole batch, its high
+/// halves for every query and its low halves only where a query's
+/// coarse bound reaches that query's heap root. Each query's scores
+/// against a strip are the canonical lane-order [`dot`]`(query, row)`
+/// (query times row, like `ServeIndex::score` and `Gnmr::score_pair`),
+/// streamed in ascending row order straight into that query's bounded
+/// heap (`select_step`), which lives in its output row; a strip is
+/// skipped only where no exact score of it could enter the heap. So
+/// each list is bitwise the one a full `(score desc, row asc)` sort of
+/// those dots gives, at any batch size, and once `scratch` has seen the
+/// largest batch the call allocates nothing. [`row_dots`] multiplies
+/// row times query instead; IEEE arithmetic commutes except in which
+/// payload an operation on two NaNs keeps, so its scores are these bits
+/// unless two NaNs of different payloads meet.
 ///
 /// # Panics
 /// If widths or `out`'s length disagree, an id is out of range, an
@@ -1553,9 +1822,7 @@ pub fn rank_rows_into<'e>(
     if k == 0 {
         return;
     }
-    scratch.selections.clear();
-    scratch.selections.resize(ids.len(), Selection::START);
-    rank_rows_sweep(out, items, queries.data(), ids, k, &exclude, &mut scratch.selections);
+    rank_rows_sweep(out, items, queries.data(), ids, k, &exclude, scratch);
 }
 
 /// The top-`k` rows of `items` by their canonical dot with `query`, as
@@ -1575,9 +1842,9 @@ pub fn rank_rows(items: &RowStrips, query: &[f32], k: usize, exclude: &[u32]) ->
     let k = k.min(items.rows());
     let mut out = vec![NO_ITEM; k];
     if k > 0 {
-        let mut sel = [Selection::START];
-        rank_rows_sweep(&mut out, items, query, &[0], k, &|_| exclude, &mut sel);
-        out.truncate(sel[0].filled);
+        let mut scratch = RankScratch::new();
+        rank_rows_sweep(&mut out, items, query, &[0], k, &|_| exclude, &mut scratch);
+        out.truncate(scratch.selections[0].filled);
     }
     out
 }
@@ -1596,11 +1863,13 @@ fn all_below(scores: &[f32; LANES], worst: f32) -> bool {
 /// The loop behind [`rank_rows_into`] and [`rank_rows`]: the strips of
 /// `items` in the outer loop, ascending, queries (rows `ids` of
 /// `queries`, each as wide as a row) in the inner loop. Each (strip,
-/// query) pair runs `matmul_nt`'s inner loop ([`nt_strip_lanes`] and
-/// [`lane_sum_cols`]) for the strip's scores; unless they all fall
-/// below the query's heap root ([`all_below`]), the strip's real rows
-/// go through [`select_step`] in ascending order into the query's
-/// heap, `out[i * k..][..min(k, n)]`, with its state `selections[i]`.
+/// query) pair first runs [`coarse_dots`] over the strip's high halves
+/// and adds [`coarse_width`]; if those upper bounds all fall below the
+/// query's heap root ([`all_below`]), the pair is done. Otherwise the
+/// strip is rebuilt from both halves into `scratch` (once per strip),
+/// scored exactly by [`strip_dots`], and its real rows go through
+/// [`select_step`] in ascending order into the query's heap,
+/// `out[i * k..][..min(k, n)]`, with its state `scratch.selections[i]`.
 /// A skipped strip leaves the exclusion cursor behind; it is a forward
 /// merge, so it catches up at the next candidate it is offered. Then
 /// every row is sorted and padded. `k` must be positive.
@@ -1611,20 +1880,35 @@ fn rank_rows_sweep<'e>(
     ids: &[u32],
     k: usize,
     exclude: &impl Fn(usize) -> &'e [u32],
-    selections: &mut [Selection],
+    scratch: &mut RankScratch,
 ) {
     let (n, d) = (items.rows(), items.cols());
     let cap = k.min(n);
-    for s in 0..n.div_ceil(LANES) {
-        let strip = items.strip(s);
+    let eps = coarse_eps(d);
+    let RankScratch { selections, bounds, strip, rescored } = scratch;
+    selections.clear();
+    selections.resize(ids.len(), Selection::START);
+    bounds.clear();
+    bounds.extend(ids.iter().map(|&id| QueryBound::of(&queries[id as usize * d..][..d])));
+    strip.resize(LANES * d, 0.0);
+    for (s, &strip_norm) in items.norms.iter().enumerate() {
+        let (high, _) = items.halves(s);
         let r0 = s * LANES;
         let width = LANES.min(n - r0);
-        let heaps = out.chunks_exact_mut(k).zip(selections.iter_mut());
-        for (i, (&id, (heap, sel))) in ids.iter().zip(heaps).enumerate() {
-            let scores = strip_dots(&queries[id as usize * d..][..d], strip);
-            if all_below(&scores, sel.worst.1) {
+        let mut rebuilt = false;
+        let states = out.chunks_exact_mut(k).zip(selections.iter_mut().zip(bounds.iter()));
+        for (i, (&id, (heap, (sel, &bound)))) in ids.iter().zip(states).enumerate() {
+            let query = &queries[id as usize * d..][..d];
+            let w = coarse_width(eps, bound, strip_norm);
+            if all_below(&coarse_dots(query, high).map(|c| c + w), sel.worst.1) {
                 continue;
             }
+            if !rebuilt {
+                items.decode_strip(s, strip);
+                rebuilt = true;
+            }
+            *rescored += 1;
+            let scores = strip_dots(query, strip);
             for (c, &v) in scores[..width].iter().enumerate() {
                 select_step(&mut heap[..cap], sel, || exclude(i), ((r0 + c) as u32, v));
             }
@@ -1745,6 +2029,85 @@ mod tests {
         assert!(!all_below(&scores, 0.5), "a NaN score is offered");
         assert!(!all_below(&[-1.0; LANES], f32::NAN), "a NaN root skips nothing");
         assert!(!all_below(&[f32::MIN; LANES], NO_ITEM.1), "nothing is skipped before the heap fills");
+    }
+
+    #[test]
+    fn coarse_width_covers_each_case() {
+        // The width of `RowStrips`' coarse bound, case by case.
+        let eps = coarse_eps(48);
+        let gamma = 48.0 * 2f64.powi(-24) / (1.0 - 48.0 * 2f64.powi(-24));
+        assert!(f64::from(eps) >= 2f64.powi(-7) + 2.0 * gamma, "truncation and both dots' rounding");
+        let q = QueryBound::of(&[1.0; 48]);
+        assert!(q.norm >= 48f32.sqrt() && q.floor > 0.0, "norm rounded up, absolute term positive");
+        let w = coarse_width(eps, q, 2.0);
+        assert!(f64::from(w) >= f64::from(q.norm) * 2.0 * (2f64.powi(-7) + 2.0 * gamma), "eps * |q| * nu");
+        assert!(coarse_width(eps, q, 0.0) >= q.floor, "the absolute term alone at a zero strip");
+        // Past 2^126 a partial sum could overflow: +inf, though finite.
+        let huge = f32::from_bits(252 << 23);
+        assert!(f64::from(q.norm) * f64::from(huge) > 2f64.powi(126));
+        assert_eq!(coarse_width(eps, q, huge), f32::INFINITY, "overflow guard");
+        assert!(coarse_width(eps, q, huge / 8.0).is_finite(), "below the guard");
+        // Non-finite norms, and a zero norm against an infinite one.
+        assert_eq!(coarse_width(eps, q, f32::INFINITY), f32::INFINITY);
+        let nan_query = QueryBound::of(&[1.0, f32::NAN]);
+        assert_eq!(nan_query.norm, f32::INFINITY);
+        assert_eq!(coarse_width(eps, nan_query, 1.0), f32::INFINITY);
+        assert_eq!(coarse_width(eps, QueryBound::of(&[0.0; 4]), f32::INFINITY), f32::INFINITY);
+        assert_eq!(coarse_eps(1 << 23), f32::INFINITY, "no gamma_d past d * 2^-24 = 1/2");
+    }
+
+    #[test]
+    fn coarse_bound_covers_every_exact_score() {
+        // The inequality the sweep's skip rests on, checked lane by
+        // lane: the exact lane-order dot is at most `ĉ + w` (or that
+        // bound is +inf or NaN, which the skip test never passes), on
+        // rows and queries of every magnitude: full mantissas, tiny and
+        // subnormal values, values near `f32::MAX`, and any bits at all.
+        use rand::RngCore;
+        let mut rng = crate::rng::seeded(0xb0_0d);
+        let mut value = |regime: u32| {
+            let bits = rng.next_u32();
+            let exponent = match regime {
+                0 => 110 + bits % 31,
+                1 => bits % 4,
+                2 => 240 + bits % 15,
+                _ => bits % 256,
+            };
+            f32::from_bits((bits & 0x807F_FFFF) | exponent << 23)
+        };
+        for case in 0..4000u32 {
+            let d = 1 + case as usize % 50;
+            let m = Matrix::from_fn(LANES, d, |_, _| value(case % 4));
+            let query: Vec<f32> = (0..d).map(|_| value(case / 4 % 4)).collect();
+            let strips = RowStrips::new(m);
+            let (high, _) = strips.halves(0);
+            let w = coarse_width(coarse_eps(d), QueryBound::of(&query), strips.norms[0]);
+            let upper = coarse_dots(&query, high).map(|c| c + w);
+            let mut strip = vec![0.0; LANES * d];
+            strips.decode_strip(0, &mut strip);
+            let exact = strip_dots(&query, &strip);
+            for (c, (&u, &e)) in upper.iter().zip(&exact).enumerate() {
+                let covered = u.is_nan() || u == f32::INFINITY || (!e.is_nan() && e <= u);
+                assert!(covered, "case {case}, row {c}: exact {e:e} above its bound {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn halves_round_trip_and_norms_bound_rows() {
+        for bits in [0u32, 0x8000_0000, 0x3f80_0001, 0x0000_ffff, 0x7f80_0000, 0x7fc0_1234, 0xff7f_ffff] {
+            let other = bits.rotate_left(16) ^ 0x5a5a_a5a5;
+            let (high, low) = transpose_halves(bits, other);
+            assert_eq!(high >> 16, bits >> 16);
+            assert_eq!(high & 0xffff, other >> 16);
+            assert_eq!(transpose_halves(high, low), (bits, other));
+        }
+        let m = Matrix::from_fn(11, 5, |r, c| if (r, c) == (9, 2) { f32::NAN } else { (r * 5 + c) as f32 - 20.0 });
+        let strips = RowStrips::new(m.clone());
+        assert_eq!(strips.norms.len(), 2);
+        let largest = (0..8).map(|r| m.row(r).iter().map(|x| x * x).sum::<f32>().sqrt()).fold(0.0, f32::max);
+        assert!(strips.norms[0] >= largest && strips.norms[0] <= largest * 1.001);
+        assert_eq!(strips.norms[1], f32::INFINITY, "a NaN row makes its strip's bound infinite");
     }
 
     #[test]

@@ -970,15 +970,127 @@ fn rank_inputs() -> impl Strategy<Value = (Matrix, Matrix, Vec<Vec<u32>>)> {
     })
 }
 
+/// A float of one catalog-wide magnitude regime, positive unless
+/// `signed`: 0 ordinary (|x| in [0.25, 2), a full mantissa), 1
+/// subnormal, 2 near `f32::MAX` (|x| in [2^126, 2^128), where a dot's
+/// partial sums overflow in one summation order and not in another), 3
+/// any of the three. With `specials`, one draw in sixteen is a special
+/// instead: the default NaN, ±inf or −0.0.
+fn adversarial_value(regime: u32, signed: bool, specials: bool) -> impl Strategy<Value = f32> {
+    (0u32..0x0080_0000, 0u32..2, 0u32..3, 0u8..16).prop_map(move |(mantissa, sign, pick_regime, special)| {
+        let sign = if signed { sign << 31 } else { 0 };
+        let exponent = match if regime == 3 { pick_regime } else { regime } {
+            0 => 125 + pick_regime,
+            1 => 0,
+            _ => 253 + pick_regime % 2,
+        };
+        match special {
+            0 if specials => default_nan(),
+            1 if specials => f32::INFINITY,
+            2 if specials => f32::NEG_INFINITY,
+            3 if specials => -0.0,
+            _ => f32::from_bits(sign | exponent << 23 | mantissa),
+        }
+    })
+}
+
 /// A matrix of every tail width (`n` in 0..=17 rows, so `n mod 8` takes
 /// every value and zero, one or two full strips come first), at the
 /// widths around a lane block and the serving width 48, and a query as
-/// wide as its rows.
+/// wide as its rows. Three elements in four are full-mantissa values
+/// (so a low half is rarely zero), the fourth an [`adversarial_value`]
+/// of any regime: every element must come back bit for bit from its
+/// two halves.
 fn strip_inputs() -> impl Strategy<Value = (Matrix, Vec<f32>)> {
     (0usize..18, 0usize..7).prop_flat_map(|(n, di)| {
         let d = [0, 1, 7, 8, 9, 16, 48][di];
-        (matrix(n, d), proptest::collection::vec(-5.0f32..5.0, d))
+        let element = (-5.0f32..5.0, adversarial_value(3, true, true), 0u8..4)
+            .prop_map(|(plain, adversarial, pick)| if pick == 0 { adversarial } else { plain });
+        let m = proptest::collection::vec(element, n * d).prop_map(move |v| Matrix::from_vec(n, d, v));
+        (m, proptest::collection::vec(-5.0f32..5.0, d))
     })
+}
+
+/// Catalogs built against the ranking sweep's coarse bound: rows that
+/// copy the high halves of one of four base rows and keep only their
+/// own low halves (ties and near-ties the high halves cannot order),
+/// elements of one [`adversarial_value`] regime per catalog (ordinary
+/// in two catalogs of five), queries of ordinary magnitude, all of them
+/// positive in half the catalogs (where truncation lowers every coarse
+/// score) and specials in half. A special makes its strip's norm bound
+/// infinite, which rescores the strip, so only catalogs without them
+/// show what the bound skips. `n` in 0..70 gives every tail width and
+/// several strips after the heaps fill.
+fn adversarial_rank_inputs() -> impl Strategy<Value = (Matrix, Matrix, Vec<Vec<u32>>)> {
+    (0usize..70, 1usize..20, 1usize..4, 0usize..5, 0u8..2, 0u8..2).prop_flat_map(|(n, d, q, ri, signed, specials)| {
+        let (regime, signed, specials) = ([0, 0, 1, 2, 3][ri], signed == 1, specials == 1);
+        let value = move || adversarial_value(regime, signed, specials);
+        let own = proptest::collection::vec(value(), n * d);
+        let bases = proptest::collection::vec(value(), 4 * d);
+        let pick = proptest::collection::vec(0usize..5, n);
+        let catalog = (own, bases, pick).prop_map(move |(own, bases, pick)| {
+            Matrix::from_fn(n, d, |r, c| {
+                let x = own[r * d + c];
+                match bases.get(pick[r] * d + c) {
+                    Some(b) if b.is_finite() => f32::from_bits((b.to_bits() & 0xFFFF_0000) | (x.to_bits() & 0xFFFF)),
+                    _ => x,
+                }
+            })
+        });
+        let queries = proptest::collection::vec(adversarial_value(0, signed, specials), q * d)
+            .prop_map(move |v| Matrix::from_vec(q, d, v));
+        let excluded = proptest::collection::vec(0u8..8, n).prop_map(|mask| {
+            mask.iter().enumerate().filter(|(_, &x)| x == 0).map(|(i, _)| i as u32).collect::<Vec<u32>>()
+        });
+        (catalog, queries, proptest::collection::vec(excluded, q))
+    })
+}
+
+/// Ranks `catalog` for every query at every `k` of `ks`, pinned bitwise
+/// against the full sort over lane-order scores (query times row, the
+/// sweep's operand order): each query alone through `rank_rows`, and
+/// the whole batch (every query, then every query again in reverse, so
+/// ids repeat) through `rank_rows_into`, whose rows are padded to k,
+/// counting the (strip, query) pairs it rescores. One scratch serves
+/// every batch call.
+fn ranks_match_full_sort(catalog: &Matrix, queries: &Matrix, excludes: &[Vec<u32>], ks: &[usize]) -> TestCaseResult {
+    let n = catalog.rows();
+    let q = queries.rows();
+    let ids: Vec<u32> = (0..q as u32).chain((0..q as u32).rev()).collect();
+    let strips = kernels::RowStrips::new(catalog.clone());
+    let mut scratch = kernels::RankScratch::new();
+    for &k in ks {
+        let expected: Vec<Vec<(u32, u32)>> = (0..q)
+            .map(|i| {
+                let scores: Vec<f32> = (0..n).map(|r| lane_dot_ref(queries.row(i), catalog.row(r))).collect();
+                pair_bits(&top_k_ref(&scores, k, &excludes[i]))
+            })
+            .collect();
+        for i in 0..q {
+            let got = kernels::rank_rows(&strips, queries.row(i), k, &excludes[i]);
+            prop_assert_eq!(pair_bits(&got), expected[i].clone(), "rank_rows k={} query={}", k, i);
+        }
+        let mut out = vec![(7u32, f32::NAN); ids.len() * k];
+        let before = scratch.rescored();
+        kernels::rank_rows_into(&mut out, &strips, queries, &ids, k, |i| &excludes[ids[i] as usize], &mut scratch);
+        // Every query rescores its first strip, whose heap is empty, and
+        // no pair is rescored twice.
+        let rescored = (scratch.rescored() - before) as usize;
+        let (strips_n, first) = (n.div_ceil(kernels::LANES), if n > 0 && k > 0 { ids.len() } else { 0 });
+        prop_assert!((first..=strips_n * ids.len()).contains(&rescored), "k={}: {} pairs rescored", k, rescored);
+        for (slot, &id) in ids.iter().enumerate() {
+            let want = &expected[id as usize];
+            let row = &out[slot * k..(slot + 1) * k];
+            prop_assert_eq!(pair_bits(&row[..want.len()]), want.clone(), "rank_rows_into k={} slot={}", k, slot);
+            prop_assert!(
+                row[want.len()..].iter().all(|&(i, s)| i == u32::MAX && s == f32::NEG_INFINITY),
+                "rank_rows_into k={} slot={}: padding",
+                k,
+                slot
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -1000,49 +1112,17 @@ proptest! {
 
     #[test]
     fn rank_rows_matches_full_sort_reference((catalog, queries, excludes) in rank_inputs()) {
-        // The one path from representation rows to a top-k list, pinned
-        // bitwise against the full sort over lane-order scores: each
-        // query alone through `rank_rows`, and the whole batch (every
-        // query, then every query again in reverse, so ids repeat)
-        // through `rank_rows_into`, whose rows are padded to k. One
-        // scratch serves every batch call.
-        // Scores are query times row, the sweep's operand order.
+        // The one path from representation rows to a top-k list.
         let n = catalog.rows();
-        let q = queries.rows();
-        let ids: Vec<u32> = (0..q as u32).chain((0..q as u32).rev()).collect();
-        let strips = kernels::RowStrips::new(catalog.clone());
-        let mut scratch = kernels::RankScratch::new();
-        for k in [0, 1, 3, n, n + 3] {
-            let expected: Vec<Vec<(u32, u32)>> = (0..q)
-                .map(|i| {
-                    let scores: Vec<f32> =
-                        (0..n).map(|r| lane_dot_ref(queries.row(i), catalog.row(r))).collect();
-                    pair_bits(&top_k_ref(&scores, k, &excludes[i]))
-                })
-                .collect();
-            for i in 0..q {
-                let got = kernels::rank_rows(&strips, queries.row(i), k, &excludes[i]);
-                prop_assert_eq!(pair_bits(&got), expected[i].clone(), "rank_rows k={} query={}", k, i);
-            }
-            let mut out = vec![(7u32, f32::NAN); ids.len() * k];
-            kernels::rank_rows_into(&mut out, &strips, &queries, &ids, k, |i| &excludes[ids[i] as usize], &mut scratch);
-            for (slot, &id) in ids.iter().enumerate() {
-                let want = &expected[id as usize];
-                let row = &out[slot * k..(slot + 1) * k];
-                prop_assert_eq!(pair_bits(&row[..want.len()]), want.clone(), "rank_rows_into k={} slot={}", k, slot);
-                prop_assert!(
-                    row[want.len()..].iter().all(|&(i, s)| i == u32::MAX && s == f32::NEG_INFINITY),
-                    "rank_rows_into k={} slot={}: padding", k, slot
-                );
-            }
-        }
+        ranks_match_full_sort(&catalog, &queries, &excludes, &[0, 1, 3, n, n + 3])?;
     }
 
     #[test]
     fn row_strips_hold_every_element_and_score_in_lane_order((m, query) in strip_inputs()) {
-        // The packed catalog returns every element of the matrix it was
-        // built from, whatever the tail width, and each row's strip dot
-        // is the lane-order dot of the query with that row, bit for bit.
+        // The split catalog returns every element of the matrix it was
+        // built from, its two halves joined, whatever the tail width,
+        // and each row's strip dot is the lane-order dot of the query
+        // with that row, bit for bit.
         let strips = kernels::RowStrips::new(m.clone());
         prop_assert_eq!((strips.rows(), strips.cols()), m.shape());
         for r in 0..m.rows() {
@@ -1073,12 +1153,62 @@ proptest! {
 }
 
 #[test]
+fn rank_rows_rescore_rows_the_high_halves_cannot_order() {
+    // Rows 0 and 8 (first rows of strips 0 and 1) share their high
+    // halves; row 8's low halves are larger, so its exact score is too,
+    // by less than the truncation error of either coarse score. With
+    // k = 1, row 0 is the heap's root when strip 1 comes: the coarse
+    // bound must cover the truncation, or strip 1 is skipped and row 0
+    // is served.
+    let d = 16;
+    let base: Vec<f32> = (0..d).map(|t| 1.0 + t as f32 / 64.0).collect();
+    let with_low = |low: u32| -> Vec<f32> { base.iter().map(|x| f32::from_bits(x.to_bits() | low)).collect() };
+    let mut rows = vec![with_low(0x0100)];
+    rows.extend((1..8).map(|_| vec![0.0; d]));
+    rows.push(with_low(0xFF00));
+    let catalog = Matrix::from_fn(rows.len(), d, |r, c| rows[r][c]);
+    let query = vec![1.0f32; d];
+    let strips = kernels::RowStrips::new(catalog.clone());
+    let want = lane_dot_ref(&query, catalog.row(8));
+    assert!(want > lane_dot_ref(&query, catalog.row(0)));
+    assert_eq!(pair_bits(&kernels::rank_rows(&strips, &query, 1, &[])), pair_bits(&[(8, want)]));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rank_rows_is_exact_on_adversarial_catalogs((catalog, queries, excludes) in adversarial_rank_inputs()) {
+        // The sweep skips a strip on its high halves alone only where
+        // the coarse bound proves no exact score of it reaches the
+        // heap root: ties in the high halves, subnormals, sums that
+        // overflow in one order only and non-finite values must leave
+        // every list as the full sort ranks it.
+        let n = catalog.rows();
+        ranks_match_full_sort(&catalog, &queries, &excludes, &[1, 3, n, n + 3])?;
+    }
+}
+
+#[test]
 #[should_panic(expected = "RowStrips: row 13 out of range for 13 rows")]
 fn row_strips_reject_a_row_in_the_tail_padding() {
     // 13 rows: one full strip and a tail holding five rows and three
     // zero-padded lanes, where row 13 would otherwise read padding.
     let strips = kernels::RowStrips::new(Matrix::from_fn(13, 3, |r, c| (r * 3 + c) as f32));
     let _ = strips.dot_row(&[1.0, 2.0, 3.0], 13);
+}
+
+#[test]
+fn selection_ranks_negative_zero_below_positive_zero() {
+    // `total_cmp` orders −0.0 below +0.0. A lane dot starts every lane
+    // at +0.0 and never returns −0.0, so the ranking kernels cannot
+    // reach this order; the selector they share is pinned here.
+    let mut scratch = kernels::TopKScratch::new();
+    let got = kernels::top_k_select_excluding(&[-0.0, 0.0, -0.0], 2, &[], &mut scratch);
+    assert_eq!(pair_bits(got), pair_bits(&[(1, 0.0), (0, -0.0)]), "+0.0 first, then the lower index of the -0.0s");
+    // The heap fills with index 0's −0.0 as its root; +0.0 displaces it.
+    let got = kernels::top_k_select_excluding(&[-0.0, 0.0], 1, &[], &mut scratch);
+    assert_eq!(pair_bits(got), pair_bits(&[(1, 0.0)]), "+0.0 displaces a -0.0 root");
 }
 
 #[test]
