@@ -14,13 +14,13 @@
 //! The binary layout reuses the snapshot machinery
 //! ([`gnmr_tensor::wire`]): magic, version, fixed header, named-matrix
 //! shape tables (strictly ascending, bounds-checked before any
-//! allocation), LE f32 bit patterns, FNV-1a 64 checksum over every
+//! allocation), LE f32 bit patterns, an XXH64 checksum over every
 //! preceding byte:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNMRCKPT"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 2)
 //! 12      4     epochs completed (u32 LE)
 //! 16      8     optimizer steps taken (u64 LE)
 //! 24      8     Adam step count t (u64 LE)
@@ -30,7 +30,7 @@
 //! …       4     n_params, then param shape table, then param payloads
 //! …       4     n_moments, then moment shape table, then per moment
 //!               the first- then second-moment payload
-//! end-8   8     FNV-1a 64 checksum (u64 LE) over every preceding byte
+//! end-8   8     XXH64 checksum (u64 LE, seed 0) over every preceding byte
 //! ```
 //!
 //! All file I/O goes through the fault-injectable layer
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use gnmr_autograd::{Adam, AdamState, ParamStore};
 use gnmr_tensor::fio::{self, FaultPlan};
 use gnmr_tensor::rng::StateRng;
-use gnmr_tensor::wire::{self, Reader};
+use gnmr_tensor::wire;
 use gnmr_tensor::Matrix;
 
 use crate::trainer::TrainReport;
@@ -55,7 +55,13 @@ pub const MAGIC: [u8; 8] = *b"GNMRCKPT";
 
 /// Current checkpoint format version. Bump on any layout change; load
 /// refuses other versions rather than guessing.
-pub const VERSION: u32 = 1;
+///
+/// Version 2 seals the file with XXH64 ([`gnmr_tensor::wire::xxh64`]);
+/// version 1 was the same layout sealed with FNV-1a-64. A version-1
+/// file is rejected with [`io::ErrorKind::InvalidData`] naming its
+/// version, so a fit that finds one at its checkpoint path fails
+/// instead of resuming; move the file away to start afresh.
+pub const VERSION: u32 = 2;
 
 /// A frozen mid-training state; see the module docs for the exact
 /// resume-equivalence argument and the binary layout.
@@ -99,7 +105,14 @@ impl TrainCheckpoint {
     /// Canonical: the same training state always produces the same
     /// bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // The 48 header bytes through the loss count, the losses, each
+        // table's count and entries with their payloads, the checksum.
+        let entry = |name: &str, floats: usize| 12 + name.len() + 4 * floats;
+        let params: usize = self.params.iter().map(|(n, m)| entry(n, m.data().len())).sum();
+        let moments: usize =
+            self.opt.moments.iter().map(|(n, m, v)| entry(n, m.data().len() + v.data().len())).sum();
+        let size = 48 + 4 * self.epoch_losses.len() + 4 + params + 4 + moments + 8;
+        let mut out = Vec::with_capacity(size);
         out.extend_from_slice(&MAGIC);
         wire::push_u32(&mut out, VERSION);
         wire::push_u32(&mut out, self.epochs_done);
@@ -123,29 +136,21 @@ impl TrainCheckpoint {
             wire::push_matrix(&mut out, v);
         }
         wire::seal(&mut out);
+        debug_assert_eq!(out.len(), size, "checkpoint size reserved up front");
         out
     }
 
     /// Parses and validates a checkpoint. Integrity first: the
-    /// checksum is verified before a single byte is interpreted, so
-    /// torn writes, short reads, and byte flips are all rejected here.
+    /// checksum is verified before a single byte past the 12-byte
+    /// header is interpreted (the header's version is read first only
+    /// to name another version), so torn writes, short reads, and byte
+    /// flips are all rejected here.
     /// Structural rejections — bad magic, unsupported version,
     /// oversized declared tables, non-ascending names, shape/payload
     /// mismatches, trailing bytes — return
     /// [`io::ErrorKind::InvalidData`] with a message naming the defect.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let body = wire::open(bytes, "checkpoint")?;
-        let mut r = Reader::new(body, "checkpoint");
-        let magic = r.take(MAGIC.len(), "magic")?;
-        if magic != MAGIC {
-            return Err(wire::bad("checkpoint: bad magic (not a GNMR checkpoint)"));
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(wire::bad(format!(
-                "checkpoint: unsupported format version {version} (expected {VERSION})"
-            )));
-        }
+        let mut r = wire::open_artifact(bytes, &MAGIC, VERSION, "checkpoint")?;
         let epochs_done = r.u32("epochs completed")?;
         let steps = r.u64("step count")?;
         let opt_t = r.u64("Adam step count")?;

@@ -149,14 +149,16 @@ fn corrupt_checkpoints_are_rejected() {
     // loss count (offset 44) must be bounded before allocating.
     let mut body = bytes[..bytes.len() - 8].to_vec();
     body[44..48].copy_from_slice(&u32::MAX.to_le_bytes());
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &body {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    body.extend_from_slice(&h.to_le_bytes());
+    gnmr_tensor::wire::seal(&mut body);
     let err = TrainCheckpoint::from_bytes(&body).expect_err("oversized loss count accepted");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // A version-1 file (the same layout, sealed with FNV-1a-64) is
+    // rejected by its version, not reported as a checksum mismatch.
+    let mut v1 = bytes.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let err = TrainCheckpoint::from_bytes(&v1).expect_err("version 1 accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsupported format version 1 (expected 2)"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Training produces fused multi-order representations; this crate
 //! freezes them into a versioned binary [`ModelSnapshot`] (magic,
-//! version, shape table, FNV-1a checksum — see [`snapshot`]) and serves
+//! version, shape table, XXH64 checksum — see [`snapshot`]) and serves
 //! top-k queries from a [`ServeIndex`] at catalog scale: the catalog
 //! kept as 8-row strips whose floats are split into high and low 16
 //! bits ([`gnmr_tensor::kernels::RowStrips`]), so a sweep reads the

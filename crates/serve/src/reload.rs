@@ -138,15 +138,24 @@ impl ServeHandle {
         // integer compares, so readers are still only blocked for the
         // duration of a pointer swap.
         let candidate = Arc::new(candidate);
-        let mut slots = self.write_slots();
-        let current = (slots.current.n_users(), slots.current.n_items(), slots.current.dim());
-        let cand = (candidate.n_users(), candidate.n_items(), candidate.dim());
-        if current != cand {
-            return Err(ReloadError::Incompatible { current, candidate: cand });
-        }
-        slots.previous = Some(std::mem::replace(&mut slots.current, candidate));
-        slots.generation += 1;
-        Ok(slots.generation)
+        let (displaced, generation) = {
+            let mut slots = self.write_slots();
+            let current = (slots.current.n_users(), slots.current.n_items(), slots.current.dim());
+            let cand = (candidate.n_users(), candidate.n_items(), candidate.dim());
+            if current != cand {
+                return Err(ReloadError::Incompatible { current, candidate: cand });
+            }
+            let old = std::mem::replace(&mut slots.current, candidate);
+            slots.generation += 1;
+            (slots.previous.replace(old), slots.generation)
+        };
+        // The generation two deploys back leaves the slots under the
+        // lock but is dropped here, after the guard: when no request
+        // still holds it, this frees its catalog, and a catalog past
+        // the allocator's mmap threshold is a `munmap` that `index()`
+        // callers would otherwise wait behind.
+        drop(displaced);
+        Ok(generation)
     }
 
     /// Builds an index from an already-validated snapshot and swaps it

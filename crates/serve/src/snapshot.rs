@@ -10,14 +10,14 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"GNMRSNAP"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 2)
 //! 12      4     n_params (u32 LE)
 //! 16      16    user_repr rows, cols; item_repr rows, cols (4 × u32 LE)
 //! 32      …     param table: per param, name_len (u32 LE), name bytes
 //!               (UTF-8, strictly ascending across entries), rows, cols
 //! …       …     payload: every matrix as raw f32 bit patterns (LE),
 //!               params in table order, then user_repr, then item_repr
-//! end-8   8     FNV-1a 64 checksum (u64 LE) over every preceding byte
+//! end-8   8     XXH64 checksum (u64 LE, seed 0) over every preceding byte
 //! ```
 //!
 //! Floats travel as bit patterns ([`f32::to_bits`]/[`f32::from_bits`]),
@@ -46,7 +46,7 @@ use std::path::Path;
 use gnmr_autograd::ParamStore;
 use gnmr_core::Gnmr;
 use gnmr_tensor::fio::{self, FaultPlan};
-use gnmr_tensor::wire::{self, Reader};
+use gnmr_tensor::wire;
 use gnmr_tensor::Matrix;
 
 use crate::error::ModelNotReady;
@@ -56,7 +56,12 @@ pub const MAGIC: [u8; 8] = *b"GNMRSNAP";
 
 /// Current snapshot format version. Bump on any layout change; load
 /// refuses other versions rather than guessing.
-pub const VERSION: u32 = 1;
+///
+/// Version 2 seals the file with XXH64 ([`gnmr_tensor::wire::xxh64`]);
+/// version 1 was the same layout sealed with FNV-1a-64. A version-1
+/// file is rejected with [`io::ErrorKind::InvalidData`] naming its
+/// version: re-save it from the model to deploy it.
+pub const VERSION: u32 = 2;
 
 /// A frozen model: parameters plus the fused representation matrices.
 pub struct ModelSnapshot {
@@ -158,19 +163,9 @@ impl ModelSnapshot {
     /// [`io::ErrorKind::InvalidData`] with a message naming the defect.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
         // Integrity first: nothing after this point trusts a byte the
-        // checksum has not covered.
-        let body = wire::open(bytes, "snapshot")?;
-        let mut r = Reader::new(body, "snapshot");
-        let magic = r.take(MAGIC.len(), "magic")?;
-        if magic != MAGIC {
-            return Err(wire::bad("snapshot: bad magic (not a GNMR snapshot)"));
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(wire::bad(format!(
-                "snapshot: unsupported format version {version} (expected {VERSION})"
-            )));
-        }
+        // checksum has not covered (`open_artifact` reads the version
+        // field ahead of it only to name another version).
+        let mut r = wire::open_artifact(bytes, &MAGIC, VERSION, "snapshot")?;
         let n_params = r.u32("param count")? as usize;
         let u_rows = r.u32("user_repr rows")?;
         let u_cols = r.u32("user_repr cols")?;

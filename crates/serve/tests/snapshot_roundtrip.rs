@@ -130,17 +130,11 @@ fn truncation_is_rejected() {
 
 /// Re-stamps a mutated body with a valid checksum, so the test reaches
 /// the *structural* validation paths rather than the checksum wall.
+/// (`wire`'s known-answer tests pin the checksum itself.)
 fn restamp(body_and_sum: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut body = body_and_sum[..body_and_sum.len() - 8].to_vec();
     mutate(&mut body);
-    // FNV-1a 64, mirrored from the snapshot module (independent
-    // reimplementation keeps this test honest).
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &body {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    body.extend_from_slice(&h.to_le_bytes());
+    gnmr_tensor::wire::seal(&mut body);
     body
 }
 
@@ -160,6 +154,32 @@ fn wrong_magic_and_version_are_rejected_with_valid_checksums() {
     let trailing = restamp(&bytes, |b| b.extend_from_slice(&[0, 0, 0, 0]));
     let err = ModelSnapshot::from_bytes(&trailing).err().expect("trailing bytes accepted");
     assert!(err.to_string().contains("trailing"), "{err}");
+}
+
+/// The 40-byte representations-only snapshot of two empty matrices as
+/// format version 1 wrote it: the same layout, sealed with FNV-1a-64.
+const VERSION_1_EMPTY: [u8; 40] = [
+    0x47, 0x4e, 0x4d, 0x52, 0x53, 0x4e, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0xbe, 0x1b, 0x67, 0x13, 0xea, 0xee, 0x9e, 0xe9,
+];
+
+#[test]
+fn version_one_files_are_rejected_naming_their_version() {
+    // Its trailer is no XXH64 seal; the loader names the version rather
+    // than reporting a checksum mismatch.
+    let err = ModelSnapshot::from_bytes(&VERSION_1_EMPTY).err().expect("version 1 file accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsupported format version 1 (expected 2)"), "{err}");
+
+    // The current version writes the same body but for the version
+    // field, and loads it.
+    let empty = gnmr_tensor::Matrix::zeros(0, 0);
+    let current = ModelSnapshot::new(Vec::new(), empty.clone(), empty).to_bytes();
+    let mut body = VERSION_1_EMPTY[..32].to_vec();
+    body[8] = 2;
+    assert_eq!(current[..32], body[..]);
+    ModelSnapshot::from_bytes(&current).expect("version 2 loads");
 }
 
 #[test]

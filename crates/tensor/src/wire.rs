@@ -2,13 +2,16 @@
 //!
 //! Both persistent formats in the workspace — the serving
 //! `ModelSnapshot` and the training `TrainCheckpoint` — are hand-rolled
-//! little-endian layouts (no serde exists here) sealed by an FNV-1a 64
+//! little-endian layouts (no serde exists here) sealed by an XXH64
 //! checksum over every preceding byte. This module holds the machinery
 //! they share so the two loaders cannot drift apart in rigor:
 //!
-//! * [`fnv1a64`] and the [`seal`]/[`open`] checksum pair (integrity is
+//! * [`xxh64`] and the [`seal`]/[`open`] checksum pair (integrity is
 //!   always verified *first*; nothing downstream trusts an unchecksummed
-//!   byte);
+//!   byte), and [`open_artifact`], which also checks the 12-byte
+//!   magic-and-version header both formats start with;
+//! * bulk matrix transfer: [`push_matrix`] and [`Reader::matrix`] move a
+//!   matrix's f32 bit patterns in one little-endian loop each;
 //! * a bounds-checked [`Reader`] whose every accessor validates the
 //!   remaining length **before** allocating, so a corrupt header cannot
 //!   trigger a huge allocation;
@@ -19,21 +22,105 @@
 //!
 //! Every rejection path returns [`std::io::ErrorKind::InvalidData`]
 //! with a message naming the defect.
+//!
+//! # The checksum
+//!
+//! XXH64 with seed 0, the published algorithm: four independent
+//! multiply-rotate lanes over 32-byte stripes of little-endian u64
+//! words, a merge of the lanes, the input length, the 8-, 4- and 1-byte
+//! tails, and a final avalanche. Every input bit reaches every output
+//! bit, and it runs at memory speed in plain safe Rust. Format version
+//! 1 of both artifacts was sealed with FNV-1a-64 instead, which takes
+//! one xor and one 64-bit multiply per byte, each waiting on the last:
+//! about 4 cycles a byte. Over a 4.6 MB snapshot body it took 6.9 ms
+//! against XXH64's 0.44 ms (best of 15, one core of a 2-core Xeon).
+//! (FNV-1a over u64 words would be faster but weaker: a multiply only
+//! carries a difference upward, so flipping bit 63 of any two words
+//! cancels.) Published answers, pinned by this module's tests:
+//!
+//! | input | XXH64 |
+//! |---|---|
+//! | `""` | `0xef46db3751d8e999` |
+//! | `"a"` | `0xd24ec4f1a98c6e5b` |
+//! | `"abc"` | `0x44bc2cf5ad770999` |
+//! | `"Nobody inspects the spammish repetition"` | `0xfbcea83c8a378bf1` |
+//!
+//! This is an integrity check, not an authenticity one: it catches torn
+//! writes, short reads and flipped bytes, not a forger.
 
 use std::io;
 
 use crate::Matrix;
 
-/// FNV-1a 64-bit: dependency-free, byte-order-independent, and strong
-/// enough to catch the single-byte flips and truncations the loaders
-/// guard against (this is an integrity check, not an authenticity one).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const PRIME64_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME64_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME64_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME64_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME64_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// The little-endian u64 in the first 8 bytes of `b`.
+#[inline(always)]
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// One lane step: fold the word `input` into the accumulator `acc`.
+#[inline(always)]
+fn xxh64_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
+}
+
+/// Folds the final value of one lane into the merged hash.
+#[inline(always)]
+fn xxh64_merge(hash: u64, lane: u64) -> u64 {
+    (hash ^ xxh64_round(0, lane)).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4)
+}
+
+/// XXH64 of `bytes` with seed 0 (see the module docs): the checksum
+/// [`seal`] appends and [`open`] verifies. Allocates nothing.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            0u64.wrapping_sub(PRIME64_1),
+        ];
+        for s in stripes {
+            lanes[0] = xxh64_round(lanes[0], le64(&s[0..8]));
+            lanes[1] = xxh64_round(lanes[1], le64(&s[8..16]));
+            lanes[2] = xxh64_round(lanes[2], le64(&s[16..24]));
+            lanes[3] = xxh64_round(lanes[3], le64(&s[24..32]));
+        }
+        let [a, b, c, d] = lanes;
+        let hash = a.rotate_left(1).wrapping_add(b.rotate_left(7));
+        let hash = hash.wrapping_add(c.rotate_left(12)).wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(hash, |h, &lane| xxh64_merge(h, lane))
+    } else {
+        PRIME64_5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for w in words {
+        hash = (hash ^ xxh64_round(0, le64(w))).rotate_left(27);
+        hash = hash.wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
     }
-    h
+    if let Some((half, bytes)) = rest.split_first_chunk::<4>() {
+        hash = (hash ^ (u32::from_le_bytes(*half) as u64).wrapping_mul(PRIME64_1)).rotate_left(23);
+        hash = hash.wrapping_mul(PRIME64_2).wrapping_add(PRIME64_3);
+        rest = bytes;
+    }
+    for &b in rest {
+        hash = (hash ^ (b as u64).wrapping_mul(PRIME64_5)).rotate_left(11).wrapping_mul(PRIME64_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(PRIME64_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(PRIME64_3);
+    hash ^ (hash >> 32)
 }
 
 /// An [`io::ErrorKind::InvalidData`] error with the given message.
@@ -41,10 +128,10 @@ pub fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Appends the FNV-1a 64 checksum of everything in `out` (LE), sealing
-/// an artifact body for writing.
+/// Appends the XXH64 checksum of everything in `out` (LE), sealing an
+/// artifact body for writing.
 pub fn seal(out: &mut Vec<u8>) {
-    let sum = fnv1a64(out);
+    let sum = xxh64(out);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -57,16 +144,44 @@ pub fn open<'a>(bytes: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
         return Err(bad(format!("{what}: {} bytes is too short to hold a checksum", bytes.len())));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes([
-        tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-    ]);
-    let computed = fnv1a64(body);
+    let stored = le64(tail);
+    let computed = xxh64(body);
     if stored != computed {
         return Err(bad(format!(
             "{what}: checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — corrupt or truncated"
         )));
     }
     Ok(body)
+}
+
+/// Opens an artifact that starts with `magic` and a format version (a
+/// LE `u32`): verifies the checksum ([`open`]) and the header, and
+/// returns a [`Reader`] positioned after them. `what` names the
+/// artifact in error messages ("snapshot", "checkpoint").
+///
+/// A file of another version is rejected with a message naming that
+/// version. Such a file fails the checksum as well (version 1 was
+/// sealed with FNV-1a-64), so its header is read before the checksum,
+/// only to pick that message; nothing else is read unverified.
+pub fn open_artifact<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+    what: &'static str,
+) -> io::Result<Reader<'a>> {
+    if let Some(header) = bytes.get(..12).filter(|h| h[..8] == magic[..]) {
+        let found = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+        if found != version {
+            return Err(bad(format!("{what}: unsupported format version {found} (expected {version})")));
+        }
+    }
+    let mut r = Reader::new(open(bytes, what)?, what);
+    if r.take(magic.len(), "magic")? != magic {
+        return Err(bad(format!("{what}: bad magic (not a GNMR {what})")));
+    }
+    // The checksummed version field: the same bytes the check above read.
+    r.u32("version")?;
+    Ok(r)
 }
 
 /// Appends a `u32` (LE).
@@ -81,10 +196,13 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Appends a matrix as raw f32 bit patterns (LE, row-major). Bit
 /// patterns — not values — so a round trip is bitwise-exact, including
-/// negative zero and NaN payloads.
+/// negative zero and NaN payloads. One loop over a tail of `out` sized
+/// up front.
 pub fn push_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    for &v in m.data() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + 4 * m.data().len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(m.data()) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -137,23 +255,22 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u64` (LE).
     pub fn u64(&mut self, field: &str) -> io::Result<u64> {
-        let b = self.take(8, field)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(le64(self.take(8, field)?))
     }
 
-    /// Reads `rows × cols` f32 bit patterns into a [`Matrix`]. The
-    /// byte take happens before the allocation, so a declared shape
-    /// larger than the remaining input fails without allocating.
+    /// Reads `rows × cols` f32 bit patterns into a [`Matrix`], in one
+    /// loop. The byte take happens before the allocation, so a declared
+    /// shape larger than the remaining input fails without allocating.
     pub fn matrix(&mut self, rows: u32, cols: u32, field: &str) -> io::Result<Matrix> {
         let n = (rows as usize)
             .checked_mul(cols as usize)
             .ok_or_else(|| bad(format!("{}: {field} shape overflows", self.what)))?;
         let nbytes = n.checked_mul(4).ok_or_else(|| bad(format!("{}: payload overflow", self.what)))?;
         let raw = self.take(nbytes, field)?;
-        let mut data = Vec::with_capacity(n);
-        for c in raw.chunks_exact(4) {
-            data.push(f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-        }
+        let data = raw
+            .chunks_exact(4)
+            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+            .collect();
         Ok(Matrix::from_vec(rows as usize, cols as usize, data))
     }
 
@@ -247,6 +364,81 @@ mod tests {
     use super::*;
 
     #[test]
+    fn xxh64_matches_the_published_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition"), 0xfbce_a83c_8a37_8bf1);
+    }
+
+    /// XXH64 written plainly from the specification: index arithmetic
+    /// and words assembled a byte at a time.
+    fn reference_xxh64(input: &[u8]) -> u64 {
+        let word = |i: usize, n: usize| (0..n).fold(0u64, |w, k| w | (input[i + k] as u64) << (8 * k));
+        let round = |acc: u64, w: u64| {
+            acc.wrapping_add(w.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
+        };
+        let len = input.len();
+        let mut i = 0;
+        let mut h;
+        if len >= 32 {
+            let mut v = [PRIME64_1.wrapping_add(PRIME64_2), PRIME64_2, 0, 0u64.wrapping_sub(PRIME64_1)];
+            while i + 32 <= len {
+                for (lane, acc) in v.iter_mut().enumerate() {
+                    *acc = round(*acc, word(i + 8 * lane, 8));
+                }
+                i += 32;
+            }
+            h = v[0].rotate_left(1);
+            h = h.wrapping_add(v[1].rotate_left(7));
+            h = h.wrapping_add(v[2].rotate_left(12));
+            h = h.wrapping_add(v[3].rotate_left(18));
+            for acc in v {
+                h ^= round(0, acc);
+                h = h.wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
+            }
+        } else {
+            h = PRIME64_5;
+        }
+        h = h.wrapping_add(len as u64);
+        while i + 8 <= len {
+            h ^= round(0, word(i, 8));
+            h = h.rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
+            i += 8;
+        }
+        if i + 4 <= len {
+            h ^= word(i, 4).wrapping_mul(PRIME64_1);
+            h = h.rotate_left(23).wrapping_mul(PRIME64_2).wrapping_add(PRIME64_3);
+            i += 4;
+        }
+        while i < len {
+            h ^= (input[i] as u64).wrapping_mul(PRIME64_5);
+            h = h.rotate_left(11).wrapping_mul(PRIME64_1);
+            i += 1;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(PRIME64_2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(PRIME64_3);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn xxh64_matches_a_plain_reference_on_every_tail() {
+        // 47 bytes: one stripe, then a full 8-byte word, the 4-byte
+        // tail and three single bytes.
+        let text = b"The quick brown fox jumps over the lazy dog. 47";
+        assert_eq!(text.len(), 47);
+        assert_eq!(xxh64(text), reference_xxh64(text));
+        // Every length through three stripes plus each tail shape.
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for n in 0..=bytes.len() {
+            assert_eq!(xxh64(&bytes[..n]), reference_xxh64(&bytes[..n]), "length {n}");
+        }
+    }
+
+    #[test]
     fn seal_open_roundtrip_and_rejects_flip() {
         let mut buf = b"hello artifact".to_vec();
         seal(&mut buf);
@@ -258,6 +450,43 @@ mod tests {
         }
         assert!(open(&buf[..buf.len() - 1], "test").is_err());
         assert!(open(&[], "test").is_err());
+    }
+
+    #[test]
+    fn open_artifact_checks_the_header_and_names_another_version() {
+        let magic = *b"TESTMAGC";
+        let artifact = |version: u32| {
+            let mut buf = magic.to_vec();
+            push_u32(&mut buf, version);
+            push_u32(&mut buf, 7);
+            seal(&mut buf);
+            buf
+        };
+        let current = artifact(2);
+        let mut r = open_artifact(&current, &magic, 2, "test").unwrap();
+        assert_eq!(r.u32("payload").unwrap(), 7);
+        r.finish().unwrap();
+
+        // Another version is named ahead of the checksum, whatever the
+        // trailer holds.
+        let mut old = artifact(1);
+        let last = old.len() - 1;
+        old[last] ^= 1;
+        let err = open_artifact(&old, &magic, 2, "test").err().expect("version 1 accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported format version 1 (expected 2)"), "{err}");
+
+        let mut foreign = current.clone();
+        foreign[0] = b'X';
+        let err = open_artifact(&foreign, &magic, 2, "test").err().expect("foreign file accepted");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        let mut body = foreign[..foreign.len() - 8].to_vec();
+        seal(&mut body);
+        let err = open_artifact(&body, &magic, 2, "test").err().expect("bad magic accepted");
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        for keep in 0..current.len() {
+            assert!(open_artifact(&current[..keep], &magic, 2, "test").is_err(), "keep {keep}");
+        }
     }
 
     #[test]

@@ -23,8 +23,13 @@
 use std::fmt;
 
 use gnmr::prelude::*;
-use gnmr::tensor::wire::fnv1a64;
 use gnmr::tensor::Matrix;
+
+/// FNV-1a-64, this suite's digest. It only condenses the pinned bytes
+/// into a constant; the artifacts' own checksum is `wire::xxh64`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 /// Everything one GNMR case pins.
 #[derive(PartialEq)]
@@ -129,7 +134,7 @@ fn full_model() {
         params: 0x8fd742b8672a95f7,
         losses: 0x6853e3c7ab79e51a,
         repr: 0x0dbd20e1e9121e2a,
-        snapshot: 0x6f77502afcac0914,
+        snapshot: 0x059dbe0dbf6844d1,
         hr10: 0.2916666666666667,
         ndcg10: 0.15094673629508432,
         top10: [
@@ -145,7 +150,7 @@ fn without_type_embedding() {
         params: 0xcf763b1587010202,
         losses: 0x591fce611008b0e2,
         repr: 0xe683956137f1cdbb,
-        snapshot: 0x907ff0cbae53b227,
+        snapshot: 0xd4b7bfd4c70a8b09,
         hr10: 0.44166666666666665,
         ndcg10: 0.23402931337575386,
         top10: [
@@ -161,7 +166,7 @@ fn without_message_aggregation() {
         params: 0x04116caedd1df80e,
         losses: 0x8caaf5aa1fa003fa,
         repr: 0x5cf5a121be159e10,
-        snapshot: 0xc64475a2d4898241,
+        snapshot: 0x953bcb36d6ecf9ce,
         hr10: 0.225,
         ndcg10: 0.12053680475709852,
         top10: [
@@ -178,7 +183,7 @@ fn without_attention() {
         params: 0x89901a4514149a12,
         losses: 0xc81a25db7200c935,
         repr: 0x8cbd61d6f45f98e2,
-        snapshot: 0xde608944bf3521bc,
+        snapshot: 0x9a63e01f9bfc64c0,
         hr10: 0.2,
         ndcg10: 0.1147924508361876,
         top10: [
@@ -195,7 +200,7 @@ fn without_gate() {
         params: 0xc4512d6747c190a5,
         losses: 0x9b116a203ce2e0f1,
         repr: 0x8f03e6a59ebdce2c,
-        snapshot: 0x589aa7d391f3f19f,
+        snapshot: 0x35d14c1c0e59475e,
         hr10: 0.2916666666666667,
         ndcg10: 0.15149653431377058,
         top10: [
@@ -212,7 +217,7 @@ fn one_memory_dim() {
         params: 0x7b5b1689e373ae59,
         losses: 0xa61a0ba6bf0101f0,
         repr: 0xa241c16a81a9d3fd,
-        snapshot: 0x991379cf3c3aef2b,
+        snapshot: 0x63c5cbdd2536c8d4,
         hr10: 0.31666666666666665,
         ndcg10: 0.1592653406262361,
         top10: [
@@ -230,7 +235,7 @@ fn four_behaviors() {
         params: 0x5ec82c329942f80e,
         losses: 0xae08bed11ec94699,
         repr: 0x585b0d1e0a6ba5b5,
-        snapshot: 0x16399f5a72a76df1,
+        snapshot: 0x03417c2ce2433567,
         hr10: 0.3302752293577982,
         ndcg10: 0.14270490584841394,
         top10: [
@@ -247,7 +252,7 @@ fn pretrained() {
         params: 0x210d99d0ebbc029e,
         losses: 0x20cefaa42519fc32,
         repr: 0xc2f8ac38c998ec8b,
-        snapshot: 0xa8b826b528043305,
+        snapshot: 0xf08ec6ab73108509,
         hr10: 0.45,
         ndcg10: 0.2354428002290743,
         top10: [
@@ -269,7 +274,7 @@ fn zero_layers() {
         params: 0xc369099eab04a417,
         losses: 0x7ab92afdb1266116,
         repr: 0x6471177c27e63f67,
-        snapshot: 0x70b671e52812ef1b,
+        snapshot: 0xbe0564e8c923493c,
         hr10: 0.23333333333333334,
         ndcg10: 0.11927700290453887,
         top10: [
@@ -285,7 +290,7 @@ fn one_layer() {
         params: 0x05884df670000240,
         losses: 0x38c3fbbadfa7e50d,
         repr: 0xa671f9de7fd0297a,
-        snapshot: 0x7989244b40b6080a,
+        snapshot: 0x9af6230b01746e66,
         hr10: 0.2916666666666667,
         ndcg10: 0.1500681524410534,
         top10: [
@@ -301,7 +306,7 @@ fn three_layers() {
         params: 0xdddb62a27c738027,
         losses: 0x812d73f0abad9571,
         repr: 0x82f9c3df3ca3c13e,
-        snapshot: 0xcf498d14a8b86188,
+        snapshot: 0xc9bb4fd1c4f11020,
         hr10: 0.2916666666666667,
         ndcg10: 0.15094673629508432,
         top10: [
@@ -317,7 +322,7 @@ fn three_layers() {
 /// checkpoint every epoch.
 #[test]
 fn checkpoint_file() {
-    const WANT: u64 = 0x9cdcc1ebf4b60ef8;
+    const WANT: u64 = 0x989d8f1655a73d92;
     let data = movielens();
     let mut model = Gnmr::new(&data.graph, small(GnmrVariant::full()));
     let dir = std::env::temp_dir().join(format!("gnmr_golden_ckpt_{}", std::process::id()));
