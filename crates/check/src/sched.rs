@@ -17,12 +17,16 @@
 //! are deterministic: the RNG is SplitMix64 from a fixed seed, never
 //! ambient entropy.
 //!
-//! Deadlock (no runnable thread while some are blocked), step-budget
-//! overruns (livelock), and unexpected panics on a vthread are detected
-//! here; protocol invariants (exactly-once chunks, quiesce counts) are
-//! asserted by the scenarios in [`crate::scenario`] and surface as
-//! panics on vthread 0, which this module converts into a
-//! [`ModelFailure`] carrying a replay token and a readable trace.
+//! Deadlock, step-budget overruns (livelock), and unexpected panics on
+//! a vthread are detected here. A schedule with no runnable thread ends
+//! cleanly only when main and every vthread outside the pool have
+//! finished and each pool worker (named `gnmr-par-*`) is parked in a
+//! condvar wait, where the real pool's workers spend the rest of the
+//! process; any other stop is a deadlock. Protocol invariants
+//! (exactly-once chunks, quiesce counts, the pool's size) are asserted
+//! by the scenarios in [`crate::scenario`] and surface as panics on
+//! vthread 0, which this module converts into a [`ModelFailure`]
+//! carrying a replay token and a readable trace.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -51,11 +55,13 @@ pub enum Op {
     OnceGet(usize),
     OnceInit(usize),
     Spawn,
+    /// Main waiting for every other vthread to finish or park ([`settle`]).
+    Settle,
 }
 
 impl Op {
     /// The sync objects this op touches; `None` means "global effect,
-    /// conservatively dependent on everything" (spawn).
+    /// conservatively dependent on everything" (spawn, settle).
     fn objects(&self) -> Option<(usize, Option<usize>)> {
         match *self {
             Op::AtomicLoad(o) | Op::AtomicStore(o) | Op::AtomicRmw(o) => Some((o, None)),
@@ -63,7 +69,7 @@ impl Op {
             Op::CondWait(cv, m) => Some((cv, Some(m))),
             Op::CondNotifyOne(cv) | Op::CondNotifyAll(cv) => Some((cv, None)),
             Op::OnceGet(o) | Op::OnceInit(o) => Some((o, None)),
-            Op::Spawn => None,
+            Op::Spawn | Op::Settle => None,
         }
     }
 }
@@ -86,6 +92,8 @@ enum Status {
     BlockedMutex(usize),
     /// Parked in a condvar wait (object id) until notified.
     BlockedCond(usize),
+    /// Main in [`settle`]: runs again once no other vthread can.
+    Settling,
     Finished,
 }
 
@@ -229,9 +237,12 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Why a schedule stopped early.
+/// Why a schedule stopped. Vthreads still blocked when it does are
+/// released and unwind with [`ModelAbort`].
 #[derive(Clone, Debug)]
 enum Abort {
+    /// Clean end: nothing left to run but parked pool workers.
+    Quiet,
     /// Sleep-set pruning: branch redundant, not a bug.
     Pruned,
     Failure(String),
@@ -241,8 +252,6 @@ struct State {
     threads: Vec<Thread>,
     current: usize,
     abort: Option<Abort>,
-    /// All threads finished (normal schedule end).
-    done: bool,
     steps: usize,
     trace: Vec<(usize, Op)>,
     chooser: Chooser,
@@ -287,7 +296,6 @@ fn shared() -> &'static Shared {
             threads: Vec::new(),
             current: 0,
             abort: None,
-            done: true,
             steps: 0,
             trace: Vec::new(),
             chooser: Chooser {
@@ -361,7 +369,7 @@ fn abort_unwind() -> ! {
 /// Picks who runs next. Called with the state lock held, by whichever
 /// thread just announced an op, blocked, or finished.
 fn choose_next(st: &mut State) {
-    if st.abort.is_some() || st.done {
+    if st.abort.is_some() {
         shared().cv.notify_all();
         return;
     }
@@ -373,8 +381,18 @@ fn choose_next(st: &mut State) {
         .map(|(i, _)| i)
         .collect();
     if options.is_empty() {
-        if st.threads.iter().all(|t| t.status == Status::Finished) {
-            st.done = true;
+        let parked = |t: &Thread| matches!(t.status, Status::BlockedCond(_));
+        if st.threads[0].status == Status::Settling
+            && st.threads[1..].iter().all(|t| t.status == Status::Finished || parked(t))
+        {
+            st.threads[0].status = Status::Runnable;
+            st.current = 0;
+        } else if st
+            .threads
+            .iter()
+            .all(|t| t.status == Status::Finished || t.name.starts_with("gnmr-par-") && parked(t))
+        {
+            st.abort = Some(Abort::Quiet);
         } else {
             let blocked: Vec<String> = st
                 .threads
@@ -446,6 +464,20 @@ fn pre_yield(op: Op) -> Option<StdMutexGuard<'static, State>> {
     }
     st.trace.push((me, op));
     Some(st)
+}
+
+/// Parks main until no other vthread can run, then returns if every
+/// other vthread has finished or is parked in a condvar wait (a stop
+/// short of that is a deadlock). Scenarios call it before their final
+/// recount, so a chunk that ran after its dispatch returned has run
+/// by then.
+pub fn settle() {
+    {
+        let mut st = lock();
+        let me = st.current;
+        st.threads[me].status = Status::Settling;
+    }
+    drop(pre_yield(Op::Settle));
 }
 
 // ----- facade entry points (called by the model sync types) ------------
@@ -635,7 +667,6 @@ fn run_schedule(name: &str, body: fn()) -> ScheduleOutcome {
         });
         st.current = 0;
         st.abort = None;
-        st.done = false;
         st.steps = 0;
         st.trace.clear();
         st.mutex_owner.clear();
@@ -645,7 +676,7 @@ fn run_schedule(name: &str, body: fn()) -> ScheduleOutcome {
     }
     let result = catch_unwind(AssertUnwindSafe(body));
     // Tear down: mark vthread 0 finished, schedule the stragglers
-    // (retiring workers draining their exit paths), and wait for the
+    // (workers finishing a job and parking again), and wait for the
     // world to go quiet.
     let mut failure: Option<String> = None;
     {
@@ -659,12 +690,12 @@ fn run_schedule(name: &str, body: fn()) -> ScheduleOutcome {
         st.threads[0].status = Status::Finished;
         st.threads[0].pending = None;
         choose_next(&mut st);
-        while st.abort.is_none() && !st.done {
+        while st.abort.is_none() {
             st = shared().cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        // On abort, blocked vthreads have been released (the wait
-        // predicate includes `abort`); give them a beat to unwind out
-        // of their current facade op before joining below.
+        // Blocked vthreads have been released (the wait predicate
+        // includes `abort`); they unwind out of their current facade op
+        // before the joins below return.
     }
     let handles: Vec<_> = {
         let mut st = lock();
@@ -675,7 +706,7 @@ fn run_schedule(name: &str, body: fn()) -> ScheduleOutcome {
     }
     let mut st = lock();
     match st.abort.take() {
-        None => ScheduleOutcome::Ok,
+        None | Some(Abort::Quiet) => ScheduleOutcome::Ok,
         Some(Abort::Pruned) => ScheduleOutcome::Pruned,
         Some(Abort::Failure(reason)) => {
             let reason = failure.unwrap_or(reason);

@@ -32,8 +32,8 @@ fn zero_workers_caller_drains() {
 }
 
 #[test]
-fn nested_inline_is_sound() {
-    explore("nested-inline");
+fn nested_dispatch_is_sound() {
+    explore("nested-dispatch");
 }
 
 #[test]
@@ -42,8 +42,8 @@ fn panic_propagation_is_sound() {
 }
 
 #[test]
-fn grow_shrink_midflight_is_sound() {
-    explore("grow-shrink-midflight");
+fn implicit_cap_is_sound() {
+    explore("implicit-cap");
 }
 
 #[test]

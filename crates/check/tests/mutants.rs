@@ -56,12 +56,13 @@ fn racy_claim_is_caught() {
     );
 }
 
-/// A retiring worker decrements the wrong counter: `retiring` never
-/// drains and the blocked shrinker waits forever.
+/// Dispatch growth ignores the hardware cap, so an implicit
+/// configuration spawns a worker per extra chunk: the pool-size check
+/// must object.
 #[test]
-fn reorder_retire_decrement_is_caught() {
-    let failure = must_catch("dispatch-drain", "reorder-retire-decrement");
-    assert!(failure.reason.contains("deadlock"), "expected a deadlock, got: {}", failure.reason);
+fn uncapped_grow_is_caught() {
+    let failure = must_catch("implicit-cap", "uncapped-grow");
+    assert!(failure.reason.contains("hardware cap"), "expected a cap violation, got: {}", failure.reason);
 }
 
 /// Deterministic replay: the token of a caught mutant re-executes to

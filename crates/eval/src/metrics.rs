@@ -1,14 +1,18 @@
 //! Hit Ratio and NDCG for leave-one-out ranking.
 
+use std::cmp::Ordering;
+
 /// The 0-based rank of the positive item (index 0 of `scores`) among all
-/// candidates, with pessimistic tie-breaking: any other candidate with an
-/// equal score is counted ahead of the positive. Pessimistic ties make a
-/// constant scorer produce rank = last, so degenerate models cannot fake
-/// good metrics.
+/// candidates, with pessimistic tie-breaking: any other candidate not
+/// scored strictly below the positive is counted ahead of it, so an
+/// equal score counts against the positive, and so does any NaN (a NaN
+/// positive ranks last, a NaN negative ahead of it). Pessimistic ties
+/// make a constant scorer produce rank = last, so degenerate or
+/// diverged models cannot fake good metrics.
 pub fn rank_of_positive(scores: &[f32]) -> usize {
     assert!(!scores.is_empty(), "rank_of_positive: empty scores");
     let pos = scores[0];
-    scores[1..].iter().filter(|&&s| s >= pos).count()
+    scores[1..].iter().filter(|&&s| s.partial_cmp(&pos) != Some(Ordering::Less)).count()
 }
 
 /// HR@N for a single instance: 1 if the positive ranks in the top N.
@@ -47,6 +51,15 @@ mod tests {
         // Ties count against the positive.
         assert_eq!(rank_of_positive(&[0.5, 0.5, 0.1]), 1);
         assert_eq!(rank_of_positive(&[0.5, 0.5, 0.5]), 2);
+    }
+
+    #[test]
+    fn nan_scores_count_against_the_positive() {
+        // A NaN positive ranks last, not first.
+        assert_eq!(rank_of_positive(&[f32::NAN, 0.5, 0.1]), 2);
+        assert_eq!(rank_of_positive(&[f32::NAN, f32::NAN]), 1);
+        // A NaN negative counts ahead of a finite positive.
+        assert_eq!(rank_of_positive(&[0.9, f32::NAN, 0.1]), 1);
     }
 
     #[test]

@@ -141,6 +141,14 @@ mod tests {
         }
     }
 
+    /// A diverged model: every score is NaN.
+    struct Diverged;
+    impl Recommender for Diverged {
+        fn score(&self, _user: u32, items: &[u32]) -> Vec<f32> {
+            vec![f32::NAN; items.len()]
+        }
+    }
+
     fn instances(n: usize) -> Vec<EvalInstance> {
         (0..n as u32)
             .map(|u| EvalInstance {
@@ -167,6 +175,14 @@ mod tests {
     fn constant_scorer_gets_zero() {
         let test = instances(10);
         let r = evaluate(&Constant, &test, &[1, 5, 10]);
+        assert_eq!(r.hr_at(10), 0.0);
+        assert_eq!(r.ndcg_at(10), 0.0);
+    }
+
+    #[test]
+    fn nan_scorer_gets_zero() {
+        let test = instances(10);
+        let r = evaluate(&Diverged, &test, &[1, 5, 10]);
         assert_eq!(r.hr_at(10), 0.0);
         assert_eq!(r.ndcg_at(10), 0.0);
     }

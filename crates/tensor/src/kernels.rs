@@ -39,9 +39,8 @@
 //!   partial vectors with scalar lane shuffles on rustc 1.95; the strip
 //!   form gives the same bits about twice as fast.
 //! * Parallelism lives one level up: the serving batch splits *users*
-//!   across the worker pool once its work reaches [`min_work`]
-//!   (default [`PAR_MIN_WORK`]) and runs [`rank_rows_into`] once per
-//!   worker.
+//!   across the worker pool once its work reaches [`PAR_MIN_WORK`]
+//!   ([`min_work`]) and runs [`rank_rows_into`] once per worker.
 //! * [`matmul_serial`] is the one reference loop (plain i-k-j), kept for
 //!   the tests and benches to compare the tiled [`matmul_acc`] against.
 //! * Allocating forms live on `Matrix` and `Csr` (`Matrix::matmul` and
@@ -77,7 +76,6 @@
 //! across machines as well as across thread counts.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::dense::Matrix;
 use crate::sparse::Csr;
@@ -90,27 +88,11 @@ use crate::sparse::Csr;
 /// arithmetic to amortize it go parallel. No kernel reads it.
 pub const PAR_MIN_WORK: usize = 64 * 1024;
 
-/// Override for the parallel work threshold; 0 means "use
-/// [`PAR_MIN_WORK`]".
-static MIN_WORK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets (or with `None` clears) the parallel work threshold the
-/// serving batch compares against. `Some(1)` (the floor — `Some(0)` is
-/// clamped to it) sends every batch through its parallel route
-/// regardless of size, which is how the serving and determinism suites
-/// exercise that route on test-sized shapes. Every kernel runs on the
-/// calling thread, so it does not reach them. Real tuning would raise
-/// or lower the threshold a few binary orders of magnitude around the
-/// default.
-pub fn set_min_work(threshold: Option<usize>) {
-    MIN_WORK_OVERRIDE.store(threshold.map_or(0, |t| t.max(1)), Ordering::Relaxed);
-}
-
-/// The active parallel work threshold of the serving batch
-/// ([`PAR_MIN_WORK`] unless overridden via [`set_min_work`]).
+/// The parallel work threshold of the serving batch: [`PAR_MIN_WORK`].
+/// A test that wants the parallel route on a small batch passes its
+/// thread count to `ServeIndex::recommend_batch_into_with` instead.
 pub fn min_work() -> usize {
-    let o = MIN_WORK_OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 { o } else { PAR_MIN_WORK }
+    PAR_MIN_WORK
 }
 
 /// Column-block width of the tiled dense matmul: one output block row

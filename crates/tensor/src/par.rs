@@ -21,10 +21,12 @@
 //! Workers are long-lived `std` threads parked on a condvar, spawned
 //! lazily by the first parallel dispatch and reused by every subsequent
 //! one, so sub-millisecond kernels no longer pay per-call thread-spawn
-//! overhead. The pool grows on demand (a dispatch that wants more
-//! workers than exist spawns the difference) and shrinks gracefully
-//! when [`set_threads`] lowers the configured count (surplus workers
-//! are retired and joined). Callers are still expected to gate small
+//! overhead. The pool only grows: a dispatch that wants more workers
+//! than exist spawns the difference (under implicit configuration, no
+//! more than the hardware can run beside the caller), and a worker,
+//! once spawned, parks between jobs until the process exits. A smaller
+//! thread count takes effect per dispatch, which wakes no more workers
+//! than it has participants. Callers are still expected to gate small
 //! workloads to a serial path so even the (much smaller) dispatch
 //! overhead never dominates (the serving batch compares its work
 //! against `kernels::min_work`).
@@ -33,9 +35,10 @@
 //! participates in its own job and drains any chunks the workers have
 //! not claimed, so every call completes even with zero live workers.
 //! Nested parallel calls (a chunk closure that itself invokes
-//! [`for_each_row_chunk`]) are detected via a thread-local and run
-//! inline on the worker in serial chunk order — safe, deterministic,
-//! and never queue-blocking.
+//! [`for_each_row_chunk`]) take the same route as any other: their
+//! notifications queue behind whatever the workers are doing, and the
+//! nested caller drains its own job, so a nested call completes even
+//! when every worker is busy.
 //!
 //! # Determinism
 //!
@@ -46,9 +49,8 @@
 //! deterministic. Both callers are written that way (a user's list and
 //! an instance's rank depend on that row alone), which preserves the
 //! workspace "same seed, same bytes" contract at every thread count.
-//! Which thread executes a chunk (a pool worker, the caller, or — for
-//! nested calls — the enclosing worker) never affects the bytes
-//! produced.
+//! Which thread executes a chunk (a pool worker or the caller) never
+//! affects the bytes produced.
 
 // The workspace denies `unsafe_code`; this module is the single,
 // deliberate exception. Persistent workers outlive any one call, so
@@ -71,7 +73,6 @@
 #![allow(unsafe_code)]
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -102,26 +103,21 @@ static HW_THREADS: OnceLock<usize> = OnceLock::new();
 /// Sets (or with `None` clears) the programmatic thread-count override.
 ///
 /// Takes precedence over `GNMR_THREADS` and the hardware default.
-/// `Some(0)` is treated as `None`. If the worker pool is already
-/// running, it is resized to match the new configuration: surplus
-/// workers are retired and joined immediately; growth happens eagerly
-/// too, so the next dispatch finds the pool ready. Clearing the
-/// override sizes the pool the way dispatch does under `GNMR_THREADS`
-/// or the hardware default: no more workers than the machine can run
-/// beside the caller.
+/// `Some(0)` is treated as `None`. It only stores the setting, which
+/// every later dispatch reads: the pool keeps the workers it has, and a
+/// dispatch at fewer participants wakes fewer of them. Clearing the
+/// override brings back the hardware cap of implicit configuration
+/// (`GNMR_THREADS` or the default) for every later dispatch.
 pub fn set_threads(n: Option<usize>) {
     // ORDERING: Relaxed — the override is a standalone flag; no other
-    // memory is published through it, and the resize below reads the
-    // new value (through `num_threads` and `worker_cap`) on this same
-    // thread.
+    // memory is published through it.
     OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-    resize_pool(worker_cap(num_threads()));
 }
 
 /// Whether a programmatic [`set_threads`] override is active. An
-/// explicit override is an exact contract: dispatch and resizes honor
-/// it without the hardware-parallelism cap applied to implicit
-/// configuration (`GNMR_THREADS` / the default), both because the
+/// explicit override is an exact contract: dispatch honors it without
+/// the hardware-parallelism cap applied to implicit configuration
+/// (`GNMR_THREADS` / the default), both because the
 /// caller may know better than `available_parallelism` (cgroup
 /// misdetection) and so the cross-thread test suites exercise the full
 /// pool machinery on any machine.
@@ -134,9 +130,9 @@ fn explicit_override() -> bool {
 /// The oversubscription guard: how many pool workers may join a caller
 /// that wants `threads` participants. That is `threads - 1`; under
 /// implicit configuration it is also at most `hardware_threads() - 1`,
-/// so neither a dispatch nor a resize spawns or wakes more workers than
-/// the machine can co-schedule with the caller, and an oversubscribed
-/// `GNMR_THREADS` never accumulates permanently parked threads. An
+/// so a dispatch never spawns or wakes more workers than the machine
+/// can co-schedule with the caller, and an oversubscribed
+/// `GNMR_THREADS` never accumulates threads no dispatch wakes. An
 /// explicit override lifts the cap (see [`explicit_override`]).
 fn worker_cap(threads: usize) -> usize {
     let threads = if explicit_override() { threads } else { threads.min(hardware_threads()) };
@@ -310,74 +306,35 @@ impl Job {
 
 struct PoolState {
     queue: VecDeque<Arc<Job>>,
-    /// Number of workers currently alive (spawned, retirement not yet
-    /// acknowledged). The pool's *effective* size is `live - retiring`.
+    /// Number of workers spawned so far; they live for the process.
     live: usize,
-    /// Pending retirement tokens. Any worker that wakes while one is
-    /// outstanding consumes it and exits — retirement is by count, not
-    /// by identity, so a concurrent grow can never resurrect a worker
-    /// another thread is waiting on.
-    retiring: usize,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Parks idle workers; notified on job arrival and on shrink (so
-    /// workers observe retirement tokens). Only workers wait here —
-    /// dispatch's targeted `notify_one` wakeups must never be absorbed
-    /// by a blocked resizer.
+    /// Parks idle workers; notified once per queued job notification.
     cv: Condvar,
-    /// Parks `resize_pool` shrink-waiters; notified when a worker
-    /// acknowledges a retirement token and when a grow cancels pending
-    /// tokens. Shares the `state` mutex with `cv`.
-    resize_cv: Condvar,
 }
 
 static POOL: OnceLock<Arc<PoolShared>> = OnceLock::new();
 
-thread_local! {
-    /// Set for the lifetime of every pool worker thread; nested
-    /// parallel calls detect it and run inline instead of re-entering
-    /// the queue (which could otherwise stall behind their own caller).
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
 fn pool() -> Arc<PoolShared> {
     POOL.get_or_init(|| {
         Arc::new(PoolShared {
-            state: Mutex::new(PoolState { queue: VecDeque::new(), live: 0, retiring: 0 }),
+            state: Mutex::new(PoolState { queue: VecDeque::new(), live: 0 }),
             cv: Condvar::new(),
-            resize_cv: Condvar::new(),
         })
     })
 }
 
-/// Monotonic counter naming worker threads (names are purely cosmetic;
-/// retirement is by token, not identity).
+/// Monotonic counter naming worker threads (names are purely cosmetic).
 static WORKER_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 fn worker_loop(shared: Arc<PoolShared>) {
-    IN_WORKER.with(|w| w.set(true));
     loop {
         let job = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                // Retirement first, so shrinks complete promptly even
-                // under a steady stream of dispatches (callers drain
-                // their own jobs regardless).
-                if st.retiring > 0 {
-                    if crate::sync::fault("reorder-retire-decrement") {
-                        // Seeded bug: acknowledge the wrong counter —
-                        // `retiring` never drains, so a blocked shrinker
-                        // waits forever (mutant corpus only).
-                        st.live -= 1;
-                    } else {
-                        st.retiring -= 1;
-                        st.live -= 1;
-                    }
-                    shared.resize_cv.notify_all();
-                    return;
-                }
                 if let Some(job) = st.queue.pop_front() {
                     break job;
                 }
@@ -388,71 +345,25 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-/// Grows the pool (under its already-held state lock) so its effective
-/// size (`live - retiring`) reaches `want`, first cancelling pending
-/// retirements, then spawning. Never shrinks (see [`resize_pool`]).
+/// Grows the pool (under its already-held state lock) to `want` live
+/// workers. Never shrinks.
 fn grow_locked(shared: &Arc<PoolShared>, st: &mut PoolState, want: usize) {
-    let mut cancelled = false;
-    while st.live - st.retiring < want && st.retiring > 0 {
-        st.retiring -= 1;
-        cancelled = true;
-    }
-    if cancelled {
-        // A shrinker may be blocked waiting for `retiring` to drain;
-        // cancellation is also progress it must observe.
-        shared.resize_cv.notify_all();
-    }
-    while st.live - st.retiring < want {
+    while st.live < want {
         let sh = Arc::clone(shared);
         // ORDERING: Relaxed — monotonic name counter, purely cosmetic.
         let id = WORKER_SEQ.fetch_add(1, Ordering::Relaxed);
         match spawn_named(format!("gnmr-par-{id}"), move || worker_loop(sh)) {
-            Ok(()) => st.live += 1, // detached; exits via a retire token
+            Ok(()) => st.live += 1, // detached; parks between jobs for the process
             Err(_) => break,        // degrade gracefully; callers self-drain
         }
     }
 }
 
-/// Resizes the pool to exactly `workers` effective workers — but only
-/// if the pool has already been started (a process that never
-/// dispatched in parallel never spawns threads). Shrinking issues
-/// retirement tokens and blocks until surplus workers acknowledge them.
-/// A worker busy on a job acknowledges only after draining that whole
-/// job (it claims chunks until none remain before re-checking pool
-/// state), so a shrink can block for the worker's full current job —
-/// not merely its current chunk. Chunks retirees never claimed are
-/// drained by their dispatching callers, so no work is lost. Called
-/// from inside a pool worker, the shrink is requested but not awaited
-/// (a worker cannot wait for its own retirement).
-fn resize_pool(workers: usize) {
-    let Some(shared) = POOL.get() else { return };
-    let mut st = shared.state.lock().unwrap();
-    let effective = st.live - st.retiring;
-    if effective < workers {
-        grow_locked(&shared, &mut st, workers);
-        return;
-    }
-    st.retiring += effective - workers;
-    drop(st);
-    shared.cv.notify_all();
-    if IN_WORKER.with(|w| w.get()) {
-        return;
-    }
-    let mut st = shared.state.lock().unwrap();
-    while st.retiring > 0 {
-        st = shared.resize_cv.wait(st).unwrap();
-    }
-}
-
-/// Number of currently live pool workers, net of pending retirements
-/// (0 before the first parallel dispatch, and after a resize to a
-/// single thread). Exposed for the pool-lifecycle tests; kernels
-/// should not branch on it.
+/// Number of live pool workers (0 before the first parallel dispatch;
+/// the pool never shrinks). Exposed for the pool-lifecycle tests;
+/// kernels should not branch on it.
 pub fn pool_workers() -> usize {
-    POOL.get().map_or(0, |shared| {
-        let st = shared.state.lock().unwrap();
-        st.live - st.retiring
-    })
+    POOL.get().map_or(0, |shared| shared.state.lock().unwrap().live)
 }
 
 // SAFETY: caller must pass a `ctx` obtained by erasing a live `&F`;
@@ -473,9 +384,8 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, f: &F) {
     // implicit config): the job/queue machinery would only add
     // allocation and lock traffic around a caller that drains every
     // chunk anyway. Run inline instead — chunk order 0..n, the serial
-    // reference order, identical bytes. Nested calls from a worker run
-    // inline the same way, with no queue involvement.
-    if workers == 0 || IN_WORKER.with(|w| w.get()) {
+    // reference order, identical bytes.
+    if workers == 0 {
         for i in 0..chunks {
             f(i);
         }
@@ -495,21 +405,22 @@ fn run_chunks<F: Fn(usize) + Sync>(chunks: usize, f: &F) {
         let mut st = shared.state.lock().unwrap();
         // Dispatch-driven growth obeys the same cap as the
         // notifications below: a dispatch only spawns workers it will
-        // also notify.
-        grow_locked(&shared, &mut st, workers);
+        // also notify. (Seeded bug `uncapped-grow`, mutant corpus only:
+        // growth ignores the hardware cap.)
+        let uncapped = crate::sync::fault("uncapped-grow");
+        grow_locked(&shared, &mut st, if uncapped { chunks - 1 } else { workers });
         // Bounded two ways. (1) By the workers actually alive: with
-        // zero live workers (a pool shrunk to one thread, or thread
-        // spawning failing) nothing is queued at all — the
-        // caller-drains-own-job rule means the dispatch below
-        // completes regardless, and the pool queue can never
-        // accumulate notifications no worker will pop. (2) By
+        // zero live workers (thread spawning failing) nothing is
+        // queued at all — the caller-drains-own-job rule means the
+        // dispatch below completes regardless, and the pool queue can
+        // never accumulate notifications no worker will pop. (2) By
         // `workers`, which under implicit config holds the hardware
         // cap: waking a worker the machine cannot co-schedule with the
         // caller buys zero concurrency and costs context switches and
         // cache mixing mid-sweep — same bytes, none of the thrash.
         // Un-woken notifications are never enqueued, keeping the queue
         // bounded by what will actually be popped.
-        let notifications = workers.min(st.live - st.retiring);
+        let notifications = workers.min(st.live);
         for _ in 0..notifications {
             st.queue.push_back(Arc::clone(&job));
         }
@@ -563,9 +474,9 @@ impl<T> SendPtr<T> {
 /// rows in its range, so the closure needs no synchronization. With
 /// `threads <= 1` (or a single row) the closure runs inline on the
 /// calling thread — the serial path and the parallel path execute
-/// identical per-row code. Nested calls from inside a chunk closure
-/// also run inline (serially, in chunk order) rather than re-entering
-/// the pool.
+/// identical per-row code. A nested call from inside a chunk closure
+/// dispatches like any other and completes even when every worker is
+/// busy, since its caller drains its own chunks.
 ///
 /// The call blocks until every chunk has completed; a panic inside the
 /// closure is rethrown on the calling thread after the job quiesces.

@@ -23,8 +23,8 @@
 //! * [`OnceLock`] returns **owned** values (`T: Clone`) from `get` /
 //!   `get_or_init` — the model backend resets once-caches between explored
 //!   schedules and therefore cannot hand out `'static` borrows;
-//! * [`spawn_named`] spawns a *detached* thread (the pool retires workers
-//!   by token, never by join handle) and reports failure as [`SpawnFailed`].
+//! * [`spawn_named`] spawns a *detached* thread (pool workers live for the
+//!   process, so nothing joins them) and reports failure as [`SpawnFailed`].
 //!
 //! [`fault`] is the mutation hook for the checker's mutant corpus: sites in
 //! `par.rs` ask `fault("site-name")` before a protocol-critical step. Here

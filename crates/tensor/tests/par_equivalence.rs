@@ -838,47 +838,15 @@ fn skewed_hub_is_bitwise_identical_across_thread_counts() {
 
 // ----- the dispatch configuration reaches no kernel --------------------
 //
-// `set_min_work` sets the serving batch's threshold and `set_threads`
-// sizes the pool; neither reaches a kernel. Under both overrides at
-// once — the work threshold floored, the pool past one thread — the
-// catalog sweep and the ranking kernels must still give their
-// references' bytes. This test is the single owner of the threshold
-// global (a second concurrent owner could observe the other's
-// override — the bytes would still match, but the `min_work` value
-// assertions would race).
-
-/// RAII guard flooring the serving batch's work threshold; restores
-/// the default on any exit.
-struct MinWorkOverride;
-
-impl MinWorkOverride {
-    fn force_parallel() -> Self {
-        kernels::set_min_work(Some(1));
-        MinWorkOverride
-    }
-}
-
-impl Drop for MinWorkOverride {
-    fn drop(&mut self) {
-        kernels::set_min_work(None);
-    }
-}
+// `set_threads` sets the pool's thread count and `min_work` is the
+// serving batch's threshold; neither reaches a kernel. With the pool
+// past one thread, the catalog sweep and the ranking kernels must
+// still give their references' bytes.
 
 #[test]
 fn auto_wrappers_match_explicit_thread_counts() {
-    // The threshold override round-trips (floor-clamped at 1) before
-    // the byte checks rely on it.
-    let default = kernels::min_work();
-    assert!(default > 1, "default PAR_MIN_WORK should be a real threshold");
-    kernels::set_min_work(Some(5));
-    assert_eq!(kernels::min_work(), 5);
-    kernels::set_min_work(Some(0));
-    assert_eq!(kernels::min_work(), 1, "Some(0) clamps to the floor");
-    kernels::set_min_work(None);
-    assert_eq!(kernels::min_work(), default);
-
+    assert_eq!(kernels::min_work(), kernels::PAR_MIN_WORK);
     let _caps = ThreadOverride::lift_caps();
-    let _work = MinWorkOverride::force_parallel();
 
     let base = Matrix::from_fn(9, 8, |r, c| ((r * 11 + c * 2) as f32 * 0.27).sin());
     let query: Vec<f32> = (0..base.cols()).map(|i| (i as f32 * 0.41).sin()).collect();

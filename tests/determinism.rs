@@ -36,13 +36,18 @@ fn different_seeds_differ() {
     });
 }
 
-/// Every user's top-10 list, ranked in one `recommend_batch` over all
-/// users of a `ServeIndex` built from the model: the batch is split
-/// across the pool at the configured thread count.
-fn recommend_all(model: &Gnmr, n_users: usize) -> Vec<Vec<(u32, f32)>> {
+/// Every user's top-10 list (padded rows included), ranked in one
+/// batch over all users of a `ServeIndex` built from the model: the
+/// batch is split across the pool at the configured thread count
+/// whatever its size, so even this tiny catalog takes the parallel
+/// route that `recommend_batch` keeps for batches past
+/// `kernels::PAR_MIN_WORK`.
+fn recommend_all(model: &Gnmr, n_users: usize) -> Vec<(u32, f32)> {
     let index = ServeIndex::from_model(model).expect("fitted model");
     let users: Vec<u32> = (0..n_users as u32).collect();
-    index.recommend_batch(&users, 10, &ExcludeLists::empty(n_users))
+    let mut lists = vec![(0u32, 0.0f32); n_users * 10];
+    index.recommend_batch_into_with(&users, 10, &ExcludeLists::empty(n_users), &mut lists, par::num_threads());
+    lists
 }
 
 #[test]
@@ -51,16 +56,14 @@ fn training_is_thread_count_invariant() {
     // training run must produce bitwise-identical parameters and
     // recommendation lists at every thread count. Training runs on the
     // calling thread at every count; the lists come from a
-    // `ServeIndex` over the model's representations, whose
-    // `recommend_batch` splits the batch's users across the pool.
+    // `ServeIndex` over the model's representations, whose batch query
+    // splits the users across the pool.
     // `GNMR_THREADS` is read once per process, so the in-process
     // equivalent `par::set_threads` drives the sweep here ({1, 2, 4},
     // mirroring the satellite CI matrix that re-runs the whole suite
-    // under GNMR_THREADS=1 and 4); `set_min_work(Some(1))` pushes even
-    // this tiny catalog's batch through the parallel path, which would
-    // otherwise stay serial below the work threshold and make the sweep
+    // under GNMR_THREADS=1 and 4); `recommend_all` splits even this
+    // tiny catalog's batch at the swept count, so the sweep is not
     // vacuous.
-    gnmr::tensor::kernels::set_min_work(Some(1));
     let run = |threads: usize| {
         par::set_threads(Some(threads));
         let data = gnmr::data::presets::tiny_movielens(3);
@@ -89,7 +92,6 @@ fn training_is_thread_count_invariant() {
             assert_eq!(recs, recs_1t, "recommendations diverged at {threads} threads");
         }
     });
-    gnmr::tensor::kernels::set_min_work(None);
     par::set_threads(None);
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
@@ -103,10 +105,8 @@ fn resume_equivalence_is_thread_count_invariant() {
     // then resumed by a fresh process, must land bitwise on the
     // uninterrupted run — parameters, fused representations, and full
     // recommendation lists — at every thread count. As above, the lists
-    // come from a `ServeIndex` batch over every user, and
-    // `set_min_work(Some(1))` splits even the tiny model's batch across
-    // the pool so the sweep is not vacuous.
-    gnmr::tensor::kernels::set_min_work(Some(1));
+    // come from a `ServeIndex` batch over every user, split across the
+    // pool at the swept count so the sweep is not vacuous.
     let total_epochs = 4;
     let run = |threads: usize, kill_after: Option<usize>| {
         par::set_threads(Some(threads));
@@ -159,7 +159,6 @@ fn resume_equivalence_is_thread_count_invariant() {
             );
         }
     });
-    gnmr::tensor::kernels::set_min_work(None);
     par::set_threads(None);
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
