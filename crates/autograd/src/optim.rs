@@ -43,14 +43,14 @@ pub struct Adam {
     /// Coupled L2 coefficient (the paper's `lambda`).
     weight_decay: f32,
     t: u64,
-    m: BTreeMap<String, Matrix>,
-    v: BTreeMap<String, Matrix>,
+    /// Each parameter's first and second moments, by name.
+    moments: BTreeMap<String, (Matrix, Matrix)>,
 }
 
 impl Adam {
     /// Adam at learning rate `lr` with no weight decay.
     pub fn new(lr: f32) -> Self {
-        Self { lr, weight_decay: 0.0, t: 0, m: BTreeMap::new(), v: BTreeMap::new() }
+        Self { lr, weight_decay: 0.0, t: 0, moments: BTreeMap::new() }
     }
 
     /// Sets the coupled L2 coefficient, builder-style.
@@ -72,17 +72,10 @@ impl Adam {
     /// Freezes the optimizer's evolving state for checkpointing: the
     /// step count, the *decayed* learning rate (stored as the exact f32
     /// reached by the repeated `lr *= 0.96` chain — recomputing it
-    /// as a power on resume would not be bitwise-identical), and both
-    /// moment maps in ascending name order.
+    /// as a power on resume would not be bitwise-identical), and every
+    /// parameter's two moments in ascending name order.
     pub fn export_state(&self) -> AdamState {
-        let moments = self
-            .m
-            .iter()
-            .map(|(name, m)| {
-                let v = self.v.get(name).expect("Adam: m and v are inserted together");
-                (name.clone(), m.clone(), v.clone())
-            })
-            .collect();
+        let moments = self.moments.iter().map(|(name, (m, v))| (name.clone(), m.clone(), v.clone())).collect();
         AdamState { t: self.t, lr: self.lr, moments }
     }
 
@@ -101,12 +94,10 @@ impl Adam {
         );
         self.t = state.t;
         self.lr = state.lr;
-        self.m.clear();
-        self.v.clear();
+        self.moments.clear();
         for (name, m, v) in state.moments {
             assert_eq!(m.shape(), v.shape(), "Adam::restore_state: m/v shape mismatch for {name:?}");
-            self.m.insert(name.clone(), m);
-            self.v.insert(name, v);
+            self.moments.insert(name, (m, v));
         }
     }
 
@@ -125,12 +116,11 @@ impl Adam {
         };
         for (name, w) in store.iter_mut() {
             let Some(g) = grads.get(name) else { continue };
-            if !self.m.contains_key(name) {
-                self.m.insert(name.to_string(), Matrix::zeros(w.rows(), w.cols()));
-                self.v.insert(name.to_string(), Matrix::zeros(w.rows(), w.cols()));
+            if !self.moments.contains_key(name) {
+                let zeros = || Matrix::zeros(w.rows(), w.cols());
+                self.moments.insert(name.to_string(), (zeros(), zeros()));
             }
-            let m = self.m.get_mut(name).expect("moment inserted above");
-            let v = self.v.get_mut(name).expect("moment inserted above");
+            let (m, v) = self.moments.get_mut(name).expect("moments inserted above");
             adam_step(w, g, m, v, &cfg);
         }
     }

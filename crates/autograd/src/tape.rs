@@ -15,26 +15,28 @@
 //! tiled `gnmr_tensor::kernels::matmul_acc` and `spmm_acc`; the
 //! backward's transposed products, the backward scatters (`spmm`'s
 //! transposed product, the `gather_rows` scatter-add) and the
-//! elementwise accumulation kernels (`add_assign`, `axpy`, the
-//! `zip_map` family) are serial too, since each call at the model's
-//! width is tens of microseconds, too little to pay for a dispatch. The few ops that only copy or scale rows
-//! (`concat_cols`, `weighted_sum`) loop over their rows in place;
-//! `weighted_sum`'s weight gradients are `kernels::dot` row dots, in
-//! the canonical lane order.
+//! elementwise kernels (`add_assign` and the `_into` family) are serial
+//! too, since each call at the model's width is tens of microseconds,
+//! too little to pay for a dispatch. `weighted_sum` scales its parts by
+//! weight columns with `kernels::mul_col_broadcast_into`, and its weight
+//! gradients are `kernels::row_dot_into` row dots, in the canonical lane
+//! order; `concat_cols` copies rows in place.
 //!
 //! The backward pass is **allocation-free in the steady state**, at
 //! every pool thread count: gradient accumulators come from a
 //! width-keyed, best-fit [`Arena`] ([`Graph::backward_with`]),
-//! contributions are applied through the fused in-place kernels
-//! (`axpy`, the `zip_map` family, the `matmul_*`/`spmm_t` accumulate
-//! forms), and every buffer is returned to the arena for the next step.
+//! contributions are applied through the fused in-place kernels (the
+//! `_into` family, each told by a [`Store`] whether to assign or add,
+//! and the `matmul_tn`/`spmm_t` accumulate forms), and every buffer is
+//! returned to the arena for the next step.
 //! The in-place paths reproduce the historical allocate-then-combine
 //! float sequences exactly, so training bytes are unchanged (see the
 //! kernel docs; `tests/determinism.rs` and `tests/golden.rs` pin them).
 
 use std::sync::Arc;
 
-use gnmr_tensor::{kernels, stats, Arena, Csr, Matrix};
+use gnmr_tensor::kernels::{self, Store};
+use gnmr_tensor::{stats, Arena, Csr, Matrix};
 
 /// A handle to a node in a [`Graph`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -280,11 +282,8 @@ impl Graph {
             assert_eq!(pv.shape(), (n, d), "weighted_sum: part {ci} is {:?}, not {n}x{d}", pv.shape());
             // The first part assigns, so the sum starts from its exact
             // products (no `0.0 +` turning a -0.0 into +0.0).
-            if ci == 0 {
-                kernels::mul_col_broadcast_into(&mut v, pv, w, ci);
-            } else {
-                kernels::mul_col_broadcast_acc(&mut v, pv, w, ci);
-            }
+            let store = if ci == 0 { Store::Assign } else { Store::Add };
+            kernels::mul_col_broadcast_into(&mut v, pv, w, ci, store);
         }
         self.push(v, Op::WeightedSum(weights, parts.to_vec()))
     }
@@ -315,12 +314,13 @@ impl Graph {
     ///
     /// Gradients are accumulated **in place** through the fused kernels
     /// in [`gnmr_tensor::kernels`]: the first contribution to a node is
-    /// written into a checkout (assign-style kernels take dirty buffers,
-    /// streaming accumulators take zeroed ones — both produce exactly
-    /// the bytes the old freshly-allocated contribution held), and every
-    /// further contribution either folds in fully-formed values with one
-    /// add per element or goes through a zeroed scratch checkout plus
-    /// `add_assign`, replicating the historical allocate-then-combine
+    /// written into a checkout (a map-style kernel stores with
+    /// [`Store::Assign`] into a dirty buffer, a streaming accumulator
+    /// runs on a zeroed one — both produce exactly the bytes the old
+    /// freshly-allocated contribution held), and every further
+    /// contribution either folds in fully-formed values with one add per
+    /// element ([`Store::Add`]) or goes through a zeroed scratch checkout
+    /// plus `add_assign`, replicating the historical allocate-then-combine
     /// float sequence. Results are therefore bitwise identical to the
     /// pre-arena tape at every thread count.
     pub fn backward_with(&mut self, loss: Var, arena: &Arena) {
@@ -348,67 +348,30 @@ impl Graph {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
                     for p in [*a, *b] {
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            g.shape(),
-                            |_, d| d.copy_from(g),
-                            |_, d| kernels::add_assign(d, g),
-                        );
+                        apply_map(head, arena, p, g.shape(), |_, d, s| kernels::copy_into(d, g, s));
                     }
                 }
                 Op::Sub(a, b) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
-                    apply_map(
-                        head,
-                        arena,
-                        *b,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, -1.0),
-                        |_, d| kernels::axpy(d, g, -1.0),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::copy_into(d, g, s));
+                    apply_map(head, arena, *b, g.shape(), |_, d, s| kernels::scale_into(d, g, -1.0, s));
                 }
                 Op::Mul(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            g.shape(),
-                            |h, d| kernels::zip_map_into(d, g, &h[o.0].value, |gi, vi| gi * vi),
-                            |h, d| kernels::zip_map_acc(d, g, &h[o.0].value, |gi, vi| gi * vi),
-                        );
+                        apply_map(head, arena, p, g.shape(), |h, d, s| {
+                            kernels::zip_map_into(d, g, &h[o.0].value, |gi, vi| gi * vi, s)
+                        });
                     }
                 }
-                Op::Scale(a, s) => {
-                    let s = *s;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::scale_into(d, g, s),
-                        |_, d| kernels::axpy(d, g, s),
-                    );
+                Op::Scale(a, k) => {
+                    let k = *k;
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::scale_into(d, g, k, s));
                 }
                 Op::AddScalar(a) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::copy_into(d, g, s));
                 }
                 Op::MatMul(a, b) => {
                     let da_shape = head[a.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        da_shape,
-                        |h, d| kernels::matmul_nt_into(d, g, &h[b.0].value),
-                        |h, d| kernels::matmul_nt_acc(d, g, &h[b.0].value),
-                    );
+                    apply_map(head, arena, *a, da_shape, |h, d, s| kernels::matmul_nt_into(d, g, &h[b.0].value, s));
                     let db_shape = head[b.0].value.shape();
                     apply_sum(head, arena, *b, db_shape, |h, d| {
                         kernels::matmul_tn_acc(d, &h[a.0].value, g)
@@ -416,127 +379,56 @@ impl Graph {
                 }
                 Op::Relu(a) => {
                     let f = |gi: f32, yi: f32| if yi > 0.0 { gi } else { 0.0 };
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::zip_map_into(d, g, out, f, s));
                 }
                 Op::LeakyRelu(a, slope) => {
                     let slope = *slope;
                     let f = move |gi: f32, xi: f32| if xi > 0.0 { gi } else { gi * slope };
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, s| kernels::zip_map_into(d, g, &h[a.0].value, f, s));
                 }
                 Op::Sigmoid(a) => {
                     let f = |gi: f32, yi: f32| gi * yi * (1.0 - yi);
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::zip_map_into(d, g, out, f, s));
                 }
                 Op::Tanh(a) => {
                     let f = |gi: f32, yi: f32| gi * (1.0 - yi * yi);
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::zip_map_into(d, g, out, f),
-                        |_, d| kernels::zip_map_acc(d, g, out, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::zip_map_into(d, g, out, f, s));
                 }
                 Op::Sqr(a) => {
                     let f = |gi: f32, xi: f32| 2.0 * gi * xi;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |h, d| kernels::zip_map_into(d, g, &h[a.0].value, f),
-                        |h, d| kernels::zip_map_acc(d, g, &h[a.0].value, f),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |h, d, s| kernels::zip_map_into(d, g, &h[a.0].value, f, s));
                 }
                 Op::SoftmaxRows(a) => {
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        g.shape(),
-                        |_, d| kernels::softmax_rows_backward_into(d, g, out),
-                        |_, d| kernels::softmax_rows_backward_acc(d, g, out),
-                    );
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::softmax_rows_backward_into(d, g, out, s));
                 }
-                Op::SumAll(a) => {
+                Op::SumAll(a) | Op::MeanAll(a) => {
                     let shape = head[a.0].value.shape();
-                    let val = g.scalar_value();
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| d.fill(val),
-                        |_, d| {
+                    let mut val = g.scalar_value();
+                    if let Op::MeanAll(_) = node.op {
+                        val /= (shape.0 * shape.1) as f32;
+                    }
+                    apply_map(head, arena, *a, shape, |_, d, s| match s {
+                        Store::Assign => d.fill(val),
+                        Store::Add => {
                             for o in d.data_mut() {
                                 *o += val;
                             }
-                        },
-                    );
-                }
-                Op::MeanAll(a) => {
-                    let shape = head[a.0].value.shape();
-                    let n = (shape.0 * shape.1) as f32;
-                    let val = g.scalar_value() / n;
-                    apply_map(
-                        head,
-                        arena,
-                        *a,
-                        shape,
-                        |_, d| d.fill(val),
-                        |_, d| {
-                            for o in d.data_mut() {
-                                *o += val;
-                            }
-                        },
-                    );
+                        }
+                    });
                 }
                 Op::ConcatCols(parts) => {
                     let mut offset = 0;
                     for &p in parts {
                         let (pr, w) = head[p.0].value.shape();
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            (pr, w),
-                            |_, d| {
-                                for r in 0..pr {
-                                    d.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + w]);
+                        apply_map(head, arena, p, (pr, w), |_, d, s| {
+                            for r in 0..pr {
+                                let (dst, src) = (d.row_mut(r), &g.row(r)[offset..offset + w]);
+                                match s {
+                                    Store::Assign => dst.copy_from_slice(src),
+                                    Store::Add => dst.iter_mut().zip(src).for_each(|(o, &x)| *o += x),
                                 }
-                            },
-                            |_, d| {
-                                for r in 0..pr {
-                                    for (o, &x) in
-                                        d.row_mut(r).iter_mut().zip(&g.row(r)[offset..offset + w])
-                                    {
-                                        *o += x;
-                                    }
-                                }
-                            },
-                        );
+                            }
+                        });
                         offset += w;
                     }
                 }
@@ -548,9 +440,7 @@ impl Graph {
                     });
                 }
                 Op::AddRowBroadcast(a, row) => {
-                    apply_map(head, arena, *a, g.shape(), |_, d| d.copy_from(g), |_, d| {
-                        kernels::add_assign(d, g)
-                    });
+                    apply_map(head, arena, *a, g.shape(), |_, d, s| kernels::copy_into(d, g, s));
                     apply_sum(head, arena, *row, (1, g.cols()), |_, d| {
                         for r in 0..g.rows() {
                             for (o, &x) in d.row_mut(0).iter_mut().zip(g.row(r)) {
@@ -565,45 +455,24 @@ impl Graph {
                     // reverse pass reaches the terms of the left fold,
                     // so a part passed twice accumulates in that order.
                     for (ci, &p) in parts.iter().enumerate().rev() {
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            g.shape(),
-                            |h, d| kernels::mul_col_broadcast_into(d, g, &h[weights.0].value, ci),
-                            |h, d| kernels::mul_col_broadcast_acc(d, g, &h[weights.0].value, ci),
-                        );
+                        apply_map(head, arena, p, g.shape(), |h, d, s| {
+                            kernels::mul_col_broadcast_into(d, g, &h[weights.0].value, ci, s)
+                        });
                     }
                     // Weight column c gets the row dots of `g` with part c.
                     let shape = head[weights.0].value.shape();
-                    apply_map(
-                        head,
-                        arena,
-                        *weights,
-                        shape,
-                        |h, d| {
-                            for (ci, p) in parts.iter().enumerate() {
-                                kernels::row_dot_into(d, ci, g, &h[p.0].value);
-                            }
-                        },
-                        |h, d| {
-                            for (ci, p) in parts.iter().enumerate() {
-                                kernels::row_dot_acc(d, ci, g, &h[p.0].value);
-                            }
-                        },
-                    );
+                    apply_map(head, arena, *weights, shape, |h, d, s| {
+                        for (ci, p) in parts.iter().enumerate() {
+                            kernels::row_dot_into(d, ci, g, &h[p.0].value, s);
+                        }
+                    });
                 }
                 Op::RowDot(a, b) => {
                     for (p, o) in [(*a, *b), (*b, *a)] {
                         let shape = head[o.0].value.shape();
-                        apply_map(
-                            head,
-                            arena,
-                            p,
-                            shape,
-                            |h, d| kernels::mul_col_broadcast_into(d, &h[o.0].value, g, 0),
-                            |h, d| kernels::mul_col_broadcast_acc(d, &h[o.0].value, g, 0),
-                        );
+                        apply_map(head, arena, p, shape, |h, d, s| {
+                            kernels::mul_col_broadcast_into(d, &h[o.0].value, g, 0, s)
+                        });
                     }
                 }
                 Op::Spmm(csr, x) => {
@@ -636,40 +505,31 @@ impl Graph {
 
 /// Takes the parent's gradient accumulator out of `head`, or checks a
 /// buffer of the right shape out of the arena (contents unspecified).
-/// `true` means the buffer is fresh (this is the node's first
-/// contribution).
-fn take_or_checkout(
-    head: &mut [Node],
-    arena: &Arena,
-    v: Var,
-    (rows, cols): (usize, usize),
-) -> (Matrix, bool) {
+/// The store says which: [`Store::Assign`] for a fresh checkout (the
+/// node's first contribution), [`Store::Add`] for an accumulator that
+/// already holds one.
+fn take_or_checkout(head: &mut [Node], arena: &Arena, v: Var, (rows, cols): (usize, usize)) -> (Matrix, Store) {
     match head[v.0].grad.take() {
-        Some(d) => (d, false),
-        None => (arena.checkout(rows, cols), true),
+        Some(d) => (d, Store::Add),
+        None => (arena.checkout(rows, cols), Store::Assign),
     }
 }
 
 /// Applies a *map-style* contribution, where every element of the
-/// contribution is one fully-formed value: the first contribution
-/// assigns every element of a (dirty) checkout via `into`, and later
-/// contributions fold the identical values in with one add per element
-/// via `acc` — bitwise-equal to materializing the contribution and
-/// `add_assign`ing it.
+/// contribution is one fully-formed value: `contribute` stores it as
+/// the store says, assigning every element of a (dirty) checkout on
+/// the first contribution and folding the identical values in with one
+/// add per element after — bitwise-equal to materializing the
+/// contribution and `add_assign`ing it.
 fn apply_map(
     head: &mut [Node],
     arena: &Arena,
     v: Var,
     shape: (usize, usize),
-    into: impl FnOnce(&[Node], &mut Matrix),
-    acc: impl FnOnce(&[Node], &mut Matrix),
+    contribute: impl FnOnce(&[Node], &mut Matrix, Store),
 ) {
-    let (mut dst, fresh) = take_or_checkout(head, arena, v, shape);
-    if fresh {
-        into(head, &mut dst);
-    } else {
-        acc(head, &mut dst);
-    }
+    let (mut dst, store) = take_or_checkout(head, arena, v, shape);
+    contribute(head, &mut dst, store);
     head[v.0].grad = Some(dst);
 }
 
@@ -687,15 +547,18 @@ fn apply_sum(
     shape: (usize, usize),
     compute: impl FnOnce(&[Node], &mut Matrix),
 ) {
-    let (mut dst, fresh) = take_or_checkout(head, arena, v, shape);
-    if fresh {
-        dst.fill(0.0);
-        compute(head, &mut dst);
-    } else {
-        let mut scratch = arena.checkout_zeroed(shape.0, shape.1);
-        compute(head, &mut scratch);
-        kernels::add_assign(&mut dst, &scratch);
-        arena.checkin(scratch);
+    let (mut dst, store) = take_or_checkout(head, arena, v, shape);
+    match store {
+        Store::Assign => {
+            dst.fill(0.0);
+            compute(head, &mut dst);
+        }
+        Store::Add => {
+            let mut scratch = arena.checkout_zeroed(shape.0, shape.1);
+            compute(head, &mut scratch);
+            kernels::add_assign(&mut dst, &scratch);
+            arena.checkin(scratch);
+        }
     }
     head[v.0].grad = Some(dst);
 }

@@ -25,7 +25,8 @@
 use std::hint::black_box;
 
 use gnmr::autograd::{adam_step, AdamStep};
-use gnmr::tensor::{init, kernels, par, rng, Csr, Matrix};
+use gnmr::tensor::kernels::{self, Store};
+use gnmr::tensor::{init, par, rng, Csr, Matrix};
 use gnmr_bench::harness::{self, Budget, Mode, Reading, Timer};
 use rand::Rng;
 
@@ -327,7 +328,7 @@ fn main() {
     let nt_b = init::uniform(16, 16, -1.0, 1.0, &mut rng::seeded(20));
     let mut nt_dst = Matrix::zeros(900, 16);
     cells.push_serial("matmul_nt", "900x16*(16x16)^T".into(), || {
-        kernels::matmul_nt_into(&mut nt_dst, &nt_a, &nt_b);
+        kernels::matmul_nt_into(&mut nt_dst, &nt_a, &nt_b, Store::Assign);
         black_box(&nt_dst);
     });
 
@@ -366,7 +367,7 @@ fn main() {
     // The scale is tiny so thousands of timed iterations cannot drift
     // the in-place destination toward inf and skew late rounds.
     cells.push_serial("axpy", format!("{er}x{ec}"), || {
-        kernels::axpy(&mut axpy_dst, &esrc, 1e-6);
+        kernels::scale_into(&mut axpy_dst, &esrc, 1e-6, Store::Add);
         black_box(&axpy_dst);
     });
 

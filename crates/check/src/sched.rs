@@ -280,8 +280,23 @@ impl Default for RunCfg {
     }
 }
 
+/// The count in environment variable `var`, or `default` if it is unset.
 fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var).ok().and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+    let raw = std::env::var_os(var);
+    parse_count(var, raw.as_deref().map(|s| s.to_string_lossy()).as_deref(), default)
+}
+
+/// `raw`, the value of `var` if set, as a count: `default` when unset,
+/// the number itself otherwise (0 included, so `GNMR_MODEL_RANDOM=0`
+/// turns the random phase off).
+///
+/// # Panics
+/// Naming `var`, if `raw` is set but not a count.
+fn parse_count(var: &str, raw: Option<&str>, default: usize) -> usize {
+    match raw {
+        None => default,
+        Some(s) => s.trim().parse().unwrap_or_else(|e| panic!("{var}={s:?} is not a count: {e}")),
+    }
 }
 
 struct Shared {
@@ -768,7 +783,8 @@ impl Token {
 /// Exploration budget and fault configuration for one scenario.
 #[derive(Clone, Debug)]
 pub struct ExploreCfg {
-    /// DFS schedule budget (bounded-exhaustive phase).
+    /// DFS schedule budget (bounded-exhaustive phase): schedules run to
+    /// completion. Branches cut by sleep-set pruning do not count.
     pub dfs_schedules: usize,
     /// Seeded-random sampling budget, used only when DFS did not
     /// exhaust the tree within its budget.
@@ -794,7 +810,7 @@ pub struct ExploreStats {
     pub scenario: String,
     /// Schedules actually executed (DFS + random), excluding pruned.
     pub explored: usize,
-    /// Branches cut by sleep-set pruning.
+    /// Branches cut by sleep-set pruning (outside the DFS budget).
     pub pruned: usize,
     /// Random-phase schedules included in `explored`.
     pub random: usize,
@@ -845,11 +861,8 @@ pub fn explore(name: &str, cfg: &ExploreCfg, body: fn()) -> Result<ExploreStats,
         st.chooser.mode = Mode::Dfs;
         st.chooser.frames.clear();
     }
-    // Phase 1: DFS with sleep sets.
-    loop {
-        if stats.explored + stats.pruned >= cfg.dfs_schedules {
-            break;
-        }
+    // Phase 1: DFS with sleep sets, until `dfs_schedules` schedules ran.
+    while stats.explored < cfg.dfs_schedules {
         match run_schedule(name, body) {
             ScheduleOutcome::Ok => stats.explored += 1,
             ScheduleOutcome::Pruned => stats.pruned += 1,
@@ -942,6 +955,19 @@ mod tests {
         assert!(t.choices.is_empty());
         assert!(Token::parse("v0:x::1").is_err());
         assert!(Token::parse("v1:x").is_err());
+    }
+
+    #[test]
+    fn counts_default_when_unset_and_keep_zero() {
+        assert_eq!(parse_count("GNMR_MODEL_RANDOM", None, 200), 200);
+        assert_eq!(parse_count("GNMR_MODEL_RANDOM", Some("0"), 200), 0);
+        assert_eq!(parse_count("GNMR_MODEL_SCHEDULES", Some(" 20000\n"), 1200), 20_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "GNMR_MODEL_RANDOM=\"lots\" is not a count")]
+    fn count_that_does_not_parse_panics_naming_its_variable() {
+        parse_count("GNMR_MODEL_RANDOM", Some("lots"), 200);
     }
 
     #[test]

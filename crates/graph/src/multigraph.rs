@@ -130,46 +130,23 @@ impl MultiBehaviorGraph {
     }
 
     /// A view of the graph restricted to a subset of behaviors (used for
-    /// the paper's Table IV `w/o <behavior>` ablations).
+    /// the paper's Table IV `w/o <behavior>` ablations):
+    /// [`MultiBehaviorGraph::subset_for_propagation`] once `keep` is
+    /// checked to name the target.
     ///
     /// # Panics
-    /// If `keep` is empty, contains an unknown name, or drops the target
-    /// behavior while `keep_target` demands it (the target is always
-    /// required: the model must still be able to train on it).
+    /// If `keep` drops the target behavior (the model must still be
+    /// able to train on it) or contains an unknown name.
     pub fn subset(&self, keep: &[&str]) -> MultiBehaviorGraph {
-        assert!(!keep.is_empty(), "subset: empty behavior list");
-        let mut indices = Vec::with_capacity(keep.len());
-        for name in keep {
-            let idx = self
-                .behaviors
-                .iter()
-                .position(|b| b == name)
-                .unwrap_or_else(|| panic!("subset: unknown behavior {name:?}"));
-            indices.push(idx);
-        }
-        assert!(
-            indices.contains(&self.target),
-            "subset: must keep the target behavior {:?}",
-            self.target_name()
-        );
-        let behaviors = indices.iter().map(|&i| self.behaviors[i].clone()).collect();
-        let user_item: Vec<Arc<Csr>> = indices.iter().map(|&i| Arc::clone(&self.user_item[i])).collect();
-        let item_user: Vec<Arc<Csr>> = indices.iter().map(|&i| Arc::clone(&self.item_user[i])).collect();
-        let target = indices.iter().position(|&i| i == self.target).unwrap();
-        MultiBehaviorGraph {
-            n_users: self.n_users,
-            n_items: self.n_items,
-            behaviors,
-            target,
-            user_item,
-            item_user,
-        }
+        let target = self.target_name();
+        assert!(keep.contains(&target), "subset: must keep the target behavior {target:?}");
+        self.subset_for_propagation(keep)
     }
 
     /// A view keeping only the target behavior (the paper's "only like"
     /// variant, and the graph single-behavior baselines train on).
     pub fn target_only(&self) -> MultiBehaviorGraph {
-        self.subset(&[self.target_name().to_string().as_str()])
+        self.subset(&[self.target_name()])
     }
 
     /// Like [`MultiBehaviorGraph::subset`], but allows dropping the target

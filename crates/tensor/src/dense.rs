@@ -4,7 +4,7 @@
 //! Ops that return a new matrix live here; the hot product (`matmul`)
 //! is a zeroed output plus the tiled [`kernels::matmul_acc`], on the
 //! calling thread. The in-place kernels the tape accumulates gradients
-//! with (`kernels::add_assign`, `kernels::axpy`,
+//! with (`kernels::add_assign`, `kernels::scale_into`,
 //! `kernels::scale_assign`, ...) live in [`crate::kernels`] only.
 
 use std::fmt;
@@ -227,12 +227,6 @@ impl Matrix {
         self.data.fill(value);
     }
 
-    /// Overwrites `self` with the contents of `other` (same shape).
-    pub fn copy_from(&mut self, other: &Matrix) {
-        self.assert_same_shape(other, "copy_from");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         let data = self.data.iter().map(|&a| f(a)).collect();
@@ -386,7 +380,7 @@ impl Matrix {
     pub fn row_dot(&self, other: &Matrix) -> Matrix {
         self.assert_same_shape(other, "row_dot");
         let mut out = Matrix::zeros(self.rows, 1);
-        kernels::row_dot_into(&mut out, 0, self, other);
+        kernels::row_dot_into(&mut out, 0, self, other, kernels::Store::Assign);
         out
     }
 
@@ -484,7 +478,7 @@ mod tests {
             *w += x;
         }
         assert_eq!(m.data(), &want[..]);
-        kernels::axpy(&mut m, &other, -1.5);
+        kernels::scale_into(&mut m, &other, -1.5, kernels::Store::Add);
         for (w, &x) in want.iter_mut().zip(other.data()) {
             *w += x * -1.5;
         }
@@ -526,7 +520,7 @@ mod tests {
 
         let c = Matrix::from_fn(6, 4, |r, c| (r * c) as f32 * 0.05 - 0.2);
         let mut nt = Matrix::zeros(3, 6);
-        kernels::matmul_nt_into(&mut nt, &a, &c);
+        kernels::matmul_nt_into(&mut nt, &a, &c, kernels::Store::Assign);
         let explicit = a.matmul(&c.transpose());
         assert!(nt.approx_eq(&explicit, 1e-4));
     }

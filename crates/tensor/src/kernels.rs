@@ -7,19 +7,20 @@
 //! public ops here, so this module is the single landing zone for future
 //! SIMD / backend work. Entry points follow one convention:
 //!
-//! * Kernels write into caller storage: `_acc` adds into `dst`, `_into`
-//!   overwrites it, `_assign` updates it in place. On a zeroed `dst`, an
-//!   `_acc` product is the serial product.
+//! * Kernels write into caller storage: `_acc` streams partial sums
+//!   into `dst` (on a zeroed `dst`, an `_acc` product is the serial
+//!   product); `_into` stores one formed value per element as its
+//!   [`Store`] says, overwriting `dst` ([`Store::Assign`]) or adding
+//!   into it ([`Store::Add`]); `_assign` updates `dst` in place.
 //! * Every kernel the training step calls runs on the calling thread
 //!   and has only its bare name: the forward's products ([`matmul_acc`],
 //!   [`spmm_acc`]), the backward's transposed products
-//!   ([`matmul_tn_acc`], [`matmul_nt_into`], [`matmul_nt_acc`],
-//!   [`spmm_t_acc`]), the scatter-add ([`scatter_add_rows`]), the
-//!   elementwise family ([`add_assign`], [`axpy`], [`scale_into`],
-//!   [`scale_assign`], [`zip_map_into`], [`zip_map_acc`]) and the
-//!   row-wise kernels ([`row_dot_into`], [`row_dot_acc`],
-//!   `mul_col_broadcast_*`, `softmax_rows_backward_*`); so do the
-//!   catalog sweeps ([`row_dots`], [`row_dots_into`]) and the ranking
+//!   ([`matmul_tn_acc`], [`matmul_nt_into`], [`spmm_t_acc`]), the
+//!   scatter-add ([`scatter_add_rows`]), the elementwise family
+//!   ([`add_assign`], [`copy_into`], [`scale_into`], [`scale_assign`],
+//!   [`zip_map_into`]) and the row-wise kernels ([`row_dot_into`],
+//!   [`mul_col_broadcast_into`], [`softmax_rows_backward_into`]); so do
+//!   the catalog sweeps ([`row_dots`], [`row_dots_into`]) and the ranking
 //!   kernels ([`rank_rows`], [`rank_rows_into`]). A product at the
 //!   model's width is tens of microseconds, too little to pay for a
 //!   dispatch, and a step that never dispatches allocates the same at
@@ -93,6 +94,19 @@ pub const PAR_MIN_WORK: usize = 64 * 1024;
 /// thread count to `ServeIndex::recommend_batch_into_with` instead.
 pub fn min_work() -> usize {
     PAR_MIN_WORK
+}
+
+/// How an `_into` kernel stores each value it forms. The autodiff tape
+/// assigns a node's first gradient contribution and adds the later ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Store {
+    /// `dst = value`: every element is overwritten, so a dirty `dst`
+    /// (an arena checkout) is fine.
+    Assign,
+    /// `dst += value`: one add of the fully-formed value per element,
+    /// bitwise-equal to materializing the values and `add_assign`ing
+    /// them, for any `dst` contents.
+    Add,
 }
 
 /// Column-block width of the tiled dense matmul: one output block row
@@ -674,33 +688,26 @@ fn assert_matmul_nt(a: &Matrix, b: &Matrix) {
     );
 }
 
-/// Writes `a * b^T` into `dst` (overwriting every element) on the
-/// calling thread, without materializing the transpose. Every output
+/// Stores `a * b^T` into `dst` as `store` says, on the calling thread,
+/// without materializing the transpose or allocating. Every output
 /// element is an independent dot product in the canonical lane order
-/// (see [`LANES`]), assigned once, so `dst`'s prior contents never
-/// matter (dirty checkouts are fine).
-pub fn matmul_nt_into(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
+/// (see [`LANES`]), fully accumulated in registers and then stored
+/// once: [`Store::Assign`] never reads `dst` (dirty checkouts are
+/// fine), and [`Store::Add`] is bitwise the product materialized and
+/// `add_assign`ed, for any `dst` contents.
+pub fn matmul_nt_into(dst: &mut Matrix, a: &Matrix, b: &Matrix, store: Store) {
     assert_matmul_nt(a, b);
     let (m, k, p) = (a.rows(), a.cols(), b.rows());
     assert_eq!(dst.shape(), (m, p), "matmul_nt_into: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
-    matmul_nt_rows(a.data(), m, k, b.data(), p, dst.data_mut(), |o, v| *o = v);
-}
-
-/// Accumulates `a * b^T` into `dst` (`dst += a * b^T`) on the calling
-/// thread. Each output element's dot product is fully accumulated in
-/// registers (exactly the [`matmul_nt_into`] lane order) and then
-/// folded into `dst` with a single add — bitwise identical to
-/// materializing the product and `add_assign`ing it, for **any** `dst`
-/// contents, without allocating.
-pub fn matmul_nt_acc(dst: &mut Matrix, a: &Matrix, b: &Matrix) {
-    assert_matmul_nt(a, b);
-    let (m, k, p) = (a.rows(), a.cols(), b.rows());
-    assert_eq!(dst.shape(), (m, p), "matmul_nt_acc: dst is {}x{}, product is {m}x{p}", dst.rows(), dst.cols());
-    matmul_nt_rows(a.data(), m, k, b.data(), p, dst.data_mut(), |o, v| *o += v);
+    let (a, b, out) = (a.data(), b.data(), dst.data_mut());
+    match store {
+        Store::Assign => matmul_nt_rows(a, m, k, b, p, out, |o, v| *o = v),
+        Store::Add => matmul_nt_rows(a, m, k, b, p, out, |o, v| *o += v),
+    }
 }
 
 /// `a (m x k) * b^T` (`b` is `p x k`) into `out`, handing each finished
-/// element to `store` (assign for `_into`, one add for `_acc`).
+/// element to `store` (an assign or one add, see [`Store`]).
 /// Vectorized across output columns: per [`LANES`]-wide column strip,
 /// `b^T` is packed once ([`pack_bt_strip`]) and every row runs
 /// [`nt_strip_lanes`] from +0.0 lanes, then [`lane_sum_cols`] — per
@@ -856,15 +863,16 @@ fn spmm_t_scatter(csr: &Csr, dense: &[f32], d: usize, out: &mut [f32]) {
 //
 // The arena-backed backward pass replaces its allocate-then-combine
 // pattern (`tmp = f(g); dst.add_assign(&tmp)`) with these fused forms.
-// Every kernel below hands each output element exactly one
-// fully-formed value (assigned by the `*_into` forms, folded in with a
-// single add by the `*_acc`/axpy forms), so results are bitwise
-// identical to the allocating two-step sequence for any destination
-// contents. They run on the calling thread, each loop behind a
-// slice-parameter function like `spmm_t_scatter`: `add_lanes` called
-// straight from `add_assign`, over the matrices' own storage, ran
-// about 2.6x slower (900 x 16, one process, both forms interleaved, a
-// 2-core x86-64 host).
+// Every `_into` kernel below hands each output element exactly one
+// fully-formed value and stores it as its `Store` says (assigned, or
+// folded in with a single add), so results are bitwise identical to the
+// allocating two-step sequence for any destination contents. Each
+// matches on the store once per call and runs one slice loop with the
+// assigning or the adding closure. They run on the calling thread,
+// each loop behind a slice-parameter function like `spmm_t_scatter`:
+// `add_lanes` called straight from `add_assign`, over the matrices' own
+// storage, ran about 2.6x slower (900 x 16, one process, both forms
+// interleaved, a 2-core x86-64 host).
 
 fn assert_same_shape(dst: &Matrix, src: &Matrix, op: &str) {
     assert_eq!(
@@ -885,17 +893,25 @@ pub fn add_assign(dst: &mut Matrix, src: &Matrix) {
     add_slices(dst.data_mut(), src.data());
 }
 
-/// In-place `dst += s * src` (axpy).
-pub fn axpy(dst: &mut Matrix, src: &Matrix, s: f32) {
-    assert_same_shape(dst, src, "axpy");
-    axpy_slices(dst.data_mut(), src.data(), s);
+/// `src` into `dst`, stored as `store` says: the tape's pass-through
+/// gradient (`Add`, `Sub`'s left operand, `AddScalar`, the matrix side
+/// of `AddRowBroadcast`).
+pub fn copy_into(dst: &mut Matrix, src: &Matrix, store: Store) {
+    assert_same_shape(dst, src, "copy_into");
+    match store {
+        Store::Assign => dst.data_mut().copy_from_slice(src.data()),
+        Store::Add => add_slices(dst.data_mut(), src.data()),
+    }
 }
 
-/// `dst = s * src` (overwriting every element, so dirty arena
-/// checkouts are fine).
-pub fn scale_into(dst: &mut Matrix, src: &Matrix, s: f32) {
+/// `s * src` into `dst`, stored as `store` says; [`Store::Add`] is
+/// `dst += s * src` (axpy).
+pub fn scale_into(dst: &mut Matrix, src: &Matrix, s: f32, store: Store) {
     assert_same_shape(dst, src, "scale_into");
-    scale_store_slices(dst.data_mut(), src.data(), s);
+    match store {
+        Store::Assign => scale_store_slices(dst.data_mut(), src.data(), s),
+        Store::Add => axpy_slices(dst.data_mut(), src.data(), s),
+    }
 }
 
 /// In-place `dst *= s`.
@@ -903,37 +919,28 @@ pub fn scale_assign(dst: &mut Matrix, s: f32) {
     scale_slices(dst.data_mut(), s);
 }
 
-/// `dst[i] = f(a[i], b[i])` (overwrites every element; dirty arena
-/// checkouts are fine).
-pub fn zip_map_into<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F)
+/// `f(a[i], b[i])` into `dst[i]`, stored as `store` says.
+pub fn zip_map_into<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F, store: Store)
 where
     F: Fn(f32, f32) -> f32,
 {
     assert_same_shape(dst, a, "zip_map_into");
     assert_same_shape(a, b, "zip_map_into");
-    zip_map_slices(dst.data_mut(), a.data(), b.data(), f, |o, v| *o = v);
+    let (out, a, b) = (dst.data_mut(), a.data(), b.data());
+    match store {
+        Store::Assign => zip_map_slices(out, a, b, f, |o, v| *o = v),
+        Store::Add => zip_map_slices(out, a, b, f, |o, v| *o += v),
+    }
 }
 
-/// `dst[i] += f(a[i], b[i])` — one add of a fully-formed value per
-/// element, bitwise-equal to materializing `f(a, b)` and
-/// `add_assign`ing it.
-pub fn zip_map_acc<F>(dst: &mut Matrix, a: &Matrix, b: &Matrix, f: F)
-where
-    F: Fn(f32, f32) -> f32,
-{
-    assert_same_shape(dst, a, "zip_map_acc");
-    assert_same_shape(a, b, "zip_map_acc");
-    zip_map_slices(dst.data_mut(), a.data(), b.data(), f, |o, v| *o += v);
-}
-
-/// The loop behind [`add_assign`]. `src` is cut to `out`'s length so
-/// the compiler sees two equal lengths; uncut, the loop ran about 2.5%
-/// slower in the same A/B.
+/// The loop behind [`add_assign`] and [`copy_into`]'s add. `src` is cut
+/// to `out`'s length so the compiler sees two equal lengths; uncut, the
+/// loop ran about 2.5% slower in the same A/B.
 fn add_slices(out: &mut [f32], src: &[f32]) {
     add_lanes(out, &src[..out.len()]);
 }
 
-/// The loop behind [`axpy`].
+/// The loop behind [`scale_into`]'s add.
 fn axpy_slices(out: &mut [f32], src: &[f32], s: f32) {
     axpy_lanes(out, src, s);
 }
@@ -943,14 +950,13 @@ fn scale_slices(out: &mut [f32], s: f32) {
     scale_lanes(out, s);
 }
 
-/// The loop behind [`scale_into`].
+/// The loop behind [`scale_into`]'s assign.
 fn scale_store_slices(out: &mut [f32], src: &[f32], s: f32) {
     scale_store_lanes(out, src, s);
 }
 
-/// The loop behind [`zip_map_into`] and [`zip_map_acc`]: hands
-/// `f(a[i], b[i])` to `store` (assign or one add) for every element of
-/// `out`, in index order.
+/// The loop behind [`zip_map_into`]: hands `f(a[i], b[i])` to `store`
+/// (an assign or one add) for every element of `out`, in index order.
 fn zip_map_slices(
     out: &mut [f32],
     a: &[f32],
@@ -969,28 +975,23 @@ fn assert_mul_col(dst: &Matrix, src: &Matrix, w: &Matrix, col: usize, op: &str) 
     assert!(col < w.cols(), "{op}: weight column {col} out of range for {} columns", w.cols());
 }
 
-/// `dst[r, c] = src[r, c] * w[r, col]` — the assign form of
-/// `src.mul_col_broadcast(..)` by column `col` of `w` (overwrites every
-/// element; dirty arena checkouts are fine). The `RowDot` backward
-/// passes a one-column `w`; `WeightedSum` passes its `n x C` weights
-/// and a part's column.
-pub fn mul_col_broadcast_into(dst: &mut Matrix, src: &Matrix, w: &Matrix, col: usize) {
+/// `src[r, c] * w[r, col]` into `dst[r, c]`, stored as `store` says:
+/// `src.mul_col_broadcast(..)` by column `col` of `w`. The `RowDot`
+/// backward passes a one-column `w`; `WeightedSum` passes its `n x C`
+/// weights and a part's column.
+pub fn mul_col_broadcast_into(dst: &mut Matrix, src: &Matrix, w: &Matrix, col: usize, store: Store) {
     assert_mul_col(dst, src, w, col, "mul_col_broadcast_into");
-    mul_col_slices(dst.data_mut(), src.data(), src.cols(), w.data(), w.cols(), col, scale_store_lanes);
+    let (out, d, stride) = (dst.data_mut(), src.cols(), w.cols());
+    match store {
+        Store::Assign => mul_col_slices(out, src.data(), d, w.data(), stride, col, scale_store_lanes),
+        Store::Add => mul_col_slices(out, src.data(), d, w.data(), stride, col, axpy_lanes),
+    }
 }
 
-/// `dst[r, c] += src[r, c] * w[r, col]` — one add of a fully-formed
-/// value per element, bitwise-equal to materializing the broadcast
-/// product and `add_assign`ing it.
-pub fn mul_col_broadcast_acc(dst: &mut Matrix, src: &Matrix, w: &Matrix, col: usize) {
-    assert_mul_col(dst, src, w, col, "mul_col_broadcast_acc");
-    mul_col_slices(dst.data_mut(), src.data(), src.cols(), w.data(), w.cols(), col, axpy_lanes);
-}
-
-/// The loop behind `mul_col_broadcast_*`: row `r` of `out` (`d` wide)
-/// gets `row_op(out row, src row, w[r * stride + col])`, the assigning
-/// or the adding lane helper. Slice parameters, for the reason
-/// [`spmm_t_scatter`] gives: `mul_col_broadcast_acc` looping over the
+/// The loop behind [`mul_col_broadcast_into`]: row `r` of `out` (`d`
+/// wide) gets `row_op(out row, src row, w[r * stride + col])`, the
+/// assigning or the adding lane helper. Slice parameters, for the
+/// reason [`spmm_t_scatter`] gives: its adding form looping over the
 /// matrices' own rows ran about 2.2x slower (11.1 against 5.1 µs at
 /// 900 x 16, median of 21 interleaved rounds in one process, a 2-core
 /// x86-64 host).
@@ -1017,29 +1018,24 @@ fn assert_row_dot(dst: &Matrix, col: usize, a: &Matrix, b: &Matrix, op: &str) {
     assert!(col < dst.cols(), "{op}: column {col} out of range for {} columns", dst.cols());
 }
 
-/// `dst[r, col] = sum_c a[r, c] * b[r, c]` — the assign form of
-/// `a.row_dot(b)` into column `col` of `dst`, each row a `dot_lanes` dot
-/// in the canonical lane order (which `Matrix::row_dot` itself
-/// delegates to). Other columns are left alone.
-pub fn row_dot_into(dst: &mut Matrix, col: usize, a: &Matrix, b: &Matrix) {
+/// `sum_c a[r, c] * b[r, c]` into `dst[r, col]`, stored as `store`
+/// says: `a.row_dot(b)` into column `col` of `dst`, each row a
+/// `dot_lanes` dot in the canonical lane order (which `Matrix::row_dot`
+/// itself delegates to). Other columns are left alone. The
+/// `WeightedSum` backward adds its weight gradient to one that already
+/// holds a contribution.
+pub fn row_dot_into(dst: &mut Matrix, col: usize, a: &Matrix, b: &Matrix, store: Store) {
     assert_row_dot(dst, col, a, b, "row_dot_into");
-    let stride = dst.cols();
-    row_dot_slices(dst.data_mut(), stride, col, a.data(), b.data(), a.rows(), |o, v| *o = v);
+    let (stride, n) = (dst.cols(), a.rows());
+    let (out, a, b) = (dst.data_mut(), a.data(), b.data());
+    match store {
+        Store::Assign => row_dot_slices(out, stride, col, a, b, n, |o, v| *o = v),
+        Store::Add => row_dot_slices(out, stride, col, a, b, n, |o, v| *o += v),
+    }
 }
 
-/// `dst[r, col] += sum_c a[r, c] * b[r, c]` — one add of the same
-/// canonical-lane row dot [`row_dot_into`] assigns (the `WeightedSum`
-/// backward's weight gradient on a gradient that already holds a
-/// contribution).
-pub fn row_dot_acc(dst: &mut Matrix, col: usize, a: &Matrix, b: &Matrix) {
-    assert_row_dot(dst, col, a, b, "row_dot_acc");
-    let stride = dst.cols();
-    row_dot_slices(dst.data_mut(), stride, col, a.data(), b.data(), a.rows(), |o, v| *o += v);
-}
-
-/// The loop behind [`row_dot_into`] and [`row_dot_acc`]: hands the lane
-/// dot of row `r` of `a` and `b` (`n` rows each) to `store` for
-/// `out[r * stride + col]`.
+/// The loop behind [`row_dot_into`]: hands the lane dot of row `r` of
+/// `a` and `b` (`n` rows each) to `store` for `out[r * stride + col]`.
 fn row_dot_slices(
     out: &mut [f32],
     stride: usize,
@@ -1060,26 +1056,22 @@ fn assert_softmax_backward(dst: &Matrix, g: &Matrix, y: &Matrix, op: &str) {
     assert_eq!(dst.shape(), y.shape(), "{op}: dst shape mismatch");
 }
 
-/// Row-softmax backward, assign form: `dst = y * (g - rowsum(g * y))`.
-/// The row total is a `dot_lanes` accumulation of `g[c] * y[c]` in
-/// the canonical lane order — since the lane rewrite, this (not a
-/// scalar `g.hadamard(y).row_sums()` sweep) is the reference sequence
-/// the equivalence suite replays.
-pub fn softmax_rows_backward_into(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
+/// Row-softmax backward, `y * (g - rowsum(g * y))` into `dst`, stored
+/// as `store` says. The row total is a `dot_lanes` accumulation of
+/// `g[c] * y[c]` in the canonical lane order — since the lane rewrite,
+/// this (not a scalar `g.hadamard(y).row_sums()` sweep) is the
+/// reference sequence the equivalence suite replays.
+pub fn softmax_rows_backward_into(dst: &mut Matrix, g: &Matrix, y: &Matrix, store: Store) {
     assert_softmax_backward(dst, g, y, "softmax_rows_backward_into");
-    softmax_backward_slices(dst.data_mut(), g.data(), y.data(), y.cols(), |o, v| *o = v);
+    let (out, d) = (dst.data_mut(), y.cols());
+    match store {
+        Store::Assign => softmax_backward_slices(out, g.data(), y.data(), d, |o, v| *o = v),
+        Store::Add => softmax_backward_slices(out, g.data(), y.data(), d, |o, v| *o += v),
+    }
 }
 
-/// Row-softmax backward, accumulate form: `dst += y * (g - rowsum(g *
-/// y))`, one add of a fully-formed value per element. Same
-/// canonical-lane row total as [`softmax_rows_backward_into`].
-pub fn softmax_rows_backward_acc(dst: &mut Matrix, g: &Matrix, y: &Matrix) {
-    assert_softmax_backward(dst, g, y, "softmax_rows_backward_acc");
-    softmax_backward_slices(dst.data_mut(), g.data(), y.data(), y.cols(), |o, v| *o += v);
-}
-
-/// The loop behind `softmax_rows_backward_*`: per `d`-wide row, the
-/// lane-order total `t` of `g * y`, then `y * (g - t)` handed to
+/// The loop behind [`softmax_rows_backward_into`]: per `d`-wide row,
+/// the lane-order total `t` of `g * y`, then `y * (g - t)` handed to
 /// `store` element by element.
 fn softmax_backward_slices(out: &mut [f32], g: &[f32], y: &[f32], d: usize, store: impl Fn(&mut f32, f32)) {
     if d == 0 {
@@ -1945,7 +1937,7 @@ mod tests {
         assert!(tn.approx_eq(&a.transpose().matmul(&b), 1e-5));
         let c = mat(10, 6, 0.5);
         let mut nt = Matrix::ones(8, 10);
-        matmul_nt_into(&mut nt, &a, &c);
+        matmul_nt_into(&mut nt, &a, &c, Store::Assign);
         assert!(nt.approx_eq(&a.matmul(&c.transpose()), 1e-5));
     }
 

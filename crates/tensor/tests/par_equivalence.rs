@@ -14,7 +14,8 @@
 //! values: `==` treats −0.0 and +0.0 as equal, and the contract does
 //! not.
 
-use gnmr_tensor::{kernels, par, Csr, Matrix};
+use gnmr_tensor::kernels::{self, Store};
+use gnmr_tensor::{par, Csr, Matrix};
 use proptest::prelude::*;
 
 /// Plain scalar replay of the canonical `kernels::LANES = 8` reduction
@@ -112,7 +113,7 @@ fn matmul_tn_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `dst0` plus the `a * b^T` product `lane_dot_ref` spells out, folded
 /// in with one add per element: the allocate-then-combine reference of
-/// `matmul_nt_acc`.
+/// `matmul_nt_into`'s `Store::Add`.
 fn matmul_nt_acc_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = dst0.clone();
     for i in 0..a.rows() {
@@ -124,7 +125,7 @@ fn matmul_nt_acc_ref(dst0: &Matrix, a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `a * b^T` with every element a `lane_dot_ref` dot: the reference of
-/// `matmul_nt_into`.
+/// `matmul_nt_into`'s `Store::Assign`.
 fn matmul_nt_ref(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows(), b.rows(), |i, j| lane_dot_ref(a.row(i), b.row(j)))
 }
@@ -308,14 +309,14 @@ proptest! {
 
     #[test]
     fn matmul_nt_matches_serial((a, b) in nt_inputs()) {
-        // Both `matmul_nt` forms against the lane-order spec: the
-        // overwriting one on a NaN-filled buffer, the accumulating one
-        // on a non-zero destination.
+        // Both `matmul_nt` stores against the lane-order spec: the
+        // assign on a NaN-filled buffer, the add on a non-zero
+        // destination.
         let (nan, dst0) = (Matrix::filled(a.rows(), b.rows(), f32::NAN), dirty(a.rows(), b.rows()));
-        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
-        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
-        let got_acc = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
-        prop_assert_eq!(bits(got_acc.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "assign");
+        let got_add = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Add));
+        prop_assert_eq!(bits(got_add.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "add");
     }
 
     #[test]
@@ -465,8 +466,11 @@ proptest! {
 // Every `*_assign` / `*_acc` / `*_into` kernel must be bitwise-equal to
 // its allocate-then-combine reference (materialize the contribution,
 // then `+=` it element-wise — spelled out as plain loops below so the
-// reference never shares code with the kernel under test). The
-// fully-fused kernels hold that contract for ANY destination contents;
+// reference never shares code with the kernel under test). Each
+// `_into` case runs its one kernel under both stores, the `Store` one
+// more argument: `Store::Assign` against the materialized contribution,
+// `Store::Add` against that reference. The `_into` kernels and the
+// `_assign` ones hold the contract for ANY destination contents;
 // the streaming accumulators (`matmul_acc`, `matmul_tn_acc`,
 // `spmm_acc`, `spmm_t_acc`) hold it for the zeroed checkouts the tape
 // feeds them, where the reference is the product itself:
@@ -498,8 +502,8 @@ proptest! {
             let tmp = x * s;
             *e += tmp;
         }
-        let got = run_on(&dst0, |dst| kernels::axpy(dst, &src, s));
-        prop_assert_eq!(bits(got.data()), bits(expected.data()), "axpy");
+        let got = run_on(&dst0, |dst| kernels::scale_into(dst, &src, s, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(expected.data()), "scale_into add");
         // add_assign: dst += src, one add per element.
         let mut expected = dst0.clone();
         for (e, &x) in expected.data_mut().iter_mut().zip(src.data()) {
@@ -514,9 +518,9 @@ proptest! {
         (dst0, src) in elementwise_inputs(),
         s in -3.0f32..3.0,
     ) {
-        // scale_into overwrites a dirty buffer completely.
-        let got = run_on(&dst0, |dst| kernels::scale_into(dst, &src, s));
-        prop_assert_eq!(bits(got.data()), bits(src.scale(s).data()), "scale_into");
+        // scale_into's assign overwrites a dirty buffer completely.
+        let got = run_on(&dst0, |dst| kernels::scale_into(dst, &src, s, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(src.scale(s).data()), "scale_into assign");
         // scale_assign == materializing self * s.
         let got = run_on(&dst0, |dst| kernels::scale_assign(dst, s));
         prop_assert_eq!(bits(got.data()), bits(dst0.scale(s).data()), "scale_assign");
@@ -525,27 +529,27 @@ proptest! {
     #[test]
     fn zip_map_family_matches_reference((dst0, src) in elementwise_inputs()) {
         let f = |a: f32, b: f32| if b > 0.0 { a } else { a * 0.25 };
-        // zip_map_into == materialized zip_map over (dst, src).
+        // The assign == materialized zip_map over (dst, src).
         let expected_into = dst0.zip_map(&src, f);
-        // zip_map_acc == materialize f(dst0, src) then dst0 += it.
+        // The add == materialize f(dst0, src) then dst0 += it.
         let mut expected_acc = dst0.clone();
         for ((e, &a), &b) in expected_acc.data_mut().iter_mut().zip(dst0.data()).zip(src.data()) {
             let tmp = f(a, b);
             *e += tmp;
         }
-        let got = run_on(&src, |dst| kernels::zip_map_into(dst, &dst0, &src, f));
-        prop_assert_eq!(bits(got.data()), bits(expected_into.data()), "into");
-        let got = run_on(&dst0, |dst| kernels::zip_map_acc(dst, &dst0, &src, f));
-        prop_assert_eq!(bits(got.data()), bits(expected_acc.data()), "acc");
+        let got = run_on(&src, |dst| kernels::zip_map_into(dst, &dst0, &src, f, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(expected_into.data()), "assign");
+        let got = run_on(&dst0, |dst| kernels::zip_map_into(dst, &dst0, &src, f, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(expected_acc.data()), "add");
     }
 
     #[test]
     fn matmul_nt_fused_match_allocate_then_combine((a, b, dst0) in nt_acc_inputs()) {
-        let got = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
-        prop_assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
-        // The assign form overwrites a dirty buffer with the product.
-        let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b));
-        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "add");
+        // The assign overwrites a dirty buffer with the product.
+        let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "assign");
     }
 
     #[test]
@@ -564,12 +568,10 @@ proptest! {
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
-        let mut dirty = dst0.clone();
-        kernels::mul_col_broadcast_into(&mut dirty, &src, &w, col);
-        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
-        let mut acc = dst0.clone();
-        kernels::mul_col_broadcast_acc(&mut acc, &src, &w, col);
-        prop_assert_eq!(bits(acc.data()), bits(expected.data()));
+        let got = run_on(&dst0, |dst| kernels::mul_col_broadcast_into(dst, &src, &w, col, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(product.data()), "assign");
+        let got = run_on(&dst0, |dst| kernels::mul_col_broadcast_into(dst, &src, &w, col, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(expected.data()), "add");
     }
 
     #[test]
@@ -583,12 +585,10 @@ proptest! {
         let product = Matrix::from_fn(a.rows(), cols, |r, c| if c == col { dots[r] } else { dst0.get(r, c) });
         let summed =
             Matrix::from_fn(a.rows(), cols, |r, c| if c == col { dst0.get(r, c) + dots[r] } else { dst0.get(r, c) });
-        let mut dirty = dst0.clone();
-        kernels::row_dot_into(&mut dirty, col, &a, &b);
-        prop_assert_eq!(bits(dirty.data()), bits(product.data()), "into");
-        let mut acc = dst0.clone();
-        kernels::row_dot_acc(&mut acc, col, &a, &b);
-        prop_assert_eq!(bits(acc.data()), bits(summed.data()), "acc");
+        let got = run_on(&dst0, |dst| kernels::row_dot_into(dst, col, &a, &b, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(product.data()), "assign");
+        let got = run_on(&dst0, |dst| kernels::row_dot_into(dst, col, &a, &b, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(summed.data()), "add");
     }
 
     #[test]
@@ -607,12 +607,10 @@ proptest! {
         for (e, &x) in expected.data_mut().iter_mut().zip(product.data()) {
             *e += x;
         }
-        let mut dirty = dst0.clone();
-        kernels::softmax_rows_backward_into(&mut dirty, &g, &y);
-        prop_assert_eq!(bits(dirty.data()), bits(product.data()));
-        let mut acc = dst0.clone();
-        kernels::softmax_rows_backward_acc(&mut acc, &g, &y);
-        prop_assert_eq!(bits(acc.data()), bits(expected.data()));
+        let got = run_on(&dst0, |dst| kernels::softmax_rows_backward_into(dst, &g, &y, Store::Assign));
+        prop_assert_eq!(bits(got.data()), bits(product.data()), "assign");
+        let got = run_on(&dst0, |dst| kernels::softmax_rows_backward_into(dst, &g, &y, Store::Add));
+        prop_assert_eq!(bits(got.data()), bits(expected.data()), "add");
     }
 
     #[test]
@@ -639,6 +637,29 @@ proptest! {
         let product = spmm_ref(&Matrix::zeros(csr.rows(), x.cols()), &csr, &x);
         prop_assert_eq!(bits(spmm_at(&csr, &x).data()), bits(product.data()), "spmm_acc");
     }
+}
+
+#[test]
+fn copy_into_keeps_every_bit_pattern() {
+    // A dirty destination and a source holding a −0.0 and a NaN: the
+    // assign copies each bit pattern (a `0.0 +` would turn the −0.0
+    // into +0.0), and the add is `dst0 + src`, one add per element, so
+    // −0.0 + −0.0 stays −0.0 and the NaN spreads only to its element.
+    let mut dst0 = dirty(3, 5);
+    let mut src = Matrix::from_fn(3, 5, |r, c| ((r * 5 + c) as f32 * 0.7).cos() - 0.5);
+    dst0.set(0, 1, -0.0);
+    src.set(0, 1, -0.0);
+    src.set(2, 3, f32::NAN);
+    let got = run_on(&dst0, |dst| kernels::copy_into(dst, &src, Store::Assign));
+    assert_eq!(bits(got.data()), bits(src.data()), "assign");
+    let mut expected = dst0.clone();
+    for (e, &x) in expected.data_mut().iter_mut().zip(src.data()) {
+        *e += x;
+    }
+    let got = run_on(&dst0, |dst| kernels::copy_into(dst, &src, Store::Add));
+    assert_eq!(bits(got.data()), bits(expected.data()), "add");
+    assert_eq!(got.get(0, 1).to_bits(), (-0.0f32).to_bits(), "−0.0 + −0.0");
+    assert_eq!(got.data().iter().filter(|v| v.is_nan()).count(), 1, "one NaN");
 }
 
 // ----- canonical lane order (LANES = 8 dot reductions) ----------------
@@ -670,7 +691,7 @@ proptest! {
     #[test]
     fn matmul_nt_matches_lane_order_reference((a, b) in nt_lane_inputs()) {
         let nan = Matrix::filled(a.rows(), b.rows(), f32::NAN);
-        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Assign));
         prop_assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()));
     }
 
@@ -701,17 +722,17 @@ fn matmul_packed_tiling_boundaries_are_bitwise_serial() {
 fn matmul_nt_zero_row_is_positive_zero() {
     // A zero row of `a` against all-negative rows of `b`: every product
     // is −0.0, and lanes that start at +0.0 absorb it (+0.0 + −0.0 =
-    // +0.0), so every element is +0.0 — the `into` form writes it, the
-    // `acc` form turns a −0.0 destination into it. Lanes started at
-    // −0.0, or seeded with their first product, would leave −0.0.
+    // +0.0), so every element is +0.0 — the assign writes it, the add
+    // turns a −0.0 destination into it. Lanes started at −0.0, or
+    // seeded with their first product, would leave −0.0.
     for k in [8, 16] {
         let a = Matrix::zeros(3, k);
         let b = Matrix::from_fn(11, k, |r, c| -1.0 - (r * k + c) as f32 * 0.25);
         let (nan, neg) = (Matrix::filled(3, 11, f32::NAN), Matrix::filled(3, 11, -0.0));
-        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b));
-        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "into k={k}");
-        let got = run_on(&neg, |dst| kernels::matmul_nt_acc(dst, &a, &b));
-        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "acc k={k}");
+        let got = run_on(&nan, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Assign));
+        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "assign k={k}");
+        let got = run_on(&neg, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Add));
+        assert_eq!(bits(got.data()), bits(&[0.0; 33]), "add k={k}");
     }
 }
 
@@ -724,10 +745,10 @@ fn matmul_nt_deep_rows_match_lane_order_reference() {
     let a = Matrix::from_fn(3, k, |r, c| ((r * 31 + c * 7) as f32 * 0.013).sin());
     let b = Matrix::from_fn(11, k, |r, c| ((r * 3 + c * 11) as f32 * 0.007).cos());
     let dst0 = dirty(3, 11);
-    let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b));
-    assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "into");
-    let got = run_on(&dst0, |dst| kernels::matmul_nt_acc(dst, &a, &b));
-    assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "acc");
+    let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Assign));
+    assert_eq!(bits(got.data()), bits(matmul_nt_ref(&a, &b).data()), "assign");
+    let got = run_on(&dst0, |dst| kernels::matmul_nt_into(dst, &a, &b, Store::Add));
+    assert_eq!(bits(got.data()), bits(matmul_nt_acc_ref(&dst0, &a, &b).data()), "add");
 }
 
 /// The backward's fused kernels with the pool sized past one thread
@@ -743,8 +764,8 @@ fn fused_kernels_bitwise_across_pool_threads() {
     for (e, &x) in expected_axpy.data_mut().iter_mut().zip(b.data()) {
         *e += x * 0.75;
     }
-    let got = run_on(&a, |dst| kernels::axpy(dst, &b, 0.75));
-    assert_eq!(bits(got.data()), bits(expected_axpy.data()), "axpy");
+    let got = run_on(&a, |dst| kernels::scale_into(dst, &b, 0.75, Store::Add));
+    assert_eq!(bits(got.data()), bits(expected_axpy.data()), "scale_into add");
     let expected_tn = kernels::matmul_serial(&a.transpose(), &b);
     assert_eq!(bits(matmul_tn_at(&a, &b).data()), bits(expected_tn.data()), "matmul_tn_acc");
 }
@@ -762,7 +783,7 @@ fn empty_matrices_all_kernels() {
     assert_eq!(bits(empty_k.data()), bits(dirty(3, 2).data()), "an empty inner dimension adds nothing");
     assert_eq!(bits(matmul_tn_at(&Matrix::zeros(0, 4), &Matrix::zeros(0, 2)).data()), bits(&[0.0; 8]));
     let mut nt = Matrix::ones(2, 5);
-    kernels::matmul_nt_into(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0));
+    kernels::matmul_nt_into(&mut nt, &Matrix::zeros(2, 0), &Matrix::zeros(5, 0), Store::Assign);
     assert_eq!(bits(nt.data()), bits(&[0.0; 10]), "an empty dot overwrites with 0");
 }
 

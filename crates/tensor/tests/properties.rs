@@ -67,7 +67,7 @@ proptest! {
         kernels::matmul_tn_acc(&mut tn, &a.transpose(), &b); // (a^T)^T b = a b
         prop_assert!(tn.approx_eq(&a.matmul(&b), 1e-3));
         let mut nt = Matrix::zeros(m, n);
-        kernels::matmul_nt_into(&mut nt, &a, &b.transpose()); // a (b^T)^T = a b
+        kernels::matmul_nt_into(&mut nt, &a, &b.transpose(), kernels::Store::Assign); // a (b^T)^T = a b
         prop_assert!(nt.approx_eq(&a.matmul(&b), 1e-3));
     }
 
